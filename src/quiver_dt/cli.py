@@ -300,6 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "bound", 1) < 1:
+        return _fail(f"--bound must be at least 1, not {args.bound}",
+                     EXIT_VALIDATION)
     try:
         return args.func(args)
     except UncalibratedError as exc:

@@ -8,7 +8,8 @@ root diamond series on the module side.  Motivic invariants are read off
 those elements; numerical invariants evaluate at q = -1.
 
 All per-slope tables live in a small engine cached by (quiver, slope,
-bound), so repeated scalar queries share work.
+bound, calibration), so repeated scalar queries share work and a new
+calibration never returns values computed under the old one.
 """
 
 from __future__ import annotations
@@ -59,6 +60,24 @@ class _Engine:
         self._eps_elems: Dict[Fraction, TorusElem] = {}
         self._sd_eps_elem: Optional[TorusModElem] = None
         self._sd_checked = False
+
+    @classmethod
+    def seeded(cls, quiver: SelfDualQuiver, slope: Slope, bound: int,
+               stack: TorusElem,
+               sd_stack: Optional[TorusModElem]) -> "_Engine":
+        """Engine reading every component integral up to the bound off the
+        integrated stack element and the module stack element (as
+        integrated_stack_element and sd_stack_element build them) instead
+        of the motives.  It stays out of _ENGINES, where it would stand in
+        for an engine that computes from the motives."""
+        eng = cls(quiver, slope, bound)
+        inv = inv_q_minus_qinv()
+        for a in eng.classes:
+            eng._stack[a] = (stack.get(a) * inv).reduced()
+        if sd_stack is not None:
+            for th in quiver.sd_classes_up_to(bound):
+                eng._sd_stack[th] = sd_stack.get(th).reduced()
+        return eng
 
     # -- component integrals ----------------------------------------------
 
@@ -197,7 +216,10 @@ _ENGINES: Dict[tuple, _Engine] = {}
 
 
 def _engine(quiver: SelfDualQuiver, slope: Slope, bound: int) -> _Engine:
-    key = (id(quiver), slope.weights, bound)
+    # Calibrate before building the key, so that the first call on an
+    # uncalibrated quiver keys its engine by the calibration it uses.
+    ensure_calibrated(quiver)
+    key = (id(quiver), slope.weights, bound, quiver.calibration)
     eng = _ENGINES.get(key)
     if eng is None or eng.quiver is not quiver:
         eng = _Engine(quiver, slope, bound)

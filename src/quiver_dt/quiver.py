@@ -160,8 +160,10 @@ class SelfDualQuiver:
 
         def read_sign(table, key, kind):
             val = table.get(key, 1)
-            if val not in (1, -1):
-                raise ValidationError(f"{kind} sign of {key} must be +1 or -1")
+            # the integer itself: 1.5, True or "1" are not signs
+            if type(val) is not int or val not in (1, -1):
+                raise ValidationError(
+                    f"{kind} sign of {key} must be +1 or -1, not {val!r}")
             return val
 
         for key in sign_v:
@@ -307,24 +309,27 @@ class SelfDualQuiver:
     @classmethod
     def from_data(cls, data: dict) -> "SelfDualQuiver":
         try:
-            vertices = list(data["vertices"])
+            vertices = data["vertices"]
             edge_rows = list(data.get("edges", []))
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed quiver data: {exc}") from exc
+        if not isinstance(vertices, list):
+            raise ValidationError(
+                f"vertices must be a list of names, not {vertices!r}")
         edges = []
         for row in edge_rows:
             try:
                 edges.append(Edge(str(row["name"]), str(row["from"]), str(row["to"])))
             except (KeyError, TypeError) as exc:
                 raise ValidationError(f"malformed edge row {row!r}") from exc
-        inv = data.get("involution", {}) or {}
-        signs = data.get("signs", {}) or {}
+        inv = _mapping(data, "involution")
+        signs = _mapping(data, "signs")
         return cls(
             [str(x) for x in vertices], edges,
-            {str(k): str(v) for k, v in (inv.get("vertices", {}) or {}).items()},
-            {str(k): str(v) for k, v in (inv.get("edges", {}) or {}).items()},
-            {str(k): int(v) for k, v in (signs.get("vertices", {}) or {}).items()},
-            {str(k): int(v) for k, v in (signs.get("edges", {}) or {}).items()},
+            {str(k): str(v) for k, v in _mapping(inv, "vertices").items()},
+            {str(k): str(v) for k, v in _mapping(inv, "edges").items()},
+            {str(k): v for k, v in _mapping(signs, "vertices").items()},
+            {str(k): v for k, v in _mapping(signs, "edges").items()},
         )
 
     def to_data(self) -> dict:
@@ -345,6 +350,14 @@ class SelfDualQuiver:
                           for a, e in enumerate(self.edges)},
             },
         }
+
+
+def _mapping(data: dict, key: str) -> dict:
+    """The object under key, or {} when it is absent or null."""
+    out = data.get(key) or {}
+    if not isinstance(out, dict):
+        raise ValidationError(f"{key} must be an object, not {out!r}")
+    return out
 
 
 @dataclass(frozen=True)

@@ -394,6 +394,17 @@ class RatFunc:
         self._canon = (shift, num, den)
         return self._canon
 
+    def reduced(self) -> "RatFunc":
+        """The same value, rebuilt from its canonical view.  A value that
+        went through a long chain of sums and products carries factors its
+        lazy form never cancelled; dropping them keeps later arithmetic on
+        it cheap."""
+        if not self._inum:
+            return self
+        out = RatFunc.from_frac_polys(*self._canonical())
+        out._canon = self._canon
+        return out
+
     @property
     def shift(self) -> int:
         return self._canonical()[0]

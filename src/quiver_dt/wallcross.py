@@ -1,11 +1,13 @@
 """Transforms relating invariants at different stability conditions.
 
-Crossing from one slope function to another is governed by combinatorial
-coefficients attached to ordered decompositions of a class: sign products
-for the semistable integrals, and rational averages over nested regroupings
-for the epsilon integrals.  This module evaluates those coefficients,
-verifies their composition law, and applies the induced transform to whole
-tables of epsilon integrals, for both the linear and the self-dual side.
+Tables of epsilon integrals cross from one slope function to another by
+re-factorisation in the twisted algebra (see wallcross_epsilon).  The same
+transform has a combinatorial form, governed by coefficients attached to
+ordered decompositions of a class: sign products for the semistable
+integrals (coeff_S, coeff_Ssd), and rational averages over nested
+regroupings for the epsilon integrals (coeff_U, coeff_Usd).  This module
+evaluates those coefficients and verifies their composition law; the tests
+check the re-factorisation against the sum they weight.
 """
 
 import itertools
@@ -13,9 +15,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import invariants
 from .quiver import (DimVector, SelfDualQuiver, Slope, ValidationError, vadd,
-                     vleq, vsub, vtotal, boxed_vectors, graded_lex_key)
-from .ratfunc import RatFunc, binom_fraction
+                     vsub, graded_lex_key)
+from .ratfunc import RatFunc, binom_fraction, inv_q_minus_qinv, q_minus_qinv
+from .torus import (TorusElem, TorusModElem, integrated_unit, series_diamond,
+                    star_exp)
 
 Parts = Sequence[DimVector]
 
@@ -318,7 +323,6 @@ class EpsilonTable:
 def epsilon_table(quiver: SelfDualQuiver, slope: Slope,
                   bound: int) -> EpsilonTable:
     """Tabulate epsilon integrals directly at the given slope."""
-    from . import invariants
     eps = {a: invariants.epsilon_integral(quiver, slope, a, bound=bound)
            for a in quiver.dim_vectors_up_to(bound)}
     sd_eps = None
@@ -333,93 +337,51 @@ def epsilon_table(quiver: SelfDualQuiver, slope: Slope,
     return EpsilonTable(quiver, slope, bound, eps, sd_eps)
 
 
-def _decompositions(alpha: DimVector):
-    """Ordered decompositions of alpha into nonzero parts."""
-    if vtotal(alpha) == 0:
-        yield ()
-        return
-    for first in boxed_vectors(alpha):
-        if vtotal(first) == 0:
-            continue
-        for rest in _decompositions(vsub(alpha, first)):
-            yield (first,) + rest
-
-
 def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
     """Transform a table of epsilon integrals from the pair's source slope
     to its target slope, without recomputing anything semistable.
 
-    Each target-side epsilon is the weighted sum, over ordered
-    decompositions of its class, of commutation-twisted products of
-    source-side epsilons; self-dual classes additionally split off a
-    self-dual residue class with its own twist.
+    The exponentials of the source slopes' epsilon elements, multiplied in
+    descending slope order, give the integrated stack element.  On the
+    self-dual side, the square-root series at slope 0, acted on by the
+    positive slopes' factors in ascending order, gives the module stack
+    element.  An engine at the target slope seeded with both factors them
+    again by target slope.
     """
     if table.quiver is not pair.quiver:
         raise ValidationError("table and slope pair use different quivers")
     if table.slope.weights != pair.plus.weights:
         raise ValidationError("table was not computed at the source slope")
-    q = pair.quiver
-    eps = {}
-    for alpha in q.dim_vectors_up_to(table.bound):
-        acc = RatFunc(0)
-        for parts in _decompositions(alpha):
-            if any(not table.eps[p] for p in parts):
-                continue
-            u = coeff_U(parts, pair)
-            if not u:
-                continue
-            expo = 0
-            for i in range(len(parts)):
-                for j in range(i + 1, len(parts)):
-                    expo += q.commutation_exponent(parts[i], parts[j])
-            term = RatFunc(u) * RatFunc.q_power(expo)
-            for p in parts:
-                term = term * table.eps[p]
-            acc = acc + term
-        eps[alpha] = acc
+    q, bound = pair.quiver, table.bound
+    pref = q_minus_qinv()
+    groups: Dict[Fraction, Dict[DimVector, RatFunc]] = {}
+    for a, e in table.eps.items():
+        if e:
+            groups.setdefault(pair.plus.value(a), {})[a] = pref * e
+    factors = {s: star_exp(TorusElem(q, coeffs, bound), bound)
+               for s, coeffs in groups.items()}
+    stack = integrated_unit(q, bound)
+    for s in sorted(factors, reverse=True):
+        stack = stack.star(factors[s])
 
+    sd_stack = None
+    sd_side = table.sd_eps is not None and pair.is_self_dual()
+    if sd_side:
+        e0 = TorusElem(q, groups.get(Fraction(0), {}), bound)
+        sd_stack = series_diamond(e0.scale(Fraction(1, 2)),
+                                  TorusModElem(q, table.sd_eps, bound),
+                                  lambda n: Fraction(1, _factorial(n)), bound)
+        for s in sorted(s for s in factors if s > 0):
+            sd_stack = factors[s].diamond(sd_stack)
+
+    eng = invariants._Engine.seeded(q, pair.minus, bound, stack, sd_stack)
+    inv = inv_q_minus_qinv()
+    eps = {a: eng.dt_motivic(a) * inv for a in eng.classes}
     sd_eps = None
-    if table.sd_eps is not None and pair.is_self_dual():
-        sd_eps = {}
-        for theta in q.sd_classes_up_to(table.bound):
-            acc = RatFunc(0)
-            for parts, rho in _sd_decompositions(q, theta):
-                if any(not table.eps[p] for p in parts):
-                    continue
-                if not table.sd_eps[rho]:
-                    continue
-                u = coeff_Usd(parts, pair)
-                if not u:
-                    continue
-                expo = Fraction(0)
-                suffix = rho
-                for p in reversed(parts):
-                    expo += q.sd_twist_exponent(p, suffix)
-                    suffix = vadd(suffix, vadd(p, q.dual_vector(p)))
-                term = RatFunc(u) * RatFunc.q_power(int(expo))
-                for p in parts:
-                    term = term * table.eps[p]
-                term = term * table.sd_eps[rho]
-                acc = acc + term
-            sd_eps[theta] = acc
-    return EpsilonTable(q, pair.minus, table.bound, eps, sd_eps)
-
-
-def _sd_decompositions(q: SelfDualQuiver, theta: DimVector):
-    """Pairs (linear parts, self-dual residue) summing to theta."""
-
-    def rec(rem, parts):
-        if q.is_sd_class(rem):
-            yield tuple(parts), rem
-        for part in boxed_vectors(rem):
-            if vtotal(part) == 0:
-                continue
-            pd = vadd(part, q.dual_vector(part))
-            if not vleq(pd, rem):
-                continue
-            yield from rec(vsub(rem, pd), parts + [part])
-
-    yield from rec(theta, [])
+    if sd_side:
+        sd_eps = {th: eng.sd_dt_motivic(th)
+                  for th in q.sd_classes_up_to(bound)}
+    return EpsilonTable(q, pair.minus, bound, eps, sd_eps)
 
 
 def diff_tables(got: EpsilonTable, want: EpsilonTable) -> List[dict]:

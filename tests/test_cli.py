@@ -44,6 +44,36 @@ def test_validate_broken_involution(tmp_path, capsys):
     assert "sign" in err or "involution" in err
 
 
+@pytest.mark.parametrize("keys, value, message", [
+    (("vertices",), "ij", "vertices must be a list"),
+    (("signs", "vertices", "i"), "plus", "sign of i must be +1 or -1"),
+    (("signs", "edges", "a1"), 1.5, "sign of a1 must be +1 or -1"),
+], ids=["vertices_string", "sign_word", "sign_fraction"])
+def test_validate_rejects_malformed_fields(keys, value, message, tmp_path,
+                                           capsys):
+    data = json.loads((FIXTURES / "kronecker_pm_plus.json").read_text())
+    node = data
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
+
+
+@pytest.mark.parametrize("command", ["dt", "wallcross", "series",
+                                     "explain-calibration"])
+def test_bound_below_one_is_a_validation_error(command, capsys):
+    assert cli.main([command, fixture("kronecker_pm_plus.json"),
+                     "--bound", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --bound must be at least 1, not 0\n"
+
+
 def test_validate_malformed_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{ this is not json")
@@ -132,6 +162,14 @@ def test_wallcross_command(capsys):
     assert payload["all_match"] is True
     assert payload["transformed"]["slope"] == {"i": "-1", "j": "1"}
     assert {d["side"] for d in payload["diff"]} == {"linear", "self-dual"}
+
+
+def test_wallcross_transformed_table_is_byte_identical_to_direct(capsys):
+    assert cli.main(["wallcross", fixture("kronecker_pm_plus.json"),
+                     "--bound", "4", "--slope", "i=1,j=-1",
+                     "--slope2", "i=-1,j=1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["transformed"] == payload["direct"]
 
 
 SERIES_MM = "(1) + (0)*t^(1/2) + (-1/2)*t + (0)*t^(3/2)"

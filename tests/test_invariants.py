@@ -11,7 +11,7 @@ from quiver_dt.oracle import (calibrate_signs, direct_epsilon_integral,
                               direct_semistable_integral)
 from quiver_dt.motives import sd_stack_class, stack_class
 from quiver_dt.quiver import (Calibration, Slope, kronecker_variant,
-                              point_quiver, vadd, vtotal)
+                              make_calibration, point_quiver, vadd, vtotal)
 from quiver_dt.ratfunc import RatFunc, inv_q_minus_qinv, q_minus_qinv
 from quiver_dt.torus import TorusElem, integrated_unit, series_diamond, star_exp
 
@@ -114,6 +114,28 @@ def test_bound_does_not_change_values():
         assert inv.semistable_integral(q, s, a, bound=3) == \
             inv.semistable_integral(q, s, a, bound=5)
         assert inv.dt_mot(q, s, a, bound=3) == inv.dt_mot(q, s, a, bound=5)
+
+
+def test_new_calibration_is_not_served_from_the_cache():
+    q = kronecker_variant((1, 1), 1)
+    cal = calibrate_signs(q)
+    s = hn_slope(q)
+    before = inv.dt_mot(q, s, (2, 1), bound=3)
+    sd_before = inv.sd_dt_mot(q, s, (1, 1), bound=3)
+    q.set_calibration(make_calibration(q, -cal.orientation, -cal.placement))
+    after = inv.dt_mot(q, s, (2, 1), bound=3)
+    sd_after = inv.sd_dt_mot(q, s, (1, 1), bound=3)
+    inv.clear_cache()
+    assert after == inv.dt_mot(q, s, (2, 1), bound=3) != before
+    assert sd_after == inv.sd_dt_mot(q, s, (1, 1), bound=3) != sd_before
+
+
+def test_first_query_on_uncalibrated_quiver_builds_one_engine():
+    q = kronecker_variant((1, 1), 1)
+    inv.dt_mot(q, hn_slope(q), (1, 1), bound=2)
+    inv.dt_mot(q, hn_slope(q), (1, 1), bound=2)
+    assert q.calibration is not None
+    assert len(inv._ENGINES) == 1
 
 
 def test_exp_log_inversion_roundtrip():

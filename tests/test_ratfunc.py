@@ -346,6 +346,17 @@ def test_serialization_round_trip():
     assert RatFunc.from_data(RatFunc(0).to_data()) == RatFunc(0)
 
 
+def test_reduced_keeps_the_value_and_drops_uncancelled_factors():
+    x = RatFunc(1)
+    for _ in range(6):
+        x = x * q_minus_qinv() * inv_q_minus_qinv()
+    y = (x * RatFunc.q_power(3) + RatFunc(F(1, 2))) * inv_q_minus_qinv()
+    r = y.reduced()
+    assert r == y and str(r) == str(y) and r.to_data() == y.to_data()
+    assert sum(r._profile.values()) == 1 < sum(y._profile.values())
+    assert RatFunc(0).reduced() == RatFunc(0)
+
+
 def test_big_products_use_packed_multiply_consistently():
     # same product through one big multiply and through chained small ones
     rng = random.Random(19)

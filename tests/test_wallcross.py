@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import calibrated_kron, calibrated_mixed, calibrated_point
+from helpers import (calibrated_kron, calibrated_mixed, calibrated_point,
+                     calibrated_two_pairs)
 from quiver_dt import invariants as inv
-from quiver_dt.quiver import Slope, ValidationError
+from quiver_dt.quiver import (Slope, ValidationError, boxed_vectors, vadd,
+                              vleq, vsub, vtotal)
 from quiver_dt.ratfunc import RatFunc, q_minus_qinv
-from quiver_dt.wallcross import (SlopePair, check_composition, coeff_S,
-                                 coeff_Ssd, coeff_U, coeff_Usd, diff_tables,
-                                 epsilon_table, wallcross_epsilon)
+from quiver_dt.wallcross import (EpsilonTable, SlopePair, check_composition,
+                                 coeff_S, coeff_Ssd, coeff_U, coeff_Usd,
+                                 diff_tables, epsilon_table,
+                                 wallcross_epsilon)
 
 
 def setup_function(_fn):
@@ -109,6 +112,141 @@ def test_two_step_equals_one_step():
                                  _pair(q, t2, t3))
     one_step = wallcross_epsilon(table, _pair(q, t1, t3))
     assert two_step == one_step
+
+
+def _decompositions(alpha):
+    """Ordered decompositions of alpha into nonzero parts."""
+    if vtotal(alpha) == 0:
+        yield ()
+        return
+    for first in boxed_vectors(alpha):
+        if vtotal(first) == 0:
+            continue
+        for rest in _decompositions(vsub(alpha, first)):
+            yield (first,) + rest
+
+
+def _sd_decompositions(q, theta):
+    """Pairs (linear parts, self-dual residue) summing to theta."""
+
+    def rec(rem, parts):
+        if q.is_sd_class(rem):
+            yield tuple(parts), rem
+        for part in boxed_vectors(rem):
+            if vtotal(part) == 0:
+                continue
+            pd = vadd(part, q.dual_vector(part))
+            if not vleq(pd, rem):
+                continue
+            yield from rec(vsub(rem, pd), parts + [part])
+
+    yield from rec(theta, [])
+
+
+def enumerative_wallcross(table, pair):
+    """Reference transform: each target epsilon is the coeff_U-weighted sum,
+    over ordered decompositions of its class, of commutation-twisted
+    products of source epsilons; self-dual classes also split off a
+    self-dual residue, weighted by coeff_Usd with the module twist."""
+    q = pair.quiver
+    eps = {}
+    for alpha in q.dim_vectors_up_to(table.bound):
+        acc = RatFunc(0)
+        for parts in _decompositions(alpha):
+            if any(not table.eps[p] for p in parts):
+                continue
+            u = coeff_U(parts, pair)
+            if not u:
+                continue
+            expo = 0
+            for i in range(len(parts)):
+                for j in range(i + 1, len(parts)):
+                    expo += q.commutation_exponent(parts[i], parts[j])
+            term = RatFunc(u) * RatFunc.q_power(expo)
+            for p in parts:
+                term = term * table.eps[p]
+            acc = acc + term
+        eps[alpha] = acc
+
+    sd_eps = None
+    if table.sd_eps is not None and pair.is_self_dual():
+        sd_eps = {}
+        for theta in q.sd_classes_up_to(table.bound):
+            acc = RatFunc(0)
+            for parts, rho in _sd_decompositions(q, theta):
+                if any(not table.eps[p] for p in parts):
+                    continue
+                if not table.sd_eps[rho]:
+                    continue
+                u = coeff_Usd(parts, pair)
+                if not u:
+                    continue
+                expo = Fraction(0)
+                suffix = rho
+                for p in reversed(parts):
+                    expo += q.sd_twist_exponent(p, suffix)
+                    suffix = vadd(suffix, vadd(p, q.dual_vector(p)))
+                term = RatFunc(u) * RatFunc.q_power(int(expo))
+                for p in parts:
+                    term = term * table.eps[p]
+                term = term * table.sd_eps[rho]
+                acc = acc + term
+            sd_eps[theta] = acc
+    return EpsilonTable(q, pair.minus, table.bound, eps, sd_eps)
+
+
+REFERENCE_CASES = [
+    (calibrated_kron, ((1, 1),), {"i": 1, "j": -1}, {"i": -1, "j": 1}),
+    (calibrated_kron, ((1, -1),), {"i": 1, "j": -1}, {"i": -1, "j": 1}),
+    (calibrated_kron, ((-1, -1),), {"i": 1, "j": -1}, {"i": -1, "j": 1}),
+    (calibrated_kron, ((1, 1),), {"i": -2, "j": 2}, {"i": 0, "j": 0}),
+    (calibrated_mixed, (), {"i": 1, "k": -1},
+     {"i": Fraction(1, 2), "j": 0, "k": Fraction(-1, 2)}),
+    (calibrated_mixed, (), {"i": -1, "k": 1}, {"i": 1, "k": -1}),
+    (calibrated_mixed, (), {"i": 1, "k": -1}, {"i": 2, "j": 1}),
+    (calibrated_two_pairs, (), {"a": 2, "d": -2, "b": 1, "c": -1},
+     {"a": -1, "d": 1, "b": 1, "c": -1}),
+]
+REFERENCE_IDS = ["kron_pp", "kron_pm", "kron_mm", "kron_to_trivial",
+                 "mixed_fractional", "mixed_reversed", "mixed_non_sd_target",
+                 "two_pairs"]
+
+
+@pytest.mark.parametrize("make, args, plus, minus", REFERENCE_CASES,
+                         ids=REFERENCE_IDS)
+def test_refactorised_transform_matches_enumerative_reference(make, args,
+                                                              plus, minus):
+    q = make(*args)
+    pair = _pair(q, plus, minus)
+    table = epsilon_table(q, pair.plus, 4)
+    want = enumerative_wallcross(table, pair)
+    got = wallcross_epsilon(table, pair)
+    assert got.eps == want.eps
+    assert got.sd_eps == want.sd_eps
+    assert (got.sd_eps is None) == (not pair.is_self_dual())
+
+
+def test_transform_reads_only_the_source_table(monkeypatch):
+    q = calibrated_mixed()
+    pair = _pair(q, {"i": 1, "k": -1}, {"i": -1, "k": 1})
+    table = epsilon_table(q, pair.plus, 4)
+
+    def forbidden(*_args):
+        raise AssertionError("component integral computed from the motives")
+
+    with monkeypatch.context() as m:
+        m.setattr(inv, "stack_class", forbidden)
+        m.setattr(inv, "sd_stack_class", forbidden)
+        crossed = wallcross_epsilon(table, pair)
+    assert crossed == epsilon_table(q, pair.minus, 4)
+
+
+def test_transform_engine_stays_out_of_the_cache():
+    q = calibrated_kron()
+    pair = _pair(q, {"i": 1, "j": -1}, {"i": -1, "j": 1})
+    wallcross_epsilon(epsilon_table(q, pair.plus, 3), pair)
+    cached = [eng.slope.weights for eng in inv._ENGINES.values()]
+    assert cached == [pair.plus.weights]
 
 
 def test_dt_level_specialization():
