@@ -2,26 +2,32 @@
 
 Component integrals from the motives module feed a gated prefix-sum
 recursion that inverts the filtration identity and yields semistable
-integrals per slope.  Epsilon integrals are star-logarithms of the
-slope-graded semistable elements on the linear side, and inverse square
-root diamond series on the module side.  Motivic invariants are read off
-those elements; numerical invariants evaluate at q = -1.
+integrals per slope.  For a slope value s the recursion runs only over the
+down-set that the classes of slope s read (at s = 0 these include every
+self-dual class): the classes of slope above s in the box under their
+componentwise maximum, each entry summing over its own sub-box.  Epsilon
+integrals are star-logarithms of the slope-graded semistable elements on
+the linear side, and inverse square root diamond series on the module side.
+Motivic invariants are read off those elements; numerical invariants
+evaluate at q = -1.
 
-All per-slope tables live in a small engine cached by (quiver, slope,
-bound, calibration), so repeated scalar queries share work and a new
-calibration never returns values computed under the old one.
+All per-slope tables live in a small engine cached on its quiver by
+(slope, bound, calibration), so repeated scalar queries share work, a new
+calibration never returns values computed under the old one, and the
+engines go when the quiver does.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .motives import sd_stack_class, stack_class
 from .oracle import ensure_calibrated
-from .quiver import (DimVector, SelfDualQuiver, Slope, graded_lex_key, vadd,
+from .quiver import (DimVector, SelfDualQuiver, Slope, boxed_vectors, vadd,
                      vleq, vsub, vtotal)
 from .ratfunc import (RatFunc, binom_fraction, inv_q_minus_qinv,
                       q_minus_qinv)
@@ -68,8 +74,8 @@ class _Engine:
         """Engine reading every component integral up to the bound off the
         integrated stack element and the module stack element (as
         integrated_stack_element and sd_stack_element build them) instead
-        of the motives.  It stays out of _ENGINES, where it would stand in
-        for an engine that computes from the motives."""
+        of the motives.  It stays out of the engine cache, where it would
+        stand in for an engine that computes from the motives."""
         eng = cls(quiver, slope, bound)
         inv = inv_q_minus_qinv()
         for a in eng.classes:
@@ -100,43 +106,46 @@ class _Engine:
     def _dom_table(self, s: Fraction) -> Dict[DimVector, RatFunc]:
         """Inverse of the component-integral element restricted to prefixes
         of slope strictly above s; d[p] sums signed walk weights over chains
-        0 -> ... -> p through that region."""
-        tab = self._dom[s] if s in self._dom else None
+        0 -> ... -> p through that region.
+
+        d[p] reads only entries below p, so any down-closed domain gives the
+        same values.  The domain is the part of that region, within the
+        bound, in the box under the classes of slope s, which are the ones
+        that read the table; each d[p] walks the sub-box [0, p] by lookup.
+        sd_semistable reads the table at 0 for g <= g + g^v <= theta, and
+        under a self-dual slope every self-dual class has slope 0, so the
+        box at 0 covers those reads too."""
+        tab = self._dom.get(s)
         if tab is None:
-            q = self.quiver
-            dom = [self.zero] + [g for g in self.classes
-                                 if self.slope.value(g) > s]
-            dom.sort(key=graded_lex_key)
-            tab = {}
-            for p in dom:
-                if vtotal(p) == 0:
-                    tab[p] = RatFunc(1)
-                    continue
-                acc = RatFunc(0)
-                for pp, dpp in tab.items():
-                    if pp != p and vleq(pp, p):
-                        step = vsub(p, pp)
-                        acc = acc + dpp * self.stack(step) * RatFunc.q_power(
-                            q.commutation_exponent(pp, step))
-                tab[p] = -acc
+            tab = {self.zero: RatFunc(1)}
+            box = tuple(max(col) for col in
+                        zip(self.zero, *self.by_value.get(s, [])))
+            for p in boxed_vectors(box):
+                if 0 < vtotal(p) <= self.bound and self.slope.value(p) > s:
+                    tab[p] = -self._walk(tab, p)
             self._dom[s] = tab
         return tab
+
+    def _walk(self, tab: Dict[DimVector, RatFunc], top: DimVector) -> RatFunc:
+        """Sum of tab[p] * [top - p] * q^<p, top - p> over the entries p of
+        tab strictly below top, found by walking the sub-box [0, top]."""
+        q = self.quiver
+        acc = RatFunc(0)
+        for p in boxed_vectors(top):
+            dp = tab.get(p)
+            if dp is not None and p != top:
+                step = vsub(top, p)
+                acc = acc + dp * self.stack(step) * RatFunc.q_power(
+                    q.commutation_exponent(p, step))
+        return acc
 
     def semistable(self, a: DimVector) -> RatFunc:
         if a == self.zero:
             return RatFunc(1)
         out = self._sem.get(a)
         if out is None:
-            q = self.quiver
-            tab = self._dom_table(self.slope.value(a))
-            acc = RatFunc(0)
-            for p, dp in tab.items():
-                if p != a and vleq(p, a):
-                    step = vsub(a, p)
-                    acc = acc + dp * self.stack(step) * RatFunc.q_power(
-                        q.commutation_exponent(p, step))
-            self._sem[a] = acc
-            out = acc
+            out = self._walk(self._dom_table(self.slope.value(a)), a)
+            self._sem[a] = out
         return out
 
     def _require_sd(self) -> None:
@@ -212,27 +221,38 @@ class _Engine:
         return self.sd_epsilon_element().get(th)
 
 
-_ENGINES: Dict[tuple, _Engine] = {}
+# Engines live in their quiver's engine_cache, so they go when the quiver
+# does.  _CACHE_OWNERS lets clear_cache reach every live quiver holding one.
+_CACHE_OWNERS: "weakref.WeakSet[SelfDualQuiver]" = weakref.WeakSet()
 
 
 def _engine(quiver: SelfDualQuiver, slope: Slope, bound: int) -> _Engine:
     # Calibrate before building the key, so that the first call on an
     # uncalibrated quiver keys its engine by the calibration it uses.
     ensure_calibrated(quiver)
-    key = (id(quiver), slope.weights, bound, quiver.calibration)
-    eng = _ENGINES.get(key)
-    if eng is None or eng.quiver is not quiver:
+    key = (slope.weights, bound, quiver.calibration)
+    eng = quiver.engine_cache.get(key)
+    if eng is None:
         eng = _Engine(quiver, slope, bound)
-        _ENGINES[key] = eng
+        quiver.engine_cache[key] = eng
+        _CACHE_OWNERS.add(quiver)
     return eng
 
 
 def clear_cache() -> None:
-    _ENGINES.clear()
+    for quiver in list(_CACHE_OWNERS):
+        quiver.engine_cache.clear()
+    _CACHE_OWNERS.clear()
 
 
 def _bound_for(alpha: DimVector, bound: Optional[int]) -> int:
-    return bound if bound is not None else max(1, vtotal(alpha))
+    # An engine's tables cover the classes within its bound only, so a class
+    # beyond it would read a truncated recursion.
+    if bound is None:
+        return max(1, vtotal(alpha))
+    if vtotal(alpha) > bound:
+        raise ValueError(f"class {tuple(alpha)} lies beyond the bound {bound}")
+    return bound
 
 
 # -- scalar interface -------------------------------------------------------------

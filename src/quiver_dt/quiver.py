@@ -104,6 +104,9 @@ class SelfDualQuiver:
         self._validate_and_index(involution_vertices, involution_edges,
                                  vertex_signs, edge_signs)
         self.calibration: Optional[Calibration] = None
+        # Invariant engines for this quiver, keyed by the invariants module;
+        # held here so that they never outlive the quiver.
+        self.engine_cache: Dict[tuple, object] = {}
 
     # -- construction and validation ------------------------------------------
 
@@ -319,15 +322,18 @@ class SelfDualQuiver:
         edges = []
         for row in edge_rows:
             try:
-                edges.append(Edge(str(row["name"]), str(row["from"]), str(row["to"])))
+                fields = (row["name"], row["from"], row["to"])
             except (KeyError, TypeError) as exc:
                 raise ValidationError(f"malformed edge row {row!r}") from exc
+            edges.append(Edge(*(_name(x, "edge field") for x in fields)))
         inv = _mapping(data, "involution")
         signs = _mapping(data, "signs")
         return cls(
-            [str(x) for x in vertices], edges,
-            {str(k): str(v) for k, v in _mapping(inv, "vertices").items()},
-            {str(k): str(v) for k, v in _mapping(inv, "edges").items()},
+            [_name(x, "vertex name") for x in vertices], edges,
+            {str(k): _name(v, "involution target")
+             for k, v in _mapping(inv, "vertices").items()},
+            {str(k): _name(v, "involution target")
+             for k, v in _mapping(inv, "edges").items()},
             {str(k): v for k, v in _mapping(signs, "vertices").items()},
             {str(k): v for k, v in _mapping(signs, "edges").items()},
         )
@@ -350,6 +356,12 @@ class SelfDualQuiver:
                           for a, e in enumerate(self.edges)},
             },
         }
+
+
+def _name(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"{what} must be a string, not {value!r}")
+    return value
 
 
 def _mapping(data: dict, key: str) -> dict:

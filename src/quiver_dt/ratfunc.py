@@ -185,26 +185,25 @@ def _ip_gcd(a: _IPoly, b: _IPoly) -> _IPoly:
         x, y = y, r
 
 
-def _ip_div_exact(a: _IPoly, g: _IPoly) -> Dict[int, Fraction]:
-    """Long division a / g over Q, asserting zero remainder."""
+def _ip_div_exact(a: _IPoly, g: _IPoly) -> _IPoly:
+    """Long division a / g, asserting zero remainder.  g is primitive, so by
+    Gauss's lemma an exact quotient has integer coefficients."""
     if not a:
         return {}
-    ra = _dense(a)
+    rem = _dense(a)
     rg = _dense(g)
     dg = len(rg) - 1
-    lead = Fraction(rg[dg])
-    rem: List[Fraction] = [Fraction(c) for c in ra]
-    quo: Dict[int, Fraction] = {}
-    dr = _dense_deg(ra)
-    while dr >= dg:
+    lead = rg[dg]
+    quo: _IPoly = {}
+    for dr in range(len(rem) - 1, dg - 1, -1):
         if rem[dr]:
-            c = rem[dr] / lead
+            c, r = divmod(rem[dr], lead)
+            assert not r, "inexact polynomial division"
             quo[dr - dg] = c
             for i in range(dg + 1):
                 rem[dr - dg + i] -= c * rg[i]
-        dr -= 1
     assert not any(rem), "inexact polynomial division"
-    return {e: c for e, c in quo.items() if c}
+    return quo
 
 
 def _ip_try_div_qm1(p: _IPoly, m: int) -> Optional[_IPoly]:
@@ -375,22 +374,20 @@ class RatFunc:
             shift -= lowd
         g = _ip_gcd(num_i, den_i)
         if max(g) > 0:
-            num_q = _ip_div_exact(num_i, g)
-            den_q = _ip_div_exact(den_i, g)
-        else:
-            num_q = {e: Fraction(c) for e, c in num_i.items()}
-            den_q = {e: Fraction(c) for e, c in den_i.items()}
-        lown = min(num_q)
+            num_i = _ip_div_exact(num_i, g)
+            den_i = _ip_div_exact(den_i, g)
+        lown = min(num_i)
         if lown:
-            num_q = {e - lown: c for e, c in num_q.items()}
+            num_i = {e - lown: c for e, c in num_i.items()}
             shift += lown
-        lowd = min(den_q)
+        lowd = min(den_i)
         if lowd:
-            den_q = {e - lowd: c for e, c in den_q.items()}
+            den_i = {e - lowd: c for e, c in den_i.items()}
             shift -= lowd
-        lead = den_q[max(den_q)]
-        num = {e: c * self._scale / lead for e, c in num_q.items()}
-        den = {e: c / lead for e, c in den_q.items()}
+        lead = den_i[max(den_i)]
+        scale = self._scale / lead
+        num = {e: c * scale for e, c in num_i.items()}
+        den = {e: Fraction(c, lead) for e, c in den_i.items()}
         self._canon = (shift, num, den)
         return self._canon
 

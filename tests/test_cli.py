@@ -48,7 +48,10 @@ def test_validate_broken_involution(tmp_path, capsys):
     (("vertices",), "ij", "vertices must be a list"),
     (("signs", "vertices", "i"), "plus", "sign of i must be +1 or -1"),
     (("signs", "edges", "a1"), 1.5, "sign of a1 must be +1 or -1"),
-], ids=["vertices_string", "sign_word", "sign_fraction"])
+    (("vertices",), [1, [2]], "vertex name must be a string, not 1"),
+    (("edges", 0, "to"), ["j"], "edge field must be a string, not ['j']"),
+], ids=["vertices_string", "sign_word", "sign_fraction", "vertex_number",
+        "edge_target_list"])
 def test_validate_rejects_malformed_fields(keys, value, message, tmp_path,
                                            capsys):
     data = json.loads((FIXTURES / "kronecker_pm_plus.json").read_text())

@@ -1,17 +1,21 @@
+import gc
 import json
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from helpers import mixed_quiver
+from suite import acceptance_suite
 from quiver_dt import invariants as inv
 from quiver_dt.oracle import (calibrate_signs, direct_epsilon_integral,
                               direct_sd_epsilon_integral,
                               direct_sd_semistable_integral,
                               direct_semistable_integral)
 from quiver_dt.motives import sd_stack_class, stack_class
-from quiver_dt.quiver import (Calibration, Slope, kronecker_variant,
-                              make_calibration, point_quiver, vadd, vtotal)
+from quiver_dt.quiver import (Calibration, Slope, graded_lex_key,
+                              kronecker_variant, make_calibration,
+                              point_quiver, vadd, vleq, vsub, vtotal)
 from quiver_dt.ratfunc import RatFunc, inv_q_minus_qinv, q_minus_qinv
 from quiver_dt.torus import TorusElem, integrated_unit, series_diamond, star_exp
 
@@ -116,6 +120,16 @@ def test_bound_does_not_change_values():
         assert inv.dt_mot(q, s, a, bound=3) == inv.dt_mot(q, s, a, bound=5)
 
 
+def test_class_beyond_the_bound_is_rejected():
+    q = calibrated_kron()
+    s = hn_slope(q)
+    for fn, cls in ((inv.semistable_integral, (3, 2)), (inv.dt_mot, (3, 3)),
+                    (inv.epsilon_integral, (4, 1)),
+                    (inv.sd_dt_mot, (2, 2))):
+        with pytest.raises(ValueError, match="beyond the bound 2"):
+            fn(q, s, cls, bound=2)
+
+
 def test_new_calibration_is_not_served_from_the_cache():
     q = kronecker_variant((1, 1), 1)
     cal = calibrate_signs(q)
@@ -135,7 +149,117 @@ def test_first_query_on_uncalibrated_quiver_builds_one_engine():
     inv.dt_mot(q, hn_slope(q), (1, 1), bound=2)
     inv.dt_mot(q, hn_slope(q), (1, 1), bound=2)
     assert q.calibration is not None
-    assert len(inv._ENGINES) == 1
+    assert list(inv._CACHE_OWNERS) == [q]
+    assert len(q.engine_cache) == 1
+
+
+def test_engines_do_not_outlive_their_quiver():
+    q = calibrated_kron()
+    inv.dt_mot(q, hn_slope(q), (2, 1), bound=3)
+    assert len(q.engine_cache) == 1
+    ref = weakref.ref(q)
+    del q
+    gc.collect()
+    assert ref() is None
+    assert not list(inv._CACHE_OWNERS)
+
+
+def test_clear_cache_empties_every_live_quiver():
+    qs = [calibrated_kron(), calibrated_point()]
+    for q in qs:
+        inv.dt_mot(q, Slope.trivial(q), (1,) * len(q.vertices), bound=2)
+    assert all(q.engine_cache for q in qs)
+    inv.clear_cache()
+    assert not any(q.engine_cache for q in qs)
+    assert not list(inv._CACHE_OWNERS)
+
+
+# -- reference for the gated recursion ------------------------------------------
+
+def full_region_dom_table(eng, s):
+    """The gated recursion over every class of slope above s within the
+    bound, each entry scanning the whole table: the engine's domain before
+    it was cut down to the reader box."""
+    q = eng.quiver
+    dom = [eng.zero] + [g for g in eng.classes if eng.slope.value(g) > s]
+    dom.sort(key=graded_lex_key)
+    tab = {}
+    for p in dom:
+        if vtotal(p) == 0:
+            tab[p] = RatFunc(1)
+            continue
+        acc = RatFunc(0)
+        for pp, dpp in tab.items():
+            if pp != p and vleq(pp, p):
+                step = vsub(p, pp)
+                acc = acc + dpp * eng.stack(step) * RatFunc.q_power(
+                    q.commutation_exponent(pp, step))
+        tab[p] = -acc
+    return tab
+
+
+def reference_semistable(eng, tab, a):
+    acc = RatFunc(0)
+    for p, dp in tab.items():
+        if p != a and vleq(p, a):
+            step = vsub(a, p)
+            acc = acc + dp * eng.stack(step) * RatFunc.q_power(
+                eng.quiver.commutation_exponent(p, step))
+    return acc
+
+
+def reference_sd_semistable(eng, tab, th):
+    q = eng.quiver
+    acc = RatFunc(0)
+    for g, dg in tab.items():
+        gg = vadd(g, q.dual_vector(g))
+        if not vleq(gg, th):
+            continue
+        rho = vsub(th, gg)
+        if not q.is_sd_class(rho):
+            continue
+        tw = q.sd_twist_exponent(g, rho)
+        acc = acc + dg * RatFunc.q_power(int(tw)) * eng.sd_stack(rho)
+    return acc
+
+
+def assert_engine_matches_full_region(q, slope, bound):
+    eng = inv._engine(q, slope, bound)
+    refs = {}
+    for value, classes in eng.by_value.items():
+        refs[value] = full_region_dom_table(eng, value)
+        for a in classes:
+            assert eng.semistable(a) == reference_semistable(
+                eng, refs[value], a), (a, value)
+    sd_classes = q.sd_classes_up_to(bound)
+    zero = Fraction(0)
+    # The engine's box at 0 leaves the self-dual readers out: under a
+    # self-dual slope they all have slope 0.
+    assert set(sd_classes) - {eng.zero} <= set(eng.by_value.get(zero, []))
+    refs.setdefault(zero, full_region_dom_table(eng, zero))
+    for th in sd_classes:
+        assert eng.sd_semistable(th) == reference_sd_semistable(
+            eng, refs[zero], th), th
+    for value, tab in eng._dom.items():
+        readers = eng.by_value.get(value, []) + (
+            sd_classes if value == 0 else [])
+        box = tuple(max(col) for col in zip(eng.zero, *readers))
+        for p, dp in tab.items():
+            assert vleq(p, box), (p, value)
+            assert dp == refs[value][p]
+
+
+@pytest.mark.parametrize("esigns", [(1, 1), (1, -1), (-1, -1)])
+@pytest.mark.parametrize("vsign", [1, -1])
+def test_dom_table_matches_full_region_on_kronecker(esigns, vsign):
+    q = calibrated_kron(esigns, vsign)
+    assert_engine_matches_full_region(q, hn_slope(q), 6)
+
+
+def test_dom_table_matches_full_region_on_suite():
+    for q, slopes in acceptance_suite():
+        for slope in slopes:
+            assert_engine_matches_full_region(q, slope, 4)
 
 
 def test_exp_log_inversion_roundtrip():

@@ -216,6 +216,22 @@ def test_json_round_trip_and_defaults():
                                   "edges": [{"name": "a", "from": "i", "to": "q"}]})
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"vertices": [1, [2]]}, "vertex name must be a string, not 1"),
+    ({"vertices": ["i"], "edges": [{"name": 7, "from": "i", "to": "i"}]},
+     "edge field must be a string, not 7"),
+    ({"vertices": ["i", "j"],
+      "edges": [{"name": "a", "from": "i", "to": None}]},
+     "edge field must be a string, not None"),
+    ({"vertices": ["i", "j"], "involution": {"vertices": {"i": ["j"]}}},
+     "involution target must be a string, not ['j']"),
+], ids=["vertex", "edge_name", "edge_target", "involution_target"])
+def test_from_data_rejects_non_string_names(data, message):
+    with pytest.raises(ValidationError) as err:
+        SelfDualQuiver.from_data(data)
+    assert str(err.value) == message
+
+
 def test_class_enumeration_is_graded_lex():
     k = kronecker_variant((1, 1), 1)
     vecs = k.dim_vectors_up_to(2)

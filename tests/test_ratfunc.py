@@ -7,6 +7,7 @@ evaluation at random rational points.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -16,6 +17,8 @@ from quiver_dt.ratfunc import (
     binom_fraction,
     inv_q_minus_qinv,
     q_minus_qinv,
+    _ip_div_exact,
+    _ip_mul,
 )
 
 F = Fraction
@@ -355,6 +358,48 @@ def test_reduced_keeps_the_value_and_drops_uncancelled_factors():
     assert r == y and str(r) == str(y) and r.to_data() == y.to_data()
     assert sum(r._profile.values()) == 1 < sum(y._profile.values())
     assert RatFunc(0).reduced() == RatFunc(0)
+
+
+def fraction_long_division(a, g):
+    """Long division over Q with Fraction coefficients, as _ip_div_exact did
+    before it divided in integers."""
+    d = max(a)
+    rem = [F(a.get(e, 0)) for e in range(d + 1)]
+    dg = max(g)
+    lead = F(g[dg])
+    quo = {}
+    for dr in range(d, dg - 1, -1):
+        if rem[dr]:
+            c = rem[dr] / lead
+            quo[dr - dg] = c
+            for e, v in g.items():
+                rem[dr - dg + e] -= c * v
+    assert not any(rem), "inexact polynomial division"
+    return quo
+
+
+def test_integer_exact_division_matches_fraction_long_division():
+    rng = random.Random(23)
+    for _ in range(300):
+        g = {e: rng.randint(-6, 6) for e in range(rng.randint(0, 5) + 1)}
+        g[max(g)] = rng.randint(1, 6)
+        g = {e: c for e, c in g.items() if c}
+        content = 0
+        for c in g.values():
+            content = gcd(content, c)
+        g = {e: c // content for e, c in g.items()}
+        h = {e: rng.randint(-20, 20) for e in range(rng.randint(0, 6) + 1)}
+        h = {e: c for e, c in h.items() if c} or {0: 1}
+        a = _ip_mul(g, h)
+        got = _ip_div_exact(a, g)
+        assert got == h == fraction_long_division(a, g)
+        assert all(type(c) is int for c in got.values())
+    # leading coefficient not divisible, and a nonzero remainder
+    for a, g in (({1: 1}, {1: 2, 0: 1}), ({2: 1, 0: 1}, {1: 1, 0: -1})):
+        with pytest.raises(AssertionError, match="inexact"):
+            _ip_div_exact(a, g)
+        with pytest.raises(AssertionError, match="inexact"):
+            fraction_long_division(a, g)
 
 
 def test_big_products_use_packed_multiply_consistently():

@@ -245,7 +245,8 @@ def test_transform_engine_stays_out_of_the_cache():
     q = calibrated_kron()
     pair = _pair(q, {"i": 1, "j": -1}, {"i": -1, "j": 1})
     wallcross_epsilon(epsilon_table(q, pair.plus, 3), pair)
-    cached = [eng.slope.weights for eng in inv._ENGINES.values()]
+    cached = [eng.slope.weights for owner in inv._CACHE_OWNERS
+              for eng in owner.engine_cache.values()]
     assert cached == [pair.plus.weights]
 
 
