@@ -135,7 +135,7 @@ class _Engine:
             dp = tab.get(p)
             if dp is not None and p != top:
                 step = vsub(top, p)
-                acc = acc + dp * self.stack(step) * RatFunc.q_power(
+                acc = acc + (dp * self.stack(step)).shifted(
                     q.commutation_exponent(p, step))
         return acc
 
@@ -169,7 +169,7 @@ class _Engine:
                 if not q.is_sd_class(rho):
                     continue
                 tw = q.sd_twist_exponent(g, rho)
-                acc = acc + dg * RatFunc.q_power(int(tw)) * self.sd_stack(rho)
+                acc = acc + dg.shifted(int(tw)) * self.sd_stack(rho)
             self._sd_sem[th] = acc
             out = acc
         return out

@@ -9,12 +9,16 @@ involution-symmetric and even at symplectic fixed vertices.
 The two exponent forms used by the twisted products (the antisymmetrized
 Euler pairing and its half-dimensional companion for the module side) carry a
 sign calibration that is fixed once per quiver by the oracle module; querying
-them before calibration raises.
+them before calibration raises.  Both forms are built when the calibration is
+set, as integer data on vertex pairs: the commutation form as the signed edge
+count of each pair, the twist doubled so that its fixed-edge weights 2 kappa
+are integers too.  A query then only reads that data.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -31,11 +35,11 @@ class UncalibratedError(RuntimeError):
 
 
 def vadd(a: DimVector, b: DimVector) -> DimVector:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def vsub(a: DimVector, b: DimVector) -> DimVector:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def vtotal(a: DimVector) -> int:
@@ -103,7 +107,10 @@ class SelfDualQuiver:
         self.edges: Tuple[Edge, ...] = tuple(edges)
         self._validate_and_index(involution_vertices, involution_edges,
                                  vertex_signs, edge_signs)
-        self.calibration: Optional[Calibration] = None
+        self._calibration: Optional[Calibration] = None
+        # integer exponent-form data, built by set_calibration
+        self._comm: Optional[Tuple[Tuple[int, int, int, int, int], ...]] = None
+        self._kappa2: Tuple[Tuple[int, int], ...] = ()
         # Invariant engines for this quiver, keyed by the invariants module;
         # held here so that they never outlive the quiver.
         self.engine_cache: Dict[tuple, object] = {}
@@ -207,7 +214,7 @@ class SelfDualQuiver:
     # -- involution on classes -------------------------------------------------
 
     def dual_vector(self, alpha: DimVector) -> DimVector:
-        return tuple(alpha[self.inv_vertex[i]] for i in range(len(alpha)))
+        return tuple(map(alpha.__getitem__, self.inv_vertex))
 
     def is_sd_class(self, theta: DimVector) -> bool:
         if self.dual_vector(theta) != theta:
@@ -267,29 +274,61 @@ class SelfDualQuiver:
             total -= alpha[s] * beta[t]
         return total
 
-    def _require_calibration(self) -> Calibration:
-        if self.calibration is None:
-            raise UncalibratedError(
-                "exponent forms need sign calibration; run the oracle first")
-        return self.calibration
+    @property
+    def calibration(self) -> Optional[Calibration]:
+        return self._calibration
+
+    def set_calibration(self, cal: Calibration) -> None:
+        """Attach cal and build both exponent forms from it.
+
+        Over the vertex pairs s < t the commutation form is
+        A(alpha, beta) = sum m (alpha_s beta_t - alpha_t beta_s), where m is
+        the orientation times the number of edges s -> t less those t -> s;
+        the diagonal Euler terms and the loops cancel.  The twist is kept
+        doubled, 2B(alpha, theta) = 2A(alpha, theta) + A(alpha, dual(alpha))
+        + sum 2 kappa_i alpha_i, which needs 2 kappa integral."""
+        if cal.orientation not in (1, -1):
+            raise ValueError("calibration orientation must be +1 or -1")
+        if len(cal.kappa) != len(self.vertices):
+            raise ValueError("calibration needs one kappa weight per vertex")
+        kappa2 = [2 * Fraction(k) for k in cal.kappa]
+        if any(k.denominator != 1 for k in kappa2):
+            raise ValueError(f"kappa weights {cal.kappa} are not half-integers")
+        count: Dict[Tuple[int, int], int] = {}
+        for s, t in self.edge_endpoints:
+            if s != t:
+                key, sign = ((s, t), 1) if s < t else ((t, s), -1)
+                count[key] = count.get(key, 0) + sign
+        inv = self.inv_vertex
+        # each entry also carries dual(s), dual(t) for the A(alpha, dual) term
+        self._comm = tuple((s, t, cal.orientation * m, inv[s], inv[t])
+                           for (s, t), m in count.items() if m)
+        self._kappa2 = tuple((i, int(k)) for i, k in enumerate(kappa2) if k)
+        self._calibration = cal
 
     def commutation_exponent(self, alpha: DimVector, beta: DimVector) -> int:
         """Exponent twisting the product of torus generators."""
-        cal = self._require_calibration()
-        return cal.orientation * (self.euler_form(beta, alpha)
-                                  - self.euler_form(alpha, beta))
+        comm = self._comm
+        if comm is None:
+            raise _uncalibrated()
+        total = 0
+        for s, t, m, _, _ in comm:
+            total += m * (alpha[s] * beta[t] - alpha[t] * beta[s])
+        return total
 
     def sd_twist_exponent(self, alpha: DimVector, theta: DimVector) -> Fraction:
         """Exponent twisting the module action of a torus generator."""
-        cal = self._require_calibration()
-        dual = self.dual_vector(alpha)
-        main = self.commutation_exponent(alpha, theta)
-        half = Fraction(self.commutation_exponent(alpha, dual), 2)
-        lin = sum((k * x for k, x in zip(cal.kappa, alpha)), Fraction(0))
-        return Fraction(main) + half + lin
-
-    def set_calibration(self, cal: Calibration) -> None:
-        self.calibration = cal
+        comm = self._comm
+        if comm is None:
+            raise _uncalibrated()
+        twice = 0
+        for s, t, m, ds, dt in comm:
+            a_s, a_t = alpha[s], alpha[t]
+            twice += m * (2 * (a_s * theta[t] - a_t * theta[s])
+                          + a_s * alpha[dt] - a_t * alpha[ds])
+        for i, k in self._kappa2:
+            twice += k * alpha[i]
+        return Fraction(twice, 2)
 
     # -- class enumeration ---------------------------------------------------------
 
@@ -356,6 +395,11 @@ class SelfDualQuiver:
                           for a, e in enumerate(self.edges)},
             },
         }
+
+
+def _uncalibrated() -> UncalibratedError:
+    return UncalibratedError(
+        "exponent forms need sign calibration; run the oracle first")
 
 
 def _name(value, what: str) -> str:

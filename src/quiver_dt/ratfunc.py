@@ -326,6 +326,23 @@ class RatFunc:
     def q_power(cls, k: int) -> "RatFunc":
         return cls._make(Fraction(1), k, {0: 1}, {}, None)
 
+    def shifted(self, k: int) -> "RatFunc":
+        """self * q**k: only the shift moves, so nothing is multiplied."""
+        if not k or not self._inum:
+            return self
+        out = object.__new__(RatFunc)
+        out._scale = self._scale
+        out._shift = self._shift + k
+        out._inum = self._inum
+        out._profile = self._profile
+        out._extra = self._extra
+        canon = self._canon
+        if canon is not None:
+            canon = (canon[0] + k, canon[1], canon[2])
+        out._canon = canon
+        out._hash = None
+        return out
+
     @classmethod
     def monomial(cls, coeff: "Fraction | int", k: int) -> "RatFunc":
         return cls._make(Fraction(coeff), k, {0: 1}, {}, None)

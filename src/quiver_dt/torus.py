@@ -98,7 +98,7 @@ class TorusElem:
                 if bound is not None and ta + vtotal(b) > bound:
                     continue
                 tw = q.commutation_exponent(a, b)
-                term = ca * cb * RatFunc.q_power(tw) * inv
+                term = (ca * cb).shifted(tw) * inv
                 key = vadd(a, b)
                 out[key] = out.get(key, RatFunc(0)) + term
         return TorusElem(q, out, bound)
@@ -115,7 +115,7 @@ class TorusElem:
                     continue
                 tw = q.sd_twist_exponent(a, t)
                 assert tw.denominator == 1
-                term = ca * ct * RatFunc.q_power(int(tw)) * inv
+                term = (ca * ct).shifted(int(tw)) * inv
                 out[key] = out.get(key, RatFunc(0)) + term
         return TorusModElem(q, out, bound)
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import mixed_quiver
+from suite import acceptance_suite
 from quiver_dt.oracle import (CalibrationError, REFERENCE_TWISTS,
                               brute_force_commutation, brute_force_sd_twist,
                               calibrate_signs, direct_epsilon_integral,
@@ -11,8 +12,9 @@ from quiver_dt.oracle import (CalibrationError, REFERENCE_TWISTS,
                               direct_semistable_integral, ensure_calibrated,
                               resolve_brute_force_signs, resolve_global_signs,
                               verify_calibration)
-from quiver_dt.quiver import (Calibration, Slope, kronecker_variant,
-                              make_calibration, point_quiver)
+from quiver_dt.quiver import (Calibration, SelfDualQuiver, Slope,
+                              kronecker_variant, make_calibration,
+                              point_quiver)
 from quiver_dt.ratfunc import RatFunc
 
 
@@ -150,3 +152,28 @@ def test_direct_enumerators_guard_inputs():
         direct_sd_semistable_integral(q, slope, (1, 0))
     assert direct_semistable_integral(q, slope, (0, 0)) == RatFunc(1)
     assert direct_sd_semistable_integral(q, slope, (0, 0)) == RatFunc(1)
+
+
+def test_verification_catches_a_corrupted_integer_form():
+    """Flipping one stored commutation coefficient, or one doubled kappa
+    weight, of a calibrated quiver must fail the block-count check."""
+    quivers = [SelfDualQuiver.from_data(q.to_data())
+               for q, _ in acceptance_suite()]
+    quivers += [kronecker_variant((1, 1), 1), mixed_quiver()]
+    flips = {"_comm": 0, "_kappa2": 0}
+    for q in quivers:
+        calibrate_signs(q)
+        for field in flips:
+            good = getattr(q, field)
+            for i, row in enumerate(good):
+                # the coefficient is the last entry of a kappa row and the
+                # third of a commutation row
+                at = 1 if field == "_kappa2" else 2
+                bad = row[:at] + (-row[at],) + row[at + 1:]
+                setattr(q, field, good[:i] + (bad,) + good[i + 1:])
+                with pytest.raises(CalibrationError):
+                    verify_calibration(q, bound=2)
+                setattr(q, field, good)
+                flips[field] += 1
+        verify_calibration(q, bound=2)
+    assert flips["_comm"] >= 6 and flips["_kappa2"] >= 8

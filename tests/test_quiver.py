@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from suite import acceptance_suite
 from quiver_dt.quiver import (
     Calibration,
     Edge,
@@ -159,6 +160,116 @@ def test_exponent_forms_need_calibration():
         k.commutation_exponent((1, 0), (0, 1))
     with pytest.raises(UncalibratedError):
         k.sd_twist_exponent((1, 0), (0, 0))
+    for q in form_quivers():
+        assert q.calibration is None
+        zero = tuple(0 for _ in q.vertices)
+        with pytest.raises(UncalibratedError):
+            q.commutation_exponent(zero, zero)
+        with pytest.raises(UncalibratedError):
+            q.sd_twist_exponent(zero, zero)
+    with pytest.raises(AttributeError):
+        k.calibration = make_calibration(k, -1, 1)
+
+
+# Reference exponent forms, derived from the edge lists through the Euler
+# form with Fraction arithmetic.  The integer forms that set_calibration
+# builds must agree with them everywhere.
+
+def reference_commutation(q, cal, alpha, beta):
+    return cal.orientation * (q.euler_form(beta, alpha)
+                              - q.euler_form(alpha, beta))
+
+
+def reference_twist(q, cal, alpha, theta):
+    main = reference_commutation(q, cal, alpha, theta)
+    half = F(reference_commutation(q, cal, alpha, q.dual_vector(alpha)), 2)
+    lin = sum((k * x for k, x in zip(cal.kappa, alpha)), F(0))
+    return F(main) + half + lin
+
+
+ALL_SIGNS = [(o, p) for o in (1, -1) for p in (1, -1)]
+
+
+def form_quivers():
+    """Uncalibrated copies of the suite quivers (loops at fixed vertices,
+    multi-edges), the six Kronecker variants, both point quivers and a
+    three-vertex quiver with a swapped edge pair."""
+    out = [SelfDualQuiver.from_data(q.to_data()) for q, _ in acceptance_suite()]
+    out += [kronecker_variant(e, u) for e in [(1, 1), (1, -1), (-1, -1)]
+            for u in (1, -1)]
+    return out + [point_quiver(1), point_quiver(-1), three_vertex_mixed()]
+
+
+def assert_forms_match_reference(q, cal, bound=3):
+    zero = tuple(0 for _ in q.vertices)
+    alphas = [zero] + q.dim_vectors_up_to(bound)
+    thetas = q.sd_classes_up_to(bound)
+    for a in alphas:
+        for b in alphas:
+            assert q.commutation_exponent(a, b) == reference_commutation(
+                q, cal, a, b), (q.to_data(), cal, a, b)
+        for th in thetas:
+            got = q.sd_twist_exponent(a, th)
+            assert isinstance(got, Fraction)
+            assert got == reference_twist(q, cal, a, th), (q.to_data(), cal,
+                                                           a, th)
+
+
+def test_exponent_forms_match_euler_reference():
+    quivers = form_quivers()
+    assert any(s == t for q in quivers for s, t in q.edge_endpoints)
+    assert any(len(set(q.edge_endpoints)) < len(q.edges) for q in quivers)
+    for q in quivers:
+        for signs in ALL_SIGNS:
+            cal = make_calibration(q, *signs)
+            q.set_calibration(cal)
+            assert q.calibration is cal
+            assert_forms_match_reference(q, cal)
+
+
+def test_recalibration_rebuilds_both_forms():
+    for q in form_quivers():
+        first = make_calibration(q, -1, 1)
+        q.set_calibration(first)
+        assert_forms_match_reference(q, first)
+        second = make_calibration(q, 1, -1)
+        q.set_calibration(second)
+        assert_forms_match_reference(q, second)
+    # the flip is visible: both forms change sign with the calibration
+    k = kronecker_variant((1, 1), 1)
+    k.set_calibration(make_calibration(k, -1, 1))
+    assert k.commutation_exponent((1, 0), (0, 1)) == -2
+    assert k.sd_twist_exponent((1, 0), (0, 0)) == -2
+    k.set_calibration(make_calibration(k, 1, -1))
+    assert k.commutation_exponent((1, 0), (0, 1)) == 2
+    assert k.sd_twist_exponent((1, 0), (0, 0)) == 2
+
+
+def test_calibration_without_half_integral_kappa_is_rejected():
+    p = point_quiver(1)
+    for kappa in [(F(1, 3),), (F(1, 4),), (0.25,)]:
+        with pytest.raises(ValueError):
+            p.set_calibration(Calibration(-1, 1, kappa))
+    assert p.calibration is None
+    with pytest.raises(UncalibratedError):
+        p.commutation_exponent((1,), (1,))
+    k = kronecker_variant((1, 1), 1)
+    good = make_calibration(k, -1, 1)
+    k.set_calibration(good)
+    with pytest.raises(ValueError):
+        k.set_calibration(Calibration(-1, 1, (F(1, 4), F(-1, 4))))
+    with pytest.raises(ValueError):
+        k.set_calibration(Calibration(-1, 1, (F(1),)))
+    with pytest.raises(ValueError):
+        k.set_calibration(Calibration(2, 1, good.kappa))
+    # a rejected calibration leaves the previous one and its forms in place
+    assert k.calibration is good
+    assert k.sd_twist_exponent((1, 0), (0, 0)) == -2
+    # half-integral and integral kappa are fine
+    p.set_calibration(Calibration(-1, 1, (F(1, 2),)))
+    assert p.sd_twist_exponent((1,), (0,)) == F(1, 2)
+    p.set_calibration(Calibration(-1, 1, (1,)))
+    assert p.sd_twist_exponent((3,), (0,)) == 3
 
 
 def test_calibrated_exponent_values():

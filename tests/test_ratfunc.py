@@ -338,6 +338,22 @@ def test_bar_involution():
     assert sym.bar() == sym
 
 
+def test_shifted_matches_multiplying_by_a_q_power():
+    rng = random.Random(23)
+    values = [rand_pair(rng)[0] for _ in range(60)]
+    values += [RatFunc(0), RatFunc(F(-3, 2)), inv_q_minus_qinv()]
+    for i, x in enumerate(values):
+        if i % 2:
+            x.to_data()  # a value whose canonical view is already cached
+        for k in (0, 1, -1, 3, -5, rng.randint(-9, 9)):
+            got = x.shifted(k)
+            want = x * RatFunc.q_power(k)
+            assert got.to_data() == want.to_data()
+            assert got == want and hash(got) == hash(want)
+            assert (got + x).to_data() == (want + x).to_data()
+    assert RatFunc(0).shifted(4).to_data() == RatFunc(0).to_data()
+
+
 def test_serialization_round_trip():
     rng = random.Random(17)
     for _ in range(60):
