@@ -5,11 +5,24 @@ recursion that inverts the filtration identity and yields semistable
 integrals per slope.  For a slope value s the recursion runs only over the
 down-set that the classes of slope s read (at s = 0 these include every
 self-dual class): the classes of slope above s in the box under their
-componentwise maximum, each entry summing over its own sub-box.  Epsilon
-integrals are star-logarithms of the slope-graded semistable elements on
-the linear side, and inverse square root diamond series on the module side.
-Motivic invariants are read off those elements; numerical invariants
-evaluate at q = -1.
+componentwise maximum, each entry summing over its own sub-box.
+
+The recursion runs in integer Laurent polynomials.  A stack class is
+q^e(a) / M(a), where M(a) = prod_i P(a_i) and P(n) = prod_{k=1..n}
+(q^2k - 1) (see motives), so the table keeps D[p] = M(p) d[p] in place of
+each rational entry d[p].  Then M(p) / (M(p') M(p - p')) is a product of
+q^2-binomials, and every step of the recursion is an integer product
+(Reineke, The Harder-Narasimhan system in quantum groups and cohomology of
+quiver moduli, 2003).  A semistable integral divides its sum by M(a) only
+at the end, as a RatFunc.  The self-dual side reads d[g] = D[g] / M(g) at
+slope 0 and still works in RatFunc.  An engine seeded from a stack element
+(wall-crossing) feeds the same recursion its numerators M(a) I(a) / (q -
+1/q) in place of q^e(a).
+
+Epsilon integrals are star-logarithms of the slope-graded semistable
+elements on the linear side, and inverse square root diamond series on the
+module side.  Motivic invariants are read off those elements; numerical
+invariants evaluate at q = -1.
 
 All per-slope tables live in a small engine cached on its quiver by
 (slope, bound, calibration), so repeated scalar queries share work, a new
@@ -25,12 +38,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .motives import sd_stack_class, stack_class
+from .motives import (over_gl_denominator, q2_binomial, sd_stack_class,
+                      stack_class, stack_exponent)
 from .oracle import ensure_calibrated
 from .quiver import (DimVector, SelfDualQuiver, Slope, boxed_vectors, vadd,
                      vleq, vsub, vtotal)
-from .ratfunc import (RatFunc, binom_fraction, inv_q_minus_qinv,
-                      q_minus_qinv)
+from .ratfunc import (Laurent, RatFunc, binom_fraction, inv_q_minus_qinv,
+                      laurent_sum, q_minus_qinv)
 from .torus import (TorusElem, TorusModElem, integrated_unit, series_diamond,
                     star_log_one_plus)
 
@@ -55,14 +69,17 @@ class _Engine:
         self.bound = bound
         self.zero = tuple(0 for _ in quiver.vertices)
         self.classes = quiver.dim_vectors_up_to(bound)
+        self.value: Dict[DimVector, Fraction] = {
+            a: slope.value(a) for a in self.classes}
         self.by_value: Dict[Fraction, List[DimVector]] = {}
         for a in self.classes:
-            self.by_value.setdefault(slope.value(a), []).append(a)
-        self._stack: Dict[DimVector, RatFunc] = {self.zero: RatFunc(1)}
+            self.by_value.setdefault(self.value[a], []).append(a)
+        self._num: Dict[DimVector, Laurent] = {}
         self._sd_stack: Dict[DimVector, RatFunc] = {}
         self._sem: Dict[DimVector, RatFunc] = {}
         self._sd_sem: Dict[DimVector, RatFunc] = {}
-        self._dom: Dict[Fraction, Dict[DimVector, RatFunc]] = {}
+        self._dom: Dict[Fraction, Dict[DimVector, Laurent]] = {}
+        self._dom0: Optional[Dict[DimVector, RatFunc]] = None
         self._eps_elems: Dict[Fraction, TorusElem] = {}
         self._sd_eps_elem: Optional[TorusModElem] = None
         self._sd_checked = False
@@ -75,11 +92,22 @@ class _Engine:
         integrated stack element and the module stack element (as
         integrated_stack_element and sd_stack_element build them) instead
         of the motives.  It stays out of the engine cache, where it would
-        stand in for an engine that computes from the motives."""
+        stand in for an engine that computes from the motives.
+
+        The recursion needs the numerators N(a) = M(a) I(a) / (q - 1/q) in
+        Z[q, 1/q]; a stack element's are the powers q^e(a), so a table
+        whose numerators are not Laurent polynomials is refused."""
         eng = cls(quiver, slope, bound)
         inv = inv_q_minus_qinv()
         for a in eng.classes:
-            eng._stack[a] = (stack.get(a) * inv).reduced()
+            inv_m = over_gl_denominator({0: 1}, a)
+            num = (stack.get(a) * inv / inv_m).laurent()
+            if num is None:
+                raise ValueError(
+                    "the source table is not the epsilon table of a stack "
+                    f"element: M(a) I(a) / (q - 1/q) at a = {a} is not a "
+                    "Laurent polynomial with integer coefficients")
+            eng._num[a] = Laurent(num)
         if sd_stack is not None:
             for th in quiver.sd_classes_up_to(bound):
                 eng._sd_stack[th] = sd_stack.get(th).reduced()
@@ -87,11 +115,11 @@ class _Engine:
 
     # -- component integrals ----------------------------------------------
 
-    def stack(self, a: DimVector) -> RatFunc:
-        out = self._stack.get(a)
+    def _numerator(self, a: DimVector) -> Laurent:
+        """N(a) = M(a) times the component integral of a: q^e(a)."""
+        out = self._num.get(a)
         if out is None:
-            out = stack_class(self.quiver, a)
-            self._stack[a] = out
+            out = self._num[a] = Laurent({stack_exponent(self.quiver, a): 1})
         return out
 
     def sd_stack(self, th: DimVector) -> RatFunc:
@@ -103,48 +131,60 @@ class _Engine:
 
     # -- gated prefix-sum recursion -----------------------------------------
 
-    def _dom_table(self, s: Fraction) -> Dict[DimVector, RatFunc]:
+    def _dom_table(self, s: Fraction) -> Dict[DimVector, Laurent]:
         """Inverse of the component-integral element restricted to prefixes
-        of slope strictly above s; d[p] sums signed walk weights over chains
-        0 -> ... -> p through that region.
+        of slope strictly above s, kept as D[p] = M(p) d[p]: d[p] sums
+        signed walk weights over chains 0 -> ... -> p through that region,
+        and D[p] is that sum with the motive denominators cleared, an
+        integer Laurent polynomial (see _chain_sum).
 
         d[p] reads only entries below p, so any down-closed domain gives the
         same values.  The domain is the part of that region, within the
         bound, in the box under the classes of slope s, which are the ones
-        that read the table; each d[p] walks the sub-box [0, p] by lookup.
+        that read the table; each D[p] walks the sub-box [0, p] by lookup.
         sd_semistable reads the table at 0 for g <= g + g^v <= theta, and
         under a self-dual slope every self-dual class has slope 0, so the
         box at 0 covers those reads too."""
         tab = self._dom.get(s)
         if tab is None:
-            tab = {self.zero: RatFunc(1)}
+            tab = {self.zero: Laurent({0: 1})}
             box = tuple(max(col) for col in
                         zip(self.zero, *self.by_value.get(s, [])))
+            value = self.value
             for p in boxed_vectors(box):
-                if 0 < vtotal(p) <= self.bound and self.slope.value(p) > s:
-                    tab[p] = -self._walk(tab, p)
+                v = value.get(p)
+                if v is not None and v > s:
+                    tab[p] = self._chain_sum(tab, p, -1)
             self._dom[s] = tab
         return tab
 
-    def _walk(self, tab: Dict[DimVector, RatFunc], top: DimVector) -> RatFunc:
-        """Sum of tab[p] * [top - p] * q^<p, top - p> over the entries p of
-        tab strictly below top, found by walking the sub-box [0, top]."""
+    def _chain_sum(self, tab: Dict[DimVector, Laurent], top: DimVector,
+                   sign: int = 1) -> Laurent:
+        """M(top) times the sum of d[p] * stack(top - p) * q^<p, top - p>
+        over the entries p of tab strictly below top, found by walking the
+        sub-box [0, top].  With d[p] = D[p] / M(p) and the stack class
+        N(top - p) / M(top - p), each term is D[p] * N(top - p) times the
+        q^2-binomials [top_i, p_i]: no denominator is left."""
         q = self.quiver
-        acc = RatFunc(0)
+        terms = []
         for p in boxed_vectors(top):
             dp = tab.get(p)
-            if dp is not None and p != top:
+            if dp is not None:
                 step = vsub(top, p)
-                acc = acc + (dp * self.stack(step)).shifted(
-                    q.commutation_exponent(p, step))
-        return acc
+                factors = [dp, self._numerator(step)]
+                for n, k in zip(top, p):
+                    if 0 < k < n:
+                        factors.append(q2_binomial(n, k))
+                terms.append((q.commutation_exponent(p, step), factors))
+        return laurent_sum(terms, sign)
 
     def semistable(self, a: DimVector) -> RatFunc:
         if a == self.zero:
             return RatFunc(1)
         out = self._sem.get(a)
         if out is None:
-            out = self._walk(self._dom_table(self.slope.value(a)), a)
+            num = self._chain_sum(self._dom_table(self.value[a]), a)
+            out = over_gl_denominator(num.poly, a)
             self._sem[a] = out
         return out
 
@@ -160,8 +200,13 @@ class _Engine:
         self._require_sd()
         out = self._sd_sem.get(th)
         if out is None:
+            if self._dom0 is None:
+                # d[g] = D[g] / M(g) on the table at slope 0
+                tab = self._dom_table(Fraction(0))
+                self._dom0 = {g: over_gl_denominator(dg.poly, g)
+                              for g, dg in tab.items()}
             acc = RatFunc(0)
-            for g, dg in self._dom_table(Fraction(0)).items():
+            for g, dg in self._dom0.items():
                 gg = vadd(g, q.dual_vector(g))
                 if not vleq(gg, th):
                     continue
@@ -213,7 +258,7 @@ class _Engine:
     def dt_motivic(self, a: DimVector) -> RatFunc:
         if a == self.zero:
             return RatFunc(0)
-        return self.epsilon_element(self.slope.value(a)).get(a)
+        return self.epsilon_element(self.value[a]).get(a)
 
     def sd_dt_motivic(self, th: DimVector) -> RatFunc:
         if not self.quiver.is_sd_class(th):

@@ -14,18 +14,27 @@ The stack of all representations of a class alpha contributes
 q^(dim R + dim G) times the motive of its automorphism group, and likewise
 on the self-dual side with orthogonal and symplectic factors at fixed
 vertices.
+
+Since motive_gl(n) = q^(-n(n-1)) / P(n) with P(n) = prod_{k=1..n} (q^2k - 1),
+a stack class is q^e(alpha) / M(alpha) with M(alpha) = prod_i P(alpha_i) and
+e(alpha) = dim R + dim G - sum_i alpha_i (alpha_i - 1); and M(alpha) over
+M(beta) M(alpha - beta) is the product of q^2-binomials [alpha_i, beta_i].
+So sums of products of stack classes can run in Z[q, 1/q] and divide by one
+M at the end.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Dict, Tuple
 
 from .quiver import DimVector, SelfDualQuiver
-from .ratfunc import RatFunc
+from .ratfunc import Laurent, RatFunc
 
 _gl_cache: Dict[int, RatFunc] = {}
 _o_cache: Dict[int, RatFunc] = {}
 _sp_cache: Dict[int, RatFunc] = {}
+_binom_cache: Dict[Tuple[int, int], Laurent] = {}
 
 
 def _inv_l_product(n: int, step: int) -> RatFunc:
@@ -66,10 +75,45 @@ def motive_sp(m: int) -> RatFunc:
 
 
 def stack_class(quiver: SelfDualQuiver, alpha: DimVector) -> RatFunc:
-    """Motivic class of the stack of all representations of class alpha."""
-    out = RatFunc.q_power(quiver.dim_rep(alpha) + quiver.dim_aut(alpha))
+    """Motivic class of the stack of all representations of class alpha:
+    q^(dim R + dim G) times prod_i motive_gl(alpha_i), kept as
+    q^e(alpha) / M(alpha)."""
+    return over_gl_denominator({stack_exponent(quiver, alpha): 1}, alpha)
+
+
+def stack_exponent(quiver: SelfDualQuiver, alpha: DimVector) -> int:
+    """e(alpha), with stack_class(alpha) = q^e(alpha) / M(alpha)."""
+    return (quiver.dim_rep(alpha) + quiver.dim_aut(alpha)
+            - sum(x * (x - 1) for x in alpha))
+
+
+def _gl_profile(alpha: DimVector) -> Dict[int, int]:
+    """M(alpha) as (q^m - 1) factors: {2k: #{i : alpha_i >= k}}."""
+    out: Dict[int, int] = {}
     for x in alpha:
-        out = out * motive_gl(x)
+        for k in range(1, x + 1):
+            out[2 * k] = out.get(2 * k, 0) + 1
+    return out
+
+
+def over_gl_denominator(num: Dict[int, int], alpha: DimVector) -> RatFunc:
+    """num / M(alpha) for an integer Laurent polynomial num, kept lazy over
+    the profile of M(alpha)."""
+    return RatFunc._make(Fraction(1), 0, num, _gl_profile(alpha), None)
+
+
+def q2_binomial(n: int, k: int) -> Laurent:
+    """The q^2-binomial [n, k] = P(n) / (P(k) P(n - k)), by Pascal's rule
+    [n, k] = [n-1, k-1] + q^2k [n-1, k]."""
+    out = _binom_cache.get((n, k))
+    if out is None:
+        if k == 0 or k == n:
+            poly = {0: 1}
+        else:
+            poly = dict(q2_binomial(n - 1, k - 1).poly)
+            for e, c in q2_binomial(n - 1, k).poly.items():
+                poly[e + 2 * k] = poly.get(e + 2 * k, 0) + c
+        out = _binom_cache[(n, k)] = Laurent(poly)
     return out
 
 

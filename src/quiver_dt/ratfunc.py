@@ -10,6 +10,11 @@ rational content scale, and a denominator split into a profile of (q^m - 1)
 power factors plus an optional general cofactor.  Sums and products combine
 lazy forms without polynomial gcds; the single gcd happens when a canonical
 view is first observed and is cached.
+
+Sums of products that need no denominator at all, such as the semistable
+recursion once its motive denominators are cleared, run on Laurent, an
+integer Laurent polynomial: laurent_sum evaluates every product at q =
+2**width and unpacks the big-integer total once (Kronecker substitution).
 """
 
 from __future__ import annotations
@@ -78,14 +83,23 @@ def _ip_mul_packed(a: _IPoly, b: _IPoly) -> _IPoly:
     wa = max(abs(c) for c in a.values()).bit_length()
     wb = max(abs(c) for c in b.values()).bit_length()
     width = wa + wb + min(len(a), len(b)).bit_length() + 1
-    na = sum(c << (width * (e - la)) for e, c in a.items())
-    nb = sum(c << (width * (e - lb)) for e, c in b.items())
-    m = na * nb
+    return _ip_unpack(_ip_pack(a, la, width) * _ip_pack(b, lb, width),
+                      la + lb, width)
+
+
+def _ip_pack(p: _IPoly, low: int, width: int) -> int:
+    """p at q = 2**width, divided by 2**(width * low); low <= min(p)."""
+    return sum(c << (width * (e - low)) for e, c in p.items())
+
+
+def _ip_unpack(m: int, low: int, width: int) -> _IPoly:
+    """Inverse of _ip_pack: the balanced base-2**width digits of m, which
+    are the coefficients when each is below 2**(width-1) in size."""
     base = 1 << width
     half = base >> 1
     mask = base - 1
     out: _IPoly = {}
-    e = la + lb
+    e = low
     while m:
         d = m & mask
         if d >= half:
@@ -232,6 +246,57 @@ def _profile_expand(profile: Dict[int, int]) -> _IPoly:
         for _ in range(profile[m]):
             out = _ip_mul(out, {m: 1, 0: -1})
     return out
+
+
+class Laurent:
+    """An integer Laurent polynomial, exponent -> nonzero int, with the
+    1-norm of its coefficients and its packings (_ip_pack at its lowest
+    exponent) at each width asked for.  Never mutated."""
+
+    __slots__ = ("poly", "low", "norm", "_packs")
+
+    def __init__(self, poly: _IPoly):
+        self.poly = poly
+        self.low = min(poly) if poly else 0
+        self.norm = sum(map(abs, poly.values()))
+        self._packs: Dict[int, int] = {}
+
+    def packed(self, width: int) -> int:
+        out = self._packs.get(width)
+        if out is None:
+            out = self._packs[width] = _ip_pack(self.poly, self.low, width)
+        return out
+
+
+def laurent_sum(terms: List[Tuple[int, List[Laurent]]],
+                sign: int = 1) -> Laurent:
+    """sign times the sum of q**k times the product of the factors, over the
+    terms (k, factors).
+
+    Every product is taken at q = 2**width, one width for the whole sum,
+    wide enough by the 1-norms for every coefficient of the sum.  So the sum
+    is big-integer arithmetic with a single unpack.  The width is rounded up
+    to a multiple of 16 bits, so that sums of similar size reuse packings."""
+    size = 0
+    lows = []
+    for k, factors in terms:
+        n = 1
+        for f in factors:
+            n *= f.norm
+            k += f.low
+        size += n
+        lows.append(k)
+    if not size:
+        return Laurent({})
+    width = (size.bit_length() + 16) & ~15
+    base = min(lows)
+    total = 0
+    for (_, factors), low in zip(terms, lows):
+        m = 1
+        for f in factors:
+            m *= f.packed(width)
+        total += m << (width * (low - base))
+    return Laurent(_ip_unpack(sign * total, base, width))
 
 
 def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
@@ -407,6 +472,16 @@ class RatFunc:
         den = {e: Fraction(c, lead) for e, c in den_i.items()}
         self._canon = (shift, num, den)
         return self._canon
+
+    def laurent(self) -> Optional[_IPoly]:
+        """The coefficients, exponent -> int, when the value lies in
+        Z[q, 1/q]; None otherwise."""
+        if not self._inum:
+            return {}
+        sh, num, den = self._canonical()
+        if len(den) != 1 or any(c.denominator != 1 for c in num.values()):
+            return None
+        return {e + sh: int(c) for e, c in num.items()}
 
     def reduced(self) -> "RatFunc":
         """The same value, rebuilt from its canonical view.  A value that

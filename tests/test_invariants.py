@@ -5,14 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import mixed_quiver
+from helpers import calibrated_mixed, calibrated_two_pairs, mixed_quiver
 from suite import acceptance_suite
 from quiver_dt import invariants as inv
 from quiver_dt.oracle import (calibrate_signs, direct_epsilon_integral,
                               direct_sd_epsilon_integral,
                               direct_sd_semistable_integral,
                               direct_semistable_integral)
-from quiver_dt.motives import sd_stack_class, stack_class
+from quiver_dt.motives import (over_gl_denominator, sd_stack_class,
+                               stack_class)
 from quiver_dt.quiver import (Calibration, Slope, graded_lex_key,
                               kronecker_variant, make_calibration,
                               point_quiver, vadd, vleq, vsub, vtotal)
@@ -178,8 +179,9 @@ def test_clear_cache_empties_every_live_quiver():
 
 def full_region_dom_table(eng, s):
     """The gated recursion over every class of slope above s within the
-    bound, each entry scanning the whole table: the engine's domain before
-    it was cut down to the reader box."""
+    bound, each entry scanning the whole table, in RatFunc: the engine's
+    domain before it was cut down to the reader box, and its arithmetic
+    before the motive denominators were cleared."""
     q = eng.quiver
     dom = [eng.zero] + [g for g in eng.classes if eng.slope.value(g) > s]
     dom.sort(key=graded_lex_key)
@@ -192,7 +194,7 @@ def full_region_dom_table(eng, s):
         for pp, dpp in tab.items():
             if pp != p and vleq(pp, p):
                 step = vsub(p, pp)
-                acc = acc + dpp * eng.stack(step) * RatFunc.q_power(
+                acc = acc + dpp * stack_class(q, step) * RatFunc.q_power(
                     q.commutation_exponent(pp, step))
         tab[p] = -acc
     return tab
@@ -203,7 +205,7 @@ def reference_semistable(eng, tab, a):
     for p, dp in tab.items():
         if p != a and vleq(p, a):
             step = vsub(a, p)
-            acc = acc + dp * eng.stack(step) * RatFunc.q_power(
+            acc = acc + dp * stack_class(eng.quiver, step) * RatFunc.q_power(
                 eng.quiver.commutation_exponent(p, step))
     return acc
 
@@ -246,7 +248,8 @@ def assert_engine_matches_full_region(q, slope, bound):
         box = tuple(max(col) for col in zip(eng.zero, *readers))
         for p, dp in tab.items():
             assert vleq(p, box), (p, value)
-            assert dp == refs[value][p]
+            # the engine keeps D[p] = M(p) d[p] in Z[q, 1/q]
+            assert over_gl_denominator(dp.poly, p) == refs[value][p]
 
 
 @pytest.mark.parametrize("esigns", [(1, 1), (1, -1), (-1, -1)])
@@ -260,6 +263,34 @@ def test_dom_table_matches_full_region_on_suite():
     for q, slopes in acceptance_suite():
         for slope in slopes:
             assert_engine_matches_full_region(q, slope, 4)
+
+
+@pytest.mark.parametrize("make, weights", [
+    (calibrated_mixed, {"i": 1, "k": -1}),
+    (calibrated_mixed, {"i": Fraction(-1, 2), "k": Fraction(1, 2)}),
+    (calibrated_two_pairs, {"a": 1, "d": -1, "b": 2, "c": -2}),
+    (calibrated_two_pairs, {"a": 2, "d": -2, "b": -1, "c": 1}),
+])
+def test_dom_table_matches_full_region_with_a_commutation_form(make, weights):
+    q = make()
+    units = [tuple(int(i == j) for j in range(len(q.vertices)))
+             for i in range(len(q.vertices))]
+    assert any(q.commutation_exponent(a, b) for a in units for b in units)
+    assert_engine_matches_full_region(q, Slope.from_dict(q, weights), 4)
+
+
+def test_semistable_recursion_makes_no_ratfunc_arithmetic(monkeypatch):
+    q = calibrated_kron()
+    eng = inv._engine(q, hn_slope(q), 6)
+    calls = []
+    for name in ("__add__", "__mul__"):
+        def counted(self, other, _orig=getattr(RatFunc, name)):
+            calls.append(_orig)
+            return _orig(self, other)
+        monkeypatch.setattr(RatFunc, name, counted)
+    for a in eng.classes:
+        eng.semistable(a)
+    assert eng._dom and not calls
 
 
 def test_exp_log_inversion_roundtrip():

@@ -5,9 +5,12 @@ from itertools import product
 
 import pytest
 
-from quiver_dt.motives import motive_gl, motive_o, motive_sp, sd_stack_class, stack_class
+from helpers import calibrated_kron, calibrated_mixed, calibrated_two_pairs
+from quiver_dt.motives import (motive_gl, motive_o, motive_sp,
+                               over_gl_denominator, q2_binomial,
+                               sd_stack_class, stack_class, stack_exponent)
 from quiver_dt.quiver import kronecker_variant, point_quiver
-from quiver_dt.ratfunc import RatFunc
+from quiver_dt.ratfunc import RatFunc, _ip_mul
 
 F = Fraction
 
@@ -148,3 +151,30 @@ def test_sd_stack_class_odd_orthogonal_matches_symplectic_shifted():
         even = sd_stack_class(minus, (2 * n,))
         assert plus.sd_dim_aut((2 * n + 1,)) == minus.sd_dim_aut((2 * n,))
         assert odd == even
+
+
+def _p(n):
+    """P(n) = (q^2 - 1)(q^4 - 1)...(q^2n - 1) as an integer polynomial."""
+    out = {0: 1}
+    for k in range(1, n + 1):
+        out = _ip_mul(out, {2 * k: 1, 0: -1})
+    return out
+
+
+def test_q2_binomials_clear_the_motive_denominators():
+    for n in range(9):
+        for k in range(n + 1):
+            got = _ip_mul(_ip_mul(q2_binomial(n, k).poly, _p(k)), _p(n - k))
+            assert got == _p(n), (n, k)
+
+
+def test_stack_class_is_the_product_of_group_motives():
+    for q in (calibrated_kron(), calibrated_mixed(), calibrated_two_pairs(),
+              point_quiver(1)):
+        for a in q.dim_vectors_up_to(4):
+            want = RatFunc.q_power(q.dim_rep(a) + q.dim_aut(a))
+            for x in a:
+                want = want * motive_gl(x)
+            got = stack_class(q, a)
+            assert got == want
+            assert got == over_gl_denominator({stack_exponent(q, a): 1}, a)

@@ -12,11 +12,14 @@ from math import gcd
 import pytest
 
 from quiver_dt.ratfunc import (
+    Laurent,
     PoleError,
     RatFunc,
     binom_fraction,
     inv_q_minus_qinv,
+    laurent_sum,
     q_minus_qinv,
+    _ip_add_into,
     _ip_div_exact,
     _ip_mul,
 )
@@ -437,6 +440,55 @@ def test_big_products_use_packed_multiply_consistently():
     for t in terms:
         want *= t.eval_at(r)
     assert prod.eval_at(r) == want
+
+
+def _rand_laurent(rng, big=False):
+    top = 10 ** 30 if big else 9
+    low = rng.randint(-6, 4)
+    poly = {e: rng.randint(-top, top)
+            for e in range(low, low + rng.randint(0, 12))}
+    return {e: c for e, c in poly.items() if c}
+
+
+def test_laurent_sum_matches_term_by_term_products():
+    rng = random.Random(31)
+    for trial in range(200):
+        terms, want = [], {}
+        for _ in range(rng.randint(0, 6)):
+            k = rng.randint(-5, 5)
+            polys = [_rand_laurent(rng, big=trial % 7 == 0)
+                     for _ in range(rng.randint(1, 3))]
+            prod = {0: 1}
+            for p in polys:
+                prod = _ip_mul(prod, p)
+            _ip_add_into(want, {e + k: c for e, c in prod.items()}, 1)
+            terms.append((k, [Laurent(p) for p in polys]))
+        sign = rng.choice([1, -1])
+        got = laurent_sum(terms, sign)
+        assert got.poly == {e: sign * c for e, c in want.items()}
+        assert got.low == min(got.poly, default=0)
+        assert got.norm == sum(abs(c) for c in got.poly.values())
+    # a sum that cancels to zero, and one factor used twice in a product
+    x = Laurent({-2: 3, 5: -1})
+    assert laurent_sum([(0, [x]), (0, [Laurent({-2: -3, 5: 1})])]).poly == {}
+    assert laurent_sum([(1, [x, x])]).poly == {
+        e + 1: c for e, c in _ip_mul(x.poly, x.poly).items()}
+    assert laurent_sum([]).poly == {}
+
+
+def test_laurent_coefficients_only_for_laurent_polynomials():
+    rng = random.Random(37)
+    for _ in range(60):
+        poly = _rand_laurent(rng)
+        val = RatFunc.from_frac_polys(
+            0, {e: F(c) for e, c in poly.items()}, {0: F(1)})
+        assert val.laurent() == poly
+        assert (val / (q_minus_qinv() * q_minus_qinv())
+                * q_minus_qinv() * q_minus_qinv()).laurent() == poly
+    assert (RatFunc(1) / (RatFunc.q_power(1) * 2 + 1)).laurent() is None
+    assert RatFunc(F(1, 2)).laurent() is None
+    assert inv_q_minus_qinv().laurent() is None
+    assert q_minus_qinv().laurent() == {1: 1, -1: -1}
 
 
 def test_subs_square():

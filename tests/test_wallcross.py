@@ -241,6 +241,16 @@ def test_transform_reads_only_the_source_table(monkeypatch):
     assert crossed == epsilon_table(q, pair.minus, 4)
 
 
+def test_transform_refuses_a_table_not_from_a_stack_element():
+    q = calibrated_kron()
+    pair = _pair(q, {"i": 1, "j": -1}, {"i": -1, "j": 1})
+    table = epsilon_table(q, pair.plus, 3)
+    # no motive denominator M(a) has the factor 2q + 1
+    table.eps[(1, 0)] = table.eps[(1, 0)] / (2 * RatFunc.q_power(1) + 1)
+    with pytest.raises(ValueError, match="not the epsilon table of a stack"):
+        wallcross_epsilon(table, pair)
+
+
 def test_transform_engine_stays_out_of_the_cache():
     q = calibrated_kron()
     pair = _pair(q, {"i": 1, "j": -1}, {"i": -1, "j": 1})
