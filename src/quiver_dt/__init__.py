@@ -1,23 +1,20 @@
 """Exact motivic and numerical Donaldson-Thomas invariants of self-dual
-quivers with zero potential, for arbitrary self-dual slope stability."""
+quivers with zero potential, for arbitrary self-dual slope stability.
+
+The twisted algebra, the bracket coefficients and the stack classes are
+imported from their modules (quiver_dt.torus, quiver_dt.motives)."""
 
 from .invariants import (InvariantRow, InvariantTable, NoPoleViolation,
                          build_table, dt_mot, dt_num, epsilon_integral,
                          no_pole_report, sd_dt_mot, sd_dt_num,
                          sd_epsilon_integral, sd_semistable_integral,
                          semistable_integral, table_all_regular)
-from .motives import sd_stack_class, stack_class
-from .oracle import CalibrationError, calibrate_signs, explain_calibration, \
-    verify_calibration
-from .quiver import Calibration, DimVector, SelfDualQuiver, Slope, \
-    ValidationError
-from .ratfunc import PoleError, Poly, Rational, RatFunc, binom_fraction
-from .torus import (TorusElem, TorusModElem, bracket, bracket_coeff, diamond,
-                    dualize, heart, integrated_unit, module_unit,
-                    numeric_bracket_coeff, numeric_sd_bracket_coeff,
-                    sd_bracket_coeff, star)
-from .wallcross import (EpsilonTable, SlopePair, coeff_S, coeff_Ssd, coeff_U,
-                        coeff_Usd, diff_tables, epsilon_table,
+from .oracle import (CalibrationError, calibrate_signs, explain_calibration,
+                     verify_calibration)
+from .quiver import (Calibration, DimVector, SelfDualQuiver, Slope,
+                     ValidationError)
+from .ratfunc import PoleError, RatFunc
+from .wallcross import (EpsilonTable, SlopePair, diff_tables, epsilon_table,
                         wallcross_epsilon)
 
 __all__ = [
@@ -29,47 +26,25 @@ __all__ = [
     "InvariantTable",
     "NoPoleViolation",
     "PoleError",
-    "Poly",
-    "Rational",
     "RatFunc",
     "SelfDualQuiver",
     "Slope",
     "SlopePair",
-    "TorusElem",
-    "TorusModElem",
     "ValidationError",
-    "binom_fraction",
-    "bracket",
-    "bracket_coeff",
     "build_table",
     "calibrate_signs",
-    "coeff_S",
-    "coeff_Ssd",
-    "coeff_U",
-    "coeff_Usd",
-    "diamond",
     "diff_tables",
     "dt_mot",
     "dt_num",
-    "dualize",
     "epsilon_integral",
     "epsilon_table",
     "explain_calibration",
-    "heart",
-    "integrated_unit",
-    "module_unit",
     "no_pole_report",
-    "numeric_bracket_coeff",
-    "numeric_sd_bracket_coeff",
-    "sd_bracket_coeff",
     "sd_dt_mot",
     "sd_dt_num",
     "sd_epsilon_integral",
     "sd_semistable_integral",
-    "sd_stack_class",
     "semistable_integral",
-    "stack_class",
-    "star",
     "table_all_regular",
     "verify_calibration",
     "wallcross_epsilon",

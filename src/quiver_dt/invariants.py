@@ -41,8 +41,8 @@ from typing import Dict, List, Optional
 from .motives import (over_gl_denominator, q2_binomial, sd_stack_class,
                       stack_class, stack_exponent)
 from .oracle import ensure_calibrated
-from .quiver import (DimVector, SelfDualQuiver, Slope, boxed_vectors, vadd,
-                     vleq, vsub, vtotal)
+from .quiver import (DimVector, SelfDualQuiver, Slope, ValidationError,
+                     boxed_vectors, vadd, vleq, vsub, vtotal)
 from .ratfunc import (Laurent, RatFunc, binom_fraction, inv_q_minus_qinv,
                       laurent_sum, q_minus_qinv)
 from .torus import (TorusElem, TorusModElem, integrated_unit, series_diamond,
@@ -63,6 +63,10 @@ class _Engine:
     def __init__(self, quiver: SelfDualQuiver, slope: Slope, bound: int):
         if bound < 1:
             raise ValueError("bound must be at least 1")
+        if len(slope.weights) != len(quiver.vertices):
+            raise ValidationError(
+                f"slope has {len(slope.weights)} weights for "
+                f"{len(quiver.vertices)} vertices")
         ensure_calibrated(quiver)
         self.quiver = quiver
         self.slope = slope
@@ -514,7 +518,7 @@ def build_table(quiver: SelfDualQuiver, slope: Slope,
     sd_included = True
     try:
         slope.validate_self_dual(quiver)
-    except Exception:
+    except ValidationError:
         sd_included = False
     if sd_included:
         for th in quiver.sd_classes_up_to(bound):

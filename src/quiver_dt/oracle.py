@@ -6,7 +6,11 @@ linear term.  This module pins both against a table of reference quivers
 whose invariants are known in closed form, verifies the resolved calibration
 on every quiver it is asked to calibrate, and provides deliberately naive
 enumerators that recompute the semistable and epsilon integrals without any
-of the shared recursion code, for use as oracles in tests.
+of the shared recursion code, for use as oracles in tests.  The
+combinatorial wall-crossing coefficients (coeff_U, coeff_Usd and the sign
+coefficients they build on) are test oracles of the same kind: they weight
+ordered decompositions in the enumerative form of the transform that
+wallcross_epsilon computes by re-factorisation.
 
 The exponent forms are recomputed here from scratch by counting graded
 blocks of the deformation complex at a graded point, so that agreement with
@@ -16,8 +20,10 @@ not a tautology.
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .motives import sd_stack_class, stack_class
 from .quiver import (Calibration, DimVector, SelfDualQuiver, Slope,
@@ -228,16 +234,16 @@ def verify_calibration(quiver: SelfDualQuiver, bound: int = 2) -> Dict[str, int]
     small = [zero] + quiver.dim_vectors_up_to(max(1, bound - 1))
     for a in small:
         for b in small:
+            ab = vadd(a, b)
+            comm_ab = quiver.commutation_exponent(a, b)
             for c in small:
                 lhs = quiver.commutation_exponent(a, vadd(b, c))
-                rhs = (quiver.commutation_exponent(a, b)
-                       + quiver.commutation_exponent(a, c))
+                rhs = comm_ab + quiver.commutation_exponent(a, c)
                 if lhs != rhs:
                     fail(f"commutation exponent not bilinear at {a}, {b}, {c}")
                 counts["additivity"] += 1
             for th in thetas:
-                lhs = (Fraction(quiver.commutation_exponent(a, b))
-                       + quiver.sd_twist_exponent(vadd(a, b), th))
+                lhs = comm_ab + quiver.sd_twist_exponent(ab, th)
                 rhs = (quiver.sd_twist_exponent(a, quiver.sd_completion(b, th))
                        + quiver.sd_twist_exponent(b, th))
                 if lhs != rhs:
@@ -417,6 +423,225 @@ def direct_sd_epsilon_integral(quiver: SelfDualQuiver, slope: Slope,
 
     rec(zero, [])
     return out
+
+
+# -- combinatorial wall-crossing coefficients (test oracles) ---------------------
+#
+# Each coefficient weighs one ordered decomposition of a class in the
+# transform from the source slope `plus` to the target slope `minus`:
+# sign products for the semistable integrals (coeff_S, coeff_Ssd), and
+# rational averages over nested regroupings for the epsilon integrals
+# (coeff_U, coeff_Usd).
+
+Parts = Sequence[DimVector]
+
+
+def _partial_sums(parts: Parts) -> List[DimVector]:
+    """Prefix sums: entry i is parts[0] + ... + parts[i-1]."""
+    acc = tuple(0 for _ in parts[0])
+    out = [acc]
+    for p in parts:
+        acc = vadd(acc, p)
+        out.append(acc)
+    return out
+
+
+def coeff_S(parts: Parts, plus: Slope, minus: Slope) -> int:
+    """Sign of one ordered decomposition in the semistable-integral
+    transform: a product over adjacent positions that is +1 when the source
+    slopes step down while the target sees the left prefix at or below the
+    right suffix, -1 in the opposite configuration, and 0 otherwise."""
+    n = len(parts)
+    if n <= 1:
+        return 1
+    tp = [plus.value(p) for p in parts]
+    pre = _partial_sums(parts)
+    total = pre[-1]
+    out = 1
+    for i in range(1, n):
+        left = minus.value(pre[i])
+        right = minus.value(vsub(total, pre[i]))
+        if tp[i - 1] > tp[i] and left <= right:
+            pass
+        elif tp[i - 1] <= tp[i] and left > right:
+            out = -out
+        else:
+            return 0
+    return out
+
+
+def coeff_Ssd(parts: Parts, plus: Slope, minus: Slope) -> int:
+    """Self-dual analogue of coeff_S: every position contributes a factor,
+    the slope after the last part counts as 0, and prefixes are compared
+    against 0 on the target side."""
+    n = len(parts)
+    if n == 0:
+        return 1
+    tp = [plus.value(p) for p in parts] + [Fraction(0)]
+    pre = _partial_sums(parts)
+    out = 1
+    for i in range(1, n + 1):
+        left = minus.value(pre[i])
+        if tp[i - 1] > tp[i] and left <= 0:
+            pass
+        elif tp[i - 1] <= tp[i] and left > 0:
+            out = -out
+        else:
+            return 0
+    return out
+
+
+def _cuts(n: int, end_at_n: bool):
+    """Strictly increasing cut points 0 < a_1 < ... < a_m, with a_m = n when
+    end_at_n, else a_m <= n (including the empty sequence)."""
+    if end_at_n:
+        if n == 0:
+            yield ()
+            return
+        for inner in itertools.chain.from_iterable(
+                itertools.combinations(range(1, n), k) for k in range(n)):
+            yield inner + (n,)
+    else:
+        for k in range(n + 1):
+            yield from itertools.combinations(range(1, n + 1), k)
+
+
+def _blocks(parts: Parts, cuts: Tuple[int, ...]) -> List[Parts]:
+    lo = 0
+    out = []
+    for hi in cuts:
+        out.append(parts[lo:hi])
+        lo = hi
+    return out
+
+
+def _sum_parts(parts: Parts) -> DimVector:
+    acc = parts[0]
+    for p in parts[1:]:
+        acc = vadd(acc, p)
+    return acc
+
+
+def _inv_block_factorials(cuts: Tuple[int, ...]) -> Fraction:
+    """1 / prod of the block lengths' factorials."""
+    out = Fraction(1)
+    lo = 0
+    for hi in cuts:
+        out /= math.factorial(hi - lo)
+        lo = hi
+    return out
+
+
+def _constant_blocks(parts: Parts, cuts: Tuple[int, ...],
+                     slope: Slope) -> Optional[List[DimVector]]:
+    """Block sums of the cut decomposition, or None unless every part in a
+    block shares the slope of the block sum."""
+    sums = []
+    for block in _blocks(parts, cuts):
+        s = _sum_parts(block)
+        v = slope.value(s)
+        if any(slope.value(p) != v for p in block):
+            return None
+        sums.append(s)
+    return sums
+
+
+def coeff_U(parts: Parts, plus: Slope, minus: Slope) -> Fraction:
+    """Rational weight of one ordered decomposition in the epsilon
+    transform: a sum over two nested regroupings, the inner one constant in
+    source slope and weighted by inverse factorials, the outer one constant
+    in target slope and weighted by (-1)^(l-1)/l times sign coefficients of
+    the regrouped sums."""
+    n = len(parts)
+    if n == 0:
+        return Fraction(0)
+    target = minus.value(_sum_parts(parts))
+    out = Fraction(0)
+    for a_cuts in _cuts(n, end_at_n=True):
+        betas = _constant_blocks(parts, a_cuts, plus)
+        if betas is None:
+            continue
+        inv_fact = _inv_block_factorials(a_cuts)
+        for b_cuts in _cuts(len(betas), end_at_n=True):
+            ell = len(b_cuts)
+            sign = 1
+            for block in _blocks(betas, b_cuts):
+                if minus.value(_sum_parts(block)) != target:
+                    sign = 0
+                    break
+                sign *= coeff_S(block, plus, minus)
+                if sign == 0:
+                    break
+            if sign:
+                out += Fraction((-1) ** (ell - 1) * sign, ell) * inv_fact
+    return out
+
+
+def coeff_Usd(parts: Parts, plus: Slope, minus: Slope) -> Fraction:
+    """Self-dual analogue of coeff_U.  The inner regrouping may stop short
+    of the last part; leftover parts must have source slope 0 and contribute
+    1 / (2^k k!).  The outer regrouping may also stop short, its blocks must
+    have target slope 0, and the remaining inner sums contribute a self-dual
+    sign coefficient."""
+    n = len(parts)
+    if n == 0:
+        return Fraction(1)
+    out = Fraction(0)
+    for a_cuts in _cuts(n, end_at_n=False):
+        a_top = a_cuts[-1] if a_cuts else 0
+        if any(plus.value(p) != 0 for p in parts[a_top:]):
+            continue
+        betas = _constant_blocks(parts[:a_top], a_cuts, plus)
+        if betas is None:
+            continue
+        tail = n - a_top
+        inv_fact = (_inv_block_factorials(a_cuts)
+                    / (2 ** tail * math.factorial(tail)))
+        for b_cuts in _cuts(len(betas), end_at_n=False):
+            sign = 1
+            for block in _blocks(betas, b_cuts):
+                if minus.value(_sum_parts(block)) != 0:
+                    sign = 0
+                    break
+                sign *= coeff_S(block, plus, minus)
+                if sign == 0:
+                    break
+            b_top = b_cuts[-1] if b_cuts else 0
+            if sign:
+                sign *= coeff_Ssd(betas[b_top:], plus, minus)
+            if sign:
+                out += (binom_fraction(Fraction(-1, 2), len(b_cuts)) * sign
+                        * inv_fact)
+    return out
+
+
+def check_composition(parts: Parts, tau1: Slope, tau2: Slope,
+                      tau3: Slope) -> bool:
+    """Both sign coefficients compose across an intermediate slope function:
+    crossing tau1 -> tau2 on blocks times tau2 -> tau3 on block sums."""
+    n = len(parts)
+    lhs = coeff_S(parts, tau1, tau3)
+    rhs = 0
+    for a_cuts in _cuts(n, end_at_n=True):
+        blocks = _blocks(parts, a_cuts)
+        term = coeff_S([_sum_parts(b) for b in blocks], tau2, tau3)
+        for block in blocks:
+            term *= coeff_S(block, tau1, tau2)
+        rhs += term
+    if lhs != rhs:
+        return False
+
+    lhs_sd = coeff_Ssd(parts, tau1, tau3)
+    rhs_sd = 0
+    for a_cuts in _cuts(n, end_at_n=False):
+        a_top = a_cuts[-1] if a_cuts else 0
+        blocks = _blocks(parts[:a_top], a_cuts)
+        term = coeff_Ssd([_sum_parts(b) for b in blocks], tau2, tau3)
+        for block in blocks:
+            term *= coeff_S(block, tau1, tau2)
+        term *= coeff_Ssd(parts[a_top:], tau1, tau2)
+        rhs_sd += term
+    return lhs_sd == rhs_sd
 
 
 # -- calibration report ----------------------------------------------------------

@@ -23,7 +23,6 @@ from fractions import Fraction
 from math import gcd as _int_gcd
 from typing import Dict, List, Optional, Tuple
 
-Rational = Fraction
 Poly = Dict[int, Fraction]
 
 _IPoly = Dict[int, int]
@@ -119,13 +118,6 @@ def _ip_content(p: _IPoly) -> int:
         if g == 1:
             return 1
     return g
-
-
-def _ip_eval(p: _IPoly, r: Fraction) -> Fraction:
-    total = Fraction(0)
-    for e, c in p.items():
-        total += c * r ** e
-    return total
 
 
 def _dense(p: _IPoly) -> List[int]:
@@ -407,14 +399,6 @@ class RatFunc:
         out._canon = canon
         out._hash = None
         return out
-
-    @classmethod
-    def monomial(cls, coeff: "Fraction | int", k: int) -> "RatFunc":
-        return cls._make(Fraction(coeff), k, {0: 1}, {}, None)
-
-    @classmethod
-    def from_poly(cls, poly: Poly) -> "RatFunc":
-        return cls.from_frac_polys(0, poly, {0: Fraction(1)})
 
     @classmethod
     def from_frac_polys(cls, shift: int, num: Poly, den: Poly) -> "RatFunc":

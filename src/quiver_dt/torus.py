@@ -13,6 +13,7 @@ bound are exact; truncation just drops everything beyond it.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence
 
@@ -33,7 +34,9 @@ def _merge_bound(b1: Optional[int], b2: Optional[int]) -> Optional[int]:
 
 
 class TorusElem:
-    """Linear-side element: finite sum of scaled class generators."""
+    """Linear-side element: finite sum of scaled class generators.  The
+    module side shares this body; its sums, scalings and negations build
+    elements of their own type."""
 
     __slots__ = ("quiver", "bound", "coeffs")
 
@@ -68,23 +71,25 @@ class TorusElem:
     def get(self, alpha: DimVector) -> RatFunc:
         return self.coeffs.get(tuple(alpha), RatFunc(0))
 
-    def scale(self, c: "RatFunc | Fraction | int") -> "TorusElem":
+    def scale(self, c: "RatFunc | Fraction | int"):
         if not isinstance(c, RatFunc):
             c = RatFunc(c)
-        return TorusElem(self.quiver, {k: v * c for k, v in self.coeffs.items()},
-                         self.bound)
+        return type(self)(self.quiver,
+                          {k: v * c for k, v in self.coeffs.items()},
+                          self.bound)
 
-    def __add__(self, other: "TorusElem") -> "TorusElem":
+    def __add__(self, other):
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
             out[k] = out.get(k, RatFunc(0)) + v
-        return TorusElem(self.quiver, out, _merge_bound(self.bound, other.bound))
+        return type(self)(self.quiver, out,
+                          _merge_bound(self.bound, other.bound))
 
-    def __neg__(self) -> "TorusElem":
-        return TorusElem(self.quiver, {k: -v for k, v in self.coeffs.items()},
-                         self.bound)
+    def __neg__(self):
+        return type(self)(self.quiver,
+                          {k: -v for k, v in self.coeffs.items()}, self.bound)
 
-    def __sub__(self, other: "TorusElem") -> "TorusElem":
+    def __sub__(self, other):
         return self + (-other)
 
     def star(self, other: "TorusElem") -> "TorusElem":
@@ -130,82 +135,29 @@ class TorusElem:
         return min(vtotal(k) for k in self.coeffs)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, TorusElem):
+        if type(other) is not type(self):
             return NotImplemented
         return self.quiver is other.quiver and self.coeffs == other.coeffs
 
     def __repr__(self) -> str:
         body = ", ".join(f"{k}: {v}" for k, v in self.items_sorted())
-        return f"TorusElem({{{body}}})"
+        return f"{type(self).__name__}({{{body}}})"
 
 
-class TorusModElem:
+class TorusModElem(TorusElem):
     """Module-side element: finite sum of scaled self-dual class generators."""
 
-    __slots__ = ("quiver", "bound", "coeffs")
+    __slots__ = ()
 
     def __init__(self, quiver: SelfDualQuiver, coeffs: Coeffs,
                  bound: Optional[int] = None):
-        self.quiver = quiver
-        self.bound = bound
-        clean: Coeffs = {}
-        for k, v in coeffs.items():
+        for k in coeffs:
             key = tuple(k)
             if bound is not None and vtotal(key) > bound:
                 continue
             if not quiver.is_sd_class(key):
                 raise ValueError(f"{key} is not a self-dual class")
-            if not isinstance(v, RatFunc):
-                v = RatFunc(v)
-            if v:
-                clean[key] = v
-        self.coeffs = clean
-
-    @classmethod
-    def zero(cls, quiver: SelfDualQuiver, bound: Optional[int] = None):
-        return cls(quiver, {}, bound)
-
-    @classmethod
-    def generator(cls, quiver: SelfDualQuiver, theta: DimVector,
-                  coeff: "RatFunc | Fraction | int" = 1,
-                  bound: Optional[int] = None):
-        return cls(quiver, {tuple(theta): coeff}, bound)
-
-    def items_sorted(self):
-        return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-
-    def get(self, theta: DimVector) -> RatFunc:
-        return self.coeffs.get(tuple(theta), RatFunc(0))
-
-    def scale(self, c: "RatFunc | Fraction | int") -> "TorusModElem":
-        if not isinstance(c, RatFunc):
-            c = RatFunc(c)
-        return TorusModElem(self.quiver,
-                            {k: v * c for k, v in self.coeffs.items()},
-                            self.bound)
-
-    def __add__(self, other: "TorusModElem") -> "TorusModElem":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, RatFunc(0)) + v
-        return TorusModElem(self.quiver, out,
-                            _merge_bound(self.bound, other.bound))
-
-    def __neg__(self) -> "TorusModElem":
-        return TorusModElem(self.quiver,
-                            {k: -v for k, v in self.coeffs.items()}, self.bound)
-
-    def __sub__(self, other: "TorusModElem") -> "TorusModElem":
-        return self + (-other)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TorusModElem):
-            return NotImplemented
-        return self.quiver is other.quiver and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{k}: {v}" for k, v in self.items_sorted())
-        return f"TorusModElem({{{body}}})"
+        super().__init__(quiver, coeffs, bound)
 
 
 # -- derived operations --------------------------------------------------------
@@ -285,15 +237,7 @@ def star_log_one_plus(x: TorusElem, nmax: int) -> TorusElem:
 
 
 def star_exp(x: TorusElem, nmax: int) -> TorusElem:
-    out = series_star(x, _inv_factorial, nmax)
-    return out
-
-
-def _inv_factorial(n: int) -> Fraction:
-    f = 1
-    for i in range(2, n + 1):
-        f *= i
-    return Fraction(1, f)
+    return series_star(x, lambda n: Fraction(1, math.factorial(n)), nmax)
 
 
 # -- bracket coefficients --------------------------------------------------------

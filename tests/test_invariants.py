@@ -14,9 +14,10 @@ from quiver_dt.oracle import (calibrate_signs, direct_epsilon_integral,
                               direct_semistable_integral)
 from quiver_dt.motives import (over_gl_denominator, sd_stack_class,
                                stack_class)
-from quiver_dt.quiver import (Calibration, Slope, graded_lex_key,
-                              kronecker_variant, make_calibration,
-                              point_quiver, vadd, vleq, vsub, vtotal)
+from quiver_dt.quiver import (Calibration, Slope, ValidationError,
+                              graded_lex_key, kronecker_variant,
+                              make_calibration, point_quiver, vadd, vleq,
+                              vsub, vtotal)
 from quiver_dt.ratfunc import RatFunc, inv_q_minus_qinv, q_minus_qinv
 from quiver_dt.torus import TorusElem, integrated_unit, series_diamond, star_exp
 
@@ -129,6 +130,18 @@ def test_class_beyond_the_bound_is_rejected():
                     (inv.sd_dt_mot, (2, 2))):
         with pytest.raises(ValueError, match="beyond the bound 2"):
             fn(q, s, cls, bound=2)
+
+
+@pytest.mark.parametrize("weights", [(1,), (1, -1, 5)],
+                         ids=["too_short", "too_long"])
+def test_slope_of_the_wrong_length_is_rejected(weights):
+    q = calibrated_kron()
+    s = Slope(tuple(Fraction(w) for w in weights))
+    with pytest.raises(ValidationError,
+                       match=f"{len(weights)} weights for 2 vertices"):
+        inv.dt_num(q, s, (1, 1))
+    with pytest.raises(ValidationError):
+        inv.build_table(q, s, 2)
 
 
 def test_new_calibration_is_not_served_from_the_cache():

@@ -204,3 +204,14 @@ def test_scale_and_get():
     assert x.get((1, 1)) == RatFunc.q_power(2) * RatFunc(Fraction(1, 2))
     assert x.get((2, 0)).is_zero()
     assert not (q_minus_qinv() * INV - RatFunc(1))
+
+
+def test_module_arithmetic_keeps_the_module_type():
+    q = calibrated_kron()
+    m = mgen(q, (1, 1), 2)
+    for out in (m + m, m - m, -m, m.scale(3), TorusModElem.zero(q)):
+        assert type(out) is TorusModElem
+    assert repr(m).startswith("TorusModElem(")
+    # a linear and a module element on the same class are never equal
+    assert gen(q, (1, 1), 2) != m
+    assert m != gen(q, (1, 1), 2)

@@ -8,11 +8,11 @@ from helpers import (calibrated_kron, calibrated_mixed, calibrated_point,
 from quiver_dt import invariants as inv
 from quiver_dt.quiver import (Slope, ValidationError, boxed_vectors, vadd,
                               vleq, vsub, vtotal)
+from quiver_dt.oracle import (check_composition, coeff_S, coeff_Ssd, coeff_U,
+                              coeff_Usd)
 from quiver_dt.ratfunc import RatFunc, q_minus_qinv
-from quiver_dt.wallcross import (EpsilonTable, SlopePair, check_composition,
-                                 coeff_S, coeff_Ssd, coeff_U, coeff_Usd,
-                                 diff_tables, epsilon_table,
-                                 wallcross_epsilon)
+from quiver_dt.wallcross import (EpsilonTable, SlopePair, diff_tables,
+                                 epsilon_table, wallcross_epsilon)
 
 
 def setup_function(_fn):
@@ -28,39 +28,39 @@ def _pair(quiver, plus_map, minus_map):
 def test_coeff_S_basic_cases():
     q = calibrated_kron()
     pair = _pair(q, {"i": 1, "j": -1}, {"i": -1, "j": 1})
-    assert coeff_S([(1, 1)], pair) == 1
-    assert coeff_S([], pair) == 1
+    assert coeff_S([(1, 1)], pair.plus, pair.minus) == 1
+    assert coeff_S([], pair.plus, pair.minus) == 1
     # source steps down, target prefix below suffix
-    assert coeff_S([(1, 0), (0, 1)], pair) == 1
+    assert coeff_S([(1, 0), (0, 1)], pair.plus, pair.minus) == 1
     # source steps up, target prefix above suffix
-    assert coeff_S([(0, 1), (1, 0)], pair) == -1
+    assert coeff_S([(0, 1), (1, 0)], pair.plus, pair.minus) == -1
     # same pair forwards: steps down on both sides
     same = _pair(q, {"i": 1, "j": -1}, {"i": 1, "j": -1})
-    assert coeff_S([(1, 0), (0, 1)], same) == 0
+    assert coeff_S([(1, 0), (0, 1)], same.plus, same.minus) == 0
 
 
 def test_coeff_Ssd_sentinel_and_sign():
     q = calibrated_kron()
     pair = _pair(q, {"i": 1, "j": -1}, {"i": -1, "j": 1})
-    assert coeff_Ssd([], pair) == 1
+    assert coeff_Ssd([], pair.plus, pair.minus) == 1
     # single part of positive source slope, negative target prefix
-    assert coeff_Ssd([(1, 0)], pair) == 1
+    assert coeff_Ssd([(1, 0)], pair.plus, pair.minus) == 1
     # single part of negative source slope, positive target prefix
-    assert coeff_Ssd([(0, 1)], pair) == -1
+    assert coeff_Ssd([(0, 1)], pair.plus, pair.minus) == -1
     # zero target prefix cannot satisfy the strict branch
     same = _pair(q, {"i": 1, "j": -1}, {"i": 1, "j": -1})
-    assert coeff_Ssd([(1, 0)], same) == 0
+    assert coeff_Ssd([(1, 0)], same.plus, same.minus) == 0
 
 
 def test_coeff_U_frozen_cases():
     q = calibrated_kron()
     same = _pair(q, {"i": 1, "j": -1}, {"i": 1, "j": -1})
-    assert coeff_U([(1, 1)], same) == 1
-    assert coeff_U([(1, 1), (2, 2)], same) == 0
-    assert coeff_U([], same) == 0
-    assert coeff_Usd([], same) == Fraction(1)
-    assert coeff_Usd([(1, 1)], same) == 0
-    assert coeff_Usd([(1, 0)], same) == 0
+    assert coeff_U([(1, 1)], same.plus, same.minus) == 1
+    assert coeff_U([(1, 1), (2, 2)], same.plus, same.minus) == 0
+    assert coeff_U([], same.plus, same.minus) == 0
+    assert coeff_Usd([], same.plus, same.minus) == Fraction(1)
+    assert coeff_Usd([(1, 1)], same.plus, same.minus) == 0
+    assert coeff_Usd([(1, 0)], same.plus, same.minus) == 0
 
 
 def test_identity_transform():
@@ -155,7 +155,7 @@ def enumerative_wallcross(table, pair):
         for parts in _decompositions(alpha):
             if any(not table.eps[p] for p in parts):
                 continue
-            u = coeff_U(parts, pair)
+            u = coeff_U(parts, pair.plus, pair.minus)
             if not u:
                 continue
             expo = 0
@@ -178,7 +178,7 @@ def enumerative_wallcross(table, pair):
                     continue
                 if not table.sd_eps[rho]:
                     continue
-                u = coeff_Usd(parts, pair)
+                u = coeff_Usd(parts, pair.plus, pair.minus)
                 if not u:
                     continue
                 expo = Fraction(0)
