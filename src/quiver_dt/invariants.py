@@ -13,16 +13,19 @@ q^e(a) / M(a), where M(a) = prod_i P(a_i) and P(n) = prod_{k=1..n}
 each rational entry d[p].  Then M(p) / (M(p') M(p - p')) is a product of
 q^2-binomials, and every step of the recursion is an integer product
 (Reineke, The Harder-Narasimhan system in quantum groups and cohomology of
-quiver moduli, 2003).  A semistable integral divides its sum by M(a) only
-at the end, as a RatFunc.  The self-dual side reads d[g] = D[g] / M(g) at
-slope 0 and still works in RatFunc.  An engine seeded from a stack element
+quiver moduli, 2003).  A semistable integral divides its sum X(a) by M(a)
+only at the end, as a RatFunc.  An engine seeded from a stack element
 (wall-crossing) feeds the same recursion its numerators M(a) I(a) / (q -
 1/q) in place of q^e(a).
 
 Epsilon integrals are star-logarithms of the slope-graded semistable
-elements on the linear side, and inverse square root diamond series on the
-module side.  Motivic invariants are read off those elements; numerical
-invariants evaluate at q = -1.
+elements on the linear side.  The same identity makes every star power an
+integer numerator over M(a), so the star-log runs on the numerators X(a) as
+well, and an epsilon integral or motivic invariant is one RatFunc built
+from its numerator at the end (see _Engine._log_table).  The self-dual side
+reads d[g] = D[g] / M(g) at slope 0 and still works in RatFunc, and its
+epsilon integrals are inverse square root diamond series in the module.
+Numerical invariants evaluate the motivic ones at q = -1.
 
 All per-slope tables live in a small engine cached on its quiver by
 (slope, bound, calibration), so repeated scalar queries share work, a new
@@ -33,10 +36,11 @@ engines go when the quiver does.
 from __future__ import annotations
 
 import json
+import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from .motives import (over_gl_denominator, q2_binomial, sd_stack_class,
                       stack_class, stack_exponent)
@@ -45,8 +49,7 @@ from .quiver import (DimVector, SelfDualQuiver, Slope, ValidationError,
                      boxed_vectors, vadd, vleq, vsub, vtotal)
 from .ratfunc import (Laurent, RatFunc, binom_fraction, inv_q_minus_qinv,
                       laurent_sum, q_minus_qinv)
-from .torus import (TorusElem, TorusModElem, integrated_unit, series_diamond,
-                    star_log_one_plus)
+from .torus import TorusElem, TorusModElem, integrated_unit, series_diamond
 
 
 class NoPoleViolation(RuntimeError):
@@ -57,8 +60,17 @@ def _sqrt_binom(n: int) -> Fraction:
     return binom_fraction(Fraction(-1, 2), n)
 
 
+_Q_MINUS_QINV = Laurent({1: 1, -1: -1})
+
+
+def _times_q_minus_qinv(num: Laurent) -> Dict[int, int]:
+    return laurent_sum([(0, [_Q_MINUS_QINV, num])]).poly
+
+
 class _Engine:
-    """Tables for one (quiver, slope, bound) triple."""
+    """Tables for one (quiver, slope, bound) triple: per slope value, the
+    semistable recursion's table and the star-log's numerators, both in
+    Z[q, 1/q]; and the self-dual side's RatFunc values."""
 
     def __init__(self, quiver: SelfDualQuiver, slope: Slope, bound: int):
         if bound < 1:
@@ -78,12 +90,14 @@ class _Engine:
         self.by_value: Dict[Fraction, List[DimVector]] = {}
         for a in self.classes:
             self.by_value.setdefault(self.value[a], []).append(a)
+        self._lcm = math.lcm(*range(1, bound + 1))
         self._num: Dict[DimVector, Laurent] = {}
         self._sd_stack: Dict[DimVector, RatFunc] = {}
-        self._sem: Dict[DimVector, RatFunc] = {}
+        self._sem: Dict[DimVector, Laurent] = {}
         self._sd_sem: Dict[DimVector, RatFunc] = {}
         self._dom: Dict[Fraction, Dict[DimVector, Laurent]] = {}
         self._dom0: Optional[Dict[DimVector, RatFunc]] = None
+        self._logs: Dict[Fraction, Dict[DimVector, Laurent]] = {}
         self._eps_elems: Dict[Fraction, TorusElem] = {}
         self._sd_eps_elem: Optional[TorusModElem] = None
         self._sd_checked = False
@@ -114,7 +128,7 @@ class _Engine:
             eng._num[a] = Laurent(num)
         if sd_stack is not None:
             for th in quiver.sd_classes_up_to(bound):
-                eng._sd_stack[th] = sd_stack.get(th).reduced()
+                eng._sd_stack[th] = sd_stack.get(th)
         return eng
 
     # -- component integrals ----------------------------------------------
@@ -158,39 +172,46 @@ class _Engine:
             for p in boxed_vectors(box):
                 v = value.get(p)
                 if v is not None and v > s:
-                    tab[p] = self._chain_sum(tab, p, -1)
+                    tab[p] = self._chain_sum(tab, p, self._numerator, -1)
             self._dom[s] = tab
         return tab
 
     def _chain_sum(self, tab: Dict[DimVector, Laurent], top: DimVector,
+                   step_num: Callable[[DimVector], Optional[Laurent]],
                    sign: int = 1) -> Laurent:
-        """M(top) times the sum of d[p] * stack(top - p) * q^<p, top - p>
-        over the entries p of tab strictly below top, found by walking the
-        sub-box [0, top].  With d[p] = D[p] / M(p) and the stack class
-        N(top - p) / M(top - p), each term is D[p] * N(top - p) times the
-        q^2-binomials [top_i, p_i]: no denominator is left."""
+        """M(top) times the sum of d[p] * x(top - p) * q^<p, top - p> over
+        the entries p of tab below top that step_num has a numerator for,
+        found by walking the sub-box [0, top].  With d[p] = D[p] / M(p) and
+        x(v) = step_num(v) / M(v), each term is D[p] * step_num(top - p)
+        times the q^2-binomials [top_i, p_i]: no denominator is left."""
         q = self.quiver
         terms = []
         for p in boxed_vectors(top):
             dp = tab.get(p)
-            if dp is not None:
-                step = vsub(top, p)
-                factors = [dp, self._numerator(step)]
+            if dp is None:
+                continue
+            step = vsub(top, p)
+            xs = step_num(step)
+            if xs is not None:
+                factors = [dp, xs]
                 for n, k in zip(top, p):
                     if 0 < k < n:
                         factors.append(q2_binomial(n, k))
                 terms.append((q.commutation_exponent(p, step), factors))
         return laurent_sum(terms, sign)
 
+    def _semistable_num(self, a: DimVector) -> Laurent:
+        """X(a) = M(a) times the semistable integral of a."""
+        out = self._sem.get(a)
+        if out is None:
+            out = self._sem[a] = self._chain_sum(
+                self._dom_table(self.value[a]), a, self._numerator)
+        return out
+
     def semistable(self, a: DimVector) -> RatFunc:
         if a == self.zero:
             return RatFunc(1)
-        out = self._sem.get(a)
-        if out is None:
-            num = self._chain_sum(self._dom_table(self.value[a]), a)
-            out = over_gl_denominator(num.poly, a)
-            self._sem[a] = out
-        return out
+        return over_gl_denominator(self._semistable_num(a).poly, a)
 
     def _require_sd(self) -> None:
         if not self._sd_checked:
@@ -223,22 +244,59 @@ class _Engine:
             out = acc
         return out
 
+    # -- star-log on numerators -------------------------------------------------
+
+    def _log_table(self, s: Fraction) -> Dict[DimVector, Laurent]:
+        """E(g) for the classes g of slope s: the star-log of the semistable
+        element of slope s, on integer numerators.
+
+        That element has x_a = (q - 1/q) X(a) / M(a), and by the identity
+        _chain_sum uses, its star powers are x^{*n}_g = (q - 1/q) P_n(g) /
+        M(g) with P_1 = X and P_n(g) the sum over a of P_{n-1}(g - a) X(a)
+        prod_i [g_i, a_i] q^<g - a, a>.  So log(1 + x)_g = (q - 1/q) E(g) /
+        (L M(g)), where L = lcm(1..bound) and E = sum_n (-1)^(n-1) (L / n)
+        P_n.  A class has at most |g| parts, so n stops at the bound."""
+        out = self._logs.get(s)
+        if out is None:
+            classes = self.by_value.get(s, [])
+            x = {a: self._semistable_num(a) for a in classes}
+            power = x = {a: xa for a, xa in x.items() if xa.poly}
+            sums: Dict[DimVector, list] = {}
+            for n in range(1, self.bound + 1):
+                c = Laurent({0: (-1) ** (n - 1) * self._lcm // n})
+                for g, p in power.items():
+                    sums.setdefault(g, []).append((0, [c, p]))
+                power = {g: self._chain_sum(power, g, x.get)
+                         for g in classes if vtotal(g) > n}
+            out = self._logs[s] = {g: laurent_sum(t) for g, t in sums.items()}
+        return out
+
+    def epsilon(self, a: DimVector) -> RatFunc:
+        """The epsilon integral of a, E(a) / (L M(a))."""
+        if a == self.zero:
+            return RatFunc(0)
+        e = self._log_table(self.value[a]).get(a, Laurent({}))
+        return over_gl_denominator(e.poly, a, Fraction(1, self._lcm))
+
     # -- elements -------------------------------------------------------------
 
     def semistable_element(self, s: Fraction) -> TorusElem:
-        pref = q_minus_qinv()
-        coeffs: Dict[DimVector, RatFunc] = {}
-        for a in self.by_value.get(s, []):
-            j = self.semistable(a)
-            if j:
-                coeffs[a] = pref * j
+        coeffs = {a: over_gl_denominator(
+            _times_q_minus_qinv(self._semistable_num(a)), a)
+            for a in self.by_value.get(s, [])}
         return TorusElem(self.quiver, coeffs, self.bound)
 
     def epsilon_element(self, s: Fraction) -> TorusElem:
+        """log(1 + x) for the semistable element x of slope s, with the
+        coefficients (q - 1/q) E(g) / (L M(g)) of _log_table."""
         out = self._eps_elems.get(s)
         if out is None:
-            out = star_log_one_plus(self.semistable_element(s), self.bound)
-            self._eps_elems[s] = out
+            inv_lcm = Fraction(1, self._lcm)
+            coeffs = {g: over_gl_denominator(_times_q_minus_qinv(e), g,
+                                             inv_lcm)
+                      for g, e in self._log_table(s).items()}
+            out = self._eps_elems[s] = TorusElem(self.quiver, coeffs,
+                                                 self.bound)
         return out
 
     def sd_semistable_element(self) -> TorusModElem:
@@ -294,40 +352,51 @@ def clear_cache() -> None:
     _CACHE_OWNERS.clear()
 
 
-def _bound_for(alpha: DimVector, bound: Optional[int]) -> int:
-    # An engine's tables cover the classes within its bound only, so a class
-    # beyond it would read a truncated recursion.
+def _query(quiver: SelfDualQuiver, slope: Slope, alpha: DimVector,
+           bound: Optional[int]) -> tuple[_Engine, DimVector]:
+    """The engine for a scalar query at alpha, and alpha as a tuple, once
+    alpha is checked to be a class of the quiver.  An engine's tables cover
+    the classes within its bound only, so a class beyond it would read a
+    truncated recursion."""
+    a = tuple(alpha) if isinstance(alpha, (tuple, list)) else ()
+    if len(a) != len(quiver.vertices) or not all(
+            type(x) is int and x >= 0 for x in a):
+        raise ValidationError(
+            f"{alpha!r} is not a class: it needs {len(quiver.vertices)} "
+            "non-negative integer entries")
     if bound is None:
-        return max(1, vtotal(alpha))
-    if vtotal(alpha) > bound:
-        raise ValueError(f"class {tuple(alpha)} lies beyond the bound {bound}")
-    return bound
+        bound = max(1, vtotal(a))
+    elif vtotal(a) > bound:
+        raise ValueError(f"class {a} lies beyond the bound {bound}")
+    return _engine(quiver, slope, bound), a
 
 
 # -- scalar interface -------------------------------------------------------------
 
 def semistable_integral(quiver: SelfDualQuiver, slope: Slope,
                         alpha: DimVector, bound: Optional[int] = None) -> RatFunc:
-    return _engine(quiver, slope, _bound_for(alpha, bound)).semistable(tuple(alpha))
+    eng, a = _query(quiver, slope, alpha, bound)
+    return eng.semistable(a)
 
 
 def sd_semistable_integral(quiver: SelfDualQuiver, slope: Slope,
                            theta: DimVector,
                            bound: Optional[int] = None) -> RatFunc:
-    return _engine(quiver, slope, _bound_for(theta, bound)).sd_semistable(tuple(theta))
+    eng, th = _query(quiver, slope, theta, bound)
+    return eng.sd_semistable(th)
 
 
 def epsilon_integral(quiver: SelfDualQuiver, slope: Slope, alpha: DimVector,
                      bound: Optional[int] = None) -> RatFunc:
-    eng = _engine(quiver, slope, _bound_for(alpha, bound))
-    return eng.dt_motivic(tuple(alpha)) * inv_q_minus_qinv()
+    eng, a = _query(quiver, slope, alpha, bound)
+    return eng.epsilon(a)
 
 
 def sd_epsilon_integral(quiver: SelfDualQuiver, slope: Slope,
                         theta: DimVector,
                         bound: Optional[int] = None) -> RatFunc:
-    eng = _engine(quiver, slope, _bound_for(theta, bound))
-    return eng.sd_dt_motivic(tuple(theta))
+    eng, th = _query(quiver, slope, theta, bound)
+    return eng.sd_dt_motivic(th)
 
 
 def _check_regular(val: RatFunc, what: str) -> None:
@@ -340,8 +409,8 @@ def _check_regular(val: RatFunc, what: str) -> None:
 
 def dt_mot(quiver: SelfDualQuiver, slope: Slope, alpha: DimVector,
            bound: Optional[int] = None) -> RatFunc:
-    eng = _engine(quiver, slope, _bound_for(alpha, bound))
-    val = eng.dt_motivic(tuple(alpha))
+    eng, a = _query(quiver, slope, alpha, bound)
+    val = eng.dt_motivic(a)
     _check_regular(val, f"motivic invariant at {alpha}")
     return val
 
@@ -504,7 +573,6 @@ def build_table(quiver: SelfDualQuiver, slope: Slope,
     null numeric entry instead of raising, so diagnostic reports can still be
     produced; the scalar dt functions raise instead."""
     eng = _engine(quiver, slope, bound)
-    inv = inv_q_minus_qinv()
     rows: List[InvariantRow] = []
     zero_row = InvariantRow(eng.zero, RatFunc(1), RatFunc(0), RatFunc(0),
                             Fraction(0))
@@ -512,7 +580,8 @@ def build_table(quiver: SelfDualQuiver, slope: Slope,
     for a in eng.classes:
         j = eng.semistable(a)
         dtm = eng.dt_motivic(a)
-        rows.append(InvariantRow(a, j, dtm * inv, dtm, _numeric_or_none(dtm)))
+        rows.append(InvariantRow(a, j, eng.epsilon(a), dtm,
+                                 _numeric_or_none(dtm)))
 
     sd_rows: List[InvariantRow] = []
     sd_included = True

@@ -29,12 +29,13 @@ from fractions import Fraction
 from typing import Dict, Tuple
 
 from .quiver import DimVector, SelfDualQuiver
-from .ratfunc import Laurent, RatFunc
+from .ratfunc import Laurent, RatFunc, _ip_mul
 
 _gl_cache: Dict[int, RatFunc] = {}
 _o_cache: Dict[int, RatFunc] = {}
 _sp_cache: Dict[int, RatFunc] = {}
 _binom_cache: Dict[Tuple[int, int], Laurent] = {}
+_m_cache: Dict[Tuple[int, ...], Dict[int, int]] = {}
 
 
 def _inv_l_product(n: int, step: int) -> RatFunc:
@@ -87,19 +88,23 @@ def stack_exponent(quiver: SelfDualQuiver, alpha: DimVector) -> int:
             - sum(x * (x - 1) for x in alpha))
 
 
-def _gl_profile(alpha: DimVector) -> Dict[int, int]:
-    """M(alpha) as (q^m - 1) factors: {2k: #{i : alpha_i >= k}}."""
-    out: Dict[int, int] = {}
-    for x in alpha:
-        for k in range(1, x + 1):
-            out[2 * k] = out.get(2 * k, 0) + 1
+def _gl_poly(alpha: DimVector) -> Dict[int, int]:
+    """M(alpha) = prod_i prod_{k=1..alpha_i} (q^2k - 1), expanded."""
+    key = tuple(sorted(x for x in alpha if x))
+    out = _m_cache.get(key)
+    if out is None:
+        out = {0: 1}
+        for x in key:
+            for k in range(1, x + 1):
+                out = _ip_mul(out, {2 * k: 1, 0: -1})
+        _m_cache[key] = out
     return out
 
 
-def over_gl_denominator(num: Dict[int, int], alpha: DimVector) -> RatFunc:
-    """num / M(alpha) for an integer Laurent polynomial num, kept lazy over
-    the profile of M(alpha)."""
-    return RatFunc._make(Fraction(1), 0, num, _gl_profile(alpha), None)
+def over_gl_denominator(num: Dict[int, int], alpha: DimVector,
+                        scale: Fraction = Fraction(1)) -> RatFunc:
+    """scale * num / M(alpha) for an integer Laurent polynomial num."""
+    return RatFunc._make(scale, 0, num, _gl_poly(alpha))
 
 
 def q2_binomial(n: int, k: int) -> Laurent:

@@ -1,20 +1,18 @@
 """Exact arithmetic in the field Q(q) of rational functions in one variable.
 
-A value is presented canonically as q**shift * num(q) / den(q) where num and
-den are coprime polynomials with nonzero constant term and den is monic.  All
-q-power content lives in the shift, so Laurent behaviour at 0 and infinity is
-readable off the canonical triple.
-
-Internally a lazy product form is kept: an integer-coefficient numerator, a
-rational content scale, and a denominator split into a profile of (q^m - 1)
-power factors plus an optional general cofactor.  Sums and products combine
-lazy forms without polynomial gcds; the single gcd happens when a canonical
-view is first observed and is cached.
+A RatFunc holds only its canonical form, q**shift * scale * num(q) / den(q):
+scale is a nonzero Fraction, and num and den are coprime primitive integer
+polynomials with nonzero constant terms and positive leading coefficients.
+A value is reduced by one polynomial gcd when it is built, so equal values
+have equal fields, and Laurent behaviour at 0 and infinity is readable off
+the shift.  It is presented (to_data, str) as q**shift * num / den with
+Fraction coefficients and den monic.
 
 Sums of products that need no denominator at all, such as the semistable
-recursion once its motive denominators are cleared, run on Laurent, an
-integer Laurent polynomial: laurent_sum evaluates every product at q =
-2**width and unpacks the big-integer total once (Kronecker substitution).
+recursion and the epsilon star-log once their motive denominators are
+cleared, run on Laurent, an integer Laurent polynomial: laurent_sum
+evaluates every product at q = 2**width and unpacks the big-integer total
+once (Kronecker substitution).
 """
 
 from __future__ import annotations
@@ -212,34 +210,6 @@ def _ip_div_exact(a: _IPoly, g: _IPoly) -> _IPoly:
     return quo
 
 
-def _ip_try_div_qm1(p: _IPoly, m: int) -> Optional[_IPoly]:
-    """Exact quotient of p by (q^m - 1), or None."""
-    if not p:
-        return None
-    quo: _IPoly = {}
-    rem = dict(p)
-    while rem:
-        d = max(rem)
-        if d < m:
-            return None
-        c = rem.pop(d)
-        quo[d - m] = c
-        v = rem.get(d - m, 0) + c
-        if v:
-            rem[d - m] = v
-        elif d - m in rem:
-            del rem[d - m]
-    return quo
-
-
-def _profile_expand(profile: Dict[int, int]) -> _IPoly:
-    out: _IPoly = {0: 1}
-    for m in sorted(profile):
-        for _ in range(profile[m]):
-            out = _ip_mul(out, {m: 1, 0: -1})
-    return out
-
-
 class Laurent:
     """An integer Laurent polynomial, exponent -> nonzero int, with the
     1-norm of its coefficients and its packings (_ip_pack at its lowest
@@ -296,13 +266,43 @@ def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
                     (a.denominator * b.denominator) // _int_gcd(a.denominator, b.denominator))
 
 
+def _primitive(p: _IPoly) -> Tuple[_IPoly, int, int]:
+    """(prim, low, c) with p = c * q**low * prim, where prim is primitive,
+    has a nonzero constant term and a positive leading coefficient."""
+    low = min(p)
+    c = _ip_content(p)
+    if p[max(p)] < 0:
+        c = -c
+    if low or c != 1:
+        p = {e - low: v // c for e, v in p.items()}
+    return p, low, c
+
+
+def _cancel(num: _IPoly, den: _IPoly) -> Tuple[_IPoly, _IPoly]:
+    """num and den divided by their gcd; both primitive with nonzero
+    constant terms, so a constant gcd is 1."""
+    if len(num) > 1 and len(den) > 1:
+        g = _ip_gcd(num, den)
+        if max(g) > 0:
+            return _ip_div_exact(num, g), _ip_div_exact(den, g)
+    return num, den
+
+
+def _eval(p: _IPoly, r: Fraction) -> Fraction:
+    return sum((c * r ** e for e, c in p.items()), Fraction(0))
+
+
+_ONE: _IPoly = {0: 1}
+
+
 # ---------------------------------------------------------------------------
 
 class RatFunc:
-    """Immutable exact rational function of q."""
+    """Immutable exact rational function of q, held in canonical form:
+    q**shift * scale * num / den with num and den as the module docstring
+    describes.  Zero has scale 0, shift 0 and num {}."""
 
-    __slots__ = ("_scale", "_shift", "_inum", "_profile", "_extra",
-                 "_canon", "_hash")
+    __slots__ = ("_scale", "_shift", "_num", "_den")
 
     def __init__(self, value: "RatFunc | Fraction | int | None" = None):
         if value is None:
@@ -310,66 +310,42 @@ class RatFunc:
         if isinstance(value, RatFunc):
             self._scale = value._scale
             self._shift = value._shift
-            self._inum = value._inum
-            self._profile = value._profile
-            self._extra = value._extra
-            self._canon = value._canon
-            self._hash = value._hash
+            self._num = value._num
+            self._den = value._den
             return
         f = Fraction(value)
         self._scale = f
         self._shift = 0
-        self._inum = {0: 1} if f else {}
-        self._profile: Dict[int, int] = {}
-        self._extra: Optional[_IPoly] = None
-        self._canon: Optional[Tuple[int, Poly, Poly]] = None
-        self._hash: Optional[int] = None
+        self._num = _ONE if f else {}
+        self._den = _ONE
 
-    # -- raw constructor -----------------------------------------------------
+    # -- constructors ----------------------------------------------------------
 
     @classmethod
-    def _make(cls, scale: Fraction, shift: int, inum: _IPoly,
-              profile: Dict[int, int], extra: Optional[_IPoly]) -> "RatFunc":
+    def _raw(cls, scale: Fraction, shift: int, num: _IPoly,
+             den: _IPoly) -> "RatFunc":
+        """A value whose fields are already canonical."""
         self = object.__new__(cls)
-        if not inum or scale == 0:
-            self._scale = Fraction(0)
-            self._shift = 0
-            self._inum = {}
-            self._profile = {}
-            self._extra = None
-            self._canon = (0, {}, {0: Fraction(1)})
-            self._hash = None
-            return self
-        low = min(inum)
-        if low:
-            inum = {e - low: c for e, c in inum.items()}
-            shift += low
-        c = _ip_content(inum)
-        if c > 1:
-            inum = {e: v // c for e, v in inum.items()}
-            scale *= c
-        if extra is not None:
-            lowx = min(extra)
-            if lowx:
-                extra = {e - lowx: c2 for e, c2 in extra.items()}
-                shift -= lowx
-            cx = _ip_content(extra)
-            dx = max(extra)
-            if extra[dx] < 0:
-                cx = -cx
-            if cx != 1:
-                extra = {e: v // cx for e, v in extra.items()}
-                scale /= cx
-            if extra == {0: 1}:
-                extra = None
         self._scale = scale
         self._shift = shift
-        self._inum = inum
-        self._profile = {m: e for m, e in profile.items() if e}
-        self._extra = extra
-        self._canon = None
-        self._hash = None
+        self._num = num
+        self._den = den
         return self
+
+    @classmethod
+    def _make(cls, scale: Fraction, shift: int, num: _IPoly,
+              den: _IPoly) -> "RatFunc":
+        """q**shift * scale * num / den in canonical form, for integer
+        Laurent polynomials num and den, den nonzero: q-powers move to the
+        shift, contents and signs to the scale, and one gcd cancels."""
+        if not num or not scale:
+            return cls(0)
+        num, low_n, c_n = _primitive(num)
+        den, low_d, c_d = _primitive(den)
+        if c_n != 1 or c_d != 1:
+            scale = scale * c_n / c_d
+        num, den = _cancel(num, den)
+        return cls._raw(scale, shift + low_n - low_d, num, den)
 
     @classmethod
     def zero(cls) -> "RatFunc":
@@ -381,24 +357,14 @@ class RatFunc:
 
     @classmethod
     def q_power(cls, k: int) -> "RatFunc":
-        return cls._make(Fraction(1), k, {0: 1}, {}, None)
+        return cls._raw(Fraction(1), k, _ONE, _ONE)
 
     def shifted(self, k: int) -> "RatFunc":
         """self * q**k: only the shift moves, so nothing is multiplied."""
-        if not k or not self._inum:
+        if not k or not self._num:
             return self
-        out = object.__new__(RatFunc)
-        out._scale = self._scale
-        out._shift = self._shift + k
-        out._inum = self._inum
-        out._profile = self._profile
-        out._extra = self._extra
-        canon = self._canon
-        if canon is not None:
-            canon = (canon[0] + k, canon[1], canon[2])
-        out._canon = canon
-        out._hash = None
-        return out
+        return RatFunc._raw(self._scale, self._shift + k, self._num,
+                            self._den)
 
     @classmethod
     def from_frac_polys(cls, shift: int, num: Poly, den: Poly) -> "RatFunc":
@@ -417,84 +383,47 @@ class RatFunc:
             ld = ld * c.denominator // _int_gcd(ld, c.denominator)
         inum = {e: int(c * ln) for e, c in num.items()}
         iden = {e: int(c * ld) for e, c in den.items()}
-        scale = Fraction(ld, ln)
-        sh, prof, extra = _factor_denominator(iden)
-        return cls._make(scale, shift - sh, inum, prof, extra)
+        return cls._make(Fraction(ld, ln), shift, inum, iden)
 
-    # -- canonical view -------------------------------------------------------
+    # -- presented form ---------------------------------------------------------
 
-    def _canonical(self) -> Tuple[int, Poly, Poly]:
-        if self._canon is not None:
-            return self._canon
-        if not self._inum:
-            self._canon = (0, {}, {0: Fraction(1)})
-            return self._canon
-        num_i = self._inum
-        den_i = _profile_expand(self._profile)
-        if self._extra is not None:
-            den_i = _ip_mul(den_i, self._extra)
-        shift = self._shift
-        lowd = min(den_i)
-        if lowd:
-            den_i = {e - lowd: c for e, c in den_i.items()}
-            shift -= lowd
-        g = _ip_gcd(num_i, den_i)
-        if max(g) > 0:
-            num_i = _ip_div_exact(num_i, g)
-            den_i = _ip_div_exact(den_i, g)
-        lown = min(num_i)
-        if lown:
-            num_i = {e - lown: c for e, c in num_i.items()}
-            shift += lown
-        lowd = min(den_i)
-        if lowd:
-            den_i = {e - lowd: c for e, c in den_i.items()}
-            shift -= lowd
-        lead = den_i[max(den_i)]
+    def _presented(self) -> Tuple[int, Poly, Poly]:
+        """(shift, num, den) with Fraction coefficients and den monic."""
+        if not self._num:
+            return 0, {}, {0: Fraction(1)}
+        lead = self._den[max(self._den)]
         scale = self._scale / lead
-        num = {e: c * scale for e, c in num_i.items()}
-        den = {e: Fraction(c, lead) for e, c in den_i.items()}
-        self._canon = (shift, num, den)
-        return self._canon
+        return (self._shift, {e: c * scale for e, c in self._num.items()},
+                {e: Fraction(c, lead) for e, c in self._den.items()})
 
     def laurent(self) -> Optional[_IPoly]:
         """The coefficients, exponent -> int, when the value lies in
-        Z[q, 1/q]; None otherwise."""
-        if not self._inum:
+        Z[q, 1/q]; None otherwise.  num is primitive, so scale * num has
+        integer coefficients exactly when scale is an integer."""
+        if not self._num:
             return {}
-        sh, num, den = self._canonical()
-        if len(den) != 1 or any(c.denominator != 1 for c in num.values()):
+        if len(self._den) > 1 or self._scale.denominator != 1:
             return None
-        return {e + sh: int(c) for e, c in num.items()}
-
-    def reduced(self) -> "RatFunc":
-        """The same value, rebuilt from its canonical view.  A value that
-        went through a long chain of sums and products carries factors its
-        lazy form never cancelled; dropping them keeps later arithmetic on
-        it cheap."""
-        if not self._inum:
-            return self
-        out = RatFunc.from_frac_polys(*self._canonical())
-        out._canon = self._canon
-        return out
+        s = self._scale.numerator
+        return {e + self._shift: s * c for e, c in self._num.items()}
 
     @property
     def shift(self) -> int:
-        return self._canonical()[0]
+        return self._shift
 
     @property
     def num(self) -> Poly:
-        return dict(self._canonical()[1])
+        return self._presented()[1]
 
     @property
     def den(self) -> Poly:
-        return dict(self._canonical()[2])
+        return self._presented()[2]
 
     def is_zero(self) -> bool:
-        return not self._inum
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self._inum)
+        return bool(self._num)
 
     # -- ring operations ------------------------------------------------------
 
@@ -510,55 +439,28 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self._inum:
+        if not self._num:
             return o
-        if not o._inum:
+        if not o._num:
             return self
-        a, b = self, o
-        prof = dict(a._profile)
-        for m, e in b._profile.items():
-            prof[m] = max(prof.get(m, 0), e)
-        na = a._inum
-        for m, e in prof.items():
-            for _ in range(e - a._profile.get(m, 0)):
-                na = _ip_mul(na, {m: 1, 0: -1})
-        nb = b._inum
-        for m, e in prof.items():
-            for _ in range(e - b._profile.get(m, 0)):
-                nb = _ip_mul(nb, {m: 1, 0: -1})
-        xa, xb = a._extra, b._extra
-        if xa == xb:
-            extra = xa
-        else:
-            if xb is not None:
-                na = _ip_mul(na, xb)
-            if xa is not None:
-                nb = _ip_mul(nb, xa)
-            if xa is None:
-                extra = xb
-            elif xb is None:
-                extra = xa
-            else:
-                extra = _ip_mul(xa, xb)
-        sh = min(a._shift, b._shift)
-        if a._shift > sh:
-            na = {e + a._shift - sh: c for e, c in na.items()}
-        if b._shift > sh:
-            nb = {e + b._shift - sh: c for e, c in nb.items()}
-        g = _fraction_gcd(a._scale, b._scale)
-        ma = int(a._scale / g)
-        mb = int(b._scale / g)
-        acc = {e: ma * c for e, c in na.items()}
-        _ip_add_into(acc, nb, mb)
-        return RatFunc._make(g, sh, acc, prof, extra)
+        sh = min(self._shift, o._shift)
+        g = _fraction_gcd(self._scale, o._scale)
+        na, da, nb, db = self._num, self._den, o._num, o._den
+        if da != db:
+            na, nb, da = _ip_mul(na, db), _ip_mul(nb, da), _ip_mul(da, db)
+        ka, kb = self._shift - sh, o._shift - sh
+        ma = (self._scale / g).numerator
+        acc = {e + ka: ma * c for e, c in na.items()}
+        _ip_add_into(acc, {e + kb: c for e, c in nb.items()},
+                     (o._scale / g).numerator)
+        return RatFunc._make(g, sh, acc, da)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatFunc":
-        if not self._inum:
+        if not self._num:
             return self
-        return RatFunc._make(-self._scale, self._shift, self._inum,
-                             self._profile, self._extra)
+        return RatFunc._raw(-self._scale, self._shift, self._num, self._den)
 
     def __sub__(self, other) -> "RatFunc":
         o = self._coerce(other)
@@ -576,33 +478,22 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self._inum or not o._inum:
+        if not self._num or not o._num:
             return RatFunc(0)
-        prof = dict(self._profile)
-        for m, e in o._profile.items():
-            prof[m] = prof.get(m, 0) + e
-        if self._extra is None:
-            extra = o._extra
-        elif o._extra is None:
-            extra = self._extra
-        else:
-            extra = _ip_mul(self._extra, o._extra)
-        return RatFunc._make(self._scale * o._scale,
-                             self._shift + o._shift,
-                             _ip_mul(self._inum, o._inum),
-                             prof, extra)
+        # Each operand is in lowest terms, so only the cross pairs can
+        # share a factor; products of primitive polynomials are primitive.
+        na, db = _cancel(self._num, o._den)
+        nb, da = _cancel(o._num, self._den)
+        return RatFunc._raw(self._scale * o._scale, self._shift + o._shift,
+                            _ip_mul(na, nb), _ip_mul(da, db))
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "RatFunc":
-        if not self._inum:
+        if not self._num:
             raise ZeroDivisionError("reciprocal of zero")
-        new_num = _profile_expand(self._profile)
-        if self._extra is not None:
-            new_num = _ip_mul(new_num, self._extra)
-        sh, prof, extra = _factor_denominator(self._inum)
-        return RatFunc._make(1 / self._scale, -self._shift - sh,
-                             new_num, prof, extra)
+        return RatFunc._raw(1 / self._scale, -self._shift, self._den,
+                            self._num)
 
     def __truediv__(self, other) -> "RatFunc":
         o = self._coerce(other)
@@ -636,87 +527,72 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self._inum == o._inum and self._scale == o._scale \
-                and self._shift == o._shift and self._profile == o._profile \
-                and self._extra == o._extra:
-            return True
-        if bool(self._inum) != bool(o._inum):
-            return False
-        return self._canonical() == o._canonical()
+        return (self._scale == o._scale and self._shift == o._shift
+                and self._num == o._num and self._den == o._den)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            sh, num, den = self._canonical()
-            self._hash = hash((sh, tuple(sorted(num.items())),
-                               tuple(sorted(den.items()))))
-        return self._hash
+        return hash((self._scale, self._shift, tuple(sorted(self._num.items())),
+                     tuple(sorted(self._den.items()))))
 
     # -- involution, evaluation, poles ---------------------------------------
 
     def bar(self) -> "RatFunc":
         """Substitute q -> 1/q."""
-        if not self._inum:
+        if not self._num:
             return self
-        sh, num, den = self._canonical()
-        dn = max(num)
-        dd = max(den)
-        rnum = {dn - e: c for e, c in num.items()}
-        rden = {dd - e: c for e, c in den.items()}
-        return RatFunc.from_frac_polys(-sh - dn + dd, rnum, rden)
+        num, den = self._num, self._den
+        dn, dd = max(num), max(den)
+        return RatFunc._make(self._scale, -self._shift - dn + dd,
+                             {dn - e: c for e, c in num.items()},
+                             {dd - e: c for e, c in den.items()})
 
     def eval_at(self, point: "Fraction | int") -> Fraction:
         r = Fraction(point)
-        if not self._inum:
+        if not self._num:
             return Fraction(0)
-        sh, num, den = self._canonical()
+        sh = self._shift
         if r == 0:
             if sh < 0:
                 raise PoleError(r, -sh)
             if sh > 0:
                 return Fraction(0)
-            return num[0] / den[0]
-        dv = Fraction(0)
-        for e, c in den.items():
-            dv += c * r ** e
+            return self._scale * self._num[0] / self._den[0]
+        dv = _eval(self._den, r)
         if dv == 0:
             raise PoleError(r, self.pole_order_at(r))
-        nv = Fraction(0)
-        for e, c in num.items():
-            nv += c * r ** e
-        return nv * r ** sh / dv
+        return self._scale * _eval(self._num, r) * r ** sh / dv
 
     def pole_order_at(self, point: "Fraction | int") -> int:
         """Pole order at the point: positive for a pole, negative for a zero,
         0 for finite nonzero values.  The zero function reports 0."""
         r = Fraction(point)
-        if not self._inum:
+        if not self._num:
             return 0
-        sh, num, den = self._canonical()
         if r == 0:
-            return -sh
-        md = _frac_poly_root_mult(den, r)
+            return -self._shift
+        md = _frac_poly_root_mult(self._den, r)
         if md:
             return md
-        return -_frac_poly_root_mult(num, r)
+        return -_frac_poly_root_mult(self._num, r)
 
     def subs_square(self, value: "Fraction | int") -> Fraction:
         """Substitute q**2 -> value; requires all exponents even."""
         v = Fraction(value)
-        if not self._inum:
+        if not self._num:
             return Fraction(0)
-        sh, num, den = self._canonical()
+        sh, num, den = self._shift, self._num, self._den
         if sh % 2 or any(e % 2 for e in num) or any(e % 2 for e in den):
             raise ValueError("odd q-powers present, no even substitution")
         nv = sum((c * v ** (e // 2) for e, c in num.items()), Fraction(0))
         dv = sum((c * v ** (e // 2) for e, c in den.items()), Fraction(0))
         if dv == 0:
             raise ZeroDivisionError("denominator vanishes at substitution")
-        return nv * v ** (sh // 2) / dv
+        return self._scale * nv * v ** (sh // 2) / dv
 
     # -- presentation ----------------------------------------------------------
 
     def to_data(self):
-        sh, num, den = self._canonical()
+        sh, num, den = self._presented()
         return {
             "shift": sh,
             "num": [[e, str(c)] for e, c in sorted(num.items())],
@@ -732,9 +608,9 @@ class RatFunc:
         return cls.from_frac_polys(int(data["shift"]), num, den)
 
     def __str__(self) -> str:
-        if not self._inum:
+        if not self._num:
             return "0"
-        sh, num, den = self._canonical()
+        sh, num, den = self._presented()
         ns = _poly_str(num)
         parts = []
         if sh:
@@ -749,7 +625,6 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({self})"
-
 
 def _frac_poly_root_mult(poly: Poly, r: Fraction) -> int:
     cur = dict(poly)
@@ -773,27 +648,6 @@ def _frac_poly_root_mult(poly: Poly, r: Fraction) -> int:
     return mult
 
 
-def _factor_denominator(p: _IPoly) -> Tuple[int, Dict[int, int], Optional[_IPoly]]:
-    """Split p as q^sh * prod (q^m - 1)^e * leftover."""
-    low = min(p)
-    if low:
-        p = {e - low: c for e, c in p.items()}
-    prof: Dict[int, int] = {}
-    for m in range(max(p), 0, -1):
-        while True:
-            quo = _ip_try_div_qm1(p, m)
-            if quo is None:
-                break
-            p = quo
-            prof[m] = prof.get(m, 0) + 1
-            if max(p) < m:
-                break
-        if max(p) == 0:
-            break
-    extra = None if p == {0: 1} else p
-    return low, prof, extra
-
-
 def _poly_str(poly: Poly) -> str:
     terms = []
     for e in sorted(poly, reverse=True):
@@ -812,12 +666,12 @@ def _poly_str(poly: Poly) -> str:
 
 def q_minus_qinv() -> RatFunc:
     """The scalar q - q^-1."""
-    return RatFunc._make(Fraction(1), -1, {2: 1, 0: -1}, {}, None)
+    return RatFunc._raw(Fraction(1), -1, {2: 1, 0: -1}, _ONE)
 
 
 def inv_q_minus_qinv() -> RatFunc:
     """The scalar 1/(q - q^-1) = q/(q^2 - 1)."""
-    return RatFunc._make(Fraction(1), 1, {0: 1}, {2: 1}, None)
+    return RatFunc._raw(Fraction(1), 1, _ONE, {2: 1, 0: -1})
 
 
 def binom_fraction(top: Fraction, n: int) -> Fraction:

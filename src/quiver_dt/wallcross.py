@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 from . import invariants
 from .quiver import (DimVector, SelfDualQuiver, Slope, ValidationError,
                      graded_lex_key)
-from .ratfunc import RatFunc, inv_q_minus_qinv, q_minus_qinv
+from .ratfunc import RatFunc, q_minus_qinv
 from .torus import (TorusElem, TorusModElem, integrated_unit, series_diamond,
                     star_exp)
 
@@ -125,8 +125,7 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
             sd_stack = factors[s].diamond(sd_stack)
 
     eng = invariants._Engine.seeded(q, pair.minus, bound, stack, sd_stack)
-    inv = inv_q_minus_qinv()
-    eps = {a: eng.dt_motivic(a) * inv for a in eng.classes}
+    eps = {a: eng.epsilon(a) for a in eng.classes}
     sd_eps = None
     if sd_side:
         sd_eps = {th: eng.sd_dt_motivic(th)

@@ -19,7 +19,8 @@ from quiver_dt.quiver import (Calibration, Slope, ValidationError,
                               make_calibration, point_quiver, vadd, vleq,
                               vsub, vtotal)
 from quiver_dt.ratfunc import RatFunc, inv_q_minus_qinv, q_minus_qinv
-from quiver_dt.torus import TorusElem, integrated_unit, series_diamond, star_exp
+from quiver_dt.torus import (TorusElem, integrated_unit, series_diamond,
+                              star_exp, star_log_one_plus)
 
 
 def q_pow(k):
@@ -130,6 +131,17 @@ def test_class_beyond_the_bound_is_rejected():
                     (inv.sd_dt_mot, (2, 2))):
         with pytest.raises(ValueError, match="beyond the bound 2"):
             fn(q, s, cls, bound=2)
+
+
+@pytest.mark.parametrize("fn", [inv.dt_mot, inv.semistable_integral,
+                                inv.sd_dt_mot])
+@pytest.mark.parametrize("alpha", [(1,), (1, 2, 3), (1.0, 1), (-1, -1), 3],
+                         ids=["too_short", "too_long", "float", "negative",
+                              "not_a_sequence"])
+def test_malformed_class_is_rejected(fn, alpha):
+    q = calibrated_kron()
+    with pytest.raises(ValidationError, match="is not a class"):
+        fn(q, hn_slope(q), alpha)
 
 
 @pytest.mark.parametrize("weights", [(1,), (1, -1, 5)],
@@ -303,7 +315,35 @@ def test_semistable_recursion_makes_no_ratfunc_arithmetic(monkeypatch):
         monkeypatch.setattr(RatFunc, name, counted)
     for a in eng.classes:
         eng.semistable(a)
-    assert eng._dom and not calls
+        eng.dt_motivic(a)
+        eng.epsilon(a)
+        eng.epsilon_element(eng.value[a])
+    assert eng._dom and eng._logs and not calls
+
+
+def assert_star_log_matches_torus(q, slope, bound):
+    """The engine's star-log on integer numerators against the torus
+    algebra's RatFunc series, at every slope value."""
+    eng = inv._engine(q, slope, bound)
+    for value in eng.by_value:
+        want = star_log_one_plus(eng.semistable_element(value), bound)
+        assert eng.epsilon_element(value) == want, value
+        for a in eng.by_value[value]:
+            assert eng.epsilon(a) == want.get(a) * inv_q_minus_qinv(), a
+
+
+@pytest.mark.parametrize("esigns", [(1, 1), (1, -1), (-1, -1)])
+@pytest.mark.parametrize("vsign", [1, -1])
+def test_epsilon_element_matches_torus_star_log_on_kronecker(esigns, vsign):
+    q = calibrated_kron(esigns, vsign)
+    for slope in (Slope.trivial(q), hn_slope(q)):
+        assert_star_log_matches_torus(q, slope, 6)
+
+
+def test_epsilon_element_matches_torus_star_log_on_suite():
+    for q, slopes in acceptance_suite():
+        for slope in slopes:
+            assert_star_log_matches_torus(q, slope, 4)
 
 
 def test_exp_log_inversion_roundtrip():

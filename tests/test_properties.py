@@ -8,7 +8,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from suite import _rand_quiver
 from quiver_dt import invariants as inv
-from quiver_dt.oracle import calibrate_signs, direct_semistable_integral
+from quiver_dt.oracle import (calibrate_signs, direct_epsilon_integral,
+                              direct_semistable_integral)
 from quiver_dt.quiver import Slope
 
 # A fixed number of small cases, replayed the same way on every run.
@@ -42,3 +43,13 @@ def test_semistable_integral_matches_direct_enumeration(case):
     for a in quiver.dim_vectors_up_to(bound):
         assert inv.semistable_integral(quiver, slope, a, bound=bound) == \
             direct_semistable_integral(quiver, slope, a), a
+
+
+@BUDGET
+@given(quiver_slope_bound())
+def test_epsilon_integral_matches_direct_enumeration(case):
+    quiver, slope, bound = case
+    calibrate_signs(quiver)
+    for a in quiver.dim_vectors_up_to(bound):
+        assert inv.epsilon_integral(quiver, slope, a, bound=bound) == \
+            direct_epsilon_integral(quiver, slope, a), a

@@ -347,7 +347,7 @@ def test_shifted_matches_multiplying_by_a_q_power():
     values += [RatFunc(0), RatFunc(F(-3, 2)), inv_q_minus_qinv()]
     for i, x in enumerate(values):
         if i % 2:
-            x.to_data()  # a value whose canonical view is already cached
+            x.to_data()  # a value presented before it is shifted
         for k in (0, 1, -1, 3, -5, rng.randint(-9, 9)):
             got = x.shifted(k)
             want = x * RatFunc.q_power(k)
@@ -366,17 +366,6 @@ def test_serialization_round_trip():
         assert back == a
         assert back.to_data() == data
     assert RatFunc.from_data(RatFunc(0).to_data()) == RatFunc(0)
-
-
-def test_reduced_keeps_the_value_and_drops_uncancelled_factors():
-    x = RatFunc(1)
-    for _ in range(6):
-        x = x * q_minus_qinv() * inv_q_minus_qinv()
-    y = (x * RatFunc.q_power(3) + RatFunc(F(1, 2))) * inv_q_minus_qinv()
-    r = y.reduced()
-    assert r == y and str(r) == str(y) and r.to_data() == y.to_data()
-    assert sum(r._profile.values()) == 1 < sum(y._profile.values())
-    assert RatFunc(0).reduced() == RatFunc(0)
 
 
 def fraction_long_division(a, g):
