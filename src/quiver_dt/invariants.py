@@ -1,36 +1,32 @@
 """Semistable integrals, epsilon integrals, and DT invariants.
 
+One engine per quiver and slope holds every invariant as a memoised
+function of its class, computed on first use from the classes below it, so
+no value depends on the bound a query names.
+
 Component integrals from the motives module feed a gated prefix-sum
-recursion that inverts the filtration identity and yields semistable
-integrals per slope.  For a slope value s the recursion runs only over the
-down-set that the classes of slope s read (at s = 0 these include every
-self-dual class): the classes of slope above s in the box under their
-componentwise maximum, each entry summing over its own sub-box.
+recursion that inverts the filtration identity and yields the semistable
+integrals of each slope s; its entries live on the zero class and the
+classes of slope above s.  A stack class is q^e(a) / M(a), with M(a) =
+prod_i P(a_i) and P(n) = prod_{k=1..n} (q^2k - 1) (see motives), so the
+recursion keeps D = M d in place of each rational entry d, and every step
+is an integer product through q^2-binomials (Reineke, The Harder-Narasimhan
+system in quantum groups and cohomology of quiver moduli, 2003).  The star
+powers of a slope's semistable element are integer numerators over M in
+the same way; the epsilon integrals (its star-logarithm) and the weights of
+its inverse square root at slope 0 are sums of them, each divided by M only
+at the end, as a RatFunc.  An engine seeded from a stack element
+(wall-crossing) feeds the recursion its numerators in place of q^e(a).
 
-The recursion runs in integer Laurent polynomials.  A stack class is
-q^e(a) / M(a), where M(a) = prod_i P(a_i) and P(n) = prod_{k=1..n}
-(q^2k - 1) (see motives), so the table keeps D[p] = M(p) d[p] in place of
-each rational entry d[p].  Then M(p) / (M(p') M(p - p')) is a product of
-q^2-binomials, and every step of the recursion is an integer product
-(Reineke, The Harder-Narasimhan system in quantum groups and cohomology of
-quiver moduli, 2003).  A semistable integral divides its sum X(a) by M(a)
-only at the end, as a RatFunc.  An engine seeded from a stack element
-(wall-crossing) feeds the same recursion its numerators M(a) I(a) / (q -
-1/q) in place of q^e(a).
-
-Epsilon integrals are star-logarithms of the slope-graded semistable
-elements on the linear side.  The same identity makes every star power an
-integer numerator over M(a), so the star-log runs on the numerators X(a) as
-well, and an epsilon integral or motivic invariant is one RatFunc built
-from its numerator at the end (see _Engine._log_table).  The self-dual side
-reads d[g] = D[g] / M(g) at slope 0 and still works in RatFunc, and its
-epsilon integrals are inverse square root diamond series in the module.
+On the self-dual side, semistable integrals are the slope-0 entries acting
+on the module stack classes, and epsilon integrals are the inverse square
+root acting on those (M. B. Young, The Hall module of an exact category
+with duality, 2016), both RatFunc sums over theta = g + rho + g^v.
 Numerical invariants evaluate the motivic ones at q = -1.
 
-All per-slope tables live in a small engine cached on its quiver by
-(slope, bound, calibration), so repeated scalar queries share work, a new
-calibration never returns values computed under the old one, and the
-engines go when the quiver does.
+Engines are cached on their quiver by (slope, calibration), so repeated
+queries share work, a new calibration never returns values computed under
+the old one, and the engines go when the quiver does.
 """
 
 from __future__ import annotations
@@ -38,6 +34,7 @@ from __future__ import annotations
 import json
 import math
 import weakref
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional
@@ -46,35 +43,50 @@ from .motives import (over_gl_denominator, q2_binomial, sd_stack_class,
                       stack_class, stack_exponent)
 from .oracle import ensure_calibrated
 from .quiver import (DimVector, SelfDualQuiver, Slope, ValidationError,
-                     boxed_vectors, vadd, vleq, vsub, vtotal)
-from .ratfunc import (Laurent, RatFunc, binom_fraction, inv_q_minus_qinv,
-                      laurent_sum, q_minus_qinv)
-from .torus import TorusElem, TorusModElem, integrated_unit, series_diamond
+                     boxed_vectors, vadd, vsub, vtotal)
+from .ratfunc import (Laurent, RatFunc, inv_q_minus_qinv, laurent_sum,
+                      q_minus_qinv)
+from .torus import TorusElem, TorusModElem, integrated_unit
 
 
 class NoPoleViolation(RuntimeError):
     """A motivic invariant has a pole at q = 1 or q = -1."""
 
 
-def _sqrt_binom(n: int) -> Fraction:
-    return binom_fraction(Fraction(-1, 2), n)
-
-
+_ONE = Laurent({0: 1})
 _Q_MINUS_QINV = Laurent({1: 1, -1: -1})
 
 
-def _times_q_minus_qinv(num: Laurent) -> Dict[int, int]:
-    return laurent_sum([(0, [_Q_MINUS_QINV, num])]).poly
+def _integrated(num: Laurent, a: DimVector,
+                scale: Fraction = Fraction(1)) -> RatFunc:
+    """scale (q - 1/q) num / M(a), with no RatFunc arithmetic."""
+    return over_gl_denominator(
+        laurent_sum([(0, [_Q_MINUS_QINV, num])]).poly, a, scale)
+
+
+def _binomials(top: DimVector, p: DimVector) -> List[Laurent]:
+    """The q^2-binomials [top_i, p_i] != 1: M(top) / (M(p) M(top - p))."""
+    return [q2_binomial(n, k) for n, k in zip(top, p) if 0 < k < n]
+
+
+def _per_class(method):
+    """An engine method of one class, computed once per engine and class."""
+    name = method.__name__
+
+    def memoised(self, a):
+        memo = self._memo[name]
+        if a not in memo:
+            memo[a] = method(self, a)
+        return memo[a]
+    memoised.__doc__ = method.__doc__
+    return memoised
 
 
 class _Engine:
-    """Tables for one (quiver, slope, bound) triple: per slope value, the
-    semistable recursion's table and the star-log's numerators, both in
-    Z[q, 1/q]; and the self-dual side's RatFunc values."""
+    """Every invariant of one (quiver, slope) pair, memoised per class: in
+    Z[q, 1/q] on the linear side, in RatFunc on the self-dual side."""
 
-    def __init__(self, quiver: SelfDualQuiver, slope: Slope, bound: int):
-        if bound < 1:
-            raise ValueError("bound must be at least 1")
+    def __init__(self, quiver: SelfDualQuiver, slope: Slope):
         if len(slope.weights) != len(quiver.vertices):
             raise ValidationError(
                 f"slope has {len(slope.weights)} weights for "
@@ -82,250 +94,205 @@ class _Engine:
         ensure_calibrated(quiver)
         self.quiver = quiver
         self.slope = slope
-        self.bound = bound
         self.zero = tuple(0 for _ in quiver.vertices)
-        self.classes = quiver.dim_vectors_up_to(bound)
-        self.value: Dict[DimVector, Fraction] = {
-            a: slope.value(a) for a in self.classes}
-        self.by_value: Dict[Fraction, List[DimVector]] = {}
-        for a in self.classes:
-            self.by_value.setdefault(self.value[a], []).append(a)
-        self._lcm = math.lcm(*range(1, bound + 1))
-        self._num: Dict[DimVector, Laurent] = {}
-        self._sd_stack: Dict[DimVector, RatFunc] = {}
-        self._sem: Dict[DimVector, Laurent] = {}
-        self._sd_sem: Dict[DimVector, RatFunc] = {}
-        self._dom: Dict[Fraction, Dict[DimVector, Laurent]] = {}
-        self._dom0: Optional[Dict[DimVector, RatFunc]] = None
-        self._logs: Dict[Fraction, Dict[DimVector, Laurent]] = {}
-        self._eps_elems: Dict[Fraction, TorusElem] = {}
-        self._sd_eps_elem: Optional[TorusModElem] = None
-        self._sd_checked = False
+        self.seed_bound: Optional[int] = None
+        self._memo: Dict[str, dict] = defaultdict(dict)
+        self._dom: Dict[Fraction, Dict[DimVector, Optional[Laurent]]] = {}
 
     @classmethod
     def seeded(cls, quiver: SelfDualQuiver, slope: Slope, bound: int,
                stack: TorusElem,
                sd_stack: Optional[TorusModElem]) -> "_Engine":
-        """Engine reading every component integral up to the bound off the
-        integrated stack element and the module stack element (as
-        integrated_stack_element and sd_stack_element build them) instead
-        of the motives.  It stays out of the engine cache, where it would
-        stand in for an engine that computes from the motives.
-
-        The recursion needs the numerators N(a) = M(a) I(a) / (q - 1/q) in
-        Z[q, 1/q]; a stack element's are the powers q^e(a), so a table
-        whose numerators are not Laurent polynomials is refused."""
-        eng = cls(quiver, slope, bound)
+        """Engine reading the component integrals up to the bound off the
+        stack elements that integrated_stack_element and sd_stack_element
+        build, and refusing to read one beyond it.  It stays out of the
+        engine cache.  Its numerators N(a) = M(a) I(a) / (q - 1/q) must be
+        Laurent polynomials, as a stack element's powers q^e(a) are."""
+        eng = cls(quiver, slope)
+        eng.seed_bound = bound
         inv = inv_q_minus_qinv()
-        for a in eng.classes:
-            inv_m = over_gl_denominator({0: 1}, a)
-            num = (stack.get(a) * inv / inv_m).laurent()
+        for a in quiver.dim_vectors_up_to(bound):
+            num = (stack.get(a) * inv
+                   / over_gl_denominator({0: 1}, a)).laurent()
             if num is None:
                 raise ValueError(
                     "the source table is not the epsilon table of a stack "
                     f"element: M(a) I(a) / (q - 1/q) at a = {a} is not a "
                     "Laurent polynomial with integer coefficients")
-            eng._num[a] = Laurent(num)
+            eng._memo["_numerator"][a] = Laurent(num)
         if sd_stack is not None:
             for th in quiver.sd_classes_up_to(bound):
-                eng._sd_stack[th] = sd_stack.get(th)
+                eng._memo["sd_stack"][th] = sd_stack.get(th)
         return eng
 
     # -- component integrals ----------------------------------------------
 
+    @_per_class
+    def value(self, a: DimVector) -> Fraction:
+        return self.slope.value(a)
+
+    def _refuse_beyond_seed(self, a: DimVector) -> None:
+        if self.seed_bound is not None:
+            raise ValueError(
+                f"{a} lies beyond the seeded bound {self.seed_bound}")
+
+    @_per_class
     def _numerator(self, a: DimVector) -> Laurent:
         """N(a) = M(a) times the component integral of a: q^e(a)."""
-        out = self._num.get(a)
-        if out is None:
-            out = self._num[a] = Laurent({stack_exponent(self.quiver, a): 1})
-        return out
+        self._refuse_beyond_seed(a)
+        return Laurent({stack_exponent(self.quiver, a): 1})
 
+    @_per_class
     def sd_stack(self, th: DimVector) -> RatFunc:
-        out = self._sd_stack.get(th)
-        if out is None:
-            out = sd_stack_class(self.quiver, th)
-            self._sd_stack[th] = out
-        return out
+        self._refuse_beyond_seed(th)
+        return sd_stack_class(self.quiver, th)
 
     # -- gated prefix-sum recursion -----------------------------------------
 
-    def _dom_table(self, s: Fraction) -> Dict[DimVector, Laurent]:
-        """Inverse of the component-integral element restricted to prefixes
-        of slope strictly above s, kept as D[p] = M(p) d[p]: d[p] sums
-        signed walk weights over chains 0 -> ... -> p through that region,
-        and D[p] is that sum with the motive denominators cleared, an
-        integer Laurent polynomial (see _chain_sum).
-
-        d[p] reads only entries below p, so any down-closed domain gives the
-        same values.  The domain is the part of that region, within the
-        bound, in the box under the classes of slope s, which are the ones
-        that read the table; each D[p] walks the sub-box [0, p] by lookup.
-        sd_semistable reads the table at 0 for g <= g + g^v <= theta, and
-        under a self-dual slope every self-dual class has slope 0, so the
-        box at 0 covers those reads too."""
-        tab = self._dom.get(s)
-        if tab is None:
-            tab = {self.zero: Laurent({0: 1})}
-            box = tuple(max(col) for col in
-                        zip(self.zero, *self.by_value.get(s, [])))
-            value = self.value
-            for p in boxed_vectors(box):
-                v = value.get(p)
-                if v is not None and v > s:
-                    tab[p] = self._chain_sum(tab, p, self._numerator, -1)
-            self._dom[s] = tab
+    def _dom_table(self, s: Fraction,
+                   top: DimVector) -> Dict[DimVector, Optional[Laurent]]:
+        """The entries D(s, p) = M(p) d(s, p), filled in up to top, where d
+        is the inverse of the component-integral element restricted to the
+        zero class and the classes of slope above s; None on every other
+        class.  An entry reads only the entries below it (see _chain_sum),
+        and boxed_vectors lists those first."""
+        tab = self._dom.setdefault(s, {self.zero: _ONE})
+        if top not in tab:
+            for p in boxed_vectors(top):
+                if p not in tab:
+                    tab[p] = (self._chain_sum(tab, p, -1)
+                              if self.value(p) > s else None)
         return tab
 
-    def _chain_sum(self, tab: Dict[DimVector, Laurent], top: DimVector,
-                   step_num: Callable[[DimVector], Optional[Laurent]],
-                   sign: int = 1) -> Laurent:
-        """M(top) times the sum of d[p] * x(top - p) * q^<p, top - p> over
-        the entries p of tab below top that step_num has a numerator for,
-        found by walking the sub-box [0, top].  With d[p] = D[p] / M(p) and
-        x(v) = step_num(v) / M(v), each term is D[p] * step_num(top - p)
-        times the q^2-binomials [top_i, p_i]: no denominator is left."""
+    def _chain_sum(self, tab: Dict[DimVector, Optional[Laurent]],
+                   top: DimVector, sign: int = 1) -> Laurent:
+        """M(top) times the sum of d(p) * c(top - p) * q^<p, top - p> over
+        the entries p < top of tab, c being the component integrals.  With
+        d(p) = D(p) / M(p) and c(v) = N(v) / M(v), each term is D(p) N(top -
+        p) times the q^2-binomials [top_i, p_i]: no denominator is left."""
         q = self.quiver
         terms = []
         for p in boxed_vectors(top):
             dp = tab.get(p)
-            if dp is None:
-                continue
-            step = vsub(top, p)
-            xs = step_num(step)
-            if xs is not None:
-                factors = [dp, xs]
-                for n, k in zip(top, p):
-                    if 0 < k < n:
-                        factors.append(q2_binomial(n, k))
-                terms.append((q.commutation_exponent(p, step), factors))
+            if dp is not None and p != top:
+                step = vsub(top, p)
+                terms.append((q.commutation_exponent(p, step),
+                              [dp, self._numerator(step)]
+                              + _binomials(top, p)))
         return laurent_sum(terms, sign)
 
+    @_per_class
     def _semistable_num(self, a: DimVector) -> Laurent:
         """X(a) = M(a) times the semistable integral of a."""
-        out = self._sem.get(a)
-        if out is None:
-            out = self._sem[a] = self._chain_sum(
-                self._dom_table(self.value[a]), a, self._numerator)
-        return out
+        if not any(a):
+            return _ONE
+        return self._chain_sum(self._dom_table(self.value(a), a), a)
 
     def semistable(self, a: DimVector) -> RatFunc:
-        if a == self.zero:
-            return RatFunc(1)
         return over_gl_denominator(self._semistable_num(a).poly, a)
 
-    def _require_sd(self) -> None:
-        if not self._sd_checked:
-            self.slope.validate_self_dual(self.quiver)
-            self._sd_checked = True
+    # -- star powers: star-log and inverse square root ----------------------
 
-    def sd_semistable(self, th: DimVector) -> RatFunc:
-        q = self.quiver
-        if not q.is_sd_class(th):
-            raise ValueError(f"{th} is not a self-dual class")
-        self._require_sd()
-        out = self._sd_sem.get(th)
-        if out is None:
-            if self._dom0 is None:
-                # d[g] = D[g] / M(g) on the table at slope 0
-                tab = self._dom_table(Fraction(0))
-                self._dom0 = {g: over_gl_denominator(dg.poly, g)
-                              for g, dg in tab.items()}
-            acc = RatFunc(0)
-            for g, dg in self._dom0.items():
-                gg = vadd(g, q.dual_vector(g))
-                if not vleq(gg, th):
-                    continue
-                rho = vsub(th, gg)
-                if not q.is_sd_class(rho):
-                    continue
-                tw = q.sd_twist_exponent(g, rho)
-                acc = acc + dg.shifted(int(tw)) * self.sd_stack(rho)
-            self._sd_sem[th] = acc
-            out = acc
-        return out
+    @_per_class
+    def _powers(self, g: DimVector) -> List[Laurent]:
+        """[P_1(g), ..., P_|g|(g)] with x^{*n}_g = (q - 1/q) P_n(g) / M(g)
+        for the semistable element x of g's slope.  As x_a = (q - 1/q) X(a)
+        / M(a), the identity _chain_sum uses gives P_1 = X and P_n(g) = the
+        sum over the classes 0 < p < g of g's slope of P_{n-1}(p) X(g - p)
+        prod_i [g_i, p_i] q^<p, g - p>; n stops at |g|, the most parts."""
+        q, s = self.quiver, self.value(g)
+        terms: List[list] = [[] for _ in range(1, vtotal(g))]
+        for p in boxed_vectors(g):
+            if p == g or not any(p) or self.value(p) != s:
+                continue
+            step = vsub(g, p)
+            x = self._semistable_num(step)
+            if x.poly:
+                rest = [x] + _binomials(g, p)
+                tw = q.commutation_exponent(p, step)
+                for n, pn in enumerate(self._powers(p)):
+                    terms[n].append((tw, [pn] + rest))
+        return [self._semistable_num(g)] + [laurent_sum(t) for t in terms]
 
-    # -- star-log on numerators -------------------------------------------------
+    def _power_sum(self, g: DimVector, coeff: Callable[[int], int]) -> Laurent:
+        """sum_n coeff(n) P_n(g), for integer coefficients."""
+        return laurent_sum([(0, [Laurent({0: coeff(n)}), pn])
+                            for n, pn in enumerate(self._powers(g), 1)])
 
-    def _log_table(self, s: Fraction) -> Dict[DimVector, Laurent]:
-        """E(g) for the classes g of slope s: the star-log of the semistable
-        element of slope s, on integer numerators.
-
-        That element has x_a = (q - 1/q) X(a) / M(a), and by the identity
-        _chain_sum uses, its star powers are x^{*n}_g = (q - 1/q) P_n(g) /
-        M(g) with P_1 = X and P_n(g) the sum over a of P_{n-1}(g - a) X(a)
-        prod_i [g_i, a_i] q^<g - a, a>.  So log(1 + x)_g = (q - 1/q) E(g) /
-        (L M(g)), where L = lcm(1..bound) and E = sum_n (-1)^(n-1) (L / n)
-        P_n.  A class has at most |g| parts, so n stops at the bound."""
-        out = self._logs.get(s)
-        if out is None:
-            classes = self.by_value.get(s, [])
-            x = {a: self._semistable_num(a) for a in classes}
-            power = x = {a: xa for a, xa in x.items() if xa.poly}
-            sums: Dict[DimVector, list] = {}
-            for n in range(1, self.bound + 1):
-                c = Laurent({0: (-1) ** (n - 1) * self._lcm // n})
-                for g, p in power.items():
-                    sums.setdefault(g, []).append((0, [c, p]))
-                power = {g: self._chain_sum(power, g, x.get)
-                         for g in classes if vtotal(g) > n}
-            out = self._logs[s] = {g: laurent_sum(t) for g, t in sums.items()}
-        return out
+    @_per_class
+    def _log_num(self, g: DimVector) -> tuple:
+        """(E(g), L) with log(1 + x)_g = (q - 1/q) E(g) / (L M(g)) for the
+        semistable element x of g's slope: L = lcm(1..|g|) and E = sum_n
+        (-1)^(n-1) (L / n) P_n.  Zero at the zero class."""
+        if not any(g):
+            return Laurent({}), 1
+        lcm = math.lcm(*range(1, vtotal(g) + 1))
+        return self._power_sum(g, lambda n: (-1) ** (n - 1) * lcm // n), lcm
 
     def epsilon(self, a: DimVector) -> RatFunc:
         """The epsilon integral of a, E(a) / (L M(a))."""
-        if a == self.zero:
-            return RatFunc(0)
-        e = self._log_table(self.value[a]).get(a, Laurent({}))
-        return over_gl_denominator(e.poly, a, Fraction(1, self._lcm))
-
-    # -- elements -------------------------------------------------------------
-
-    def semistable_element(self, s: Fraction) -> TorusElem:
-        coeffs = {a: over_gl_denominator(
-            _times_q_minus_qinv(self._semistable_num(a)), a)
-            for a in self.by_value.get(s, [])}
-        return TorusElem(self.quiver, coeffs, self.bound)
-
-    def epsilon_element(self, s: Fraction) -> TorusElem:
-        """log(1 + x) for the semistable element x of slope s, with the
-        coefficients (q - 1/q) E(g) / (L M(g)) of _log_table."""
-        out = self._eps_elems.get(s)
-        if out is None:
-            inv_lcm = Fraction(1, self._lcm)
-            coeffs = {g: over_gl_denominator(_times_q_minus_qinv(e), g,
-                                             inv_lcm)
-                      for g, e in self._log_table(s).items()}
-            out = self._eps_elems[s] = TorusElem(self.quiver, coeffs,
-                                                 self.bound)
-        return out
-
-    def sd_semistable_element(self) -> TorusModElem:
-        self._require_sd()
-        coeffs: Dict[DimVector, RatFunc] = {}
-        for th in self.quiver.sd_classes_up_to(self.bound):
-            j = self.sd_semistable(th)
-            if j:
-                coeffs[th] = j
-        return TorusModElem(self.quiver, coeffs, self.bound)
-
-    def sd_epsilon_element(self) -> TorusModElem:
-        if self._sd_eps_elem is None:
-            x0 = self.semistable_element(Fraction(0))
-            self._sd_eps_elem = series_diamond(
-                x0, self.sd_semistable_element(), _sqrt_binom, self.bound)
-        return self._sd_eps_elem
-
-    # -- invariants -------------------------------------------------------------
+        e, lcm = self._log_num(a)
+        return over_gl_denominator(e.poly, a, Fraction(1, lcm))
 
     def dt_motivic(self, a: DimVector) -> RatFunc:
-        if a == self.zero:
-            return RatFunc(0)
-        return self.epsilon_element(self.value[a]).get(a)
+        """The motivic invariant of a, (q - 1/q) E(a) / (L M(a))."""
+        e, lcm = self._log_num(a)
+        return _integrated(e, a, Fraction(1, lcm))
 
-    def sd_dt_motivic(self, th: DimVector) -> RatFunc:
-        if not self.quiver.is_sd_class(th):
+    @_per_class
+    def _root_weight(self, g: DimVector) -> Optional[RatFunc]:
+        """w(g) with (1 + x)^(-1/2) = sum_g (q - 1/q) w(g) [g] for the
+        semistable element x at slope 0, None off slope 0: w(0) = 1 and
+        w(g) = sum_n binom(-1/2, n) P_n(g) / M(g), where binom(-1/2, n) =
+        (-1)^n C(2n, n) / 4^n."""
+        if not any(g):
+            return RatFunc(1)
+        if self.value(g) != 0:
+            return None
+        t = vtotal(g)
+        num = self._power_sum(
+            g, lambda n: (-1) ** n * math.comb(2 * n, n) * 4 ** (t - n))
+        return over_gl_denominator(num.poly, g, Fraction(1, 4 ** t))
+
+    # -- self-dual side -----------------------------------------------------
+
+    def _sd_sum(self, th: DimVector,
+                weight: Callable[[DimVector], Optional[RatFunc]],
+                module: Callable[[DimVector], RatFunc]) -> RatFunc:
+        """The sum over th = g + rho + g^v of weight(g) q^tw(g, rho)
+        module(rho): (sum_g (q - 1/q) weight(g) [g]) acting on (sum_rho
+        module(rho) [rho]), at th.  Checks th and the slope; rho is then
+        self-dual too, as g + g^v is and has even entries at fixed
+        vertices."""
+        q = self.quiver
+        if not q.is_sd_class(th):
             raise ValueError(f"{th} is not a self-dual class")
-        return self.sd_epsilon_element().get(th)
+        self.slope.validate_self_dual(q)
+        acc = RatFunc(0)
+        for g in boxed_vectors(th):
+            rho = vsub(th, vadd(g, q.dual_vector(g)))
+            wg = weight(g) if min(rho) >= 0 else None
+            if wg:
+                tw = int(q.sd_twist_exponent(g, rho))
+                acc = acc + wg.shifted(tw) * module(rho)
+        return acc
+
+    @_per_class
+    def _slope0_entry(self, g: DimVector) -> Optional[RatFunc]:
+        """d(0, g) = D(0, g) / M(g), None off the region at slope 0."""
+        dg = self._dom_table(Fraction(0), g)[g]
+        return None if dg is None else over_gl_denominator(dg.poly, g)
+
+    @_per_class
+    def sd_semistable(self, th: DimVector) -> RatFunc:
+        return self._sd_sum(th, self._slope0_entry, self.sd_stack)
+
+    @_per_class
+    def sd_dt_motivic(self, th: DimVector) -> RatFunc:
+        """The self-dual epsilon integral of th: the inverse square root of
+        the semistable element at slope 0 acting on the self-dual
+        semistable element."""
+        return self._sd_sum(th, self._root_weight, self.sd_semistable)
 
 
 # Engines live in their quiver's engine_cache, so they go when the quiver
@@ -333,14 +300,14 @@ class _Engine:
 _CACHE_OWNERS: "weakref.WeakSet[SelfDualQuiver]" = weakref.WeakSet()
 
 
-def _engine(quiver: SelfDualQuiver, slope: Slope, bound: int) -> _Engine:
+def _engine(quiver: SelfDualQuiver, slope: Slope) -> _Engine:
     # Calibrate before building the key, so that the first call on an
     # uncalibrated quiver keys its engine by the calibration it uses.
     ensure_calibrated(quiver)
-    key = (slope.weights, bound, quiver.calibration)
+    key = (slope.weights, quiver.calibration)
     eng = quiver.engine_cache.get(key)
     if eng is None:
-        eng = _Engine(quiver, slope, bound)
+        eng = _Engine(quiver, slope)
         quiver.engine_cache[key] = eng
         _CACHE_OWNERS.add(quiver)
     return eng
@@ -355,20 +322,17 @@ def clear_cache() -> None:
 def _query(quiver: SelfDualQuiver, slope: Slope, alpha: DimVector,
            bound: Optional[int]) -> tuple[_Engine, DimVector]:
     """The engine for a scalar query at alpha, and alpha as a tuple, once
-    alpha is checked to be a class of the quiver.  An engine's tables cover
-    the classes within its bound only, so a class beyond it would read a
-    truncated recursion."""
+    alpha is checked to be a class of the quiver within the bound, if one
+    is given."""
     a = tuple(alpha) if isinstance(alpha, (tuple, list)) else ()
     if len(a) != len(quiver.vertices) or not all(
             type(x) is int and x >= 0 for x in a):
         raise ValidationError(
             f"{alpha!r} is not a class: it needs {len(quiver.vertices)} "
             "non-negative integer entries")
-    if bound is None:
-        bound = max(1, vtotal(a))
-    elif vtotal(a) > bound:
+    if bound is not None and vtotal(a) > bound:
         raise ValueError(f"class {a} lies beyond the bound {bound}")
-    return _engine(quiver, slope, bound), a
+    return _engine(quiver, slope), a
 
 
 # -- scalar interface -------------------------------------------------------------
@@ -436,28 +400,46 @@ def sd_dt_num(quiver: SelfDualQuiver, slope: Slope, theta: DimVector,
 
 def slope_values(quiver: SelfDualQuiver, slope: Slope,
                  bound: int) -> List[Fraction]:
-    eng = _engine(quiver, slope, bound)
-    return sorted(eng.by_value, reverse=True)
+    value = _engine(quiver, slope).value
+    return sorted({value(a) for a in quiver.dim_vectors_up_to(bound)},
+                  reverse=True)
+
+
+def _slope_element(quiver: SelfDualQuiver, slope: Slope, value: Fraction,
+                   bound: int, coeff: Callable) -> TorusElem:
+    eng = _engine(quiver, slope)
+    return TorusElem(quiver, {a: coeff(eng, a)
+                              for a in quiver.dim_vectors_up_to(bound)
+                              if eng.value(a) == value}, bound)
+
+
+def _module_element(quiver: SelfDualQuiver, slope: Slope, bound: int,
+                    coeff: Callable) -> TorusModElem:
+    eng = _engine(quiver, slope)
+    return TorusModElem(quiver, {th: coeff(eng, th) for th
+                                 in quiver.sd_classes_up_to(bound)}, bound)
 
 
 def semistable_element(quiver: SelfDualQuiver, slope: Slope, value: Fraction,
                        bound: int) -> TorusElem:
-    return _engine(quiver, slope, bound).semistable_element(value)
+    return _slope_element(quiver, slope, value, bound, lambda eng, a:
+                          _integrated(eng._semistable_num(a), a))
 
 
 def epsilon_element(quiver: SelfDualQuiver, slope: Slope, value: Fraction,
                     bound: int) -> TorusElem:
-    return _engine(quiver, slope, bound).epsilon_element(value)
+    """log(1 + x) for the semistable element x of slope value."""
+    return _slope_element(quiver, slope, value, bound, _Engine.dt_motivic)
 
 
 def sd_semistable_element(quiver: SelfDualQuiver, slope: Slope,
                           bound: int) -> TorusModElem:
-    return _engine(quiver, slope, bound).sd_semistable_element()
+    return _module_element(quiver, slope, bound, _Engine.sd_semistable)
 
 
 def sd_epsilon_element(quiver: SelfDualQuiver, slope: Slope,
                        bound: int) -> TorusModElem:
-    return _engine(quiver, slope, bound).sd_epsilon_element()
+    return _module_element(quiver, slope, bound, _Engine.sd_dt_motivic)
 
 
 def integrated_stack_element(quiver: SelfDualQuiver, bound: int) -> TorusElem:
@@ -561,10 +543,11 @@ class InvariantTable:
         return out
 
 
-def _numeric_or_none(val: RatFunc) -> Optional[Fraction]:
-    if val.pole_order_at(-1) > 0:
-        return None
-    return val.eval_at(-1)
+def _row(a: DimVector, j: RatFunc, eps: RatFunc,
+         dtm: RatFunc) -> InvariantRow:
+    """A row whose numeric entry is null where dtm has a pole at q = -1."""
+    return InvariantRow(a, j, eps, dtm, None if dtm.pole_order_at(-1) > 0
+                        else dtm.eval_at(-1))
 
 
 def build_table(quiver: SelfDualQuiver, slope: Slope,
@@ -572,37 +555,21 @@ def build_table(quiver: SelfDualQuiver, slope: Slope,
     """Compute the full invariant table.  Rows with a pole at q = -1 carry a
     null numeric entry instead of raising, so diagnostic reports can still be
     produced; the scalar dt functions raise instead."""
-    eng = _engine(quiver, slope, bound)
-    rows: List[InvariantRow] = []
-    zero_row = InvariantRow(eng.zero, RatFunc(1), RatFunc(0), RatFunc(0),
-                            Fraction(0))
-    rows.append(zero_row)
-    for a in eng.classes:
-        j = eng.semistable(a)
-        dtm = eng.dt_motivic(a)
-        rows.append(InvariantRow(a, j, eng.epsilon(a), dtm,
-                                 _numeric_or_none(dtm)))
-
+    eng = _engine(quiver, slope)
+    rows = [_row(a, eng.semistable(a), eng.epsilon(a), eng.dt_motivic(a))
+            for a in [eng.zero] + quiver.dim_vectors_up_to(bound)]
     sd_rows: List[InvariantRow] = []
-    sd_included = True
     try:
         slope.validate_self_dual(quiver)
     except ValidationError:
         sd_included = False
-    if sd_included:
+    else:
+        sd_included = True
         for th in quiver.sd_classes_up_to(bound):
-            j = eng.sd_semistable(th)
-            dtm = eng.sd_dt_motivic(th)
-            sd_rows.append(InvariantRow(th, j, dtm, dtm,
-                                        _numeric_or_none(dtm)))
-    return InvariantTable(
-        quiver_data=quiver.to_data(),
-        slope_data=slope.to_dict(quiver),
-        bound=bound,
-        sd_included=sd_included,
-        rows=rows,
-        sd_rows=sd_rows,
-    )
+            eps = eng.sd_dt_motivic(th)
+            sd_rows.append(_row(th, eng.sd_semistable(th), eps, eps))
+    return InvariantTable(quiver.to_data(), slope.to_dict(quiver), bound,
+                          sd_included, rows, sd_rows)
 
 
 def no_pole_report(table: InvariantTable) -> List[dict]:

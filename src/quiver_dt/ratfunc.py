@@ -531,6 +531,9 @@ class RatFunc:
                 and self._num == o._num and self._den == o._den)
 
     def __hash__(self) -> int:
+        # A constant equals its Fraction, so it hashes as one.
+        if not self._shift and len(self._num) <= 1 and len(self._den) == 1:
+            return hash(self._scale)
         return hash((self._scale, self._shift, tuple(sorted(self._num.items())),
                      tuple(sorted(self._den.items()))))
 

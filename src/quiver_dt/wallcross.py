@@ -125,7 +125,7 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
             sd_stack = factors[s].diamond(sd_stack)
 
     eng = invariants._Engine.seeded(q, pair.minus, bound, stack, sd_stack)
-    eps = {a: eng.epsilon(a) for a in eng.classes}
+    eps = {a: eng.epsilon(a) for a in q.dim_vectors_up_to(bound)}
     sd_eps = None
     if sd_side:
         sd_eps = {th: eng.sd_dt_motivic(th)

@@ -18,9 +18,10 @@ from quiver_dt.quiver import (Calibration, Slope, ValidationError,
                               graded_lex_key, kronecker_variant,
                               make_calibration, point_quiver, vadd, vleq,
                               vsub, vtotal)
-from quiver_dt.ratfunc import RatFunc, inv_q_minus_qinv, q_minus_qinv
+from quiver_dt.ratfunc import RatFunc, binom_fraction, inv_q_minus_qinv
 from quiver_dt.torus import (TorusElem, integrated_unit, series_diamond,
                               star_exp, star_log_one_plus)
+from quiver_dt.wallcross import epsilon_table
 
 
 def q_pow(k):
@@ -202,13 +203,14 @@ def test_clear_cache_empties_every_live_quiver():
 
 # -- reference for the gated recursion ------------------------------------------
 
-def full_region_dom_table(eng, s):
+def full_region_dom_table(eng, s, bound):
     """The gated recursion over every class of slope above s within the
     bound, each entry scanning the whole table, in RatFunc: the engine's
-    domain before it was cut down to the reader box, and its arithmetic
-    before the motive denominators were cleared."""
+    domain before it was cut down to the classes a query reaches, and its
+    arithmetic before the motive denominators were cleared."""
     q = eng.quiver
-    dom = [eng.zero] + [g for g in eng.classes if eng.slope.value(g) > s]
+    dom = [eng.zero] + [g for g in q.dim_vectors_up_to(bound)
+                        if eng.slope.value(g) > s]
     dom.sort(key=graded_lex_key)
     tab = {}
     for p in dom:
@@ -251,30 +253,31 @@ def reference_sd_semistable(eng, tab, th):
 
 
 def assert_engine_matches_full_region(q, slope, bound):
-    eng = inv._engine(q, slope, bound)
+    eng = inv._engine(q, slope)
+    classes = q.dim_vectors_up_to(bound)
     refs = {}
-    for value, classes in eng.by_value.items():
-        refs[value] = full_region_dom_table(eng, value)
-        for a in classes:
-            assert eng.semistable(a) == reference_semistable(
-                eng, refs[value], a), (a, value)
+    for a in classes:
+        value = slope.value(a)
+        if value not in refs:
+            refs[value] = full_region_dom_table(eng, value, bound)
+        assert eng.semistable(a) == reference_semistable(
+            eng, refs[value], a), (a, value)
     sd_classes = q.sd_classes_up_to(bound)
     zero = Fraction(0)
-    # The engine's box at 0 leaves the self-dual readers out: under a
-    # self-dual slope they all have slope 0.
-    assert set(sd_classes) - {eng.zero} <= set(eng.by_value.get(zero, []))
-    refs.setdefault(zero, full_region_dom_table(eng, zero))
+    # Under a self-dual slope every self-dual class has slope 0.
+    assert all(slope.value(th) == zero for th in sd_classes if any(th))
+    refs.setdefault(zero, full_region_dom_table(eng, zero, bound))
     for th in sd_classes:
         assert eng.sd_semistable(th) == reference_sd_semistable(
             eng, refs[zero], th), th
-    for value, tab in eng._dom.items():
-        readers = eng.by_value.get(value, []) + (
-            sd_classes if value == 0 else [])
-        box = tuple(max(col) for col in zip(eng.zero, *readers))
-        for p, dp in tab.items():
-            assert vleq(p, box), (p, value)
-            # the engine keeps D[p] = M(p) d[p] in Z[q, 1/q]
-            assert over_gl_denominator(dp.poly, p) == refs[value][p]
+    for value, ref in refs.items():
+        for p in [eng.zero] + classes:
+            dp = eng._dom_table(value, p)[p]
+            if p in ref:
+                # the engine keeps D(s, p) = M(p) d(s, p) in Z[q, 1/q]
+                assert over_gl_denominator(dp.poly, p) == ref[p], (p, value)
+            else:
+                assert dp is None, (p, value)
 
 
 @pytest.mark.parametrize("esigns", [(1, 1), (1, -1), (-1, -1)])
@@ -306,30 +309,33 @@ def test_dom_table_matches_full_region_with_a_commutation_form(make, weights):
 
 def test_semistable_recursion_makes_no_ratfunc_arithmetic(monkeypatch):
     q = calibrated_kron()
-    eng = inv._engine(q, hn_slope(q), 6)
+    s = hn_slope(q)
+    eng = inv._engine(q, s)
     calls = []
     for name in ("__add__", "__mul__"):
         def counted(self, other, _orig=getattr(RatFunc, name)):
             calls.append(_orig)
             return _orig(self, other)
         monkeypatch.setattr(RatFunc, name, counted)
-    for a in eng.classes:
+    for a in q.dim_vectors_up_to(6):
         eng.semistable(a)
         eng.dt_motivic(a)
         eng.epsilon(a)
-        eng.epsilon_element(eng.value[a])
-    assert eng._dom and eng._logs and not calls
+        inv.epsilon_element(q, s, eng.value(a), 6)
+    assert eng._dom and eng._memo["_log_num"] and not calls
 
 
 def assert_star_log_matches_torus(q, slope, bound):
     """The engine's star-log on integer numerators against the torus
     algebra's RatFunc series, at every slope value."""
-    eng = inv._engine(q, slope, bound)
-    for value in eng.by_value:
-        want = star_log_one_plus(eng.semistable_element(value), bound)
-        assert eng.epsilon_element(value) == want, value
-        for a in eng.by_value[value]:
-            assert eng.epsilon(a) == want.get(a) * inv_q_minus_qinv(), a
+    for value in inv.slope_values(q, slope, bound):
+        want = star_log_one_plus(
+            inv.semistable_element(q, slope, value, bound), bound)
+        assert inv.epsilon_element(q, slope, value, bound) == want, value
+        for a in q.dim_vectors_up_to(bound):
+            if slope.value(a) == value:
+                assert inv.epsilon_integral(q, slope, a) == \
+                    want.get(a) * inv_q_minus_qinv(), a
 
 
 @pytest.mark.parametrize("esigns", [(1, 1), (1, -1), (-1, -1)])
@@ -344,6 +350,58 @@ def test_epsilon_element_matches_torus_star_log_on_suite():
     for q, slopes in acceptance_suite():
         for slope in slopes:
             assert_star_log_matches_torus(q, slope, 4)
+
+
+def assert_sd_epsilon_matches_torus_series(q, slope, bound):
+    """The engine's per-class self-dual epsilon against the inverse square
+    root series of the slope-0 semistable element acting on the self-dual
+    semistable element, in the torus module."""
+    want = series_diamond(inv.semistable_element(q, slope, Fraction(0), bound),
+                          inv.sd_semistable_element(q, slope, bound),
+                          lambda n: binom_fraction(Fraction(-1, 2), n), bound)
+    assert inv.sd_epsilon_element(q, slope, bound) == want
+
+
+def test_sd_epsilon_element_matches_torus_series():
+    for esigns in ((1, 1), (1, -1), (-1, -1)):
+        for vsign in (1, -1):
+            q = calibrated_kron(esigns, vsign)
+            for slope in (Slope.trivial(q), hn_slope(q)):
+                assert_sd_epsilon_matches_torus_series(q, slope, 6)
+    for q, slopes in acceptance_suite():
+        for slope in slopes:
+            assert_sd_epsilon_matches_torus_series(q, slope, 4)
+
+
+def test_one_engine_serves_every_bound():
+    q = calibrated_kron()
+    s = hn_slope(q)
+    for a in q.dim_vectors_up_to(5):
+        inv.dt_num(q, s, a)
+    for th in q.sd_classes_up_to(5):
+        inv.sd_dt_mot(q, s, th)
+    for bound in range(2, 6):
+        for a in q.dim_vectors_up_to(bound):
+            inv.dt_mot(q, s, a, bound=bound)
+        for th in q.sd_classes_up_to(bound):
+            inv.sd_dt_mot(q, s, th, bound=bound)
+    inv.build_table(q, s, 5)
+    epsilon_table(q, s, 4)
+    assert len(q.engine_cache) == 1
+
+
+def test_seeded_engine_refuses_a_class_beyond_its_bound():
+    q = calibrated_kron()
+    s = hn_slope(q)
+    eng = inv._Engine.seeded(q, s, 3, inv.integrated_stack_element(q, 3),
+                             inv.sd_stack_element(q, 3))
+    for a in q.dim_vectors_up_to(3):
+        assert eng.epsilon(a) == inv.epsilon_integral(q, s, a)
+    assert eng.sd_dt_motivic((1, 1)) == inv.sd_epsilon_integral(q, s, (1, 1))
+    with pytest.raises(ValueError, match="beyond the seeded bound 3"):
+        eng.epsilon((2, 2))
+    with pytest.raises(ValueError, match="beyond the seeded bound 3"):
+        eng.sd_dt_motivic((2, 2))
 
 
 def test_exp_log_inversion_roundtrip():

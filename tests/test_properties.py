@@ -9,6 +9,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from suite import _rand_quiver
 from quiver_dt import invariants as inv
 from quiver_dt.oracle import (calibrate_signs, direct_epsilon_integral,
+                              direct_sd_epsilon_integral,
+                              direct_sd_semistable_integral,
                               direct_semistable_integral)
 from quiver_dt.quiver import Slope
 
@@ -53,3 +55,29 @@ def test_epsilon_integral_matches_direct_enumeration(case):
     for a in quiver.dim_vectors_up_to(bound):
         assert inv.epsilon_integral(quiver, slope, a, bound=bound) == \
             direct_epsilon_integral(quiver, slope, a), a
+
+
+@st.composite
+def quiver_sd_slope_bound(draw):
+    """A suite-shaped quiver with a non-zero commutation form, a self-dual
+    slope (w(dual i) = -w(i), so 0 at fixed vertices) with small fractional
+    weights and a bound <= 4."""
+    quiver = draw(st.randoms(use_true_random=False).map(_rand_quiver)
+                  .filter(_has_edge_between_distinct_vertices))
+    weights = [0] * len(quiver.vertices)
+    for i, j in quiver.vertex_pairs:
+        weights[i] = draw(st.fractions(-3, 3, max_denominator=2))
+        weights[j] = -weights[i]
+    return quiver, Slope(tuple(weights)), draw(st.integers(1, 4))
+
+
+@BUDGET
+@given(quiver_sd_slope_bound())
+def test_sd_integrals_match_direct_enumeration(case):
+    quiver, slope, bound = case
+    calibrate_signs(quiver)
+    for th in quiver.sd_classes_up_to(bound):
+        assert inv.sd_semistable_integral(quiver, slope, th, bound=bound) == \
+            direct_sd_semistable_integral(quiver, slope, th), th
+        assert inv.sd_epsilon_integral(quiver, slope, th, bound=bound) == \
+            direct_sd_epsilon_integral(quiver, slope, th), th

@@ -357,6 +357,19 @@ def test_shifted_matches_multiplying_by_a_q_power():
     assert RatFunc(0).shifted(4).to_data() == RatFunc(0).to_data()
 
 
+def test_constants_hash_as_their_fractions():
+    x = RatFunc.q_power(1)
+    built = [(x + 1) - x, x / x * F(1, 2), (x - x) * 3,
+             inv_q_minus_qinv() * q_minus_qinv() * F(-7, 3)]
+    for c, value in zip((1, F(1, 2), 0, F(-7, 3)), built):
+        assert value == c
+        assert hash(value) == hash(c)
+    for c in (0, 1, -3, F(1, 2), F(-7, 3)):
+        assert RatFunc(c) == c and hash(RatFunc(c)) == hash(c)
+        assert {c: "a"}.get(RatFunc(c)) == "a"
+        assert {RatFunc(c): "a"}.get(c) == "a"
+
+
 def test_serialization_round_trip():
     rng = random.Random(17)
     for _ in range(60):
