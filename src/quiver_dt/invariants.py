@@ -15,14 +15,22 @@ system in quantum groups and cohomology of quiver moduli, 2003).  The star
 powers of a slope's semistable element are integer numerators over M in
 the same way; the epsilon integrals (its star-logarithm) and the weights of
 its inverse square root at slope 0 are sums of them, each divided by M only
-at the end, as a RatFunc.  An engine seeded from a stack element
-(wall-crossing) feeds the recursion its numerators in place of q^e(a).
+at the end, as a RatFunc.
 
 On the self-dual side, semistable integrals are the slope-0 entries acting
 on the module stack classes, and epsilon integrals are the inverse square
 root acting on those (M. B. Young, The Hall module of an exact category
-with duality, 2016), both RatFunc sums over theta = g + rho + g^v.
+with duality, 2016): sums over theta = g + rho + g^v, kept as integer
+numerators over M_sd(theta) (see motives), since the ratio of
+M_sd(theta) to M(g) M_sd(rho) is a polynomial (_sd_action).  The weights
+of the inverse square root carry the integer denominator 4^|g|, so each
+value is one RatFunc built at the end.  Meinhardt and Reineke
+(arXiv:1411.4062) show why the motivic invariants are Laurent polynomials.
 Numerical invariants evaluate the motivic ones at q = -1.
+
+An engine seeded with the numerators of a stack element (wall-crossing,
+whose integer kernels _chain_sum, _star_powers and _sd_action it shares)
+reads them in place of q^e(a) and q^e_sd(theta).
 
 Engines are cached on their quiver by (slope, calibration), so repeated
 queries share work, a new calibration never returns values computed under
@@ -37,16 +45,18 @@ import weakref
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from .motives import (over_gl_denominator, q2_binomial, sd_stack_class,
+from .motives import (over_gl_denominator, over_sd_denominator, q2_binomial,
+                      sd_ratio, sd_stack_class, sd_stack_exponent,
                       stack_class, stack_exponent)
 from .oracle import ensure_calibrated
 from .quiver import (DimVector, SelfDualQuiver, Slope, ValidationError,
                      boxed_vectors, vadd, vsub, vtotal)
-from .ratfunc import (Laurent, RatFunc, inv_q_minus_qinv, laurent_sum,
-                      q_minus_qinv)
-from .torus import TorusElem, TorusModElem, integrated_unit
+from .ratfunc import Laurent, RatFunc, laurent_sum, q_minus_qinv
+
+if TYPE_CHECKING:
+    from .torus import TorusElem, TorusModElem
 
 
 class NoPoleViolation(RuntimeError):
@@ -54,7 +64,11 @@ class NoPoleViolation(RuntimeError):
 
 
 _ONE = Laurent({0: 1})
+_ZERO = Laurent({})
 _Q_MINUS_QINV = Laurent({1: 1, -1: -1})
+
+# A weight for _sd_action: (W, k), or None where the element is zero.
+Weight = Optional[Tuple[Laurent, int]]
 
 
 def _integrated(num: Laurent, a: DimVector,
@@ -67,6 +81,85 @@ def _integrated(num: Laurent, a: DimVector,
 def _binomials(top: DimVector, p: DimVector) -> List[Laurent]:
     """The q^2-binomials [top_i, p_i] != 1: M(top) / (M(p) M(top - p))."""
     return [q2_binomial(n, k) for n, k in zip(top, p) if 0 < k < n]
+
+
+def _chain_sum(quiver: SelfDualQuiver, tab: Dict[DimVector, Laurent],
+               top: DimVector, x: Callable[[DimVector], Optional[Laurent]],
+               sign: int = 1) -> Laurent:
+    """M(top) times the sum of d(p) c(top - p) q^<p, top - p> over the
+    entries p <= top of tab, where d(p) = tab[p] / M(p) and c(v) = x(v) /
+    M(v), x(v) None where c is zero.  Each term is tab[p] x(top - p) times
+    the q^2-binomials [top_i, p_i]: no denominator is left."""
+    terms = []
+    for p in boxed_vectors(top):
+        dp = tab.get(p)
+        if dp is not None:
+            step = vsub(top, p)
+            c = x(step)
+            if c is not None:
+                terms.append((quiver.commutation_exponent(p, step),
+                              [dp, c] + _binomials(top, p)))
+    return laurent_sum(terms, sign)
+
+
+def _star_powers(quiver: SelfDualQuiver, g: DimVector,
+                 value: Callable[[DimVector], Fraction],
+                 x: Callable[[DimVector], Laurent],
+                 powers: Callable[[DimVector], List[Laurent]]
+                 ) -> List[Laurent]:
+    """[P_1(g), ..., P_|g|(g)] with y^{*n}_g = (q - 1/q) P_n(g) / M(g), for
+    y = sum_a (q - 1/q) x(a) / M(a) [a] over the classes a of g's value.  By
+    the identity _chain_sum uses, P_1 = x and P_n(g) is the sum over the
+    classes 0 < p < g of g's value of P_{n-1}(p) x(g - p) prod_i [g_i, p_i]
+    q^<p, g - p>, with powers(p) the list at p; n stops at |g|, the most
+    parts."""
+    s = value(g)
+    terms: List[list] = [[] for _ in range(1, vtotal(g))]
+    for p in boxed_vectors(g):
+        if p == g or not any(p) or value(p) != s:
+            continue
+        step = vsub(g, p)
+        xs = x(step)
+        if xs.poly:
+            rest = [xs] + _binomials(g, p)
+            tw = quiver.commutation_exponent(p, step)
+            for n, pn in enumerate(powers(p)):
+                terms[n].append((tw, [pn] + rest))
+    return [x(g)] + [laurent_sum(t) for t in terms]
+
+
+def _power_sum(powers: List[Laurent], coeff: Callable[[int], int]) -> Laurent:
+    """sum_n coeff(n) P_n, for integer coefficients."""
+    return laurent_sum([(0, [Laurent({0: coeff(n)}), pn])
+                        for n, pn in enumerate(powers, 1)])
+
+
+def _sd_action(quiver: SelfDualQuiver, th: DimVector,
+               weight: Callable[[DimVector], Weight],
+               module: Callable[[DimVector], Laurent]) -> Tuple[Laurent, int]:
+    """(S, k) with S / (k M_sd(th)) the th-coefficient of x acting on m, for
+    x = sum_g (q - 1/q) W(g) / (k_g M(g)) [g], weight(g) = (W(g), k_g) or
+    None where x is zero, and m = sum_rho module(rho) / M_sd(rho) [rho].
+    Over th = g + rho + g^v, each term is W(g) module(rho) q^tw(g, rho) k /
+    k_g times the polynomial M_sd(th) / (M(g) M_sd(rho)) (motives.sd_ratio),
+    k the lcm of the k_g.  rho is self-dual whenever th is, as g + g^v is
+    and has even entries at fixed vertices."""
+    terms = []
+    for g in boxed_vectors(th):
+        rho = vsub(th, vadd(g, quiver.dual_vector(g)))
+        if min(rho) < 0:
+            continue
+        w = weight(g)
+        if w is None or not w[0].poly:
+            continue
+        m = module(rho)
+        if m.poly:
+            terms.append((w[1], quiver.sd_twist_exponent(g, rho),
+                          [w[0], m] + sd_ratio(quiver, g, rho)))
+    k = math.lcm(*(kg for kg, _, _ in terms))
+    return laurent_sum([
+        (tw, factors if kg == k else factors + [Laurent({0: k // kg})])
+        for kg, tw, factors in terms]), k
 
 
 def _per_class(method):
@@ -83,8 +176,10 @@ def _per_class(method):
 
 
 class _Engine:
-    """Every invariant of one (quiver, slope) pair, memoised per class: in
-    Z[q, 1/q] on the linear side, in RatFunc on the self-dual side."""
+    """Every invariant of one (quiver, slope) pair, memoised per class: as
+    integer Laurent numerators over M(a) on the linear side and over
+    M_sd(theta) on the self-dual side, and as the RatFunc values built from
+    them."""
 
     def __init__(self, quiver: SelfDualQuiver, slope: Slope):
         if len(slope.weights) != len(quiver.vertices):
@@ -101,28 +196,18 @@ class _Engine:
 
     @classmethod
     def seeded(cls, quiver: SelfDualQuiver, slope: Slope, bound: int,
-               stack: TorusElem,
-               sd_stack: Optional[TorusModElem]) -> "_Engine":
-        """Engine reading the component integrals up to the bound off the
-        stack elements that integrated_stack_element and sd_stack_element
-        build, and refusing to read one beyond it.  It stays out of the
-        engine cache.  Its numerators N(a) = M(a) I(a) / (q - 1/q) must be
-        Laurent polynomials, as a stack element's powers q^e(a) are."""
+               numerators: Dict[DimVector, Laurent],
+               sd_numerators: Optional[Dict[DimVector, Laurent]]
+               ) -> "_Engine":
+        """Engine reading the component integrals of the classes up to the
+        bound off their numerators, N(a) = M(a) I(a) on the linear side and
+        M_sd(theta) I_sd(theta) on the self-dual side, and refusing to read
+        one beyond it.  It stays out of the engine cache."""
         eng = cls(quiver, slope)
         eng.seed_bound = bound
-        inv = inv_q_minus_qinv()
-        for a in quiver.dim_vectors_up_to(bound):
-            num = (stack.get(a) * inv
-                   / over_gl_denominator({0: 1}, a)).laurent()
-            if num is None:
-                raise ValueError(
-                    "the source table is not the epsilon table of a stack "
-                    f"element: M(a) I(a) / (q - 1/q) at a = {a} is not a "
-                    "Laurent polynomial with integer coefficients")
-            eng._memo["_numerator"][a] = Laurent(num)
-        if sd_stack is not None:
-            for th in quiver.sd_classes_up_to(bound):
-                eng._memo["sd_stack"][th] = sd_stack.get(th)
+        eng._memo["_numerator"].update(numerators)
+        if sd_numerators is not None:
+            eng._memo["_sd_numerator"].update(sd_numerators)
         return eng
 
     # -- component integrals ----------------------------------------------
@@ -143,9 +228,10 @@ class _Engine:
         return Laurent({stack_exponent(self.quiver, a): 1})
 
     @_per_class
-    def sd_stack(self, th: DimVector) -> RatFunc:
+    def _sd_numerator(self, th: DimVector) -> Laurent:
+        """M_sd(th) times the self-dual component integral: q^e_sd(th)."""
         self._refuse_beyond_seed(th)
-        return sd_stack_class(self.quiver, th)
+        return Laurent({sd_stack_exponent(self.quiver, th): 1})
 
     # -- gated prefix-sum recursion -----------------------------------------
 
@@ -160,34 +246,20 @@ class _Engine:
         if top not in tab:
             for p in boxed_vectors(top):
                 if p not in tab:
-                    tab[p] = (self._chain_sum(tab, p, -1)
+                    tab[p] = (_chain_sum(self.quiver, tab, p,
+                                         self._numerator, -1)
                               if self.value(p) > s else None)
         return tab
-
-    def _chain_sum(self, tab: Dict[DimVector, Optional[Laurent]],
-                   top: DimVector, sign: int = 1) -> Laurent:
-        """M(top) times the sum of d(p) * c(top - p) * q^<p, top - p> over
-        the entries p < top of tab, c being the component integrals.  With
-        d(p) = D(p) / M(p) and c(v) = N(v) / M(v), each term is D(p) N(top -
-        p) times the q^2-binomials [top_i, p_i]: no denominator is left."""
-        q = self.quiver
-        terms = []
-        for p in boxed_vectors(top):
-            dp = tab.get(p)
-            if dp is not None and p != top:
-                step = vsub(top, p)
-                terms.append((q.commutation_exponent(p, step),
-                              [dp, self._numerator(step)]
-                              + _binomials(top, p)))
-        return laurent_sum(terms, sign)
 
     @_per_class
     def _semistable_num(self, a: DimVector) -> Laurent:
         """X(a) = M(a) times the semistable integral of a."""
         if not any(a):
             return _ONE
-        return self._chain_sum(self._dom_table(self.value(a), a), a)
+        return _chain_sum(self.quiver, self._dom_table(self.value(a), a), a,
+                          self._numerator)
 
+    @_per_class
     def semistable(self, a: DimVector) -> RatFunc:
         return over_gl_denominator(self._semistable_num(a).poly, a)
 
@@ -195,29 +267,10 @@ class _Engine:
 
     @_per_class
     def _powers(self, g: DimVector) -> List[Laurent]:
-        """[P_1(g), ..., P_|g|(g)] with x^{*n}_g = (q - 1/q) P_n(g) / M(g)
-        for the semistable element x of g's slope.  As x_a = (q - 1/q) X(a)
-        / M(a), the identity _chain_sum uses gives P_1 = X and P_n(g) = the
-        sum over the classes 0 < p < g of g's slope of P_{n-1}(p) X(g - p)
-        prod_i [g_i, p_i] q^<p, g - p>; n stops at |g|, the most parts."""
-        q, s = self.quiver, self.value(g)
-        terms: List[list] = [[] for _ in range(1, vtotal(g))]
-        for p in boxed_vectors(g):
-            if p == g or not any(p) or self.value(p) != s:
-                continue
-            step = vsub(g, p)
-            x = self._semistable_num(step)
-            if x.poly:
-                rest = [x] + _binomials(g, p)
-                tw = q.commutation_exponent(p, step)
-                for n, pn in enumerate(self._powers(p)):
-                    terms[n].append((tw, [pn] + rest))
-        return [self._semistable_num(g)] + [laurent_sum(t) for t in terms]
-
-    def _power_sum(self, g: DimVector, coeff: Callable[[int], int]) -> Laurent:
-        """sum_n coeff(n) P_n(g), for integer coefficients."""
-        return laurent_sum([(0, [Laurent({0: coeff(n)}), pn])
-                            for n, pn in enumerate(self._powers(g), 1)])
+        """The star powers of the semistable element of g's slope at g (see
+        _star_powers), with P_1 = X."""
+        return _star_powers(self.quiver, g, self.value, self._semistable_num,
+                            self._powers)
 
     @_per_class
     def _log_num(self, g: DimVector) -> tuple:
@@ -225,74 +278,73 @@ class _Engine:
         semistable element x of g's slope: L = lcm(1..|g|) and E = sum_n
         (-1)^(n-1) (L / n) P_n.  Zero at the zero class."""
         if not any(g):
-            return Laurent({}), 1
+            return _ZERO, 1
         lcm = math.lcm(*range(1, vtotal(g) + 1))
-        return self._power_sum(g, lambda n: (-1) ** (n - 1) * lcm // n), lcm
+        return _power_sum(self._powers(g),
+                          lambda n: (-1) ** (n - 1) * lcm // n), lcm
 
+    @_per_class
     def epsilon(self, a: DimVector) -> RatFunc:
         """The epsilon integral of a, E(a) / (L M(a))."""
         e, lcm = self._log_num(a)
         return over_gl_denominator(e.poly, a, Fraction(1, lcm))
 
+    @_per_class
     def dt_motivic(self, a: DimVector) -> RatFunc:
         """The motivic invariant of a, (q - 1/q) E(a) / (L M(a))."""
         e, lcm = self._log_num(a)
         return _integrated(e, a, Fraction(1, lcm))
 
     @_per_class
-    def _root_weight(self, g: DimVector) -> Optional[RatFunc]:
-        """w(g) with (1 + x)^(-1/2) = sum_g (q - 1/q) w(g) [g] for the
-        semistable element x at slope 0, None off slope 0: w(0) = 1 and
-        w(g) = sum_n binom(-1/2, n) P_n(g) / M(g), where binom(-1/2, n) =
-        (-1)^n C(2n, n) / 4^n."""
+    def _root_weight(self, g: DimVector) -> Weight:
+        """(W(g), 4^|g|) with (1 + x)^(-1/2) = sum_g (q - 1/q) W(g) / (4^|g|
+        M(g)) [g] for the semistable element x at slope 0, None off slope 0:
+        W(0) = 1 and W(g) = sum_n (-1)^n C(2n, n) 4^(|g| - n) P_n(g), as
+        binom(-1/2, n) = (-1)^n C(2n, n) / 4^n."""
         if not any(g):
-            return RatFunc(1)
+            return _ONE, 1
         if self.value(g) != 0:
             return None
         t = vtotal(g)
-        num = self._power_sum(
-            g, lambda n: (-1) ** n * math.comb(2 * n, n) * 4 ** (t - n))
-        return over_gl_denominator(num.poly, g, Fraction(1, 4 ** t))
+        return _power_sum(self._powers(g), lambda n: (-1) ** n * math.comb(
+            2 * n, n) * 4 ** (t - n)), 4 ** t
 
     # -- self-dual side -----------------------------------------------------
 
-    def _sd_sum(self, th: DimVector,
-                weight: Callable[[DimVector], Optional[RatFunc]],
-                module: Callable[[DimVector], RatFunc]) -> RatFunc:
-        """The sum over th = g + rho + g^v of weight(g) q^tw(g, rho)
-        module(rho): (sum_g (q - 1/q) weight(g) [g]) acting on (sum_rho
-        module(rho) [rho]), at th.  Checks th and the slope; rho is then
-        self-dual too, as g + g^v is and has even entries at fixed
-        vertices."""
-        q = self.quiver
-        if not q.is_sd_class(th):
+    def _check_sd(self, th: DimVector) -> None:
+        if not self.quiver.is_sd_class(th):
             raise ValueError(f"{th} is not a self-dual class")
-        self.slope.validate_self_dual(q)
-        acc = RatFunc(0)
-        for g in boxed_vectors(th):
-            rho = vsub(th, vadd(g, q.dual_vector(g)))
-            wg = weight(g) if min(rho) >= 0 else None
-            if wg:
-                tw = int(q.sd_twist_exponent(g, rho))
-                acc = acc + wg.shifted(tw) * module(rho)
-        return acc
+        self.slope.validate_self_dual(self.quiver)
 
     @_per_class
-    def _slope0_entry(self, g: DimVector) -> Optional[RatFunc]:
-        """d(0, g) = D(0, g) / M(g), None off the region at slope 0."""
+    def _slope0_entry(self, g: DimVector) -> Weight:
+        """(D(0, g), 1), None off the region at slope 0."""
         dg = self._dom_table(Fraction(0), g)[g]
-        return None if dg is None else over_gl_denominator(dg.poly, g)
+        return None if dg is None else (dg, 1)
+
+    @_per_class
+    def _sd_semistable_num(self, th: DimVector) -> Laurent:
+        """M_sd(th) times the self-dual semistable integral of th: the
+        slope-0 entries d(0, g) acting on the self-dual component
+        integrals."""
+        return _sd_action(self.quiver, th, self._slope0_entry,
+                          self._sd_numerator)[0]
 
     @_per_class
     def sd_semistable(self, th: DimVector) -> RatFunc:
-        return self._sd_sum(th, self._slope0_entry, self.sd_stack)
+        self._check_sd(th)
+        return over_sd_denominator(self.quiver,
+                                   self._sd_semistable_num(th).poly, th)
 
     @_per_class
     def sd_dt_motivic(self, th: DimVector) -> RatFunc:
         """The self-dual epsilon integral of th: the inverse square root of
         the semistable element at slope 0 acting on the self-dual
         semistable element."""
-        return self._sd_sum(th, self._root_weight, self.sd_semistable)
+        self._check_sd(th)
+        num, k = _sd_action(self.quiver, th, self._root_weight,
+                            self._sd_semistable_num)
+        return over_sd_denominator(self.quiver, num.poly, th, Fraction(1, k))
 
 
 # Engines live in their quiver's engine_cache, so they go when the quiver
@@ -396,7 +448,7 @@ def sd_dt_num(quiver: SelfDualQuiver, slope: Slope, theta: DimVector,
     return sd_dt_mot(quiver, slope, theta, bound).eval_at(-1)
 
 
-# -- element interface (tests, wall-crossing) ---------------------------------------
+# -- element interface ------------------------------------------------------------
 
 def slope_values(quiver: SelfDualQuiver, slope: Slope,
                  bound: int) -> List[Fraction]:
@@ -405,8 +457,14 @@ def slope_values(quiver: SelfDualQuiver, slope: Slope,
                   reverse=True)
 
 
+# The engine and the transform build no torus elements; the functions below
+# do, for the tests and for comparisons with the torus algebra, and import
+# the torus module when called, so the CLI and the scalar and table queries
+# never load it.
+
 def _slope_element(quiver: SelfDualQuiver, slope: Slope, value: Fraction,
                    bound: int, coeff: Callable) -> TorusElem:
+    from .torus import TorusElem
     eng = _engine(quiver, slope)
     return TorusElem(quiver, {a: coeff(eng, a)
                               for a in quiver.dim_vectors_up_to(bound)
@@ -415,6 +473,7 @@ def _slope_element(quiver: SelfDualQuiver, slope: Slope, value: Fraction,
 
 def _module_element(quiver: SelfDualQuiver, slope: Slope, bound: int,
                     coeff: Callable) -> TorusModElem:
+    from .torus import TorusModElem
     eng = _engine(quiver, slope)
     return TorusModElem(quiver, {th: coeff(eng, th) for th
                                  in quiver.sd_classes_up_to(bound)}, bound)
@@ -444,6 +503,7 @@ def sd_epsilon_element(quiver: SelfDualQuiver, slope: Slope,
 
 def integrated_stack_element(quiver: SelfDualQuiver, bound: int) -> TorusElem:
     """Unit plus the integrated component classes of all nonzero classes."""
+    from .torus import TorusElem, integrated_unit
     ensure_calibrated(quiver)
     pref = q_minus_qinv()
     coeffs = {a: pref * stack_class(quiver, a)
@@ -452,6 +512,7 @@ def integrated_stack_element(quiver: SelfDualQuiver, bound: int) -> TorusElem:
 
 
 def sd_stack_element(quiver: SelfDualQuiver, bound: int) -> TorusModElem:
+    from .torus import TorusModElem
     ensure_calibrated(quiver)
     coeffs = {th: sd_stack_class(quiver, th)
               for th in quiver.sd_classes_up_to(bound)}

@@ -21,12 +21,22 @@ e(alpha) = dim R + dim G - sum_i alpha_i (alpha_i - 1); and M(alpha) over
 M(beta) M(alpha - beta) is the product of q^2-binomials [alpha_i, beta_i].
 So sums of products of stack classes can run in Z[q, 1/q] and divide by one
 M at the end.
+
+Likewise a self-dual stack class is q^e_sd(theta) / M_sd(theta), with
+M_sd(theta) = prod over vertex pairs of P(theta_i) times prod over fixed
+vertices of P_2(theta_i // 2), P_2(n) = prod_{k=1..n} (q^4k - 1).  When a
+class g acts on a self-dual class rho, M_sd(theta) / (M(g) M_sd(rho)) for
+theta = rho + g + dual(g) is a polynomial (sd_ratio): a q^2-multinomial at
+each pair and [n + a, a]_{q^4} prod_{k<=a} (q^2k + 1) at each fixed vertex,
+since P_2(n + a) / P_2(n) = [n + a, a]_{q^4} P_2(a) and P_2(a) / P(a) =
+prod_{k<=a} (q^2k + 1) (M. B. Young, The Hall module of an exact category
+with duality, 2016).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from .quiver import DimVector, SelfDualQuiver
 from .ratfunc import Laurent, RatFunc, _ip_mul
@@ -35,7 +45,8 @@ _gl_cache: Dict[int, RatFunc] = {}
 _o_cache: Dict[int, RatFunc] = {}
 _sp_cache: Dict[int, RatFunc] = {}
 _binom_cache: Dict[Tuple[int, int], Laurent] = {}
-_m_cache: Dict[Tuple[int, ...], Dict[int, int]] = {}
+_fixed_ratio_cache: Dict[Tuple[int, int], Laurent] = {}
+_m_cache: Dict[tuple, Dict[int, int]] = {}
 
 
 def _inv_l_product(n: int, step: int) -> RatFunc:
@@ -88,23 +99,45 @@ def stack_exponent(quiver: SelfDualQuiver, alpha: DimVector) -> int:
             - sum(x * (x - 1) for x in alpha))
 
 
-def _gl_poly(alpha: DimVector) -> Dict[int, int]:
-    """M(alpha) = prod_i prod_{k=1..alpha_i} (q^2k - 1), expanded."""
-    key = tuple(sorted(x for x in alpha if x))
+def _m_poly(key: tuple) -> Dict[int, int]:
+    """prod over n in key[0] of P(n) times prod over n in key[1] of P_2(n),
+    expanded."""
     out = _m_cache.get(key)
     if out is None:
         out = {0: 1}
-        for x in key:
-            for k in range(1, x + 1):
-                out = _ip_mul(out, {2 * k: 1, 0: -1})
+        for step, ranks in zip((2, 4), key):
+            for x in ranks:
+                for k in range(1, x + 1):
+                    out = _ip_mul(out, {step * k: 1, 0: -1})
         _m_cache[key] = out
     return out
+
+
+def gl_poly(alpha: DimVector) -> Dict[int, int]:
+    """M(alpha) = prod_i prod_{k=1..alpha_i} (q^2k - 1), expanded."""
+    return _m_poly((tuple(sorted(x for x in alpha if x)),))
+
+
+def sd_gl_poly(quiver: SelfDualQuiver, theta: DimVector) -> Dict[int, int]:
+    """M_sd(theta) = prod over vertex pairs (i, j) of P(theta_i) times prod
+    over fixed vertices of P_2(theta_i // 2), expanded."""
+    return _m_poly((
+        tuple(sorted(theta[i] for i, _ in quiver.vertex_pairs if theta[i])),
+        tuple(sorted(theta[i] // 2 for i in quiver.fixed_vertices
+                     if theta[i] > 1))))
 
 
 def over_gl_denominator(num: Dict[int, int], alpha: DimVector,
                         scale: Fraction = Fraction(1)) -> RatFunc:
     """scale * num / M(alpha) for an integer Laurent polynomial num."""
-    return RatFunc._make(scale, 0, num, _gl_poly(alpha))
+    return RatFunc._make(scale, 0, num, gl_poly(alpha))
+
+
+def over_sd_denominator(quiver: SelfDualQuiver, num: Dict[int, int],
+                        theta: DimVector,
+                        scale: Fraction = Fraction(1)) -> RatFunc:
+    """scale * num / M_sd(theta) for an integer Laurent polynomial num."""
+    return RatFunc._make(scale, 0, num, sd_gl_poly(quiver, theta))
 
 
 def q2_binomial(n: int, k: int) -> Laurent:
@@ -122,16 +155,55 @@ def q2_binomial(n: int, k: int) -> Laurent:
     return out
 
 
+def _fixed_ratio(n: int, a: int) -> Laurent:
+    """P_2(n + a) / (P(a) P_2(n)) = [n + a, a]_{q^4} prod_{k<=a} (q^2k + 1)."""
+    out = _fixed_ratio_cache.get((n, a))
+    if out is None:
+        poly = {2 * e: c for e, c in q2_binomial(n + a, a).poly.items()}
+        for k in range(1, a + 1):
+            poly = _ip_mul(poly, {2 * k: 1, 0: 1})
+        out = _fixed_ratio_cache[(n, a)] = Laurent(poly)
+    return out
+
+
+def sd_ratio(quiver: SelfDualQuiver, g: DimVector,
+             rho: DimVector) -> List[Laurent]:
+    """The factors other than 1 of M_sd(theta) / (M(g) M_sd(rho)), theta =
+    rho + g + dual(g): at a vertex pair (i, j) the q^2-multinomial
+    P(theta_i) / (P(g_i) P(g_j) P(rho_i)) = [theta_i, rho_i] [g_i + g_j, g_i],
+    at a fixed vertex i the ratio _fixed_ratio(rho_i // 2, g_i)."""
+    out = []
+    for i, j in quiver.vertex_pairs:
+        gi, gj, r = g[i], g[j], rho[i]
+        if r and (gi or gj):
+            out.append(q2_binomial(r + gi + gj, r))
+        if gi and gj:
+            out.append(q2_binomial(gi + gj, gi))
+    for i in quiver.fixed_vertices:
+        if g[i]:
+            out.append(_fixed_ratio(rho[i] // 2, g[i]))
+    return out
+
+
+def sd_stack_exponent(quiver: SelfDualQuiver, theta: DimVector) -> int:
+    """e_sd(theta), with sd_stack_class(theta) = q^e_sd(theta) / M_sd(theta):
+    the q-powers of the group motives are -n(n - 1) for GL(n), 2n - 2n(n - 1)
+    for O(2n) and -2n - 2n(n - 1) for O(2n + 1) and Sp(2n)."""
+    e = quiver.sd_dim_rep(theta) + quiver.sd_dim_aut(theta)
+    for i, _ in quiver.vertex_pairs:
+        e -= theta[i] * (theta[i] - 1)
+    for i in quiver.fixed_vertices:
+        n, odd = divmod(theta[i], 2)
+        orthogonal_even = quiver.vertex_sign[i] > 0 and not odd
+        e -= 2 * n * (n - 1) + (-2 * n if orthogonal_even else 2 * n)
+    return e
+
+
 def sd_stack_class(quiver: SelfDualQuiver, theta: DimVector) -> RatFunc:
-    """Motivic class of the stack of all self-dual representations."""
+    """Motivic class of the stack of all self-dual representations:
+    q^(sd dim R + sd dim G) times the group motives of the pairs (GL) and
+    the fixed vertices (O or Sp), kept as q^e_sd(theta) / M_sd(theta)."""
     if not quiver.is_sd_class(theta):
         raise ValueError(f"{theta} is not a self-dual class")
-    out = RatFunc.q_power(quiver.sd_dim_rep(theta) + quiver.sd_dim_aut(theta))
-    for i, _ in quiver.vertex_pairs:
-        out = out * motive_gl(theta[i])
-    for i in quiver.fixed_vertices:
-        if quiver.vertex_sign[i] > 0:
-            out = out * motive_o(theta[i])
-        else:
-            out = out * motive_sp(theta[i])
-    return out
+    return over_sd_denominator(quiver, {sd_stack_exponent(quiver, theta): 1},
+                               theta)

@@ -17,6 +17,7 @@ are integers too.  A query then only reads that data.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -54,11 +55,16 @@ def graded_lex_key(a: DimVector):
     return (sum(a), a)
 
 
-def boxed_vectors(limit: DimVector):
+@functools.lru_cache(maxsize=256)
+def _half(twice: int) -> Fraction:
+    return Fraction(twice, 2)
+
+
+@functools.lru_cache(maxsize=4096)
+def boxed_vectors(limit: DimVector) -> Tuple[DimVector, ...]:
     """All vectors 0 <= v <= limit componentwise, graded-lex order."""
-    out = list(itertools.product(*[range(x + 1) for x in limit]))
-    out.sort(key=graded_lex_key)
-    return out
+    return tuple(sorted(itertools.product(*[range(x + 1) for x in limit]),
+                        key=graded_lex_key))
 
 
 @dataclass(frozen=True)
@@ -316,8 +322,11 @@ class SelfDualQuiver:
             total += m * (alpha[s] * beta[t] - alpha[t] * beta[s])
         return total
 
-    def sd_twist_exponent(self, alpha: DimVector, theta: DimVector) -> Fraction:
-        """Exponent twisting the module action of a torus generator."""
+    def sd_twist_exponent(self, alpha: DimVector,
+                          theta: DimVector) -> "int | Fraction":
+        """Exponent twisting the module action of a torus generator: an int
+        when it is integral, as under a verified calibration, else a shared
+        Fraction half."""
         comm = self._comm
         if comm is None:
             raise _uncalibrated()
@@ -328,7 +337,7 @@ class SelfDualQuiver:
                           + a_s * alpha[dt] - a_t * alpha[ds])
         for i, k in self._kappa2:
             twice += k * alpha[i]
-        return Fraction(twice, 2)
+        return twice // 2 if twice % 2 == 0 else _half(twice)
 
     # -- class enumeration ---------------------------------------------------------
 

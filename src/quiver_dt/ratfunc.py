@@ -189,9 +189,10 @@ def _ip_gcd(a: _IPoly, b: _IPoly) -> _IPoly:
         x, y = y, r
 
 
-def _ip_div_exact(a: _IPoly, g: _IPoly) -> _IPoly:
-    """Long division a / g, asserting zero remainder.  g is primitive, so by
-    Gauss's lemma an exact quotient has integer coefficients."""
+def _ip_div(a: _IPoly, g: _IPoly) -> Optional[_IPoly]:
+    """The quotient of the long division a / g of polynomials, or None if
+    the remainder is not zero.  g is primitive, so by Gauss's lemma an exact
+    quotient has integer coefficients."""
     if not a:
         return {}
     rem = _dense(a)
@@ -202,11 +203,18 @@ def _ip_div_exact(a: _IPoly, g: _IPoly) -> _IPoly:
     for dr in range(len(rem) - 1, dg - 1, -1):
         if rem[dr]:
             c, r = divmod(rem[dr], lead)
-            assert not r, "inexact polynomial division"
+            if r:
+                return None
             quo[dr - dg] = c
             for i in range(dg + 1):
                 rem[dr - dg + i] -= c * rg[i]
-    assert not any(rem), "inexact polynomial division"
+    return None if any(rem) else quo
+
+
+def _ip_div_exact(a: _IPoly, g: _IPoly) -> _IPoly:
+    """a / g, asserting zero remainder."""
+    quo = _ip_div(a, g)
+    assert quo is not None, "inexact polynomial division"
     return quo
 
 
@@ -406,6 +414,19 @@ class RatFunc:
             return None
         s = self._scale.numerator
         return {e + self._shift: s * c for e, c in self._num.items()}
+
+    def cleared(self, den: _IPoly) -> Optional[Tuple[_IPoly, int]]:
+        """(P, k) with self = P / (k den), P an integer Laurent polynomial
+        and k a positive integer, when self times the polynomial den lies
+        in Q[q, 1/q]; None otherwise.  No RatFunc arithmetic."""
+        if not self._num:
+            return {}, 1
+        quo = _ip_div(den, self._den)
+        if quo is None:
+            return None
+        s, shift = self._scale, self._shift
+        return ({e + shift: s.numerator * c
+                 for e, c in _ip_mul(self._num, quo).items()}, s.denominator)
 
     @property
     def shift(self) -> int:

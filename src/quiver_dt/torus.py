@@ -119,8 +119,8 @@ class TorusElem:
                 if bound is not None and vtotal(key) > bound:
                     continue
                 tw = q.sd_twist_exponent(a, t)
-                assert tw.denominator == 1
-                term = (ca * ct).shifted(int(tw)) * inv
+                assert isinstance(tw, int), "twist exponent not integral"
+                term = (ca * ct).shifted(tw) * inv
                 out[key] = out.get(key, RatFunc(0)) + term
         return TorusModElem(q, out, bound)
 

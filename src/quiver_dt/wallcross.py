@@ -1,7 +1,10 @@
 """Transforms relating invariants at different stability conditions.
 
 Tables of epsilon integrals cross from one slope function to another by
-re-factorisation in the twisted algebra (see wallcross_epsilon).  The same
+re-factorisation in the twisted algebra (see wallcross_epsilon), carried
+out on integer Laurent numerators over the motive denominators with the
+invariants module's integer kernels, so that the only rational functions
+built are the source values read and the target values returned.  The same
 transform has a combinatorial form, a sum over ordered decompositions of
 each class weighted by rational coefficients; those coefficients live in
 the oracle module, and the tests check the re-factorisation against them.
@@ -10,14 +13,15 @@ the oracle module, and the tests check the re-factorisation against them.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import invariants
+from .invariants import (_ONE, _ZERO, Weight, _chain_sum, _Engine,
+                         _power_sum, _sd_action, _star_powers)
+from .motives import gl_poly, sd_gl_poly
 from .quiver import (DimVector, SelfDualQuiver, Slope, ValidationError,
-                     graded_lex_key)
-from .ratfunc import RatFunc, q_minus_qinv
-from .torus import (TorusElem, TorusModElem, integrated_unit, series_diamond,
-                    star_exp)
+                     graded_lex_key, vtotal)
+from .ratfunc import Laurent, RatFunc
 
 
 class SlopePair:
@@ -86,50 +90,154 @@ def epsilon_table(quiver: SelfDualQuiver, slope: Slope,
     return EpsilonTable(quiver, slope, bound, eps, sd_eps)
 
 
+def _refuse(what: str, at: DimVector, ring: str) -> None:
+    raise ValueError(
+        "the source table is not the epsilon table of a stack element: "
+        f"{what} at {at} is not a Laurent polynomial with {ring} "
+        "coefficients")
+
+
+def _times(num: Laurent, m: int) -> Laurent:
+    return num if m == 1 else Laurent({e: c * m for e, c in num.poly.items()})
+
+
+def _numerators(values: Dict[DimVector, RatFunc],
+                den: Callable[[DimVector], Dict[int, int]],
+                what: str) -> Tuple[Dict[DimVector, Laurent], int]:
+    """(Y, d) with values[a] = Y(a) / (d den(a)), Y in Z[q, 1/q] and d one
+    positive integer for all the values."""
+    cleared = {}
+    for a, v in values.items():
+        c = v.cleared(den(a))
+        if c is None:
+            _refuse(what, a, "rational")
+        cleared[a] = c
+    d = math.lcm(*(k for _, k in cleared.values()))
+    return {a: _times(Laurent(p), d // k)
+            for a, (p, k) in cleared.items()}, d
+
+
+def _divided(num: Laurent, d: int, what: str, at: DimVector) -> Laurent:
+    """num / d, refused unless it lies in Z[q, 1/q]."""
+    if d == 1:
+        return num
+    out = {}
+    for e, c in num.poly.items():
+        quo, rem = divmod(c, d)
+        if rem:
+            _refuse(what, at, "integer")
+        out[e] = quo
+    return Laurent(out)
+
+
+def _exp_weights(q: SelfDualQuiver, value: Callable[[DimVector], Fraction],
+                 y: Dict[DimVector, Laurent], d: int):
+    """weight(g, c) = (W, k) with exp(e / c)_g = (q - 1/q) W / (k M(g)), for
+    the epsilon element e = sum_a (q - 1/q) y[a] / (d M(a)) [a] of one
+    slope: with the star powers P_n of y (invariants._star_powers),
+    exp(e / c)_g = (q - 1/q) sum_n P_n(g) / (n! (c d)^n M(g)), so k = |g|!
+    (c d)^|g| and W = sum_n (|g|! / n!) (c d)^(|g| - n) P_n(g), for g not
+    zero."""
+    memo: Dict[DimVector, List[Laurent]] = {}
+
+    def powers(g: DimVector) -> List[Laurent]:
+        if g not in memo:
+            memo[g] = _star_powers(q, g, value, lambda a: y.get(a, _ZERO),
+                                   powers)
+        return memo[g]
+
+    def weight(g: DimVector, c: int = 1) -> Tuple[Laurent, int]:
+        t, cd = vtotal(g), c * d
+        ft = math.factorial(t)
+        return _power_sum(powers(g), lambda n: ft // math.factorial(n)
+                          * cd ** (t - n)), ft * cd ** t
+    return weight
+
+
 def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
     """Transform a table of epsilon integrals from the pair's source slope
     to its target slope, without recomputing anything semistable.
 
     The exponentials of the source slopes' epsilon elements, multiplied in
     descending slope order, give the integrated stack element.  On the
-    self-dual side, the square-root series at slope 0, acted on by the
-    positive slopes' factors in ascending order, gives the module stack
-    element.  An engine at the target slope seeded with both factors them
-    again by target slope.
+    self-dual side, the square root of the slope-0 factor acting on the
+    self-dual epsilon element, acted on by the positive slopes' factors in
+    ascending order, gives the module stack element.  An engine at the
+    target slope seeded with both factors them again by target slope.
+
+    All of it runs on integer Laurent numerators over M(a) and M_sd(theta)
+    (see invariants): a slope's epsilon values become numerators over one
+    integer, the exponential of its element is a sum of their star powers,
+    divided by one integer per class to give the slope's semistable
+    numerators X_s; the slopes' factors multiply by _chain_sum and act on
+    the self-dual side by _sd_action.  A source table whose slope factors
+    or self-dual numerators do not lie in Z[q, 1/q] is refused with
+    ValueError.
     """
     if table.quiver is not pair.quiver:
         raise ValidationError("table and slope pair use different quivers")
     if table.slope.weights != pair.plus.weights:
         raise ValidationError("table was not computed at the source slope")
     q, bound = pair.quiver, table.bound
-    pref = q_minus_qinv()
-    groups: Dict[Fraction, Dict[DimVector, RatFunc]] = {}
+    values: Dict[DimVector, Fraction] = {}
+
+    def value(a: DimVector) -> Fraction:
+        if a not in values:
+            values[a] = pair.plus.value(a)
+        return values[a]
+
+    classes = q.dim_vectors_up_to(bound)
+    zero = tuple(0 for _ in q.vertices)
+    by_slope: Dict[Fraction, Dict[DimVector, RatFunc]] = {}
     for a, e in table.eps.items():
         if e:
-            groups.setdefault(pair.plus.value(a), {})[a] = pref * e
-    factors = {s: star_exp(TorusElem(q, coeffs, bound), bound)
-               for s, coeffs in groups.items()}
-    stack = integrated_unit(q, bound)
+            by_slope.setdefault(value(a), {})[a] = e
+    exps = {s: _exp_weights(q, value, *_numerators(eps, gl_poly,
+                                                   "M(a) eps(a)"))
+            for s, eps in by_slope.items()}
+    # X_s(g) = M(g) J_s(g) for the classes g of slope s, and X_s(0) = 1
+    factors: Dict[Fraction, Dict[DimVector, Laurent]] = {}
+    for s, weight in exps.items():
+        x = factors[s] = {zero: _ONE}
+        for g in classes:
+            if value(g) == s:
+                x[g] = _divided(*weight(g), f"M(a) J(a) at slope {s}", g)
+    stack = {zero: _ONE}
     for s in sorted(factors, reverse=True):
-        stack = stack.star(factors[s])
+        stack = {a: _chain_sum(q, stack, a, factors[s].get)
+                 for a in [zero] + classes}
 
     sd_stack = None
     sd_side = table.sd_eps is not None and pair.is_self_dual()
     if sd_side:
-        e0 = TorusElem(q, groups.get(Fraction(0), {}), bound)
-        sd_stack = series_diamond(e0.scale(Fraction(1, 2)),
-                                  TorusModElem(q, table.sd_eps, bound),
-                                  lambda n: Fraction(1, math.factorial(n)),
-                                  bound)
-        for s in sorted(s for s in factors if s > 0):
-            sd_stack = factors[s].diamond(sd_stack)
+        sd_classes = q.sd_classes_up_to(bound)
+        z, dz = _numerators(table.sd_eps, lambda th: sd_gl_poly(q, th),
+                            "M_sd(theta) eps_sd(theta)")
+        root = exps.get(Fraction(0))
 
-    eng = invariants._Engine.seeded(q, pair.minus, bound, stack, sd_stack)
-    eps = {a: eng.epsilon(a) for a in q.dim_vectors_up_to(bound)}
+        def half(g: DimVector) -> Weight:
+            if not any(g):
+                return _ONE, 1
+            return root(g, 2) if root and value(g) == 0 else None
+        start = {th: _sd_action(q, th, half, lambda rho: z.get(rho, _ZERO))
+                 for th in sd_classes}
+        k = math.lcm(*(kt for _, kt in start.values()))
+        module = {th: _times(num, k // kt) for th, (num, kt) in start.items()}
+        for s in sorted(s for s in factors if s > 0):
+            x = factors[s]
+            module = {th: _sd_action(q, th, lambda g: (x[g], 1) if g in x
+                                     else None, module.get)[0]
+                      for th in sd_classes}
+        sd_stack = {th: _divided(module[th], k * dz,
+                                 "M_sd(theta) I_sd(theta)", th)
+                    for th in sd_classes}
+
+    eng = _Engine.seeded(q, pair.minus, bound,
+                         {a: stack[a] for a in classes}, sd_stack)
+    eps = {a: eng.epsilon(a) for a in classes}
     sd_eps = None
     if sd_side:
-        sd_eps = {th: eng.sd_dt_motivic(th)
-                  for th in q.sd_classes_up_to(bound)}
+        sd_eps = {th: eng.sd_dt_motivic(th) for th in sd_stack}
     return EpsilonTable(q, pair.minus, bound, eps, sd_eps)
 
 

@@ -13,12 +13,14 @@ from quiver_dt.oracle import (calibrate_signs, direct_epsilon_integral,
                               direct_sd_semistable_integral,
                               direct_semistable_integral)
 from quiver_dt.motives import (over_gl_denominator, sd_stack_class,
-                               stack_class)
+                               sd_stack_exponent, stack_class,
+                               stack_exponent)
 from quiver_dt.quiver import (Calibration, Slope, ValidationError,
                               graded_lex_key, kronecker_variant,
                               make_calibration, point_quiver, vadd, vleq,
                               vsub, vtotal)
-from quiver_dt.ratfunc import RatFunc, binom_fraction, inv_q_minus_qinv
+from quiver_dt.ratfunc import (Laurent, RatFunc, binom_fraction,
+                               inv_q_minus_qinv)
 from quiver_dt.torus import (TorusElem, integrated_unit, series_diamond,
                               star_exp, star_log_one_plus)
 from quiver_dt.wallcross import epsilon_table
@@ -248,7 +250,7 @@ def reference_sd_semistable(eng, tab, th):
         if not q.is_sd_class(rho):
             continue
         tw = q.sd_twist_exponent(g, rho)
-        acc = acc + dg * RatFunc.q_power(int(tw)) * eng.sd_stack(rho)
+        acc = acc + dg * RatFunc.q_power(int(tw)) * sd_stack_class(q, rho)
     return acc
 
 
@@ -322,7 +324,12 @@ def test_semistable_recursion_makes_no_ratfunc_arithmetic(monkeypatch):
         eng.dt_motivic(a)
         eng.epsilon(a)
         inv.epsilon_element(q, s, eng.value(a), 6)
+    for th in q.sd_classes_up_to(6):
+        eng.sd_semistable(th)
+        eng.sd_dt_motivic(th)
+    inv.sd_epsilon_element(q, s, 6)
     assert eng._dom and eng._memo["_log_num"] and not calls
+    assert eng._memo["_sd_semistable_num"] and eng._memo["_root_weight"]
 
 
 def assert_star_log_matches_torus(q, slope, bound):
@@ -393,8 +400,11 @@ def test_one_engine_serves_every_bound():
 def test_seeded_engine_refuses_a_class_beyond_its_bound():
     q = calibrated_kron()
     s = hn_slope(q)
-    eng = inv._Engine.seeded(q, s, 3, inv.integrated_stack_element(q, 3),
-                             inv.sd_stack_element(q, 3))
+    eng = inv._Engine.seeded(
+        q, s, 3,
+        {a: Laurent({stack_exponent(q, a): 1}) for a in q.dim_vectors_up_to(3)},
+        {th: Laurent({sd_stack_exponent(q, th): 1})
+         for th in q.sd_classes_up_to(3)})
     for a in q.dim_vectors_up_to(3):
         assert eng.epsilon(a) == inv.epsilon_integral(q, s, a)
     assert eng.sd_dt_motivic((1, 1)) == inv.sd_epsilon_integral(q, s, (1, 1))

@@ -6,10 +6,12 @@ from itertools import product
 import pytest
 
 from helpers import calibrated_kron, calibrated_mixed, calibrated_two_pairs
-from quiver_dt.motives import (motive_gl, motive_o, motive_sp,
-                               over_gl_denominator, q2_binomial,
-                               sd_stack_class, stack_class, stack_exponent)
-from quiver_dt.quiver import kronecker_variant, point_quiver
+from quiver_dt.motives import (gl_poly, motive_gl, motive_o, motive_sp,
+                               over_gl_denominator, q2_binomial, sd_gl_poly,
+                               sd_ratio, sd_stack_class, stack_class,
+                               stack_exponent)
+from quiver_dt.quiver import (boxed_vectors, kronecker_variant, point_quiver,
+                              vadd, vsub)
 from quiver_dt.ratfunc import RatFunc, _ip_mul
 
 F = Fraction
@@ -178,3 +180,38 @@ def test_stack_class_is_the_product_of_group_motives():
             got = stack_class(q, a)
             assert got == want
             assert got == over_gl_denominator({stack_exponent(q, a): 1}, a)
+
+
+def sd_quivers():
+    return [calibrated_kron(e, v) for e in ((1, 1), (1, -1), (-1, -1))
+            for v in (1, -1)] + [calibrated_mixed(), calibrated_two_pairs(),
+                                 point_quiver(1), point_quiver(-1)]
+
+
+def test_sd_stack_class_is_the_product_of_group_motives():
+    for q in sd_quivers():
+        for th in q.sd_classes_up_to(6):
+            want = RatFunc.q_power(q.sd_dim_rep(th) + q.sd_dim_aut(th))
+            for i, _ in q.vertex_pairs:
+                want = want * motive_gl(th[i])
+            for i in q.fixed_vertices:
+                motive = motive_o if q.vertex_sign[i] > 0 else motive_sp
+                want = want * motive(th[i])
+            assert sd_stack_class(q, th) == want, th
+
+
+def test_sd_ratio_clears_the_self_dual_denominators():
+    # M_sd(rho + g + dual(g)) = sd_ratio(g, rho) M(g) M_sd(rho)
+    count = 0
+    for q in sd_quivers():
+        for th in q.sd_classes_up_to(7):
+            for g in boxed_vectors(th):
+                rho = vsub(th, vadd(g, q.dual_vector(g)))
+                if min(rho) < 0:
+                    continue
+                got = _ip_mul(gl_poly(g), sd_gl_poly(q, rho))
+                for factor in sd_ratio(q, g, rho):
+                    got = _ip_mul(got, factor.poly)
+                assert got == sd_gl_poly(q, th), (th, g)
+                count += 1
+    assert count > 100

@@ -1,5 +1,8 @@
 """Property tests on generated quivers, shaped like tests/suite.py but drawn
-by hypothesis, checked against the oracle's independent enumerators."""
+by hypothesis, checked against the oracle's independent enumerators and,
+for wall-crossing, against the tables computed directly."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +16,7 @@ from quiver_dt.oracle import (calibrate_signs, direct_epsilon_integral,
                               direct_sd_semistable_integral,
                               direct_semistable_integral)
 from quiver_dt.quiver import Slope
+from quiver_dt.wallcross import SlopePair, epsilon_table, wallcross_epsilon
 
 # A fixed number of small cases, replayed the same way on every run.
 BUDGET = settings(max_examples=50, deadline=None, derandomize=True,
@@ -81,3 +85,47 @@ def test_sd_integrals_match_direct_enumeration(case):
             direct_sd_semistable_integral(quiver, slope, th), th
         assert inv.sd_epsilon_integral(quiver, slope, th, bound=bound) == \
             direct_sd_epsilon_integral(quiver, slope, th), th
+
+
+def _has_live_forms(quiver):
+    """Calibrates the quiver; true when both its commutation form and its
+    twist's linear term kappa are nonzero."""
+    calibrate_signs(quiver)
+    units = [tuple(int(i == j) for j in range(len(quiver.vertices)))
+             for i in range(len(quiver.vertices))]
+    return (any(quiver.commutation_exponent(a, b)
+                for a in units for b in units)
+            and any(quiver.calibration.kappa))
+
+
+PAIR_WEIGHTS = [Fraction(n, d) for n in range(-3, 4) if n
+                for d in (1, 2) if d == 1 or n % 2]
+
+
+@st.composite
+def crossing(draw):
+    """A calibrated suite-shaped quiver with a nonzero commutation form and
+    a nonzero kappa (so it has a vertex pair), two self-dual slopes with
+    small nonzero fractional weights at the pairs, and a bound from 2 to
+    4."""
+    quiver = draw(st.randoms(use_true_random=False).map(_rand_quiver)
+                  .filter(_has_live_forms))
+    slopes = []
+    for _ in range(2):
+        weights = [0] * len(quiver.vertices)
+        for i, j in quiver.vertex_pairs:
+            weights[i] = draw(st.sampled_from(PAIR_WEIGHTS))
+            weights[j] = -weights[i]
+        slopes.append(Slope(tuple(weights)))
+    return SlopePair(quiver, *slopes), draw(st.integers(2, 4))
+
+
+@BUDGET
+@given(crossing())
+def test_wallcross_matches_the_direct_table_and_crosses_back(case):
+    pair, bound = case
+    source = epsilon_table(pair.quiver, pair.plus, bound)
+    crossed = wallcross_epsilon(source, pair)
+    assert crossed.sd_eps is not None
+    assert crossed == epsilon_table(pair.quiver, pair.minus, bound)
+    assert wallcross_epsilon(crossed, pair.reversed()) == source

@@ -210,7 +210,8 @@ def assert_forms_match_reference(q, cal, bound=3):
                 q, cal, a, b), (q.to_data(), cal, a, b)
         for th in thetas:
             got = q.sd_twist_exponent(a, th)
-            assert isinstance(got, Fraction)
+            # an int when integral, a Fraction half otherwise
+            assert isinstance(got, int if got.denominator == 1 else Fraction)
             assert got == reference_twist(q, cal, a, th), (q.to_data(), cal,
                                                            a, th)
 
@@ -225,6 +226,17 @@ def test_exponent_forms_match_euler_reference():
             q.set_calibration(cal)
             assert q.calibration is cal
             assert_forms_match_reference(q, cal)
+
+
+def test_twist_is_an_int_unless_it_is_half_integral():
+    q = point_quiver(1)
+    q.set_calibration(Calibration(1, 1, (Fraction(1, 2),)))
+    # 2B((a,), theta) = 2 kappa a = a
+    assert q.sd_twist_exponent((2,), (0,)) == 1
+    assert type(q.sd_twist_exponent((2,), (0,))) is int
+    half = q.sd_twist_exponent((1,), (0,))
+    assert half == Fraction(1, 2)
+    assert q.sd_twist_exponent((1,), (2,)) is half
 
 
 def test_recalibration_rebuilds_both_forms():

@@ -251,6 +251,43 @@ def test_transform_refuses_a_table_not_from_a_stack_element():
         wallcross_epsilon(table, pair)
 
 
+def test_transform_refuses_a_self_dual_table_not_from_a_stack_element():
+    q = calibrated_kron()
+    pair = _pair(q, {"i": 1, "j": -1}, {"i": -1, "j": 1})
+    table = epsilon_table(q, pair.plus, 3)
+    # M_sd(theta) eps_sd(theta) must be a Laurent polynomial; M_sd((1, 1))
+    # is q^2 - 1
+    table.sd_eps[(1, 1)] = table.sd_eps[(1, 1)] / (2 * RatFunc.q_power(1) + 1)
+    with pytest.raises(ValueError, match="not the epsilon table of a stack"):
+        wallcross_epsilon(table, pair)
+    # a rational multiple stays a Laurent polynomial but leaves a
+    # self-dual stack numerator outside Z[q, 1/q]
+    table = epsilon_table(q, pair.plus, 3)
+    table.sd_eps[(1, 1)] = table.sd_eps[(1, 1)] * Fraction(1, 3)
+    with pytest.raises(ValueError, match="not the epsilon table of a stack"):
+        wallcross_epsilon(table, pair)
+
+
+def test_transform_makes_no_ratfunc_arithmetic(monkeypatch):
+    for q, plus, minus in [
+            (calibrated_kron(), {"i": 1, "j": -1}, {"i": -1, "j": 1}),
+            (calibrated_two_pairs(), {"a": 2, "d": -2, "b": 1, "c": -1},
+             {"a": -1, "d": 1, "b": 1, "c": -1})]:
+        pair = _pair(q, plus, minus)
+        table = epsilon_table(q, pair.plus, 4)
+        direct = epsilon_table(q, pair.minus, 4)
+        calls = []
+        with monkeypatch.context() as m:
+            for name in ("__add__", "__mul__"):
+                def counted(self, other, _orig=getattr(RatFunc, name)):
+                    calls.append(_orig)
+                    return _orig(self, other)
+                m.setattr(RatFunc, name, counted)
+            crossed = wallcross_epsilon(table, pair)
+        assert not calls
+        assert crossed == direct
+
+
 def test_transform_engine_stays_out_of_the_cache():
     q = calibrated_kron()
     pair = _pair(q, {"i": 1, "j": -1}, {"i": -1, "j": 1})
