@@ -13,20 +13,21 @@ recursion keeps D = M d in place of each rational entry d, and every step
 is an integer product through q^2-binomials (Reineke, The Harder-Narasimhan
 system in quantum groups and cohomology of quiver moduli, 2003).  The star
 powers of a slope's semistable element are integer numerators over M in
-the same way; the epsilon integrals (its star-logarithm) and the weights of
-its inverse square root at slope 0 are sums of them, each divided by M only
-at the end, as a RatFunc.
+the same way.  A power series in them, such as the star-logarithm that
+gives the epsilon integrals or the inverse square root at slope 0, is one
+integer numerator over one integer, the lcm of its coefficients'
+denominators (_series), divided by M only at the end, as a RatFunc.
 
 On the self-dual side, semistable integrals are the slope-0 entries acting
 on the module stack classes, and epsilon integrals are the inverse square
 root acting on those (M. B. Young, The Hall module of an exact category
 with duality, 2016): sums over theta = g + rho + g^v, kept as integer
 numerators over M_sd(theta) (see motives), since the ratio of
-M_sd(theta) to M(g) M_sd(rho) is a polynomial (_sd_action).  The weights
-of the inverse square root carry the integer denominator 4^|g|, so each
-value is one RatFunc built at the end.  Meinhardt and Reineke
-(arXiv:1411.4062) show why the motivic invariants are Laurent polynomials.
-Numerical invariants evaluate the motivic ones at q = -1.
+M_sd(theta) to M(g) M_sd(rho) is a polynomial (_sd_action), so each value
+is one RatFunc built at the end.  Meinhardt and Reineke (arXiv:1411.4062)
+show why the motivic invariants are Laurent polynomials, which the tables
+check as no pole at q = 1 or q = -1 (no_pole_report).  Numerical
+invariants evaluate the motivic ones at q = -1.
 
 An engine seeded with the numerators of a stack element (wall-crossing,
 whose integer kernels _chain_sum, _star_powers and _sd_action it shares)
@@ -128,10 +129,14 @@ def _star_powers(quiver: SelfDualQuiver, g: DimVector,
     return [x(g)] + [laurent_sum(t) for t in terms]
 
 
-def _power_sum(powers: List[Laurent], coeff: Callable[[int], int]) -> Laurent:
-    """sum_n coeff(n) P_n, for integer coefficients."""
-    return laurent_sum([(0, [Laurent({0: coeff(n)}), pn])
-                        for n, pn in enumerate(powers, 1)])
+def _series(powers: List[Laurent],
+            coeff: Callable[[int], Fraction]) -> Tuple[Laurent, int]:
+    """(W, k) with sum_n coeff(n) P_n = W / k, for powers = [P_1, P_2, ...]:
+    k is the lcm of the coefficients' denominators, so W lies in Z[q, 1/q]."""
+    cs = [coeff(n) for n in range(1, len(powers) + 1)]
+    k = math.lcm(*(c.denominator for c in cs))
+    return laurent_sum([(0, [Laurent({0: c.numerator * (k // c.denominator)}),
+                             pn]) for c, pn in zip(cs, powers)]), k
 
 
 def _sd_action(quiver: SelfDualQuiver, th: DimVector,
@@ -273,15 +278,14 @@ class _Engine:
                             self._powers)
 
     @_per_class
-    def _log_num(self, g: DimVector) -> tuple:
+    def _log_num(self, g: DimVector) -> Tuple[Laurent, int]:
         """(E(g), L) with log(1 + x)_g = (q - 1/q) E(g) / (L M(g)) for the
-        semistable element x of g's slope: L = lcm(1..|g|) and E = sum_n
-        (-1)^(n-1) (L / n) P_n.  Zero at the zero class."""
+        semistable element x of g's slope: E / L = sum_n (-1)^(n-1) P_n / n
+        (see _series).  Zero at the zero class."""
         if not any(g):
             return _ZERO, 1
-        lcm = math.lcm(*range(1, vtotal(g) + 1))
-        return _power_sum(self._powers(g),
-                          lambda n: (-1) ** (n - 1) * lcm // n), lcm
+        return _series(self._powers(g),
+                       lambda n: Fraction((-1) ** (n - 1), n))
 
     @_per_class
     def epsilon(self, a: DimVector) -> RatFunc:
@@ -297,17 +301,16 @@ class _Engine:
 
     @_per_class
     def _root_weight(self, g: DimVector) -> Weight:
-        """(W(g), 4^|g|) with (1 + x)^(-1/2) = sum_g (q - 1/q) W(g) / (4^|g|
-        M(g)) [g] for the semistable element x at slope 0, None off slope 0:
-        W(0) = 1 and W(g) = sum_n (-1)^n C(2n, n) 4^(|g| - n) P_n(g), as
-        binom(-1/2, n) = (-1)^n C(2n, n) / 4^n."""
+        """(W(g), k) with (1 + x)^(-1/2) = sum_g (q - 1/q) W(g) / (k M(g))
+        [g] for the semistable element x at slope 0, None off slope 0: W(0)
+        / k = 1 and W(g) / k = sum_n binom(-1/2, n) P_n(g) (see _series),
+        where binom(-1/2, n) = (-1)^n C(2n, n) / 4^n."""
         if not any(g):
             return _ONE, 1
         if self.value(g) != 0:
             return None
-        t = vtotal(g)
-        return _power_sum(self._powers(g), lambda n: (-1) ** n * math.comb(
-            2 * n, n) * 4 ** (t - n)), 4 ** t
+        return _series(self._powers(g), lambda n: Fraction(
+            (-1) ** n * math.comb(2 * n, n), 4 ** n))
 
     # -- self-dual side -----------------------------------------------------
 
@@ -620,12 +623,8 @@ def build_table(quiver: SelfDualQuiver, slope: Slope,
     rows = [_row(a, eng.semistable(a), eng.epsilon(a), eng.dt_motivic(a))
             for a in [eng.zero] + quiver.dim_vectors_up_to(bound)]
     sd_rows: List[InvariantRow] = []
-    try:
-        slope.validate_self_dual(quiver)
-    except ValidationError:
-        sd_included = False
-    else:
-        sd_included = True
+    sd_included = slope.is_self_dual(quiver)
+    if sd_included:
         for th in quiver.sd_classes_up_to(bound):
             eps = eng.sd_dt_motivic(th)
             sd_rows.append(_row(th, eng.sd_semistable(th), eps, eps))
@@ -634,16 +633,14 @@ def build_table(quiver: SelfDualQuiver, slope: Slope,
 
 
 def no_pole_report(table: InvariantTable) -> List[dict]:
-    """Pole orders at q = 1 and q = -1: of (q^2 - 1) times the epsilon
-    integral on the linear side, of the epsilon integral itself on the
-    self-dual side.  Both must be <= 0 everywhere."""
-    shift = RatFunc.q_power(2) - RatFunc(1)
+    """Pole orders at q = 1 and q = -1 of each row's motivic invariant: (q -
+    1/q) times the epsilon integral on the linear side, the epsilon integral
+    itself on the self-dual side.  Both must be <= 0 everywhere."""
     out = []
     for side, rows in (("linear", table.rows), ("self-dual", table.sd_rows)):
         for r in rows:
-            val = shift * r.epsilon if side == "linear" else r.epsilon
-            plus = val.pole_order_at(1)
-            minus = val.pole_order_at(-1)
+            plus = r.dt_motivic.pole_order_at(1)
+            minus = r.dt_motivic.pole_order_at(-1)
             out.append({
                 "side": side,
                 "class": r.dim_vector,

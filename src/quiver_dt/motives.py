@@ -36,17 +36,11 @@ with duality, 2016).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from functools import cache
+from typing import Dict, List
 
 from .quiver import DimVector, SelfDualQuiver
 from .ratfunc import Laurent, RatFunc, _ip_mul
-
-_gl_cache: Dict[int, RatFunc] = {}
-_o_cache: Dict[int, RatFunc] = {}
-_sp_cache: Dict[int, RatFunc] = {}
-_binom_cache: Dict[Tuple[int, int], Laurent] = {}
-_fixed_ratio_cache: Dict[Tuple[int, int], Laurent] = {}
-_m_cache: Dict[tuple, Dict[int, int]] = {}
 
 
 def _inv_l_product(n: int, step: int) -> RatFunc:
@@ -58,32 +52,28 @@ def _inv_l_product(n: int, step: int) -> RatFunc:
     return out
 
 
+@cache
 def motive_gl(n: int) -> RatFunc:
     if n < 0:
         raise ValueError("negative rank")
-    if n not in _gl_cache:
-        _gl_cache[n] = _inv_l_product(n, 1)
-    return _gl_cache[n]
+    return _inv_l_product(n, 1)
 
 
+@cache
 def motive_o(m: int) -> RatFunc:
     if m < 0:
         raise ValueError("negative rank")
-    if m not in _o_cache:
-        n, odd = divmod(m, 2)
-        base = _inv_l_product(n, 2)
-        power = -2 * n if odd else 2 * n
-        _o_cache[m] = RatFunc.q_power(power) * base
-    return _o_cache[m]
+    n, odd = divmod(m, 2)
+    power = -2 * n if odd else 2 * n
+    return RatFunc.q_power(power) * _inv_l_product(n, 2)
 
 
+@cache
 def motive_sp(m: int) -> RatFunc:
     if m < 0 or m % 2:
         raise ValueError("symplectic rank must be even and nonnegative")
-    if m not in _sp_cache:
-        n = m // 2
-        _sp_cache[m] = RatFunc.q_power(-2 * n) * _inv_l_product(n, 2)
-    return _sp_cache[m]
+    n = m // 2
+    return RatFunc.q_power(-2 * n) * _inv_l_product(n, 2)
 
 
 def stack_class(quiver: SelfDualQuiver, alpha: DimVector) -> RatFunc:
@@ -99,17 +89,15 @@ def stack_exponent(quiver: SelfDualQuiver, alpha: DimVector) -> int:
             - sum(x * (x - 1) for x in alpha))
 
 
+@cache
 def _m_poly(key: tuple) -> Dict[int, int]:
     """prod over n in key[0] of P(n) times prod over n in key[1] of P_2(n),
     expanded."""
-    out = _m_cache.get(key)
-    if out is None:
-        out = {0: 1}
-        for step, ranks in zip((2, 4), key):
-            for x in ranks:
-                for k in range(1, x + 1):
-                    out = _ip_mul(out, {step * k: 1, 0: -1})
-        _m_cache[key] = out
+    out = {0: 1}
+    for step, ranks in zip((2, 4), key):
+        for x in ranks:
+            for k in range(1, x + 1):
+                out = _ip_mul(out, {step * k: 1, 0: -1})
     return out
 
 
@@ -140,30 +128,25 @@ def over_sd_denominator(quiver: SelfDualQuiver, num: Dict[int, int],
     return RatFunc._make(scale, 0, num, sd_gl_poly(quiver, theta))
 
 
+@cache
 def q2_binomial(n: int, k: int) -> Laurent:
     """The q^2-binomial [n, k] = P(n) / (P(k) P(n - k)), by Pascal's rule
     [n, k] = [n-1, k-1] + q^2k [n-1, k]."""
-    out = _binom_cache.get((n, k))
-    if out is None:
-        if k == 0 or k == n:
-            poly = {0: 1}
-        else:
-            poly = dict(q2_binomial(n - 1, k - 1).poly)
-            for e, c in q2_binomial(n - 1, k).poly.items():
-                poly[e + 2 * k] = poly.get(e + 2 * k, 0) + c
-        out = _binom_cache[(n, k)] = Laurent(poly)
-    return out
+    if k == 0 or k == n:
+        return Laurent({0: 1})
+    poly = dict(q2_binomial(n - 1, k - 1).poly)
+    for e, c in q2_binomial(n - 1, k).poly.items():
+        poly[e + 2 * k] = poly.get(e + 2 * k, 0) + c
+    return Laurent(poly)
 
 
+@cache
 def _fixed_ratio(n: int, a: int) -> Laurent:
     """P_2(n + a) / (P(a) P_2(n)) = [n + a, a]_{q^4} prod_{k<=a} (q^2k + 1)."""
-    out = _fixed_ratio_cache.get((n, a))
-    if out is None:
-        poly = {2 * e: c for e, c in q2_binomial(n + a, a).poly.items()}
-        for k in range(1, a + 1):
-            poly = _ip_mul(poly, {2 * k: 1, 0: 1})
-        out = _fixed_ratio_cache[(n, a)] = Laurent(poly)
-    return out
+    poly = {2 * e: c for e, c in q2_binomial(n + a, a).poly.items()}
+    for k in range(1, a + 1):
+        poly = _ip_mul(poly, {2 * k: 1, 0: 1})
+    return Laurent(poly)
 
 
 def sd_ratio(quiver: SelfDualQuiver, g: DimVector,

@@ -453,6 +453,13 @@ class Slope:
                     "slope weights must be antisymmetric under the involution "
                     f"(vertex {quiver.vertices[i]})")
 
+    def is_self_dual(self, quiver: SelfDualQuiver) -> bool:
+        try:
+            self.validate_self_dual(quiver)
+        except ValidationError:
+            return False
+        return True
+
     def value(self, alpha: DimVector) -> Fraction:
         total = sum(alpha)
         if total == 0:

@@ -167,16 +167,8 @@ def _dense_prem(a: List[int], b: List[int]) -> List[int]:
 
 
 def _ip_gcd(a: _IPoly, b: _IPoly) -> _IPoly:
-    """Primitive gcd over the integers, positive leading coefficient."""
-    if not a:
-        src = b
-    elif not b:
-        src = a
-    else:
-        src = None
-    if src is not None:
-        da = _dense_prim(_dense(src)) if src else []
-        return {e: c for e, c in enumerate(da) if c}
+    """Primitive gcd over the integers, positive leading coefficient, of two
+    nonzero polynomials."""
     x = _dense_prim(_dense(a))
     y = _dense_prim(_dense(b))
     if len(x) < len(y):
@@ -356,14 +348,6 @@ class RatFunc:
         return cls._raw(scale, shift + low_n - low_d, num, den)
 
     @classmethod
-    def zero(cls) -> "RatFunc":
-        return cls(0)
-
-    @classmethod
-    def one(cls) -> "RatFunc":
-        return cls(1)
-
-    @classmethod
     def q_power(cls, k: int) -> "RatFunc":
         return cls._raw(Fraction(1), k, _ONE, _ONE)
 
@@ -404,17 +388,6 @@ class RatFunc:
         return (self._shift, {e: c * scale for e, c in self._num.items()},
                 {e: Fraction(c, lead) for e, c in self._den.items()})
 
-    def laurent(self) -> Optional[_IPoly]:
-        """The coefficients, exponent -> int, when the value lies in
-        Z[q, 1/q]; None otherwise.  num is primitive, so scale * num has
-        integer coefficients exactly when scale is an integer."""
-        if not self._num:
-            return {}
-        if len(self._den) > 1 or self._scale.denominator != 1:
-            return None
-        s = self._scale.numerator
-        return {e + self._shift: s * c for e, c in self._num.items()}
-
     def cleared(self, den: _IPoly) -> Optional[Tuple[_IPoly, int]]:
         """(P, k) with self = P / (k den), P an integer Laurent polynomial
         and k a positive integer, when self times the polynomial den lies
@@ -439,9 +412,6 @@ class RatFunc:
     @property
     def den(self) -> Poly:
         return self._presented()[2]
-
-    def is_zero(self) -> bool:
-        return not self._num
 
     def __bool__(self) -> bool:
         return bool(self._num)

@@ -15,12 +15,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
-from . import invariants
-from .invariants import (_ONE, _ZERO, Weight, _chain_sum, _Engine,
-                         _power_sum, _sd_action, _star_powers)
+from .invariants import (_ONE, _ZERO, Weight, _chain_sum, _Engine, _engine,
+                         _sd_action, _series, _star_powers)
 from .motives import gl_poly, sd_gl_poly
 from .quiver import (DimVector, SelfDualQuiver, Slope, ValidationError,
-                     graded_lex_key, vtotal)
+                     graded_lex_key)
 from .ratfunc import Laurent, RatFunc
 
 
@@ -40,16 +39,9 @@ class SlopePair:
         self.plus = plus
         self.minus = minus
 
-    def validate_self_dual(self) -> None:
-        self.plus.validate_self_dual(self.quiver)
-        self.minus.validate_self_dual(self.quiver)
-
     def is_self_dual(self) -> bool:
-        try:
-            self.validate_self_dual()
-        except ValidationError:
-            return False
-        return True
+        return (self.plus.is_self_dual(self.quiver)
+                and self.minus.is_self_dual(self.quiver))
 
     def reversed(self) -> "SlopePair":
         return SlopePair(self.quiver, self.minus, self.plus)
@@ -76,16 +68,11 @@ class EpsilonTable:
 def epsilon_table(quiver: SelfDualQuiver, slope: Slope,
                   bound: int) -> EpsilonTable:
     """Tabulate epsilon integrals directly at the given slope."""
-    eps = {a: invariants.epsilon_integral(quiver, slope, a, bound=bound)
-           for a in quiver.dim_vectors_up_to(bound)}
+    eng = _engine(quiver, slope)
+    eps = {a: eng.epsilon(a) for a in quiver.dim_vectors_up_to(bound)}
     sd_eps = None
-    try:
-        slope.validate_self_dual(quiver)
-    except ValidationError:
-        pass
-    else:
-        sd_eps = {th: invariants.sd_epsilon_integral(quiver, slope, th,
-                                                     bound=bound)
+    if slope.is_self_dual(quiver):
+        sd_eps = {th: eng.sd_dt_motivic(th)
                   for th in quiver.sd_classes_up_to(bound)}
     return EpsilonTable(quiver, slope, bound, eps, sd_eps)
 
@@ -135,8 +122,7 @@ def _exp_weights(q: SelfDualQuiver, value: Callable[[DimVector], Fraction],
     """weight(g, c) = (W, k) with exp(e / c)_g = (q - 1/q) W / (k M(g)), for
     the epsilon element e = sum_a (q - 1/q) y[a] / (d M(a)) [a] of one
     slope: with the star powers P_n of y (invariants._star_powers),
-    exp(e / c)_g = (q - 1/q) sum_n P_n(g) / (n! (c d)^n M(g)), so k = |g|!
-    (c d)^|g| and W = sum_n (|g|! / n!) (c d)^(|g| - n) P_n(g), for g not
+    W / k = sum_n P_n(g) / (n! (c d)^n) (see invariants._series), for g not
     zero."""
     memo: Dict[DimVector, List[Laurent]] = {}
 
@@ -147,10 +133,9 @@ def _exp_weights(q: SelfDualQuiver, value: Callable[[DimVector], Fraction],
         return memo[g]
 
     def weight(g: DimVector, c: int = 1) -> Tuple[Laurent, int]:
-        t, cd = vtotal(g), c * d
-        ft = math.factorial(t)
-        return _power_sum(powers(g), lambda n: ft // math.factorial(n)
-                          * cd ** (t - n)), ft * cd ** t
+        cd = c * d
+        return _series(powers(g), lambda n: Fraction(
+            1, math.factorial(n) * cd ** n))
     return weight
 
 

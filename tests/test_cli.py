@@ -9,7 +9,7 @@ from quiver_dt import cli
 from quiver_dt.invariants import InvariantRow, InvariantTable, build_table
 from quiver_dt.oracle import CalibrationError, calibrate_signs
 from quiver_dt.quiver import Slope, point_quiver
-from quiver_dt.ratfunc import RatFunc
+from quiver_dt.ratfunc import RatFunc, q_minus_qinv
 
 FIXTURES = Path(cli.__file__).parent / "fixtures"
 
@@ -136,24 +136,41 @@ def test_dt_bad_slope_string(capsys):
                      "--slope", "y=1"]) == 1
 
 
-def test_dt_no_pole_exit(monkeypatch, capsys):
-    bad = RatFunc(1) / (RatFunc.q_power(1) + RatFunc(1))  # pole at q = -1
-
+def doctor_last_row(monkeypatch, side, eps, dtm):
+    """Make the CLI's build_table give the last row of one side these
+    epsilon and motivic values."""
     def doctored(quiver, slope, bound):
         table = build_table(quiver, slope, bound)
-        rows = list(table.sd_rows)
-        rows[-1] = InvariantRow(rows[-1].dim_vector, rows[-1].semistable,
-                                bad, bad, None)
+        rows = {"linear": list(table.rows), "self-dual": list(table.sd_rows)}
+        last = rows[side][-1]
+        rows[side][-1] = InvariantRow(last.dim_vector, last.semistable,
+                                      eps, dtm, None)
         return InvariantTable(table.quiver_data, table.slope_data,
                               table.bound, table.sd_included,
-                              table.rows, rows)
+                              rows["linear"], rows["self-dual"])
 
     monkeypatch.setattr(cli, "build_table", doctored)
+
+
+def test_dt_no_pole_exit(monkeypatch, capsys):
+    bad = RatFunc(1) / (RatFunc.q_power(1) + RatFunc(1))  # pole at q = -1
+    doctor_last_row(monkeypatch, "self-dual", bad, bad)
     code = cli.main(["dt", fixture("point_plus.json"), "--bound", "2"])
     captured = capsys.readouterr()
     assert code == 2
     assert "regularity violation" in captured.err
     assert "self-dual" in captured.err
+
+
+def test_dt_no_pole_exit_on_a_linear_row(monkeypatch, capsys):
+    # a double pole at q = -1, so that DTmot = (q - 1/q) eps keeps one
+    eps = RatFunc(1) / (RatFunc.q_power(1) + RatFunc(1)) ** 2
+    doctor_last_row(monkeypatch, "linear", eps, q_minus_qinv() * eps)
+    code = cli.main(["dt", fixture("point_plus.json"), "--bound", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == ("error: regularity violation for linear class (2,): "
+                   "pole orders -1 at q=1, 1 at q=-1\n")
 
 
 def test_wallcross_command(capsys):

@@ -2,12 +2,14 @@ import gc
 import json
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from helpers import calibrated_mixed, calibrated_two_pairs, mixed_quiver
 from suite import acceptance_suite
 from quiver_dt import invariants as inv
+from quiver_dt.cli import load_quiver
 from quiver_dt.oracle import (calibrate_signs, direct_epsilon_integral,
                               direct_sd_epsilon_integral,
                               direct_sd_semistable_integral,
@@ -24,6 +26,9 @@ from quiver_dt.ratfunc import (Laurent, RatFunc, binom_fraction,
 from quiver_dt.torus import (TorusElem, integrated_unit, series_diamond,
                               star_exp, star_log_one_plus)
 from quiver_dt.wallcross import epsilon_table
+
+
+FIXTURES = Path(inv.__file__).parent / "fixtures"
 
 
 def q_pow(k):
@@ -587,6 +592,64 @@ def test_no_pole_negative_control():
     assert bad and bad[0]["order_at_-1"] == 1 and bad[0]["order_at_1"] <= 0
     sd_two = [r for r in table.sd_rows if r.dim_vector == (2,)]
     assert sd_two and sd_two[0].dt_numeric is None
+
+
+def reference_no_pole_report(table):
+    """The report read off (q^2 - 1) eps on the linear side and off eps on
+    the self-dual side."""
+    shift = RatFunc.q_power(2) - RatFunc(1)
+    out = []
+    for side, rows in (("linear", table.rows), ("self-dual", table.sd_rows)):
+        for r in rows:
+            val = shift * r.epsilon if side == "linear" else r.epsilon
+            plus, minus = val.pole_order_at(1), val.pole_order_at(-1)
+            out.append({"side": side, "class": r.dim_vector,
+                        "order_at_1": plus, "order_at_-1": minus,
+                        "ok": plus <= 0 and minus <= 0})
+    return out
+
+
+def regularity_tables():
+    """Every fixture's table at bound 5, at the trivial slope and at
+    i=1,j=-1 where the fixture has those vertices, and every suite table
+    at bound 4, at its six slopes and the trivial one."""
+    for path in sorted(FIXTURES.glob("*.json")):
+        q = load_quiver(str(path))
+        slopes = [Slope.trivial(q)]
+        if {"i", "j"} <= set(q.vertices):
+            slopes.append(hn_slope(q))
+        for s in slopes:
+            yield inv.build_table(q, s, 5)
+    for q, slopes in acceptance_suite():
+        for s in slopes + [Slope.trivial(q)]:
+            yield inv.build_table(q, s, 4)
+
+
+def test_no_pole_report_matches_the_epsilon_formula():
+    count = 0
+    for table in regularity_tables():
+        got = inv.no_pole_report(table)
+        want = reference_no_pole_report(table)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g == w, (table.quiver_data["vertices"], table.slope_data)
+        count += 1
+    assert count == 14 + 70
+
+
+def test_table_all_regular_makes_no_ratfunc_multiplication(monkeypatch):
+    q = calibrated_kron((1, -1))
+    table = inv.build_table(q, hn_slope(q), 6)
+    calls = []
+    mul = RatFunc.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(RatFunc, "__mul__", counted)
+    assert inv.table_all_regular(table)
+    assert calls == []
 
 
 def test_table_rows_and_serialization():

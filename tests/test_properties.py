@@ -1,8 +1,11 @@
 """Property tests on generated quivers, shaped like tests/suite.py but drawn
-by hypothesis, checked against the oracle's independent enumerators and,
-for wall-crossing, against the tables computed directly."""
+by hypothesis, checked against the oracle's independent enumerators, for
+wall-crossing against the tables computed directly, and for regularity and
+the exp/log and square-root inversions against the paper's identities in
+the torus algebra."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -16,6 +19,7 @@ from quiver_dt.oracle import (calibrate_signs, direct_epsilon_integral,
                               direct_sd_semistable_integral,
                               direct_semistable_integral)
 from quiver_dt.quiver import Slope
+from quiver_dt.torus import integrated_unit, series_diamond, star_exp
 from quiver_dt.wallcross import SlopePair, epsilon_table, wallcross_epsilon
 
 # A fixed number of small cases, replayed the same way on every run.
@@ -129,3 +133,36 @@ def test_wallcross_matches_the_direct_table_and_crosses_back(case):
     assert crossed.sd_eps is not None
     assert crossed == epsilon_table(pair.quiver, pair.minus, bound)
     assert wallcross_epsilon(crossed, pair.reversed()) == source
+
+
+@BUDGET
+@given(crossing())
+def test_tables_at_both_slopes_are_regular(case):
+    pair, bound = case
+    for slope in (pair.plus, pair.minus):
+        assert inv.table_all_regular(inv.build_table(pair.quiver, slope,
+                                                     bound))
+
+
+@BUDGET
+@given(crossing())
+def test_star_exp_inverts_the_epsilon_element(case):
+    pair, bound = case
+    q, slope = pair.quiver, pair.plus
+    unit = integrated_unit(q, bound)
+    for val in inv.slope_values(q, slope, bound):
+        e = inv.epsilon_element(q, slope, val, bound)
+        assert star_exp(e, bound) == \
+            unit + inv.semistable_element(q, slope, val, bound), val
+
+
+@BUDGET
+@given(crossing())
+def test_sd_square_root_inversion_roundtrip(case):
+    pair, bound = case
+    q, slope = pair.quiver, pair.plus
+    e0 = inv.epsilon_element(q, slope, Fraction(0), bound)
+    rebuilt = series_diamond(e0.scale(Fraction(1, 2)),
+                             inv.sd_epsilon_element(q, slope, bound),
+                             lambda n: Fraction(1, factorial(n)), bound)
+    assert rebuilt == inv.sd_semistable_element(q, slope, bound)

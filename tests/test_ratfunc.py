@@ -484,13 +484,13 @@ def test_laurent_coefficients_only_for_laurent_polynomials():
         poly = _rand_laurent(rng)
         val = RatFunc.from_frac_polys(
             0, {e: F(c) for e, c in poly.items()}, {0: F(1)})
-        assert val.laurent() == poly
+        assert val.cleared({0: 1}) == (poly, 1)
         assert (val / (q_minus_qinv() * q_minus_qinv())
-                * q_minus_qinv() * q_minus_qinv()).laurent() == poly
-    assert (RatFunc(1) / (RatFunc.q_power(1) * 2 + 1)).laurent() is None
-    assert RatFunc(F(1, 2)).laurent() is None
-    assert inv_q_minus_qinv().laurent() is None
-    assert q_minus_qinv().laurent() == {1: 1, -1: -1}
+                * q_minus_qinv() * q_minus_qinv()).cleared({0: 1}) == (poly, 1)
+    assert (RatFunc(1) / (RatFunc.q_power(1) * 2 + 1)).cleared({0: 1}) is None
+    assert RatFunc(F(1, 2)).cleared({0: 1}) == ({0: 1}, 2)
+    assert inv_q_minus_qinv().cleared({0: 1}) is None
+    assert q_minus_qinv().cleared({0: 1}) == ({1: 1, -1: -1}, 1)
 
 
 def test_subs_square():
