@@ -19,8 +19,8 @@ import sys
 from fractions import Fraction
 from math import gcd
 
-from .invariants import (NoPoleViolation, build_table, dt_mot, no_pole_report,
-                         sd_dt_mot, table_all_regular)
+from .invariants import (NoPoleViolation, build_table, json_text,
+                         no_pole_report, sd_dt_mot, table_all_regular)
 from .oracle import CalibrationError, ensure_calibrated, explain_calibration
 from .quiver import (SelfDualQuiver, Slope, UncalibratedError,
                      ValidationError, vtotal)
@@ -39,6 +39,8 @@ def load_quiver(path: str) -> SelfDualQuiver:
             data = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
@@ -46,17 +48,30 @@ def load_quiver(path: str) -> SelfDualQuiver:
     return SelfDualQuiver.from_data(data)
 
 
-def parse_slope(quiver: SelfDualQuiver, text: "str | None") -> Slope:
-    if not text:
-        return Slope.trivial(quiver)
-    mapping = {}
+def _entries(text: str, what: str, form: str):
+    """(item, vertex, value text) for each comma-separated entry
+    vertex=value of text, refusing an entry of another form and a vertex
+    named twice."""
+    seen = set()
     for item in text.split(","):
         key, sep, val = item.partition("=")
         if not sep:
             raise ValidationError(
-                f"slope entry {item!r} is not of the form vertex=value")
+                f"{what} entry {item!r} is not of the form vertex={form}")
+        key = key.strip()
+        if key in seen:
+            raise ValidationError(f"{what} names vertex {key} twice")
+        seen.add(key)
+        yield item, key, val.strip()
+
+
+def parse_slope(quiver: SelfDualQuiver, text: "str | None") -> Slope:
+    if not text:
+        return Slope.trivial(quiver)
+    mapping = {}
+    for item, key, val in _entries(text, "slope", "value"):
         try:
-            mapping[key.strip()] = Fraction(val.strip())
+            mapping[key] = Fraction(val)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(
                 f"slope entry {item!r}: {exc}") from exc
@@ -65,15 +80,11 @@ def parse_slope(quiver: SelfDualQuiver, text: "str | None") -> Slope:
 
 def parse_ray(quiver: SelfDualQuiver, text: str):
     mapping = {}
-    for item in text.split(","):
-        key, sep, val = item.partition("=")
-        if not sep:
-            raise ValidationError(
-                f"ray entry {item!r} is not of the form vertex=integer")
-        if key.strip() not in quiver.vertex_index:
-            raise ValidationError(f"ray names unknown vertex {key.strip()}")
+    for item, key, val in _entries(text, "ray", "integer"):
+        if key not in quiver.vertex_index:
+            raise ValidationError(f"ray names unknown vertex {key}")
         try:
-            mapping[key.strip()] = int(val.strip())
+            mapping[key] = int(val)
         except ValueError as exc:
             raise ValidationError(f"ray entry {item!r}: {exc}") from exc
     ray = tuple(mapping.get(x, 0) for x in quiver.vertices)
@@ -86,10 +97,13 @@ def parse_ray(quiver: SelfDualQuiver, text: str):
 
 def _emit(text: str, output: "str | None") -> None:
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+                if not text.endswith("\n"):
+                    fh.write("\n")
+        except OSError as exc:
+            raise ValidationError(f"cannot write {output}: {exc}") from exc
     else:
         print(text)
 
@@ -100,10 +114,7 @@ def _fail(message: str, code: int) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        quiver = load_quiver(args.quiver)
-    except ValidationError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
+    quiver = load_quiver(args.quiver)
     report = [
         f"quiver file: {args.quiver}",
         f"vertices: {len(quiver.vertices)} "
@@ -124,11 +135,8 @@ def _format_csv(table) -> str:
 
 
 def cmd_dt(args) -> int:
-    try:
-        quiver = load_quiver(args.quiver)
-        slope = parse_slope(quiver, args.slope)
-    except ValidationError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
+    quiver = load_quiver(args.quiver)
+    slope = parse_slope(quiver, args.slope)
     try:
         table = build_table(quiver, slope, args.bound)
     except CalibrationError as exc:
@@ -161,12 +169,9 @@ def _eps_table_data(table) -> dict:
 
 
 def cmd_wallcross(args) -> int:
-    try:
-        quiver = load_quiver(args.quiver)
-        plus = parse_slope(quiver, args.slope)
-        minus = parse_slope(quiver, args.slope2)
-    except ValidationError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
+    quiver = load_quiver(args.quiver)
+    plus = parse_slope(quiver, args.slope)
+    minus = parse_slope(quiver, args.slope2)
     pair = SlopePair(quiver, plus, minus)
     try:
         source = epsilon_table(quiver, plus, args.bound)
@@ -182,7 +187,7 @@ def cmd_wallcross(args) -> int:
                   "match": d["match"]} for d in diff],
         "all_match": all(d["match"] for d in diff),
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)
+    _emit(json_text(payload), args.output)
     return EXIT_OK if payload["all_match"] else EXIT_VALIDATION
 
 
@@ -217,13 +222,10 @@ def _term(coeff, expo: Fraction) -> str:
 
 
 def cmd_series(args) -> int:
-    try:
-        quiver = load_quiver(args.quiver)
-        slope = parse_slope(quiver, args.slope)
-        slope.validate_self_dual(quiver)
-        ray = _ray_for_series(quiver, args.bound, args.ray)
-    except ValidationError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
+    quiver = load_quiver(args.quiver)
+    slope = parse_slope(quiver, args.slope)
+    slope.validate_self_dual(quiver)
+    ray = _ray_for_series(quiver, args.bound, args.ray)
     g = 0
     for x in ray:
         g = gcd(g, x)
@@ -244,10 +246,7 @@ def cmd_series(args) -> int:
 
 
 def cmd_explain_calibration(args) -> int:
-    try:
-        quiver = load_quiver(args.quiver)
-    except ValidationError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
+    quiver = load_quiver(args.quiver)
     text, ok = explain_calibration(quiver, bound=args.bound)
     _emit(text, args.output)
     return EXIT_OK if ok else EXIT_CALIBRATION
@@ -307,6 +306,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except UncalibratedError as exc:
         return _fail(str(exc), EXIT_CALIBRATION)
+    except ValidationError as exc:
+        return _fail(str(exc), EXIT_VALIDATION)
 
 
 if __name__ == "__main__":

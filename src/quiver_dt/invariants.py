@@ -26,8 +26,12 @@ numerators over M_sd(theta) (see motives), since the ratio of
 M_sd(theta) to M(g) M_sd(rho) is a polynomial (_sd_action), so each value
 is one RatFunc built at the end.  Meinhardt and Reineke (arXiv:1411.4062)
 show why the motivic invariants are Laurent polynomials, which the tables
-check as no pole at q = 1 or q = -1 (no_pole_report).  Numerical
-invariants evaluate the motivic ones at q = -1.
+check as no pole at q = 1 or q = -1 (no_pole_report).  On the linear side
+the motivic invariant is (q - 1/q) times the epsilon integral, taken from
+the epsilon integral's canonical form without a gcd
+(RatFunc.times_q_minus_qinv).  Numerical invariants evaluate the motivic
+ones at q = -1; pole orders and values are read off the integer form of a
+RatFunc, and a table renders as JSON through json_text.
 
 An engine seeded with the numerators of a stack element (wall-crossing,
 whose integer kernels _chain_sum, _star_powers and _sd_action it shares)
@@ -40,12 +44,13 @@ the old one, and the engines go when the quiver does.
 
 from __future__ import annotations
 
-import json
 import math
 import weakref
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from .motives import (over_gl_denominator, over_sd_denominator, q2_binomial,
@@ -54,7 +59,7 @@ from .motives import (over_gl_denominator, over_sd_denominator, q2_binomial,
 from .oracle import ensure_calibrated
 from .quiver import (DimVector, SelfDualQuiver, Slope, ValidationError,
                      boxed_vectors, vadd, vsub, vtotal)
-from .ratfunc import Laurent, RatFunc, laurent_sum, q_minus_qinv
+from .ratfunc import Laurent, PoleError, RatFunc, laurent_sum, q_minus_qinv
 
 if TYPE_CHECKING:
     from .torus import TorusElem, TorusModElem
@@ -129,14 +134,33 @@ def _star_powers(quiver: SelfDualQuiver, g: DimVector,
     return [x(g)] + [laurent_sum(t) for t in terms]
 
 
-def _series(powers: List[Laurent],
-            coeff: Callable[[int], Fraction]) -> Tuple[Laurent, int]:
-    """(W, k) with sum_n coeff(n) P_n = W / k, for powers = [P_1, P_2, ...]:
-    k is the lcm of the coefficients' denominators, so W lies in Z[q, 1/q]."""
-    cs = [coeff(n) for n in range(1, len(powers) + 1)]
+def _over_lcm(cs: List[Fraction]) -> Tuple[List[Laurent], int]:
+    """([c_1 k, c_2 k, ...], k) for k the lcm of the denominators of cs."""
     k = math.lcm(*(c.denominator for c in cs))
-    return laurent_sum([(0, [Laurent({0: c.numerator * (k // c.denominator)}),
-                             pn]) for c, pn in zip(cs, powers)]), k
+    return [Laurent({0: c.numerator * (k // c.denominator)}) for c in cs], k
+
+
+@cache
+def _log_coeffs(n: int) -> Tuple[List[Laurent], int]:
+    """The star-log coefficients (-1)^(i-1) / i, i = 1..n, over their lcm."""
+    return _over_lcm([Fraction((-1) ** (i - 1), i) for i in range(1, n + 1)])
+
+
+@cache
+def _root_coeffs(n: int) -> Tuple[List[Laurent], int]:
+    """The inverse-square-root coefficients binom(-1/2, i) = (-1)^i C(2i, i)
+    / 4^i, i = 1..n, over their lcm."""
+    return _over_lcm([Fraction((-1) ** i * math.comb(2 * i, i), 4 ** i)
+                      for i in range(1, n + 1)])
+
+
+def _series(powers: List[Laurent],
+            coeffs: Tuple[List[Laurent], int]) -> Tuple[Laurent, int]:
+    """(W, k) with sum_n c_n P_n = W / k, for powers = [P_1, P_2, ...] and
+    coeffs = ([c_1 k, c_2 k, ...], k), as one of the cached coefficient
+    lists over their lcm k gives them: W lies in Z[q, 1/q]."""
+    ms, k = coeffs
+    return laurent_sum([(0, [m, pn]) for m, pn in zip(ms, powers)]), k
 
 
 def _sd_action(quiver: SelfDualQuiver, th: DimVector,
@@ -284,8 +308,8 @@ class _Engine:
         (see _series).  Zero at the zero class."""
         if not any(g):
             return _ZERO, 1
-        return _series(self._powers(g),
-                       lambda n: Fraction((-1) ** (n - 1), n))
+        powers = self._powers(g)
+        return _series(powers, _log_coeffs(len(powers)))
 
     @_per_class
     def epsilon(self, a: DimVector) -> RatFunc:
@@ -295,9 +319,9 @@ class _Engine:
 
     @_per_class
     def dt_motivic(self, a: DimVector) -> RatFunc:
-        """The motivic invariant of a, (q - 1/q) E(a) / (L M(a))."""
-        e, lcm = self._log_num(a)
-        return _integrated(e, a, Fraction(1, lcm))
+        """The motivic invariant of a, (q - 1/q) times the epsilon
+        integral."""
+        return self.epsilon(a).times_q_minus_qinv()
 
     @_per_class
     def _root_weight(self, g: DimVector) -> Weight:
@@ -309,8 +333,8 @@ class _Engine:
             return _ONE, 1
         if self.value(g) != 0:
             return None
-        return _series(self._powers(g), lambda n: Fraction(
-            (-1) ** n * math.comb(2 * n, n), 4 ** n))
+        powers = self._powers(g)
+        return _series(powers, _root_coeffs(len(powers)))
 
     # -- self-dual side -----------------------------------------------------
 
@@ -522,6 +546,47 @@ def sd_stack_element(quiver: SelfDualQuiver, bound: int) -> TorusModElem:
     return TorusModElem(quiver, coeffs, bound)
 
 
+# -- JSON -----------------------------------------------------------------------------
+
+def json_text(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), for obj built of dicts
+    with str keys, lists, str, int, bool and None; TypeError on anything
+    else.  The standard encoder runs in pure Python whenever it indents;
+    this writer joins the strings of each container in one step."""
+    return _json_text(obj, "\n")
+
+
+def _json_text(obj, nl: str) -> str:
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        parts = []
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object key {key!r} is not a str")
+            parts.append(encode_basestring_ascii(key) + ": "
+                         + _json_text(obj[key], inner))
+        return "{" + inner + ("," + inner).join(parts) + nl + "}"
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        return ("[" + inner + ("," + inner).join([_json_text(v, inner)
+                                                  for v in obj]) + nl + "]")
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON-writable")
+
+
 # -- tables ---------------------------------------------------------------------------
 
 @dataclass
@@ -588,7 +653,7 @@ class InvariantTable:
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_data(), indent=2, sort_keys=True)
+        return json_text(self.to_data())
 
     CSV_HEADER = ("side", "class", "J", "eps", "DTmot", "DTnum")
 
@@ -610,8 +675,11 @@ class InvariantTable:
 def _row(a: DimVector, j: RatFunc, eps: RatFunc,
          dtm: RatFunc) -> InvariantRow:
     """A row whose numeric entry is null where dtm has a pole at q = -1."""
-    return InvariantRow(a, j, eps, dtm, None if dtm.pole_order_at(-1) > 0
-                        else dtm.eval_at(-1))
+    try:
+        numeric: Optional[Fraction] = dtm.eval_at(-1)
+    except PoleError:
+        numeric = None
+    return InvariantRow(a, j, eps, dtm, numeric)
 
 
 def build_table(quiver: SelfDualQuiver, slope: Slope,

@@ -8,6 +8,13 @@ have equal fields, and Laurent behaviour at 0 and infinity is readable off
 the shift.  It is presented (to_data, str) as q**shift * num / den with
 Fraction coefficients and den monic.
 
+Values and pole orders at a rational point u/v are read off the integer
+num and den: a value by Horner's rule on v**deg p(u/v), with one Fraction
+built at the end, and a root multiplicity by exact synthetic division by
+v q - u.  Multiplying by q - 1/q needs no gcd either: num and den are
+coprime, so q - 1 and q + 1 each divide den or multiply num
+(times_q_minus_qinv).
+
 Sums of products that need no denominator at all, such as the semistable
 recursion and the epsilon star-log once their motive denominators are
 cleared, run on Laurent, an integer Laurent polynomial: laurent_sum
@@ -288,8 +295,43 @@ def _cancel(num: _IPoly, den: _IPoly) -> Tuple[_IPoly, _IPoly]:
     return num, den
 
 
-def _eval(p: _IPoly, r: Fraction) -> Fraction:
-    return sum((c * r ** e for e, c in p.items()), Fraction(0))
+def _homogenised(p: _IPoly, u: int, v: int) -> int:
+    """v**deg(p) * p(u/v) for a polynomial p, by Horner's rule in u with
+    the matching powers of v."""
+    d = max(p)
+    h = p[d]
+    w = 1
+    for e in range(d - 1, -1, -1):
+        w *= v
+        h = h * u + p.get(e, 0) * w
+    return h
+
+
+def _root_quotient(a: List[int], u: int, v: int) -> Optional[List[int]]:
+    """The quotient of the dense polynomial a (a[e] the coefficient of q**e)
+    by v q - u, or None if the division leaves a remainder.  Synthetic
+    division from the top: the coefficients s of the quotient satisfy
+    v s[e-1] - u s[e] = a[e]; u and v are coprime, so by Gauss's lemma an
+    exact quotient has integer coefficients."""
+    quo = [0] * (len(a) - 1)
+    s = 0
+    for e in range(len(a) - 1, 0, -1):
+        s, r = divmod(a[e] + u * s, v)
+        if r:
+            return None
+        quo[e - 1] = s
+    return quo if a[0] + u * s == 0 else None
+
+
+def _root_mult(p: _IPoly, u: int, v: int) -> int:
+    """The multiplicity of u/v as a root of the polynomial p."""
+    a = _dense(p)
+    mult = 0
+    while True:
+        a = _root_quotient(a, u, v)
+        if a is None:
+            return mult
+        mult += 1
 
 
 _ONE: _IPoly = {0: 1}
@@ -357,6 +399,21 @@ class RatFunc:
             return self
         return RatFunc._raw(self._scale, self._shift + k, self._num,
                             self._den)
+
+    def times_q_minus_qinv(self) -> "RatFunc":
+        """self * (q - 1/q) = q**-1 * (q - 1)(q + 1) * self, with no gcd:
+        num and den are coprime, so each of q - 1 and q + 1 either divides
+        den or multiplies num."""
+        if not self._num:
+            return self
+        num, den = self._num, self._den
+        for root in (1, -1):
+            quo = _root_quotient(_dense(den), root, 1)
+            if quo is None:
+                num = _ip_mul(num, {1: 1, 0: -root})
+            else:
+                den = {e: c for e, c in enumerate(quo) if c}
+        return RatFunc._raw(self._scale, self._shift - 1, num, den)
 
     @classmethod
     def from_frac_polys(cls, shift: int, num: Poly, den: Poly) -> "RatFunc":
@@ -541,6 +598,8 @@ class RatFunc:
                              {dd - e: c for e, c in den.items()})
 
     def eval_at(self, point: "Fraction | int") -> Fraction:
+        """The value at the point, read off the integer num and den at
+        point = u/v (see _homogenised); PoleError at a pole."""
         r = Fraction(point)
         if not self._num:
             return Fraction(0)
@@ -551,23 +610,39 @@ class RatFunc:
             if sh > 0:
                 return Fraction(0)
             return self._scale * self._num[0] / self._den[0]
-        dv = _eval(self._den, r)
-        if dv == 0:
+        u, v = r.numerator, r.denominator
+        hd = _homogenised(self._den, u, v)
+        if not hd:
             raise PoleError(r, self.pole_order_at(r))
-        return self._scale * _eval(self._num, r) * r ** sh / dv
+        # scale * (u/v)**sh * (hn / v**dn) / (hd / v**dd)
+        top = self._scale.numerator * _homogenised(self._num, u, v)
+        bottom = self._scale.denominator * hd
+        ev = max(self._den) - max(self._num) - sh
+        if sh >= 0:
+            top *= u ** sh
+        else:
+            bottom *= u ** -sh
+        if ev >= 0:
+            top *= v ** ev
+        else:
+            bottom *= v ** -ev
+        return Fraction(top, bottom)
 
     def pole_order_at(self, point: "Fraction | int") -> int:
         """Pole order at the point: positive for a pole, negative for a zero,
-        0 for finite nonzero values.  The zero function reports 0."""
+        0 for finite nonzero values.  The zero function reports 0.  Read
+        off the integer num and den by division by v q - u at point = u/v
+        (see _root_quotient)."""
         r = Fraction(point)
         if not self._num:
             return 0
         if r == 0:
             return -self._shift
-        md = _frac_poly_root_mult(self._den, r)
+        u, v = r.numerator, r.denominator
+        md = _root_mult(self._den, u, v)
         if md:
             return md
-        return -_frac_poly_root_mult(self._num, r)
+        return -_root_mult(self._num, u, v)
 
     def subs_square(self, value: "Fraction | int") -> Fraction:
         """Substitute q**2 -> value; requires all exponents even."""
@@ -619,27 +694,6 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({self})"
-
-def _frac_poly_root_mult(poly: Poly, r: Fraction) -> int:
-    cur = dict(poly)
-    mult = 0
-    while cur:
-        val = Fraction(0)
-        for e, c in cur.items():
-            val += c * r ** e
-        if val != 0:
-            return mult
-        # synthetic division by (q - r); remainder is zero since val == 0
-        d = max(cur)
-        dense = [cur.get(i, Fraction(0)) for i in range(d + 1)]
-        quo = [Fraction(0)] * d
-        carry = dense[d]
-        for i in range(d - 1, -1, -1):
-            quo[i] = carry
-            carry = dense[i] + carry * r
-        cur = {e: c for e, c in enumerate(quo) if c}
-        mult += 1
-    return mult
 
 
 def _poly_str(poly: Poly) -> str:

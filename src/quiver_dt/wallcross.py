@@ -13,10 +13,11 @@ the oracle module, and the tests check the re-factorisation against them.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .invariants import (_ONE, _ZERO, Weight, _chain_sum, _Engine, _engine,
-                         _sd_action, _series, _star_powers)
+                         _over_lcm, _sd_action, _series, _star_powers)
 from .motives import gl_poly, sd_gl_poly
 from .quiver import (DimVector, SelfDualQuiver, Slope, ValidationError,
                      graded_lex_key)
@@ -133,10 +134,16 @@ def _exp_weights(q: SelfDualQuiver, value: Callable[[DimVector], Fraction],
         return memo[g]
 
     def weight(g: DimVector, c: int = 1) -> Tuple[Laurent, int]:
-        cd = c * d
-        return _series(powers(g), lambda n: Fraction(
-            1, math.factorial(n) * cd ** n))
+        pg = powers(g)
+        return _series(pg, _exp_coeffs(len(pg), c * d))
     return weight
+
+
+@cache
+def _exp_coeffs(n: int, cd: int) -> Tuple[List[Laurent], int]:
+    """The coefficients 1 / (i! cd^i), i = 1..n, over their lcm."""
+    return _over_lcm([Fraction(1, math.factorial(i) * cd ** i)
+                      for i in range(1, n + 1)])
 
 
 def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:

@@ -255,3 +255,34 @@ def test_output_flag_writes_file(tmp_path):
     assert cli.main(["validate", fixture("point_plus.json"),
                      "--output", str(out)]) == 0
     assert "structure: ok" in out.read_text()
+
+
+def assert_one_error_line(capsys, fragment):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and fragment in captured.err
+
+
+@pytest.mark.parametrize("target", ["missing/out.json", "."],
+                         ids=["missing-directory", "directory"])
+def test_unwritable_output_is_a_validation_error(target, tmp_path, capsys):
+    out = tmp_path / target
+    assert cli.main(["dt", fixture("point_plus.json"), "--bound", "2",
+                     "--output", str(out)]) == 1
+    assert_one_error_line(capsys, f"cannot write {out}")
+
+
+def test_quiver_file_not_in_utf8_is_a_validation_error(tmp_path, capsys):
+    path = tmp_path / "q.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert cli.main(["validate", str(path)]) == 1
+    assert_one_error_line(capsys, "not UTF-8")
+
+
+@pytest.mark.parametrize("command, flag", [("dt", "--slope"),
+                                           ("series", "--ray")])
+def test_vertex_named_twice_is_a_validation_error(command, flag, capsys):
+    assert cli.main([command, fixture("kronecker_pm_plus.json"),
+                     flag, "i=1,i=2"]) == 1
+    assert_one_error_line(capsys, "names vertex i twice")

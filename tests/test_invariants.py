@@ -5,11 +5,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import calibrated_mixed, calibrated_two_pairs, mixed_quiver
 from suite import acceptance_suite
 from quiver_dt import invariants as inv
-from quiver_dt.cli import load_quiver
+from quiver_dt.cli import load_quiver, main as cli_main
 from quiver_dt.oracle import (calibrate_signs, direct_epsilon_integral,
                               direct_sd_epsilon_integral,
                               direct_sd_semistable_integral,
@@ -609,20 +610,26 @@ def reference_no_pole_report(table):
     return out
 
 
-def regularity_tables():
-    """Every fixture's table at bound 5, at the trivial slope and at
-    i=1,j=-1 where the fixture has those vertices, and every suite table
-    at bound 4, at its six slopes and the trivial one."""
+def table_cases(fixture_bound):
+    """(quiver, slope, bound): every fixture at the fixture bound, at the
+    trivial slope and at i=1,j=-1 where the fixture has those vertices, and
+    every suite quiver at bound 4, at its six slopes and the trivial one."""
     for path in sorted(FIXTURES.glob("*.json")):
         q = load_quiver(str(path))
         slopes = [Slope.trivial(q)]
         if {"i", "j"} <= set(q.vertices):
             slopes.append(hn_slope(q))
         for s in slopes:
-            yield inv.build_table(q, s, 5)
+            yield q, s, fixture_bound
     for q, slopes in acceptance_suite():
         for s in slopes + [Slope.trivial(q)]:
-            yield inv.build_table(q, s, 4)
+            yield q, s, 4
+
+
+def regularity_tables():
+    """The tables of table_cases at fixture bound 5."""
+    for q, s, bound in table_cases(5):
+        yield inv.build_table(q, s, bound)
 
 
 def test_no_pole_report_matches_the_epsilon_formula():
@@ -633,6 +640,18 @@ def test_no_pole_report_matches_the_epsilon_formula():
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g == w, (table.quiver_data["vertices"], table.slope_data)
+        count += 1
+    assert count == 14 + 70
+
+
+def test_dt_motivic_matches_the_integrated_log_numerator():
+    count = 0
+    for q, s, bound in table_cases(8):
+        eng = inv._engine(q, s)
+        for a in [eng.zero] + q.dim_vectors_up_to(bound):
+            e, lcm = eng._log_num(a)
+            want = inv._integrated(e, a, Fraction(1, lcm))
+            assert eng.dt_motivic(a) == want, (q.vertices, s.weights, a)
         count += 1
     assert count == 14 + 70
 
@@ -673,3 +692,52 @@ def test_table_skips_sd_for_non_self_dual_slope():
     table = inv.build_table(q, s, 2)
     assert not table.sd_included
     assert table.sd_rows == []
+
+
+TRICKY_TEXT = st.text(st.characters() | st.sampled_from(
+    '"\\/\n\t\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600'))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | TRICKY_TEXT
+    | st.integers(-10 ** 60, 10 ** 60),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(TRICKY_TEXT, inner, max_size=4)),
+    max_leaves=40)
+
+
+def _nested(depth):
+    obj = []
+    for i in range(depth):
+        obj = [obj] if i % 2 else {"k": obj, "": {}}
+    return obj
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(JSON_VALUES)
+@example(_nested(60))
+@example({"a\u00e9\x01\"\\": [-2 ** 200, 2 ** 200, [], {}, True, None]})
+def test_json_text_is_json_dumps(obj):
+    assert inv.json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("obj", [1.5, (1, 2), {1: "a"}, {"a": Fraction(1)},
+                                 [b"x"]], ids=repr)
+def test_json_text_refuses_other_types(obj):
+    with pytest.raises(TypeError):
+        inv.json_text(obj)
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_cli_json_output_is_json_dumps(path, tmp_path):
+    runs = [["dt", "--bound", "5"], ["wallcross", "--bound", "3"]]
+    if "kronecker" in path.stem:
+        runs += [["dt", "--bound", "5", "--slope", "i=1,j=-1"],
+                 ["wallcross", "--bound", "3", "--slope", "i=1,j=-1",
+                  "--slope2", "i=-1,j=1"]]
+    out = tmp_path / "out.json"
+    for command, *args in runs:
+        assert cli_main([command, str(path), "--output", str(out)]
+                        + args) == 0
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text), indent=2,
+                                  sort_keys=True) + "\n"

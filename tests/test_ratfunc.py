@@ -10,6 +10,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quiver_dt.ratfunc import (
     Laurent,
@@ -506,3 +507,102 @@ def test_str_is_deterministic():
     assert str(f) == "q*(1)/(q^2 - 1)"
     assert str(RatFunc(0)) == "0"
     assert str(RatFunc(1)) == "1"
+
+
+# ---------------------------------------------------------------------------
+# points on the integer form against Fraction arithmetic
+
+def fraction_root_mult(poly, r):
+    """The multiplicity of r as a root of poly, by Fraction evaluation and
+    synthetic division by q - r."""
+    cur = {e: F(c) for e, c in poly.items()}
+    mult = 0
+    while cur:
+        if sum((c * r ** e for e, c in cur.items()), F(0)) != 0:
+            return mult
+        d = max(cur)
+        dense = [cur.get(i, F(0)) for i in range(d + 1)]
+        quo = [F(0)] * d
+        carry = dense[d]
+        for i in range(d - 1, -1, -1):
+            quo[i] = carry
+            carry = dense[i] + carry * r
+        cur = {e: c for e, c in enumerate(quo) if c}
+        mult += 1
+    return mult
+
+
+def fraction_pole_order(x, r):
+    if not x:
+        return 0
+    if r == 0:
+        return -x._shift
+    md = fraction_root_mult(x._den, r)
+    return md if md else -fraction_root_mult(x._num, r)
+
+
+def fraction_eval(x, r):
+    """x at r by Fraction arithmetic: (value, None), or (None, pole order)."""
+    if not x:
+        return F(0), None
+    sh = x._shift
+    if r == 0:
+        if sh < 0:
+            return None, -sh
+        if sh > 0:
+            return F(0), None
+        return x._scale * x._num[0] / x._den[0], None
+    dv = sum((c * r ** e for e, c in x._den.items()), F(0))
+    if dv == 0:
+        return None, fraction_pole_order(x, r)
+    nv = sum((c * r ** e for e, c in x._num.items()), F(0))
+    return x._scale * nv * r ** sh / dv, None
+
+
+POINTS = [F(1), F(-1), F(2), F(1, 2), F(-3, 2), F(0)]
+# v q - u for the points u/v above other than 0, and two points off the list
+ROOT_FACTORS = [{1: 1, 0: -1}, {1: 1, 0: 1}, {1: 1, 0: -2}, {1: 2, 0: -1},
+                {1: 2, 0: 3}, {1: 3, 0: -1}, {2: 1, 0: 1}]
+
+
+@st.composite
+def canonical_ratfuncs(draw):
+    """A canonical RatFunc whose num and den carry random powers of the
+    factors vanishing at the points, and a random scale and shift."""
+    coeffs = st.integers(-5, 5)
+    polys = []
+    for _ in range(2):
+        poly = dict(enumerate(draw(st.lists(coeffs, max_size=4))))
+        poly = {e: c for e, c in poly.items() if c} or {0: 1}
+        for factor in ROOT_FACTORS:
+            for _ in range(draw(st.integers(0, 2))):
+                poly = _ip_mul(poly, factor)
+        polys.append({e: F(c) for e, c in poly.items()})
+    x = RatFunc.from_frac_polys(draw(st.integers(-3, 3)), *polys)
+    scale = F(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
+    return x * scale
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(canonical_ratfuncs())
+def test_points_on_the_integer_form_match_fraction_arithmetic(x):
+    for r in POINTS:
+        order = x.pole_order_at(r)
+        assert order == fraction_pole_order(x, r)
+        want, pole = fraction_eval(x, r)
+        if pole is None:
+            assert x.eval_at(r) == want
+        else:
+            assert order == pole > 0
+            with pytest.raises(PoleError) as err:
+                x.eval_at(r)
+            assert (err.value.point, err.value.order) == (r, pole)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(canonical_ratfuncs())
+def test_times_q_minus_qinv_is_the_canonical_product(x):
+    got = x.times_q_minus_qinv()
+    want = q_minus_qinv() * x
+    assert (got._scale, got._shift, got._num, got._den) == \
+        (want._scale, want._shift, want._num, want._den)
