@@ -299,8 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "bound", 1) < 1:
-        return _fail(f"--bound must be at least 1, not {args.bound}",
+    bound = getattr(args, "bound", 1)
+    if bound < 1:
+        return _fail(f"--bound must be at least 1, not {bound}",
+                     EXIT_VALIDATION)
+    if bound >= sys.maxsize:
+        return _fail(f"--bound must be below {sys.maxsize}, not {bound}",
                      EXIT_VALIDATION)
     try:
         return args.func(args)

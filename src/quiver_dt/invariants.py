@@ -13,10 +13,13 @@ recursion keeps D = M d in place of each rational entry d, and every step
 is an integer product through q^2-binomials (Reineke, The Harder-Narasimhan
 system in quantum groups and cohomology of quiver moduli, 2003).  The star
 powers of a slope's semistable element are integer numerators over M in
-the same way.  A power series in them, such as the star-logarithm that
-gives the epsilon integrals or the inverse square root at slope 0, is one
-integer numerator over one integer, the lcm of its coefficients'
-denominators (_series), divided by M only at the end, as a RatFunc.
+the same way, listed up to the last one that can be nonzero.  A power
+series in them, such as the star-logarithm that gives the epsilon integrals
+or the inverse square root at slope 0, is one integer numerator over one
+integer, the lcm of its coefficients' denominators (_series), divided by M
+only at the end, as a RatFunc.  Where a class has no decomposition into two
+or more nonzero classes of its slope value, the star-log is its first term,
+so the epsilon integral is the semistable integral, the same RatFunc.
 
 On the self-dual side, semistable integrals are the slope-0 entries acting
 on the module stack classes, and epsilon integrals are the inverse square
@@ -113,14 +116,15 @@ def _star_powers(quiver: SelfDualQuiver, g: DimVector,
                  x: Callable[[DimVector], Laurent],
                  powers: Callable[[DimVector], List[Laurent]]
                  ) -> List[Laurent]:
-    """[P_1(g), ..., P_|g|(g)] with y^{*n}_g = (q - 1/q) P_n(g) / M(g), for
+    """[P_1(g), ..., P_m(g)] with y^{*n}_g = (q - 1/q) P_n(g) / M(g), for
     y = sum_a (q - 1/q) x(a) / M(a) [a] over the classes a of g's value.  By
     the identity _chain_sum uses, P_1 = x and P_n(g) is the sum over the
     classes 0 < p < g of g's value of P_{n-1}(p) x(g - p) prod_i [g_i, p_i]
-    q^<p, g - p>, with powers(p) the list at p; n stops at |g|, the most
-    parts."""
+    q^<p, g - p>, with powers(p) the list at p.  The list stops at the last
+    n whose sum has a term, every later P_n being zero, so m <= |g|, and m =
+    1 exactly when no class 0 < p < g of g's value has x(g - p) nonzero."""
     s = value(g)
-    terms: List[list] = [[] for _ in range(1, vtotal(g))]
+    terms: List[list] = []
     for p in boxed_vectors(g):
         if p == g or not any(p) or value(p) != s:
             continue
@@ -130,6 +134,8 @@ def _star_powers(quiver: SelfDualQuiver, g: DimVector,
             rest = [xs] + _binomials(g, p)
             tw = quiver.commutation_exponent(p, step)
             for n, pn in enumerate(powers(p)):
+                if n == len(terms):
+                    terms.append([])
                 terms[n].append((tw, [pn] + rest))
     return [x(g)] + [laurent_sum(t) for t in terms]
 
@@ -313,7 +319,10 @@ class _Engine:
 
     @_per_class
     def epsilon(self, a: DimVector) -> RatFunc:
-        """The epsilon integral of a, E(a) / (L M(a))."""
+        """The epsilon integral of a, E(a) / (L M(a)): the semistable
+        integral itself where the star-log has one term (E / L = X)."""
+        if any(a) and len(self._powers(a)) == 1:
+            return self.semistable(a)
         e, lcm = self._log_num(a)
         return over_gl_denominator(e.poly, a, Fraction(1, lcm))
 
@@ -557,8 +566,19 @@ def json_text(obj) -> str:
 
 
 def _json_text(obj, nl: str) -> str:
-    if isinstance(obj, str):
+    # The exact types of table output are tried first; subclasses, bool and
+    # None take the isinstance tests after them.
+    t = type(obj)
+    if t is str:
         return encode_basestring_ascii(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if t is list or isinstance(obj, list):
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        return ("[" + inner + ("," + inner).join([_json_text(v, inner)
+                                                  for v in obj]) + nl + "]")
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -570,12 +590,8 @@ def _json_text(obj, nl: str) -> str:
             parts.append(encode_basestring_ascii(key) + ": "
                          + _json_text(obj[key], inner))
         return "{" + inner + ("," + inner).join(parts) + nl + "}"
-    if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        inner = nl + "  "
-        return ("[" + inner + ("," + inner).join([_json_text(v, inner)
-                                                  for v in obj]) + nl + "]")
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
     if obj is None:
         return "null"
     if obj is True:

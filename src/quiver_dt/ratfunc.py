@@ -5,8 +5,11 @@ scale is a nonzero Fraction, and num and den are coprime primitive integer
 polynomials with nonzero constant terms and positive leading coefficients.
 A value is reduced by one polynomial gcd when it is built, so equal values
 have equal fields, and Laurent behaviour at 0 and infinity is readable off
-the shift.  It is presented (to_data, str) as q**shift * num / den with
-Fraction coefficients and den monic.
+the shift.  It is presented (to_data, str, the num and den properties) as
+q**shift * num / den with rational coefficients and den monic, read off the
+integer fields: each coefficient is c * scale / lead for num and c / lead
+for den, lead the leading coefficient of den, reduced by one integer gcd
+with no Fraction built (_presented).
 
 Values and pole orders at a rational point u/v are read off the integer
 num and den: a value by Horner's rule on v**deg p(u/v), with one Fraction
@@ -31,6 +34,9 @@ from typing import Dict, List, Optional, Tuple
 Poly = Dict[int, Fraction]
 
 _IPoly = Dict[int, int]
+
+# A presented polynomial: terms (e, p, r), the coefficient of q**e being p / r.
+_Terms = List[Tuple[int, int, int]]
 
 
 class PoleError(ArithmeticError):
@@ -436,14 +442,18 @@ class RatFunc:
 
     # -- presented form ---------------------------------------------------------
 
-    def _presented(self) -> Tuple[int, Poly, Poly]:
-        """(shift, num, den) with Fraction coefficients and den monic."""
+    def _presented(self) -> Tuple[int, _Terms, _Terms]:
+        """(shift, num, den) with den monic, each polynomial as its terms
+        (e, p, r) in ascending e, the coefficient of q**e being p / r in
+        lowest terms with r > 0."""
         if not self._num:
-            return 0, {}, {0: Fraction(1)}
-        lead = self._den[max(self._den)]
-        scale = self._scale / lead
-        return (self._shift, {e: c * scale for e, c in self._num.items()},
-                {e: Fraction(c, lead) for e, c in self._den.items()})
+            return 0, [], [(0, 1, 1)]
+        den = self._den
+        lead = den[max(den)]
+        s = self._scale
+        return (self._shift, _reduced(self._num, s.numerator,
+                                      s.denominator * lead),
+                _reduced(den, 1, lead))
 
     def cleared(self, den: _IPoly) -> Optional[Tuple[_IPoly, int]]:
         """(P, k) with self = P / (k den), P an integer Laurent polynomial
@@ -464,11 +474,11 @@ class RatFunc:
 
     @property
     def num(self) -> Poly:
-        return self._presented()[1]
+        return {e: Fraction(p, r) for e, p, r in self._presented()[1]}
 
     @property
     def den(self) -> Poly:
-        return self._presented()[2]
+        return {e: Fraction(p, r) for e, p, r in self._presented()[2]}
 
     def __bool__(self) -> bool:
         return bool(self._num)
@@ -664,8 +674,8 @@ class RatFunc:
         sh, num, den = self._presented()
         return {
             "shift": sh,
-            "num": [[e, str(c)] for e, c in sorted(num.items())],
-            "den": [[e, str(c)] for e, c in sorted(den.items())],
+            "num": [[e, _coeff_str(p, r)] for e, p, r in num],
+            "den": [[e, _coeff_str(p, r)] for e, p, r in den],
         }
 
     @classmethod
@@ -684,7 +694,7 @@ class RatFunc:
         parts = []
         if sh:
             parts.append("q" if sh == 1 else f"q^{sh}")
-        if den == {0: Fraction(1)}:
+        if den == [(0, 1, 1)]:
             if not parts:
                 return ns
             parts.append(f"({ns})" if len(num) > 1 else ns)
@@ -696,20 +706,36 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
-def _poly_str(poly: Poly) -> str:
-    terms = []
-    for e in sorted(poly, reverse=True):
-        c = poly[e]
+def _reduced(poly: _IPoly, mult: int, div: int) -> _Terms:
+    """The terms (e, p, r) of poly * mult / div in ascending e, p / r in
+    lowest terms, for div > 0 and mult != 0."""
+    out = []
+    for e in sorted(poly):
+        c = poly[e] * mult
+        g = _int_gcd(c, div)
+        out.append((e, c // g, div // g))
+    return out
+
+
+def _coeff_str(p: int, r: int) -> str:
+    """p / r as str(Fraction(p, r)) writes it, for p / r in lowest terms."""
+    return str(p) if r == 1 else f"{p}/{r}"
+
+
+def _poly_str(terms: _Terms) -> str:
+    out = []
+    for e, p, r in reversed(terms):
+        c = _coeff_str(abs(p), r)
         if e == 0:
-            body = str(abs(c))
+            body = c
         else:
             var = "q" if e == 1 else f"q^{e}"
-            body = var if abs(c) == 1 else f"{abs(c)}*{var}"
-        if not terms:
-            terms.append(body if c > 0 else f"-{body}")
+            body = var if c == "1" else f"{c}*{var}"
+        if not out:
+            out.append(body if p > 0 else f"-{body}")
         else:
-            terms.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(terms)
+            out.append(f"+ {body}" if p > 0 else f"- {body}")
+    return " ".join(out)
 
 
 def q_minus_qinv() -> RatFunc:

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -75,6 +76,18 @@ def test_bound_below_one_is_a_validation_error(command, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --bound must be at least 1, not 0\n"
+
+
+@pytest.mark.parametrize("command", ["dt", "wallcross", "series",
+                                     "explain-calibration"])
+@pytest.mark.parametrize("bound", [sys.maxsize, 10 ** 20])
+def test_oversized_bound_is_a_validation_error(command, bound, capsys):
+    assert cli.main([command, fixture("kronecker_pm_plus.json"),
+                     "--bound", str(bound)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --bound must be below {sys.maxsize}, "
+                            f"not {bound}\n")
 
 
 def test_validate_malformed_json(tmp_path, capsys):

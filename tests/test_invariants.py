@@ -1,6 +1,7 @@
 import gc
 import json
 import weakref
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,11 +20,11 @@ from quiver_dt.motives import (over_gl_denominator, sd_stack_class,
                                sd_stack_exponent, stack_class,
                                stack_exponent)
 from quiver_dt.quiver import (Calibration, Slope, ValidationError,
-                              graded_lex_key, kronecker_variant,
+                              boxed_vectors, graded_lex_key, kronecker_variant,
                               make_calibration, point_quiver, vadd, vleq,
                               vsub, vtotal)
 from quiver_dt.ratfunc import (Laurent, RatFunc, binom_fraction,
-                               inv_q_minus_qinv)
+                               inv_q_minus_qinv, laurent_sum)
 from quiver_dt.torus import (TorusElem, integrated_unit, series_diamond,
                               star_exp, star_log_one_plus)
 from quiver_dt.wallcross import epsilon_table
@@ -656,6 +657,58 @@ def test_dt_motivic_matches_the_integrated_log_numerator():
     assert count == 14 + 70
 
 
+def untrimmed_star_powers(quiver, g, value, x, powers):
+    """invariants._star_powers as it was before it stopped at the last power
+    whose sum has a term: always |g| powers, the later ones zero."""
+    s = value(g)
+    terms = [[] for _ in range(1, vtotal(g))]
+    for p in boxed_vectors(g):
+        if p == g or not any(p) or value(p) != s:
+            continue
+        step = vsub(g, p)
+        xs = x(step)
+        if xs.poly:
+            rest = [xs] + inv._binomials(g, p)
+            tw = quiver.commutation_exponent(p, step)
+            for n, pn in enumerate(powers(p)):
+                terms[n].append((tw, [pn] + rest))
+    return [x(g)] + [laurent_sum(t) for t in terms]
+
+
+def test_epsilon_is_the_semistable_value_where_the_star_log_has_one_term():
+    count = one_term = 0
+    for q, s, bound in table_cases(8):
+        eng = inv._engine(q, s)
+        memo = {}
+
+        def powers(g):
+            if g not in memo:
+                memo[g] = untrimmed_star_powers(q, g, eng.value,
+                                                eng._semistable_num, powers)
+            return memo[g]
+        for a in q.dim_vectors_up_to(bound):
+            full = powers(a)
+            trimmed = eng._powers(a)
+            assert len(full) == vtotal(a)
+            assert [p.poly for p in full[:len(trimmed)]] == \
+                [p.poly for p in trimmed]
+            assert not any(p.poly for p in full[len(trimmed):])
+            chain = any(eng.value(p) == eng.value(a)
+                        and eng._semistable_num(vsub(a, p)).poly
+                        for p in boxed_vectors(a) if any(p) and p != a)
+            assert (len(trimmed) == 1) == (not chain)
+            e, lcm = inv._series(full, inv._log_coeffs(len(full)))
+            want = over_gl_denominator(e.poly, a, Fraction(1, lcm))
+            got = eng.epsilon(a)
+            assert got == want, (q.vertices, s.weights, a)
+            assert (got is eng.semistable(a)) == (len(trimmed) == 1)
+            one_term += len(trimmed) == 1
+        assert eng.epsilon(eng.zero) == 0
+        count += 1
+    assert count == 14 + 70
+    assert one_term > 0
+
+
 def test_table_all_regular_makes_no_ratfunc_multiplication(monkeypatch):
     q = calibrated_kron((1, -1))
     table = inv.build_table(q, hn_slope(q), 6)
@@ -711,16 +764,36 @@ def _nested(depth):
     return obj
 
 
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = -20
+
+
+class _Name(str):
+    pass
+
+
+class _Mapping(dict):
+    pass
+
+
+class _Items(list):
+    pass
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(JSON_VALUES)
 @example(_nested(60))
 @example({"a\u00e9\x01\"\\": [-2 ** 200, 2 ** 200, [], {}, True, None]})
+@example([True, None, False, [None, True, 0], {"b": None, "a": False}])
+@example({"e": [_Level.LOW, _Level.HIGH], _Name("k"): _Name("v\n"),
+          "m": _Mapping(z=_Mapping(), y=_Items([1, _Mapping(x=True)]))})
 def test_json_text_is_json_dumps(obj):
     assert inv.json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("obj", [1.5, (1, 2), {1: "a"}, {"a": Fraction(1)},
-                                 [b"x"]], ids=repr)
+                                 [b"x"], [True, None, 1.5]], ids=repr)
 def test_json_text_refuses_other_types(obj):
     with pytest.raises(TypeError):
         inv.json_text(obj)

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quiver_dt.ratfunc import (
     Laurent,
@@ -606,3 +606,102 @@ def test_times_q_minus_qinv_is_the_canonical_product(x):
     want = q_minus_qinv() * x
     assert (got._scale, got._shift, got._num, got._den) == \
         (want._scale, want._shift, want._num, want._den)
+
+
+# ---------------------------------------------------------------------------
+# presentation on the integer fields against the Fraction presenter
+
+def fraction_presented(x):
+    """(shift, num, den) with Fraction coefficients and den monic, as
+    RatFunc presented itself before it read its integer fields."""
+    if not x._num:
+        return 0, {}, {0: F(1)}
+    lead = x._den[max(x._den)]
+    scale = x._scale / lead
+    return (x._shift, {e: c * scale for e, c in x._num.items()},
+            {e: F(c, lead) for e, c in x._den.items()})
+
+
+def fraction_poly_str(poly):
+    terms = []
+    for e in sorted(poly, reverse=True):
+        c = poly[e]
+        if e == 0:
+            body = str(abs(c))
+        else:
+            var = "q" if e == 1 else f"q^{e}"
+            body = var if abs(c) == 1 else f"{abs(c)}*{var}"
+        if not terms:
+            terms.append(body if c > 0 else f"-{body}")
+        else:
+            terms.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(terms)
+
+
+def fraction_to_data(x):
+    sh, num, den = fraction_presented(x)
+    return {"shift": sh,
+            "num": [[e, str(c)] for e, c in sorted(num.items())],
+            "den": [[e, str(c)] for e, c in sorted(den.items())]}
+
+
+def fraction_str(x):
+    if not x._num:
+        return "0"
+    sh, num, den = fraction_presented(x)
+    ns = fraction_poly_str(num)
+    parts = []
+    if sh:
+        parts.append("q" if sh == 1 else f"q^{sh}")
+    if den == {0: F(1)}:
+        if not parts:
+            return ns
+        parts.append(f"({ns})" if len(num) > 1 else ns)
+        return "*".join(parts)
+    parts.append(f"({ns})")
+    return "*".join(parts) + f"/({fraction_poly_str(den)})"
+
+
+PRESENT_COEFFS = st.integers(-6, 6) | st.integers(-10 ** 30, 10 ** 30)
+PRESENT_SCALES = st.fractions().filter(bool) | st.builds(
+    F, st.integers(-10 ** 30, 10 ** 30).filter(bool),
+    st.integers(1, 10 ** 30))
+
+
+@st.composite
+def presentable_ratfuncs(draw):
+    """Zero, constants, scaled q-powers, or a canonical RatFunc with small
+    or 30-digit coefficients, a denominator whose lead may exceed 1, and a
+    scale of either sign."""
+    kind = draw(st.sampled_from(["zero", "constant", "q-power", "general"]))
+    if kind == "zero":
+        return RatFunc(0)
+    scale = draw(PRESENT_SCALES)
+    if kind == "constant":
+        return RatFunc(scale)
+    shift = draw(st.integers(-5, 5))
+    if kind == "q-power":
+        return RatFunc.q_power(shift) * scale
+    num, den = ({e: F(c) for e, c in enumerate(
+        draw(st.lists(PRESENT_COEFFS, min_size=1, max_size=5)))}
+        for _ in range(2))
+    if not any(den.values()):
+        den = {0: F(1)}
+    return RatFunc.from_frac_polys(shift, num, den) * scale
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(presentable_ratfuncs())
+@example(RatFunc(0))
+@example(RatFunc(F(-3, 7)))
+@example(RatFunc(-2))
+@example(RatFunc.q_power(-3))
+@example(RatFunc.from_frac_polys(1, {0: F(1), 1: F(2)}, {0: F(1), 1: F(3)})
+         * F(-5, 4))
+@example(RatFunc.from_frac_polys(0, {0: F(10 ** 30 + 1), 2: F(-3 * 10 ** 29)},
+                                 {0: F(7), 1: F(2 * 10 ** 30)}))
+def test_presentation_matches_the_fraction_presenter(x):
+    assert x.to_data() == fraction_to_data(x)
+    assert str(x) == fraction_str(x)
+    _, num, den = fraction_presented(x)
+    assert (x.num, x.den) == (num, den)
