@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 from .invariants import (NoPoleViolation, build_table, json_text,
@@ -75,6 +76,14 @@ def parse_slope(quiver: SelfDualQuiver, text: "str | None") -> Slope:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(
                 f"slope entry {item!r}: {exc}") from exc
+        # Tables print the weights in full (Slope.to_dict), and str() refuses
+        # an integer longer than the interpreter's digit limit.
+        try:
+            str(mapping[key])
+        except ValueError:
+            raise ValidationError(
+                f"slope entry {item!r}: weight has too many digits "
+                "to print") from None
     return Slope.from_dict(quiver, mapping)
 
 
@@ -252,7 +261,10 @@ def cmd_explain_calibration(args) -> int:
     return EXIT_OK if ok else EXIT_CALIBRATION
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later main call in the process."""
     parser = argparse.ArgumentParser(
         prog="quiver-dt",
         description="Exact motivic and numerical invariants of self-dual "

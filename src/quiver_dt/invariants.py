@@ -50,11 +50,11 @@ from __future__ import annotations
 import math
 import weakref
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional,
+                    Tuple)
 
 from .motives import (over_gl_denominator, over_sd_denominator, q2_binomial,
                       sd_ratio, sd_stack_class, sd_stack_exponent,
@@ -605,8 +605,7 @@ def _json_text(obj, nl: str) -> str:
 
 # -- tables ---------------------------------------------------------------------------
 
-@dataclass
-class InvariantRow:
+class InvariantRow(NamedTuple):
     dim_vector: DimVector
     semistable: RatFunc
     epsilon: RatFunc
@@ -614,8 +613,7 @@ class InvariantRow:
     dt_numeric: Optional[Fraction]
 
 
-@dataclass
-class InvariantTable:
+class InvariantTable(NamedTuple):
     """Per-class invariants for one quiver, slope, and bound.
 
     Rows list every class within the bound whose semistable integral is

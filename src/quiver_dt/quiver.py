@@ -20,9 +20,8 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 DimVector = Tuple[int, ...]
 
@@ -67,15 +66,13 @@ def boxed_vectors(limit: DimVector) -> Tuple[DimVector, ...]:
                         key=graded_lex_key))
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     name: str
     source: str
     target: str
 
 
-@dataclass(frozen=True)
-class Calibration:
+class Calibration(NamedTuple):
     """Resolved sign data for the exponent forms.
 
     orientation flips the antisymmetrized Euler pairing as a whole; placement
@@ -425,8 +422,7 @@ def _mapping(data: dict, key: str) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class Slope:
+class Slope(NamedTuple):
     """Linear stability weights; the slope of alpha is weights.alpha/|alpha|."""
 
     weights: Tuple[Fraction, ...]

@@ -747,12 +747,3 @@ def inv_q_minus_qinv() -> RatFunc:
     """The scalar 1/(q - q^-1) = q/(q^2 - 1)."""
     return RatFunc._raw(Fraction(1), 1, _ONE, {2: 1, 0: -1})
 
-
-def binom_fraction(top: Fraction, n: int) -> Fraction:
-    """Generalized binomial coefficient binom(top, n) for integer n >= 0."""
-    out = Fraction(1)
-    for i in range(n):
-        out *= (top - i)
-    for i in range(1, n + 1):
-        out /= i
-    return out

@@ -6,15 +6,15 @@ out on integer Laurent numerators over the motive denominators with the
 invariants module's integer kernels, so that the only rational functions
 built are the source values read and the target values returned.  The same
 transform has a combinatorial form, a sum over ordered decompositions of
-each class weighted by rational coefficients; those coefficients live in
-the oracle module, and the tests check the re-factorisation against them.
+each class weighted by rational coefficients; those coefficients are test
+code (tests/reference.py), and the tests check the re-factorisation against
+them.
 """
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .invariants import (_ONE, _ZERO, Weight, _chain_sum, _Engine, _engine,
                          _over_lcm, _sd_action, _series, _star_powers)
@@ -48,15 +48,14 @@ class SlopePair:
         return SlopePair(self.quiver, self.minus, self.plus)
 
 
-@dataclass
-class EpsilonTable:
+class EpsilonTable(NamedTuple):
     """Epsilon integrals of every class up to a bound, at one slope."""
 
     quiver: SelfDualQuiver
     slope: Slope
     bound: int
     eps: Dict[DimVector, RatFunc]
-    sd_eps: Optional[Dict[DimVector, RatFunc]] = field(default=None)
+    sd_eps: Optional[Dict[DimVector, RatFunc]] = None
 
     def __eq__(self, other):
         if not isinstance(other, EpsilonTable):

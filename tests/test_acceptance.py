@@ -11,12 +11,13 @@ from fractions import Fraction
 
 from helpers import (calibrated_kron, calibrated_point, rand_elem,
                      rand_mod_elem, rand_vec)
+from reference import binom_fraction
 from suite import acceptance_suite
 from quiver_dt import invariants as inv
 from quiver_dt.motives import sd_stack_class, stack_class
 from quiver_dt.quiver import Slope, vadd, vleq, vsub, vtotal, boxed_vectors
 from quiver_dt.oracle import verify_calibration
-from quiver_dt.ratfunc import RatFunc, binom_fraction
+from quiver_dt.ratfunc import RatFunc
 from quiver_dt.torus import (bracket, bracket_coeff, diamond, dualize, heart,
                              integrated_unit, numeric_bracket_coeff,
                              numeric_sd_bracket_coeff, sd_bracket_coeff,

@@ -299,3 +299,29 @@ def test_vertex_named_twice_is_a_validation_error(command, flag, capsys):
     assert cli.main([command, fixture("kronecker_pm_plus.json"),
                      flag, "i=1,i=2"]) == 1
     assert_one_error_line(capsys, "names vertex i twice")
+
+
+@pytest.mark.parametrize("command, flag", [("dt", "--slope"),
+                                           ("wallcross", "--slope"),
+                                           ("wallcross", "--slope2"),
+                                           ("series", "--slope")])
+def test_slope_weight_too_long_to_print_is_a_validation_error(command, flag,
+                                                              capsys):
+    # 10^5000 has more digits than str() converts by default.
+    assert cli.main([command, fixture("kronecker_pm_plus.json"), flag,
+                     "i=1e5000,j=-1e5000", "--bound", "2"]) == 1
+    assert_one_error_line(capsys, "slope entry 'i=1e5000': weight has too "
+                                  "many digits to print")
+
+
+def test_main_builds_the_parser_once(capsys):
+    cli.build_parser.cache_clear()
+    argv = ["dt", fixture("kronecker_pm_plus.json"), "--slope", "i=1,j=-1",
+            "--bound", "3"]
+    outs = []
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert outs[0] == outs[1] and outs[0].startswith("{")

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import calibrated_mixed, calibrated_two_pairs, mixed_quiver
+from reference import (binom_fraction, direct_epsilon_integral,
+                       direct_sd_epsilon_integral,
+                       direct_sd_semistable_integral,
+                       direct_semistable_integral)
 from suite import acceptance_suite
 from quiver_dt import invariants as inv
 from quiver_dt.cli import load_quiver, main as cli_main
-from quiver_dt.oracle import (calibrate_signs, direct_epsilon_integral,
-                              direct_sd_epsilon_integral,
-                              direct_sd_semistable_integral,
-                              direct_semistable_integral)
+from quiver_dt.oracle import calibrate_signs
 from quiver_dt.motives import (over_gl_denominator, sd_stack_class,
                                sd_stack_exponent, stack_class,
                                stack_exponent)
@@ -23,8 +24,8 @@ from quiver_dt.quiver import (Calibration, Slope, ValidationError,
                               boxed_vectors, graded_lex_key, kronecker_variant,
                               make_calibration, point_quiver, vadd, vleq,
                               vsub, vtotal)
-from quiver_dt.ratfunc import (Laurent, RatFunc, binom_fraction,
-                               inv_q_minus_qinv, laurent_sum)
+from quiver_dt.ratfunc import (Laurent, RatFunc, inv_q_minus_qinv,
+                               laurent_sum)
 from quiver_dt.torus import (TorusElem, integrated_unit, series_diamond,
                               star_exp, star_log_one_plus)
 from quiver_dt.wallcross import epsilon_table

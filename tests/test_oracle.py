@@ -1,15 +1,17 @@
+import ast
+import os
 from fractions import Fraction
 
 import pytest
 
 from helpers import mixed_quiver
+from reference import (direct_epsilon_integral, direct_sd_epsilon_integral,
+                       direct_sd_semistable_integral,
+                       direct_semistable_integral)
 from suite import acceptance_suite
 from quiver_dt.oracle import (CalibrationError, REFERENCE_TWISTS,
                               brute_force_commutation, brute_force_sd_twist,
-                              calibrate_signs, direct_epsilon_integral,
-                              direct_sd_epsilon_integral,
-                              direct_sd_semistable_integral,
-                              direct_semistable_integral, ensure_calibrated,
+                              calibrate_signs, ensure_calibrated,
                               resolve_brute_force_signs, resolve_global_signs,
                               verify_calibration)
 from quiver_dt.quiver import (Calibration, SelfDualQuiver, Slope,
@@ -177,3 +179,26 @@ def test_verification_catches_a_corrupted_integer_form():
                 flips[field] += 1
         verify_calibration(q, bound=2)
     assert flips["_comm"] >= 6 and flips["_kappa2"] >= 8
+
+
+def test_reference_module_reads_no_production_recursion_or_transform():
+    """tests/reference.py imports only the quiver, motive and rational
+    function modules, so agreeing with invariants and wallcross is a check
+    and not a tautology.  Names from the package namespace count as
+    production code too: it re-exports invariants and wallcross."""
+    path = os.path.join(os.path.dirname(__file__), "reference.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            used.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "quiver_dt":
+                used.update(f"quiver_dt.{a.name}" for a in node.names)
+            else:
+                used.add(node.module)
+    ours = {m for m in used if m.split(".")[0] == "quiver_dt"}
+    assert ours == {"quiver_dt.quiver", "quiver_dt.motives",
+                    "quiver_dt.ratfunc"}
+    assert not ours & {"quiver_dt.invariants", "quiver_dt.wallcross"}

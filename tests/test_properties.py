@@ -1,8 +1,8 @@
 """Property tests on generated quivers, shaped like tests/suite.py but drawn
-by hypothesis, checked against the oracle's independent enumerators, for
-wall-crossing against the tables computed directly, and for regularity and
-the exp/log and square-root inversions against the paper's identities in
-the torus algebra."""
+by hypothesis, checked against the independent enumerators of
+tests/reference.py, for wall-crossing against the tables computed directly,
+and for regularity and the exp/log and square-root inversions against the
+paper's identities in the torus algebra."""
 
 from fractions import Fraction
 from math import factorial
@@ -12,12 +12,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from reference import (direct_epsilon_integral, direct_sd_epsilon_integral,
+                       direct_sd_semistable_integral,
+                       direct_semistable_integral)
 from suite import _rand_quiver
 from quiver_dt import invariants as inv
-from quiver_dt.oracle import (calibrate_signs, direct_epsilon_integral,
-                              direct_sd_epsilon_integral,
-                              direct_sd_semistable_integral,
-                              direct_semistable_integral)
+from quiver_dt.oracle import calibrate_signs
 from quiver_dt.quiver import Slope
 from quiver_dt.torus import integrated_unit, series_diamond, star_exp
 from quiver_dt.wallcross import SlopePair, epsilon_table, wallcross_epsilon

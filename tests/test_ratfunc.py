@@ -12,11 +12,11 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from reference import binom_fraction
 from quiver_dt.ratfunc import (
     Laurent,
     PoleError,
     RatFunc,
-    binom_fraction,
     inv_q_minus_qinv,
     laurent_sum,
     q_minus_qinv,

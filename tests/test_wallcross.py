@@ -5,11 +5,10 @@ import pytest
 
 from helpers import (calibrated_kron, calibrated_mixed, calibrated_point,
                      calibrated_two_pairs)
+from reference import check_composition, coeff_S, coeff_Ssd, coeff_U, coeff_Usd
 from quiver_dt import invariants as inv
 from quiver_dt.quiver import (Slope, ValidationError, boxed_vectors, vadd,
                               vleq, vsub, vtotal)
-from quiver_dt.oracle import (check_composition, coeff_S, coeff_Ssd, coeff_U,
-                              coeff_Usd)
 from quiver_dt.ratfunc import RatFunc, q_minus_qinv
 from quiver_dt.wallcross import (EpsilonTable, SlopePair, diff_tables,
                                  epsilon_table, wallcross_epsilon)
