@@ -9,12 +9,13 @@ Subcommands:
                        along a ray of classes
   explain-calibration  show how the sign conventions are fixed and checked
 
-Exit codes: 0 success, 1 validation failure, 2 regularity (no-pole)
-violation, 3 calibration failure.
+Exit codes: 0 success, 1 validation failure (malformed arguments included),
+2 regularity (no-pole) violation, 3 calibration failure.
 """
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -22,9 +23,9 @@ from math import gcd
 
 from .invariants import (NoPoleViolation, build_table, json_text,
                          no_pole_report, sd_dt_mot, table_all_regular)
-from .oracle import CalibrationError, ensure_calibrated, explain_calibration
+from .oracle import CalibrationError, explain_calibration
 from .quiver import (SelfDualQuiver, Slope, UncalibratedError,
-                     ValidationError, vtotal)
+                     ValidationError, graded_lex_key, vtotal)
 from .wallcross import (SlopePair, diff_tables, epsilon_table,
                         wallcross_epsilon)
 
@@ -66,25 +67,43 @@ def _entries(text: str, what: str, form: str):
         yield item, key, val.strip()
 
 
+# A decimal in exponent form as Fraction reads it: (mantissa, exponent).
+_EXPONENT_FORM = re.compile(r"\s*([-+]?(?=\.?\d)(?:\d+(?:_\d+)*)?"
+                            r"(?:\.(?:\d+(?:_\d+)*)?)?)"
+                            r"[eE]([-+]?\d+(?:_\d+)*)\s*")
+
+
+def _weight(item: str, val: str) -> Fraction:
+    """The slope weight written val in the entry item.  Tables print the
+    weights in full (Slope.to_dict), and str() refuses an integer longer
+    than the interpreter's digit limit, so such a weight is refused.  So is
+    a nonzero weight whose decimal exponent alone exceeds that limit, before
+    Fraction multiplies out the power of ten in time superlinear in the
+    exponent; with a zero mantissa the weight is zero."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    form = _EXPONENT_FORM.fullmatch(val)
+    try:
+        huge = bool(form and limit and abs(int(form[2])) > limit)
+        weight = Fraction(form[1] if huge else val)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"slope entry {item!r}: {exc}") from exc
+    too_long = ValidationError(
+        f"slope entry {item!r}: weight has too many digits to print")
+    if huge and weight:
+        raise too_long
+    try:
+        str(weight)
+    except ValueError:
+        raise too_long from None
+    return weight
+
+
 def parse_slope(quiver: SelfDualQuiver, text: "str | None") -> Slope:
     if not text:
         return Slope.trivial(quiver)
-    mapping = {}
-    for item, key, val in _entries(text, "slope", "value"):
-        try:
-            mapping[key] = Fraction(val)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(
-                f"slope entry {item!r}: {exc}") from exc
-        # Tables print the weights in full (Slope.to_dict), and str() refuses
-        # an integer longer than the interpreter's digit limit.
-        try:
-            str(mapping[key])
-        except ValueError:
-            raise ValidationError(
-                f"slope entry {item!r}: weight has too many digits "
-                "to print") from None
-    return Slope.from_dict(quiver, mapping)
+    return Slope.from_dict(quiver, {
+        key: _weight(item, val)
+        for item, key, val in _entries(text, "slope", "value")})
 
 
 def parse_ray(quiver: SelfDualQuiver, text: str):
@@ -162,18 +181,19 @@ def cmd_dt(args) -> int:
     return EXIT_OK
 
 
+def _class_rows(values: dict) -> list:
+    return [{"class": list(a), "value": str(values[a])}
+            for a in sorted(values, key=graded_lex_key)]
+
+
 def _eps_table_data(table) -> dict:
     data = {
         "slope": table.slope.to_dict(table.quiver),
         "bound": table.bound,
-        "eps": [{"class": list(a), "value": str(v)}
-                for a, v in sorted(table.eps.items(),
-                                   key=lambda kv: (sum(kv[0]), kv[0]))],
+        "eps": _class_rows(table.eps),
     }
     if table.sd_eps is not None:
-        data["sd_eps"] = [{"class": list(t), "value": str(v)}
-                          for t, v in sorted(table.sd_eps.items(),
-                                             key=lambda kv: (sum(kv[0]), kv[0]))]
+        data["sd_eps"] = _class_rows(table.sd_eps)
     return data
 
 
@@ -208,9 +228,7 @@ def _ray_for_series(quiver: SelfDualQuiver, bound: int,
     if not classes:
         raise ValidationError("no nonzero self-dual classes up to the bound")
     smallest = classes[0]
-    g = 0
-    for x in smallest:
-        g = gcd(g, x)
+    g = gcd(*smallest)
     primitive = tuple(x // g for x in smallest)
     for t in classes:
         k, rem = divmod(vtotal(t), vtotal(primitive))
@@ -235,9 +253,7 @@ def cmd_series(args) -> int:
     slope = parse_slope(quiver, args.slope)
     slope.validate_self_dual(quiver)
     ray = _ray_for_series(quiver, args.bound, args.ray)
-    g = 0
-    for x in ray:
-        g = gcd(g, x)
+    g = gcd(*ray)
     terms = []
     n = 0
     try:
@@ -261,11 +277,21 @@ def cmd_explain_calibration(args) -> int:
     return EXIT_OK if ok else EXIT_CALIBRATION
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, its subparsers included, that exits with the
+    validation code on a malformed command line: argparse's own 2 is the
+    regularity-violation code here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared by every
     later main call in the process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quiver-dt",
         description="Exact motivic and numerical invariants of self-dual "
                     "quivers under slope stability.")

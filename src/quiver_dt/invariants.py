@@ -74,17 +74,9 @@ class NoPoleViolation(RuntimeError):
 
 _ONE = Laurent({0: 1})
 _ZERO = Laurent({})
-_Q_MINUS_QINV = Laurent({1: 1, -1: -1})
 
 # A weight for _sd_action: (W, k), or None where the element is zero.
 Weight = Optional[Tuple[Laurent, int]]
-
-
-def _integrated(num: Laurent, a: DimVector,
-                scale: Fraction = Fraction(1)) -> RatFunc:
-    """scale (q - 1/q) num / M(a), with no RatFunc arithmetic."""
-    return over_gl_denominator(
-        laurent_sum([(0, [_Q_MINUS_QINV, num])]).poly, a, scale)
 
 
 def _binomials(top: DimVector, p: DimVector) -> List[Laurent]:
@@ -518,7 +510,7 @@ def _module_element(quiver: SelfDualQuiver, slope: Slope, bound: int,
 def semistable_element(quiver: SelfDualQuiver, slope: Slope, value: Fraction,
                        bound: int) -> TorusElem:
     return _slope_element(quiver, slope, value, bound, lambda eng, a:
-                          _integrated(eng._semistable_num(a), a))
+                          eng.semistable(a).times_q_minus_qinv())
 
 
 def epsilon_element(quiver: SelfDualQuiver, slope: Slope, value: Fraction,

@@ -5,7 +5,9 @@ the antisymmetrized Euler pairing and the placement sign of the fixed-edge
 linear term.  This module pins both against a table of reference quivers
 whose invariants are known in closed form, verifies the resolved calibration
 on every quiver it is asked to calibrate, and explains the result
-(explain_calibration).
+(explain_calibration).  The Euler-form expressions and the block counts
+below are each pinned on their own, through one loop over the four
+candidate sign pairs (_sole_candidate) with a match test per family.
 
 The exponent forms are recomputed here from scratch by counting graded
 blocks of the deformation complex at a graded point, so that agreement with
@@ -18,7 +20,8 @@ live in tests/reference.py.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from functools import cache
+from typing import Dict, List, Tuple
 
 from .quiver import (Calibration, DimVector, SelfDualQuiver, Slope,
                      kronecker_variant, make_calibration, vadd)
@@ -103,69 +106,55 @@ def brute_force_sd_twist(quiver: SelfDualQuiver, alpha: DimVector,
 
 # -- global sign resolution ----------------------------------------------------
 
-_RESOLVED: Optional[Tuple[int, int]] = None
-_RESOLVED_BRUTE: Optional[Tuple[int, int]] = None
-
-
 def _reference_quivers():
     for (esigns, vsign) in REFERENCE_TWISTS:
         yield (esigns, vsign), kronecker_variant(esigns, vsign)
 
 
+def _sole_candidate(matches, failure: str) -> Tuple[int, int]:
+    """The one (orientation, placement) under which matches(key, ref,
+    orientation, placement) holds on every reference quiver ref; otherwise
+    CalibrationError, its message failure followed by the survivors."""
+    survivors = [(orientation, placement)
+                 for orientation in (1, -1) for placement in (1, -1)
+                 if all(matches(key, ref, orientation, placement)
+                        for key, ref in _reference_quivers())]
+    if len(survivors) != 1:
+        raise CalibrationError(f"{failure} {survivors}")
+    return survivors[0]
+
+
+def _euler_forms_match(key, ref: SelfDualQuiver, orientation: int,
+                       placement: int) -> bool:
+    ref.set_calibration(make_calibration(ref, orientation, placement))
+    return (ref.sd_twist_exponent(_UNIT, _ZERO2) == REFERENCE_TWISTS[key]
+            and ref.commutation_exponent(_UNIT, _COUNIT)
+            == REFERENCE_COMMUTATION)
+
+
+def _block_counts_match(key, ref: SelfDualQuiver, orientation: int,
+                        placement: int) -> bool:
+    return (brute_force_sd_twist(ref, _UNIT, _ZERO2, orientation, placement)
+            == REFERENCE_TWISTS[key]
+            and brute_force_commutation(ref, _UNIT, _COUNIT, orientation)
+            == REFERENCE_COMMUTATION)
+
+
+@cache
 def resolve_global_signs() -> Tuple[int, int]:
     """Pin (orientation, placement) for the Euler-form expressions against
     the reference twist table.  Exactly one candidate must survive."""
-    global _RESOLVED
-    if _RESOLVED is not None:
-        return _RESOLVED
-    survivors = []
-    for orientation in (1, -1):
-        for placement in (1, -1):
-            ok = True
-            for key, ref in _reference_quivers():
-                ref.set_calibration(make_calibration(ref, orientation, placement))
-                if ref.sd_twist_exponent(_UNIT, _ZERO2) != REFERENCE_TWISTS[key]:
-                    ok = False
-                    break
-                if ref.commutation_exponent(_UNIT, _COUNIT) != REFERENCE_COMMUTATION:
-                    ok = False
-                    break
-            if ok:
-                survivors.append((orientation, placement))
-    if len(survivors) != 1:
-        raise CalibrationError(
-            f"sign resolution must leave exactly one candidate, got {survivors}")
-    _RESOLVED = survivors[0]
-    return _RESOLVED
+    return _sole_candidate(
+        _euler_forms_match,
+        "sign resolution must leave exactly one candidate, got")
 
 
+@cache
 def resolve_brute_force_signs() -> Tuple[int, int]:
     """Same resolution for the block-count expressions.  Kept separate so the
     two code paths are pinned independently before being compared."""
-    global _RESOLVED_BRUTE
-    if _RESOLVED_BRUTE is not None:
-        return _RESOLVED_BRUTE
-    survivors = []
-    for orientation in (1, -1):
-        for placement in (1, -1):
-            ok = True
-            for key, ref in _reference_quivers():
-                want = Fraction(REFERENCE_TWISTS[key])
-                if brute_force_sd_twist(ref, _UNIT, _ZERO2, orientation,
-                                        placement) != want:
-                    ok = False
-                    break
-                if brute_force_commutation(ref, _UNIT, _COUNIT,
-                                           orientation) != REFERENCE_COMMUTATION:
-                    ok = False
-                    break
-            if ok:
-                survivors.append((orientation, placement))
-    if len(survivors) != 1:
-        raise CalibrationError(
-            f"block-count sign resolution left {survivors}")
-    _RESOLVED_BRUTE = survivors[0]
-    return _RESOLVED_BRUTE
+    return _sole_candidate(_block_counts_match,
+                           "block-count sign resolution left")
 
 
 # -- per-quiver calibration -----------------------------------------------------

@@ -346,11 +346,8 @@ class SelfDualQuiver:
         return out
 
     def sd_classes_up_to(self, bound: int) -> List[DimVector]:
-        n = len(self.vertices)
-        out = [t for t in itertools.product(range(bound + 1), repeat=n)
-               if sum(t) <= bound and self.is_sd_class(t)]
-        out.sort(key=graded_lex_key)
-        return out
+        return [(0,) * len(self.vertices)] + [
+            t for t in self.dim_vectors_up_to(bound) if self.is_sd_class(t)]
 
     # -- serialization ----------------------------------------------------------
 

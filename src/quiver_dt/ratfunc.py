@@ -18,17 +18,18 @@ v q - u.  Multiplying by q - 1/q needs no gcd either: num and den are
 coprime, so q - 1 and q + 1 each divide den or multiply num
 (times_q_minus_qinv).
 
-Sums of products that need no denominator at all, such as the semistable
-recursion and the epsilon star-log once their motive denominators are
-cleared, run on Laurent, an integer Laurent polynomial: laurent_sum
-evaluates every product at q = 2**width and unpacks the big-integer total
-once (Kronecker substitution).
+RatFunc multiplies its integer polynomials term by term (_ip_mul).  Sums of
+products that need no denominator at all, such as the semistable recursion
+and the epsilon star-log once their motive denominators are cleared, run on
+Laurent, an integer Laurent polynomial: laurent_sum evaluates every product
+at q = 2**width and unpacks the big-integer total once (Kronecker
+substitution), the one place that packs polynomials into integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm
 from typing import Dict, List, Optional, Tuple
 
 Poly = Dict[int, Fraction]
@@ -62,39 +63,19 @@ def _ip_add_into(acc: _IPoly, p: _IPoly, mult: int) -> None:
             del acc[e]
 
 
-_SCHOOLBOOK_CUTOFF = 400
-
-
 def _ip_mul(a: _IPoly, b: _IPoly) -> _IPoly:
-    if not a or not b:
-        return {}
-    na, nb = len(a), len(b)
-    if na * nb <= _SCHOOLBOOK_CUTOFF:
-        if na > nb:
-            a, b = b, a
-        out: _IPoly = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                v = out.get(e, 0) + c1 * c2
-                if v:
-                    out[e] = v
-                elif e in out:
-                    del out[e]
-        return out
-    return _ip_mul_packed(a, b)
-
-
-def _ip_mul_packed(a: _IPoly, b: _IPoly) -> _IPoly:
-    # Kronecker substitution: evaluate both at 2**width and multiply the two
-    # big integers; balanced base-2**width digits of the product are exactly
-    # the coefficients because each one is bounded by 2**(width-1) in size.
-    la, lb = min(a), min(b)
-    wa = max(abs(c) for c in a.values()).bit_length()
-    wb = max(abs(c) for c in b.values()).bit_length()
-    width = wa + wb + min(len(a), len(b)).bit_length() + 1
-    return _ip_unpack(_ip_pack(a, la, width) * _ip_pack(b, lb, width),
-                      la + lb, width)
+    if len(a) > len(b):
+        a, b = b, a
+    out: _IPoly = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            v = out.get(e, 0) + c1 * c2
+            if v:
+                out[e] = v
+            elif e in out:
+                del out[e]
+    return out
 
 
 def _ip_pack(p: _IPoly, low: int, width: int) -> int:
@@ -122,10 +103,11 @@ def _ip_unpack(m: int, low: int, width: int) -> _IPoly:
     return out
 
 
-def _ip_content(p: _IPoly) -> int:
+def _content(cs) -> int:
+    """The gcd of the integers cs, 0 if all are zero."""
     g = 0
-    for c in p.values():
-        g = _int_gcd(g, abs(c))
+    for c in cs:
+        g = _int_gcd(g, c)
         if g == 1:
             return 1
     return g
@@ -147,11 +129,7 @@ def _dense_deg(a: List[int]) -> int:
 
 
 def _dense_prim(a: List[int]) -> List[int]:
-    g = 0
-    for c in a:
-        g = _int_gcd(g, abs(c))
-        if g == 1:
-            break
+    g = _content(a)
     if g == 0:
         return []
     d = _dense_deg(a)
@@ -283,7 +261,7 @@ def _primitive(p: _IPoly) -> Tuple[_IPoly, int, int]:
     """(prim, low, c) with p = c * q**low * prim, where prim is primitive,
     has a nonzero constant term and a positive leading coefficient."""
     low = min(p)
-    c = _ip_content(p)
+    c = _content(p.values())
     if p[max(p)] < 0:
         c = -c
     if low or c != 1:
@@ -430,12 +408,8 @@ class RatFunc:
         den = {e: Fraction(c) for e, c in den.items() if c}
         if not num:
             return cls(0)
-        ln = 1
-        for c in num.values():
-            ln = ln * c.denominator // _int_gcd(ln, c.denominator)
-        ld = 1
-        for c in den.values():
-            ld = ld * c.denominator // _int_gcd(ld, c.denominator)
+        ln = lcm(*(c.denominator for c in num.values()))
+        ld = lcm(*(c.denominator for c in den.values()))
         inum = {e: int(c * ln) for e, c in num.items()}
         iden = {e: int(c * ld) for e, c in den.items()}
         return cls._make(Fraction(ld, ln), shift, inum, iden)

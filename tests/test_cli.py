@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -312,6 +313,54 @@ def test_slope_weight_too_long_to_print_is_a_validation_error(command, flag,
                      "i=1e5000,j=-1e5000", "--bound", "2"]) == 1
     assert_one_error_line(capsys, "slope entry 'i=1e5000': weight has too "
                                   "many digits to print")
+
+
+def test_slope_weight_with_a_long_exponent_is_read_without_expanding_it(
+        monkeypatch, capsys):
+    real = cli.Fraction
+
+    def fraction(*args):
+        # Fraction multiplies out 10**exponent, slowly for such exponents.
+        assert not (isinstance(args[0], str)
+                    and re.search(r"[eE][-+]?\d{7}", args[0])), args
+        return real(*args)
+
+    monkeypatch.setattr(cli, "Fraction", fraction)
+    path = fixture("kronecker_pm_plus.json")
+    for weight in ("1e2000000", "-2.5e-2000000"):
+        assert cli.main(["dt", path, "--slope", f"i={weight},j=-1"]) == 1
+        assert_one_error_line(capsys, f"slope entry 'i={weight}': weight has "
+                                      "too many digits to print")
+    outs = []
+    for weight in ("0e999999999", "0"):
+        assert cli.main(["dt", path, "--slope", f"i={weight},j=-1",
+                         "--bound", "3"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[0].startswith("{")
+
+
+@pytest.mark.parametrize("argv", [
+    ["dt", fixture("point_plus.json"), "--bound", "abc"],
+    ["dt", fixture("point_plus.json"), "--format", "xml"],
+    ["frobnicate", fixture("point_plus.json")],
+    ["dt", "--bound", "3"],
+], ids=["bound-not-an-integer", "unknown-format", "unknown-subcommand",
+        "missing-quiver-path"])
+def test_malformed_arguments_exit_with_the_validation_code(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == cli.EXIT_VALIDATION == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: quiver-dt")
+    assert captured.err.count(" error: ") == 1
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["dt", "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: quiver-dt dt")
 
 
 def test_main_builds_the_parser_once(capsys):

@@ -9,6 +9,7 @@ from reference import (direct_epsilon_integral, direct_sd_epsilon_integral,
                        direct_sd_semistable_integral,
                        direct_semistable_integral)
 from suite import acceptance_suite
+from quiver_dt import oracle
 from quiver_dt.oracle import (CalibrationError, REFERENCE_TWISTS,
                               brute_force_commutation, brute_force_sd_twist,
                               calibrate_signs, ensure_calibrated,
@@ -27,6 +28,27 @@ def q_pow(k):
 def test_sign_resolution_is_unique():
     assert resolve_global_signs() == (-1, 1)
     assert resolve_brute_force_signs() == (-1, 1)
+
+
+def test_both_sign_resolutions_refuse_when_no_candidate_survives(monkeypatch):
+    resolvers = (resolve_global_signs, resolve_brute_force_signs)
+    # No orientation gives this commutation exponent on the reference quivers.
+    monkeypatch.setattr(oracle, "REFERENCE_COMMUTATION", 7)
+    for resolve in resolvers:
+        resolve.cache_clear()
+    try:
+        with pytest.raises(CalibrationError) as euler:
+            resolve_global_signs()
+        with pytest.raises(CalibrationError) as blocks:
+            resolve_brute_force_signs()
+    finally:
+        monkeypatch.undo()
+        for resolve in resolvers:
+            resolve.cache_clear()
+    assert str(euler.value) == (
+        "sign resolution must leave exactly one candidate, got []")
+    assert str(blocks.value) == "block-count sign resolution left []"
+    assert resolve_global_signs() == resolve_brute_force_signs() == (-1, 1)
 
 
 def test_reference_table_reproduced_after_calibration():

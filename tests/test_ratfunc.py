@@ -443,6 +443,14 @@ def test_big_products_use_packed_multiply_consistently():
     for t in terms:
         want *= t.eval_at(r)
     assert prod.eval_at(r) == want
+    # the schoolbook product against the packed one in laurent_sum, for
+    # 30-40 terms with 30-digit coefficients on each side
+    for _ in range(8):
+        a, b = ({e: rng.choice([1, -1]) * rng.randint(10 ** 29, 10 ** 30)
+                 for e in rng.sample(range(-20, 60), rng.randint(30, 40))}
+                for _ in range(2))
+        assert _ip_mul(a, b) == laurent_sum(
+            [(0, [Laurent(a), Laurent(b)])]).poly
 
 
 def _rand_laurent(rng, big=False):
