@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from helpers import mixed_quiver
-from quiver_dt import cli
+from quiver_dt import cli, oracle
 from quiver_dt.invariants import InvariantRow, InvariantTable, build_table
 from quiver_dt.oracle import CalibrationError, calibrate_signs
 from quiver_dt.quiver import Slope, point_quiver
@@ -253,6 +253,25 @@ def test_explain_calibration_command(capsys):
     out = capsys.readouterr().out
     assert "orientation=-1 placement=+1" in out
     assert "[ok]" in out and "[!!]" not in out
+
+
+def test_explain_calibration_verifies_the_quiver_once(monkeypatch, capsys):
+    """The loaded quiver is verified once at --bound, not once to calibrate
+    it and again for the report; the reference quivers of the pipeline
+    values (bound 2) are verified once each as well."""
+    calls = []
+    verify = oracle.verify_calibration
+
+    def counting(quiver, bound=2):
+        calls.append((quiver, bound))
+        return verify(quiver, bound)
+
+    monkeypatch.setattr(oracle, "verify_calibration", counting)
+    assert cli.main(["explain-calibration", fixture("kronecker_pm_plus.json"),
+                     "--bound", "3"]) == 0
+    assert "identity checks up to bound 3" in capsys.readouterr().out
+    assert [bound for _, bound in calls].count(3) == 1
+    assert len({id(quiver) for quiver, _ in calls}) == len(calls)
 
 
 def test_explain_calibration_failure_exit(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from quiver_dt.oracle import (CalibrationError, REFERENCE_TWISTS,
                               verify_calibration)
 from quiver_dt.quiver import (Calibration, SelfDualQuiver, Slope,
                               kronecker_variant, make_calibration,
-                              point_quiver)
+                              point_quiver, vadd)
 from quiver_dt.ratfunc import RatFunc
 
 
@@ -224,3 +225,234 @@ def test_reference_module_reads_no_production_recursion_or_transform():
     assert ours == {"quiver_dt.quiver", "quiver_dt.motives",
                     "quiver_dt.ratfunc"}
     assert not ours & {"quiver_dt.invariants", "quiver_dt.wallcross"}
+
+
+def test_block_counts_name_no_production_form():
+    """brute_force_commutation and brute_force_sd_twist count blocks from
+    the quiver's structure alone: agreeing with the Euler-form expressions
+    is only a check while neither reads those expressions or their data."""
+    path = oracle.__file__
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    bodies = {node.name: node for node in tree.body
+              if isinstance(node, ast.FunctionDef)
+              and node.name in ("brute_force_commutation",
+                                "brute_force_sd_twist")}
+    assert len(bodies) == 2
+    banned = {"commutation_exponent", "sd_twist_exponent", "euler_form",
+              "_comm", "_kappa2"}
+    for name, node in bodies.items():
+        named = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                named.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                named.add(sub.attr)
+        assert not named & banned, name
+
+
+# -- the verification loop as it was before the forms were tabulated ---------
+
+def loop_verify_calibration(quiver, bound=2):
+    """verify_calibration as three nested loops that evaluate the forms at
+    every tuple; the tabulated verify_calibration must return the same counts
+    and raise the same first message."""
+    if quiver.calibration is None:
+        raise CalibrationError("quiver has no calibration attached")
+    b_orient, b_place = resolve_brute_force_signs()
+    zero = tuple(0 for _ in quiver.vertices)
+    alphas = [zero] + quiver.dim_vectors_up_to(bound)
+    thetas = quiver.sd_classes_up_to(bound)
+    counts = {"commutation": 0, "twist": 0, "duality": 0, "additivity": 0,
+              "associativity": 0}
+
+    def fail(msg: str):
+        raise CalibrationError(msg)
+
+    for a in alphas:
+        for b in alphas:
+            got = quiver.commutation_exponent(a, b)
+            if got != brute_force_commutation(quiver, a, b, b_orient):
+                fail(f"commutation exponent mismatch at {a}, {b}")
+            if got != -quiver.commutation_exponent(b, a):
+                fail(f"commutation exponent not antisymmetric at {a}, {b}")
+            da, db = quiver.dual_vector(a), quiver.dual_vector(b)
+            if quiver.commutation_exponent(db, da) != got:
+                fail(f"commutation exponent breaks duality at {a}, {b}")
+            counts["commutation"] += 1
+
+    for a in alphas:
+        for th in thetas:
+            got = quiver.sd_twist_exponent(a, th)
+            if got != brute_force_sd_twist(quiver, a, th, b_orient, b_place):
+                fail(f"twist exponent mismatch at {a}, {th}")
+            if got.denominator != 1:
+                fail(f"twist exponent not integral at {a}, {th}")
+            if quiver.sd_twist_exponent(quiver.dual_vector(a), th) != -got:
+                fail(f"twist exponent breaks duality at {a}, {th}")
+            counts["twist"] += 1
+
+    small = [zero] + quiver.dim_vectors_up_to(max(1, bound - 1))
+    for a in small:
+        for b in small:
+            ab = vadd(a, b)
+            comm_ab = quiver.commutation_exponent(a, b)
+            for c in small:
+                lhs = quiver.commutation_exponent(a, vadd(b, c))
+                rhs = comm_ab + quiver.commutation_exponent(a, c)
+                if lhs != rhs:
+                    fail(f"commutation exponent not bilinear at {a}, {b}, {c}")
+                counts["additivity"] += 1
+            for th in thetas:
+                lhs = comm_ab + quiver.sd_twist_exponent(ab, th)
+                rhs = (quiver.sd_twist_exponent(a, quiver.sd_completion(b, th))
+                       + quiver.sd_twist_exponent(b, th))
+                if lhs != rhs:
+                    fail(f"twist exponents break associativity at {a}, {b}, {th}")
+                counts["associativity"] += 1
+
+    counts["duality"] = counts["commutation"] + counts["twist"]
+    return counts
+
+
+def outcome(verify, quiver, bound):
+    """("ok", counts) or ("fail", first message) of one verification."""
+    try:
+        return "ok", verify(quiver, bound)
+    except CalibrationError as exc:
+        return "fail", str(exc)
+
+
+def fixture_quivers():
+    """Fresh calibrated copies of the acceptance suite, the six Kronecker
+    fixtures and the mixed quiver."""
+    quivers = [SelfDualQuiver.from_data(q.to_data())
+               for q, _ in acceptance_suite()]
+    folder = os.path.join(os.path.dirname(oracle.__file__), "fixtures")
+    for name in sorted(os.listdir(folder)):
+        if name.startswith("kronecker_"):
+            with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                quivers.append(SelfDualQuiver.from_data(json.load(fh)))
+    quivers.append(mixed_quiver())
+    assert len(quivers) == 17
+    for q in quivers:
+        calibrate_signs(q)
+    return quivers
+
+
+def flipped(quiver, field, i):
+    """Negate the coefficient of row i of _comm or _kappa2 in place; returns
+    the unflipped rows."""
+    good = getattr(quiver, field)
+    at = 1 if field == "_kappa2" else 2
+    row = good[i]
+    setattr(quiver, field,
+            good[:i] + (row[:at] + (-row[at],) + row[at + 1:],) + good[i + 1:])
+    return good
+
+
+def test_tabulated_verification_returns_the_loop_counts():
+    for q in fixture_quivers():
+        for bound in range(1, 6):
+            got = verify_calibration(q, bound)
+            want = loop_verify_calibration(q, bound)
+            assert list(got.items()) == list(want.items()), (q.to_data(), bound)
+
+
+def test_tabulated_verification_fails_first_where_the_loop_does():
+    """Every flipped row of either integer form, at bounds 1 to 3, fails
+    with the loop's first message, or passes where the loop passes."""
+    failures = 0
+    for q in fixture_quivers():
+        for field in ("_comm", "_kappa2"):
+            for i in range(len(getattr(q, field))):
+                good = flipped(q, field, i)
+                for bound in (1, 2, 3):
+                    want = outcome(loop_verify_calibration, q, bound)
+                    assert outcome(verify_calibration, q, bound) == want
+                    failures += want[0] == "fail"
+                setattr(q, field, good)
+    assert failures >= 40
+
+
+def shifted(form, at, delta, first=0):
+    """form, plus delta where its arguments from position first on begin
+    with the pair at."""
+    def wrapped(*args):
+        value = form(*args)
+        return value + delta if args[first:first + 2] == at else value
+    return wrapped
+
+
+# One corrupted value per check kind on the mixed quiver at bound 3 (classes
+# (i, j, k) with i and k swapped): the form, the argument pair, the shift,
+# whether the block count moves with it, and the check that must fail first.
+CORRUPTIONS = [
+    ("commutation_exponent", ((0, 0, 1), (0, 1, 0)), 1, False,
+     "commutation exponent mismatch"),
+    ("commutation_exponent", ((0, 1, 0), (0, 0, 1)), 1, True,
+     "commutation exponent not antisymmetric"),
+    ("commutation_exponent", ((0, 1, 0), (1, 0, 0)), 1, True,
+     "commutation exponent breaks duality"),
+    ("sd_twist_exponent", ((0, 0, 2), (1, 0, 1)), 1, False,
+     "twist exponent mismatch"),
+    ("sd_twist_exponent", ((0, 0, 1), (0, 0, 0)), Fraction(1, 2), True,
+     "twist exponent not integral"),
+    ("sd_twist_exponent", ((1, 0, 0), (0, 0, 0)), 1, True,
+     "twist exponent breaks duality"),
+    ("commutation_exponent", ((0, 0, 1), (0, 0, 4)), 1, False,
+     "commutation exponent not bilinear"),
+    ("sd_twist_exponent", ((0, 0, 4), (0, 0, 0)), 1, False,
+     "twist exponents break associativity"),
+    ("sd_twist_exponent", ((0, 0, 1), (2, 0, 2)), -1, False,
+     "twist exponents break associativity"),
+]
+
+
+@pytest.mark.parametrize("name, at, delta, counted, kind", CORRUPTIONS,
+                         ids=["mismatch", "antisymmetry", "duality",
+                              "twist-mismatch", "integrality",
+                              "twist-duality", "bilinearity",
+                              "associativity-sum",
+                              "associativity-completion"])
+def test_tabulated_verification_reports_each_broken_check_as_the_loop(
+        name, at, delta, counted, kind, monkeypatch):
+    q = mixed_quiver()
+    calibrate_signs(q)
+    setattr(q, name, shifted(getattr(q, name), at, delta))
+    if counted:
+        # move the block count with the form, so that the check after the
+        # block-count comparison is the one that fails
+        brute = ("brute_force_commutation" if name == "commutation_exponent"
+                 else "brute_force_sd_twist")
+        blocks = shifted(getattr(oracle, brute), at, delta, first=1)
+        monkeypatch.setattr(oracle, brute, blocks)
+        monkeypatch.setitem(globals(), brute, blocks)
+    want = outcome(loop_verify_calibration, q, 3)
+    assert want[0] == "fail" and want[1].startswith(kind), want
+    assert outcome(verify_calibration, q, 3) == want
+
+
+def test_each_form_is_evaluated_once_per_argument_pair(monkeypatch):
+    """verify_calibration asks each exponent form once per distinct argument
+    pair, and each block count once per checked pair."""
+    brute_calls = {}
+    for brute in ("brute_force_commutation", "brute_force_sd_twist"):
+        def counting(*args, brute=brute, orig=getattr(oracle, brute)):
+            brute_calls[brute] = brute_calls.get(brute, 0) + 1
+            return orig(*args)
+        monkeypatch.setattr(oracle, brute, counting)
+    for q in (mixed_quiver(), kronecker_variant((1, -1), -1)):
+        calibrate_signs(q)
+        pairs = {}
+        for name in ("commutation_exponent", "sd_twist_exponent"):
+            def counting(a, b, name=name, orig=getattr(q, name)):
+                key = (name, a, b)
+                pairs[key] = pairs.get(key, 0) + 1
+                return orig(a, b)
+            setattr(q, name, counting)
+        brute_calls.clear()
+        counts = verify_calibration(q, bound=4)
+        assert set(pairs.values()) == {1}
+        assert brute_calls == {"brute_force_commutation": counts["commutation"],
+                               "brute_force_sd_twist": counts["twist"]}

@@ -2,7 +2,8 @@
 by hypothesis, checked against the independent enumerators of
 tests/reference.py, for wall-crossing against the tables computed directly,
 and for regularity and the exp/log and square-root inversions against the
-paper's identities in the torus algebra."""
+paper's identities in the torus algebra, and for the calibration check
+against its loop form in tests/test_oracle.py."""
 
 from fractions import Fraction
 from math import factorial
@@ -16,8 +17,9 @@ from reference import (direct_epsilon_integral, direct_sd_epsilon_integral,
                        direct_sd_semistable_integral,
                        direct_semistable_integral)
 from suite import _rand_quiver
+from test_oracle import flipped, loop_verify_calibration, outcome
 from quiver_dt import invariants as inv
-from quiver_dt.oracle import calibrate_signs
+from quiver_dt.oracle import calibrate_signs, verify_calibration
 from quiver_dt.quiver import Slope
 from quiver_dt.torus import integrated_unit, series_diamond, star_exp
 from quiver_dt.wallcross import SlopePair, epsilon_table, wallcross_epsilon
@@ -91,15 +93,44 @@ def test_sd_integrals_match_direct_enumeration(case):
             direct_sd_epsilon_integral(quiver, slope, th), th
 
 
-def _has_live_forms(quiver):
-    """Calibrates the quiver; true when both its commutation form and its
-    twist's linear term kappa are nonzero."""
+def _has_commutation_form(quiver):
+    """Calibrates the quiver; true when its commutation form is nonzero."""
     calibrate_signs(quiver)
     units = [tuple(int(i == j) for j in range(len(quiver.vertices)))
              for i in range(len(quiver.vertices))]
-    return (any(quiver.commutation_exponent(a, b)
-                for a in units for b in units)
-            and any(quiver.calibration.kappa))
+    return any(quiver.commutation_exponent(a, b)
+               for a in units for b in units)
+
+
+def _has_live_forms(quiver):
+    """Calibrates the quiver; true when both its commutation form and its
+    twist's linear term kappa are nonzero."""
+    return _has_commutation_form(quiver) and any(quiver.calibration.kappa)
+
+
+@st.composite
+def flip_case(draw):
+    """A calibrated suite-shaped quiver with a nonzero commutation form, a
+    bound from 1 to 4, and one row of its integer forms to flip."""
+    quiver = draw(st.randoms(use_true_random=False).map(_rand_quiver)
+                  .filter(_has_commutation_form))
+    field = draw(st.sampled_from(["_comm", "_kappa2"] if quiver._kappa2
+                                 else ["_comm"]))
+    row = draw(st.integers(0, len(getattr(quiver, field)) - 1))
+    return quiver, draw(st.integers(1, 4)), field, row
+
+
+@BUDGET
+@given(flip_case())
+def test_tabulated_verification_agrees_with_the_loop(case):
+    """The same counts as the loop that evaluates the forms at every tuple,
+    and after one flipped coefficient the same first failure."""
+    quiver, bound, field, row = case
+    assert verify_calibration(quiver, bound) == \
+        loop_verify_calibration(quiver, bound)
+    flipped(quiver, field, row)
+    assert outcome(verify_calibration, quiver, bound) == \
+        outcome(loop_verify_calibration, quiver, bound)
 
 
 PAIR_WEIGHTS = [Fraction(n, d) for n in range(-3, 4) if n
