@@ -10,7 +10,8 @@ Subcommands:
   explain-calibration  show how the sign conventions are fixed and checked
 
 Exit codes: 0 success, 1 validation failure (malformed arguments included),
-2 regularity (no-pole) violation, 3 calibration failure.
+2 regularity (no-pole) violation, 3 calibration failure.  main alone maps
+each error a command raises to its code, printed as one "error:" line.
 """
 
 import argparse
@@ -165,10 +166,7 @@ def _format_csv(table) -> str:
 def cmd_dt(args) -> int:
     quiver = load_quiver(args.quiver)
     slope = parse_slope(quiver, args.slope)
-    try:
-        table = build_table(quiver, slope, args.bound)
-    except CalibrationError as exc:
-        return _fail(str(exc), EXIT_CALIBRATION)
+    table = build_table(quiver, slope, args.bound)
     text = table.to_json() if args.format == "json" else _format_csv(table)
     _emit(text, args.output)
     if not table_all_regular(table):
@@ -202,12 +200,9 @@ def cmd_wallcross(args) -> int:
     plus = parse_slope(quiver, args.slope)
     minus = parse_slope(quiver, args.slope2)
     pair = SlopePair(quiver, plus, minus)
-    try:
-        source = epsilon_table(quiver, plus, args.bound)
-        crossed = wallcross_epsilon(source, pair)
-        direct = epsilon_table(quiver, minus, args.bound)
-    except CalibrationError as exc:
-        return _fail(str(exc), EXIT_CALIBRATION)
+    source = epsilon_table(quiver, plus, args.bound)
+    crossed = wallcross_epsilon(source, pair)
+    direct = epsilon_table(quiver, minus, args.bound)
     diff = diff_tables(crossed, direct)
     payload = {
         "transformed": _eps_table_data(crossed),
@@ -256,16 +251,11 @@ def cmd_series(args) -> int:
     g = gcd(*ray)
     terms = []
     n = 0
-    try:
-        while vtotal(tuple(n * x for x in ray)) <= args.bound:
-            theta = tuple(n * x for x in ray)
-            coeff = sd_dt_mot(quiver, slope, theta, bound=args.bound)
-            terms.append(_term(coeff, Fraction(n * g, 2)))
-            n += 1
-    except CalibrationError as exc:
-        return _fail(str(exc), EXIT_CALIBRATION)
-    except NoPoleViolation as exc:
-        return _fail(str(exc), EXIT_NO_POLE)
+    while vtotal(tuple(n * x for x in ray)) <= args.bound:
+        theta = tuple(n * x for x in ray)
+        coeff = sd_dt_mot(quiver, slope, theta, bound=args.bound)
+        terms.append(_term(coeff, Fraction(n * g, 2)))
+        n += 1
     _emit(" + ".join(terms), args.output)
     return EXIT_OK
 
@@ -346,8 +336,10 @@ def main(argv=None) -> int:
                      EXIT_VALIDATION)
     try:
         return args.func(args)
-    except UncalibratedError as exc:
+    except (CalibrationError, UncalibratedError) as exc:
         return _fail(str(exc), EXIT_CALIBRATION)
+    except NoPoleViolation as exc:
+        return _fail(str(exc), EXIT_NO_POLE)
     except ValidationError as exc:
         return _fail(str(exc), EXIT_VALIDATION)
 

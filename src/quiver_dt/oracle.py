@@ -163,19 +163,20 @@ def resolve_brute_force_signs() -> Tuple[int, int]:
 
 # -- per-quiver calibration -----------------------------------------------------
 
-def calibrate_signs(quiver: SelfDualQuiver, check_bound: int = 2) -> Calibration:
+def calibrate_signs(quiver: SelfDualQuiver) -> Calibration:
     """Attach the resolved calibration to the quiver after verifying the
-    exponent identities on all classes up to check_bound."""
+    exponent identities on all classes up to bound 2;
+    verify_calibration(quiver, bound) checks them further."""
     orientation, placement = resolve_global_signs()
     cal = make_calibration(quiver, orientation, placement)
     quiver.set_calibration(cal)
-    verify_calibration(quiver, check_bound)
+    verify_calibration(quiver)
     return cal
 
 
-def ensure_calibrated(quiver: SelfDualQuiver, check_bound: int = 2) -> None:
+def ensure_calibrated(quiver: SelfDualQuiver) -> None:
     if quiver.calibration is None:
-        calibrate_signs(quiver, check_bound)
+        calibrate_signs(quiver)
 
 
 def _row(form, seen: Dict[DimVector, dict], x: DimVector, ys) -> list:

@@ -54,11 +54,6 @@ def graded_lex_key(a: DimVector):
     return (sum(a), a)
 
 
-@functools.lru_cache(maxsize=256)
-def _half(twice: int) -> Fraction:
-    return Fraction(twice, 2)
-
-
 @functools.lru_cache(maxsize=4096)
 def boxed_vectors(limit: DimVector) -> Tuple[DimVector, ...]:
     """All vectors 0 <= v <= limit componentwise, graded-lex order."""
@@ -322,8 +317,8 @@ class SelfDualQuiver:
     def sd_twist_exponent(self, alpha: DimVector,
                           theta: DimVector) -> "int | Fraction":
         """Exponent twisting the module action of a torus generator: an int
-        when it is integral, as under a verified calibration, else a shared
-        Fraction half."""
+        when it is integral, as under a verified calibration, else a
+        Fraction."""
         comm = self._comm
         if comm is None:
             raise _uncalibrated()
@@ -334,16 +329,17 @@ class SelfDualQuiver:
                           + a_s * alpha[dt] - a_t * alpha[ds])
         for i, k in self._kappa2:
             twice += k * alpha[i]
-        return twice // 2 if twice % 2 == 0 else _half(twice)
+        return twice // 2 if twice % 2 == 0 else Fraction(twice, 2)
 
     # -- class enumeration ---------------------------------------------------------
 
     def dim_vectors_up_to(self, bound: int) -> List[DimVector]:
-        n = len(self.vertices)
-        out = [t for t in itertools.product(range(bound + 1), repeat=n)
-               if 0 < sum(t) <= bound]
-        out.sort(key=graded_lex_key)
-        return out
+        """The nonzero classes of total at most bound, graded-lex order,
+        extended one coordinate at a time, never past the bound."""
+        out = [()]
+        for _ in self.vertices:
+            out = [v + (x,) for v in out for x in range(bound + 1 - sum(v))]
+        return sorted(out, key=graded_lex_key)[1:]
 
     def sd_classes_up_to(self, bound: int) -> List[DimVector]:
         return [(0,) * len(self.vertices)] + [
@@ -459,9 +455,6 @@ class Slope(NamedTuple):
             raise ValueError("slope of the zero class is undefined")
         top = sum((w * x for w, x in zip(self.weights, alpha)), Fraction(0))
         return top / total
-
-    def is_trivial(self) -> bool:
-        return all(w == 0 for w in self.weights)
 
     def to_dict(self, quiver: SelfDualQuiver) -> Dict[str, str]:
         return {x: str(self.weights[i]) for i, x in enumerate(quiver.vertices)}

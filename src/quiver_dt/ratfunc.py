@@ -194,13 +194,6 @@ def _ip_div(a: _IPoly, g: _IPoly) -> Optional[_IPoly]:
     return None if any(rem) else quo
 
 
-def _ip_div_exact(a: _IPoly, g: _IPoly) -> _IPoly:
-    """a / g, asserting zero remainder."""
-    quo = _ip_div(a, g)
-    assert quo is not None, "inexact polynomial division"
-    return quo
-
-
 class Laurent:
     """An integer Laurent polynomial, exponent -> nonzero int, with the
     1-norm of its coefficients and its packings (_ip_pack at its lowest
@@ -275,7 +268,8 @@ def _cancel(num: _IPoly, den: _IPoly) -> Tuple[_IPoly, _IPoly]:
     if len(num) > 1 and len(den) > 1:
         g = _ip_gcd(num, den)
         if max(g) > 0:
-            return _ip_div_exact(num, g), _ip_div_exact(den, g)
+            num, den = _ip_div(num, g), _ip_div(den, g)
+            assert num is not None and den is not None, "inexact division"
     return num, den
 
 

@@ -9,6 +9,10 @@ the class with its dual, twisted by the sd exponent over the same prefactor.
 Both element kinds carry an optional total-dimension bound.  All dimension
 totals only grow under the products, so coefficients at classes within the
 bound are exact; truncation just drops everything beyond it.
+
+The product, the action and the duality are the methods x.star(y),
+x.diamond(m) and x.dualize(); a numerical bracket coefficient is the motivic
+one evaluated at q = -1, bracket_coeff(...).eval_at(-1).
 """
 
 from __future__ import annotations
@@ -162,18 +166,6 @@ class TorusModElem(TorusElem):
 
 # -- derived operations --------------------------------------------------------
 
-def star(x: TorusElem, y: TorusElem) -> TorusElem:
-    return x.star(y)
-
-
-def diamond(x: TorusElem, m: TorusModElem) -> TorusModElem:
-    return x.diamond(m)
-
-
-def dualize(x: TorusElem) -> TorusElem:
-    return x.dualize()
-
-
 def bracket(x: TorusElem, y: TorusElem) -> TorusElem:
     return x.star(y) - y.star(x)
 
@@ -265,14 +257,3 @@ def sd_bracket_coeff(quiver: SelfDualQuiver, alphas: Sequence[DimVector],
         m = heart(TorusElem.generator(quiver, a), m)
         target = quiver.sd_completion(tuple(a), target)
     return m.get(target)
-
-
-def numeric_bracket_coeff(quiver: SelfDualQuiver,
-                          alphas: Sequence[DimVector]) -> Fraction:
-    return bracket_coeff(quiver, alphas).eval_at(-1)
-
-
-def numeric_sd_bracket_coeff(quiver: SelfDualQuiver,
-                             alphas: Sequence[DimVector],
-                             rho: DimVector) -> Fraction:
-    return sd_bracket_coeff(quiver, alphas, rho).eval_at(-1)

@@ -4,7 +4,9 @@ Tables of epsilon integrals cross from one slope function to another by
 re-factorisation in the twisted algebra (see wallcross_epsilon), carried
 out on integer Laurent numerators over the motive denominators with the
 invariants module's integer kernels, so that the only rational functions
-built are the source values read and the target values returned.  The same
+built are the source values read and the target values returned.  Slope
+values come from the source slope's engine (filled by epsilon_table); no
+invariant is read from it, only from the table.  The same
 transform has a combinatorial form, a sum over ordered decompositions of
 each class weighted by rational coefficients; those coefficients are test
 code (tests/reference.py), and the tests check the re-factorisation against
@@ -56,13 +58,6 @@ class EpsilonTable(NamedTuple):
     bound: int
     eps: Dict[DimVector, RatFunc]
     sd_eps: Optional[Dict[DimVector, RatFunc]] = None
-
-    def __eq__(self, other):
-        if not isinstance(other, EpsilonTable):
-            return NotImplemented
-        return (self.quiver is other.quiver and self.bound == other.bound
-                and self.slope.weights == other.slope.weights
-                and self.eps == other.eps and self.sd_eps == other.sd_eps)
 
 
 def epsilon_table(quiver: SelfDualQuiver, slope: Slope,
@@ -170,13 +165,7 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
     if table.slope.weights != pair.plus.weights:
         raise ValidationError("table was not computed at the source slope")
     q, bound = pair.quiver, table.bound
-    values: Dict[DimVector, Fraction] = {}
-
-    def value(a: DimVector) -> Fraction:
-        if a not in values:
-            values[a] = pair.plus.value(a)
-        return values[a]
-
+    value = _engine(q, pair.plus).value
     classes = q.dim_vectors_up_to(bound)
     zero = tuple(0 for _ in q.vertices)
     by_slope: Dict[Fraction, Dict[DimVector, RatFunc]] = {}

@@ -8,7 +8,8 @@ import pytest
 
 from helpers import mixed_quiver
 from quiver_dt import cli, oracle
-from quiver_dt.invariants import InvariantRow, InvariantTable, build_table
+from quiver_dt.invariants import (InvariantRow, InvariantTable,
+                                  NoPoleViolation, build_table)
 from quiver_dt.oracle import CalibrationError, calibrate_signs
 from quiver_dt.quiver import Slope, point_quiver
 from quiver_dt.ratfunc import RatFunc, q_minus_qinv
@@ -281,6 +282,26 @@ def test_explain_calibration_failure_exit(monkeypatch, capsys):
     monkeypatch.setattr(cli, "explain_calibration", broken)
     assert cli.main(["explain-calibration",
                      fixture("point_plus.json")]) == 3
+
+
+@pytest.mark.parametrize("command, callee, error, code", [
+    ("dt", "build_table", CalibrationError, 3),
+    ("wallcross", "epsilon_table", CalibrationError, 3),
+    ("series", "sd_dt_mot", CalibrationError, 3),
+    ("series", "sd_dt_mot", NoPoleViolation, 2),
+], ids=["dt-calibration", "wallcross-calibration", "series-calibration",
+        "series-no-pole"])
+def test_library_failures_exit_with_their_documented_code(
+        command, callee, error, code, monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise error("identity broke at (1, 0)")
+
+    monkeypatch.setattr(cli, callee, failing)
+    assert cli.main([command, fixture("kronecker_pm_plus.json"),
+                     "--slope", "i=1,j=-1", "--bound", "2"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: identity broke at (1, 0)\n"
 
 
 def test_output_flag_writes_file(tmp_path):

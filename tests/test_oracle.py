@@ -62,7 +62,7 @@ def test_reference_table_reproduced_after_calibration():
 
 def test_brute_force_counts_match_forms_on_mixed_quiver():
     q = mixed_quiver()
-    calibrate_signs(q, check_bound=2)
+    calibrate_signs(q)
     counts = verify_calibration(q, bound=2)
     assert counts["commutation"] > 0
     assert counts["twist"] > 0

@@ -1,5 +1,6 @@
 """Self-dual quiver validation, orbit structure, dims, and exponent forms."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -236,7 +237,7 @@ def test_twist_is_an_int_unless_it_is_half_integral():
     assert type(q.sd_twist_exponent((2,), (0,))) is int
     half = q.sd_twist_exponent((1,), (0,))
     assert half == Fraction(1, 2)
-    assert q.sd_twist_exponent((1,), (2,)) is half
+    assert q.sd_twist_exponent((1,), (2,)) == half
 
 
 def test_recalibration_rebuilds_both_forms():
@@ -321,7 +322,7 @@ def test_slopes():
     p = point_quiver(1)
     with pytest.raises(ValidationError):
         Slope.from_dict(p, {"x": 1}).validate_self_dual(p)
-    assert Slope.trivial(k).is_trivial()
+    assert Slope.trivial(k).weights == (0, 0)
     with pytest.raises(ValueError):
         s.value((0, 0))
 
@@ -361,3 +362,28 @@ def test_class_enumeration_is_graded_lex():
     assert vecs == [(0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
     assert vadd((1, 2), (3, 4)) == (4, 6)
     assert vsub((3, 4), (1, 2)) == (2, 2)
+
+
+def discrete_quiver(n):
+    """n fixed orthogonal vertices and no edges."""
+    return SelfDualQuiver([f"v{i}" for i in range(n)], [], {}, {}, {}, {})
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_class_enumeration_matches_product_and_filter(n):
+    q = discrete_quiver(n)
+    for bound in range(-1, 7):
+        want = [t for t in itertools.product(range(bound + 1), repeat=n)
+                if 0 < sum(t) <= bound]
+        want.sort(key=lambda t: (sum(t), t))
+        assert q.dim_vectors_up_to(bound) == want
+
+
+def test_class_enumeration_grows_with_the_classes_not_the_box():
+    # the (bound + 1)^n box of 24 vertices at bound 2 has 3^24 vectors
+    vecs = discrete_quiver(24).dim_vectors_up_to(2)
+    assert len(vecs) == len(set(vecs)) == 24 + 24 * 25 // 2 == 324
+    assert all(len(v) == 24 and min(v) >= 0 and 0 < sum(v) <= 2
+               for v in vecs)
+    assert vecs == sorted(vecs, key=lambda t: (sum(t), t))
+    assert vecs[:2] == [(0,) * 23 + (1,), (0,) * 22 + (1, 0)]

@@ -69,6 +69,22 @@ def test_epsilon_tables_on_different_quiver_objects_are_unequal():
     assert t1 == epsilon_table(q1, slope, 3)
 
 
+@pytest.mark.parametrize("change", [
+    lambda t: t._replace(bound=2),
+    lambda t: t._replace(slope=Slope((F(1), F(-1, 2)))),
+    lambda t: t._replace(eps={**t.eps, (1, 0): t.eps[(1, 0)] + 1}),
+    lambda t: t._replace(sd_eps={**t.sd_eps, (1, 1): t.sd_eps[(1, 1)] + 1}),
+    lambda t: t._replace(sd_eps=None),
+], ids=["bound", "slope", "eps", "sd_eps", "no_sd_eps"])
+def test_epsilon_tables_differing_in_one_field_are_unequal(change):
+    q = calibrated_kron()
+    slope = Slope.from_dict(q, {"i": 1, "j": -1})
+    table = epsilon_table(q, slope, 3)
+    assert table == epsilon_table(q, Slope((F(1), F(-1))), 3)
+    other = change(table)
+    assert not table == other and table != other
+
+
 COLD_IMPORT = """
 import sys
 import quiver_dt, quiver_dt.cli, quiver_dt.oracle, quiver_dt.wallcross
