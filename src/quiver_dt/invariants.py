@@ -36,6 +36,12 @@ the epsilon integral's canonical form without a gcd
 ones at q = -1; pole orders and values are read off the integer form of a
 RatFunc, and a table renders as JSON through json_text.
 
+At a self-dual slope, duality maps the semistable objects of class a and
+value s to those of class a^v and value -s and reverses the Hall product
+(Young 2016, above), and M(a^v) = M(a).  So X, the star powers, epsilon and
+DTmot agree at a and a^v: the engine computes them once per pair, at
+_Engine._rep(a), and builds no recursion table at a negative value.
+
 An engine seeded with the numerators of a stack element (wall-crossing,
 whose integer kernels _chain_sum, _star_powers and _sd_action it shares)
 reads them in place of q^e(a) and q^e_sd(theta).
@@ -51,7 +57,7 @@ import math
 import weakref
 from collections import defaultdict
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from json.encoder import encode_basestring_ascii
 from typing import (TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional,
                     Tuple)
@@ -189,11 +195,14 @@ def _sd_action(quiver: SelfDualQuiver, th: DimVector,
         for kg, tw, factors in terms]), k
 
 
-def _per_class(method):
-    """An engine method of one class, computed once per engine and class."""
+def _per_class(method, mirrored=False):
+    """An engine method of one class, computed once per engine and class, or
+    once per duality pair {a, a^v} if mirrored (see _Engine._rep)."""
     name = method.__name__
 
     def memoised(self, a):
+        if mirrored:
+            a = self._rep(a)
         memo = self._memo[name]
         if a not in memo:
             memo[a] = method(self, a)
@@ -202,11 +211,19 @@ def _per_class(method):
     return memoised
 
 
+# _per_class for a linear value that a and a^v share.
+_per_pair = partial(_per_class, mirrored=True)
+
+
 class _Engine:
     """Every invariant of one (quiver, slope) pair, memoised per class: as
     integer Laurent numerators over M(a) on the linear side and over
     M_sd(theta) on the self-dual side, and as the RatFunc values built from
-    them."""
+    them.
+
+    Unless seeded, an engine at a self-dual slope memoises the linear values
+    that a and a^v share once per pair, at _rep(a) (Young 2016, as in the
+    module docstring); a seeded engine's numerators need not be symmetric."""
 
     def __init__(self, quiver: SelfDualQuiver, slope: Slope):
         if len(slope.weights) != len(quiver.vertices):
@@ -218,6 +235,7 @@ class _Engine:
         self.slope = slope
         self.zero = tuple(0 for _ in quiver.vertices)
         self.seed_bound: Optional[int] = None
+        self._mirrors = slope.is_self_dual(quiver)
         self._memo: Dict[str, dict] = defaultdict(dict)
         self._dom: Dict[Fraction, Dict[DimVector, Optional[Laurent]]] = {}
 
@@ -232,6 +250,7 @@ class _Engine:
         one beyond it.  It stays out of the engine cache."""
         eng = cls(quiver, slope)
         eng.seed_bound = bound
+        eng._mirrors = False
         eng._memo["_numerator"].update(numerators)
         if sd_numerators is not None:
             eng._memo["_sd_numerator"].update(sd_numerators)
@@ -242,6 +261,14 @@ class _Engine:
     @_per_class
     def value(self, a: DimVector) -> Fraction:
         return self.slope.value(a)
+
+    @_per_class
+    def _rep(self, a: DimVector) -> DimVector:
+        """The class whose linear values a reads: a^v where the engine
+        mirrors and a's value is below 0, or is 0 with a^v < a; else a."""
+        b = self.quiver.dual_vector(a)
+        mirror = self._mirrors and any(a) and (self.value(a), b) < (0, a)
+        return b if mirror else a
 
     def _refuse_beyond_seed(self, a: DimVector) -> None:
         if self.seed_bound is not None:
@@ -278,7 +305,7 @@ class _Engine:
                               if self.value(p) > s else None)
         return tab
 
-    @_per_class
+    @_per_pair
     def _semistable_num(self, a: DimVector) -> Laurent:
         """X(a) = M(a) times the semistable integral of a."""
         if not any(a):
@@ -286,13 +313,13 @@ class _Engine:
         return _chain_sum(self.quiver, self._dom_table(self.value(a), a), a,
                           self._numerator)
 
-    @_per_class
+    @_per_pair
     def semistable(self, a: DimVector) -> RatFunc:
         return over_gl_denominator(self._semistable_num(a).poly, a)
 
     # -- star powers: star-log and inverse square root ----------------------
 
-    @_per_class
+    @_per_pair
     def _powers(self, g: DimVector) -> List[Laurent]:
         """The star powers of the semistable element of g's slope at g (see
         _star_powers), with P_1 = X."""
@@ -309,7 +336,7 @@ class _Engine:
         powers = self._powers(g)
         return _series(powers, _log_coeffs(len(powers)))
 
-    @_per_class
+    @_per_pair
     def epsilon(self, a: DimVector) -> RatFunc:
         """The epsilon integral of a, E(a) / (L M(a)): the semistable
         integral itself where the star-log has one term (E / L = X)."""
@@ -318,7 +345,7 @@ class _Engine:
         e, lcm = self._log_num(a)
         return over_gl_denominator(e.poly, a, Fraction(1, lcm))
 
-    @_per_class
+    @_per_pair
     def dt_motivic(self, a: DimVector) -> RatFunc:
         """The motivic invariant of a, (q - 1/q) times the epsilon
         integral."""

@@ -2,6 +2,9 @@
 
 from fractions import Fraction
 
+import pytest
+
+from quiver_dt import invariants as inv
 from quiver_dt.quiver import (Edge, SelfDualQuiver, kronecker_variant,
                               make_calibration, point_quiver)
 from quiver_dt.ratfunc import RatFunc
@@ -82,3 +85,27 @@ def rand_mod_elem(q, rng, terms=2, hi=1, bound=None) -> TorusModElem:
     for _ in range(terms):
         coeffs[rand_sd_class(q, rng, hi)] = rand_coeff(rng)
     return TorusModElem(q, coeffs, bound)
+
+
+def engine_values(q, s, bound):
+    """A fresh engine's linear values on the classes within the bound and,
+    at a self-dual slope, its self-dual values, keyed by (method, class)."""
+    eng = inv._Engine(q, s)
+    out = {(m, a): getattr(eng, m)(a)
+           for a in [eng.zero] + q.dim_vectors_up_to(bound)
+           for m in ("semistable", "epsilon", "dt_motivic")}
+    if s.is_self_dual(q):
+        out.update({(m, th): getattr(eng, m)(th)
+                    for th in q.sd_classes_up_to(bound)
+                    for m in ("sd_semistable", "sd_dt_motivic")})
+    return out
+
+
+def assert_mirror_changes_nothing(q, s, bound):
+    """The values of an engine equal those of one that reads each class at
+    the class itself, its duality mirror (_Engine._rep) patched out."""
+    mirrored = engine_values(q, s, bound)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inv._Engine, "_rep", lambda self, a: a)
+        plain = engine_values(q, s, bound)
+    assert mirrored == plain, (q.vertices, s.weights)

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import calibrated_mixed, calibrated_two_pairs, mixed_quiver
+from helpers import (assert_mirror_changes_nothing, calibrated_mixed,
+                     calibrated_two_pairs, mixed_quiver)
 from reference import (binom_fraction, direct_epsilon_integral,
                        direct_sd_epsilon_integral,
                        direct_sd_semistable_integral,
@@ -28,7 +29,7 @@ from quiver_dt.ratfunc import (Laurent, RatFunc, inv_q_minus_qinv,
                                laurent_sum, q_minus_qinv)
 from quiver_dt.torus import (TorusElem, integrated_unit, series_diamond,
                               star_exp, star_log_one_plus)
-from quiver_dt.wallcross import epsilon_table
+from quiver_dt.wallcross import SlopePair, epsilon_table, wallcross_epsilon
 
 
 FIXTURES = Path(inv.__file__).parent / "fixtures"
@@ -303,12 +304,16 @@ def test_dom_table_matches_full_region_on_suite():
             assert_engine_matches_full_region(q, slope, 4)
 
 
-@pytest.mark.parametrize("make, weights", [
+# Self-dual slopes of the two shapes whose commutation form is nonzero.
+COMMUTATION_CASES = [
     (calibrated_mixed, {"i": 1, "k": -1}),
     (calibrated_mixed, {"i": Fraction(-1, 2), "k": Fraction(1, 2)}),
     (calibrated_two_pairs, {"a": 1, "d": -1, "b": 2, "c": -2}),
     (calibrated_two_pairs, {"a": 2, "d": -2, "b": -1, "c": 1}),
-])
+]
+
+
+@pytest.mark.parametrize("make, weights", COMMUTATION_CASES)
 def test_dom_table_matches_full_region_with_a_commutation_form(make, weights):
     q = make()
     units = [tuple(int(i == j) for j in range(len(q.vertices)))
@@ -420,6 +425,80 @@ def test_seeded_engine_refuses_a_class_beyond_its_bound():
         eng.epsilon((2, 2))
     with pytest.raises(ValueError, match="beyond the seeded bound 3"):
         eng.sd_dt_motivic((2, 2))
+
+
+# -- duality mirror -------------------------------------------------------------
+
+MIRRORED = ("_semistable_num", "semistable", "_powers", "epsilon",
+            "dt_motivic")
+
+
+def test_mirror_changes_no_value_on_the_fixtures():
+    count = 0
+    for path in sorted(FIXTURES.glob("*.json")):
+        q = load_quiver(str(path))
+        slopes = [Slope.trivial(q)]
+        if {"i", "j"} <= set(q.vertices):
+            slopes += [hn_slope(q), Slope.from_dict(q, {"i": -1, "j": 1})]
+        for s in slopes:
+            assert_mirror_changes_nothing(q, s, 8)
+            count += 1
+    assert count == 2 + 6 * 3
+
+
+@pytest.mark.parametrize("make, weights", COMMUTATION_CASES + [
+    (calibrated_mixed, {}), (calibrated_two_pairs, {})])
+def test_mirror_changes_no_value_with_a_commutation_form(make, weights):
+    q = make()
+    assert_mirror_changes_nothing(q, Slope.from_dict(q, weights), 6)
+
+
+def kronecker_pm_plus():
+    return load_quiver(str(FIXTURES / "kronecker_pm_plus.json"))
+
+
+@pytest.mark.parametrize("weights, bound", [({"i": 1, "j": -1}, 9), ({}, 6)])
+def test_self_dual_engine_computes_one_class_per_duality_pair(weights, bound):
+    q = kronecker_pm_plus()
+    s = Slope.from_dict(q, weights)
+    inv.build_table(q, s, bound)
+    eng = inv._engine(q, s)
+    assert min(eng._dom) >= 0
+    for name in MIRRORED:
+        memo = eng._memo[name]
+        assert len(memo) > 9, name
+        for a in memo:
+            b = q.dual_vector(a)
+            assert not any(a) or s.value(a) > 0 or (
+                s.value(a) == 0 and a <= b), (name, a)
+            assert a == b or b not in memo, (name, a)
+
+
+def assert_holds_both_halves(eng, names):
+    for name in names:
+        memo = eng._memo[name]
+        assert any(a != eng.quiver.dual_vector(a) for a in memo), name
+        for a in memo:
+            assert eng.quiver.dual_vector(a) in memo, (name, a)
+
+
+def test_non_self_dual_and_seeded_engines_compute_both_halves(monkeypatch):
+    q = kronecker_pm_plus()
+    s = Slope.from_dict(q, {"i": 2, "j": -1})
+    inv.build_table(q, s, 9)
+    assert_holds_both_halves(inv._engine(q, s), MIRRORED)
+    seeded = []
+    build = inv._Engine.seeded.__func__
+
+    def capture(cls, *args):
+        seeded.append(build(cls, *args))
+        return seeded[-1]
+    monkeypatch.setattr(inv._Engine, "seeded", classmethod(capture))
+    pair = SlopePair(q, Slope.from_dict(q, {"i": -1, "j": 1}), hn_slope(q))
+    wallcross_epsilon(epsilon_table(q, pair.plus, 6), pair)
+    [eng] = seeded
+    assert eng.slope.is_self_dual(q)
+    assert_holds_both_halves(eng, ("_semistable_num", "_powers", "epsilon"))
 
 
 def test_exp_log_inversion_roundtrip():

@@ -13,6 +13,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from helpers import assert_mirror_changes_nothing
 from reference import (direct_epsilon_integral, direct_sd_epsilon_integral,
                        direct_sd_semistable_integral,
                        direct_semistable_integral)
@@ -91,6 +92,14 @@ def test_sd_integrals_match_direct_enumeration(case):
             direct_sd_semistable_integral(quiver, slope, th), th
         assert inv.sd_epsilon_integral(quiver, slope, th, bound=bound) == \
             direct_sd_epsilon_integral(quiver, slope, th), th
+
+
+@BUDGET
+@given(quiver_sd_slope_bound())
+def test_mirror_changes_no_value(case):
+    quiver, slope, bound = case
+    calibrate_signs(quiver)
+    assert_mirror_changes_nothing(quiver, slope, bound)
 
 
 def _has_commutation_form(quiver):
