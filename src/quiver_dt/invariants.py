@@ -38,13 +38,17 @@ RatFunc, and a table renders as JSON through json_text.
 
 At a self-dual slope, duality maps the semistable objects of class a and
 value s to those of class a^v and value -s and reverses the Hall product
-(Young 2016, above), and M(a^v) = M(a).  So X, the star powers, epsilon and
-DTmot agree at a and a^v: the engine computes them once per pair, at
-_Engine._rep(a), and builds no recursion table at a negative value.
+(Young 2016, above), and M(a^v) = M(a).  So X, the star powers, epsilon,
+DTmot and the inverse square root's weights agree at a and a^v: the engine
+computes them once per pair, at _Engine._rep(a), and builds no recursion
+table at a negative value.
 
 An engine seeded with the numerators of a stack element (wall-crossing,
 whose integer kernels _chain_sum, _star_powers and _sd_action it shares)
-reads them in place of q^e(a) and q^e_sd(theta).
+reads them in place of q^e(a) and q^e_sd(theta).  The same holds for it
+where the numerators are dual-symmetric, N(a^v) = N(a), as those of the
+stack element of a dual-symmetric table are, so it mirrors exactly then;
+with any other numerators it computes both halves.
 
 Engines are cached on their quiver by (slope, calibration), so repeated
 queries share work, a new calibration never returns values computed under
@@ -54,6 +58,7 @@ the old one, and the engines go when the quiver does.
 from __future__ import annotations
 
 import math
+import operator
 import weakref
 from collections import defaultdict
 from fractions import Fraction
@@ -93,12 +98,15 @@ def _binomials(top: DimVector, p: DimVector) -> List[Laurent]:
 def _chain_sum(quiver: SelfDualQuiver, tab: Dict[DimVector, Laurent],
                top: DimVector, x: Callable[[DimVector], Optional[Laurent]],
                sign: int = 1) -> Laurent:
-    """M(top) times the sum of d(p) c(top - p) q^<p, top - p> over the
-    entries p <= top of tab, where d(p) = tab[p] / M(p) and c(v) = x(v) /
-    M(v), x(v) None where c is zero.  Each term is tab[p] x(top - p) times
-    the q^2-binomials [top_i, p_i]: no denominator is left."""
+    """sign times M(top) times the sum of d(p) c(top - p) q^<p, top - p>
+    over the entries p <= top of tab, where d(p) = tab[p] / M(p), c(0) = 1
+    and c(v) = x(v) / M(v) for v nonzero, x(v) None where c is zero.  Each
+    term p < top is tab[p] x(top - p) times the q^2-binomials [top_i, p_i]:
+    no denominator is left.  The unit's term is tab[top] itself, if tab has
+    it, and x is not asked at 0; where it is the only term and sign is 1,
+    tab[top] is returned as it is."""
     terms = []
-    for p in boxed_vectors(top):
+    for p in boxed_vectors(top)[:-1]:
         dp = tab.get(p)
         if dp is not None:
             step = vsub(top, p)
@@ -106,6 +114,11 @@ def _chain_sum(quiver: SelfDualQuiver, tab: Dict[DimVector, Laurent],
             if c is not None:
                 terms.append((quiver.commutation_exponent(p, step),
                               [dp, c] + _binomials(top, p)))
+    own = tab.get(top)
+    if own is not None:
+        if not terms and sign == 1:
+            return own
+        terms.append((0, [own]))
     return laurent_sum(terms, sign)
 
 
@@ -162,8 +175,11 @@ def _series(powers: List[Laurent],
             coeffs: Tuple[List[Laurent], int]) -> Tuple[Laurent, int]:
     """(W, k) with sum_n c_n P_n = W / k, for powers = [P_1, P_2, ...] and
     coeffs = ([c_1 k, c_2 k, ...], k), as one of the cached coefficient
-    lists over their lcm k gives them: W lies in Z[q, 1/q]."""
+    lists over their lcm k gives them: W lies in Z[q, 1/q].  W is P_1
+    itself where it is the only power and c_1 k = 1."""
     ms, k = coeffs
+    if len(powers) == 1 and ms[0].poly == {0: 1}:
+        return powers[0], k
     return laurent_sum([(0, [m, pn]) for m, pn in zip(ms, powers)]), k
 
 
@@ -171,14 +187,16 @@ def _sd_action(quiver: SelfDualQuiver, th: DimVector,
                weight: Callable[[DimVector], Weight],
                module: Callable[[DimVector], Laurent]) -> Tuple[Laurent, int]:
     """(S, k) with S / (k M_sd(th)) the th-coefficient of x acting on m, for
-    x = sum_g (q - 1/q) W(g) / (k_g M(g)) [g], weight(g) = (W(g), k_g) or
-    None where x is zero, and m = sum_rho module(rho) / M_sd(rho) [rho].
-    Over th = g + rho + g^v, each term is W(g) module(rho) q^tw(g, rho) k /
-    k_g times the polynomial M_sd(th) / (M(g) M_sd(rho)) (motives.sd_ratio),
-    k the lcm of the k_g.  rho is self-dual whenever th is, as g + g^v is
-    and has even entries at fixed vertices."""
+    x = [0] + sum_g (q - 1/q) W(g) / (k_g M(g)) [g] over g nonzero,
+    weight(g) = (W(g), k_g) or None where x is zero, and m = sum_rho
+    module(rho) / M_sd(rho) [rho].  Over th = g + rho + g^v, each term g
+    nonzero is W(g) module(rho) q^tw(g, rho) k / k_g times the polynomial
+    M_sd(th) / (M(g) M_sd(rho)) (motives.sd_ratio), k the lcm of the k_g.
+    rho is self-dual whenever th is, as g + g^v is and has even entries at
+    fixed vertices.  The unit's term is module(th) k, and weight is not
+    asked at 0; where it is the only term, (module(th), 1) is returned."""
     terms = []
-    for g in boxed_vectors(th):
+    for g in boxed_vectors(th)[1:]:
         rho = vsub(th, vadd(g, quiver.dual_vector(g)))
         if min(rho) < 0:
             continue
@@ -189,10 +207,27 @@ def _sd_action(quiver: SelfDualQuiver, th: DimVector,
         if m.poly:
             terms.append((w[1], quiver.sd_twist_exponent(g, rho),
                           [w[0], m] + sd_ratio(quiver, g, rho)))
+    own = module(th)
+    if not terms:
+        return own, 1
+    if own.poly:
+        terms.append((1, 0, [own]))
     k = math.lcm(*(kg for kg, _, _ in terms))
     return laurent_sum([
         (tw, factors if kg == k else factors + [Laurent({0: k // kg})])
         for kg, tw, factors in terms]), k
+
+
+def _dual_symmetric(quiver: SelfDualQuiver, values: dict,
+                   same: Callable[[object, object], bool] = operator.eq
+                   ) -> bool:
+    """Whether values[a^v] is values[a], or the same value, for every class a
+    of values."""
+    for a, v in values.items():
+        w = values.get(quiver.dual_vector(a))
+        if w is not v and (w is None or not same(v, w)):
+            return False
+    return True
 
 
 def _per_class(method, mirrored=False):
@@ -221,9 +256,10 @@ class _Engine:
     M_sd(theta) on the self-dual side, and as the RatFunc values built from
     them.
 
-    Unless seeded, an engine at a self-dual slope memoises the linear values
-    that a and a^v share once per pair, at _rep(a) (Young 2016, as in the
-    module docstring); a seeded engine's numerators need not be symmetric."""
+    An engine at a self-dual slope memoises the linear values that a and
+    a^v share once per pair, at _rep(a) (Young 2016, as in the module
+    docstring), unless it is seeded with numerators that are not
+    dual-symmetric."""
 
     def __init__(self, quiver: SelfDualQuiver, slope: Slope):
         if len(slope.weights) != len(quiver.vertices):
@@ -247,10 +283,13 @@ class _Engine:
         """Engine reading the component integrals of the classes up to the
         bound off their numerators, N(a) = M(a) I(a) on the linear side and
         M_sd(theta) I_sd(theta) on the self-dual side, and refusing to read
-        one beyond it.  It stays out of the engine cache."""
+        one beyond it.  It mirrors as a cached engine does only where the
+        numerators are dual-symmetric, N(a^v) = N(a).  It stays out of the
+        engine cache."""
         eng = cls(quiver, slope)
         eng.seed_bound = bound
-        eng._mirrors = False
+        eng._mirrors = eng._mirrors and _dual_symmetric(
+            quiver, numerators, lambda m, n: m.poly == n.poly)
         eng._memo["_numerator"].update(numerators)
         if sd_numerators is not None:
             eng._memo["_sd_numerator"].update(sd_numerators)
@@ -351,14 +390,12 @@ class _Engine:
         integral."""
         return self.epsilon(a).times_q_minus_qinv()
 
-    @_per_class
+    @_per_pair
     def _root_weight(self, g: DimVector) -> Weight:
-        """(W(g), k) with (1 + x)^(-1/2) = sum_g (q - 1/q) W(g) / (k M(g))
-        [g] for the semistable element x at slope 0, None off slope 0: W(0)
-        / k = 1 and W(g) / k = sum_n binom(-1/2, n) P_n(g) (see _series),
+        """(W(g), k) with (1 + x)^(-1/2) = [0] + sum_g (q - 1/q) W(g) / (k
+        M(g)) [g] for the semistable element x at slope 0, g nonzero, None
+        off slope 0: W(g) / k = sum_n binom(-1/2, n) P_n(g) (see _series),
         where binom(-1/2, n) = (-1)^n C(2n, n) / 4^n."""
-        if not any(g):
-            return _ONE, 1
         if self.value(g) != 0:
             return None
         powers = self._powers(g)

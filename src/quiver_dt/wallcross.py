@@ -11,6 +11,16 @@ transform has a combinatorial form, a sum over ordered decompositions of
 each class weighted by rational coefficients; those coefficients are test
 code (tests/reference.py), and the tests check the re-factorisation against
 them.
+
+Duality maps the epsilon element of value s to that of value -s and
+reverses the product (M. B. Young, The Hall module of an exact category
+with duality, 2016).  So at a self-dual source slope, a table with eps(a^v)
+= eps(a) for every class, as every table epsilon_table makes there, has the
+factor of value -s equal to that of s with each class a read at a^v: the
+transform builds the factors of values s >= 0 only.  Its stack element is
+then dual-symmetric, and the engine seeded with it at a self-dual target
+slope computes each linear value once per duality pair.  Any other table
+is crossed at every slope value, by an engine that computes both halves.
 """
 
 import math
@@ -18,8 +28,9 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .invariants import (_ONE, _ZERO, Weight, _chain_sum, _Engine, _engine,
-                         _over_lcm, _sd_action, _series, _star_powers)
+from .invariants import (_ONE, _ZERO, Weight, _chain_sum, _dual_symmetric,
+                         _Engine, _engine, _over_lcm, _sd_action, _series,
+                         _star_powers)
 from .motives import gl_poly, sd_gl_poly
 from .quiver import (DimVector, SelfDualQuiver, Slope, ValidationError,
                      graded_lex_key)
@@ -156,9 +167,14 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
     integer, the exponential of its element is a sum of their star powers,
     divided by one integer per class to give the slope's semistable
     numerators X_s; the slopes' factors multiply by _chain_sum and act on
-    the self-dual side by _sd_action.  A source table whose slope factors
-    or self-dual numerators do not lie in Z[q, 1/q] is refused with
-    ValueError.
+    the self-dual side by _sd_action, their unit terms left implicit, so a
+    class that no nonzero step of a factor reaches keeps its entry.  A
+    source table whose slope factors or self-dual numerators do not lie in
+    Z[q, 1/q] is refused with ValueError.
+
+    At a self-dual source slope and with a dual-symmetric table, the
+    factors of values s < 0 are those of -s read at the dual classes (see
+    the module docstring), and the seeded engine mirrors.
     """
     if table.quiver is not pair.quiver:
         raise ValidationError("table and slope pair use different quivers")
@@ -168,22 +184,27 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
     value = _engine(q, pair.plus).value
     classes = q.dim_vectors_up_to(bound)
     zero = tuple(0 for _ in q.vertices)
+    mirror = pair.plus.is_self_dual(q) and _dual_symmetric(q, table.eps)
     by_slope: Dict[Fraction, Dict[DimVector, RatFunc]] = {}
     for a, e in table.eps.items():
         if e:
             by_slope.setdefault(value(a), {})[a] = e
     exps = {s: _exp_weights(q, value, *_numerators(eps, gl_poly,
                                                    "M(a) eps(a)"))
-            for s, eps in by_slope.items()}
-    # X_s(g) = M(g) J_s(g) for the classes g of slope s, and X_s(0) = 1
+            for s, eps in by_slope.items() if not (mirror and s < 0)}
+    # X_s(g) = M(g) J_s(g) for the classes g of slope s; X_s(0) = 1 is left
+    # to _chain_sum and _sd_action.  Mirrored, X_-s(g^v) = X_s(g).
     factors: Dict[Fraction, Dict[DimVector, Laurent]] = {}
     for s, weight in exps.items():
-        x = factors[s] = {zero: _ONE}
-        for g in classes:
-            if value(g) == s:
-                x[g] = _divided(*weight(g), f"M(a) J(a) at slope {s}", g)
-    stack = {zero: _ONE}
-    for s in sorted(factors, reverse=True):
+        x = factors[s] = {g: _divided(*weight(g), f"M(a) J(a) at slope {s}",
+                                      g)
+                          for g in classes if value(g) == s}
+        if mirror and s > 0:
+            factors[-s] = {q.dual_vector(g): xg for g, xg in x.items()}
+    # The product starts at the first factor, as 1 F_s = F_s.
+    slopes = sorted(factors, reverse=True)
+    stack = {zero: _ONE, **(factors[slopes[0]] if slopes else {})}
+    for s in slopes[1:]:
         stack = {a: _chain_sum(q, stack, a, factors[s].get)
                  for a in [zero] + classes}
 
@@ -196,8 +217,6 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
         root = exps.get(Fraction(0))
 
         def half(g: DimVector) -> Weight:
-            if not any(g):
-                return _ONE, 1
             return root(g, 2) if root and value(g) == 0 else None
         start = {th: _sd_action(q, th, half, lambda rho: z.get(rho, _ZERO))
                  for th in sd_classes}
@@ -213,7 +232,7 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
                     for th in sd_classes}
 
     eng = _Engine.seeded(q, pair.minus, bound,
-                         {a: stack[a] for a in classes}, sd_stack)
+                         {a: stack.get(a, _ZERO) for a in classes}, sd_stack)
     eps = {a: eng.epsilon(a) for a in classes}
     sd_eps = None
     if sd_side:

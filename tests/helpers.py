@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from quiver_dt import invariants as inv
+from quiver_dt import invariants as inv, wallcross
 from quiver_dt.quiver import (Edge, SelfDualQuiver, kronecker_variant,
                               make_calibration, point_quiver)
 from quiver_dt.ratfunc import RatFunc
@@ -87,10 +87,11 @@ def rand_mod_elem(q, rng, terms=2, hi=1, bound=None) -> TorusModElem:
     return TorusModElem(q, coeffs, bound)
 
 
-def engine_values(q, s, bound):
+def engine_values(q, s, bound, make=inv._Engine):
     """A fresh engine's linear values on the classes within the bound and,
-    at a self-dual slope, its self-dual values, keyed by (method, class)."""
-    eng = inv._Engine(q, s)
+    at a self-dual slope, its self-dual values, keyed by (method, class).
+    make(q, s) builds the engine."""
+    eng = make(q, s)
     out = {(m, a): getattr(eng, m)(a)
            for a in [eng.zero] + q.dim_vectors_up_to(bound)
            for m in ("semistable", "epsilon", "dt_motivic")}
@@ -101,11 +102,19 @@ def engine_values(q, s, bound):
     return out
 
 
-def assert_mirror_changes_nothing(q, s, bound):
+def assert_mirror_changes_nothing(q, s, bound, make=inv._Engine):
     """The values of an engine equal those of one that reads each class at
     the class itself, its duality mirror (_Engine._rep) patched out."""
-    mirrored = engine_values(q, s, bound)
+    mirrored = engine_values(q, s, bound, make)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(inv._Engine, "_rep", lambda self, a: a)
-        plain = engine_values(q, s, bound)
+        plain = engine_values(q, s, bound, make)
     assert mirrored == plain, (q.vertices, s.weights)
+
+
+def crossed_without_mirror(table, pair):
+    """wallcross_epsilon with its test for a dual-symmetric table patched to
+    false, so that it builds the slope factor of every slope value."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wallcross, "_dual_symmetric", lambda *_args: False)
+        return wallcross.wallcross_epsilon(table, pair)

@@ -457,21 +457,29 @@ def kronecker_pm_plus():
     return load_quiver(str(FIXTURES / "kronecker_pm_plus.json"))
 
 
+def assert_holds_one_class_per_pair(eng, names, size):
+    """No recursion table at a negative value, and each memo holds more than
+    size classes, each of value above 0 or of value 0 with a <= a^v."""
+    q, s = eng.quiver, eng.slope
+    assert min(eng._dom) >= 0
+    for name in names:
+        memo = eng._memo[name]
+        assert len(memo) > size, name
+        for a in memo:
+            b = q.dual_vector(a)
+            assert not any(a) or s.value(a) > 0 or (
+                s.value(a) == 0 and a <= b), (name, a)
+            assert a == b or b not in memo, (name, a)
+
+
 @pytest.mark.parametrize("weights, bound", [({"i": 1, "j": -1}, 9), ({}, 6)])
 def test_self_dual_engine_computes_one_class_per_duality_pair(weights, bound):
     q = kronecker_pm_plus()
     s = Slope.from_dict(q, weights)
     inv.build_table(q, s, bound)
     eng = inv._engine(q, s)
-    assert min(eng._dom) >= 0
-    for name in MIRRORED:
-        memo = eng._memo[name]
-        assert len(memo) > 9, name
-        for a in memo:
-            b = q.dual_vector(a)
-            assert not any(a) or s.value(a) > 0 or (
-                s.value(a) == 0 and a <= b), (name, a)
-            assert a == b or b not in memo, (name, a)
+    assert_holds_one_class_per_pair(eng, MIRRORED, 9)
+    assert_holds_one_class_per_pair(eng, ("_root_weight",), 4)
 
 
 def assert_holds_both_halves(eng, names):
@@ -482,22 +490,51 @@ def assert_holds_both_halves(eng, names):
             assert eng.quiver.dual_vector(a) in memo, (name, a)
 
 
-def test_non_self_dual_and_seeded_engines_compute_both_halves(monkeypatch):
-    q = kronecker_pm_plus()
-    s = Slope.from_dict(q, {"i": 2, "j": -1})
-    inv.build_table(q, s, 9)
-    assert_holds_both_halves(inv._engine(q, s), MIRRORED)
+def seeded_by_the_transform(q, bound):
+    """The arguments of the engine wallcross_epsilon seeds crossing from
+    i=-1,j=1 to i=1,j=-1 at the bound, and that engine."""
     seeded = []
     build = inv._Engine.seeded.__func__
 
     def capture(cls, *args):
-        seeded.append(build(cls, *args))
-        return seeded[-1]
-    monkeypatch.setattr(inv._Engine, "seeded", classmethod(capture))
-    pair = SlopePair(q, Slope.from_dict(q, {"i": -1, "j": 1}), hn_slope(q))
-    wallcross_epsilon(epsilon_table(q, pair.plus, 6), pair)
-    [eng] = seeded
+        seeded.append((args, build(cls, *args)))
+        return seeded[-1][1]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(inv._Engine, "seeded", classmethod(capture))
+        pair = SlopePair(q, Slope.from_dict(q, {"i": -1, "j": 1}),
+                         hn_slope(q))
+        wallcross_epsilon(epsilon_table(q, pair.plus, bound), pair)
+    [(args, eng)] = seeded
+    return args, eng
+
+
+SEEDED = ("_semistable_num", "_powers", "epsilon", "_root_weight")
+
+
+def test_seeded_engine_mirrors_the_numerators_of_a_genuine_table():
+    q = kronecker_pm_plus()
+    args, eng = seeded_by_the_transform(q, 6)
     assert eng.slope.is_self_dual(q)
+    assert_holds_one_class_per_pair(eng, SEEDED, 3)
+    assert_mirror_changes_nothing(
+        q, eng.slope, 6, lambda q, s: inv._Engine.seeded(q, s, *args[2:]))
+
+
+def test_non_self_dual_and_seeded_engines_compute_both_halves():
+    """At a slope that is not self-dual, and in an engine seeded at a
+    self-dual slope with numerators changed at (1, 0) but not at (0, 1)."""
+    q = kronecker_pm_plus()
+    s = Slope.from_dict(q, {"i": 2, "j": -1})
+    inv.build_table(q, s, 9)
+    assert_holds_both_halves(inv._engine(q, s), MIRRORED)
+    (_, s, bound, nums, sd_nums), _ = seeded_by_the_transform(q, 6)
+    nums = dict(nums)
+    nums[(1, 0)] = Laurent({e: 2 * c for e, c in nums[(1, 0)].poly.items()})
+    eng = inv._Engine.seeded(q, s, bound, nums, sd_nums)
+    for a in q.dim_vectors_up_to(bound):
+        eng.epsilon(a)
+    for th in q.sd_classes_up_to(bound):
+        eng.sd_dt_motivic(th)
     assert_holds_both_halves(eng, ("_semistable_num", "_powers", "epsilon"))
 
 

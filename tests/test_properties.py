@@ -13,7 +13,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import assert_mirror_changes_nothing
+from helpers import assert_mirror_changes_nothing, crossed_without_mirror
 from reference import (direct_epsilon_integral, direct_sd_epsilon_integral,
                        direct_sd_semistable_integral,
                        direct_semistable_integral)
@@ -173,6 +173,15 @@ def test_wallcross_matches_the_direct_table_and_crosses_back(case):
     assert crossed.sd_eps is not None
     assert crossed == epsilon_table(pair.quiver, pair.minus, bound)
     assert wallcross_epsilon(crossed, pair.reversed()) == source
+
+
+@BUDGET
+@given(crossing())
+def test_mirror_changes_no_crossed_table(case):
+    pair, bound = case
+    source = epsilon_table(pair.quiver, pair.plus, bound)
+    assert wallcross_epsilon(source, pair) == \
+        crossed_without_mirror(source, pair)
 
 
 @BUDGET

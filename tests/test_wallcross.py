@@ -1,17 +1,21 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from helpers import (calibrated_kron, calibrated_mixed, calibrated_point,
-                     calibrated_two_pairs)
+                     calibrated_two_pairs, crossed_without_mirror)
 from reference import check_composition, coeff_S, coeff_Ssd, coeff_U, coeff_Usd
-from quiver_dt import invariants as inv
+from quiver_dt import invariants as inv, wallcross as wc
+from quiver_dt.cli import load_quiver
 from quiver_dt.quiver import (Slope, ValidationError, boxed_vectors, vadd,
                               vleq, vsub, vtotal)
-from quiver_dt.ratfunc import RatFunc, q_minus_qinv
+from quiver_dt.ratfunc import RatFunc, laurent_sum, q_minus_qinv
 from quiver_dt.wallcross import (EpsilonTable, SlopePair, diff_tables,
                                  epsilon_table, wallcross_epsilon)
+
+FIXTURES = Path(inv.__file__).parent / "fixtures"
 
 
 def setup_function(_fn):
@@ -265,6 +269,96 @@ def test_transform_refuses_a_self_dual_table_not_from_a_stack_element():
     table.sd_eps[(1, 1)] = table.sd_eps[(1, 1)] * Fraction(1, 3)
     with pytest.raises(ValueError, match="not the epsilon table of a stack"):
         wallcross_epsilon(table, pair)
+
+
+def test_transform_refuses_a_dual_symmetric_table_not_from_a_stack_element():
+    q = calibrated_kron()
+    pair = _pair(q, {"i": 1, "j": -1}, {"i": -1, "j": 1})
+    for divided in [((1, 0), (0, 1)), ((0, 1),)]:
+        table = epsilon_table(q, pair.plus, 3)
+        for a in divided:
+            table.eps[a] = table.eps[a] / (2 * RatFunc.q_power(1) + 1)
+        assert inv._dual_symmetric(q, table.eps) == (len(divided) == 2)
+        with pytest.raises(ValueError,
+                           match="not the epsilon table of a stack"):
+            wallcross_epsilon(table, pair)
+
+
+def test_transform_of_a_table_that_is_not_dual_symmetric():
+    """At a self-dual source slope, a table with the values of slope value
+    1, or of -1, set to zero is crossed at every slope value, as the
+    enumerative reference crosses it."""
+    q = calibrated_kron()
+    pair = _pair(q, {"i": 1, "j": -1}, {"i": -1, "j": 1})
+    for value in [1, -1]:
+        table = epsilon_table(q, pair.plus, 4)
+        for a in table.eps:
+            if pair.plus.value(a) == value:
+                table.eps[a] = RatFunc(0)
+        assert not inv._dual_symmetric(q, table.eps)
+        got = wallcross_epsilon(table, pair)
+        want = enumerative_wallcross(table, pair)
+        assert got.eps == want.eps
+        assert got.sd_eps == want.sd_eps
+
+
+KRONECKER = sorted(FIXTURES.glob("kronecker_*.json"))
+
+
+@pytest.mark.parametrize("path", KRONECKER, ids=[p.stem for p in KRONECKER])
+def test_mirror_changes_no_crossed_table_on_the_fixtures(path):
+    q = load_quiver(str(path))
+    for plus, minus in [({"i": 1, "j": -1}, {"i": -1, "j": 1}),
+                        ({"i": -1, "j": 1}, {"i": 1, "j": -1})]:
+        pair = _pair(q, plus, minus)
+        table = epsilon_table(q, pair.plus, 6)
+        assert inv._dual_symmetric(q, table.eps)
+        assert wallcross_epsilon(table, pair) == \
+            crossed_without_mirror(table, pair)
+
+
+@pytest.mark.parametrize("make, args, plus, minus", REFERENCE_CASES[4:],
+                         ids=REFERENCE_IDS[4:])
+def test_mirror_changes_no_crossed_table_with_a_commutation_form(
+        make, args, plus, minus):
+    q = make(*args)
+    pair = _pair(q, plus, minus)
+    table = epsilon_table(q, pair.plus, 5)
+    assert inv._dual_symmetric(q, table.eps)
+    assert wallcross_epsilon(table, pair) == \
+        crossed_without_mirror(table, pair)
+
+
+def test_transform_work_on_kronecker_pm_plus(monkeypatch):
+    """The number of integer sums one crossing makes at bound 5 (283 when
+    every slope factor was built and multiplied in with its unit term), and
+    no sum in the stack product of a class's own entry alone."""
+    q = load_quiver(str(FIXTURES / "kronecker_pm_plus.json"))
+    pair = _pair(q, {"i": 1, "j": -1}, {"i": -1, "j": 1})
+    table = epsilon_table(q, pair.plus, 5)
+    sums, products = [], []
+
+    def counted(terms, sign=1):
+        sums.append(terms)
+        if products:
+            tab, top = products[-1]
+            own = tab.get(top)
+            assert not (len(terms) == 1 and all(
+                f is own or f.poly == {0: 1} for f in terms[0][1])), top
+        return laurent_sum(terms, sign)
+
+    def product(q, tab, top, x, sign=1):
+        products.append((tab, top))
+        try:
+            return inv._chain_sum(q, tab, top, x, sign)
+        finally:
+            products.pop()
+    with monkeypatch.context() as m:
+        m.setattr(inv, "laurent_sum", counted)
+        m.setattr(wc, "_chain_sum", product)
+        crossed = wallcross_epsilon(table, pair)
+    assert len(sums) == 112
+    assert crossed == epsilon_table(q, pair.minus, 5)
 
 
 def test_transform_makes_no_ratfunc_arithmetic(monkeypatch):
