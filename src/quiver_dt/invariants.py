@@ -11,13 +11,16 @@ classes of slope above s.  A stack class is q^e(a) / M(a), with M(a) =
 prod_i P(a_i) and P(n) = prod_{k=1..n} (q^2k - 1) (see motives), so the
 recursion keeps D = M d in place of each rational entry d, and every step
 is an integer product through q^2-binomials (Reineke, The Harder-Narasimhan
-system in quantum groups and cohomology of quiver moduli, 2003).  The star
-powers of a slope's semistable element are integer numerators over M in
-the same way, listed up to the last one that can be nonzero.  A power
-series in them, such as the star-logarithm that gives the epsilon integrals
-or the inverse square root at slope 0, is one integer numerator over one
-integer, the lcm of its coefficients' denominators (_series), divided by M
-only at the end, as a RatFunc.  Where a class has no decomposition into two
+system in quantum groups and cohomology of quiver moduli, 2003).  The entry
+at p reads s only through the classes c <= p of slope above s, so slope
+values that agree on them share it: each engine computes it once per such
+region (_Engine._dom_table).  The star powers of a slope's semistable
+element are integer numerators over M in the same way, listed up to the
+last one that can be nonzero.  A power series in them, such as the
+star-logarithm that gives the epsilon integrals or the inverse square root
+at slope 0, is one integer numerator over one integer, the lcm of its
+coefficients' denominators (_series), divided by M only at the end, as a
+RatFunc.  Where a class has no decomposition into two
 or more nonzero classes of its slope value, the star-log is its first term,
 so the epsilon integral is the semistable integral, the same RatFunc.
 
@@ -34,7 +37,8 @@ the motivic invariant is (q - 1/q) times the epsilon integral, taken from
 the epsilon integral's canonical form without a gcd
 (RatFunc.times_q_minus_qinv).  Numerical invariants evaluate the motivic
 ones at q = -1; pole orders and values are read off the integer form of a
-RatFunc, and a table renders as JSON through json_text.
+RatFunc, and a table renders as JSON through json_text, which writes each
+RatFunc straight from its presented integer terms.
 
 At a self-dual slope, duality maps the semistable objects of class a and
 value s to those of class a^v and value -s and reverses the Hall product
@@ -62,7 +66,7 @@ import operator
 import weakref
 from collections import defaultdict
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from json.encoder import encode_basestring_ascii
 from typing import (TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional,
                     Tuple)
@@ -73,7 +77,8 @@ from .motives import (over_gl_denominator, over_sd_denominator, q2_binomial,
 from .oracle import ensure_calibrated
 from .quiver import (DimVector, SelfDualQuiver, Slope, ValidationError,
                      boxed_vectors, vadd, vsub, vtotal)
-from .ratfunc import Laurent, PoleError, RatFunc, laurent_sum, q_minus_qinv
+from .ratfunc import (Laurent, PoleError, RatFunc, _coeff_str, laurent_sum,
+                      q_minus_qinv)
 
 if TYPE_CHECKING:
     from .torus import TorusElem, TorusModElem
@@ -99,14 +104,15 @@ def _chain_sum(quiver: SelfDualQuiver, tab: Dict[DimVector, Laurent],
                top: DimVector, x: Callable[[DimVector], Optional[Laurent]],
                sign: int = 1) -> Laurent:
     """sign times M(top) times the sum of d(p) c(top - p) q^<p, top - p>
-    over the entries p <= top of tab, where d(p) = tab[p] / M(p), c(0) = 1
-    and c(v) = x(v) / M(v) for v nonzero, x(v) None where c is zero.  Each
-    term p < top is tab[p] x(top - p) times the q^2-binomials [top_i, p_i]:
-    no denominator is left.  The unit's term is tab[top] itself, if tab has
-    it, and x is not asked at 0; where it is the only term and sign is 1,
-    tab[top] is returned as it is."""
+    over the entries p <= top of tab, where d(p) = tab[p] / M(p), d(0) = 1,
+    c(0) = 1 and c(v) = x(v) / M(v) for v nonzero, x(v) None where c is
+    zero.  Each term 0 < p < top is tab[p] x(top - p) times the
+    q^2-binomials [top_i, p_i]: no denominator is left.  The zero class's
+    term is x(top), and tab is not asked at 0; the unit's term is tab[top]
+    itself, if tab has it, and x is not asked at 0.  Where one of these two
+    is the only term, it is returned as it is, negated for sign -1."""
     terms = []
-    for p in boxed_vectors(top)[:-1]:
+    for p in boxed_vectors(top)[1:-1]:
         dp = tab.get(p)
         if dp is not None:
             step = vsub(top, p)
@@ -114,12 +120,24 @@ def _chain_sum(quiver: SelfDualQuiver, tab: Dict[DimVector, Laurent],
             if c is not None:
                 terms.append((quiver.commutation_exponent(p, step),
                               [dp, c] + _binomials(top, p)))
+    if any(top):
+        c = x(top)
+        if c is not None:
+            terms.append((0, [c]))
     own = tab.get(top)
     if own is not None:
-        if not terms and sign == 1:
-            return own
         terms.append((0, [own]))
+    if len(terms) == 1 and len(terms[0][1]) == 1:
+        only = terms[0][1][0]
+        return only if sign == 1 else Laurent(
+            {e: -c for e, c in only.poly.items()})
     return laurent_sum(terms, sign)
+
+
+@lru_cache(maxsize=4096)
+def _below(p: DimVector) -> Tuple[DimVector, ...]:
+    """The classes p - e_i, for each i with p_i > 0."""
+    return tuple(p[:i] + (n - 1,) + p[i + 1:] for i, n in enumerate(p) if n)
 
 
 def _star_powers(quiver: SelfDualQuiver, g: DimVector,
@@ -274,6 +292,9 @@ class _Engine:
         self._mirrors = slope.is_self_dual(quiver)
         self._memo: Dict[str, dict] = defaultdict(dict)
         self._dom: Dict[Fraction, Dict[DimVector, Optional[Laurent]]] = {}
+        self._ids: Dict[Fraction, Dict[DimVector, int]] = {}
+        self._regions: Dict[tuple, int] = {}
+        self._store: Dict[int, Laurent] = {}
 
     @classmethod
     def seeded(cls, quiver: SelfDualQuiver, slope: Slope, bound: int,
@@ -332,17 +353,40 @@ class _Engine:
                    top: DimVector) -> Dict[DimVector, Optional[Laurent]]:
         """The entries D(s, p) = M(p) d(s, p), filled in up to top, where d
         is the inverse of the component-integral element restricted to the
-        zero class and the classes of slope above s; None on every other
-        class.  An entry reads only the entries below it (see _chain_sum),
-        and boxed_vectors lists those first."""
-        tab = self._dom.setdefault(s, {self.zero: _ONE})
+        zero class and the region of s, the classes of slope above s; None
+        on every other class.  An entry reads only the entries below it
+        (see _chain_sum), and boxed_vectors lists those first.
+
+        D(s, p) depends on s only through the region's part in the box [0,
+        p], which is {p, if p lies in the region} with the parts at each p -
+        e_i.  So the slot (s, p) gets the id interned from p, whether p lies
+        in the region, and the ids at p - e_i (_region_key): equal ids are
+        equal parts.  The engine's store holds one entry per id, computed
+        the first time the id appears, and the table of s refers into it."""
+        tab = self._dom.get(s)
+        if tab is None:
+            # The zero class's entry is the unit; no region has id -1.
+            tab = self._dom[s] = {self.zero: _ONE}
+            self._ids[s] = {self.zero: -1}
         if top not in tab:
+            ids, regions, store = self._ids[s], self._regions, self._store
             for p in boxed_vectors(top):
                 if p not in tab:
-                    tab[p] = (_chain_sum(self.quiver, tab, p,
-                                         self._numerator, -1)
-                              if self.value(p) > s else None)
+                    key = self._region_key(s, p, ids)
+                    rid = regions.get(key)
+                    if rid is None:
+                        rid = regions[key] = len(regions)
+                        if self.value(p) > s:
+                            store[rid] = _chain_sum(self.quiver, tab, p,
+                                                    self._numerator, -1)
+                    ids[p] = rid
+                    tab[p] = store.get(rid)
         return tab
+
+    def _region_key(self, s: Fraction, p: DimVector,
+                    ids: Dict[DimVector, int]) -> tuple:
+        """p, whether p lies in the region of s, and the ids at p - e_i."""
+        return (p, self.value(p) > s, *[ids[b] for b in _below(p)])
 
     @_per_pair
     def _semistable_num(self, a: DimVector) -> Laurent:
@@ -615,10 +659,30 @@ def sd_stack_element(quiver: SelfDualQuiver, bound: int) -> TorusModElem:
 
 def json_text(obj) -> str:
     """json.dumps(obj, indent=2, sort_keys=True), for obj built of dicts
-    with str keys, lists, str, int, bool and None; TypeError on anything
-    else.  The standard encoder runs in pure Python whenever it indents;
-    this writer joins the strings of each container in one step."""
+    with str keys, lists, str, int, bool, None and RatFunc, each RatFunc
+    written as its to_data(); TypeError on anything else.  The standard
+    encoder runs in pure Python whenever it indents; this writer joins the
+    strings of each container in one step, and writes a RatFunc from its
+    presented integer terms in one step, with no data built for it."""
     return _json_text(obj, "\n")
+
+
+def _ratfunc_json(rf: RatFunc, nl: str) -> str:
+    """json_text(rf.to_data()) at the indent nl.  A coefficient is digits,
+    a sign and a slash, so its JSON string is itself in quotes."""
+    sh, num, den = rf._presented()
+    i1 = nl + "  "
+    i2 = i1 + "  "
+    i3 = i2 + "  "
+
+    def terms(ts) -> str:
+        if not ts:
+            return "[]"
+        return ("[" + i2 + ("," + i2).join([
+            f'[{i3}{e},{i3}"{_coeff_str(p, r)}"{i2}]' for e, p, r in ts])
+            + i1 + "]")
+    return (f'{{{i1}"den": {terms(den)},{i1}"num": {terms(num)},'
+            f'{i1}"shift": {sh}{nl}}}')
 
 
 def _json_text(obj, nl: str) -> str:
@@ -629,6 +693,8 @@ def _json_text(obj, nl: str) -> str:
         return encode_basestring_ascii(obj)
     if t is int:
         return int.__repr__(obj)
+    if t is RatFunc:
+        return _ratfunc_json(obj, nl)
     if t is list or isinstance(obj, list):
         if not obj:
             return "[]"
@@ -683,13 +749,14 @@ class InvariantTable(NamedTuple):
     rows: List[InvariantRow]
     sd_rows: List[InvariantRow]
 
-    def to_data(self) -> dict:
+    def _data(self, ratfunc: Callable[[RatFunc], object]) -> dict:
+        """The table as JSON data, each RatFunc as ratfunc gives it."""
         def row_data(r: InvariantRow) -> dict:
             return {
                 "class": list(r.dim_vector),
-                "J": r.semistable.to_data(),
-                "eps": r.epsilon.to_data(),
-                "DTmot": r.dt_motivic.to_data(),
+                "J": ratfunc(r.semistable),
+                "eps": ratfunc(r.epsilon),
+                "DTmot": ratfunc(r.dt_motivic),
                 "DTnum": (str(r.dt_numeric)
                           if r.dt_numeric is not None else None),
             }
@@ -701,6 +768,9 @@ class InvariantTable(NamedTuple):
             "rows": [row_data(r) for r in self.rows],
             "sd_rows": [row_data(r) for r in self.sd_rows],
         }
+
+    def to_data(self) -> dict:
+        return self._data(RatFunc.to_data)
 
     @classmethod
     def from_data(cls, data: dict) -> "InvariantTable":
@@ -723,7 +793,9 @@ class InvariantTable(NamedTuple):
         )
 
     def to_json(self) -> str:
-        return json_text(self.to_data())
+        """json_text(self.to_data()), with each RatFunc written by
+        json_text itself."""
+        return json_text(self._data(lambda rf: rf))
 
     CSV_HEADER = ("side", "class", "J", "eps", "DTmot", "DTnum")
 

@@ -7,7 +7,7 @@ import pytest
 from quiver_dt import invariants as inv, wallcross
 from quiver_dt.quiver import (Edge, SelfDualQuiver, kronecker_variant,
                               make_calibration, point_quiver)
-from quiver_dt.ratfunc import RatFunc
+from quiver_dt.ratfunc import Laurent, RatFunc
 from quiver_dt.torus import TorusElem, TorusModElem
 
 # resolved by the oracle; kept literal here so the algebra tests do not
@@ -110,6 +110,44 @@ def assert_mirror_changes_nothing(q, s, bound, make=inv._Engine):
         mp.setattr(inv._Engine, "_rep", lambda self, a: a)
         plain = engine_values(q, s, bound, make)
     assert mirrored == plain, (q.vertices, s.weights)
+
+
+def _plain(value):
+    """value with each Laurent replaced by its dict, for comparing memos."""
+    if isinstance(value, Laurent):
+        return value.poly
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def engine_state(eng):
+    """Every memoised value of an engine, and its recursion tables."""
+    memos = {name: {a: _plain(v) for a, v in memo.items()}
+             for name, memo in eng._memo.items()}
+    tables = {s: {p: _plain(d) for p, d in tab.items()}
+              for s, tab in eng._dom.items()}
+    return memos, tables
+
+
+def assert_regions_change_nothing(q, s, bound, make=inv._Engine):
+    """Every memoised value and recursion entry of an engine equals that of
+    one whose region key is patched to include the slope value, so that no
+    two values share an entry: it keeps one table per value, one stored
+    entry per nonzero slot of the region."""
+    shared = make(q, s)
+    engine_values(q, s, bound, lambda *_args: shared)
+    key = inv._Engine._region_key
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inv._Engine, "_region_key",
+                   lambda self, s, p, ids: (s, key(self, s, p, ids)))
+        apart = make(q, s)
+        engine_values(q, s, bound, lambda *_args: apart)
+    assert engine_state(shared) == engine_state(apart), (q.vertices,
+                                                         s.weights)
+    assert len(apart._store) == sum(
+        d is not None for tab in apart._dom.values()
+        for p, d in tab.items() if any(p))
 
 
 def crossed_without_mirror(table, pair):

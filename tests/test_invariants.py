@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import (assert_mirror_changes_nothing, calibrated_mixed,
+from helpers import (assert_mirror_changes_nothing,
+                     assert_regions_change_nothing, calibrated_mixed,
                      calibrated_two_pairs, mixed_quiver)
 from reference import (binom_fraction, direct_epsilon_integral,
                        direct_sd_epsilon_integral,
@@ -264,6 +265,9 @@ def reference_sd_semistable(eng, tab, th):
 
 
 def assert_engine_matches_full_region(q, slope, bound):
+    """The engine's semistable values, and its self-dual ones at a self-dual
+    slope, and every recursion entry of each value they read, against the
+    full-region reference."""
     eng = inv._engine(q, slope)
     classes = q.dim_vectors_up_to(bound)
     refs = {}
@@ -273,14 +277,15 @@ def assert_engine_matches_full_region(q, slope, bound):
             refs[value] = full_region_dom_table(eng, value, bound)
         assert eng.semistable(a) == reference_semistable(
             eng, refs[value], a), (a, value)
-    sd_classes = q.sd_classes_up_to(bound)
-    zero = Fraction(0)
-    # Under a self-dual slope every self-dual class has slope 0.
-    assert all(slope.value(th) == zero for th in sd_classes if any(th))
-    refs.setdefault(zero, full_region_dom_table(eng, zero, bound))
-    for th in sd_classes:
-        assert eng.sd_semistable(th) == reference_sd_semistable(
-            eng, refs[zero], th), th
+    if slope.is_self_dual(q):
+        sd_classes = q.sd_classes_up_to(bound)
+        zero = Fraction(0)
+        # Under a self-dual slope every self-dual class has slope 0.
+        assert all(slope.value(th) == zero for th in sd_classes if any(th))
+        refs.setdefault(zero, full_region_dom_table(eng, zero, bound))
+        for th in sd_classes:
+            assert eng.sd_semistable(th) == reference_sd_semistable(
+                eng, refs[zero], th), th
     for value, ref in refs.items():
         for p in [eng.zero] + classes:
             dp = eng._dom_table(value, p)[p]
@@ -320,6 +325,61 @@ def test_dom_table_matches_full_region_with_a_commutation_form(make, weights):
              for i in range(len(q.vertices))]
     assert any(q.commutation_exponent(a, b) for a in units for b in units)
     assert_engine_matches_full_region(q, Slope.from_dict(q, weights), 4)
+
+
+# -- recursion entries shared across slope values -----------------------------
+
+def region(eng, s, p):
+    """The classes 0 < c <= p of value above s: the part of the region of s
+    that D(s, p) reads."""
+    return frozenset(c for c in boxed_vectors(p)
+                     if any(c) and eng.value(c) > s)
+
+
+def test_table_computes_each_region_once(monkeypatch):
+    """build_table on kronecker_pm_plus at i=1,j=-1, bound 16: 957
+    _chain_sum calls while each slope value kept its own table."""
+    q = kronecker_pm_plus()
+    s = hn_slope(q)
+    calls = []
+    chain_sum = inv._chain_sum
+
+    def counted(*args):
+        calls.append(1)
+        return chain_sum(*args)
+    monkeypatch.setattr(inv, "_chain_sum", counted)
+    inv.build_table(q, s, 16)
+    assert len(calls) == 267
+    eng = inv._engine(q, s)
+    regions = set()
+    for value, tab in eng._dom.items():
+        for p, dp in tab.items():
+            if any(p):
+                assert dp is eng._store.get(eng._ids[value][p]), (value, p)
+                if dp is not None:
+                    regions.add((p, region(eng, value, p)))
+    assert len(eng._store) == len(regions) == 187
+
+
+def test_sharing_changes_no_value_on_the_fixtures():
+    for path in sorted(FIXTURES.glob("kronecker_*.json")):
+        q = load_quiver(str(path))
+        for w in ({}, {"i": 1, "j": -1}, {"i": -1, "j": 1}, {"i": 2, "j": 1}):
+            assert_regions_change_nothing(q, Slope.from_dict(q, w), 7)
+
+
+@pytest.mark.parametrize("make, weights", COMMUTATION_CASES + [
+    (calibrated_mixed, {"i": 2, "j": 1, "k": -1})])
+def test_sharing_changes_no_value_with_a_commutation_form(make, weights):
+    q = make()
+    assert_regions_change_nothing(q, Slope.from_dict(q, weights), 5)
+
+
+def test_sharing_changes_no_value_in_the_seeded_engine():
+    q = kronecker_pm_plus()
+    args, _ = seeded_by_the_transform(q, 6)
+    assert_regions_change_nothing(
+        q, args[1], 6, lambda q, s: inv._Engine.seeded(q, s, *args[2:]))
 
 
 def test_semistable_recursion_makes_no_ratfunc_arithmetic(monkeypatch):
@@ -908,6 +968,70 @@ class _Items(list):
           "m": _Mapping(z=_Mapping(), y=_Items([1, _Mapping(x=True)]))})
 def test_json_text_is_json_dumps(obj):
     assert inv.json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def nested(x, depth):
+    """x inside depth containers, lists and dicts in turn."""
+    for i in range(depth):
+        x = [x] if i % 2 else {"k": x, "a": 0}
+    return x
+
+
+def assert_writes_its_data(rf):
+    for depth in (0, 2, 4):
+        want = json.dumps(nested(rf.to_data(), depth), indent=2,
+                          sort_keys=True)
+        assert inv.json_text(nested(rf, depth)) == \
+            inv.json_text(nested(rf.to_data(), depth)) == want, (rf, depth)
+
+
+def test_json_text_writes_each_ratfunc_of_the_fixture_tables_as_its_data():
+    count = 0
+    for path in sorted(FIXTURES.glob("*.json")):
+        q = load_quiver(str(path))
+        slopes = [Slope.trivial(q)]
+        if {"i", "j"} <= set(q.vertices):
+            slopes.append(hn_slope(q))
+        for s in slopes:
+            table = inv.build_table(q, s, 6)
+            for r in table.rows + table.sd_rows:
+                for rf in (r.semistable, r.epsilon, r.dt_motivic):
+                    assert_writes_its_data(rf)
+                    count += 1
+    assert count > 1000
+
+
+@pytest.mark.parametrize("rf", [
+    RatFunc(0), RatFunc(7), RatFunc(Fraction(-3, 4)), RatFunc.q_power(-3),
+    RatFunc.from_frac_polys(-2, {0: Fraction(-1), 3: Fraction(5, 2)},
+                            {0: Fraction(1)}),
+    RatFunc.from_frac_polys(1, {0: Fraction(-2)},
+                            {0: Fraction(2), 1: Fraction(3), 2: Fraction(-9)}),
+    q_minus_qinv(), inv_q_minus_qinv()], ids=str)
+def test_json_text_writes_a_ratfunc_as_its_data(rf):
+    assert_writes_its_data(rf)
+
+
+FRAC_POLYS = st.dictionaries(st.integers(0, 5),
+                             st.fractions(max_denominator=12), max_size=4)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(-6, 6), FRAC_POLYS, FRAC_POLYS.filter(
+    lambda den: any(den.values())))
+def test_json_text_writes_any_ratfunc_as_its_data(shift, num, den):
+    assert_writes_its_data(RatFunc.from_frac_polys(shift, num, den))
+
+
+def test_table_to_json_never_builds_ratfunc_data(monkeypatch):
+    q = calibrated_kron((1, -1))
+    table = inv.build_table(q, hn_slope(q), 6)
+    want = inv.json_text(table.to_data())
+
+    def refused(self):
+        raise AssertionError("to_json called RatFunc.to_data")
+    monkeypatch.setattr(RatFunc, "to_data", refused)
+    assert table.to_json() == want
 
 
 @pytest.mark.parametrize("obj", [1.5, (1, 2), {1: "a"}, {"a": Fraction(1)},

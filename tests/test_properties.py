@@ -2,8 +2,9 @@
 by hypothesis, checked against the independent enumerators of
 tests/reference.py, for wall-crossing against the tables computed directly,
 and for regularity and the exp/log and square-root inversions against the
-paper's identities in the torus algebra, and for the calibration check
-against its loop form in tests/test_oracle.py."""
+paper's identities in the torus algebra, for the shared recursion entries
+against the full-region recursion, and for the calibration check against
+its loop form in tests/test_oracle.py."""
 
 from fractions import Fraction
 from math import factorial
@@ -18,6 +19,7 @@ from reference import (direct_epsilon_integral, direct_sd_epsilon_integral,
                        direct_sd_semistable_integral,
                        direct_semistable_integral)
 from suite import _rand_quiver
+from test_invariants import assert_engine_matches_full_region
 from test_oracle import flipped, loop_verify_calibration, outcome
 from quiver_dt import invariants as inv
 from quiver_dt.oracle import calibrate_signs, verify_calibration
@@ -66,6 +68,16 @@ def test_epsilon_integral_matches_direct_enumeration(case):
     for a in quiver.dim_vectors_up_to(bound):
         assert inv.epsilon_integral(quiver, slope, a, bound=bound) == \
             direct_epsilon_integral(quiver, slope, a), a
+
+
+@BUDGET
+@given(quiver_slope_bound())
+def test_recursion_entries_match_the_full_region(case):
+    """Each recursion entry, shared between the slope values whose regions
+    agree below it, against the gated recursion over the whole region."""
+    quiver, slope, bound = case
+    calibrate_signs(quiver)
+    assert_engine_matches_full_region(quiver, slope, bound)
 
 
 @st.composite
