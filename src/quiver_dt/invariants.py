@@ -37,8 +37,8 @@ the motivic invariant is (q - 1/q) times the epsilon integral, taken from
 the epsilon integral's canonical form without a gcd
 (RatFunc.times_q_minus_qinv).  Numerical invariants evaluate the motivic
 ones at q = -1; pole orders and values are read off the integer form of a
-RatFunc, and a table renders as JSON through json_text, which writes each
-RatFunc straight from its presented integer terms.
+RatFunc, and a table renders as JSON through json_text, which has each
+RatFunc write itself (RatFunc.to_json).
 
 At a self-dual slope, duality maps the semistable objects of class a and
 value s to those of class a^v and value -s and reverses the Hall product
@@ -62,7 +62,6 @@ the old one, and the engines go when the quiver does.
 from __future__ import annotations
 
 import math
-import operator
 import weakref
 from collections import defaultdict
 from fractions import Fraction
@@ -77,8 +76,7 @@ from .motives import (over_gl_denominator, over_sd_denominator, q2_binomial,
 from .oracle import ensure_calibrated
 from .quiver import (DimVector, SelfDualQuiver, Slope, ValidationError,
                      boxed_vectors, vadd, vsub, vtotal)
-from .ratfunc import (Laurent, PoleError, RatFunc, _coeff_str, laurent_sum,
-                      q_minus_qinv)
+from .ratfunc import Laurent, PoleError, RatFunc, laurent_sum, q_minus_qinv
 
 if TYPE_CHECKING:
     from .torus import TorusElem, TorusModElem
@@ -236,14 +234,12 @@ def _sd_action(quiver: SelfDualQuiver, th: DimVector,
         for kg, tw, factors in terms]), k
 
 
-def _dual_symmetric(quiver: SelfDualQuiver, values: dict,
-                   same: Callable[[object, object], bool] = operator.eq
-                   ) -> bool:
-    """Whether values[a^v] is values[a], or the same value, for every class a
+def _dual_symmetric(quiver: SelfDualQuiver, values: dict) -> bool:
+    """Whether values[a^v] is values[a], or an equal value, for every class a
     of values."""
     for a, v in values.items():
         w = values.get(quiver.dual_vector(a))
-        if w is not v and (w is None or not same(v, w)):
+        if w is not v and (w is None or v != w):
             return False
     return True
 
@@ -310,7 +306,7 @@ class _Engine:
         eng = cls(quiver, slope)
         eng.seed_bound = bound
         eng._mirrors = eng._mirrors and _dual_symmetric(
-            quiver, numerators, lambda m, n: m.poly == n.poly)
+            quiver, {a: n.poly for a, n in numerators.items()})
         eng._memo["_numerator"].update(numerators)
         if sd_numerators is not None:
             eng._memo["_sd_numerator"].update(sd_numerators)
@@ -453,18 +449,13 @@ class _Engine:
         self.slope.validate_self_dual(self.quiver)
 
     @_per_class
-    def _slope0_entry(self, g: DimVector) -> Weight:
-        """(D(0, g), 1), None off the region at slope 0."""
-        dg = self._dom_table(Fraction(0), g)[g]
-        return None if dg is None else (dg, 1)
-
-    @_per_class
     def _sd_semistable_num(self, th: DimVector) -> Laurent:
         """M_sd(th) times the self-dual semistable integral of th: the
         slope-0 entries d(0, g) acting on the self-dual component
         integrals."""
-        return _sd_action(self.quiver, th, self._slope0_entry,
-                          self._sd_numerator)[0]
+        dom = self._dom_table(Fraction(0), th)
+        return _sd_action(self.quiver, th, lambda g: None if dom[g] is None
+                          else (dom[g], 1), self._sd_numerator)[0]
 
     @_per_class
     def sd_semistable(self, th: DimVector) -> RatFunc:
@@ -662,27 +653,9 @@ def json_text(obj) -> str:
     with str keys, lists, str, int, bool, None and RatFunc, each RatFunc
     written as its to_data(); TypeError on anything else.  The standard
     encoder runs in pure Python whenever it indents; this writer joins the
-    strings of each container in one step, and writes a RatFunc from its
-    presented integer terms in one step, with no data built for it."""
+    strings of each container in one step, and a RatFunc writes itself in
+    one step (RatFunc.to_json), with no data built for it."""
     return _json_text(obj, "\n")
-
-
-def _ratfunc_json(rf: RatFunc, nl: str) -> str:
-    """json_text(rf.to_data()) at the indent nl.  A coefficient is digits,
-    a sign and a slash, so its JSON string is itself in quotes."""
-    sh, num, den = rf._presented()
-    i1 = nl + "  "
-    i2 = i1 + "  "
-    i3 = i2 + "  "
-
-    def terms(ts) -> str:
-        if not ts:
-            return "[]"
-        return ("[" + i2 + ("," + i2).join([
-            f'[{i3}{e},{i3}"{_coeff_str(p, r)}"{i2}]' for e, p, r in ts])
-            + i1 + "]")
-    return (f'{{{i1}"den": {terms(den)},{i1}"num": {terms(num)},'
-            f'{i1}"shift": {sh}{nl}}}')
 
 
 def _json_text(obj, nl: str) -> str:
@@ -694,7 +667,7 @@ def _json_text(obj, nl: str) -> str:
     if t is int:
         return int.__repr__(obj)
     if t is RatFunc:
-        return _ratfunc_json(obj, nl)
+        return obj.to_json(nl)
     if t is list or isinstance(obj, list):
         if not obj:
             return "[]"

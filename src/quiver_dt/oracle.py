@@ -164,14 +164,25 @@ def resolve_brute_force_signs() -> Tuple[int, int]:
 # -- per-quiver calibration -----------------------------------------------------
 
 def calibrate_signs(quiver: SelfDualQuiver) -> Calibration:
-    """Attach the resolved calibration to the quiver after verifying the
-    exponent identities on all classes up to bound 2;
-    verify_calibration(quiver, bound) checks them further."""
-    orientation, placement = resolve_global_signs()
-    cal = make_calibration(quiver, orientation, placement)
-    quiver.set_calibration(cal)
-    verify_calibration(quiver)
+    """Attach the resolved calibration to the quiver once the exponent
+    identities hold on all classes up to bound 2, else give it back its
+    earlier one; verify_calibration(quiver, bound) checks them further."""
+    cal = make_calibration(quiver, *resolve_global_signs())
+    _verify_attached(quiver, cal, 2)
     return cal
+
+
+def _verify_attached(quiver: SelfDualQuiver, cal: Calibration,
+                     bound: int) -> Dict[str, int]:
+    """verify_calibration(quiver, bound) with cal attached, reattaching
+    the quiver's earlier calibration, or none, if it fails."""
+    earlier = quiver.calibration
+    quiver.set_calibration(cal)
+    try:
+        return verify_calibration(quiver, bound)
+    except CalibrationError:
+        quiver.set_calibration(earlier)
+        raise
 
 
 def ensure_calibrated(quiver: SelfDualQuiver) -> None:
@@ -330,11 +341,9 @@ def explain_calibration(quiver: SelfDualQuiver, bound: int = 2) -> Tuple[str, bo
             got = ref.sd_twist_exponent(_UNIT, _ZERO2)
             lines.append(f"    edge signs {key[0]}, vertex sign {key[1]:+d}: "
                          f"twist {got} (expected {REFERENCE_TWISTS[key]})")
-        # attached unverified: the verification right below is the check
-        if quiver.calibration is None:
-            quiver.set_calibration(
-                make_calibration(quiver, orientation, placement))
-        counts = verify_calibration(quiver, bound)
+        counts = _verify_attached(
+            quiver, quiver.calibration
+            or make_calibration(quiver, orientation, placement), bound)
         kappa = ", ".join(str(k) for k in quiver.calibration.kappa)
         lines.append("quiver calibration")
         lines.append(f"  kappa weights: ({kappa})")

@@ -276,8 +276,8 @@ class SelfDualQuiver:
     def calibration(self) -> Optional[Calibration]:
         return self._calibration
 
-    def set_calibration(self, cal: Calibration) -> None:
-        """Attach cal and build both exponent forms from it.
+    def set_calibration(self, cal: Optional[Calibration]) -> None:
+        """Attach cal and build both exponent forms from it; None detaches.
 
         Over the vertex pairs s < t the commutation form is
         A(alpha, beta) = sum m (alpha_s beta_t - alpha_t beta_s), where m is
@@ -285,6 +285,9 @@ class SelfDualQuiver:
         the diagonal Euler terms and the loops cancel.  The twist is kept
         doubled, 2B(alpha, theta) = 2A(alpha, theta) + A(alpha, dual(alpha))
         + sum 2 kappa_i alpha_i, which needs 2 kappa integral."""
+        if cal is None:
+            self._calibration, self._comm, self._kappa2 = None, None, ()
+            return
         if cal.orientation not in (1, -1):
             raise ValueError("calibration orientation must be +1 or -1")
         if len(cal.kappa) != len(self.vertices):

@@ -5,11 +5,13 @@ scale is a nonzero Fraction, and num and den are coprime primitive integer
 polynomials with nonzero constant terms and positive leading coefficients.
 A value is reduced by one polynomial gcd when it is built, so equal values
 have equal fields, and Laurent behaviour at 0 and infinity is readable off
-the shift.  It is presented (to_data, str, the num and den properties) as
-q**shift * num / den with rational coefficients and den monic, read off the
-integer fields: each coefficient is c * scale / lead for num and c / lead
-for den, lead the leading coefficient of den, reduced by one integer gcd
-with no Fraction built (_presented).
+the shift; the gcd takes primitive pseudo-remainders of coefficient lists
+that end at their leading coefficient.  It is presented (to_data, its JSON
+text to_json, str, the num and den properties) as q**shift * num / den with
+rational coefficients and den monic, read off the integer fields: each
+coefficient is c * scale / lead for num and c / lead for den, lead the
+leading coefficient of den, reduced by one integer gcd with no Fraction
+built (_presented).
 
 Values and pole orders at a rational point u/v are read off the integer
 num and den: a value by Horner's rule on v**deg p(u/v), with one Fraction
@@ -53,8 +55,6 @@ class PoleError(ArithmeticError):
 # integer polynomial helpers (dict exponent -> nonzero int)
 
 def _ip_add_into(acc: _IPoly, p: _IPoly, mult: int) -> None:
-    if mult == 0:
-        return
     for e, c in p.items():
         v = acc.get(e, 0) + mult * c
         if v:
@@ -114,6 +114,7 @@ def _content(cs) -> int:
 
 
 def _dense(p: _IPoly) -> List[int]:
+    """The coefficients of p, lowest first, up to its leading one."""
     d = max(p)
     out = [0] * (d + 1)
     for e, c in p.items():
@@ -121,29 +122,20 @@ def _dense(p: _IPoly) -> List[int]:
     return out
 
 
-def _dense_deg(a: List[int]) -> int:
-    for i in range(len(a) - 1, -1, -1):
-        if a[i]:
-            return i
-    return -1
-
-
 def _dense_prim(a: List[int]) -> List[int]:
-    g = _content(a)
-    if g == 0:
-        return []
-    d = _dense_deg(a)
-    if a[d] < 0:
-        g = -g
-    return [c // g for c in a[: d + 1]]
+    """The primitive part of a, positive leading coefficient; [] for []."""
+    if not a:
+        return a
+    g = _content(a) if a[-1] > 0 else -_content(a)
+    return [c // g for c in a]
 
 
 def _dense_prem(a: List[int], b: List[int]) -> List[int]:
-    # pseudo remainder; b nonzero, deg a >= deg b
+    # pseudo remainder, trimmed; a and b trimmed, b nonzero, deg a >= deg b
     r = a[:]
     db = len(b) - 1
     lb = b[db]
-    dr = _dense_deg(r)
+    dr = len(r) - 1
     while dr >= db:
         lr = r[dr]
         for i in range(dr + 1):
@@ -159,9 +151,8 @@ def _dense_prem(a: List[int], b: List[int]) -> List[int]:
 
 def _ip_gcd(a: _IPoly, b: _IPoly) -> _IPoly:
     """Primitive gcd over the integers, positive leading coefficient, of two
-    nonzero polynomials."""
-    x = _dense_prim(_dense(a))
-    y = _dense_prim(_dense(b))
+    primitive polynomials with positive leading coefficients."""
+    x, y = _dense(a), _dense(b)
     if len(x) < len(y):
         x, y = y, x
     while True:
@@ -175,9 +166,7 @@ def _ip_gcd(a: _IPoly, b: _IPoly) -> _IPoly:
 def _ip_div(a: _IPoly, g: _IPoly) -> Optional[_IPoly]:
     """The quotient of the long division a / g of polynomials, or None if
     the remainder is not zero.  g is primitive, so by Gauss's lemma an exact
-    quotient has integer coefficients."""
-    if not a:
-        return {}
+    quotient has integer coefficients.  a is nonzero."""
     rem = _dense(a)
     rg = _dense(g)
     dg = len(rg) - 1
@@ -324,15 +313,7 @@ class RatFunc:
 
     __slots__ = ("_scale", "_shift", "_num", "_den")
 
-    def __init__(self, value: "RatFunc | Fraction | int | None" = None):
-        if value is None:
-            value = 0
-        if isinstance(value, RatFunc):
-            self._scale = value._scale
-            self._shift = value._shift
-            self._num = value._num
-            self._den = value._den
-            return
+    def __init__(self, value: "Fraction | int" = 0):
         f = Fraction(value)
         self._scale = f
         self._shift = 0
@@ -645,6 +626,24 @@ class RatFunc:
             "num": [[e, _coeff_str(p, r)] for e, p, r in num],
             "den": [[e, _coeff_str(p, r)] for e, p, r in den],
         }
+
+    def to_json(self, nl: str) -> str:
+        """json.dumps(self.to_data(), indent=2, sort_keys=True) at the
+        indent nl, from the presented terms: a coefficient is digits, a sign
+        and a slash, so its JSON string is itself in quotes."""
+        sh, num, den = self._presented()
+        i1 = nl + "  "
+        i2 = i1 + "  "
+        i3 = i2 + "  "
+
+        def terms(ts: _Terms) -> str:
+            if not ts:
+                return "[]"
+            return ("[" + i2 + ("," + i2).join([
+                f'[{i3}{e},{i3}"{_coeff_str(p, r)}"{i2}]' for e, p, r in ts])
+                + i1 + "]")
+        return (f'{{{i1}"den": {terms(den)},{i1}"num": {terms(num)},'
+                f'{i1}"shift": {sh}{nl}}}')
 
     @classmethod
     def from_data(cls, data) -> "RatFunc":

@@ -26,8 +26,6 @@ from .ratfunc import RatFunc, inv_q_minus_qinv, q_minus_qinv
 
 Coeffs = Dict[DimVector, RatFunc]
 
-Scalar = "RatFunc | Fraction | int"
-
 
 def _merge_bound(b1: Optional[int], b2: Optional[int]) -> Optional[int]:
     if b1 is None:

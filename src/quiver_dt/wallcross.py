@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .invariants import (_ONE, _ZERO, Weight, _chain_sum, _dual_symmetric,
+from .invariants import (_ZERO, Weight, _chain_sum, _dual_symmetric,
                          _Engine, _engine, _over_lcm, _sd_action, _series,
                          _star_powers)
 from .motives import gl_poly, sd_gl_poly
@@ -183,7 +183,6 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
     q, bound = pair.quiver, table.bound
     value = _engine(q, pair.plus).value
     classes = q.dim_vectors_up_to(bound)
-    zero = tuple(0 for _ in q.vertices)
     mirror = pair.plus.is_self_dual(q) and _dual_symmetric(q, table.eps)
     by_slope: Dict[Fraction, Dict[DimVector, RatFunc]] = {}
     for a, e in table.eps.items():
@@ -203,10 +202,9 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
             factors[-s] = {q.dual_vector(g): xg for g, xg in x.items()}
     # The product starts at the first factor, as 1 F_s = F_s.
     slopes = sorted(factors, reverse=True)
-    stack = {zero: _ONE, **(factors[slopes[0]] if slopes else {})}
+    stack = factors[slopes[0]] if slopes else {}
     for s in slopes[1:]:
-        stack = {a: _chain_sum(q, stack, a, factors[s].get)
-                 for a in [zero] + classes}
+        stack = {a: _chain_sum(q, stack, a, factors[s].get) for a in classes}
 
     sd_stack = None
     sd_side = table.sd_eps is not None and pair.is_self_dual()

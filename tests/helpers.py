@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from quiver_dt import invariants as inv, wallcross
+from quiver_dt import invariants as inv, oracle, wallcross
 from quiver_dt.quiver import (Edge, SelfDualQuiver, kronecker_variant,
-                              make_calibration, point_quiver)
+                              make_calibration, point_quiver, vtotal)
 from quiver_dt.ratfunc import Laurent, RatFunc
 from quiver_dt.torus import TorusElem, TorusModElem
 
@@ -26,6 +26,18 @@ def calibrated_kron(esigns=(1, 1), vsign=1) -> SelfDualQuiver:
 
 def calibrated_point(vsign=1) -> SelfDualQuiver:
     return calibrated(point_quiver(vsign))
+
+
+def perturb_block_counts(monkeypatch) -> None:
+    """Make the block count of the commutation form wrong on every pair of
+    classes of total 3 or more, which verification up to bound 2 checks."""
+    real = oracle.brute_force_commutation
+
+    def perturbed(quiver, alpha, beta, orientation):
+        out = real(quiver, alpha, beta, orientation)
+        return out + 1 if vtotal(alpha) + vtotal(beta) >= 3 else out
+
+    monkeypatch.setattr(oracle, "brute_force_commutation", perturbed)
 
 
 def mixed_quiver() -> SelfDualQuiver:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from quiver_dt.motives import sd_stack_class, stack_class
 from quiver_dt.quiver import (DimVector, SelfDualQuiver, Slope, boxed_vectors,
@@ -205,6 +205,90 @@ def direct_sd_epsilon_integral(quiver: SelfDualQuiver, slope: Slope,
 
     rec(zero, [])
     return out
+
+
+# -- multiplicity-averaged identities --------------------------------------------
+
+def _inverse_multiplicities(slope: Slope, parts: List[DimVector],
+                            zero_weight: int) -> Fraction:
+    """1 / prod_s m_s!, m_s the number of parts of slope value s, times
+    zero_weight ** -m_0."""
+    counts: dict = {}
+    for p in parts:
+        v = slope.value(p)
+        counts[v] = counts.get(v, 0) + 1
+    w = zero_weight ** counts.get(Fraction(0), 0)
+    for m in counts.values():
+        w *= math.factorial(m)
+    return Fraction(1, w)
+
+
+def averaged_stack_class(quiver: SelfDualQuiver, slope: Slope,
+                         alpha: DimVector,
+                         eps: Callable[[DimVector], RatFunc]) -> RatFunc:
+    """The component integral of alpha as the sum, over the ordered
+    decompositions alpha = a_1 + ... + a_n with slope values
+    non-increasing, of q^(sum_{i<j} <a_i, a_j>) eps(a_1) ... eps(a_n) /
+    prod_s m_s!, m_s the number of parts of value s.  eps(a) is the epsilon
+    integral of a."""
+    total = RatFunc(0)
+
+    def rec(rem: DimVector, parts: List[DimVector], product: RatFunc) -> None:
+        nonlocal total
+        if vtotal(rem) == 0:
+            expo = sum(quiver.commutation_exponent(parts[i], parts[j])
+                       for i in range(len(parts))
+                       for j in range(i + 1, len(parts)))
+            total = total + (RatFunc.q_power(expo) * product
+                             * _inverse_multiplicities(slope, parts, 1))
+            return
+        for part in _nonzero_boxed(rem):
+            if parts and slope.value(parts[-1]) < slope.value(part):
+                continue
+            e = eps(part)
+            if e:
+                rec(vsub(rem, part), parts + [part], product * e)
+
+    rec(alpha, [], RatFunc(1))
+    return total
+
+
+def averaged_sd_stack_class(quiver: SelfDualQuiver, slope: Slope,
+                            theta: DimVector,
+                            eps: Callable[[DimVector], RatFunc],
+                            sd_eps: Callable[[DimVector], RatFunc]
+                            ) -> RatFunc:
+    """The self-dual component integral of theta as the sum, over theta =
+    sum_i (a_i + a_i^v) + rho with slope values non-increasing and
+    non-negative, of the twist q^(sum_i B(a_i, rho + sum_{j>i} (a_j +
+    a_j^v))) times eps(a_1) ... eps(a_n) sd_eps(rho) / (2^m_0 prod_s m_s!),
+    m_s the number of parts of value s.  sd_eps(rho) is the self-dual
+    epsilon integral of rho."""
+    total = RatFunc(0)
+
+    def rec(rem: DimVector, parts: List[DimVector], product: RatFunc) -> None:
+        nonlocal total
+        residue = sd_eps(rem) if quiver.is_sd_class(rem) else RatFunc(0)
+        if residue:
+            expo = Fraction(0)
+            suffix = rem
+            for part in reversed(parts):
+                expo += quiver.sd_twist_exponent(part, suffix)
+                suffix = vadd(suffix, vadd(part, quiver.dual_vector(part)))
+            total = total + (RatFunc.q_power(int(expo)) * product * residue
+                             * _inverse_multiplicities(slope, parts, 2))
+        for part in _nonzero_boxed(rem):
+            if slope.value(part) < 0 or (
+                    parts and slope.value(parts[-1]) < slope.value(part)):
+                continue
+            pd = vadd(part, quiver.dual_vector(part))
+            if vleq(pd, rem):
+                e = eps(part)
+                if e:
+                    rec(vsub(rem, pd), parts + [part], product * e)
+
+    rec(theta, [], RatFunc(1))
+    return total
 
 
 # -- combinatorial wall-crossing coefficients -----------------------------------

@@ -5,17 +5,19 @@ time budget where one is stated.  The randomized checks all draw from the
 fixed deterministic suite in suite.py.
 """
 
+import math
 import random
 import time
 from fractions import Fraction
 
 from helpers import (calibrated_kron, calibrated_point, rand_elem,
                      rand_mod_elem, rand_vec)
-from reference import binom_fraction
+from reference import (averaged_sd_stack_class, averaged_stack_class,
+                       binom_fraction)
 from suite import acceptance_suite
 from quiver_dt import invariants as inv
 from quiver_dt.motives import sd_stack_class, stack_class
-from quiver_dt.quiver import Slope, vadd, vleq, vsub, vtotal, boxed_vectors
+from quiver_dt.quiver import Slope, vadd
 from quiver_dt.oracle import verify_calibration
 from quiver_dt.ratfunc import RatFunc
 from quiver_dt.torus import (bracket, bracket_coeff, heart, integrated_unit,
@@ -29,13 +31,6 @@ def _stamp(label, t0, budget=None):
     print(f"acceptance [{label}]: PASS in {elapsed:.2f}s{note}")
     if budget is not None:
         assert elapsed < budget, f"{label}: {elapsed:.1f}s over budget {budget}s"
-
-
-def _fact(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def test_criterion_1_point_linear_dt():
@@ -165,80 +160,6 @@ def test_criterion_6_algebra_laws():
     _stamp("algebra laws, 500 randomized instances each", t0, budget=60)
 
 
-def _avg_linear(q, slope, alpha, eps_of):
-    """Multiplicity-averaged epsilon products over slope-non-increasing
-    ordered decompositions; must reproduce the component integral."""
-    total = RatFunc(0)
-
-    def rec(rem, parts, partial):
-        nonlocal total
-        if vtotal(rem) == 0:
-            mult = {}
-            for p in parts:
-                key = slope.value(p)
-                mult[key] = mult.get(key, 0) + 1
-            w = 1
-            for c in mult.values():
-                w *= _fact(c)
-            expo = 0
-            for i in range(len(parts)):
-                for j in range(i + 1, len(parts)):
-                    expo += q.commutation_exponent(parts[i], parts[j])
-            total = total + RatFunc(Fraction(1, w)) * RatFunc.q_power(expo) * partial
-            return
-        for part in boxed_vectors(rem):
-            if vtotal(part) == 0 or not eps_of[part]:
-                continue
-            if parts and slope.value(parts[-1]) < slope.value(part):
-                continue
-            rec(vsub(rem, part), parts + [part], partial * eps_of[part])
-
-    rec(alpha, [], RatFunc(1))
-    return total
-
-
-def _avg_sd(q, slope, theta, eps_of, sd_eps_of):
-    """Signed-average form of the self-dual component integral."""
-    total = RatFunc(0)
-
-    def finalize(parts, rho, partial):
-        nonlocal total
-        if not sd_eps_of[rho]:
-            return
-        expo = Fraction(0)
-        suffix = rho
-        for part in reversed(parts):
-            expo += q.sd_twist_exponent(part, suffix)
-            suffix = vadd(suffix, vadd(part, q.dual_vector(part)))
-        mult = {}
-        for p in parts:
-            key = slope.value(p)
-            mult[key] = mult.get(key, 0) + 1
-        w = 2 ** mult.get(Fraction(0), 0)
-        for c in mult.values():
-            w *= _fact(c)
-        total = total + (RatFunc(Fraction(1, w)) * RatFunc.q_power(int(expo))
-                         * partial * sd_eps_of[rho])
-
-    def rec(rem, parts, partial):
-        if q.is_sd_class(rem):
-            finalize(parts, rem, partial)
-        for part in boxed_vectors(rem):
-            if vtotal(part) == 0 or not eps_of[part]:
-                continue
-            if slope.value(part) < 0:
-                continue
-            if parts and slope.value(parts[-1]) < slope.value(part):
-                continue
-            pd = vadd(part, q.dual_vector(part))
-            if not vleq(pd, rem):
-                continue
-            rec(vsub(rem, pd), parts + [part], partial * eps_of[part])
-
-    rec(theta, [], RatFunc(1))
-    return total
-
-
 def test_criterion_7_inversions_and_averages():
     t0 = time.perf_counter()
     bound = 5
@@ -260,7 +181,7 @@ def test_criterion_7_inversions_and_averages():
         esd = inv.sd_epsilon_element(q, slope, bound)
         m0 = inv.sd_semistable_element(q, slope, bound)
         rebuilt = series_diamond(e0.scale(Fraction(1, 2)), esd,
-                                 lambda n: Fraction(1, _fact(n)), bound)
+                                 lambda n: Fraction(1, math.factorial(n)), bound)
         assert rebuilt == m0
 
         acc = m0
@@ -273,9 +194,11 @@ def test_criterion_7_inversions_and_averages():
         sd_eps_of = {t: inv.sd_epsilon_integral(q, slope, t, bound=bound)
                      for t in q.sd_classes_up_to(bound)}
         for a in q.dim_vectors_up_to(bound):
-            assert _avg_linear(q, slope, a, eps_of) == stack_class(q, a)
+            assert averaged_stack_class(q, slope, a, eps_of.__getitem__) == \
+                stack_class(q, a)
         for th in q.sd_classes_up_to(bound):
-            assert _avg_sd(q, slope, th, eps_of, sd_eps_of) == \
+            assert averaged_sd_stack_class(q, slope, th, eps_of.__getitem__,
+                                           sd_eps_of.__getitem__) == \
                 sd_stack_class(q, th)
     _stamp("exp/log and square-root inversions, averaged identities, dim <= 5",
            t0, budget=300)

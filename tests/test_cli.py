@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import mixed_quiver
+from helpers import mixed_quiver, perturb_block_counts
 from quiver_dt import cli, oracle
 from quiver_dt.invariants import (InvariantRow, InvariantTable,
                                   NoPoleViolation, build_table)
@@ -282,6 +282,37 @@ def test_explain_calibration_failure_exit(monkeypatch, capsys):
     monkeypatch.setattr(cli, "explain_calibration", broken)
     assert cli.main(["explain-calibration",
                      fixture("point_plus.json")]) == 3
+
+
+def test_explain_calibration_of_a_quiver_failing_its_check(monkeypatch,
+                                                          capsys):
+    """The report ends at the failed check, exits 3, and leaves no
+    calibration attached."""
+    perturb_block_counts(monkeypatch)
+    quivers = []
+    load = cli.load_quiver
+
+    def loading(path):
+        quivers.append(load(path))
+        return quivers[-1]
+
+    monkeypatch.setattr(cli, "load_quiver", loading)
+    assert cli.main(["explain-calibration",
+                     fixture("kronecker_pm_plus.json")]) == 3
+    twists = [("(1, 1), vertex sign +1", -2), ("(1, -1), vertex sign +1", -1),
+              ("(-1, -1), vertex sign +1", 0), ("(1, 1), vertex sign -1", 0),
+              ("(1, -1), vertex sign -1", -1),
+              ("(-1, -1), vertex sign -1", -2)]
+    assert capsys.readouterr().out == "\n".join(
+        ["global sign resolution",
+         "  euler-form family:  orientation=-1 placement=+1",
+         "  block-count family: orientation=-1 placement=+1",
+         "  reference twist table"]
+        + [f"    edge signs {key}: twist {t} (expected {t})"
+           for key, t in twists]
+        + ["calibration failed: commutation exponent mismatch at (0, 1), "
+           "(0, 2)", ""])
+    assert quivers[0].calibration is None
 
 
 @pytest.mark.parametrize("command, callee, error, code", [

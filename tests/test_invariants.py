@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import weakref
 from enum import IntEnum
 from fractions import Fraction
@@ -11,7 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import (assert_mirror_changes_nothing,
                      assert_regions_change_nothing, calibrated_mixed,
                      calibrated_two_pairs, mixed_quiver)
-from reference import (binom_fraction, direct_epsilon_integral,
+from reference import (averaged_sd_stack_class, averaged_stack_class,
+                       binom_fraction, direct_epsilon_integral,
                        direct_sd_epsilon_integral,
                        direct_sd_semistable_integral,
                        direct_semistable_integral)
@@ -615,15 +617,8 @@ def test_sd_square_root_inversion_roundtrip():
     e0 = inv.epsilon_element(q, s, Fraction(0), bound)
     esd = inv.sd_epsilon_element(q, s, bound)
     rebuilt = series_diamond(e0.scale(Fraction(1, 2)), esd,
-                             lambda n: Fraction(1, _fact(n)), bound)
+                             lambda n: Fraction(1, math.factorial(n)), bound)
     assert rebuilt == inv.sd_semistable_element(q, s, bound)
-
-
-def _fact(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def test_filtration_completeness_linear():
@@ -650,89 +645,16 @@ def test_filtration_completeness_sd():
 
 
 def avg_linear_identity(q, s, alpha):
-    """Component integral as the multiplicity-averaged sum of epsilon
-    products over slope-non-increasing ordered decompositions."""
-    total = RatFunc(0)
-
-    def rec(rem, parts):
-        nonlocal total
-        if vtotal(rem) == 0:
-            n = len(parts)
-            expo = 0
-            for i in range(n):
-                for j in range(i + 1, n):
-                    expo += q.commutation_exponent(parts[i], parts[j])
-            mult = {}
-            for p in parts:
-                key = s.value(p)
-                mult[key] = mult.get(key, 0) + 1
-            w = 1
-            for m in mult.values():
-                w *= _fact(m)
-            term = RatFunc(Fraction(1, w)) * RatFunc.q_power(expo)
-            for p in parts:
-                term = term * inv.epsilon_integral(q, s, p, bound=vtotal(alpha))
-            total = total + term
-            return
-        from quiver_dt.quiver import boxed_vectors, vsub
-        for part in boxed_vectors(rem):
-            if vtotal(part) == 0:
-                continue
-            if parts and s.value(parts[-1]) < s.value(part):
-                continue
-            rec(vsub(rem, part), parts + [part])
-
-    rec(alpha, [])
-    return total
+    return averaged_stack_class(
+        q, s, alpha, lambda a: inv.epsilon_integral(q, s, a,
+                                                    bound=vtotal(alpha)))
 
 
 def avg_sd_identity(q, s, theta):
-    """Self-dual component integral as the |W^sd|-averaged sum over
-    non-increasing nonnegative-slope linear parts and an epsilon residue."""
-    from quiver_dt.quiver import boxed_vectors, vleq, vsub
     bound = vtotal(theta)
-    total = RatFunc(0)
-
-    def finalize(parts, rho):
-        nonlocal total
-        expo = Fraction(0)
-        suffix = rho
-        for part in reversed(parts):
-            expo += q.sd_twist_exponent(part, suffix)
-            suffix = vadd(suffix, vadd(part, q.dual_vector(part)))
-        mult = {}
-        for p in parts:
-            key = s.value(p)
-            mult[key] = mult.get(key, 0) + 1
-        w = 2 ** mult.get(Fraction(0), 0)
-        for m in mult.values():
-            w *= _fact(m)
-        term = RatFunc(Fraction(1, w)) * RatFunc.q_power(int(expo))
-        for p in parts:
-            term = term * inv.epsilon_integral(q, s, p, bound=bound)
-        term = term * inv.sd_epsilon_integral(q, s, rho, bound=bound)
-        total = total + term
-
-    def rec(prefix, parts):
-        used = vadd(prefix, q.dual_vector(prefix))
-        rem = vsub(theta, used)
-        if min(rem) >= 0 and q.is_sd_class(rem):
-            finalize(parts, rem)
-        if vtotal(rem) <= 0:
-            return
-        for part in boxed_vectors(rem):
-            if vtotal(part) == 0:
-                continue
-            if not vleq(vadd(part, q.dual_vector(part)), rem):
-                continue
-            if s.value(part) < 0:
-                continue
-            if parts and s.value(parts[-1]) < s.value(part):
-                continue
-            rec(vadd(prefix, part), parts + [part])
-
-    rec(tuple(0 for _ in theta), [])
-    return total
+    return averaged_sd_stack_class(
+        q, s, theta, lambda a: inv.epsilon_integral(q, s, a, bound=bound),
+        lambda rho: inv.sd_epsilon_integral(q, s, rho, bound=bound))
 
 
 def test_averaged_multiplicity_identities():

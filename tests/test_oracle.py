@@ -5,20 +5,22 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import mixed_quiver
+from helpers import mixed_quiver, perturb_block_counts
 from reference import (direct_epsilon_integral, direct_sd_epsilon_integral,
                        direct_sd_semistable_integral,
                        direct_semistable_integral)
 from suite import acceptance_suite
 from quiver_dt import oracle
+from quiver_dt.invariants import dt_mot
 from quiver_dt.oracle import (CalibrationError, REFERENCE_TWISTS,
                               brute_force_commutation, brute_force_sd_twist,
                               calibrate_signs, ensure_calibrated,
+                              explain_calibration,
                               resolve_brute_force_signs, resolve_global_signs,
                               verify_calibration)
 from quiver_dt.quiver import (Calibration, SelfDualQuiver, Slope,
-                              kronecker_variant, make_calibration,
-                              point_quiver, vadd)
+                              UncalibratedError, kronecker_variant,
+                              make_calibration, point_quiver, vadd)
 from quiver_dt.ratfunc import RatFunc
 
 
@@ -84,6 +86,56 @@ def test_verification_rejects_corrupted_calibration():
     kron.set_calibration(make_calibration(kron, 1, 1))
     with pytest.raises(CalibrationError):
         verify_calibration(kron, bound=2)
+
+
+def count_verifications(monkeypatch):
+    calls = []
+    verify = oracle.verify_calibration
+
+    def counting(quiver, bound=2):
+        calls.append(quiver)
+        return verify(quiver, bound)
+
+    monkeypatch.setattr(oracle, "verify_calibration", counting)
+    return calls
+
+
+def test_a_calibration_that_fails_its_check_is_detached(monkeypatch):
+    q = kronecker_variant((1, -1), 1)
+    perturb_block_counts(monkeypatch)
+    with pytest.raises(CalibrationError, match="mismatch at"):
+        calibrate_signs(q)
+    assert q.calibration is None
+    with pytest.raises(UncalibratedError):
+        q.commutation_exponent((1, 0), (0, 1))
+    text, ok = explain_calibration(q)
+    assert not ok
+    assert text.endswith("calibration failed: commutation exponent mismatch "
+                         "at (0, 1), (0, 2)")
+    assert q.calibration is None
+    monkeypatch.undo()
+    fresh = kronecker_variant((1, -1), 1)
+    want = dt_mot(fresh, Slope.trivial(fresh), (1, 1))
+    calls = count_verifications(monkeypatch)
+    assert dt_mot(q, Slope.trivial(q), (1, 1)) == want
+    assert calls == [q]
+    assert q.calibration is not None
+
+
+def test_a_failed_check_keeps_the_calibration_the_call_found(monkeypatch):
+    q = kronecker_variant((1, -1), 1)
+    cal = calibrate_signs(q)
+    perturb_block_counts(monkeypatch)
+    text, ok = explain_calibration(q)
+    assert not ok and "calibration failed" in text
+    assert q.calibration is cal
+    other = make_calibration(q, 1, 1)
+    q.set_calibration(other)
+    flipped = q.commutation_exponent((1, 0), (0, 1))
+    with pytest.raises(CalibrationError):
+        calibrate_signs(q)
+    assert q.calibration is other
+    assert q.commutation_exponent((1, 0), (0, 1)) == flipped == 2
 
 
 def test_ensure_calibrated_idempotent():
