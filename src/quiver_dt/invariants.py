@@ -49,10 +49,11 @@ table at a negative value.
 
 An engine seeded with the numerators of a stack element (wall-crossing,
 whose integer kernels _chain_sum, _star_powers and _sd_action it shares)
-reads them in place of q^e(a) and q^e_sd(theta).  The same holds for it
-where the numerators are dual-symmetric, N(a^v) = N(a), as those of the
-stack element of a dual-symmetric table are, so it mirrors exactly then;
-with any other numerators it computes both halves.
+reads them in place of q^e(a) and q^e_sd(theta), and mirrors exactly where
+they are dual-symmetric, N(a^v) = N(a), as those of the stack element of a
+dual-symmetric table are; with any other numerators it computes both
+halves.  The transform seeds one only where some numerator differs from the
+cached engine's own; where all agree, it reads that engine's values.
 
 Engines are cached on their quiver by (slope, calibration), so repeated
 queries share work, a new calibration never returns values computed under

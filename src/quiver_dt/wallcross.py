@@ -5,12 +5,13 @@ re-factorisation in the twisted algebra (see wallcross_epsilon), carried
 out on integer Laurent numerators over the motive denominators with the
 invariants module's integer kernels, so that the only rational functions
 built are the source values read and the target values returned.  Slope
-values come from the source slope's engine (filled by epsilon_table); no
-invariant is read from it, only from the table.  The same
-transform has a combinatorial form, a sum over ordered decompositions of
-each class weighted by rational coefficients; those coefficients are test
-code (tests/reference.py), and the tests check the re-factorisation against
-them.
+values come from the source slope's engine (filled by epsilon_table),
+source values only from the table.  The target slope's engine gives the q^e
+that the stack element's numerators are compared with, and its own values
+where all agree (_target_engine).  The same transform has a combinatorial
+form, a sum over ordered decompositions of each class weighted by rational
+coefficients; those coefficients are test code (tests/reference.py), and
+the tests check the re-factorisation against them.
 
 Duality maps the epsilon element of value s to that of value -s and
 reverses the product (M. B. Young, The Hall module of an exact category
@@ -18,9 +19,9 @@ with duality, 2016).  So at a self-dual source slope, a table with eps(a^v)
 = eps(a) for every class, as every table epsilon_table makes there, has the
 factor of value -s equal to that of s with each class a read at a^v: the
 transform builds the factors of values s >= 0 only.  Its stack element is
-then dual-symmetric, and the engine seeded with it at a self-dual target
-slope computes each linear value once per duality pair.  Any other table
-is crossed at every slope value, by an engine that computes both halves.
+then dual-symmetric, and the engine that factors it at a self-dual target
+slope computes each linear value once per duality pair.  Any other table is
+crossed at every slope value, by an engine that computes both halves.
 """
 
 import math
@@ -151,6 +152,19 @@ def _exp_coeffs(n: int, cd: int) -> Tuple[List[Laurent], int]:
                       for i in range(1, n + 1)])
 
 
+def _target_engine(q: SelfDualQuiver, slope: Slope, bound: int,
+                   nums: Dict[DimVector, Laurent],
+                   sd_nums: Optional[Dict[DimVector, Laurent]]) -> _Engine:
+    """The cached engine at slope where nums and sd_nums are its own
+    numerators, q^e(a) and q^e_sd(theta), else one seeded with them: an
+    engine's values depend on its numerators alone."""
+    eng = _engine(q, slope)
+    own = [(eng._numerator, nums), (eng._sd_numerator, sd_nums or {})]
+    if all(f(a).poly == n.poly for f, ns in own for a, n in ns.items()):
+        return eng
+    return _Engine.seeded(q, slope, bound, nums, sd_nums)
+
+
 def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
     """Transform a table of epsilon integrals from the pair's source slope
     to its target slope, without recomputing anything semistable.
@@ -159,8 +173,8 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
     descending slope order, give the integrated stack element.  On the
     self-dual side, the square root of the slope-0 factor acting on the
     self-dual epsilon element, acted on by the positive slopes' factors in
-    ascending order, gives the module stack element.  An engine at the
-    target slope seeded with both factors them again by target slope.
+    ascending order, gives the module stack element.  The engine at the
+    target slope factors both again by target slope (_target_engine).
 
     All of it runs on integer Laurent numerators over M(a) and M_sd(theta)
     (see invariants): a slope's epsilon values become numerators over one
@@ -174,7 +188,7 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
 
     At a self-dual source slope and with a dual-symmetric table, the
     factors of values s < 0 are those of -s read at the dual classes (see
-    the module docstring), and the seeded engine mirrors.
+    the module docstring), and the engine at the target slope mirrors.
     """
     if table.quiver is not pair.quiver:
         raise ValidationError("table and slope pair use different quivers")
@@ -229,7 +243,7 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
                                  "M_sd(theta) I_sd(theta)", th)
                     for th in sd_classes}
 
-    eng = _Engine.seeded(q, pair.minus, bound,
+    eng = _target_engine(q, pair.minus, bound,
                          {a: stack.get(a, _ZERO) for a in classes}, sd_stack)
     eps = {a: eng.epsilon(a) for a in classes}
     sd_eps = None

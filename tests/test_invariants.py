@@ -18,7 +18,7 @@ from reference import (averaged_sd_stack_class, averaged_stack_class,
                        direct_sd_semistable_integral,
                        direct_semistable_integral)
 from suite import acceptance_suite
-from quiver_dt import invariants as inv
+from quiver_dt import invariants as inv, wallcross as wc
 from quiver_dt.cli import load_quiver, main as cli_main
 from quiver_dt.oracle import calibrate_signs
 from quiver_dt.motives import (over_gl_denominator, sd_stack_class,
@@ -553,20 +553,27 @@ def assert_holds_both_halves(eng, names):
 
 
 def seeded_by_the_transform(q, bound):
-    """The arguments of the engine wallcross_epsilon seeds crossing from
-    i=-1,j=1 to i=1,j=-1 at the bound, and that engine."""
-    seeded = []
-    build = inv._Engine.seeded.__func__
+    """The arguments wallcross_epsilon passes to _target_engine crossing from
+    i=-1,j=1 to i=1,j=-1 at the bound, and an engine seeded with them that
+    has computed every value the transform reads: the numerators are the
+    quiver's own, so the transform itself reads the cached engine."""
+    passed = []
+    choose = wc._target_engine
 
-    def capture(cls, *args):
-        seeded.append((args, build(cls, *args)))
-        return seeded[-1][1]
+    def capture(*args):
+        passed.append(args)
+        return choose(*args)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(inv._Engine, "seeded", classmethod(capture))
+        m.setattr(wc, "_target_engine", capture)
         pair = SlopePair(q, Slope.from_dict(q, {"i": -1, "j": 1}),
                          hn_slope(q))
         wallcross_epsilon(epsilon_table(q, pair.plus, bound), pair)
-    [(args, eng)] = seeded
+    [args] = passed
+    eng = inv._Engine.seeded(*args)
+    for a in args[3]:
+        eng.epsilon(a)
+    for th in args[4] or ():
+        eng.sd_dt_motivic(th)
     return args, eng
 
 

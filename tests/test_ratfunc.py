@@ -5,6 +5,7 @@ textbook Euclid gcd after every operation, and every comparison is backed by
 evaluation at random rational points.
 """
 
+import operator
 import random
 from fractions import Fraction
 from math import gcd
@@ -507,6 +508,55 @@ def test_subs_square():
     odd = RatFunc.q_power(1)
     with pytest.raises(ValueError):
         odd.subs_square(2)
+
+
+def test_subs_square_of_zero_is_zero():
+    for value in (3, F(1, 2), 0):
+        got = RatFunc(0).subs_square(value)
+        assert got == 0 and type(got) is Fraction
+
+
+@pytest.mark.parametrize("c", [3, F(-1, 2)], ids=["int", "Fraction"])
+def test_reflected_subtraction(c):
+    f = q_minus_qinv()
+    got = c - f
+    assert type(got) is RatFunc
+    assert got == -(f - c) == RatFunc(c) + (-f)
+    assert got.eval_at(2) == c - F(3, 2)
+    assert c - RatFunc(0) == c and c - RatFunc(c) == 0
+
+
+@pytest.mark.parametrize("c", [3, F(-1, 2)], ids=["int", "Fraction"])
+def test_reflected_division(c):
+    f = q_minus_qinv()
+    got = c / f
+    assert type(got) is RatFunc
+    assert got == inv_q_minus_qinv() * c
+    assert got * f == c
+    assert got.eval_at(2) == c / F(3, 2)
+    assert 0 / f == 0
+    with pytest.raises(ZeroDivisionError):
+        c / RatFunc(0)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                operator.truediv])
+@pytest.mark.parametrize("other", [1.5, None, "q"])
+def test_unsupported_operands_raise_type_error(op, other):
+    """Each operator returns NotImplemented on an operand that is not a
+    RatFunc, int or Fraction, from either side, and Python raises."""
+    f = q_minus_qinv()
+    with pytest.raises(TypeError):
+        op(f, other)
+    with pytest.raises(TypeError):
+        op(other, f)
+
+
+def test_unsupported_power_and_equality():
+    f = q_minus_qinv()
+    with pytest.raises(TypeError):
+        f ** F(1, 2)
+    assert f != 1.5 and f != "q" and not f == None  # noqa: E711
 
 
 def test_str_is_deterministic():

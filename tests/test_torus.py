@@ -160,8 +160,24 @@ def test_log_exp_roundtrip():
 def test_series_rejects_degree_zero_support():
     q = calibrated_kron()
     x = integrated_unit(q)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positive degrees"):
         star_log_one_plus(x, 3)
+    with pytest.raises(ValueError, match="positive degrees"):
+        series_diamond(x, module_unit(q), lambda n: Fraction(1), 2)
+
+
+def test_bracket_coeff_needs_a_class():
+    with pytest.raises(ValueError, match="at least one class"):
+        bracket_coeff(calibrated_kron(), [])
+
+
+def test_products_keep_the_one_bound_given():
+    q = calibrated_kron()
+    x = TorusElem(q, {(1, 0): RatFunc(1)}, 3)
+    y = gen(q, (0, 1))
+    for out in (x + y, y + x, x.star(y), y.star(x)):
+        assert out.bound == 3
+    assert y.diamond(module_unit(q, 2)).bound == 2
 
 
 def test_bound_truncation_is_congruence():

@@ -8,7 +8,7 @@ from helpers import (calibrated_kron, calibrated_mixed, calibrated_point,
                      calibrated_two_pairs, crossed_without_mirror)
 from reference import check_composition, coeff_S, coeff_Ssd, coeff_U, coeff_Usd
 from quiver_dt import invariants as inv, wallcross as wc
-from quiver_dt.cli import load_quiver
+from quiver_dt.cli import load_quiver, main as cli_main, parse_slope
 from quiver_dt.quiver import (Slope, ValidationError, boxed_vectors, vadd,
                               vleq, vsub, vtotal)
 from quiver_dt.ratfunc import RatFunc, laurent_sum, q_minus_qinv
@@ -383,13 +383,115 @@ def test_transform_makes_no_ratfunc_arithmetic(monkeypatch):
         assert crossed == direct
 
 
-def test_transform_engine_stays_out_of_the_cache():
+def spy_on_seeded(m):
+    """Patch _Engine.seeded through m to record every engine it builds, and
+    return the list they go in."""
+    built = []
+    seeded = inv._Engine.seeded.__func__
+
+    def spy(cls, *args):
+        built.append(seeded(cls, *args))
+        return built[-1]
+    m.setattr(inv._Engine, "seeded", classmethod(spy))
+    return built
+
+
+def zeroed_at(table, pair, value):
+    """table with eps zeroed at every class of source value s or -s, for
+    value s: still dual-symmetric, but no longer the quiver's own."""
+    zeroed = [a for a in table.eps if abs(pair.plus.value(a)) == value]
+    assert zeroed and all(table.eps[a] for a in zeroed)
+    eps = table.eps | {a: RatFunc(0) for a in zeroed}
+    assert inv._dual_symmetric(table.quiver, eps)
+    return table._replace(eps=eps)
+
+
+def test_transform_engine_stays_out_of_the_cache(monkeypatch):
+    """A genuine crossing leaves the source and target slopes' engines in
+    the cache, keyed as _engine keys them, and seeds none; the engine seeded
+    for a perturbed table stays out of the cache."""
     q = calibrated_kron()
     pair = _pair(q, {"i": 1, "j": -1}, {"i": -1, "j": 1})
-    wallcross_epsilon(epsilon_table(q, pair.plus, 3), pair)
+    keys = [(s.weights, q.calibration) for s in (pair.plus, pair.minus)]
+    seeded = spy_on_seeded(monkeypatch)
+    table = epsilon_table(q, pair.plus, 3)
+    wallcross_epsilon(table, pair)
+    assert not seeded
     cached = [eng.slope.weights for owner in inv._CACHE_OWNERS
               for eng in owner.engine_cache.values()]
-    assert cached == [pair.plus.weights]
+    assert cached == [pair.plus.weights, pair.minus.weights]
+    assert list(q.engine_cache) == keys
+    wallcross_epsilon(zeroed_at(table, pair, 1), pair)
+    [eng] = seeded
+    assert eng.seed_bound == 3
+    assert all(c is not eng for owner in inv._CACHE_OWNERS
+               for c in owner.engine_cache.values())
+    assert list(q.engine_cache) == keys
+
+
+@pytest.mark.parametrize("path", KRONECKER, ids=[p.stem for p in KRONECKER])
+def test_genuine_tables_cross_on_the_cached_engine(path, monkeypatch,
+                                                   tmp_path):
+    """quiver-dt wallcross at bound 5 seeds no engine in either direction,
+    and a crossed table holds the direct table's own values."""
+    seeded = spy_on_seeded(monkeypatch)
+    for plus, minus in [("i=1,j=-1", "i=-1,j=1"), ("i=-1,j=1", "i=1,j=-1")]:
+        assert cli_main(["wallcross", str(path), "--bound", "5",
+                         "--slope", plus, "--slope2", minus,
+                         "--output", str(tmp_path / "out.json")]) == 0
+        q = load_quiver(str(path))
+        pair = SlopePair(q, parse_slope(q, plus), parse_slope(q, minus))
+        crossed = wallcross_epsilon(epsilon_table(q, pair.plus, 5), pair)
+        direct = epsilon_table(q, pair.minus, 5)
+        assert all(crossed.eps[a] is v for a, v in direct.eps.items())
+        assert all(crossed.sd_eps[th] is v
+                   for th, v in direct.sd_eps.items())
+    assert not seeded
+
+
+def test_genuine_table_crosses_on_the_cached_engine_to_a_non_self_dual_slope(
+        monkeypatch):
+    q = calibrated_two_pairs()
+    pair = _pair(q, {"a": 2, "d": -2, "b": 1, "c": -1}, {"a": 1, "b": 2})
+    assert not pair.minus.is_self_dual(q)
+    seeded = spy_on_seeded(monkeypatch)
+    crossed = wallcross_epsilon(epsilon_table(q, pair.plus, 4), pair)
+    direct = epsilon_table(q, pair.minus, 4)
+    assert not seeded
+    assert crossed.sd_eps is None
+    assert all(crossed.eps[a] is v for a, v in direct.eps.items())
+
+
+def assert_crossed_on_one_seeded_engine(table, pair, monkeypatch):
+    """One seeded engine crosses table, as the enumerative reference does,
+    and the result is not the direct table."""
+    seeded = spy_on_seeded(monkeypatch)
+    got = wallcross_epsilon(table, pair)
+    assert len(seeded) == 1
+    want = enumerative_wallcross(table, pair)
+    assert got.eps == want.eps
+    assert got.sd_eps == want.sd_eps
+    assert got != epsilon_table(pair.quiver, pair.minus, table.bound)
+
+
+@pytest.mark.parametrize("value", [1, Fraction(1, 3)])
+def test_perturbed_dual_symmetric_table_crosses_on_a_seeded_engine(
+        value, monkeypatch):
+    q = calibrated_kron()
+    pair = _pair(q, {"i": 1, "j": -1}, {"i": -1, "j": 1})
+    table = zeroed_at(epsilon_table(q, pair.plus, 4), pair, value)
+    assert_crossed_on_one_seeded_engine(table, pair, monkeypatch)
+
+
+def test_perturbed_self_dual_values_cross_on_a_seeded_engine(monkeypatch):
+    """The linear values are the quiver's own; the self-dual value at (1, 1)
+    is doubled."""
+    q = calibrated_kron()
+    pair = _pair(q, {"i": 1, "j": -1}, {"i": -1, "j": 1})
+    table = epsilon_table(q, pair.plus, 4)
+    sd_eps = table.sd_eps | {(1, 1): table.sd_eps[(1, 1)] * 2}
+    assert_crossed_on_one_seeded_engine(table._replace(sd_eps=sd_eps), pair,
+                                        monkeypatch)
 
 
 def test_dt_level_specialization():
