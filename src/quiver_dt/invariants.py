@@ -47,6 +47,12 @@ DTmot and the inverse square root's weights agree at a and a^v: the engine
 computes them once per pair, at _Engine._rep(a), and builds no recursion
 table at a negative value.
 
+Slope values are integer pairs (n, d) in lowest terms, d > 0, never
+Fractions: each engine clears its weights' denominators once, so a class's
+value is one integer sum and one gcd, equal values are equal pairs that key
+one recursion table, and regions, star powers and the mirror compare values
+by cross-multiplying.  Slope.value is the same rule in Fraction arithmetic.
+
 An engine seeded with the numerators of a stack element (wall-crossing,
 whose integer kernels _chain_sum, _star_powers and _sd_action it shares)
 reads them in place of q^e(a) and q^e_sd(theta), and mirrors exactly where
@@ -92,6 +98,10 @@ _ZERO = Laurent({})
 
 # A weight for _sd_action: (W, k), or None where the element is zero.
 Weight = Optional[Tuple[Laurent, int]]
+
+# A slope value n / d as the integer pair (n, d) in lowest terms, d > 0, so
+# that equal values are equal pairs.
+Value = Tuple[int, int]
 
 
 def _binomials(top: DimVector, p: DimVector) -> List[Laurent]:
@@ -140,7 +150,7 @@ def _below(p: DimVector) -> Tuple[DimVector, ...]:
 
 
 def _star_powers(quiver: SelfDualQuiver, g: DimVector,
-                 value: Callable[[DimVector], Fraction],
+                 value: Callable[[DimVector], Value],
                  x: Callable[[DimVector], Laurent],
                  powers: Callable[[DimVector], List[Laurent]]
                  ) -> List[Laurent]:
@@ -265,6 +275,15 @@ def _per_class(method, mirrored=False):
 _per_pair = partial(_per_class, mirrored=True)
 
 
+def _check_weights(slope: Slope) -> None:
+    """ValidationError unless every weight is an int or a Fraction: the
+    engine reads each as its numerator over its denominator."""
+    for w in slope.weights:
+        if type(w) is bool or not isinstance(w, (int, Fraction)):
+            raise ValidationError(f"slope weight of type {type(w).__name__} "
+                                  "is not an int or a Fraction")
+
+
 class _Engine:
     """Every invariant of one (quiver, slope) pair, memoised per class: as
     integer Laurent numerators over M(a) on the linear side and over
@@ -281,15 +300,20 @@ class _Engine:
             raise ValidationError(
                 f"slope has {len(slope.weights)} weights for "
                 f"{len(quiver.vertices)} vertices")
+        _check_weights(slope)
         ensure_calibrated(quiver)
         self.quiver = quiver
         self.slope = slope
+        # The weights over their common denominator: w_i = _iw[i] / _w.
+        self._w = math.lcm(*(w.denominator for w in slope.weights))
+        self._iw = [w.numerator * (self._w // w.denominator)
+                    for w in slope.weights]
         self.zero = tuple(0 for _ in quiver.vertices)
         self.seed_bound: Optional[int] = None
         self._mirrors = slope.is_self_dual(quiver)
         self._memo: Dict[str, dict] = defaultdict(dict)
-        self._dom: Dict[Fraction, Dict[DimVector, Optional[Laurent]]] = {}
-        self._ids: Dict[Fraction, Dict[DimVector, int]] = {}
+        self._dom: Dict[Value, Dict[DimVector, Optional[Laurent]]] = {}
+        self._ids: Dict[Value, Dict[DimVector, int]] = {}
         self._regions: Dict[tuple, int] = {}
         self._store: Dict[int, Laurent] = {}
 
@@ -316,16 +340,22 @@ class _Engine:
     # -- component integrals ----------------------------------------------
 
     @_per_class
-    def value(self, a: DimVector) -> Fraction:
-        return self.slope.value(a)
+    def value(self, a: DimVector) -> Value:
+        """The slope value of a nonzero class, Slope.value(a) as a pair."""
+        n = sum([w * x for w, x in zip(self._iw, a)])
+        d = self._w * sum(a)
+        g = math.gcd(n, d)
+        return n // g, d // g
 
     @_per_class
     def _rep(self, a: DimVector) -> DimVector:
         """The class whose linear values a reads: a^v where the engine
         mirrors and a's value is below 0, or is 0 with a^v < a; else a."""
+        if not self._mirrors or not any(a):
+            return a
+        n = self.value(a)[0]
         b = self.quiver.dual_vector(a)
-        mirror = self._mirrors and any(a) and (self.value(a), b) < (0, a)
-        return b if mirror else a
+        return b if n < 0 or n == 0 and b < a else a
 
     def _refuse_beyond_seed(self, a: DimVector) -> None:
         if self.seed_bound is not None:
@@ -346,7 +376,7 @@ class _Engine:
 
     # -- gated prefix-sum recursion -----------------------------------------
 
-    def _dom_table(self, s: Fraction,
+    def _dom_table(self, s: Value,
                    top: DimVector) -> Dict[DimVector, Optional[Laurent]]:
         """The entries D(s, p) = M(p) d(s, p), filled in up to top, where d
         is the inverse of the component-integral element restricted to the
@@ -373,17 +403,19 @@ class _Engine:
                     rid = regions.get(key)
                     if rid is None:
                         rid = regions[key] = len(regions)
-                        if self.value(p) > s:
+                        n, d = self.value(p)
+                        if n * s[1] > s[0] * d:
                             store[rid] = _chain_sum(self.quiver, tab, p,
                                                     self._numerator, -1)
                     ids[p] = rid
                     tab[p] = store.get(rid)
         return tab
 
-    def _region_key(self, s: Fraction, p: DimVector,
+    def _region_key(self, s: Value, p: DimVector,
                     ids: Dict[DimVector, int]) -> tuple:
         """p, whether p lies in the region of s, and the ids at p - e_i."""
-        return (p, self.value(p) > s, *[ids[b] for b in _below(p)])
+        n, d = self.value(p)
+        return (p, n * s[1] > s[0] * d, *[ids[b] for b in _below(p)])
 
     @_per_pair
     def _semistable_num(self, a: DimVector) -> Laurent:
@@ -437,7 +469,7 @@ class _Engine:
         M(g)) [g] for the semistable element x at slope 0, g nonzero, None
         off slope 0: W(g) / k = sum_n binom(-1/2, n) P_n(g) (see _series),
         where binom(-1/2, n) = (-1)^n C(2n, n) / 4^n."""
-        if self.value(g) != 0:
+        if self.value(g)[0]:
             return None
         powers = self._powers(g)
         return _series(powers, _root_coeffs(len(powers)))
@@ -454,7 +486,7 @@ class _Engine:
         """M_sd(th) times the self-dual semistable integral of th: the
         slope-0 entries d(0, g) acting on the self-dual component
         integrals."""
-        dom = self._dom_table(Fraction(0), th)
+        dom = self._dom_table((0, 1), th)
         return _sd_action(self.quiver, th, lambda g: None if dom[g] is None
                           else (dom[g], 1), self._sd_numerator)[0]
 
@@ -482,7 +514,9 @@ _CACHE_OWNERS: "weakref.WeakSet[SelfDualQuiver]" = weakref.WeakSet()
 
 def _engine(quiver: SelfDualQuiver, slope: Slope) -> _Engine:
     # Calibrate before building the key, so that the first call on an
-    # uncalibrated quiver keys its engine by the calibration it uses.
+    # uncalibrated quiver keys its engine by the calibration it uses; check
+    # the weights first, as 0.5 or True would find the engine of 1/2 or 1.
+    _check_weights(slope)
     ensure_calibrated(quiver)
     key = (slope.weights, quiver.calibration)
     eng = quiver.engine_cache.get(key)
@@ -581,8 +615,8 @@ def sd_dt_num(quiver: SelfDualQuiver, slope: Slope, theta: DimVector,
 def slope_values(quiver: SelfDualQuiver, slope: Slope,
                  bound: int) -> List[Fraction]:
     value = _engine(quiver, slope).value
-    return sorted({value(a) for a in quiver.dim_vectors_up_to(bound)},
-                  reverse=True)
+    pairs = {value(a) for a in quiver.dim_vectors_up_to(bound)}
+    return sorted((Fraction(n, d) for n, d in pairs), reverse=True)
 
 
 # The engine and the transform build no torus elements; the functions below
@@ -594,9 +628,10 @@ def _slope_element(quiver: SelfDualQuiver, slope: Slope, value: Fraction,
                    bound: int, coeff: Callable) -> TorusElem:
     from .torus import TorusElem
     eng = _engine(quiver, slope)
+    s = value.numerator, value.denominator
     return TorusElem(quiver, {a: coeff(eng, a)
                               for a in quiver.dim_vectors_up_to(bound)
-                              if eng.value(a) == value}, bound)
+                              if eng.value(a) == s}, bound)
 
 
 def _module_element(quiver: SelfDualQuiver, slope: Slope, bound: int,

@@ -13,12 +13,13 @@ coefficient is c * scale / lead for num and c / lead for den, lead the
 leading coefficient of den, reduced by one integer gcd with no Fraction
 built (_presented).
 
-Values and pole orders at a rational point u/v are read off the integer
-num and den: a value by Horner's rule on v**deg p(u/v), with one Fraction
-built at the end, and a root multiplicity by exact synthetic division by
-v q - u.  Multiplying by q - 1/q needs no gcd either: num and den are
-coprime, so q - 1 and q + 1 each divide den or multiply num
-(times_q_minus_qinv).
+Values and pole orders at a point u/v, an int or a Fraction read through
+its numerator and denominator, are read off the integer num and den: a
+value by Horner's rule on v**deg p(u/v), with one Fraction built at the
+end, and a root multiplicity by exact synthetic division by v q - u; the
+point becomes a Fraction only in a PoleError.  Multiplying by q - 1/q
+needs no gcd either: num and den are coprime, so q - 1 and q + 1 each
+divide den or multiply num (times_q_minus_qinv).
 
 RatFunc multiplies its integer polynomials term by term (_ip_mul).  Sums of
 products that need no denominator at all, such as the semistable recursion
@@ -559,20 +560,19 @@ class RatFunc:
     def eval_at(self, point: "Fraction | int") -> Fraction:
         """The value at the point, read off the integer num and den at
         point = u/v (see _homogenised); PoleError at a pole."""
-        r = Fraction(point)
         if not self._num:
             return Fraction(0)
         sh = self._shift
-        if r == 0:
+        u, v = point.numerator, point.denominator
+        if not u:
             if sh < 0:
-                raise PoleError(r, -sh)
+                raise PoleError(Fraction(point), -sh)
             if sh > 0:
                 return Fraction(0)
             return self._scale * self._num[0] / self._den[0]
-        u, v = r.numerator, r.denominator
         hd = _homogenised(self._den, u, v)
         if not hd:
-            raise PoleError(r, self.pole_order_at(r))
+            raise PoleError(Fraction(point), self.pole_order_at(point))
         # scale * (u/v)**sh * (hn / v**dn) / (hd / v**dd)
         top = self._scale.numerator * _homogenised(self._num, u, v)
         bottom = self._scale.denominator * hd
@@ -592,12 +592,11 @@ class RatFunc:
         0 for finite nonzero values.  The zero function reports 0.  Read
         off the integer num and den by division by v q - u at point = u/v
         (see _root_quotient)."""
-        r = Fraction(point)
         if not self._num:
             return 0
-        if r == 0:
+        u, v = point.numerator, point.denominator
+        if not u:
             return -self._shift
-        u, v = r.numerator, r.denominator
         md = _root_mult(self._den, u, v)
         if md:
             return md

@@ -5,13 +5,14 @@ re-factorisation in the twisted algebra (see wallcross_epsilon), carried
 out on integer Laurent numerators over the motive denominators with the
 invariants module's integer kernels, so that the only rational functions
 built are the source values read and the target values returned.  Slope
-values come from the source slope's engine (filled by epsilon_table),
-source values only from the table.  The target slope's engine gives the q^e
-that the stack element's numerators are compared with, and its own values
-where all agree (_target_engine).  The same transform has a combinatorial
-form, a sum over ordered decompositions of each class weighted by rational
-coefficients; those coefficients are test code (tests/reference.py), and
-the tests check the re-factorisation against them.
+values come from the source slope's engine (filled by epsilon_table) as
+integer pairs, source values only from the table.  The target slope's
+engine gives the q^e that the stack element's numerators are compared
+with, and its own values where all agree (_target_engine).  The same
+transform has a combinatorial form, a sum over ordered decompositions of
+each class weighted by rational coefficients; those coefficients are test
+code (tests/reference.py), and the tests check the re-factorisation
+against them.
 
 Duality maps the epsilon element of value s to that of value -s and
 reverses the product (M. B. Young, The Hall module of an exact category
@@ -29,7 +30,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .invariants import (_ZERO, Weight, _chain_sum, _dual_symmetric,
+from .invariants import (_ZERO, Value, Weight, _chain_sum, _dual_symmetric,
                          _Engine, _engine, _over_lcm, _sd_action, _series,
                          _star_powers)
 from .motives import gl_poly, sd_gl_poly
@@ -124,7 +125,7 @@ def _divided(num: Laurent, d: int, what: str, at: DimVector) -> Laurent:
     return Laurent(out)
 
 
-def _exp_weights(q: SelfDualQuiver, value: Callable[[DimVector], Fraction],
+def _exp_weights(q: SelfDualQuiver, value: Callable[[DimVector], Value],
                  y: Dict[DimVector, Laurent], d: int):
     """weight(g, c) = (W, k) with exp(e / c)_g = (q - 1/q) W / (k M(g)), for
     the epsilon element e = sum_a (q - 1/q) y[a] / (d M(a)) [a] of one
@@ -198,24 +199,27 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
     value = _engine(q, pair.plus).value
     classes = q.dim_vectors_up_to(bound)
     mirror = pair.plus.is_self_dual(q) and _dual_symmetric(q, table.eps)
-    by_slope: Dict[Fraction, Dict[DimVector, RatFunc]] = {}
+    by_slope: Dict[Value, Dict[DimVector, RatFunc]] = {}
     for a, e in table.eps.items():
         if e:
             by_slope.setdefault(value(a), {})[a] = e
     exps = {s: _exp_weights(q, value, *_numerators(eps, gl_poly,
                                                    "M(a) eps(a)"))
-            for s, eps in by_slope.items() if not (mirror and s < 0)}
+            for s, eps in by_slope.items() if not (mirror and s[0] < 0)}
     # X_s(g) = M(g) J_s(g) for the classes g of slope s; X_s(0) = 1 is left
     # to _chain_sum and _sd_action.  Mirrored, X_-s(g^v) = X_s(g).
-    factors: Dict[Fraction, Dict[DimVector, Laurent]] = {}
+    factors: Dict[Value, Dict[DimVector, Laurent]] = {}
     for s, weight in exps.items():
-        x = factors[s] = {g: _divided(*weight(g), f"M(a) J(a) at slope {s}",
-                                      g)
+        n, d = s
+        what = f"M(a) J(a) at slope {Fraction(n, d)}"
+        x = factors[s] = {g: _divided(*weight(g), what, g)
                           for g in classes if value(g) == s}
-        if mirror and s > 0:
-            factors[-s] = {q.dual_vector(g): xg for g, xg in x.items()}
-    # The product starts at the first factor, as 1 F_s = F_s.
-    slopes = sorted(factors, reverse=True)
+        if mirror and n > 0:
+            factors[-n, d] = {q.dual_vector(g): xg for g, xg in x.items()}
+    # The product starts at the first factor, as 1 F_s = F_s.  The values
+    # descend, compared as integers over their common denominator.
+    den = math.lcm(*(d for _, d in factors))
+    slopes = sorted(factors, key=lambda s: s[0] * (den // s[1]), reverse=True)
     stack = factors[slopes[0]] if slopes else {}
     for s in slopes[1:]:
         stack = {a: _chain_sum(q, stack, a, factors[s].get) for a in classes}
@@ -226,15 +230,15 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
         sd_classes = q.sd_classes_up_to(bound)
         z, dz = _numerators(table.sd_eps, lambda th: sd_gl_poly(q, th),
                             "M_sd(theta) eps_sd(theta)")
-        root = exps.get(Fraction(0))
+        root = exps.get((0, 1))
 
         def half(g: DimVector) -> Weight:
-            return root(g, 2) if root and value(g) == 0 else None
+            return root(g, 2) if root and value(g) == (0, 1) else None
         start = {th: _sd_action(q, th, half, lambda rho: z.get(rho, _ZERO))
                  for th in sd_classes}
         k = math.lcm(*(kt for _, kt in start.values()))
         module = {th: _times(num, k // kt) for th, (num, kt) in start.items()}
-        for s in sorted(s for s in factors if s > 0):
+        for s in [s for s in reversed(slopes) if s[0] > 0]:
             x = factors[s]
             module = {th: _sd_action(q, th, lambda g: (x[g], 1) if g in x
                                      else None, module.get)[0]

@@ -171,6 +171,24 @@ def test_slope_of_the_wrong_length_is_rejected(weights):
         inv.build_table(q, s, 2)
 
 
+@pytest.mark.parametrize("weights, equal", [
+    ((0.5, -0.5), (Fraction(1, 2), Fraction(-1, 2))),
+    (("1", "-1"), None),
+    ((True, False), (1, 0))], ids=["float", "str", "bool"])
+def test_slope_weight_that_is_not_rational_is_refused(weights, equal):
+    """Refused whether or not an engine of equal weights is cached."""
+    q = calibrated_kron()
+    kind = type(weights[0]).__name__
+    message = f"slope weight of type {kind} is not an int or a Fraction"
+    for cached in (False, True):
+        if cached and equal:
+            inv.build_table(q, Slope(equal), 2)
+        with pytest.raises(ValidationError, match=message):
+            inv.build_table(q, Slope(weights), 2)
+        with pytest.raises(ValidationError, match=message):
+            inv.dt_num(q, Slope(weights), (1, 1))
+
+
 def test_new_calibration_is_not_served_from_the_cache():
     q = kronecker_variant((1, 1), 1)
     cal = calibrate_signs(q)
@@ -290,7 +308,7 @@ def assert_engine_matches_full_region(q, slope, bound):
                 eng, refs[zero], th), th
     for value, ref in refs.items():
         for p in [eng.zero] + classes:
-            dp = eng._dom_table(value, p)[p]
+            dp = eng._dom_table((value.numerator, value.denominator), p)[p]
             if p in ref:
                 # the engine keeps D(s, p) = M(p) d(s, p) in Z[q, 1/q]
                 assert over_gl_denominator(dp.poly, p) == ref[p], (p, value)
@@ -335,7 +353,7 @@ def region(eng, s, p):
     """The classes 0 < c <= p of value above s: the part of the region of s
     that D(s, p) reads."""
     return frozenset(c for c in boxed_vectors(p)
-                     if any(c) and eng.value(c) > s)
+                     if any(c) and Fraction(*eng.value(c)) > Fraction(*s))
 
 
 def test_table_computes_each_region_once(monkeypatch):
@@ -361,6 +379,48 @@ def test_table_computes_each_region_once(monkeypatch):
                 if dp is not None:
                     regions.add((p, region(eng, value, p)))
     assert len(eng._store) == len(regions) == 187
+
+
+def test_equal_values_share_one_pair_and_one_table():
+    """value((1, 1)) = 1/2 and value((2, 2)) = 2/4 at i=1, j=0: one reduced
+    pair, one recursion table."""
+    q = kronecker_pm_plus()
+    eng = inv._engine(q, Slope.from_dict(q, {"i": 1}))
+    assert eng.value((1, 1)) == eng.value((2, 2)) == (1, 2)
+    assert eng.value((2, 0)) == (1, 1) and eng.value((0, 3)) == (0, 1)
+    eng.semistable((1, 1))
+    eng.semistable((2, 2))
+    assert list(eng._dom) == [(1, 2)]
+    assert eng._dom_table((1, 2), (1, 1)) is eng._dom_table((1, 2), (2, 2))
+
+
+def test_no_query_reads_slope_value(monkeypatch):
+    """Tables, scalars and the transform read slope values from the engine's
+    integer weights, never through Slope.value."""
+    cases = [(kronecker_pm_plus(), {"i": 1, "j": -1}, {"i": -1, "j": 1}),
+             (calibrated_two_pairs(), {"a": 1, "d": -1, "b": 2, "c": -2},
+              {"a": 2, "d": -2, "b": -1, "c": 1})]
+
+    def refuse(self, alpha):
+        raise AssertionError(f"Slope.value{alpha} was called")
+    monkeypatch.setattr(Slope, "value", refuse)
+    for q, plus, minus in cases:
+        plus, minus = Slope.from_dict(q, plus), Slope.from_dict(q, minus)
+        classes = q.dim_vectors_up_to(4)
+        sd_classes = q.sd_classes_up_to(4)
+        for a in classes:
+            inv.semistable_integral(q, minus, a)
+            inv.epsilon_integral(q, minus, a)
+            inv.dt_num(q, minus, a)
+        for th in sd_classes:
+            inv.sd_semistable_integral(q, minus, th)
+            inv.sd_dt_num(q, minus, th)
+        assert inv.slope_values(q, minus, 4)
+        assert inv.build_table(q, plus, 4).rows
+        crossed = wallcross_epsilon(epsilon_table(q, plus, 4),
+                                    SlopePair(q, plus, minus))
+        assert crossed == epsilon_table(q, minus, 4)
+        assert crossed.sd_eps
 
 
 def test_sharing_changes_no_value_on_the_fixtures():
@@ -398,7 +458,7 @@ def test_semistable_recursion_makes_no_ratfunc_arithmetic(monkeypatch):
         eng.semistable(a)
         eng.dt_motivic(a)
         eng.epsilon(a)
-        inv.epsilon_element(q, s, eng.value(a), 6)
+        inv.epsilon_element(q, s, Fraction(*eng.value(a)), 6)
     for th in q.sd_classes_up_to(6):
         eng.sd_semistable(th)
         eng.sd_dt_motivic(th)
@@ -523,7 +583,7 @@ def assert_holds_one_class_per_pair(eng, names, size):
     """No recursion table at a negative value, and each memo holds more than
     size classes, each of value above 0 or of value 0 with a <= a^v."""
     q, s = eng.quiver, eng.slope
-    assert min(eng._dom) >= 0
+    assert min(Fraction(*s) for s in eng._dom) >= 0
     for name in names:
         memo = eng._memo[name]
         assert len(memo) > size, name

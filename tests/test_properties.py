@@ -129,6 +129,60 @@ def _has_live_forms(quiver):
     return _has_commutation_form(quiver) and any(quiver.calibration.kappa)
 
 
+# Slope weights with mixed denominators, zeros and 40-digit numerators.
+WEIGHTS = st.one_of(
+    st.just(0), st.integers(-3, 3), st.fractions(-3, 3, max_denominator=12),
+    st.builds(lambda n, d, sign: Fraction(sign * n, d),
+              st.integers(10 ** 39, 10 ** 40 - 1), st.integers(1, 10 ** 9),
+              st.sampled_from([1, -1])))
+
+
+@st.composite
+def quiver_rational_slope(draw):
+    """A suite-shaped quiver with a nonzero commutation form and a slope of
+    WEIGHTS, self-dual (w(dual i) = -w(i)) or not."""
+    quiver = draw(st.randoms(use_true_random=False).map(_rand_quiver)
+                  .filter(_has_commutation_form))
+    n = len(quiver.vertices)
+    weights = draw(st.lists(WEIGHTS, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        for i, j in quiver.vertex_pairs:
+            weights[j] = -weights[i]
+        for i in quiver.fixed_vertices:
+            weights[i] = 0
+    return quiver, Slope(tuple(weights))
+
+
+@BUDGET
+@given(quiver_rational_slope())
+def test_engine_values_are_the_fraction_rule_as_reduced_pairs(case):
+    """Each engine value is Slope.value in lowest terms, the recursion's
+    regions and the mirror's sign test read it as Fraction comparisons do,
+    slope_values is the Fraction rule's, and equal values share a table."""
+    quiver, slope = case
+    eng = inv._engine(quiver, slope)
+    classes = quiver.dim_vectors_up_to(3)
+    want = {a: slope.value(a) for a in classes}
+    for a in classes:
+        assert eng.value(a) == (want[a].numerator, want[a].denominator), a
+    assert inv.slope_values(quiver, slope, 3) == sorted(set(want.values()),
+                                                        reverse=True)
+    tables = {}
+    for a in classes:
+        s = eng.value(a)
+        tab = eng._dom_table(s, a)
+        assert tables.setdefault(want[a], tab) is tab, a
+        for p in classes:
+            above = want[p] > want[a]
+            assert (eng._dom_table(s, p)[p] is not None) == above, (a, p)
+            assert eng._region_key(s, p, eng._ids[s])[1] == above, (a, p)
+    if slope.is_self_dual(quiver):
+        for a in classes:
+            b = quiver.dual_vector(a)
+            mirrored = want[a] < 0 or want[a] == 0 and b < a
+            assert eng._rep(a) == (b if mirrored else a), a
+
+
 @st.composite
 def flip_case(draw):
     """A calibrated suite-shaped quiver with a nonzero commutation form, a

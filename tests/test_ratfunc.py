@@ -656,6 +656,27 @@ def test_points_on_the_integer_form_match_fraction_arithmetic(x):
             assert (err.value.point, err.value.order) == (r, pole)
 
 
+def _at(x, point):
+    """(value, None) at the point, or (None, (pole point, order))."""
+    try:
+        return x.eval_at(point), None
+    except PoleError as err:
+        assert type(err.point) is Fraction and err.point == point
+        return None, (err.point, err.order)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(canonical_ratfuncs())
+@example(RatFunc.q_power(-2))
+@example(inv_q_minus_qinv() ** 2)
+def test_int_and_fraction_points_read_alike(x):
+    """An int point is read as u/v like the Fraction equal to it, and a
+    PoleError carries the point as a Fraction either way."""
+    for n in (0, 1, -1, 2, -3):
+        assert x.pole_order_at(n) == x.pole_order_at(F(n))
+        assert _at(x, n) == _at(x, F(n))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(canonical_ratfuncs())
 def test_times_q_minus_qinv_is_the_canonical_product(x):

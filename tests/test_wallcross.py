@@ -254,6 +254,23 @@ def test_transform_refuses_a_table_not_from_a_stack_element():
         wallcross_epsilon(table, pair)
 
 
+@pytest.mark.parametrize("a, value", [((2, 1), "1/3"), ((1, 2), "-1/3"),
+                                      ((1, 0), "1")])
+def test_transform_refusal_prints_the_slope_value_as_a_fraction(a, value):
+    q = calibrated_kron()
+    pair = _pair(q, {"i": 1, "j": -1}, {"i": -1, "j": 1})
+    table = epsilon_table(q, pair.plus, 3)
+    # M(a) eps(a) / 3 is a Laurent polynomial, but its exponential's
+    # numerator M(a) J(a) at a is not one with integer coefficients
+    table.eps[a] = table.eps[a] * Fraction(1, 3)
+    with pytest.raises(ValueError) as err:
+        wallcross_epsilon(table, pair)
+    assert str(err.value) == (
+        "the source table is not the epsilon table of a stack element: "
+        f"M(a) J(a) at slope {value} at {a} is not a Laurent polynomial "
+        "with integer coefficients")
+
+
 def test_transform_refuses_a_self_dual_table_not_from_a_stack_element():
     q = calibrated_kron()
     pair = _pair(q, {"i": 1, "j": -1}, {"i": -1, "j": 1})
