@@ -53,13 +53,11 @@ value is one integer sum and one gcd, equal values are equal pairs that key
 one recursion table, and regions, star powers and the mirror compare values
 by cross-multiplying.  Slope.value is the same rule in Fraction arithmetic.
 
-An engine seeded with the numerators of a stack element (wall-crossing,
-whose integer kernels _chain_sum, _star_powers and _sd_action it shares)
-reads them in place of q^e(a) and q^e_sd(theta), and mirrors exactly where
-they are dual-symmetric, N(a^v) = N(a), as those of the stack element of a
-dual-symmetric table are; with any other numerators it computes both
-halves.  The transform seeds one only where some numerator differs from the
-cached engine's own; where all agree, it reads that engine's values.
+Wall-crossing, which shares the integer kernels _chain_sum, _star_powers
+and _sd_action, factors a stack element on the engine _seeded_engine picks:
+the cached engine where the element's numerators are its own q^e(a) and
+q^e_sd(theta), else a seeded engine that reads them in their place and
+computes both halves.
 
 Engines are cached on their quiver by (slope, calibration), so repeated
 queries share work, a new calibration never returns values computed under
@@ -290,10 +288,10 @@ class _Engine:
     M_sd(theta) on the self-dual side, and as the RatFunc values built from
     them.
 
-    An engine at a self-dual slope memoises the linear values that a and
-    a^v share once per pair, at _rep(a) (Young 2016, as in the module
-    docstring), unless it is seeded with numerators that are not
-    dual-symmetric."""
+    A cached engine at a self-dual slope memoises the linear values that a
+    and a^v share once per pair, at _rep(a) (Young 2016, as in the module
+    docstring); a seeded one (seed_bound set, see _seeded_engine) computes
+    both halves."""
 
     def __init__(self, quiver: SelfDualQuiver, slope: Slope):
         if len(slope.weights) != len(quiver.vertices):
@@ -310,32 +308,12 @@ class _Engine:
                     for w in slope.weights]
         self.zero = tuple(0 for _ in quiver.vertices)
         self.seed_bound: Optional[int] = None
-        self._mirrors = slope.is_self_dual(quiver)
+        self.self_dual = slope.is_self_dual(quiver)
         self._memo: Dict[str, dict] = defaultdict(dict)
         self._dom: Dict[Value, Dict[DimVector, Optional[Laurent]]] = {}
         self._ids: Dict[Value, Dict[DimVector, int]] = {}
         self._regions: Dict[tuple, int] = {}
         self._store: Dict[int, Laurent] = {}
-
-    @classmethod
-    def seeded(cls, quiver: SelfDualQuiver, slope: Slope, bound: int,
-               numerators: Dict[DimVector, Laurent],
-               sd_numerators: Optional[Dict[DimVector, Laurent]]
-               ) -> "_Engine":
-        """Engine reading the component integrals of the classes up to the
-        bound off their numerators, N(a) = M(a) I(a) on the linear side and
-        M_sd(theta) I_sd(theta) on the self-dual side, and refusing to read
-        one beyond it.  It mirrors as a cached engine does only where the
-        numerators are dual-symmetric, N(a^v) = N(a).  It stays out of the
-        engine cache."""
-        eng = cls(quiver, slope)
-        eng.seed_bound = bound
-        eng._mirrors = eng._mirrors and _dual_symmetric(
-            quiver, {a: n.poly for a, n in numerators.items()})
-        eng._memo["_numerator"].update(numerators)
-        if sd_numerators is not None:
-            eng._memo["_sd_numerator"].update(sd_numerators)
-        return eng
 
     # -- component integrals ----------------------------------------------
 
@@ -349,9 +327,10 @@ class _Engine:
 
     @_per_class
     def _rep(self, a: DimVector) -> DimVector:
-        """The class whose linear values a reads: a^v where the engine
-        mirrors and a's value is below 0, or is 0 with a^v < a; else a."""
-        if not self._mirrors or not any(a):
+        """The class whose linear values a reads: a^v where the engine is
+        cached at a self-dual slope and a's value is below 0, or is 0 with
+        a^v < a; else a."""
+        if not self.self_dual or self.seed_bound is not None or not any(a):
             return a
         n = self.value(a)[0]
         b = self.quiver.dual_vector(a)
@@ -438,23 +417,17 @@ class _Engine:
         return _star_powers(self.quiver, g, self.value, self._semistable_num,
                             self._powers)
 
-    @_per_class
-    def _log_num(self, g: DimVector) -> Tuple[Laurent, int]:
-        """(E(g), L) with log(1 + x)_g = (q - 1/q) E(g) / (L M(g)) for the
-        semistable element x of g's slope: E / L = sum_n (-1)^(n-1) P_n / n
-        (see _series).  Zero at the zero class."""
-        if not any(g):
-            return _ZERO, 1
-        powers = self._powers(g)
-        return _series(powers, _log_coeffs(len(powers)))
-
     @_per_pair
     def epsilon(self, a: DimVector) -> RatFunc:
-        """The epsilon integral of a, E(a) / (L M(a)): the semistable
-        integral itself where the star-log has one term (E / L = X)."""
-        if any(a) and len(self._powers(a)) == 1:
+        """The epsilon integral of a, E(a) / (L M(a)) with E / L = sum_n
+        (-1)^(n-1) P_n / n, the star-log at a (see _series): the semistable
+        integral itself where it has one term (E / L = X).  Zero at 0."""
+        if not any(a):
+            return over_gl_denominator({}, a)
+        powers = self._powers(a)
+        if len(powers) == 1:
             return self.semistable(a)
-        e, lcm = self._log_num(a)
+        e, lcm = _series(powers, _log_coeffs(len(powers)))
         return over_gl_denominator(e.poly, a, Fraction(1, lcm))
 
     @_per_pair
@@ -479,7 +452,8 @@ class _Engine:
     def _check_sd(self, th: DimVector) -> None:
         if not self.quiver.is_sd_class(th):
             raise ValueError(f"{th} is not a self-dual class")
-        self.slope.validate_self_dual(self.quiver)
+        if not self.self_dual:
+            self.slope.validate_self_dual(self.quiver)
 
     @_per_class
     def _sd_semistable_num(self, th: DimVector) -> Laurent:
@@ -524,6 +498,29 @@ def _engine(quiver: SelfDualQuiver, slope: Slope) -> _Engine:
         eng = _Engine(quiver, slope)
         quiver.engine_cache[key] = eng
         _CACHE_OWNERS.add(quiver)
+    return eng
+
+
+def _seeded_engine(quiver: SelfDualQuiver, slope: Slope, bound: int,
+                   numerators: Dict[DimVector, Laurent],
+                   sd_numerators: Optional[Dict[DimVector, Laurent]]
+                   ) -> _Engine:
+    """The engine whose component integrals of the classes up to the bound
+    are read off their numerators, N(a) = M(a) I(a) on the linear side and
+    M_sd(theta) I_sd(theta) on the self-dual side.  Where these are the
+    quiver's own, q^e(a) and q^e_sd(theta), it is the cached engine at
+    slope, as an engine's values depend on its numerators alone; else it is
+    a new engine that reads them, refuses to read a class beyond the bound
+    and stays out of the engine cache."""
+    eng = _engine(quiver, slope)
+    sd_numerators = sd_numerators or {}
+    own = [(eng._numerator, numerators), (eng._sd_numerator, sd_numerators)]
+    if all(f(a).poly == n.poly for f, ns in own for a, n in ns.items()):
+        return eng
+    eng = _Engine(quiver, slope)
+    eng.seed_bound = bound
+    eng._memo["_numerator"].update(numerators)
+    eng._memo["_sd_numerator"].update(sd_numerators)
     return eng
 
 
@@ -842,13 +839,12 @@ def build_table(quiver: SelfDualQuiver, slope: Slope,
     rows = [_row(a, eng.semistable(a), eng.epsilon(a), eng.dt_motivic(a))
             for a in [eng.zero] + quiver.dim_vectors_up_to(bound)]
     sd_rows: List[InvariantRow] = []
-    sd_included = slope.is_self_dual(quiver)
-    if sd_included:
+    if eng.self_dual:
         for th in quiver.sd_classes_up_to(bound):
             eps = eng.sd_dt_motivic(th)
             sd_rows.append(_row(th, eng.sd_semistable(th), eps, eps))
     return InvariantTable(quiver.to_data(), slope.to_dict(quiver), bound,
-                          sd_included, rows, sd_rows)
+                          eng.self_dual, rows, sd_rows)
 
 
 def no_pole_report(table: InvariantTable) -> List[dict]:

@@ -308,13 +308,11 @@ def verify_reference_values() -> List[Tuple[str, bool, str]]:
 
     for vsign, want in ((1, Fraction(-1, 4)), (-1, Fraction(1, 4))):
         q = point_quiver(vsign)
-        ensure_calibrated(q)
         got = invariants.sd_epsilon_integral(q, Slope.trivial(q), (2,)).eval_at(-1)
         label = f"point({vsign:+d}) epsilon at class (2)"
         rows.append((label, got == want, f"got {got}, want {want}"))
 
     kron = kronecker_variant((1, 1), 1)
-    ensure_calibrated(kron)
     slope = Slope.from_dict(kron, {"i": 1, "j": -1})
     got = invariants.dt_mot(kron, slope, (1, 1))
     want_rf = RatFunc.q_power(1) + RatFunc.q_power(-1)

@@ -6,23 +6,22 @@ out on integer Laurent numerators over the motive denominators with the
 invariants module's integer kernels, so that the only rational functions
 built are the source values read and the target values returned.  Slope
 values come from the source slope's engine (filled by epsilon_table) as
-integer pairs, source values only from the table.  The target slope's
-engine gives the q^e that the stack element's numerators are compared
-with, and its own values where all agree (_target_engine).  The same
-transform has a combinatorial form, a sum over ordered decompositions of
-each class weighted by rational coefficients; those coefficients are test
-code (tests/reference.py), and the tests check the re-factorisation
-against them.
+integer pairs, source values only from the table.  The stack element is
+factored at the target slope on the engine invariants._seeded_engine
+picks: the cached one where its numerators are the quiver's own, as for
+every table epsilon_table makes.  The same transform has a combinatorial
+form, a sum over ordered decompositions of each class weighted by rational
+coefficients; those coefficients are test code (tests/reference.py), and
+the tests check the re-factorisation against them.
 
 Duality maps the epsilon element of value s to that of value -s and
 reverses the product (M. B. Young, The Hall module of an exact category
 with duality, 2016).  So at a self-dual source slope, a table with eps(a^v)
 = eps(a) for every class, as every table epsilon_table makes there, has the
 factor of value -s equal to that of s with each class a read at a^v: the
-transform builds the factors of values s >= 0 only.  Its stack element is
-then dual-symmetric, and the engine that factors it at a self-dual target
-slope computes each linear value once per duality pair.  Any other table is
-crossed at every slope value, by an engine that computes both halves.
+transform builds the factors of values s >= 0 only.  Any other table is
+crossed at every slope value.  Whether a slope is self-dual is read off its
+engine's self_dual flag.
 """
 
 import math
@@ -31,8 +30,8 @@ from functools import cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .invariants import (_ZERO, Value, Weight, _chain_sum, _dual_symmetric,
-                         _Engine, _engine, _over_lcm, _sd_action, _series,
-                         _star_powers)
+                         _engine, _over_lcm, _sd_action, _seeded_engine,
+                         _series, _star_powers)
 from .motives import gl_poly, sd_gl_poly
 from .quiver import (DimVector, SelfDualQuiver, Slope, ValidationError,
                      graded_lex_key)
@@ -79,7 +78,7 @@ def epsilon_table(quiver: SelfDualQuiver, slope: Slope,
     eng = _engine(quiver, slope)
     eps = {a: eng.epsilon(a) for a in quiver.dim_vectors_up_to(bound)}
     sd_eps = None
-    if slope.is_self_dual(quiver):
+    if eng.self_dual:
         sd_eps = {th: eng.sd_dt_motivic(th)
                   for th in quiver.sd_classes_up_to(bound)}
     return EpsilonTable(quiver, slope, bound, eps, sd_eps)
@@ -153,19 +152,6 @@ def _exp_coeffs(n: int, cd: int) -> Tuple[List[Laurent], int]:
                       for i in range(1, n + 1)])
 
 
-def _target_engine(q: SelfDualQuiver, slope: Slope, bound: int,
-                   nums: Dict[DimVector, Laurent],
-                   sd_nums: Optional[Dict[DimVector, Laurent]]) -> _Engine:
-    """The cached engine at slope where nums and sd_nums are its own
-    numerators, q^e(a) and q^e_sd(theta), else one seeded with them: an
-    engine's values depend on its numerators alone."""
-    eng = _engine(q, slope)
-    own = [(eng._numerator, nums), (eng._sd_numerator, sd_nums or {})]
-    if all(f(a).poly == n.poly for f, ns in own for a, n in ns.items()):
-        return eng
-    return _Engine.seeded(q, slope, bound, nums, sd_nums)
-
-
 def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
     """Transform a table of epsilon integrals from the pair's source slope
     to its target slope, without recomputing anything semistable.
@@ -175,7 +161,8 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
     self-dual side, the square root of the slope-0 factor acting on the
     self-dual epsilon element, acted on by the positive slopes' factors in
     ascending order, gives the module stack element.  The engine at the
-    target slope factors both again by target slope (_target_engine).
+    target slope that invariants._seeded_engine picks factors both again by
+    target slope.
 
     All of it runs on integer Laurent numerators over M(a) and M_sd(theta)
     (see invariants): a slope's epsilon values become numerators over one
@@ -189,16 +176,18 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
 
     At a self-dual source slope and with a dual-symmetric table, the
     factors of values s < 0 are those of -s read at the dual classes (see
-    the module docstring), and the engine at the target slope mirrors.
+    the module docstring).  The self-dual side is crossed where the table
+    has one and both slopes are self-dual.
     """
     if table.quiver is not pair.quiver:
         raise ValidationError("table and slope pair use different quivers")
     if table.slope.weights != pair.plus.weights:
         raise ValidationError("table was not computed at the source slope")
     q, bound = pair.quiver, table.bound
-    value = _engine(q, pair.plus).value
+    source, target = _engine(q, pair.plus), _engine(q, pair.minus)
+    value = source.value
     classes = q.dim_vectors_up_to(bound)
-    mirror = pair.plus.is_self_dual(q) and _dual_symmetric(q, table.eps)
+    mirror = source.self_dual and _dual_symmetric(q, table.eps)
     by_slope: Dict[Value, Dict[DimVector, RatFunc]] = {}
     for a, e in table.eps.items():
         if e:
@@ -225,7 +214,8 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
         stack = {a: _chain_sum(q, stack, a, factors[s].get) for a in classes}
 
     sd_stack = None
-    sd_side = table.sd_eps is not None and pair.is_self_dual()
+    sd_side = (table.sd_eps is not None and source.self_dual
+               and target.self_dual)
     if sd_side:
         sd_classes = q.sd_classes_up_to(bound)
         z, dz = _numerators(table.sd_eps, lambda th: sd_gl_poly(q, th),
@@ -247,7 +237,7 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
                                  "M_sd(theta) I_sd(theta)", th)
                     for th in sd_classes}
 
-    eng = _target_engine(q, pair.minus, bound,
+    eng = _seeded_engine(q, pair.minus, bound,
                          {a: stack.get(a, _ZERO) for a in classes}, sd_stack)
     eps = {a: eng.epsilon(a) for a in classes}
     sd_eps = None

@@ -168,3 +168,29 @@ def crossed_without_mirror(table, pair):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wallcross, "_dual_symmetric", lambda *_args: False)
         return wallcross.wallcross_epsilon(table, pair)
+
+
+def spy_on_seeded(m):
+    """Patch the transform's _seeded_engine through m to record every engine
+    it returns that is seeded (seed_bound set), and return the list they go
+    in."""
+    built = []
+    pick = wallcross._seeded_engine
+
+    def spy(*args):
+        eng = pick(*args)
+        if eng.seed_bound is not None:
+            built.append(eng)
+        return eng
+    m.setattr(wallcross, "_seeded_engine", spy)
+    return built
+
+
+def zeroed_at(table, pair, value):
+    """table with eps zeroed at every class of source value s or -s, for
+    value s: still dual-symmetric, but no longer the quiver's own."""
+    zeroed = [a for a in table.eps if abs(pair.plus.value(a)) == value]
+    assert zeroed and all(table.eps[a] for a in zeroed)
+    eps = table.eps | {a: RatFunc(0) for a in zeroed}
+    assert inv._dual_symmetric(table.quiver, eps)
+    return table._replace(eps=eps)

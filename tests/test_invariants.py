@@ -11,7 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import (assert_mirror_changes_nothing,
                      assert_regions_change_nothing, calibrated_mixed,
-                     calibrated_two_pairs, mixed_quiver)
+                     calibrated_two_pairs, mixed_quiver, spy_on_seeded,
+                     zeroed_at)
 from reference import (averaged_sd_stack_class, averaged_stack_class,
                        binom_fraction, direct_epsilon_integral,
                        direct_sd_epsilon_integral,
@@ -441,7 +442,7 @@ def test_sharing_changes_no_value_in_the_seeded_engine():
     q = kronecker_pm_plus()
     args, _ = seeded_by_the_transform(q, 6)
     assert_regions_change_nothing(
-        q, args[1], 6, lambda q, s: inv._Engine.seeded(q, s, *args[2:]))
+        q, args[1], 6, lambda q, s: inv._seeded_engine(q, s, *args[2:]))
 
 
 def test_semistable_recursion_makes_no_ratfunc_arithmetic(monkeypatch):
@@ -463,7 +464,7 @@ def test_semistable_recursion_makes_no_ratfunc_arithmetic(monkeypatch):
         eng.sd_semistable(th)
         eng.sd_dt_motivic(th)
     inv.sd_epsilon_element(q, s, 6)
-    assert eng._dom and eng._memo["_log_num"] and not calls
+    assert eng._dom and eng._memo["_powers"] and not calls
     assert eng._memo["_sd_semistable_num"] and eng._memo["_root_weight"]
 
 
@@ -532,16 +533,26 @@ def test_one_engine_serves_every_bound():
     assert len(q.engine_cache) == 1
 
 
+def own_numerators(q, bound):
+    """The quiver's own numerators q^e(a) and q^e_sd(theta) up to bound."""
+    return ({a: Laurent({stack_exponent(q, a): 1})
+             for a in q.dim_vectors_up_to(bound)},
+            {th: Laurent({sd_stack_exponent(q, th): 1})
+             for th in q.sd_classes_up_to(bound)})
+
+
 def test_seeded_engine_refuses_a_class_beyond_its_bound():
+    """Seeded with the quiver's own numerators but for a doubled one at (3,
+    0), which no other class within the bound lies above."""
     q = calibrated_kron()
     s = hn_slope(q)
-    eng = inv._Engine.seeded(
-        q, s, 3,
-        {a: Laurent({stack_exponent(q, a): 1}) for a in q.dim_vectors_up_to(3)},
-        {th: Laurent({sd_stack_exponent(q, th): 1})
-         for th in q.sd_classes_up_to(3)})
+    nums, sd_nums = own_numerators(q, 3)
+    nums[(3, 0)] = Laurent({e: 2 * c for e, c in nums[(3, 0)].poly.items()})
+    eng = inv._seeded_engine(q, s, 3, nums, sd_nums)
+    assert eng.seed_bound == 3
     for a in q.dim_vectors_up_to(3):
-        assert eng.epsilon(a) == inv.epsilon_integral(q, s, a)
+        assert (eng.epsilon(a) == inv.epsilon_integral(q, s, a)) == (
+            a != (3, 0)), a
     assert eng.sd_dt_motivic((1, 1)) == inv.sd_epsilon_integral(q, s, (1, 1))
     with pytest.raises(ValueError, match="beyond the seeded bound 3"):
         eng.epsilon((2, 2))
@@ -613,27 +624,21 @@ def assert_holds_both_halves(eng, names):
 
 
 def seeded_by_the_transform(q, bound):
-    """The arguments wallcross_epsilon passes to _target_engine crossing from
-    i=-1,j=1 to i=1,j=-1 at the bound, and an engine seeded with them that
-    has computed every value the transform reads: the numerators are the
-    quiver's own, so the transform itself reads the cached engine."""
+    """The arguments wallcross_epsilon passes to _seeded_engine crossing a
+    table from i=-1,j=1 to i=1,j=-1 at the bound with its values of slope
+    value 1 and -1 zeroed (zeroed_at), and the seeded engine it returns,
+    which has computed every value the transform reads."""
     passed = []
-    choose = wc._target_engine
-
-    def capture(*args):
-        passed.append(args)
-        return choose(*args)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(wc, "_target_engine", capture)
+        seeded = spy_on_seeded(m)
+        pick = wc._seeded_engine
+        m.setattr(wc, "_seeded_engine",
+                  lambda *args: passed.append(args) or pick(*args))
         pair = SlopePair(q, Slope.from_dict(q, {"i": -1, "j": 1}),
                          hn_slope(q))
-        wallcross_epsilon(epsilon_table(q, pair.plus, bound), pair)
-    [args] = passed
-    eng = inv._Engine.seeded(*args)
-    for a in args[3]:
-        eng.epsilon(a)
-    for th in args[4] or ():
-        eng.sd_dt_motivic(th)
+        wallcross_epsilon(
+            zeroed_at(epsilon_table(q, pair.plus, bound), pair, 1), pair)
+    [args], [eng] = passed, seeded
     return args, eng
 
 
@@ -641,25 +646,36 @@ SEEDED = ("_semistable_num", "_powers", "epsilon", "_root_weight")
 
 
 def test_seeded_engine_mirrors_the_numerators_of_a_genuine_table():
+    """A genuine table's stack element has the quiver's own numerators, so
+    _seeded_engine returns the cached engine, which mirrors."""
     q = kronecker_pm_plus()
-    args, eng = seeded_by_the_transform(q, 6)
+    s = hn_slope(q)
+    args = (q, s, 6, *own_numerators(q, 6))
+    eng = inv._seeded_engine(*args)
+    assert eng is inv._engine(q, s) and eng.seed_bound is None
+    for a in args[3]:
+        eng.epsilon(a)
+    for th in args[4]:
+        eng.sd_dt_motivic(th)
     assert eng.slope.is_self_dual(q)
     assert_holds_one_class_per_pair(eng, SEEDED, 3)
     assert_mirror_changes_nothing(
-        q, eng.slope, 6, lambda q, s: inv._Engine.seeded(q, s, *args[2:]))
+        q, eng.slope, 6, lambda q, s: inv._seeded_engine(q, s, *args[2:]))
 
 
 def test_non_self_dual_and_seeded_engines_compute_both_halves():
     """At a slope that is not self-dual, and in an engine seeded at a
-    self-dual slope with numerators changed at (1, 0) but not at (0, 1)."""
+    self-dual slope with the crossing's numerators, zero at (1, 0) and (0,
+    1), changed to q^e(1, 0) at (1, 0)."""
     q = kronecker_pm_plus()
     s = Slope.from_dict(q, {"i": 2, "j": -1})
     inv.build_table(q, s, 9)
     assert_holds_both_halves(inv._engine(q, s), MIRRORED)
     (_, s, bound, nums, sd_nums), _ = seeded_by_the_transform(q, 6)
-    nums = dict(nums)
-    nums[(1, 0)] = Laurent({e: 2 * c for e, c in nums[(1, 0)].poly.items()})
-    eng = inv._Engine.seeded(q, s, bound, nums, sd_nums)
+    assert not nums[(1, 0)].poly and not nums[(0, 1)].poly
+    nums = nums | {(1, 0): Laurent({stack_exponent(q, (1, 0)): 1})}
+    eng = inv._seeded_engine(q, s, bound, nums, sd_nums)
+    assert eng.seed_bound == bound
     for a in q.dim_vectors_up_to(bound):
         eng.epsilon(a)
     for th in q.sd_classes_up_to(bound):
@@ -816,7 +832,10 @@ def test_dt_motivic_matches_the_integrated_log_numerator():
     for q, s, bound in table_cases(8):
         eng = inv._engine(q, s)
         for a in [eng.zero] + q.dim_vectors_up_to(bound):
-            e, lcm = eng._log_num(a)
+            e, lcm = inv._ZERO, 1
+            if any(a):
+                powers = eng._powers(a)
+                e, lcm = inv._series(powers, inv._log_coeffs(len(powers)))
             want = q_minus_qinv() * over_gl_denominator(
                 e.poly, a, Fraction(1, lcm))
             assert eng.dt_motivic(a) == want, (q.vertices, s.weights, a)

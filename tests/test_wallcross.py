@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from helpers import (calibrated_kron, calibrated_mixed, calibrated_point,
-                     calibrated_two_pairs, crossed_without_mirror)
+                     calibrated_two_pairs, crossed_without_mirror,
+                     spy_on_seeded, zeroed_at)
 from reference import check_composition, coeff_S, coeff_Ssd, coeff_U, coeff_Usd
 from quiver_dt import invariants as inv, wallcross as wc
 from quiver_dt.cli import load_quiver, main as cli_main, parse_slope
@@ -400,29 +401,6 @@ def test_transform_makes_no_ratfunc_arithmetic(monkeypatch):
         assert crossed == direct
 
 
-def spy_on_seeded(m):
-    """Patch _Engine.seeded through m to record every engine it builds, and
-    return the list they go in."""
-    built = []
-    seeded = inv._Engine.seeded.__func__
-
-    def spy(cls, *args):
-        built.append(seeded(cls, *args))
-        return built[-1]
-    m.setattr(inv._Engine, "seeded", classmethod(spy))
-    return built
-
-
-def zeroed_at(table, pair, value):
-    """table with eps zeroed at every class of source value s or -s, for
-    value s: still dual-symmetric, but no longer the quiver's own."""
-    zeroed = [a for a in table.eps if abs(pair.plus.value(a)) == value]
-    assert zeroed and all(table.eps[a] for a in zeroed)
-    eps = table.eps | {a: RatFunc(0) for a in zeroed}
-    assert inv._dual_symmetric(table.quiver, eps)
-    return table._replace(eps=eps)
-
-
 def test_transform_engine_stays_out_of_the_cache(monkeypatch):
     """A genuine crossing leaves the source and target slopes' engines in
     the cache, keyed as _engine keys them, and seeds none; the engine seeded
@@ -509,6 +487,49 @@ def test_perturbed_self_dual_values_cross_on_a_seeded_engine(monkeypatch):
     sd_eps = table.sd_eps | {(1, 1): table.sd_eps[(1, 1)] * 2}
     assert_crossed_on_one_seeded_engine(table._replace(sd_eps=sd_eps), pair,
                                         monkeypatch)
+
+
+def test_seeded_engine_computes_both_halves(monkeypatch):
+    """A perturbed dual-symmetric table crosses to a self-dual slope on a
+    seeded engine, which holds X, the star powers and epsilon at a and at
+    a^v for every class: only a cached engine mirrors."""
+    q = calibrated_kron()
+    pair = _pair(q, {"i": 1, "j": -1}, {"i": -1, "j": 1})
+    seeded = spy_on_seeded(monkeypatch)
+    wallcross_epsilon(zeroed_at(epsilon_table(q, pair.plus, 4), pair, 1),
+                      pair)
+    [eng] = seeded
+    assert eng.seed_bound == 4 and eng.self_dual
+    for name in ("_semistable_num", "_powers", "epsilon"):
+        memo = eng._memo[name]
+        for a in q.dim_vectors_up_to(4):
+            assert a in memo and q.dual_vector(a) in memo, (name, a)
+
+
+@pytest.mark.parametrize("make, plus, minus", [
+    (lambda: load_quiver(str(FIXTURES / "kronecker_pm_plus.json")),
+     {"i": 1, "j": -1}, {"i": -1, "j": 1}),
+    (calibrated_two_pairs, {"a": 2, "d": -2, "b": 1, "c": -1},
+     {"a": 1, "b": 2})], ids=["kronecker_pm_plus", "two_pairs"])
+def test_warm_round_evaluates_no_self_duality_rule(make, plus, minus,
+                                                   monkeypatch):
+    """Each engine decides once whether its slope is self-dual: a second
+    round of tables and a crossing asks no slope again."""
+    q = make()
+    pair = _pair(q, plus, minus)
+
+    def one_round():
+        for s in (pair.plus, pair.minus):
+            inv.build_table(q, s, 4)
+            epsilon_table(q, s, 4)
+        wallcross_epsilon(epsilon_table(q, pair.plus, 4), pair)
+    one_round()
+    calls = []
+    rule = Slope.validate_self_dual
+    monkeypatch.setattr(Slope, "validate_self_dual", lambda self, quiver:
+                        calls.append(self) or rule(self, quiver))
+    one_round()
+    assert not calls
 
 
 def test_dt_level_specialization():
