@@ -59,9 +59,11 @@ the cached engine where the element's numerators are its own q^e(a) and
 q^e_sd(theta), else a seeded engine that reads them in their place and
 computes both halves.
 
-Engines are cached on their quiver by (slope, calibration), so repeated
-queries share work, a new calibration never returns values computed under
-the old one, and the engines go when the quiver does.
+Engines are cached on their quiver, keyed by slope and emptied when the
+calibration changes (SelfDualQuiver.set_calibration), so repeated queries
+share work, a new calibration never returns values computed under the old
+one, and the engines go when the quiver does.  _engine alone checks a slope
+and calibrates the quiver before an engine is built.
 """
 
 from __future__ import annotations
@@ -273,15 +275,6 @@ def _per_class(method, mirrored=False):
 _per_pair = partial(_per_class, mirrored=True)
 
 
-def _check_weights(slope: Slope) -> None:
-    """ValidationError unless every weight is an int or a Fraction: the
-    engine reads each as its numerator over its denominator."""
-    for w in slope.weights:
-        if type(w) is bool or not isinstance(w, (int, Fraction)):
-            raise ValidationError(f"slope weight of type {type(w).__name__} "
-                                  "is not an int or a Fraction")
-
-
 class _Engine:
     """Every invariant of one (quiver, slope) pair, memoised per class: as
     integer Laurent numerators over M(a) on the linear side and over
@@ -294,12 +287,6 @@ class _Engine:
     both halves."""
 
     def __init__(self, quiver: SelfDualQuiver, slope: Slope):
-        if len(slope.weights) != len(quiver.vertices):
-            raise ValidationError(
-                f"slope has {len(slope.weights)} weights for "
-                f"{len(quiver.vertices)} vertices")
-        _check_weights(slope)
-        ensure_calibrated(quiver)
         self.quiver = quiver
         self.slope = slope
         # The weights over their common denominator: w_i = _iw[i] / _w.
@@ -487,16 +474,21 @@ _CACHE_OWNERS: "weakref.WeakSet[SelfDualQuiver]" = weakref.WeakSet()
 
 
 def _engine(quiver: SelfDualQuiver, slope: Slope) -> _Engine:
-    # Calibrate before building the key, so that the first call on an
-    # uncalibrated quiver keys its engine by the calibration it uses; check
-    # the weights first, as 0.5 or True would find the engine of 1/2 or 1.
-    _check_weights(slope)
+    """The quiver's cached engine at slope, once each weight is found to be
+    an int or a Fraction (0.5 or True would find the engine of 1/2 or 1)
+    and the quiver calibrated: the one gate before an engine is built."""
+    for w in slope.weights:
+        if type(w) is bool or not isinstance(w, (int, Fraction)):
+            raise ValidationError(f"slope weight of type {type(w).__name__} "
+                                  "is not an int or a Fraction")
     ensure_calibrated(quiver)
-    key = (slope.weights, quiver.calibration)
-    eng = quiver.engine_cache.get(key)
+    eng = quiver.engine_cache.get(slope.weights)
     if eng is None:
-        eng = _Engine(quiver, slope)
-        quiver.engine_cache[key] = eng
+        if len(slope.weights) != len(quiver.vertices):
+            raise ValidationError(
+                f"slope has {len(slope.weights)} weights for "
+                f"{len(quiver.vertices)} vertices")
+        eng = quiver.engine_cache[slope.weights] = _Engine(quiver, slope)
         _CACHE_OWNERS.add(quiver)
     return eng
 

@@ -109,8 +109,9 @@ class SelfDualQuiver:
         # integer exponent-form data, built by set_calibration
         self._comm: Optional[Tuple[Tuple[int, int, int, int, int], ...]] = None
         self._kappa2: Tuple[Tuple[int, int], ...] = ()
-        # Invariant engines for this quiver, keyed by the invariants module;
-        # held here so that they never outlive the quiver.
+        # Invariant engines for this quiver, keyed by slope weights in the
+        # invariants module; held here so that they never outlive the
+        # quiver, and emptied when the calibration changes.
         self.engine_cache: Dict[tuple, object] = {}
 
     # -- construction and validation ------------------------------------------
@@ -278,6 +279,7 @@ class SelfDualQuiver:
 
     def set_calibration(self, cal: Optional[Calibration]) -> None:
         """Attach cal and build both exponent forms from it; None detaches.
+        A calibration other than the attached one empties engine_cache.
 
         Over the vertex pairs s < t the commutation form is
         A(alpha, beta) = sum m (alpha_s beta_t - alpha_t beta_s), where m is
@@ -285,27 +287,30 @@ class SelfDualQuiver:
         the diagonal Euler terms and the loops cancel.  The twist is kept
         doubled, 2B(alpha, theta) = 2A(alpha, theta) + A(alpha, dual(alpha))
         + sum 2 kappa_i alpha_i, which needs 2 kappa integral."""
-        if cal is None:
-            self._calibration, self._comm, self._kappa2 = None, None, ()
-            return
-        if cal.orientation not in (1, -1):
-            raise ValueError("calibration orientation must be +1 or -1")
-        if len(cal.kappa) != len(self.vertices):
-            raise ValueError("calibration needs one kappa weight per vertex")
-        kappa2 = [2 * Fraction(k) for k in cal.kappa]
-        if any(k.denominator != 1 for k in kappa2):
-            raise ValueError(f"kappa weights {cal.kappa} are not half-integers")
-        count: Dict[Tuple[int, int], int] = {}
-        for s, t in self.edge_endpoints:
-            if s != t:
-                key, sign = ((s, t), 1) if s < t else ((t, s), -1)
-                count[key] = count.get(key, 0) + sign
-        inv = self.inv_vertex
-        # each entry also carries dual(s), dual(t) for the A(alpha, dual) term
-        self._comm = tuple((s, t, cal.orientation * m, inv[s], inv[t])
-                           for (s, t), m in count.items() if m)
-        self._kappa2 = tuple((i, int(k)) for i, k in enumerate(kappa2) if k)
-        self._calibration = cal
+        comm, kappa2 = None, ()
+        if cal is not None:
+            if cal.orientation not in (1, -1):
+                raise ValueError("calibration orientation must be +1 or -1")
+            if len(cal.kappa) != len(self.vertices):
+                raise ValueError(
+                    "calibration needs one kappa weight per vertex")
+            doubled = [2 * Fraction(k) for k in cal.kappa]
+            if any(k.denominator != 1 for k in doubled):
+                raise ValueError(
+                    f"kappa weights {cal.kappa} are not half-integers")
+            count: Dict[Tuple[int, int], int] = {}
+            for s, t in self.edge_endpoints:
+                if s != t:
+                    key, sign = ((s, t), 1) if s < t else ((t, s), -1)
+                    count[key] = count.get(key, 0) + sign
+            inv = self.inv_vertex
+            # each entry also carries dual(s), dual(t) for A(alpha, dual)
+            comm = tuple((s, t, cal.orientation * m, inv[s], inv[t])
+                         for (s, t), m in count.items() if m)
+            kappa2 = tuple((i, int(k)) for i, k in enumerate(doubled) if k)
+        if cal != self._calibration:
+            self.engine_cache.clear()
+        self._calibration, self._comm, self._kappa2 = cal, comm, kappa2
 
     def commutation_exponent(self, alpha: DimVector, beta: DimVector) -> int:
         """Exponent twisting the product of torus generators."""

@@ -16,10 +16,11 @@ built (_presented).
 Values and pole orders at a point u/v, an int or a Fraction read through
 its numerator and denominator, are read off the integer num and den: a
 value by Horner's rule on v**deg p(u/v), with one Fraction built at the
-end, and a root multiplicity by exact synthetic division by v q - u; the
-point becomes a Fraction only in a PoleError.  Multiplying by q - 1/q
-needs no gcd either: num and den are coprime, so q - 1 and q + 1 each
-divide den or multiply num (times_q_minus_qinv).
+end, and a root multiplicity by dividing v q - u out, with the one exact
+division _ip_div, while the value there is zero; the point becomes a
+Fraction only in a PoleError.  Multiplying by q - 1/q needs no gcd either:
+num and den are coprime, so q - 1 and q + 1 each divide den or multiply
+num (times_q_minus_qinv).
 
 RatFunc multiplies its integer polynomials term by term (_ip_mul).  Sums of
 products that need no denominator at all, such as the semistable recursion
@@ -167,21 +168,24 @@ def _ip_gcd(a: _IPoly, b: _IPoly) -> _IPoly:
 def _ip_div(a: _IPoly, g: _IPoly) -> Optional[_IPoly]:
     """The quotient of the long division a / g of polynomials, or None if
     the remainder is not zero.  g is primitive, so by Gauss's lemma an exact
-    quotient has integer coefficients.  a is nonzero."""
+    quotient has integer coefficients.  a is nonzero.  A step leaves the
+    term it divides out in place: only the dg lowest are left to test."""
     rem = _dense(a)
-    rg = _dense(g)
-    dg = len(rg) - 1
-    lead = rg[dg]
+    dg = max(g)
+    lead = g[dg]
+    low = [(e, c) for e, c in g.items() if e < dg]
     quo: _IPoly = {}
     for dr in range(len(rem) - 1, dg - 1, -1):
-        if rem[dr]:
-            c, r = divmod(rem[dr], lead)
+        c = rem[dr]
+        if c:
+            c, r = divmod(c, lead)
             if r:
                 return None
-            quo[dr - dg] = c
-            for i in range(dg + 1):
-                rem[dr - dg + i] -= c * rg[i]
-    return None if any(rem) else quo
+            off = dr - dg
+            quo[off] = c
+            for e, x in low:
+                rem[off + e] -= c * x
+    return None if any(rem[:dg]) else quo
 
 
 class Laurent:
@@ -275,31 +279,14 @@ def _homogenised(p: _IPoly, u: int, v: int) -> int:
     return h
 
 
-def _root_quotient(a: List[int], u: int, v: int) -> Optional[List[int]]:
-    """The quotient of the dense polynomial a (a[e] the coefficient of q**e)
-    by v q - u, or None if the division leaves a remainder.  Synthetic
-    division from the top: the coefficients s of the quotient satisfy
-    v s[e-1] - u s[e] = a[e]; u and v are coprime, so by Gauss's lemma an
-    exact quotient has integer coefficients."""
-    quo = [0] * (len(a) - 1)
-    s = 0
-    for e in range(len(a) - 1, 0, -1):
-        s, r = divmod(a[e] + u * s, v)
-        if r:
-            return None
-        quo[e - 1] = s
-    return quo if a[0] + u * s == 0 else None
-
-
 def _root_mult(p: _IPoly, u: int, v: int) -> int:
-    """The multiplicity of u/v as a root of the polynomial p."""
-    a = _dense(p)
+    """The multiplicity of u/v, u and v coprime, as a root of p: while
+    p(u/v) = 0, the primitive v q - u divides p exactly."""
     mult = 0
-    while True:
-        a = _root_quotient(a, u, v)
-        if a is None:
-            return mult
+    while not _homogenised(p, u, v):
+        p = _ip_div(p, {1: v, 0: -u})
         mult += 1
+    return mult
 
 
 _ONE: _IPoly = {0: 1}
@@ -368,11 +355,11 @@ class RatFunc:
             return self
         num, den = self._num, self._den
         for root in (1, -1):
-            quo = _root_quotient(_dense(den), root, 1)
+            quo = _ip_div(den, {1: 1, 0: -root})
             if quo is None:
                 num = _ip_mul(num, {1: 1, 0: -root})
             else:
-                den = {e: c for e, c in enumerate(quo) if c}
+                den = quo
         return RatFunc._raw(self._scale, self._shift - 1, num, den)
 
     @classmethod
@@ -591,7 +578,7 @@ class RatFunc:
         """Pole order at the point: positive for a pole, negative for a zero,
         0 for finite nonzero values.  The zero function reports 0.  Read
         off the integer num and den by division by v q - u at point = u/v
-        (see _root_quotient)."""
+        (see _root_mult)."""
         if not self._num:
             return 0
         u, v = point.numerator, point.denominator

@@ -54,10 +54,6 @@ class SlopePair:
         self.plus = plus
         self.minus = minus
 
-    def is_self_dual(self) -> bool:
-        return (self.plus.is_self_dual(self.quiver)
-                and self.minus.is_self_dual(self.quiver))
-
     def reversed(self) -> "SlopePair":
         return SlopePair(self.quiver, self.minus, self.plus)
 

@@ -102,7 +102,8 @@ def rand_mod_elem(q, rng, terms=2, hi=1, bound=None) -> TorusModElem:
 def engine_values(q, s, bound, make=inv._Engine):
     """A fresh engine's linear values on the classes within the bound and,
     at a self-dual slope, its self-dual values, keyed by (method, class).
-    make(q, s) builds the engine."""
+    make(q, s) builds the engine, once the quiver is calibrated."""
+    oracle.ensure_calibrated(q)
     eng = make(q, s)
     out = {(m, a): getattr(eng, m)(a)
            for a in [eng.zero] + q.dim_vectors_up_to(bound)

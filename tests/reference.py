@@ -6,7 +6,9 @@ explicit enumeration of ordered decompositions, with none of the shared
 recursion code.  The combinatorial wall-crossing coefficients (coeff_U,
 coeff_Usd and the sign coefficients they build on) weight ordered
 decompositions in the enumerative form of the transform that
-wallcross_epsilon computes by re-factorisation.
+wallcross_epsilon computes by re-factorisation.  bps_invariants inverts
+the multiple-cover formula that expresses the motivic DT invariants
+through the integer BPS invariants.
 
 This module imports only quiver_dt.quiver, quiver_dt.motives and
 quiver_dt.ratfunc, never quiver_dt.invariants or quiver_dt.wallcross, so
@@ -18,12 +20,12 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from quiver_dt.motives import sd_stack_class, stack_class
 from quiver_dt.quiver import (DimVector, SelfDualQuiver, Slope, boxed_vectors,
                               vadd, vleq, vsub, vtotal)
-from quiver_dt.ratfunc import RatFunc
+from quiver_dt.ratfunc import RatFunc, q_minus_qinv
 
 
 def binom_fraction(top: Fraction, n: int) -> Fraction:
@@ -509,3 +511,39 @@ def check_composition(parts: Parts, tau1: Slope, tau2: Slope,
         rhs_sd += term
     return lhs_sd == rhs_sd
 
+
+# -- integer BPS invariants -------------------------------------------------------
+
+def _at_power(f: RatFunc, k: int) -> RatFunc:
+    """f(q^k)."""
+    if not f:
+        return f
+    return RatFunc.from_frac_polys(k * f.shift,
+                                   {k * e: c for e, c in f.num.items()},
+                                   {k * e: c for e, c in f.den.items()})
+
+
+def bps_invariants(quiver: SelfDualQuiver,
+                   dt_mot: Dict[DimVector, RatFunc]) -> Dict[DimVector, RatFunc]:
+    """The BPS invariants Omega of the classes of dt_mot, which holds the
+    motivic DT invariants of one slope at every class alpha / k of each of
+    its classes alpha.  They solve
+
+        DTmot(alpha) = sum over k | alpha of (-1)^((k - 1) chi(beta, beta)) / k
+                       (q - 1/q) / (q^k - q^-k) Omega(beta)(q^k),
+
+    beta = alpha / k and chi the Euler form, for the k = 1 term Omega(alpha),
+    class by class in order of total."""
+    omega: Dict[DimVector, RatFunc] = {}
+    for a in sorted(dt_mot, key=vtotal):
+        rest = dt_mot[a]
+        g = math.gcd(*a)
+        for k in range(2, g + 1):
+            if g % k == 0:
+                b = tuple(x // k for x in a)
+                sign = (-1) ** ((k - 1) * quiver.euler_form(b, b))
+                rest = rest - (RatFunc(Fraction(sign, k)) * q_minus_qinv()
+                               / _at_power(q_minus_qinv(), k)
+                               * _at_power(omega[b], k))
+        omega[a] = rest
+    return omega

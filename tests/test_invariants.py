@@ -14,7 +14,7 @@ from helpers import (assert_mirror_changes_nothing,
                      calibrated_two_pairs, mixed_quiver, spy_on_seeded,
                      zeroed_at)
 from reference import (averaged_sd_stack_class, averaged_stack_class,
-                       binom_fraction, direct_epsilon_integral,
+                       binom_fraction, bps_invariants, direct_epsilon_integral,
                        direct_sd_epsilon_integral,
                        direct_sd_semistable_integral,
                        direct_semistable_integral)
@@ -202,6 +202,29 @@ def test_new_calibration_is_not_served_from_the_cache():
     inv.clear_cache()
     assert after == inv.dt_mot(q, s, (2, 1), bound=3) != before
     assert sd_after == inv.sd_dt_mot(q, s, (1, 1), bound=3) != sd_before
+
+
+def test_a_new_calibration_empties_the_engine_cache():
+    q = kronecker_pm_plus()
+    s = hn_slope(q)
+
+    def values():
+        return ([inv.dt_mot(q, s, a) for a in q.dim_vectors_up_to(3)]
+                + [inv.sd_dt_mot(q, s, th) for th in q.sd_classes_up_to(3)])
+
+    first = values()
+    cal = q.calibration
+    q.set_calibration(make_calibration(q, -cal.orientation, -cal.placement))
+    assert not q.engine_cache
+    assert values() != first
+    q.set_calibration(cal)
+    assert not q.engine_cache
+    assert values() == first
+    engines = list(q.engine_cache.items())
+    q.set_calibration(Calibration(cal.orientation, cal.placement,
+                                  tuple(cal.kappa)))
+    assert list(q.engine_cache.items()) == engines
+    assert all(q.engine_cache[k] is eng for k, eng in engines)
 
 
 def test_first_query_on_uncalibrated_quiver_builds_one_engine():
@@ -1064,3 +1087,47 @@ def test_cli_json_output_is_json_dumps(path, tmp_path):
         text = out.read_text()
         assert text == json.dumps(json.loads(text), indent=2,
                                   sort_keys=True) + "\n"
+
+
+# -- integer BPS invariants -------------------------------------------------------
+
+def bps_at(q, s, bound):
+    return bps_invariants(q, {a: inv.dt_mot(q, s, a)
+                              for a in q.dim_vectors_up_to(bound)})
+
+
+def is_integer_laurent(f):
+    return f.den == {0: 1} and all(c.denominator == 1
+                                   for c in f.num.values())
+
+
+@pytest.mark.parametrize("name", ["point_plus", "point_minus"])
+def test_point_is_one_bps_state_and_its_multiple_covers(name):
+    q = load_quiver(str(FIXTURES / f"{name}.json"))
+    s = Slope.trivial(q)
+    for n in range(2, 13):
+        assert inv.dt_mot(q, s, (n,)) == (RatFunc(Fraction((-1) ** (n - 1), n))
+                                          * q_minus_qinv()
+                                          / (q_pow(n) - q_pow(-n)))
+    assert bps_at(q, s, 12) == {(n,): RatFunc(int(n == 1))
+                                for n in range(1, 13)}
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("kronecker_*.json")),
+                         ids=lambda p: p.stem)
+def test_kronecker_bps_invariants_are_integer_laurent_polynomials(path):
+    """In the chamber i=1,j=-1 the BPS states are the real roots (n, n+1)
+    and (n+1, n) and the imaginary root (1, 1), a P^1 family; at
+    i=-1,j=1 only the simples are stable."""
+    q = load_quiver(str(path))
+    chamber = bps_at(q, hn_slope(q), 8)
+    assert all(map(is_integer_laurent, chamber.values()))
+    for a, omega in chamber.items():
+        if a == (1, 1):
+            assert omega == q_pow(1) + q_pow(-1)
+        else:
+            assert omega == RatFunc(int(abs(a[0] - a[1]) == 1)), a
+    simples = bps_at(q, Slope.from_dict(q, {"i": -1, "j": 1}), 8)
+    assert all(map(is_integer_laurent, simples.values()))
+    assert simples == {a: RatFunc(int(a in ((1, 0), (0, 1))))
+                       for a in simples}
