@@ -17,17 +17,19 @@ coefficients that check the invariants and the transform are test code and
 live in tests/reference.py.
 
 verify_calibration evaluates each exponent form once per distinct argument
-pair of a call, into tables, and reads every identity on every tuple it
-checks from them; the block counts are computed once per checked pair.
+pair of a call, into tables, and checks every identity on every tuple a
+whole row at a time; the block counts are computed once per class row.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import floor
+from operator import add, neg
 from typing import Dict, List, Tuple
 
-from .quiver import (Calibration, DimVector, SelfDualQuiver, Slope,
+from .quiver import (Calibration, SelfDualQuiver, Slope,
                      kronecker_variant, make_calibration, vadd)
 from .ratfunc import RatFunc
 
@@ -60,52 +62,66 @@ _ZERO2 = (0, 0)
 
 # -- first-principles exponent counts -----------------------------------------
 
-def brute_force_commutation(quiver: SelfDualQuiver, alpha: DimVector,
-                            beta: DimVector, orientation: int) -> int:
-    """Euler count of the positive-weight deformation blocks at a graded
-    point with one factor in weight one and the other in weight zero."""
-    x, y = (alpha, beta) if orientation == -1 else (beta, alpha)
-    nv = range(len(quiver.vertices))
-    hom_g = sum(y[i] * x[i] for i in nv)
-    hom_v = sum(y[s] * x[t] for s, t in quiver.edge_endpoints)
-    hom_vd = sum(x[s] * y[t] for s, t in quiver.edge_endpoints)
-    hom_gd = sum(x[i] * y[i] for i in nv)
-    # degrees -1, 0, 1, 2
-    return -hom_g + hom_v - hom_vd + hom_gd
+def _count_table(quiver: SelfDualQuiver, rows, others) -> List[List[int]]:
+    """For each (pairs, c) of rows, c plus the Euler count of the
+    positive-weight deformation blocks at a graded point, for each class x
+    of others as the unknown block: c + sum k_v x_v, the form k counted once
+    per row and summed a column of others at a time.  pairs lists the block
+    pairs (lower, upper) by weight, a class or None for the unknown block.
+    A pair meets in Hom(lower_s, upper_t) in degree 0 and Hom(upper_s,
+    lower_t) in degree 1 along each edge s -> t; its blocks at a vertex, in
+    degrees -1 and 2, are dual and cancel."""
+    homs = [(1, s, t) for s, t in quiver.edge_endpoints]
+    homs += [(-1, t, s) for s, t in quiver.edge_endpoints]
+    columns = list(zip(*others))
+    table = []
+    for pairs, c in rows:
+        k = [0] * len(quiver.vertices)
+        for lo, hi in pairs:
+            for sign, i, j in homs:  # sign dim Hom(lo_i, hi_j)
+                if lo is None:
+                    k[i] += sign * hi[j]
+                elif hi is None:
+                    k[j] += sign * lo[i]
+                else:
+                    c += sign * lo[i] * hi[j]
+        row = [c] * len(others)
+        for kv, column in zip(k, columns):
+            if kv:
+                row = list(map(add, row, map(kv.__mul__, column)))
+        table.append(row)
+    return table
 
 
-def brute_force_sd_twist(quiver: SelfDualQuiver, alpha: DimVector,
-                         theta: DimVector, orientation: int,
-                         placement: int) -> Fraction:
-    """Euler count of the positive-weight part of the involution-fixed
-    deformation complex at a graded point with blocks of weight 1, 0, -1
-    and dimensions alpha, theta, dual(alpha).
+def commutation_counts(quiver: SelfDualQuiver, alphas, betas,
+                       orientation: int) -> List[List[int]]:
+    """The Euler count of the positive-weight deformation blocks at a graded
+    point with one factor in weight one (alpha under orientation -1) and
+    the other in weight zero: a row over betas per alpha in alphas."""
+    return _count_table(quiver, (
+        ([(None, alpha) if orientation == -1 else (alpha, None)], 0)
+        for alpha in alphas), betas)
 
-    Fixed dimensions are (dim + trace)/2 per block; the involution only has
-    nonzero trace on the weight-two blocks of fixed edges, where it acts by
-    a signed transpose.  placement is the undetermined global sign of that
-    transpose; orientation picks which of alpha, dual(alpha) sits in weight
-    one.
-    """
-    up = alpha if orientation == -1 else quiver.dual_vector(alpha)
-    dn = quiver.dual_vector(up)
-    md = theta
-    nv = range(len(quiver.vertices))
 
-    dim_g = sum(md[i] * up[i] + dn[i] * md[i] + dn[i] * up[i] for i in nv)
-    dim_gd = sum(up[i] * md[i] + md[i] * dn[i] + up[i] * dn[i] for i in nv)
-    dim_v = 0
-    dim_vd = 0
-    for s, t in quiver.edge_endpoints:
-        dim_v += md[s] * up[t] + dn[s] * md[t] + dn[s] * up[t]
-        dim_vd += up[s] * md[t] + md[s] * dn[t] + up[s] * dn[t]
-    chi_dim = -dim_g + dim_v - dim_vd + dim_gd
-
-    trace = 0
-    for a in quiver.fixed_edges:
-        s, t = quiver.edge_endpoints[a]
-        trace += quiver.fixed_edge_sign(a) * (up[t] - up[s])
-    return Fraction(chi_dim + placement * trace, 2)
+def twice_twist_counts(quiver: SelfDualQuiver, alphas, thetas,
+                       orientation: int, placement: int) -> List[List[int]]:
+    """Twice the Euler count of the positive-weight part of the
+    involution-fixed deformation complex at a graded point with blocks of
+    weight 1, 0, -1 and dimensions alpha, theta, dual(alpha), a row over
+    thetas per alpha in alphas.  Fixed dimensions are (dim + trace)/2 per
+    block; the involution only has nonzero trace on the weight-two blocks of
+    fixed edges, where it acts by a signed transpose.  placement is the
+    undetermined global sign of that transpose; orientation picks which of
+    alpha, dual(alpha) sits in weight one."""
+    fixed = [(quiver.fixed_edge_sign(a), *quiver.edge_endpoints[a])
+             for a in quiver.fixed_edges]
+    rows = []
+    for alpha in alphas:
+        up = alpha if orientation == -1 else quiver.dual_vector(alpha)
+        dn = quiver.dual_vector(up)
+        trace = sum(sign * (up[t] - up[s]) for sign, s, t in fixed)
+        rows.append(([(None, up), (dn, None), (dn, up)], placement * trace))
+    return _count_table(quiver, rows, thetas)
 
 
 # -- global sign resolution ----------------------------------------------------
@@ -138,10 +154,10 @@ def _euler_forms_match(key, ref: SelfDualQuiver, orientation: int,
 
 def _block_counts_match(key, ref: SelfDualQuiver, orientation: int,
                         placement: int) -> bool:
-    return (brute_force_sd_twist(ref, _UNIT, _ZERO2, orientation, placement)
-            == REFERENCE_TWISTS[key]
-            and brute_force_commutation(ref, _UNIT, _COUNIT, orientation)
-            == REFERENCE_COMMUTATION)
+    return (twice_twist_counts(ref, [_UNIT], [_ZERO2], orientation, placement)
+            == [[2 * REFERENCE_TWISTS[key]]]
+            and commutation_counts(ref, [_UNIT], [_COUNIT], orientation)
+            == [[REFERENCE_COMMUTATION]])
 
 
 @cache
@@ -190,17 +206,17 @@ def ensure_calibrated(quiver: SelfDualQuiver) -> None:
         calibrate_signs(quiver)
 
 
-def _row(form, seen: Dict[DimVector, dict], x: DimVector, ys) -> list:
-    """[form(x, y) for y in ys], evaluating each argument pair once over all
-    the rows built with the same seen (first argument -> {second: value})."""
-    known = seen.setdefault(x, {})
-    out = []
-    for y in ys:
-        value = known.get(y)
-        if value is None:
-            value = known[y] = form(x, y)
-        out.append(value)
-    return out
+def _check_row(checks, others, *head) -> None:
+    """Each check (got, want, kind) is a pair of rows that must be equal.
+    Raise CalibrationError "kind at *head, others[k]" for the first position
+    k, and at it the first check, where they differ."""
+    gots, wants, _ = zip(*checks)
+    if gots != wants:
+        for k, other in enumerate(others):
+            for got, want, kind in checks:
+                if got[k] != want[k]:
+                    where = ", ".join(map(str, head + (other,)))
+                    raise CalibrationError(f"{kind} at {where}")
 
 
 def verify_calibration(quiver: SelfDualQuiver, bound: int = 2) -> Dict[str, int]:
@@ -212,88 +228,72 @@ def verify_calibration(quiver: SelfDualQuiver, bound: int = 2) -> Dict[str, int]
     then triples of classes of total at most max(1, bound - 1), each in
     graded-lex order, and the first failing tuple in that order is the one
     reported.  Each exponent form is evaluated once per distinct argument
-    pair and every identity is checked on every tuple, read from the
-    tables; the block counts are computed once per pair."""
+    pair, into tables by position; every identity is checked on every tuple
+    a whole row at a time, against block counts made once per class row."""
     if quiver.calibration is None:
         raise CalibrationError("quiver has no calibration attached")
     b_orient, b_place = resolve_brute_force_signs()
     comm, twist = quiver.commutation_exponent, quiver.sd_twist_exponent
-    zero = tuple(0 for _ in quiver.vertices)
-    alphas = [zero] + quiver.dim_vectors_up_to(bound)
+    alphas = [(0,) * len(quiver.vertices)] + quiver.dim_vectors_up_to(bound)
     thetas = quiver.sd_classes_up_to(bound)
     # alphas is closed under the involution: position of each dual class
     at = {a: i for i, a in enumerate(alphas)}
     dual = [at[quiver.dual_vector(a)] for a in alphas]
 
-    def fail(msg: str):
-        raise CalibrationError(msg)
+    comm_table = [[comm(a, b) for b in alphas] for a in alphas]
+    cols = list(zip(*comm_table))
+    counts = commutation_counts(quiver, alphas, alphas, b_orient)
+    for i, (a, row) in enumerate(zip(alphas, comm_table)):
+        _check_row([
+            (row, counts[i], "commutation exponent mismatch"),
+            (row, list(map(neg, cols[i])),
+             "commutation exponent not antisymmetric"),
+            (row, list(map(cols[dual[i]].__getitem__, dual)),
+             "commutation exponent breaks duality")], alphas, a)
 
-    seen_comm: Dict[DimVector, dict] = {}
-    seen_twist: Dict[DimVector, dict] = {}
-    comm_table = [_row(comm, seen_comm, a, alphas) for a in alphas]
-    for i, a in enumerate(alphas):
-        row, di = comm_table[i], dual[i]
-        for j, b in enumerate(alphas):
-            got = row[j]
-            if got != brute_force_commutation(quiver, a, b, b_orient):
-                fail(f"commutation exponent mismatch at {a}, {b}")
-            if got != -comm_table[j][i]:
-                fail(f"commutation exponent not antisymmetric at {a}, {b}")
-            if comm_table[dual[j]][di] != got:
-                fail(f"commutation exponent breaks duality at {a}, {b}")
+    twist_table = [[twist(a, th) for th in thetas] for a in alphas]
+    counts = twice_twist_counts(quiver, alphas, thetas, b_orient, b_place)
+    for i, (a, row) in enumerate(zip(alphas, twist_table)):
+        _check_row([
+            ([t + t for t in row], counts[i], "twist exponent mismatch"),
+            (row, list(map(floor, row)), "twist exponent not integral"),
+            (twist_table[dual[i]], list(map(neg, row)),
+             "twist exponent breaks duality")], thetas, a)
 
-    twist_table = [_row(twist, seen_twist, a, thetas) for a in alphas]
-    for i, a in enumerate(alphas):
-        row, dual_row = twist_table[i], twist_table[dual[i]]
-        for k, th in enumerate(thetas):
-            got = row[k]
-            if got != brute_force_sd_twist(quiver, a, th, b_orient, b_place):
-                fail(f"twist exponent mismatch at {a}, {th}")
-            if got.denominator != 1:
-                fail(f"twist exponent not integral at {a}, {th}")
-            if dual_row[k] != -got:
-                fail(f"twist exponent breaks duality at {a}, {th}")
-
-    # Bilinearity and associativity on triples of small classes.  The sums
-    # b + c and the completions b + th + dual(b) are numbered once per pair,
-    # and for each a one row of each form runs over the distinct ones.
-    # small starts with the zero class, so the number of b + 0 is that of b.
-    small = [zero] + quiver.dim_vectors_up_to(max(1, bound - 1))
-    sums: Dict[DimVector, int] = {}
+    # Bilinearity and associativity on triples of small classes, a prefix
+    # of alphas.  The sums b + c and the completions b + th + dual(b) are
+    # numbered once per pair, after alphas and thetas (b + 0 is b and
+    # 0 + th + 0 is th), and the form rows extend the tables over them.
+    small = alphas[:1 + len(quiver.dim_vectors_up_to(max(1, bound - 1)))]
+    sums, completions = dict(at), {th: k for k, th in enumerate(thetas)}
     plus = [[sums.setdefault(vadd(b, c), len(sums)) for c in small]
             for b in small]
-    completions: Dict[DimVector, int] = {}
     completed = [[completions.setdefault(quiver.sd_completion(b, th),
                                          len(completions)) for th in thetas]
                  for b in small]
-    own = [row[0] for row in plus]
-    twist_of_sum = [_row(twist, seen_twist, x, thetas) for x in sums]
+    more_sums = list(sums)[len(alphas):]
+    more_completions = list(completions)[len(thetas):]
+    twist_of_sum = twist_table + [[twist(x, th) for th in thetas]
+                                  for x in more_sums]
+    n = len(small)
     for i, a in enumerate(small):
-        comm_a = _row(comm, seen_comm, a, sums)
-        twist_a = _row(twist, seen_twist, a, completions)
-        comm_a_small = [comm_a[p] for p in own]
+        comm_a = comm_table[i] + [comm(a, x) for x in more_sums]
+        twist_a = twist_table[i] + [twist(a, y) for y in more_completions]
         for j, b in enumerate(small):
-            comm_ab = comm_a[own[j]]
-            lhs = ([comm_a[p] for p in plus[j]]
-                   + [comm_ab + t for t in twist_of_sum[plus[i][j]]])
-            rhs = ([comm_ab + v for v in comm_a_small]
-                   + [twist_a[p] + t
-                      for p, t in zip(completed[j], twist_of_sum[own[j]])])
-            if lhs != rhs:
-                k = next(k for k, pair in enumerate(zip(lhs, rhs))
-                         if pair[0] != pair[1])
-                if k < len(small):
-                    fail(f"commutation exponent not bilinear at {a}, {b}, "
-                         f"{small[k]}")
-                else:
-                    fail(f"twist exponents break associativity at {a}, {b}, "
-                         f"{thetas[k - len(small)]}")
+            ab = comm_a[j]
+            _check_row([([comm_a[p] for p in plus[j]],
+                         [ab + v for v in comm_a[:n]],
+                         "commutation exponent not bilinear")], small, a, b)
+            _check_row([([ab + t for t in twist_of_sum[plus[i][j]]],
+                         [twist_a[p] + t
+                          for p, t in zip(completed[j], twist_table[j])],
+                         "twist exponents break associativity")], thetas,
+                       a, b)
 
     commutation, twists = len(alphas) ** 2, len(alphas) * len(thetas)
     return {"commutation": commutation, "twist": twists,
-            "duality": commutation + twists,
-            "additivity": len(small) ** 3,
-            "associativity": len(small) ** 2 * len(thetas)}
+            "duality": commutation + twists, "additivity": n ** 3,
+            "associativity": n ** 2 * len(thetas)}
 
 
 # -- calibration report ----------------------------------------------------------

@@ -31,13 +31,15 @@ def calibrated_point(vsign=1) -> SelfDualQuiver:
 def perturb_block_counts(monkeypatch) -> None:
     """Make the block count of the commutation form wrong on every pair of
     classes of total 3 or more, which verification up to bound 2 checks."""
-    real = oracle.brute_force_commutation
+    real = oracle.commutation_counts
 
-    def perturbed(quiver, alpha, beta, orientation):
-        out = real(quiver, alpha, beta, orientation)
-        return out + 1 if vtotal(alpha) + vtotal(beta) >= 3 else out
+    def perturbed(quiver, alphas, betas, orientation):
+        table = real(quiver, alphas, betas, orientation)
+        return [[n + 1 if vtotal(alpha) + vtotal(beta) >= 3 else n
+                 for n, beta in zip(row, betas)]
+                for alpha, row in zip(alphas, table)]
 
-    monkeypatch.setattr(oracle, "brute_force_commutation", perturbed)
+    monkeypatch.setattr(oracle, "commutation_counts", perturbed)
 
 
 def mixed_quiver() -> SelfDualQuiver:

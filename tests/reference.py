@@ -541,7 +541,7 @@ def bps_invariants(quiver: SelfDualQuiver,
         for k in range(2, g + 1):
             if g % k == 0:
                 b = tuple(x // k for x in a)
-                sign = (-1) ** ((k - 1) * quiver.euler_form(b, b))
+                sign = -1 if (k - 1) * quiver.euler_form(b, b) % 2 else 1
                 rest = rest - (RatFunc(Fraction(sign, k)) * q_minus_qinv()
                                / _at_power(q_minus_qinv(), k)
                                * _at_power(omega[b], k))

@@ -19,9 +19,12 @@ _VERTEX_SHAPES = [("F",), ("F", "F"), ("P",), ("F", "F", "F"), ("P", "F")]
 _cache = None
 
 
-def _rand_quiver(rng: random.Random) -> SelfDualQuiver:
+def _rand_quiver(rng: random.Random, shapes=None,
+                 n_edges=None) -> SelfDualQuiver:
+    """A quiver of the vertex shapes given (F a fixed vertex, P a swapped
+    pair) with n_edges edges, each drawn from rng where not given."""
     vertices, inv_v, sign_v = [], {}, {}
-    for shape in rng.choice(_VERTEX_SHAPES):
+    for shape in shapes or rng.choice(_VERTEX_SHAPES):
         if shape == "F":
             x = f"v{len(vertices)}"
             vertices.append(x)
@@ -36,7 +39,7 @@ def _rand_quiver(rng: random.Random) -> SelfDualQuiver:
         return inv_v.get(x, x)
 
     edges, inv_e, sign_e = [], {}, {}
-    remaining = rng.randint(0, 4)
+    remaining = rng.randint(0, 4) if n_edges is None else n_edges
     while remaining > 0:
         if remaining >= 2 and rng.random() < 0.5:
             s = rng.choice(vertices)
@@ -64,6 +67,12 @@ def _rand_sd_slope(quiver: SelfDualQuiver, rng: random.Random) -> Slope:
         r = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
         weights[i], weights[j] = r, -r
     return Slope(tuple(weights))
+
+
+def wide_quiver(pairs: int, seed: int) -> SelfDualQuiver:
+    """pairs swapped vertex pairs joined by as many edges as vertices,
+    swapped edge pairs and fixed edges drawn from seed; uncalibrated."""
+    return _rand_quiver(random.Random(seed), ("P",) * pairs, 2 * pairs)
 
 
 def acceptance_suite():

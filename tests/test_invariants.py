@@ -25,10 +25,10 @@ from quiver_dt.oracle import calibrate_signs
 from quiver_dt.motives import (over_gl_denominator, sd_stack_class,
                                sd_stack_exponent, stack_class,
                                stack_exponent)
-from quiver_dt.quiver import (Calibration, Slope, ValidationError,
-                              boxed_vectors, graded_lex_key, kronecker_variant,
-                              make_calibration, point_quiver, vadd, vleq,
-                              vsub, vtotal)
+from quiver_dt.quiver import (Calibration, Edge, SelfDualQuiver, Slope,
+                              ValidationError, boxed_vectors, graded_lex_key,
+                              kronecker_variant, make_calibration,
+                              point_quiver, vadd, vleq, vsub, vtotal)
 from quiver_dt.ratfunc import (Laurent, RatFunc, inv_q_minus_qinv,
                                laurent_sum, q_minus_qinv)
 from quiver_dt.torus import (TorusElem, integrated_unit, series_diamond,
@@ -1111,6 +1111,22 @@ def test_point_is_one_bps_state_and_its_multiple_covers(name):
                                           / (q_pow(n) - q_pow(-n)))
     assert bps_at(q, s, 12) == {(n,): RatFunc(int(n == 1))
                                 for n in range(1, 13)}
+
+
+@pytest.mark.parametrize("edge_signs", [(1, 1, 1), (1, 1, -1), (1, -1, -1)])
+def test_three_loop_bps_invariants_take_the_sign_by_parity(edge_signs):
+    """chi(b, b) = 1 - 3 = -2 at the class (1) of one fixed vertex with
+    three fixed loops, so the multiple-cover sign is read from a negative
+    exponent; at q = 1 the BPS invariants are the 3-loop quiver's numerical
+    DT invariants 1, 1, 3, 10."""
+    loops = [Edge(f"l{i}", "x", "x") for i in range(3)]
+    q = SelfDualQuiver(["x"], loops, {}, {}, {"x": 1},
+                       {e.name: sign for e, sign in zip(loops, edge_signs)})
+    calibrate_signs(q)
+    omega = bps_at(q, Slope.trivial(q), 4)
+    assert all(map(is_integer_laurent, omega.values()))
+    assert omega[(2,)] == q_pow(9)
+    assert [omega[(n,)].eval_at(1) for n in range(1, 5)] == [1, 1, 3, 10]
 
 
 @pytest.mark.parametrize("path", sorted(FIXTURES.glob("kronecker_*.json")),

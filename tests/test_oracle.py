@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,10 @@ from helpers import mixed_quiver, perturb_block_counts
 from reference import (direct_epsilon_integral, direct_sd_epsilon_integral,
                        direct_sd_semistable_integral,
                        direct_semistable_integral)
-from suite import acceptance_suite
+from suite import acceptance_suite, wide_quiver
 from quiver_dt import oracle
 from quiver_dt.invariants import dt_mot
 from quiver_dt.oracle import (CalibrationError, REFERENCE_TWISTS,
-                              brute_force_commutation, brute_force_sd_twist,
                               calibrate_signs, ensure_calibrated,
                               explain_calibration,
                               resolve_brute_force_signs, resolve_global_signs,
@@ -26,6 +26,18 @@ from quiver_dt.ratfunc import RatFunc
 
 def q_pow(k):
     return RatFunc.q_power(k)
+
+
+def brute_force_commutation(quiver, alpha, beta, orientation):
+    """The commutation block count of one pair: the oracle's table on it."""
+    return oracle.commutation_counts(quiver, [alpha], [beta],
+                                     orientation)[0][0]
+
+
+def brute_force_sd_twist(quiver, alpha, theta, orientation, placement):
+    """The twist block count of one pair: half the oracle's table on it."""
+    return Fraction(oracle.twice_twist_counts(
+        quiver, [alpha], [theta], orientation, placement)[0][0], 2)
 
 
 def test_sign_resolution_is_unique():
@@ -279,18 +291,21 @@ def test_reference_module_reads_no_production_recursion_or_transform():
     assert not ours & {"quiver_dt.invariants", "quiver_dt.wallcross"}
 
 
+# Every function of the oracle that computes a block count.
+BLOCK_COUNTS = ("_count_table", "commutation_counts", "twice_twist_counts")
+
+
 def test_block_counts_name_no_production_form():
-    """brute_force_commutation and brute_force_sd_twist count blocks from
-    the quiver's structure alone: agreeing with the Euler-form expressions
-    is only a check while neither reads those expressions or their data."""
+    """The block counts, by row and by pair, count blocks from the quiver's
+    structure alone: agreeing with the Euler-form expressions is only a
+    check while none reads those expressions or their data."""
     path = oracle.__file__
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     bodies = {node.name: node for node in tree.body
               if isinstance(node, ast.FunctionDef)
-              and node.name in ("brute_force_commutation",
-                                "brute_force_sd_twist")}
-    assert len(bodies) == 2
+              and node.name in BLOCK_COUNTS}
+    assert len(bodies) == len(BLOCK_COUNTS)
     banned = {"commutation_exponent", "sd_twist_exponent", "euler_form",
               "_comm", "_kappa2"}
     for name, node in bodies.items():
@@ -301,6 +316,10 @@ def test_block_counts_name_no_production_form():
             elif isinstance(sub, ast.Attribute):
                 named.add(sub.attr)
         assert not named & banned, name
+        # a block count calls no oracle function but another block count
+        called = named & {f.name for f in tree.body
+                          if isinstance(f, ast.FunctionDef)}
+        assert called <= set(BLOCK_COUNTS), (name, called)
 
 
 # -- the verification loop as it was before the forms were tabulated ---------
@@ -427,12 +446,73 @@ def test_tabulated_verification_fails_first_where_the_loop_does():
     assert failures >= 40
 
 
-def shifted(form, at, delta, first=0):
-    """form, plus delta where its arguments from position first on begin
-    with the pair at."""
+def wide_quivers():
+    """Calibrated wide quivers at 8, 12 and 16 vertices: swapped vertex
+    pairs joined by as many edges as vertices."""
+    quivers = [wide_quiver(pairs, seed) for pairs, seed in
+               ((4, 1), (4, 2), (6, 3), (8, 4))]
+    for q in quivers:
+        calibrate_signs(q)
+    return quivers
+
+
+def test_wide_quivers_verify_as_the_loop():
+    """At bound 2, on wide quivers, the row-wise verification has the
+    loop's outcome, as they are and, up to 12 vertices, with the first
+    stored row of either integer form flipped."""
+    failures = 0
+    for q in wide_quivers():
+        assert outcome(verify_calibration, q, 2) == outcome(
+            loop_verify_calibration, q, 2)
+        for field in ("_comm", "_kappa2"):
+            if getattr(q, field) and len(q.vertices) <= 12:
+                good = flipped(q, field, 0)
+                want = outcome(loop_verify_calibration, q, 2)
+                assert outcome(verify_calibration, q, 2) == want
+                failures += want[0] == "fail"
+                setattr(q, field, good)
+    assert failures >= 4
+
+
+def test_a_miscounted_edge_fails_calibration_on_wide_quivers(monkeypatch):
+    """Count one edge s -> t's Hom(lower_s, upper_t) one too high, as
+    x_s (upper_t + 1) for the unknown block x: calibrating a wide quiver
+    must fail, with the loop's first message."""
+    resolve_brute_force_signs()
+    real = oracle._count_table
+
+    def miscounted(quiver, rows, others):
+        s, _ = quiver.edge_endpoints[0]
+        return [[n + x[s] for n, x in zip(row, others)]
+                for row in real(quiver, rows, others)]
+
+    quivers = wide_quivers()
+    monkeypatch.setattr(oracle, "_count_table", miscounted)
+    for q in quivers:
+        want = outcome(loop_verify_calibration, q, 2)
+        assert want[0] == "fail" and "mismatch" in want[1], want
+        assert outcome(verify_calibration, q, 2) == want
+        with pytest.raises(CalibrationError, match=re.escape(want[1])):
+            calibrate_signs(SelfDualQuiver.from_data(q.to_data()))
+
+
+def shifted(form, at, delta):
+    """form, plus delta where its arguments begin with the pair at."""
     def wrapped(*args):
         value = form(*args)
-        return value + delta if args[first:first + 2] == at else value
+        return value + delta if args[:2] == at else value
+    return wrapped
+
+
+def shifted_counts(counts, at, delta):
+    """A block-count function counts(quiver, alphas, others, ...), plus
+    delta in the row of each alpha where it and an entry of others make the
+    pair at."""
+    def wrapped(quiver, alphas, others, *signs):
+        table = counts(quiver, alphas, others, *signs)
+        return [[n + delta if (alpha, other) == at else n
+                 for n, other in zip(row, others)]
+                for alpha, row in zip(alphas, table)]
     return wrapped
 
 
@@ -474,12 +554,14 @@ def test_tabulated_verification_reports_each_broken_check_as_the_loop(
     setattr(q, name, shifted(getattr(q, name), at, delta))
     if counted:
         # move the block count with the form, so that the check after the
-        # block-count comparison is the one that fails
-        brute = ("brute_force_commutation" if name == "commutation_exponent"
-                 else "brute_force_sd_twist")
-        blocks = shifted(getattr(oracle, brute), at, delta, first=1)
-        monkeypatch.setattr(oracle, brute, blocks)
-        monkeypatch.setitem(globals(), brute, blocks)
+        # block-count comparison is the one that fails; the per-pair counts
+        # the loop reads are the tables on one pair, and the twist table is
+        # doubled
+        counts, scale = (("commutation_counts", 1)
+                         if name == "commutation_exponent"
+                         else ("twice_twist_counts", 2))
+        monkeypatch.setattr(oracle, counts, shifted_counts(
+            getattr(oracle, counts), at, scale * delta))
     want = outcome(loop_verify_calibration, q, 3)
     assert want[0] == "fail" and want[1].startswith(kind), want
     assert outcome(verify_calibration, q, 3) == want
@@ -487,13 +569,18 @@ def test_tabulated_verification_reports_each_broken_check_as_the_loop(
 
 def test_each_form_is_evaluated_once_per_argument_pair(monkeypatch):
     """verify_calibration asks each exponent form once per distinct argument
-    pair, and each block count once per checked pair."""
-    brute_calls = {}
-    for brute in ("brute_force_commutation", "brute_force_sd_twist"):
-        def counting(*args, brute=brute, orig=getattr(oracle, brute)):
-            brute_calls[brute] = brute_calls.get(brute, 0) + 1
-            return orig(*args)
-        monkeypatch.setattr(oracle, brute, counting)
+    pair, and each block count once, for one row per class over every
+    checked pair."""
+    calls, rows, entries = {}, {}, {}
+    for counts in ("commutation_counts", "twice_twist_counts"):
+        def counting(quiver, alphas, others, *signs, counts=counts,
+                     orig=getattr(oracle, counts)):
+            table = orig(quiver, alphas, others, *signs)
+            calls[counts] = calls.get(counts, 0) + 1
+            rows[counts] = len(table)
+            entries[counts] = sum(map(len, table))
+            return table
+        monkeypatch.setattr(oracle, counts, counting)
     for q in (mixed_quiver(), kronecker_variant((1, -1), -1)):
         calibrate_signs(q)
         pairs = {}
@@ -503,8 +590,12 @@ def test_each_form_is_evaluated_once_per_argument_pair(monkeypatch):
                 pairs[key] = pairs.get(key, 0) + 1
                 return orig(a, b)
             setattr(q, name, counting)
-        brute_calls.clear()
+        calls.clear()
         counts = verify_calibration(q, bound=4)
         assert set(pairs.values()) == {1}
-        assert brute_calls == {"brute_force_commutation": counts["commutation"],
-                               "brute_force_sd_twist": counts["twist"]}
+        classes = 1 + len(q.dim_vectors_up_to(4))
+        assert calls == {"commutation_counts": 1, "twice_twist_counts": 1}
+        assert rows == {"commutation_counts": classes,
+                        "twice_twist_counts": classes}
+        assert entries == {"commutation_counts": counts["commutation"],
+                           "twice_twist_counts": counts["twist"]}

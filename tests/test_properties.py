@@ -4,7 +4,7 @@ tests/reference.py, for wall-crossing against the tables computed directly,
 and for regularity and the exp/log and square-root inversions against the
 paper's identities in the torus algebra, for the shared recursion entries
 against the full-region recursion, and for the calibration check against
-its loop form in tests/test_oracle.py."""
+its loop form in tests/test_oracle.py, and for integer BPS invariants."""
 
 from fractions import Fraction
 from math import factorial
@@ -15,11 +15,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import assert_mirror_changes_nothing, crossed_without_mirror
-from reference import (direct_epsilon_integral, direct_sd_epsilon_integral,
+from reference import (bps_invariants, direct_epsilon_integral,
+                       direct_sd_epsilon_integral,
                        direct_sd_semistable_integral,
                        direct_semistable_integral)
 from suite import _rand_quiver
-from test_invariants import assert_engine_matches_full_region
+from test_invariants import (assert_engine_matches_full_region,
+                             is_integer_laurent)
 from test_oracle import flipped, loop_verify_calibration, outcome
 from quiver_dt import invariants as inv
 from quiver_dt.oracle import calibrate_signs, verify_calibration
@@ -281,3 +283,37 @@ def test_sd_square_root_inversion_roundtrip(case):
                              inv.sd_epsilon_element(q, slope, bound),
                              lambda n: Fraction(1, factorial(n)), bound)
     assert rebuilt == inv.sd_semistable_element(q, slope, bound)
+
+
+@st.composite
+def bps_case(draw):
+    """A suite-shaped quiver and the trivial slope or a self-dual slope with
+    small fractional weights at its vertex pairs."""
+    quiver = draw(st.randoms(use_true_random=False).map(_rand_quiver))
+    weights = [0] * len(quiver.vertices)
+    if draw(st.booleans()):
+        for i, j in quiver.vertex_pairs:
+            weights[i] = draw(st.fractions(-3, 3, max_denominator=3))
+            weights[j] = -weights[i]
+    return quiver, Slope(tuple(weights))
+
+
+@BUDGET
+@given(bps_case())
+def test_bps_invariants_are_integer_where_the_torus_commutes(case):
+    """Inverting the multiple-cover formula gives integer Laurent
+    polynomials on each group of classes of one slope value on which the
+    commutation form vanishes, to bound 6 on up to two vertices and 4 on
+    three."""
+    quiver, slope = case
+    calibrate_signs(quiver)
+    groups = {}
+    for a in quiver.dim_vectors_up_to(6 if len(quiver.vertices) <= 2 else 4):
+        groups.setdefault(slope.value(a), []).append(a)
+    for group in groups.values():
+        if any(quiver.commutation_exponent(a, b) for a in group
+               for b in group):
+            continue
+        omega = bps_invariants(quiver, {a: inv.dt_mot(quiver, slope, a)
+                                        for a in group})
+        assert all(map(is_integer_laurent, omega.values())), group
