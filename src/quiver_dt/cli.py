@@ -10,8 +10,9 @@ Subcommands:
   explain-calibration  show how the sign conventions are fixed and checked
 
 Exit codes: 0 success, 1 validation failure (malformed arguments included),
-2 regularity (no-pole) violation, 3 calibration failure.  main alone maps
-each error a command raises to its code, printed as one "error:" line.
+2 regularity (no-pole) violation, 3 calibration failure.  main alone loads
+the quiver file a command works on, and alone maps each error the load or
+the command raises to its code, printed as one "error:" line.
 """
 
 import argparse
@@ -142,8 +143,7 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def cmd_validate(args) -> int:
-    quiver = load_quiver(args.quiver)
+def cmd_validate(args, quiver: SelfDualQuiver) -> int:
     report = [
         f"quiver file: {args.quiver}",
         f"vertices: {len(quiver.vertices)} "
@@ -158,16 +158,11 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _format_csv(table) -> str:
-    lines = [",".join(row) for row in table.csv_rows()]
-    return "\n".join(lines)
-
-
-def cmd_dt(args) -> int:
-    quiver = load_quiver(args.quiver)
+def cmd_dt(args, quiver: SelfDualQuiver) -> int:
     slope = parse_slope(quiver, args.slope)
     table = build_table(quiver, slope, args.bound)
-    text = table.to_json() if args.format == "json" else _format_csv(table)
+    text = (table.to_json() if args.format == "json" else
+            "\n".join(",".join(row) for row in table.csv_rows()))
     _emit(text, args.output)
     if not table_all_regular(table):
         bad = [r for r in no_pole_report(table) if not r["ok"]]
@@ -195,8 +190,7 @@ def _eps_table_data(table) -> dict:
     return data
 
 
-def cmd_wallcross(args) -> int:
-    quiver = load_quiver(args.quiver)
+def cmd_wallcross(args, quiver: SelfDualQuiver) -> int:
     plus = parse_slope(quiver, args.slope)
     minus = parse_slope(quiver, args.slope2)
     pair = SlopePair(quiver, plus, minus)
@@ -243,25 +237,21 @@ def _term(coeff, expo: Fraction) -> str:
     return f"({coeff})*t^({expo})"
 
 
-def cmd_series(args) -> int:
-    quiver = load_quiver(args.quiver)
+def cmd_series(args, quiver: SelfDualQuiver) -> int:
     slope = parse_slope(quiver, args.slope)
     slope.validate_self_dual(quiver)
     ray = _ray_for_series(quiver, args.bound, args.ray)
     g = gcd(*ray)
     terms = []
-    n = 0
-    while vtotal(tuple(n * x for x in ray)) <= args.bound:
+    for n in range(args.bound // vtotal(ray) + 1):
         theta = tuple(n * x for x in ray)
         coeff = sd_dt_mot(quiver, slope, theta, bound=args.bound)
         terms.append(_term(coeff, Fraction(n * g, 2)))
-        n += 1
     _emit(" + ".join(terms), args.output)
     return EXIT_OK
 
 
-def cmd_explain_calibration(args) -> int:
-    quiver = load_quiver(args.quiver)
+def cmd_explain_calibration(args, quiver: SelfDualQuiver) -> int:
     text, ok = explain_calibration(quiver, bound=args.bound)
     _emit(text, args.output)
     return EXIT_OK if ok else EXIT_CALIBRATION
@@ -335,7 +325,7 @@ def main(argv=None) -> int:
         return _fail(f"--bound must be below {sys.maxsize}, not {bound}",
                      EXIT_VALIDATION)
     try:
-        return args.func(args)
+        return args.func(args, load_quiver(args.quiver))
     except (CalibrationError, UncalibratedError) as exc:
         return _fail(str(exc), EXIT_CALIBRATION)
     except NoPoleViolation as exc:

@@ -493,24 +493,24 @@ def _engine(quiver: SelfDualQuiver, slope: Slope) -> _Engine:
     return eng
 
 
-def _seeded_engine(quiver: SelfDualQuiver, slope: Slope, bound: int,
+def _seeded_engine(quiver: SelfDualQuiver, slope: Slope,
                    numerators: Dict[DimVector, Laurent],
                    sd_numerators: Optional[Dict[DimVector, Laurent]]
                    ) -> _Engine:
-    """The engine whose component integrals of the classes up to the bound
-    are read off their numerators, N(a) = M(a) I(a) on the linear side and
-    M_sd(theta) I_sd(theta) on the self-dual side.  Where these are the
-    quiver's own, q^e(a) and q^e_sd(theta), it is the cached engine at
-    slope, as an engine's values depend on its numerators alone; else it is
-    a new engine that reads them, refuses to read a class beyond the bound
-    and stays out of the engine cache."""
+    """The engine whose component integrals are read off the numerators
+    given, N(a) = M(a) I(a) on the linear side and M_sd(theta) I_sd(theta)
+    on the self-dual side.  Where these are the quiver's own, q^e(a) and
+    q^e_sd(theta), it is the cached engine at slope, as an engine's values
+    depend on its numerators alone; else it is a new engine that reads them,
+    refuses a class beyond the largest total of a linear class given (its
+    seed_bound) and stays out of the engine cache."""
     eng = _engine(quiver, slope)
     sd_numerators = sd_numerators or {}
     own = [(eng._numerator, numerators), (eng._sd_numerator, sd_numerators)]
     if all(f(a).poly == n.poly for f, ns in own for a, n in ns.items()):
         return eng
     eng = _Engine(quiver, slope)
-    eng.seed_bound = bound
+    eng.seed_bound = max(map(vtotal, numerators), default=0)
     eng._memo["_numerator"].update(numerators)
     eng._memo["_sd_numerator"].update(sd_numerators)
     return eng

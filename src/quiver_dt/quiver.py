@@ -199,16 +199,8 @@ class SelfDualQuiver:
                     f"edge sign pair of {self.edges[ai].name} violates the "
                     "sign compatibility constraint")
 
-        self.fixed_vertices: Tuple[int, ...] = tuple(
-            i for i in range(len(names)) if self.inv_vertex[i] == i)
-        self.vertex_pairs: Tuple[Tuple[int, int], ...] = tuple(
-            (i, self.inv_vertex[i]) for i in range(len(names))
-            if i < self.inv_vertex[i])
-        self.fixed_edges: Tuple[int, ...] = tuple(
-            a for a in range(len(self.edges)) if self.inv_edge[a] == a)
-        self.edge_pairs: Tuple[Tuple[int, int], ...] = tuple(
-            (a, self.inv_edge[a]) for a in range(len(self.edges))
-            if a < self.inv_edge[a])
+        self.fixed_vertices, self.vertex_pairs = _orbits(self.inv_vertex)
+        self.fixed_edges, self.edge_pairs = _orbits(self.inv_edge)
 
     # -- involution on classes -------------------------------------------------
 
@@ -402,6 +394,12 @@ class SelfDualQuiver:
                           for a, e in enumerate(self.edges)},
             },
         }
+
+
+def _orbits(inv: Tuple[int, ...]) -> Tuple[tuple, tuple]:
+    """(fixed points, swapped pairs (i, j) with i < j) of an involution."""
+    return (tuple(i for i, j in enumerate(inv) if i == j),
+            tuple((i, j) for i, j in enumerate(inv) if i < j))
 
 
 def _uncalibrated() -> UncalibratedError:

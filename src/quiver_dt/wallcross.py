@@ -9,7 +9,8 @@ values come from the source slope's engine (filled by epsilon_table) as
 integer pairs, source values only from the table.  The stack element is
 factored at the target slope on the engine invariants._seeded_engine
 picks: the cached one where its numerators are the quiver's own, as for
-every table epsilon_table makes.  The same transform has a combinatorial
+every table epsilon_table makes.  Both functions read their table off an
+engine the one way, _tabulate.  The same transform has a combinatorial
 form, a sum over ordered decompositions of each class weighted by rational
 coefficients; those coefficients are test code (tests/reference.py), and
 the tests check the re-factorisation against them.
@@ -30,8 +31,8 @@ from functools import cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .invariants import (_ZERO, Value, Weight, _chain_sum, _dual_symmetric,
-                         _engine, _over_lcm, _sd_action, _seeded_engine,
-                         _series, _star_powers)
+                         _engine, _Engine, _over_lcm, _sd_action,
+                         _seeded_engine, _series, _star_powers)
 from .motives import gl_poly, sd_gl_poly
 from .quiver import (DimVector, SelfDualQuiver, Slope, ValidationError,
                      graded_lex_key)
@@ -68,16 +69,22 @@ class EpsilonTable(NamedTuple):
     sd_eps: Optional[Dict[DimVector, RatFunc]] = None
 
 
+def _tabulate(eng: _Engine, slope: Slope, bound: int,
+              sd: bool) -> EpsilonTable:
+    """The epsilon integrals eng computes for every class up to the bound,
+    and the self-dual ones where sd is set, as a table at slope."""
+    q = eng.quiver
+    eps = {a: eng.epsilon(a) for a in q.dim_vectors_up_to(bound)}
+    sd_eps = ({th: eng.sd_dt_motivic(th) for th in q.sd_classes_up_to(bound)}
+              if sd else None)
+    return EpsilonTable(q, slope, bound, eps, sd_eps)
+
+
 def epsilon_table(quiver: SelfDualQuiver, slope: Slope,
                   bound: int) -> EpsilonTable:
     """Tabulate epsilon integrals directly at the given slope."""
     eng = _engine(quiver, slope)
-    eps = {a: eng.epsilon(a) for a in quiver.dim_vectors_up_to(bound)}
-    sd_eps = None
-    if eng.self_dual:
-        sd_eps = {th: eng.sd_dt_motivic(th)
-                  for th in quiver.sd_classes_up_to(bound)}
-    return EpsilonTable(quiver, slope, bound, eps, sd_eps)
+    return _tabulate(eng, slope, bound, eng.self_dual)
 
 
 def _refuse(what: str, at: DimVector, ring: str) -> None:
@@ -127,13 +134,9 @@ def _exp_weights(q: SelfDualQuiver, value: Callable[[DimVector], Value],
     slope: with the star powers P_n of y (invariants._star_powers),
     W / k = sum_n P_n(g) / (n! (c d)^n) (see invariants._series), for g not
     zero."""
-    memo: Dict[DimVector, List[Laurent]] = {}
-
+    @cache
     def powers(g: DimVector) -> List[Laurent]:
-        if g not in memo:
-            memo[g] = _star_powers(q, g, value, lambda a: y.get(a, _ZERO),
-                                   powers)
-        return memo[g]
+        return _star_powers(q, g, value, lambda a: y.get(a, _ZERO), powers)
 
     def weight(g: DimVector, c: int = 1) -> Tuple[Laurent, int]:
         pg = powers(g)
@@ -233,13 +236,9 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
                                  "M_sd(theta) I_sd(theta)", th)
                     for th in sd_classes}
 
-    eng = _seeded_engine(q, pair.minus, bound,
+    eng = _seeded_engine(q, pair.minus,
                          {a: stack.get(a, _ZERO) for a in classes}, sd_stack)
-    eps = {a: eng.epsilon(a) for a in classes}
-    sd_eps = None
-    if sd_side:
-        sd_eps = {th: eng.sd_dt_motivic(th) for th in sd_stack}
-    return EpsilonTable(q, pair.minus, bound, eps, sd_eps)
+    return _tabulate(eng, pair.minus, bound, sd_side)
 
 
 def diff_tables(got: EpsilonTable, want: EpsilonTable) -> List[dict]:

@@ -57,16 +57,20 @@ def calibrated_mixed() -> SelfDualQuiver:
     return calibrated(mixed_quiver())
 
 
-def calibrated_two_pairs() -> SelfDualQuiver:
+def two_pairs_quiver() -> SelfDualQuiver:
     """Two swapped vertex pairs joined by a swapped edge pair: the smallest
     shape where classes of two different positive slopes both act on a
     self-dual class within total dimension 4."""
     edges = [Edge("e", "a", "b"), Edge("f", "c", "d")]
-    return calibrated(SelfDualQuiver(
+    return SelfDualQuiver(
         ["a", "b", "c", "d"], edges,
         {"a": "d", "d": "a", "b": "c", "c": "b"}, {"e": "f", "f": "e"},
         {}, {},
-    ))
+    )
+
+
+def calibrated_two_pairs() -> SelfDualQuiver:
+    return calibrated(two_pairs_quiver())
 
 
 def rand_vec(rng, n, hi=2, allow_zero=False):

@@ -2,7 +2,8 @@
 
 Each test prints a single summary line (visible with -s) and enforces its
 time budget where one is stated.  The randomized checks all draw from the
-fixed deterministic suite in suite.py.
+fixed deterministic suite in suite.py; the identity checks of criteria 5, 7
+and 9 also run on two twisted quivers (twisted_quivers).
 """
 
 import math
@@ -10,15 +11,15 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import (calibrated_kron, calibrated_point, rand_elem,
-                     rand_mod_elem, rand_vec)
+from helpers import (calibrated_kron, calibrated_point, mixed_quiver,
+                     rand_elem, rand_mod_elem, rand_vec, two_pairs_quiver)
 from reference import (averaged_sd_stack_class, averaged_stack_class,
                        binom_fraction)
-from suite import acceptance_suite
+from suite import _rand_sd_slope, acceptance_suite
 from quiver_dt import invariants as inv
 from quiver_dt.motives import sd_stack_class, stack_class
 from quiver_dt.quiver import Slope, vadd
-from quiver_dt.oracle import verify_calibration
+from quiver_dt.oracle import calibrate_signs, verify_calibration
 from quiver_dt.ratfunc import RatFunc
 from quiver_dt.torus import (bracket, bracket_coeff, heart, integrated_unit,
                              sd_bracket_coeff, series_diamond, star_exp)
@@ -31,6 +32,19 @@ def _stamp(label, t0, budget=None):
     print(f"acceptance [{label}]: PASS in {elapsed:.2f}s{note}")
     if budget is not None:
         assert elapsed < budget, f"{label}: {elapsed:.1f}s over budget {budget}s"
+
+
+def twisted_quivers():
+    """The mixed quiver (nonzero commutation form and kappa) and the
+    two-pairs quiver (nonzero commutation form), calibrated as the suite's
+    quivers are, each with six self-dual slopes from a fixed seed.  Most
+    suite quivers have neither form, so their identities hold untwisted."""
+    rng = random.Random(5)
+    out = []
+    for q in (mixed_quiver(), two_pairs_quiver()):
+        calibrate_signs(q)
+        out.append((q, [_rand_sd_slope(q, rng) for _ in range(6)]))
+    return out
 
 
 def test_criterion_1_point_linear_dt():
@@ -124,7 +138,7 @@ def test_criterion_4_no_pole_property():
 
 def test_criterion_5_wall_crossing_consistency():
     t0 = time.perf_counter()
-    for q, slopes in acceptance_suite():
+    for q, slopes in acceptance_suite() + twisted_quivers():
         inv.clear_cache()
         for plus, minus in [(slopes[0], slopes[1]), (slopes[2], slopes[3]),
                             (slopes[4], slopes[5])]:
@@ -163,7 +177,7 @@ def test_criterion_6_algebra_laws():
 def test_criterion_7_inversions_and_averages():
     t0 = time.perf_counter()
     bound = 5
-    for q, slopes in acceptance_suite():
+    for q, slopes in acceptance_suite() + twisted_quivers():
         inv.clear_cache()
         slope = slopes[0]
         unit = integrated_unit(q, bound)
@@ -232,7 +246,7 @@ def test_criterion_8_bracket_coefficients():
 
 def test_criterion_9_calibration_stability():
     t0 = time.perf_counter()
-    for q, _slopes in acceptance_suite():
+    for q, _slopes in acceptance_suite() + twisted_quivers():
         counts4 = verify_calibration(q, bound=4)
         counts6 = verify_calibration(q, bound=6)
         assert all(v > 0 for v in counts4.values())

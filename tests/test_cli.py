@@ -100,8 +100,33 @@ def test_validate_malformed_json(tmp_path, capsys):
     assert "line 1" in err
 
 
-def test_validate_unknown_path(capsys):
-    assert cli.main(["validate", "/nonexistent/q.json"]) == 1
+COMMANDS = {
+    "validate": [],
+    "dt": ["--bound", "2", "--slope", "i=1,j=-1"],
+    "wallcross": ["--bound", "2", "--slope", "i=1,j=-1", "--slope2",
+                  "i=-1,j=1"],
+    "series": ["--bound", "2"],
+    "explain-calibration": [],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_validate_unknown_path(command, capsys):
+    assert cli.main([command, "/nonexistent/q.json",
+                     *COMMANDS[command]]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot read"), err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_main_loads_the_quiver_once(command, monkeypatch, capsys):
+    paths = []
+    load = cli.load_quiver
+    monkeypatch.setattr(cli, "load_quiver",
+                        lambda path: paths.append(path) or load(path))
+    path = fixture("kronecker_pm_plus.json")
+    assert cli.main([command, path, *COMMANDS[command]]) == 0
+    assert paths == [path]
 
 
 def test_dt_json_round_trip(tmp_path):

@@ -571,7 +571,7 @@ def test_seeded_engine_refuses_a_class_beyond_its_bound():
     s = hn_slope(q)
     nums, sd_nums = own_numerators(q, 3)
     nums[(3, 0)] = Laurent({e: 2 * c for e, c in nums[(3, 0)].poly.items()})
-    eng = inv._seeded_engine(q, s, 3, nums, sd_nums)
+    eng = inv._seeded_engine(q, s, nums, sd_nums)
     assert eng.seed_bound == 3
     for a in q.dim_vectors_up_to(3):
         assert (eng.epsilon(a) == inv.epsilon_integral(q, s, a)) == (
@@ -673,12 +673,12 @@ def test_seeded_engine_mirrors_the_numerators_of_a_genuine_table():
     _seeded_engine returns the cached engine, which mirrors."""
     q = kronecker_pm_plus()
     s = hn_slope(q)
-    args = (q, s, 6, *own_numerators(q, 6))
+    args = (q, s, *own_numerators(q, 6))
     eng = inv._seeded_engine(*args)
     assert eng is inv._engine(q, s) and eng.seed_bound is None
-    for a in args[3]:
+    for a in args[2]:
         eng.epsilon(a)
-    for th in args[4]:
+    for th in args[3]:
         eng.sd_dt_motivic(th)
     assert eng.slope.is_self_dual(q)
     assert_holds_one_class_per_pair(eng, SEEDED, 3)
@@ -694,10 +694,11 @@ def test_non_self_dual_and_seeded_engines_compute_both_halves():
     s = Slope.from_dict(q, {"i": 2, "j": -1})
     inv.build_table(q, s, 9)
     assert_holds_both_halves(inv._engine(q, s), MIRRORED)
-    (_, s, bound, nums, sd_nums), _ = seeded_by_the_transform(q, 6)
+    bound = 6
+    (_, s, nums, sd_nums), _ = seeded_by_the_transform(q, bound)
     assert not nums[(1, 0)].poly and not nums[(0, 1)].poly
     nums = nums | {(1, 0): Laurent({stack_exponent(q, (1, 0)): 1})}
-    eng = inv._seeded_engine(q, s, bound, nums, sd_nums)
+    eng = inv._seeded_engine(q, s, nums, sd_nums)
     assert eng.seed_bound == bound
     for a in q.dim_vectors_up_to(bound):
         eng.epsilon(a)
@@ -1129,21 +1130,32 @@ def test_three_loop_bps_invariants_take_the_sign_by_parity(edge_signs):
     assert [omega[(n,)].eval_at(1) for n in range(1, 5)] == [1, 1, 3, 10]
 
 
-@pytest.mark.parametrize("path", sorted(FIXTURES.glob("kronecker_*.json")),
-                         ids=lambda p: p.stem)
-def test_kronecker_bps_invariants_are_integer_laurent_polynomials(path):
+KRONECKER_FIXTURES = sorted(FIXTURES.glob("kronecker_*.json"))
+
+
+def assert_kronecker_bps_spectrum(path, bound):
     """In the chamber i=1,j=-1 the BPS states are the real roots (n, n+1)
     and (n+1, n) and the imaginary root (1, 1), a P^1 family; at
     i=-1,j=1 only the simples are stable."""
     q = load_quiver(str(path))
-    chamber = bps_at(q, hn_slope(q), 8)
+    chamber = bps_at(q, hn_slope(q), bound)
     assert all(map(is_integer_laurent, chamber.values()))
     for a, omega in chamber.items():
         if a == (1, 1):
             assert omega == q_pow(1) + q_pow(-1)
         else:
             assert omega == RatFunc(int(abs(a[0] - a[1]) == 1)), a
-    simples = bps_at(q, Slope.from_dict(q, {"i": -1, "j": 1}), 8)
+    simples = bps_at(q, Slope.from_dict(q, {"i": -1, "j": 1}), bound)
     assert all(map(is_integer_laurent, simples.values()))
     assert simples == {a: RatFunc(int(a in ((1, 0), (0, 1))))
                        for a in simples}
+
+
+@pytest.mark.parametrize("path", KRONECKER_FIXTURES, ids=lambda p: p.stem)
+def test_kronecker_bps_invariants_are_integer_laurent_polynomials(path):
+    assert_kronecker_bps_spectrum(path, 8)
+
+
+@pytest.mark.parametrize("path", KRONECKER_FIXTURES, ids=lambda p: p.stem)
+def test_kronecker_bps_invariants_at_bound_16(path):
+    assert_kronecker_bps_spectrum(path, 16)
