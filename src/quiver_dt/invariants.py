@@ -1,6 +1,6 @@
 """Semistable integrals, epsilon integrals, and DT invariants.
 
-One engine per quiver and slope holds every invariant as a memoised
+One engine per quiver and weight ray holds every invariant as a memoised
 function of its class, computed on first use from the classes below it, so
 no value depends on the bound a query names.
 
@@ -48,10 +48,10 @@ computes them once per pair, at _Engine._rep(a), and builds no recursion
 table at a negative value.
 
 Slope values are integer pairs (n, d) in lowest terms, d > 0, never
-Fractions: each engine clears its weights' denominators once, so a class's
-value is one integer sum and one gcd, equal values are equal pairs that key
-one recursion table, and regions, star powers and the mirror compare values
-by cross-multiplying.  Slope.value is the same rule in Fraction arithmetic.
+Fractions: an engine's weights are integers (_ray), so a class's value is
+one integer sum and one gcd, equal values are equal pairs that key one
+recursion table, and regions, star powers and the mirror compare values by
+cross-multiplying.  Slope.value is the same rule in Fraction arithmetic.
 
 Wall-crossing, which shares the integer kernels _chain_sum, _star_powers
 and _sd_action, factors a stack element on the engine _seeded_engine picks:
@@ -59,11 +59,12 @@ the cached engine where the element's numerators are its own q^e(a) and
 q^e_sd(theta), else a seeded engine that reads them in their place and
 computes both halves.
 
-Engines are cached on their quiver, keyed by slope and emptied when the
-calibration changes (SelfDualQuiver.set_calibration), so repeated queries
-share work, a new calibration never returns values computed under the old
-one, and the engines go when the quiver does.  _engine alone checks a slope
-and calibrates the quiver before an engine is built.
+Engines are cached on their quiver, keyed by weight ray (_engine) and
+emptied when the calibration changes (SelfDualQuiver.set_calibration), so
+repeated queries share work, a new calibration never returns values
+computed under the old one, and the engines go when the quiver does.
+_engine alone checks a slope and calibrates the quiver before an engine is
+built.  Each engine memoises each class's finished scalars (_finish).
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ from .motives import (over_gl_denominator, over_sd_denominator, q2_binomial,
 from .oracle import ensure_calibrated
 from .quiver import (DimVector, SelfDualQuiver, Slope, ValidationError,
                      boxed_vectors, vadd, vsub, vtotal)
-from .ratfunc import Laurent, PoleError, RatFunc, laurent_sum, q_minus_qinv
+from .ratfunc import Laurent, RatFunc, laurent_sum, q_minus_qinv
 
 if TYPE_CHECKING:
     from .torus import TorusElem, TorusModElem
@@ -276,7 +277,7 @@ _per_pair = partial(_per_class, mirrored=True)
 
 
 class _Engine:
-    """Every invariant of one (quiver, slope) pair, memoised per class: as
+    """Every invariant of one quiver and weight ray, memoised per class: as
     integer Laurent numerators over M(a) on the linear side and over
     M_sd(theta) on the self-dual side, and as the RatFunc values built from
     them.
@@ -288,14 +289,11 @@ class _Engine:
 
     def __init__(self, quiver: SelfDualQuiver, slope: Slope):
         self.quiver = quiver
-        self.slope = slope
-        # The weights over their common denominator: w_i = _iw[i] / _w.
-        self._w = math.lcm(*(w.denominator for w in slope.weights))
-        self._iw = [w.numerator * (self._w // w.denominator)
-                    for w in slope.weights]
+        # The slope of the primitive integer vector on slope's ray (_ray).
+        self.slope = Slope(_ray_of(slope)[0])
         self.zero = tuple(0 for _ in quiver.vertices)
         self.seed_bound: Optional[int] = None
-        self.self_dual = slope.is_self_dual(quiver)
+        self.self_dual = self.slope.is_self_dual(quiver)
         self._memo: Dict[str, dict] = defaultdict(dict)
         self._dom: Dict[Value, Dict[DimVector, Optional[Laurent]]] = {}
         self._ids: Dict[Value, Dict[DimVector, int]] = {}
@@ -306,9 +304,9 @@ class _Engine:
 
     @_per_class
     def value(self, a: DimVector) -> Value:
-        """The slope value of a nonzero class, Slope.value(a) as a pair."""
-        n = sum([w * x for w, x in zip(self._iw, a)])
-        d = self._w * sum(a)
+        """The slope value of a nonzero class, slope.value(a) as a pair."""
+        n = sum([w * x for w, x in zip(self.slope.weights, a)])
+        d = sum(a)
         g = math.gcd(n, d)
         return n // g, d // g
 
@@ -467,28 +465,65 @@ class _Engine:
                             self._sd_semistable_num)
         return over_sd_denominator(self.quiver, num.poly, th, Fraction(1, k))
 
+    # -- finished scalars (_finish) -----------------------------------------
+
+    @_per_pair
+    def _finished(self, a: DimVector) -> tuple:
+        return _finish(self.dt_motivic(a))
+
+    @_per_class
+    def _sd_finished(self, th: DimVector) -> tuple:
+        return _finish(self.sd_dt_motivic(th))
+
+
+def _finish(dtm: RatFunc) -> Tuple[int, int, Optional[Fraction]]:
+    """A motivic invariant's pole orders at q = 1 and q = -1 and its value
+    at -1, None at a pole."""
+    minus = dtm.pole_order_at(-1)
+    return dtm.pole_order_at(1), minus, None if minus > 0 else dtm.eval_at(-1)
+
 
 # Engines live in their quiver's engine_cache, so they go when the quiver
 # does.  _CACHE_OWNERS lets clear_cache reach every live quiver holding one.
 _CACHE_OWNERS: "weakref.WeakSet[SelfDualQuiver]" = weakref.WeakSet()
 
 
+@lru_cache(maxsize=4096)
+def _ray(weights: Tuple[Tuple[int, int], ...]) -> Tuple[tuple, Fraction]:
+    """(r, c), r primitive integral and c > 0, with w = c r for the weights
+    w_i = n_i / d_i given as pairs (n_i, d_i); r = 0 and c = 1 for w = 0."""
+    den = math.lcm(*(d for _, d in weights))
+    nums = [n * (den // d) for n, d in weights]
+    g = math.gcd(*nums) or den
+    return tuple(n // g for n in nums), Fraction(g, den)
+
+
+def _ray_of(slope: Slope) -> Tuple[tuple, Fraction]:
+    """_ray of the slope's weights, read as integers: no Fraction hashed."""
+    return _ray(tuple([(w.numerator, w.denominator) for w in slope.weights]))
+
+
 def _engine(quiver: SelfDualQuiver, slope: Slope) -> _Engine:
-    """The quiver's cached engine at slope, once each weight is found to be
-    an int or a Fraction (0.5 or True would find the engine of 1/2 or 1)
-    and the quiver calibrated: the one gate before an engine is built."""
+    """The quiver's cached engine on slope's ray, once each weight is found
+    to be an int or a Fraction (0.5 or True would find the engine of 1/2 or
+    1) and the quiver calibrated: the one gate before an engine is built.
+    Stability reads the weights only through the order of slope values
+    (Rudakov, Stability for an abelian category, 1997), which c > 0 keeps:
+    weights c r share the engine at the primitive integer vector r (_ray),
+    and a value handed to a caller is c times the engine's."""
     for w in slope.weights:
         if type(w) is bool or not isinstance(w, (int, Fraction)):
             raise ValidationError(f"slope weight of type {type(w).__name__} "
                                   "is not an int or a Fraction")
     ensure_calibrated(quiver)
-    eng = quiver.engine_cache.get(slope.weights)
+    ray = _ray_of(slope)[0]
+    eng = quiver.engine_cache.get(ray)
     if eng is None:
         if len(slope.weights) != len(quiver.vertices):
             raise ValidationError(
                 f"slope has {len(slope.weights)} weights for "
                 f"{len(quiver.vertices)} vertices")
-        eng = quiver.engine_cache[slope.weights] = _Engine(quiver, slope)
+        eng = quiver.engine_cache[ray] = _Engine(quiver, slope)
         _CACHE_OWNERS.add(quiver)
     return eng
 
@@ -566,46 +601,49 @@ def sd_epsilon_integral(quiver: SelfDualQuiver, slope: Slope,
     return eng.sd_dt_motivic(th)
 
 
-def _check_regular(val: RatFunc, what: str) -> None:
-    for point in (1, -1):
-        order = val.pole_order_at(point)
+def _regular(fin: tuple, what: str, alpha: DimVector) -> Fraction:
+    """The value at q = -1 of a finished scalar, once the motivic invariant
+    it finishes, what at alpha, is found to have no pole at q = 1 or -1."""
+    for point, order in zip((1, -1), fin):
         if order > 0:
-            raise NoPoleViolation(
-                f"{what} has a pole of order {order} at q = {point}")
+            raise NoPoleViolation(f"{what} at {alpha} has a pole of order "
+                                  f"{order} at q = {point}")
+    return fin[2]
 
 
 def dt_mot(quiver: SelfDualQuiver, slope: Slope, alpha: DimVector,
            bound: Optional[int] = None) -> RatFunc:
     eng, a = _query(quiver, slope, alpha, bound)
-    val = eng.dt_motivic(a)
-    _check_regular(val, f"motivic invariant at {alpha}")
-    return val
+    _regular(eng._finished(a), "motivic invariant", alpha)
+    return eng.dt_motivic(a)
 
 
 def sd_dt_mot(quiver: SelfDualQuiver, slope: Slope, theta: DimVector,
               bound: Optional[int] = None) -> RatFunc:
-    val = sd_epsilon_integral(quiver, slope, theta, bound)
-    _check_regular(val, f"self-dual motivic invariant at {theta}")
-    return val
+    eng, th = _query(quiver, slope, theta, bound)
+    _regular(eng._sd_finished(th), "self-dual motivic invariant", theta)
+    return eng.sd_dt_motivic(th)
 
 
 def dt_num(quiver: SelfDualQuiver, slope: Slope, alpha: DimVector,
            bound: Optional[int] = None) -> Fraction:
-    return dt_mot(quiver, slope, alpha, bound).eval_at(-1)
+    eng, a = _query(quiver, slope, alpha, bound)
+    return _regular(eng._finished(a), "motivic invariant", alpha)
 
 
 def sd_dt_num(quiver: SelfDualQuiver, slope: Slope, theta: DimVector,
               bound: Optional[int] = None) -> Fraction:
-    return sd_dt_mot(quiver, slope, theta, bound).eval_at(-1)
+    eng, th = _query(quiver, slope, theta, bound)
+    return _regular(eng._sd_finished(th), "self-dual motivic invariant", theta)
 
 
 # -- element interface ------------------------------------------------------------
 
 def slope_values(quiver: SelfDualQuiver, slope: Slope,
                  bound: int) -> List[Fraction]:
-    value = _engine(quiver, slope).value
+    value, c = _engine(quiver, slope).value, _ray_of(slope)[1]
     pairs = {value(a) for a in quiver.dim_vectors_up_to(bound)}
-    return sorted((Fraction(n, d) for n, d in pairs), reverse=True)
+    return sorted((c * Fraction(n, d) for n, d in pairs), reverse=True)
 
 
 # The engine and the transform build no torus elements; the functions below
@@ -617,7 +655,8 @@ def _slope_element(quiver: SelfDualQuiver, slope: Slope, value: Fraction,
                    bound: int, coeff: Callable) -> TorusElem:
     from .torus import TorusElem
     eng = _engine(quiver, slope)
-    s = value.numerator, value.denominator
+    v = value / _ray_of(slope)[1]
+    s = v.numerator, v.denominator
     return TorusElem(quiver, {a: coeff(eng, a)
                               for a in quiver.dim_vectors_up_to(bound)
                               if eng.value(a) == s}, bound)
@@ -697,8 +736,10 @@ def _json_text(obj, nl: str) -> str:
         if not obj:
             return "[]"
         inner = nl + "  "
-        return ("[" + inner + ("," + inner).join([_json_text(v, inner)
-                                                  for v in obj]) + nl + "]")
+        # The item strings go once joined, before the brackets are added.
+        return ("[" + inner + ("," + inner).join(
+            map(int.__repr__, obj) if all(type(v) is int for v in obj)
+            else [_json_text(v, inner) for v in obj]) + nl + "]")
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -812,29 +853,19 @@ class InvariantTable(NamedTuple):
         return out
 
 
-def _row(a: DimVector, j: RatFunc, eps: RatFunc,
-         dtm: RatFunc) -> InvariantRow:
-    """A row whose numeric entry is null where dtm has a pole at q = -1."""
-    try:
-        numeric: Optional[Fraction] = dtm.eval_at(-1)
-    except PoleError:
-        numeric = None
-    return InvariantRow(a, j, eps, dtm, numeric)
-
-
 def build_table(quiver: SelfDualQuiver, slope: Slope,
                 bound: int) -> InvariantTable:
     """Compute the full invariant table.  Rows with a pole at q = -1 carry a
     null numeric entry instead of raising, so diagnostic reports can still be
     produced; the scalar dt functions raise instead."""
     eng = _engine(quiver, slope)
-    rows = [_row(a, eng.semistable(a), eng.epsilon(a), eng.dt_motivic(a))
+    rows = [InvariantRow(a, eng.semistable(a), eng.epsilon(a),
+                         eng.dt_motivic(a), eng._finished(a)[2])
             for a in [eng.zero] + quiver.dim_vectors_up_to(bound)]
-    sd_rows: List[InvariantRow] = []
-    if eng.self_dual:
-        for th in quiver.sd_classes_up_to(bound):
-            eps = eng.sd_dt_motivic(th)
-            sd_rows.append(_row(th, eng.sd_semistable(th), eps, eps))
+    sd_classes = quiver.sd_classes_up_to(bound) if eng.self_dual else []
+    sd_rows = [InvariantRow(th, eng.sd_semistable(th), eng.sd_dt_motivic(th),
+                            eng.sd_dt_motivic(th), eng._sd_finished(th)[2])
+               for th in sd_classes]
     return InvariantTable(quiver.to_data(), slope.to_dict(quiver), bound,
                           eng.self_dual, rows, sd_rows)
 

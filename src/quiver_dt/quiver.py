@@ -109,10 +109,13 @@ class SelfDualQuiver:
         # integer exponent-form data, built by set_calibration
         self._comm: Optional[Tuple[Tuple[int, int, int, int, int], ...]] = None
         self._kappa2: Tuple[Tuple[int, int], ...] = ()
-        # Invariant engines for this quiver, keyed by slope weights in the
-        # invariants module; held here so that they never outlive the
+        # Invariant engines for this quiver, one per weight ray (see
+        # invariants._engine); held here so that they never outlive the
         # quiver, and emptied when the calibration changes.
         self.engine_cache: Dict[tuple, object] = {}
+        # The class lists by bound: the data they read never changes.
+        self._classes: Dict[int, List[DimVector]] = {}
+        self._sd_classes: Dict[int, List[DimVector]] = {}
 
     # -- construction and validation ------------------------------------------
 
@@ -335,15 +338,20 @@ class SelfDualQuiver:
 
     def dim_vectors_up_to(self, bound: int) -> List[DimVector]:
         """The nonzero classes of total at most bound, graded-lex order,
-        extended one coordinate at a time, never past the bound."""
-        out = [()]
-        for _ in self.vertices:
-            out = [v + (x,) for v in out for x in range(bound + 1 - sum(v))]
-        return sorted(out, key=graded_lex_key)[1:]
+        extended one coordinate at a time, never past the bound: listed
+        once per bound, copied on each call."""
+        if bound not in self._classes:
+            out = [()]
+            for _ in self.vertices:
+                out = [v + (x,) for v in out for x in range(bound + 1 - sum(v))]
+            self._classes[bound] = sorted(out, key=graded_lex_key)[1:]
+        return self._classes[bound][:]
 
     def sd_classes_up_to(self, bound: int) -> List[DimVector]:
-        return [(0,) * len(self.vertices)] + [
-            t for t in self.dim_vectors_up_to(bound) if self.is_sd_class(t)]
+        if bound not in self._sd_classes:
+            sd = filter(self.is_sd_class, self.dim_vectors_up_to(bound))
+            self._sd_classes[bound] = [(0,) * len(self.vertices), *sd]
+        return self._sd_classes[bound][:]
 
     # -- serialization ----------------------------------------------------------
 

@@ -31,7 +31,7 @@ from functools import cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .invariants import (_ZERO, Value, Weight, _chain_sum, _dual_symmetric,
-                         _engine, _Engine, _over_lcm, _sd_action,
+                         _engine, _Engine, _over_lcm, _ray_of, _sd_action,
                          _seeded_engine, _series, _star_powers)
 from .motives import gl_poly, sd_gl_poly
 from .quiver import (DimVector, SelfDualQuiver, Slope, ValidationError,
@@ -184,7 +184,7 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
         raise ValidationError("table was not computed at the source slope")
     q, bound = pair.quiver, table.bound
     source, target = _engine(q, pair.plus), _engine(q, pair.minus)
-    value = source.value
+    value, scale = source.value, _ray_of(pair.plus)[1]
     classes = q.dim_vectors_up_to(bound)
     mirror = source.self_dual and _dual_symmetric(q, table.eps)
     by_slope: Dict[Value, Dict[DimVector, RatFunc]] = {}
@@ -199,7 +199,7 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
     factors: Dict[Value, Dict[DimVector, Laurent]] = {}
     for s, weight in exps.items():
         n, d = s
-        what = f"M(a) J(a) at slope {Fraction(n, d)}"
+        what = f"M(a) J(a) at slope {scale * Fraction(n, d)}"
         x = factors[s] = {g: _divided(*weight(g), what, g)
                           for g in classes if value(g) == s}
         if mirror and n > 0:

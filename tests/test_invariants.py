@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import random
 import weakref
 from enum import IntEnum
 from fractions import Fraction
@@ -18,8 +19,8 @@ from reference import (averaged_sd_stack_class, averaged_stack_class,
                        direct_sd_epsilon_integral,
                        direct_sd_semistable_integral,
                        direct_semistable_integral)
-from suite import acceptance_suite
-from quiver_dt import invariants as inv, wallcross as wc
+from suite import _rand_quiver, acceptance_suite
+from quiver_dt import invariants as inv, quiver as quiver_module, wallcross as wc
 from quiver_dt.cli import load_quiver, main as cli_main
 from quiver_dt.oracle import calibrate_signs
 from quiver_dt.motives import (over_gl_denominator, sd_stack_class,
@@ -257,6 +258,83 @@ def test_clear_cache_empties_every_live_quiver():
     assert not list(inv._CACHE_OWNERS)
 
 
+def test_slopes_on_one_ray_share_one_engine():
+    """w, 2w and w/3 find one engine, keyed by the primitive integer vector
+    on their ray and computing at its slope, whether the weights are ints
+    or Fractions; -w keys a second, and the trivial slope keys zero."""
+    q = calibrated_kron()
+    for w in [(4, -2), (Fraction(4, 3), Fraction(-2, 3))]:
+        inv.clear_cache()
+        eng = inv._engine(q, Slope(w))
+        for c in (2, Fraction(1, 3)):
+            assert inv._engine(q, Slope(tuple(c * x for x in w))) is eng
+        assert list(q.engine_cache) == [(2, -1)] == [eng.slope.weights]
+        inv._engine(q, Slope(tuple(-x for x in w)))
+        assert list(q.engine_cache) == [(2, -1), (-2, 1)]
+        assert all(type(x) is int for key in q.engine_cache for x in key)
+    inv.clear_cache()
+    inv._engine(q, Slope.trivial(q))
+    assert list(q.engine_cache) == [(0, 0)]
+
+
+def suite_quiver_with_a_pair():
+    """A calibrated suite-shaped quiver on three vertices: a swapped pair
+    and a fixed vertex, with four edges."""
+    q = _rand_quiver(random.Random(7), shapes=("P", "F"), n_edges=4)
+    calibrate_signs(q)
+    return q, [Slope.trivial(q),
+               Slope.from_dict(q, {"v0": Fraction(2, 3),
+                                   "v1": Fraction(-2, 3)}),
+               Slope.from_dict(q, {"v0": -1, "v1": 1}),
+               Slope.from_dict(q, {"v0": 2, "v1": -2})]
+
+
+def count_calls(monkeypatch, calls, owner, name):
+    """Patch owner.name through monkeypatch to append name to calls."""
+    orig = getattr(owner, name)
+    monkeypatch.setattr(owner, name,
+                        lambda *args: calls.append(name) or orig(*args))
+
+
+def test_a_warm_round_reads_every_finished_scalar_off_its_engine(
+        monkeypatch):
+    """After one round of scalar queries and tables, a second evaluates no
+    pole order and no value at q = 1 or q = -1, and lists no classes."""
+    q, slopes = suite_quiver_with_a_pair()
+
+    def round_of_queries():
+        out = []
+        for s in slopes:
+            for a in q.dim_vectors_up_to(4):
+                out += [inv.dt_num(q, s, a), inv.dt_mot(q, s, a)]
+            for th in q.sd_classes_up_to(4):
+                out += [inv.sd_dt_mot(q, s, th), inv.sd_dt_num(q, s, th)]
+            out.append(inv.build_table(q, s, 4).to_json())
+        return out
+    first = round_of_queries()
+    calls = []
+    for owner, name in [(RatFunc, "pole_order_at"), (RatFunc, "eval_at"),
+                        (quiver_module, "graded_lex_key"),
+                        (SelfDualQuiver, "is_sd_class")]:
+        count_calls(monkeypatch, calls, owner, name)
+    assert round_of_queries() == first
+    assert not calls
+    # A new bound lists its classes, so the counters do count.
+    q.sd_classes_up_to(5)
+    assert {"graded_lex_key", "is_sd_class"} <= set(calls)
+
+
+def test_a_warm_engine_call_hashes_no_fraction(monkeypatch):
+    q, slopes = suite_quiver_with_a_pair()
+    engines = [inv._engine(q, s) for s in slopes]
+    calls = []
+    count_calls(monkeypatch, calls, Fraction, "__hash__")
+    assert [inv._engine(q, s) for s in slopes] == engines
+    assert not calls
+    hash(slopes[1].weights)
+    assert calls
+
+
 # -- reference for the gated recursion ------------------------------------------
 
 def full_region_dom_table(eng, s, bound):
@@ -311,12 +389,17 @@ def reference_sd_semistable(eng, tab, th):
 def assert_engine_matches_full_region(q, slope, bound):
     """The engine's semistable values, and its self-dual ones at a self-dual
     slope, and every recursion entry of each value they read, against the
-    full-region reference."""
+    full-region reference.  Values are read at the engine's own slope, the
+    primitive integer vector on slope's ray: slope's are c > 0 times them."""
     eng = inv._engine(q, slope)
     classes = q.dim_vectors_up_to(bound)
+    c = next((Fraction(w) / r for w, r in zip(slope.weights,
+                                              eng.slope.weights) if r), 1)
+    assert c > 0
     refs = {}
     for a in classes:
-        value = slope.value(a)
+        value = eng.slope.value(a)
+        assert slope.value(a) == c * value, a
         if value not in refs:
             refs[value] = full_region_dom_table(eng, value, bound)
         assert eng.semistable(a) == reference_semistable(

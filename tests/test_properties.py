@@ -4,10 +4,11 @@ tests/reference.py, for wall-crossing against the tables computed directly,
 and for regularity and the exp/log and square-root inversions against the
 paper's identities in the torus algebra, for the shared recursion entries
 against the full-region recursion, and for the calibration check against
-its loop form in tests/test_oracle.py, and for integer BPS invariants."""
+its loop form in tests/test_oracle.py, for integer BPS invariants, and for
+the answers of the one engine that slopes on a ray share."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
@@ -25,9 +26,10 @@ from test_invariants import (assert_engine_matches_full_region,
 from test_oracle import flipped, loop_verify_calibration, outcome
 from quiver_dt import invariants as inv
 from quiver_dt.oracle import calibrate_signs, verify_calibration
-from quiver_dt.quiver import Slope
+from quiver_dt.quiver import SelfDualQuiver, Slope
 from quiver_dt.torus import integrated_unit, series_diamond, star_exp
-from quiver_dt.wallcross import SlopePair, epsilon_table, wallcross_epsilon
+from quiver_dt.wallcross import (SlopePair, diff_tables, epsilon_table,
+                                 wallcross_epsilon)
 
 # A fixed number of small cases, replayed the same way on every run.
 BUDGET = settings(max_examples=50, deadline=None, derandomize=True,
@@ -158,15 +160,23 @@ def quiver_rational_slope(draw):
 @BUDGET
 @given(quiver_rational_slope())
 def test_engine_values_are_the_fraction_rule_as_reduced_pairs(case):
-    """Each engine value is Slope.value in lowest terms, the recursion's
-    regions and the mirror's sign test read it as Fraction comparisons do,
-    slope_values is the Fraction rule's, and equal values share a table."""
+    """Each engine value is the Fraction rule of the engine's own slope, the
+    primitive integer vector on slope's ray, in lowest terms; the
+    recursion's regions and the mirror's sign test read it as Fraction
+    comparisons at slope do, slope_values is the Fraction rule of slope
+    itself, and equal values share a table."""
     quiver, slope = case
     eng = inv._engine(quiver, slope)
+    ray = eng.slope.weights
+    assert all(type(r) is int for r in ray)
+    assert gcd(*ray) == (1 if any(ray) else 0)
+    c = next((Fraction(w) / r for w, r in zip(slope.weights, ray) if r), 1)
+    assert c > 0 and all(w == c * r for w, r in zip(slope.weights, ray))
     classes = quiver.dim_vectors_up_to(3)
+    own = {a: eng.slope.value(a) for a in classes}
     want = {a: slope.value(a) for a in classes}
     for a in classes:
-        assert eng.value(a) == (want[a].numerator, want[a].denominator), a
+        assert eng.value(a) == (own[a].numerator, own[a].denominator), a
     assert inv.slope_values(quiver, slope, 3) == sorted(set(want.values()),
                                                         reverse=True)
     tables = {}
@@ -283,6 +293,69 @@ def test_sd_square_root_inversion_roundtrip(case):
                              inv.sd_epsilon_element(q, slope, bound),
                              lambda n: Fraction(1, factorial(n)), bound)
     assert rebuilt == inv.sd_semistable_element(q, slope, bound)
+
+
+@st.composite
+def scaled_slope(draw):
+    """A suite-shaped quiver with a vertex pair, a self-dual slope w with
+    small nonzero fractional weights at the pairs, a factor lam and a bound
+    from 2 to 4."""
+    quiver = draw(st.randoms(use_true_random=False).map(_rand_quiver)
+                  .filter(lambda q: q.vertex_pairs))
+    weights = [0] * len(quiver.vertices)
+    for i, j in quiver.vertex_pairs:
+        weights[i] = draw(st.sampled_from(PAIR_WEIGHTS))
+        weights[j] = -weights[i]
+    lam = draw(st.sampled_from([2, Fraction(1, 3), Fraction(7, 2)]))
+    return quiver, Slope(tuple(weights)), lam, draw(st.integers(2, 4))
+
+
+def answers(q, slope, target, bound):
+    """What the public queries hand back at slope up to the bound: the
+    table's JSON, the epsilon table, dt_num and sd_dt_mot of every class,
+    the slope values, the epsilon element of each, and the crossing to
+    target with its report against the direct table."""
+    eps = epsilon_table(q, slope, bound)
+    crossed = wallcross_epsilon(eps, SlopePair(q, slope, target))
+    values = inv.slope_values(q, slope, bound)
+    return {
+        "table": inv.build_table(q, slope, bound).to_json(),
+        "eps": (eps.eps, eps.sd_eps),
+        "dt_num": [inv.dt_num(q, slope, a)
+                   for a in q.dim_vectors_up_to(bound)],
+        "sd_dt_mot": [inv.sd_dt_mot(q, slope, th)
+                      for th in q.sd_classes_up_to(bound)],
+        "values": values,
+        "elements": [inv.epsilon_element(q, slope, v, bound).coeffs
+                     for v in values],
+        "crossed": (crossed.eps, crossed.sd_eps),
+        "diff": diff_tables(crossed, epsilon_table(q, target, bound)),
+    }
+
+
+@BUDGET
+@given(scaled_slope())
+def test_a_shared_engine_answers_as_a_fresh_one(case):
+    """lam w on a quiver that has served w, where both find w's engine,
+    answers as lam w alone on a fresh copy of the quiver, crossing to -w;
+    its slope values are the Fraction rule at lam w, and its epsilon
+    elements hold the classes of those values."""
+    quiver, w, lam, bound = case
+    fresh = SelfDualQuiver.from_data(quiver.to_data())
+    scaled = Slope(tuple(lam * x for x in w.weights))
+    target = Slope(tuple(-x for x in w.weights))
+    answers(quiver, w, target, bound)
+    shared = answers(quiver, scaled, target, bound)
+    assert inv._engine(quiver, scaled) is inv._engine(quiver, w)
+    assert shared == answers(fresh, scaled, target, bound)
+    assert shared["values"] == sorted(
+        {scaled.value(a) for a in quiver.dim_vectors_up_to(bound)},
+        reverse=True)
+    # Each element holds the classes of its value whose epsilon is nonzero.
+    assert set().union(*shared["elements"]) == {
+        a for a, e in shared["eps"][0].items() if e}
+    for v, coeffs in zip(shared["values"], shared["elements"]):
+        assert all(scaled.value(a) == v for a in coeffs), v
 
 
 @st.composite

@@ -364,6 +364,17 @@ def test_class_enumeration_is_graded_lex():
     assert vsub((3, 4), (1, 2)) == (2, 2)
 
 
+def test_changing_a_class_list_changes_no_later_one():
+    k = kronecker_variant((1, 1), 1)
+    for listed in (k.dim_vectors_up_to, k.sd_classes_up_to):
+        first = listed(3)
+        want = list(first)
+        first.append((9, 9))
+        first[0] = (7, 7)
+        again = listed(3)
+        assert again == want and again is not listed(3)
+
+
 def discrete_quiver(n):
     """n fixed orthogonal vertices and no edges."""
     return SelfDualQuiver([f"v{i}" for i in range(n)], [], {}, {}, {}, {})

@@ -257,11 +257,18 @@ def test_transform_refuses_a_table_not_from_a_stack_element():
         wallcross_epsilon(table, pair)
 
 
-@pytest.mark.parametrize("a, value", [((2, 1), "1/3"), ((1, 2), "-1/3"),
-                                      ((1, 0), "1")])
-def test_transform_refusal_prints_the_slope_value_as_a_fraction(a, value):
+REFUSAL_CASES = [(1, (2, 1), "1/3"), (1, (1, 2), "-1/3"), (1, (1, 0), "1"),
+                 (2, (2, 1), "2/3"), (2, (1, 2), "-2/3"), (2, (1, 0), "2")]
+
+
+@pytest.mark.parametrize("k, a, value", REFUSAL_CASES, ids=[
+    f"a{n}-{value}" for n, (_, _, value) in enumerate(REFUSAL_CASES)])
+def test_transform_refusal_prints_the_slope_value_as_a_fraction(k, a, value):
+    """The value at the source slope i=k,j=-k, on a quiver whose engine on
+    that ray i=1,j=-1 built."""
     q = calibrated_kron()
-    pair = _pair(q, {"i": 1, "j": -1}, {"i": -1, "j": 1})
+    epsilon_table(q, Slope.from_dict(q, {"i": 1, "j": -1}), 3)
+    pair = _pair(q, {"i": k, "j": -k}, {"i": -k, "j": k})
     table = epsilon_table(q, pair.plus, 3)
     # M(a) eps(a) / 3 is a Laurent polynomial, but its exponential's
     # numerator M(a) J(a) at a is not one with integer coefficients
