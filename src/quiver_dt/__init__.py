@@ -1,8 +1,11 @@
 """Exact motivic and numerical Donaldson-Thomas invariants of self-dual
 quivers with zero potential, for arbitrary self-dual slope stability.
 
-The twisted algebra, the bracket coefficients and the stack classes are
-imported from their modules (quiver_dt.torus, quiver_dt.motives)."""
+The engine works on integer numerators over the motive denominators
+(quiver_dt.motives).  The twisted algebra, its bracket coefficients and the
+stack classes as rational functions are the reference the tests check the
+engine against, and live with the tests (tests/torus.py,
+tests/reference.py)."""
 
 from .invariants import (InvariantRow, InvariantTable, NoPoleViolation,
                          build_table, dt_mot, dt_num, epsilon_integral,

@@ -24,7 +24,7 @@ from functools import cache
 from math import gcd
 
 from .invariants import (NoPoleViolation, build_table, json_text,
-                         no_pole_report, sd_dt_mot, table_all_regular)
+                         no_pole_report, sd_dt_mot)
 from .oracle import CalibrationError, explain_calibration
 from .quiver import (SelfDualQuiver, Slope, UncalibratedError,
                      ValidationError, graded_lex_key, vtotal)
@@ -164,8 +164,8 @@ def cmd_dt(args, quiver: SelfDualQuiver) -> int:
     text = (table.to_json() if args.format == "json" else
             "\n".join(",".join(row) for row in table.csv_rows()))
     _emit(text, args.output)
-    if not table_all_regular(table):
-        bad = [r for r in no_pole_report(table) if not r["ok"]]
+    bad = [r for r in no_pole_report(table) if not r["ok"]]
+    if bad:
         for row in bad:
             print(f"error: regularity violation for {row['side']} class "
                   f"{row['class']}: pole orders {row['order_at_1']} at q=1, "

@@ -75,19 +75,14 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from json.encoder import encode_basestring_ascii
-from typing import (TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional,
-                    Tuple)
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .motives import (over_gl_denominator, over_sd_denominator, q2_binomial,
-                      sd_ratio, sd_stack_class, sd_stack_exponent,
-                      stack_class, stack_exponent)
+                      sd_ratio, sd_stack_exponent, stack_exponent)
 from .oracle import ensure_calibrated
 from .quiver import (DimVector, SelfDualQuiver, Slope, ValidationError,
                      boxed_vectors, vadd, vsub, vtotal)
-from .ratfunc import Laurent, RatFunc, laurent_sum, q_minus_qinv
-
-if TYPE_CHECKING:
-    from .torus import TorusElem, TorusModElem
+from .ratfunc import Laurent, RatFunc, laurent_sum
 
 
 class NoPoleViolation(RuntimeError):
@@ -638,6 +633,9 @@ def sd_dt_num(quiver: SelfDualQuiver, slope: Slope, theta: DimVector,
 
 
 # -- element interface ------------------------------------------------------------
+# The slope values, and the epsilon elements as {class: RatFunc} dicts, that
+# perfbench's traced phases ask for; the tests read the dicts as elements of
+# the twisted algebra (tests/torus.py).
 
 def slope_values(quiver: SelfDualQuiver, slope: Slope,
                  bound: int) -> List[Fraction]:
@@ -646,68 +644,23 @@ def slope_values(quiver: SelfDualQuiver, slope: Slope,
     return sorted((c * Fraction(n, d) for n, d in pairs), reverse=True)
 
 
-# The engine and the transform build no torus elements; the functions below
-# do, for the tests and for comparisons with the torus algebra, and import
-# the torus module when called, so the CLI and the scalar and table queries
-# never load it.
-
-def _slope_element(quiver: SelfDualQuiver, slope: Slope, value: Fraction,
-                   bound: int, coeff: Callable) -> TorusElem:
-    from .torus import TorusElem
+def epsilon_element(quiver: SelfDualQuiver, slope: Slope, value: Fraction,
+                    bound: int) -> Dict[DimVector, RatFunc]:
+    """The nonzero coefficients of log(1 + x), for the semistable element x
+    of slope value, by class."""
     eng = _engine(quiver, slope)
     v = value / _ray_of(slope)[1]
     s = v.numerator, v.denominator
-    return TorusElem(quiver, {a: coeff(eng, a)
-                              for a in quiver.dim_vectors_up_to(bound)
-                              if eng.value(a) == s}, bound)
-
-
-def _module_element(quiver: SelfDualQuiver, slope: Slope, bound: int,
-                    coeff: Callable) -> TorusModElem:
-    from .torus import TorusModElem
-    eng = _engine(quiver, slope)
-    return TorusModElem(quiver, {th: coeff(eng, th) for th
-                                 in quiver.sd_classes_up_to(bound)}, bound)
-
-
-def semistable_element(quiver: SelfDualQuiver, slope: Slope, value: Fraction,
-                       bound: int) -> TorusElem:
-    return _slope_element(quiver, slope, value, bound, lambda eng, a:
-                          eng.semistable(a).times_q_minus_qinv())
-
-
-def epsilon_element(quiver: SelfDualQuiver, slope: Slope, value: Fraction,
-                    bound: int) -> TorusElem:
-    """log(1 + x) for the semistable element x of slope value."""
-    return _slope_element(quiver, slope, value, bound, _Engine.dt_motivic)
-
-
-def sd_semistable_element(quiver: SelfDualQuiver, slope: Slope,
-                          bound: int) -> TorusModElem:
-    return _module_element(quiver, slope, bound, _Engine.sd_semistable)
+    return {a: c for a in quiver.dim_vectors_up_to(bound)
+            if eng.value(a) == s and (c := eng.dt_motivic(a))}
 
 
 def sd_epsilon_element(quiver: SelfDualQuiver, slope: Slope,
-                       bound: int) -> TorusModElem:
-    return _module_element(quiver, slope, bound, _Engine.sd_dt_motivic)
-
-
-def integrated_stack_element(quiver: SelfDualQuiver, bound: int) -> TorusElem:
-    """Unit plus the integrated component classes of all nonzero classes."""
-    from .torus import TorusElem, integrated_unit
-    ensure_calibrated(quiver)
-    pref = q_minus_qinv()
-    coeffs = {a: pref * stack_class(quiver, a)
-              for a in quiver.dim_vectors_up_to(bound)}
-    return integrated_unit(quiver, bound) + TorusElem(quiver, coeffs, bound)
-
-
-def sd_stack_element(quiver: SelfDualQuiver, bound: int) -> TorusModElem:
-    from .torus import TorusModElem
-    ensure_calibrated(quiver)
-    coeffs = {th: sd_stack_class(quiver, th)
-              for th in quiver.sd_classes_up_to(bound)}
-    return TorusModElem(quiver, coeffs, bound)
+                       bound: int) -> Dict[DimVector, RatFunc]:
+    """The nonzero self-dual epsilon integrals within the bound, by class."""
+    eng = _engine(quiver, slope)
+    return {th: c for th in quiver.sd_classes_up_to(bound)
+            if (c := eng.sd_dt_motivic(th))}
 
 
 # -- JSON -----------------------------------------------------------------------------

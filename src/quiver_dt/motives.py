@@ -1,28 +1,27 @@
-"""Motivic classes of representation stacks.
+"""Motivic classes of representation stacks, as integer data.
 
-All values live in Q(q) with L = q^2 the Lefschetz class.  The group motives
-are the reciprocals of the counting polynomials of the classical groups in
-the normalization that makes stack classes come out as q-power prefactors
-times products of group motives:
+All values live in Q(q) with L = q^2 the Lefschetz class.  The stack of all
+representations of a class alpha has the class q^(dim R + dim G) times the
+group motives prod_i motive_GL(alpha_i), with motive_GL(n) = prod_{i<n}
+1/(L^n - L^i) = q^(-n(n-1)) / P(n) and P(n) = prod_{k=1..n} (q^2k - 1).  So
+the stack class is q^e(alpha) / M(alpha), with
 
-  motive_gl(n)   = prod_{i<n} 1/(L^n - L^i)
-  motive_o(2n)   = L^n    * prod_{i<n} 1/(L^{2n} - L^{2i})
-  motive_o(2n+1) = L^{-n} * prod_{i<n} 1/(L^{2n} - L^{2i})
-  motive_sp(2n)  = L^{-n} * prod_{i<n} 1/(L^{2n} - L^{2i})
+  e(alpha) = dim R + dim G - sum_i alpha_i (alpha_i - 1)   (stack_exponent)
+  M(alpha) = prod_i P(alpha_i)                             (gl_poly)
 
-The stack of all representations of a class alpha contributes
-q^(dim R + dim G) times the motive of its automorphism group, and likewise
-on the self-dual side with orthogonal and symplectic factors at fixed
-vertices.
+and M(alpha) over M(beta) M(alpha - beta) is the product of q^2-binomials
+[alpha_i, beta_i].  So sums of products of stack classes can run in
+Z[q, 1/q] and divide by one M at the end.
 
-Since motive_gl(n) = q^(-n(n-1)) / P(n) with P(n) = prod_{k=1..n} (q^2k - 1),
-a stack class is q^e(alpha) / M(alpha) with M(alpha) = prod_i P(alpha_i) and
-e(alpha) = dim R + dim G - sum_i alpha_i (alpha_i - 1); and M(alpha) over
-M(beta) M(alpha - beta) is the product of q^2-binomials [alpha_i, beta_i].
-So sums of products of stack classes can run in Z[q, 1/q] and divide by one
-M at the end.
+The stack of self-dual representations of a self-dual class theta has the
+class q^(sd dim R + sd dim G) times motive_GL(theta_i) at each vertex pair
+and, at each fixed vertex, the orthogonal or symplectic group motive
 
-Likewise a self-dual stack class is q^e_sd(theta) / M_sd(theta), with
+  motive_O(2n)   = L^n    prod_{i<n} 1/(L^{2n} - L^{2i})
+  motive_O(2n+1) = L^{-n} prod_{i<n} 1/(L^{2n} - L^{2i})
+  motive_Sp(2n)  = L^{-n} prod_{i<n} 1/(L^{2n} - L^{2i}).
+
+So it is q^e_sd(theta) / M_sd(theta) (sd_stack_exponent, sd_gl_poly), with
 M_sd(theta) = prod over vertex pairs of P(theta_i) times prod over fixed
 vertices of P_2(theta_i // 2), P_2(n) = prod_{k=1..n} (q^4k - 1).  When a
 class g acts on a self-dual class rho, M_sd(theta) / (M(g) M_sd(rho)) for
@@ -43,48 +42,8 @@ from .quiver import DimVector, SelfDualQuiver
 from .ratfunc import Laurent, RatFunc, _ip_mul
 
 
-def _inv_l_product(n: int, step: int) -> RatFunc:
-    # prod_{i<n} 1/(L^{step*n} - L^{step*i}) with L = q^2
-    out = RatFunc(1)
-    for i in range(n):
-        out = out / (RatFunc.q_power(2 * step * n)
-                     - RatFunc.q_power(2 * step * i))
-    return out
-
-
-@cache
-def motive_gl(n: int) -> RatFunc:
-    if n < 0:
-        raise ValueError("negative rank")
-    return _inv_l_product(n, 1)
-
-
-@cache
-def motive_o(m: int) -> RatFunc:
-    if m < 0:
-        raise ValueError("negative rank")
-    n, odd = divmod(m, 2)
-    power = -2 * n if odd else 2 * n
-    return RatFunc.q_power(power) * _inv_l_product(n, 2)
-
-
-@cache
-def motive_sp(m: int) -> RatFunc:
-    if m < 0 or m % 2:
-        raise ValueError("symplectic rank must be even and nonnegative")
-    n = m // 2
-    return RatFunc.q_power(-2 * n) * _inv_l_product(n, 2)
-
-
-def stack_class(quiver: SelfDualQuiver, alpha: DimVector) -> RatFunc:
-    """Motivic class of the stack of all representations of class alpha:
-    q^(dim R + dim G) times prod_i motive_gl(alpha_i), kept as
-    q^e(alpha) / M(alpha)."""
-    return over_gl_denominator({stack_exponent(quiver, alpha): 1}, alpha)
-
-
 def stack_exponent(quiver: SelfDualQuiver, alpha: DimVector) -> int:
-    """e(alpha), with stack_class(alpha) = q^e(alpha) / M(alpha)."""
+    """e(alpha), with the stack class of alpha q^e(alpha) / M(alpha)."""
     return (quiver.dim_rep(alpha) + quiver.dim_aut(alpha)
             - sum(x * (x - 1) for x in alpha))
 
@@ -169,9 +128,10 @@ def sd_ratio(quiver: SelfDualQuiver, g: DimVector,
 
 
 def sd_stack_exponent(quiver: SelfDualQuiver, theta: DimVector) -> int:
-    """e_sd(theta), with sd_stack_class(theta) = q^e_sd(theta) / M_sd(theta):
-    the q-powers of the group motives are -n(n - 1) for GL(n), 2n - 2n(n - 1)
-    for O(2n) and -2n - 2n(n - 1) for O(2n + 1) and Sp(2n)."""
+    """e_sd(theta), with the self-dual stack class of theta q^e_sd(theta) /
+    M_sd(theta): the q-powers of the group motives are -n(n - 1) for GL(n),
+    2n - 2n(n - 1) for O(2n) and -2n - 2n(n - 1) for O(2n + 1) and
+    Sp(2n)."""
     e = quiver.sd_dim_rep(theta) + quiver.sd_dim_aut(theta)
     for i, _ in quiver.vertex_pairs:
         e -= theta[i] * (theta[i] - 1)
@@ -180,13 +140,3 @@ def sd_stack_exponent(quiver: SelfDualQuiver, theta: DimVector) -> int:
         orthogonal_even = quiver.vertex_sign[i] > 0 and not odd
         e -= 2 * n * (n - 1) + (-2 * n if orthogonal_even else 2 * n)
     return e
-
-
-def sd_stack_class(quiver: SelfDualQuiver, theta: DimVector) -> RatFunc:
-    """Motivic class of the stack of all self-dual representations:
-    q^(sd dim R + sd dim G) times the group motives of the pairs (GL) and
-    the fixed vertices (O or Sp), kept as q^e_sd(theta) / M_sd(theta)."""
-    if not quiver.is_sd_class(theta):
-        raise ValueError(f"{theta} is not a self-dual class")
-    return over_sd_denominator(quiver, {sd_stack_exponent(quiver, theta): 1},
-                               theta)

@@ -46,10 +46,6 @@ def vtotal(a: DimVector) -> int:
     return sum(a)
 
 
-def vleq(a: DimVector, b: DimVector) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
 def graded_lex_key(a: DimVector):
     return (sum(a), a)
 
@@ -308,7 +304,9 @@ class SelfDualQuiver:
         self._calibration, self._comm, self._kappa2 = cal, comm, kappa2
 
     def commutation_exponent(self, alpha: DimVector, beta: DimVector) -> int:
-        """Exponent twisting the product of torus generators."""
+        """The commutation form <alpha, beta>: the q-power twisting the
+        product of the classes alpha and beta in the twisted algebra of the
+        dimension lattice."""
         comm = self._comm
         if comm is None:
             raise _uncalibrated()
@@ -319,7 +317,8 @@ class SelfDualQuiver:
 
     def sd_twist_exponent(self, alpha: DimVector,
                           theta: DimVector) -> "int | Fraction":
-        """Exponent twisting the module action of a torus generator: an int
+        """The q-power twisting the action of the class alpha on the
+        self-dual class theta in the module of self-dual classes: an int
         when it is integral, as under a verified calibration, else a
         Fraction."""
         comm = self._comm
@@ -437,11 +436,22 @@ class Slope(NamedTuple):
     @classmethod
     def from_dict(cls, quiver: SelfDualQuiver,
                   mapping: Dict[str, "Fraction | int | str"]) -> "Slope":
+        """The slope with the weights given by vertex name, 0 elsewhere.  A
+        weight is an int, a Fraction or a str that Fraction reads; a float
+        or a bool is refused, as _engine refuses it in a Slope."""
         weights = [Fraction(0)] * len(quiver.vertices)
         for key, val in mapping.items():
             if key not in quiver.vertex_index:
                 raise ValidationError(f"slope names unknown vertex {key}")
-            weights[quiver.vertex_index[key]] = Fraction(val)
+            if isinstance(val, (bool, float)):
+                raise ValidationError(f"slope weight of vertex {key} is a "
+                                      f"{type(val).__name__}, not an int, a "
+                                      "Fraction or a str")
+            try:
+                weights[quiver.vertex_index[key]] = Fraction(val)
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ValidationError(
+                    f"slope weight of vertex {key}: {exc}") from None
         return cls(tuple(weights))
 
     @classmethod

@@ -532,17 +532,7 @@ class RatFunc:
         return hash((self._scale, self._shift, tuple(sorted(self._num.items())),
                      tuple(sorted(self._den.items()))))
 
-    # -- involution, evaluation, poles ---------------------------------------
-
-    def bar(self) -> "RatFunc":
-        """Substitute q -> 1/q."""
-        if not self._num:
-            return self
-        num, den = self._num, self._den
-        dn, dd = max(num), max(den)
-        return RatFunc._make(self._scale, -self._shift - dn + dd,
-                             {dn - e: c for e, c in num.items()},
-                             {dd - e: c for e, c in den.items()})
+    # -- evaluation, poles ---------------------------------------
 
     def eval_at(self, point: "Fraction | int") -> Fraction:
         """The value at the point, read off the integer num and den at
@@ -588,20 +578,6 @@ class RatFunc:
         if md:
             return md
         return -_root_mult(self._num, u, v)
-
-    def subs_square(self, value: "Fraction | int") -> Fraction:
-        """Substitute q**2 -> value; requires all exponents even."""
-        v = Fraction(value)
-        if not self._num:
-            return Fraction(0)
-        sh, num, den = self._shift, self._num, self._den
-        if sh % 2 or any(e % 2 for e in num) or any(e % 2 for e in den):
-            raise ValueError("odd q-powers present, no even substitution")
-        nv = sum((c * v ** (e // 2) for e, c in num.items()), Fraction(0))
-        dv = sum((c * v ** (e // 2) for e, c in den.items()), Fraction(0))
-        if dv == 0:
-            raise ZeroDivisionError("denominator vanishes at substitution")
-        return self._scale * nv * v ** (sh // 2) / dv
 
     # -- presentation ----------------------------------------------------------
 
@@ -689,14 +665,3 @@ def _poly_str(terms: _Terms) -> str:
         else:
             out.append(f"+ {body}" if p > 0 else f"- {body}")
     return " ".join(out)
-
-
-def q_minus_qinv() -> RatFunc:
-    """The scalar q - q^-1."""
-    return RatFunc._raw(Fraction(1), -1, {2: 1, 0: -1}, _ONE)
-
-
-def inv_q_minus_qinv() -> RatFunc:
-    """The scalar 1/(q - q^-1) = q/(q^2 - 1)."""
-    return RatFunc._raw(Fraction(1), 1, _ONE, {2: 1, 0: -1})
-

@@ -55,9 +55,6 @@ class SlopePair:
         self.plus = plus
         self.minus = minus
 
-    def reversed(self) -> "SlopePair":
-        return SlopePair(self.quiver, self.minus, self.plus)
-
 
 class EpsilonTable(NamedTuple):
     """Epsilon integrals of every class up to a bound, at one slope."""

@@ -8,7 +8,9 @@ from quiver_dt import invariants as inv, oracle, wallcross
 from quiver_dt.quiver import (Edge, SelfDualQuiver, kronecker_variant,
                               make_calibration, point_quiver, vtotal)
 from quiver_dt.ratfunc import Laurent, RatFunc
-from quiver_dt.torus import TorusElem, TorusModElem
+from quiver_dt.wallcross import SlopePair
+from reference import sd_stack_class, stack_class
+from torus import TorusElem, TorusModElem, integrated_unit
 
 # resolved by the oracle; kept literal here so the algebra tests do not
 # depend on the resolution code they help validate
@@ -103,6 +105,75 @@ def rand_mod_elem(q, rng, terms=2, hi=1, bound=None) -> TorusModElem:
     for _ in range(terms):
         coeffs[rand_sd_class(q, rng, hi)] = rand_coeff(rng)
     return TorusModElem(q, coeffs, bound)
+
+
+def bar(f: RatFunc) -> RatFunc:
+    """f with q -> 1/q."""
+    if not f:
+        return f
+    num, den = f.num, f.den
+    dn, dd = max(num), max(den)
+    return RatFunc.from_frac_polys(-f.shift - dn + dd,
+                                   {dn - e: c for e, c in num.items()},
+                                   {dd - e: c for e, c in den.items()})
+
+
+def subs_square(f: RatFunc, value) -> Fraction:
+    """f with q**2 -> value; requires all exponents even."""
+    v = Fraction(value)
+    if not f:
+        return Fraction(0)
+    sh, num, den = f.shift, f.num, f.den
+    if sh % 2 or any(e % 2 for e in num) or any(e % 2 for e in den):
+        raise ValueError("odd q-powers present, no even substitution")
+    nv = sum((c * v ** (e // 2) for e, c in num.items()), Fraction(0))
+    dv = sum((c * v ** (e // 2) for e, c in den.items()), Fraction(0))
+    if dv == 0:
+        raise ZeroDivisionError("denominator vanishes at substitution")
+    return nv * v ** (sh // 2) / dv
+
+
+def reversed_pair(pair: SlopePair) -> SlopePair:
+    """The crossing back: source and target swapped."""
+    return SlopePair(pair.quiver, pair.minus, pair.plus)
+
+
+# -- the engine's values as elements of the twisted algebra and module
+# (tests/torus.py)
+
+def semistable_element(q, slope, value, bound) -> TorusElem:
+    """(q - 1/q) times the semistable integral at each class of the slope
+    value, within the bound."""
+    return TorusElem(q, {a: inv.semistable_integral(q, slope, a)
+                         .times_q_minus_qinv()
+                         for a in q.dim_vectors_up_to(bound)
+                         if slope.value(a) == value}, bound)
+
+
+def sd_semistable_element(q, slope, bound) -> TorusModElem:
+    return TorusModElem(q, {th: inv.sd_semistable_integral(q, slope, th)
+                            for th in q.sd_classes_up_to(bound)}, bound)
+
+
+def epsilon_elem(q, slope, value, bound) -> TorusElem:
+    """log(1 + x) for the semistable element x of the slope value."""
+    return TorusElem(q, inv.epsilon_element(q, slope, value, bound), bound)
+
+
+def sd_epsilon_elem(q, slope, bound) -> TorusModElem:
+    return TorusModElem(q, inv.sd_epsilon_element(q, slope, bound), bound)
+
+
+def integrated_stack_element(q, bound) -> TorusElem:
+    """Unit plus the integrated stack classes of all nonzero classes."""
+    coeffs = {a: stack_class(q, a).times_q_minus_qinv()
+              for a in q.dim_vectors_up_to(bound)}
+    return integrated_unit(q, bound) + TorusElem(q, coeffs, bound)
+
+
+def sd_stack_element(q, bound) -> TorusModElem:
+    return TorusModElem(q, {th: sd_stack_class(q, th)
+                            for th in q.sd_classes_up_to(bound)}, bound)
 
 
 def engine_values(q, s, bound, make=inv._Engine):

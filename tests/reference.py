@@ -1,6 +1,8 @@
 """Reference computations for the tests, independent of the production
 recursion and transform.
 
+The stack classes are the rational functions q^e(a) / M(a) and
+q^e_sd(theta) / M_sd(theta) that the engine keeps as integer numerators.
 The naive enumerators recompute the semistable and epsilon integrals by
 explicit enumeration of ordered decompositions, with none of the shared
 recursion code.  The combinatorial wall-crossing coefficients (coeff_U,
@@ -22,10 +24,11 @@ import math
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from quiver_dt.motives import sd_stack_class, stack_class
+from quiver_dt.motives import (over_gl_denominator, over_sd_denominator,
+                               sd_stack_exponent, stack_exponent)
 from quiver_dt.quiver import (DimVector, SelfDualQuiver, Slope, boxed_vectors,
-                              vadd, vleq, vsub, vtotal)
-from quiver_dt.ratfunc import RatFunc, q_minus_qinv
+                              vadd, vsub, vtotal)
+from quiver_dt.ratfunc import RatFunc
 
 
 def binom_fraction(top: Fraction, n: int) -> Fraction:
@@ -36,6 +39,30 @@ def binom_fraction(top: Fraction, n: int) -> Fraction:
     for i in range(1, n + 1):
         out /= i
     return out
+
+
+def vleq(a: DimVector, b: DimVector) -> bool:
+    """Whether a <= b componentwise."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+# -- stack classes ---------------------------------------------------------------
+
+def stack_class(quiver: SelfDualQuiver, alpha: DimVector) -> RatFunc:
+    """Motivic class of the stack of all representations of class alpha:
+    q^(dim R + dim G) times the group motives prod_i motive_GL(alpha_i),
+    kept as q^e(alpha) / M(alpha) (see quiver_dt.motives)."""
+    return over_gl_denominator({stack_exponent(quiver, alpha): 1}, alpha)
+
+
+def sd_stack_class(quiver: SelfDualQuiver, theta: DimVector) -> RatFunc:
+    """Motivic class of the stack of all self-dual representations:
+    q^(sd dim R + sd dim G) times the group motives of the pairs (GL) and
+    the fixed vertices (O or Sp), kept as q^e_sd(theta) / M_sd(theta)."""
+    if not quiver.is_sd_class(theta):
+        raise ValueError(f"{theta} is not a self-dual class")
+    return over_sd_denominator(quiver, {sd_stack_exponent(quiver, theta): 1},
+                               theta)
 
 
 # -- naive decomposition enumerators --------------------------------------------
@@ -535,6 +562,7 @@ def bps_invariants(quiver: SelfDualQuiver,
     beta = alpha / k and chi the Euler form, for the k = 1 term Omega(alpha),
     class by class in order of total."""
     omega: Dict[DimVector, RatFunc] = {}
+    pref = RatFunc(1).times_q_minus_qinv()
     for a in sorted(dt_mot, key=vtotal):
         rest = dt_mot[a]
         g = math.gcd(*a)
@@ -542,8 +570,8 @@ def bps_invariants(quiver: SelfDualQuiver,
             if g % k == 0:
                 b = tuple(x // k for x in a)
                 sign = -1 if (k - 1) * quiver.euler_form(b, b) % 2 else 1
-                rest = rest - (RatFunc(Fraction(sign, k)) * q_minus_qinv()
-                               / _at_power(q_minus_qinv(), k)
+                rest = rest - (RatFunc(Fraction(sign, k)) * pref
+                               / _at_power(pref, k)
                                * _at_power(omega[b], k))
         omega[a] = rest
     return omega

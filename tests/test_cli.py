@@ -7,12 +7,13 @@ from pathlib import Path
 import pytest
 
 from helpers import mixed_quiver, perturb_block_counts
+from torus import Q_MINUS_QINV
 from quiver_dt import cli, oracle
 from quiver_dt.invariants import (InvariantRow, InvariantTable,
                                   NoPoleViolation, build_table)
 from quiver_dt.oracle import CalibrationError, calibrate_signs
 from quiver_dt.quiver import Slope, point_quiver
-from quiver_dt.ratfunc import RatFunc, q_minus_qinv
+from quiver_dt.ratfunc import RatFunc
 
 FIXTURES = Path(cli.__file__).parent / "fixtures"
 
@@ -205,7 +206,7 @@ def test_dt_no_pole_exit(monkeypatch, capsys):
 def test_dt_no_pole_exit_on_a_linear_row(monkeypatch, capsys):
     # a double pole at q = -1, so that DTmot = (q - 1/q) eps keeps one
     eps = RatFunc(1) / (RatFunc.q_power(1) + RatFunc(1)) ** 2
-    doctor_last_row(monkeypatch, "linear", eps, q_minus_qinv() * eps)
+    doctor_last_row(monkeypatch, "linear", eps, Q_MINUS_QINV * eps)
     code = cli.main(["dt", fixture("point_plus.json"), "--bound", "2"])
     err = capsys.readouterr().err
     assert code == 2

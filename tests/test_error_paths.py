@@ -4,6 +4,7 @@ bad input, and through the library otherwise.  A command-line refusal is
 one "error:" line on stderr and exit code 1."""
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,6 @@ import pytest
 
 from quiver_dt import cli
 from quiver_dt.invariants import sd_semistable_integral
-from quiver_dt.motives import motive_gl, motive_o
 from quiver_dt.oracle import CalibrationError, verify_calibration
 from quiver_dt.quiver import (Slope, ValidationError, kronecker_variant,
                               make_calibration, point_quiver)
@@ -116,10 +116,6 @@ def test_library_refusals():
                                               "different quivers$"):
         wallcross_epsilon(table, SlopePair(twin, slope, slope))
 
-    for motive in (motive_gl, motive_o):
-        with pytest.raises(ValueError, match="^negative rank$"):
-            motive(-1)
-
     one = {0: Fraction(1)}
     with pytest.raises(ZeroDivisionError, match="^zero denominator$"):
         RatFunc.from_frac_polys(0, one, {0: Fraction(0)})
@@ -127,7 +123,17 @@ def test_library_refusals():
         RatFunc(0).reciprocal()
     with pytest.raises(ZeroDivisionError, match="^reciprocal of zero$"):
         RatFunc(1) / RatFunc(0)
-    pole = RatFunc.from_frac_polys(0, one, {2: Fraction(1), 0: Fraction(-1)})
-    with pytest.raises(ZeroDivisionError,
-                       match="^denominator vanishes at substitution$"):
-        pole.subs_square(1)
+
+    # A weight Slope(...) would be refused for (see _engine) is refused by
+    # name too, as is one that Fraction cannot read.
+    for val, message in [
+            (0.1, " is a float, not an int, a Fraction or a str"),
+            (True, " is a bool, not an int, a Fraction or a str"),
+            ("1/0", ": Fraction(1, 0)"),
+            (None, ": argument should be a string or a Rational instance"),
+            ("x", ": Invalid literal for Fraction: 'x'")]:
+        pattern = "^slope weight of vertex i" + re.escape(message) + "$"
+        with pytest.raises(ValidationError, match=pattern):
+            Slope.from_dict(kron, {"i": val})
+    assert Slope.from_dict(kron, {"i": "-3/2", "j": Fraction(3, 2)}) == \
+        Slope((Fraction(-3, 2), Fraction(3, 2)))

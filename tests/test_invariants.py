@@ -12,28 +12,29 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import (assert_mirror_changes_nothing,
                      assert_regions_change_nothing, calibrated_mixed,
-                     calibrated_two_pairs, mixed_quiver, spy_on_seeded,
-                     zeroed_at)
+                     calibrated_two_pairs, epsilon_elem,
+                     integrated_stack_element, mixed_quiver, sd_epsilon_elem,
+                     sd_semistable_element, sd_stack_element,
+                     semistable_element, spy_on_seeded, zeroed_at)
 from reference import (averaged_sd_stack_class, averaged_stack_class,
                        binom_fraction, bps_invariants, direct_epsilon_integral,
                        direct_sd_epsilon_integral,
                        direct_sd_semistable_integral,
-                       direct_semistable_integral)
+                       direct_semistable_integral, sd_stack_class,
+                       stack_class, vleq)
 from suite import _rand_quiver, acceptance_suite
+from torus import (INV_Q_MINUS_QINV, Q_MINUS_QINV, integrated_unit,
+                   series_diamond, star_exp, star_log_one_plus)
 from quiver_dt import invariants as inv, quiver as quiver_module, wallcross as wc
 from quiver_dt.cli import load_quiver, main as cli_main
 from quiver_dt.oracle import calibrate_signs
-from quiver_dt.motives import (over_gl_denominator, sd_stack_class,
-                               sd_stack_exponent, stack_class,
+from quiver_dt.motives import (over_gl_denominator, sd_stack_exponent,
                                stack_exponent)
 from quiver_dt.quiver import (Calibration, Edge, SelfDualQuiver, Slope,
                               ValidationError, boxed_vectors, graded_lex_key,
                               kronecker_variant, make_calibration,
-                              point_quiver, vadd, vleq, vsub, vtotal)
-from quiver_dt.ratfunc import (Laurent, RatFunc, inv_q_minus_qinv,
-                               laurent_sum, q_minus_qinv)
-from quiver_dt.torus import (TorusElem, integrated_unit, series_diamond,
-                              star_exp, star_log_one_plus)
+                              point_quiver, vadd, vsub, vtotal)
+from quiver_dt.ratfunc import Laurent, RatFunc, laurent_sum
 from quiver_dt.wallcross import SlopePair, epsilon_table, wallcross_epsilon
 
 
@@ -579,12 +580,12 @@ def assert_star_log_matches_torus(q, slope, bound):
     algebra's RatFunc series, at every slope value."""
     for value in inv.slope_values(q, slope, bound):
         want = star_log_one_plus(
-            inv.semistable_element(q, slope, value, bound), bound)
-        assert inv.epsilon_element(q, slope, value, bound) == want, value
+            semistable_element(q, slope, value, bound), bound)
+        assert epsilon_elem(q, slope, value, bound) == want, value
         for a in q.dim_vectors_up_to(bound):
             if slope.value(a) == value:
                 assert inv.epsilon_integral(q, slope, a) == \
-                    want.get(a) * inv_q_minus_qinv(), a
+                    want.get(a) * INV_Q_MINUS_QINV, a
 
 
 @pytest.mark.parametrize("esigns", [(1, 1), (1, -1), (-1, -1)])
@@ -605,10 +606,10 @@ def assert_sd_epsilon_matches_torus_series(q, slope, bound):
     """The engine's per-class self-dual epsilon against the inverse square
     root series of the slope-0 semistable element acting on the self-dual
     semistable element, in the torus module."""
-    want = series_diamond(inv.semistable_element(q, slope, Fraction(0), bound),
-                          inv.sd_semistable_element(q, slope, bound),
+    want = series_diamond(semistable_element(q, slope, Fraction(0), bound),
+                          sd_semistable_element(q, slope, bound),
                           lambda n: binom_fraction(Fraction(-1, 2), n), bound)
-    assert inv.sd_epsilon_element(q, slope, bound) == want
+    assert sd_epsilon_elem(q, slope, bound) == want
 
 
 def test_sd_epsilon_element_matches_torus_series():
@@ -795,8 +796,8 @@ def test_exp_log_inversion_roundtrip():
     s = hn_slope(q)
     bound = 4
     for val in inv.slope_values(q, s, bound):
-        x = inv.semistable_element(q, s, val, bound)
-        e = inv.epsilon_element(q, s, val, bound)
+        x = semistable_element(q, s, val, bound)
+        e = epsilon_elem(q, s, val, bound)
         assert star_exp(e, bound) == integrated_unit(q, bound) + x
 
 
@@ -804,11 +805,11 @@ def test_sd_square_root_inversion_roundtrip():
     q = calibrated_kron()
     s = hn_slope(q)
     bound = 4
-    e0 = inv.epsilon_element(q, s, Fraction(0), bound)
-    esd = inv.sd_epsilon_element(q, s, bound)
+    e0 = epsilon_elem(q, s, Fraction(0), bound)
+    esd = sd_epsilon_elem(q, s, bound)
     rebuilt = series_diamond(e0.scale(Fraction(1, 2)), esd,
                              lambda n: Fraction(1, math.factorial(n)), bound)
-    assert rebuilt == inv.sd_semistable_element(q, s, bound)
+    assert rebuilt == sd_semistable_element(q, s, bound)
 
 
 def test_filtration_completeness_linear():
@@ -818,9 +819,9 @@ def test_filtration_completeness_linear():
     unit = integrated_unit(q, bound)
     prod = None
     for val in inv.slope_values(q, s, bound):
-        factor = unit + inv.semistable_element(q, s, val, bound)
+        factor = unit + semistable_element(q, s, val, bound)
         prod = factor if prod is None else prod.star(factor)
-    assert prod == inv.integrated_stack_element(q, bound)
+    assert prod == integrated_stack_element(q, bound)
 
 
 def test_filtration_completeness_sd():
@@ -828,10 +829,10 @@ def test_filtration_completeness_sd():
     s = hn_slope(q)
     bound = 4
     unit = integrated_unit(q, bound)
-    acc = inv.sd_semistable_element(q, s, bound)
+    acc = sd_semistable_element(q, s, bound)
     for val in sorted(v for v in inv.slope_values(q, s, bound) if v > 0):
-        acc = (unit + inv.semistable_element(q, s, val, bound)).diamond(acc)
-    assert acc == inv.sd_stack_element(q, bound)
+        acc = (unit + semistable_element(q, s, val, bound)).diamond(acc)
+    assert acc == sd_stack_element(q, bound)
 
 
 def avg_linear_identity(q, s, alpha):
@@ -943,7 +944,7 @@ def test_dt_motivic_matches_the_integrated_log_numerator():
             if any(a):
                 powers = eng._powers(a)
                 e, lcm = inv._series(powers, inv._log_coeffs(len(powers)))
-            want = q_minus_qinv() * over_gl_denominator(
+            want = Q_MINUS_QINV * over_gl_denominator(
                 e.poly, a, Fraction(1, lcm))
             assert eng.dt_motivic(a) == want, (q.vertices, s.weights, a)
         count += 1
@@ -1122,7 +1123,7 @@ def test_json_text_writes_each_ratfunc_of_the_fixture_tables_as_its_data():
                             {0: Fraction(1)}),
     RatFunc.from_frac_polys(1, {0: Fraction(-2)},
                             {0: Fraction(2), 1: Fraction(3), 2: Fraction(-9)}),
-    q_minus_qinv(), inv_q_minus_qinv()], ids=str)
+    Q_MINUS_QINV, INV_Q_MINUS_QINV], ids=str)
 def test_json_text_writes_a_ratfunc_as_its_data(rf):
     assert_writes_its_data(rf)
 
@@ -1191,7 +1192,7 @@ def test_point_is_one_bps_state_and_its_multiple_covers(name):
     s = Slope.trivial(q)
     for n in range(2, 13):
         assert inv.dt_mot(q, s, (n,)) == (RatFunc(Fraction((-1) ** (n - 1), n))
-                                          * q_minus_qinv()
+                                          * Q_MINUS_QINV
                                           / (q_pow(n) - q_pow(-n)))
     assert bps_at(q, s, 12) == {(n,): RatFunc(int(n == 1))
                                 for n in range(1, 13)}

@@ -1,20 +1,58 @@
-"""Group motives against brute-force finite-field counts, stack class values."""
+"""Group motives against brute-force finite-field counts, stack class values.
+
+The group motives are the reciprocals of the counting polynomials of the
+classical groups, in the normalization quiver_dt.motives states them in,
+that makes stack classes q-power prefactors times products of them."""
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 import pytest
 
-from helpers import calibrated_kron, calibrated_mixed, calibrated_two_pairs
-from quiver_dt.motives import (gl_poly, motive_gl, motive_o, motive_sp,
-                               over_gl_denominator, q2_binomial, sd_gl_poly,
-                               sd_ratio, sd_stack_class, stack_class,
-                               stack_exponent)
+from helpers import (calibrated_kron, calibrated_mixed, calibrated_two_pairs,
+                     subs_square)
+from reference import sd_stack_class, stack_class
+from quiver_dt.motives import (gl_poly, over_gl_denominator, q2_binomial,
+                               sd_gl_poly, sd_ratio, stack_exponent)
 from quiver_dt.quiver import (boxed_vectors, kronecker_variant, point_quiver,
                               vadd, vsub)
 from quiver_dt.ratfunc import RatFunc, _ip_mul
 
 F = Fraction
+
+
+def _inv_l_product(n: int, step: int) -> RatFunc:
+    # prod_{i<n} 1/(L^{step*n} - L^{step*i}) with L = q^2
+    out = RatFunc(1)
+    for i in range(n):
+        out = out / (RatFunc.q_power(2 * step * n)
+                     - RatFunc.q_power(2 * step * i))
+    return out
+
+
+@cache
+def motive_gl(n: int) -> RatFunc:
+    if n < 0:
+        raise ValueError("negative rank")
+    return _inv_l_product(n, 1)
+
+
+@cache
+def motive_o(m: int) -> RatFunc:
+    if m < 0:
+        raise ValueError("negative rank")
+    n, odd = divmod(m, 2)
+    power = -2 * n if odd else 2 * n
+    return RatFunc.q_power(power) * _inv_l_product(n, 2)
+
+
+@cache
+def motive_sp(m: int) -> RatFunc:
+    if m < 0 or m % 2:
+        raise ValueError("symplectic rank must be even and nonnegative")
+    n = m // 2
+    return RatFunc.q_power(-2 * n) * _inv_l_product(n, 2)
 
 
 def frac(num_shift, num, den):
@@ -40,6 +78,17 @@ def test_motive_o_sp_frozen():
     assert motive_o(5) == motive_sp(4)
     with pytest.raises(ValueError):
         motive_sp(3)
+
+
+def test_group_motive_and_substitution_refusals():
+    for motive in (motive_gl, motive_o):
+        with pytest.raises(ValueError, match="^negative rank$"):
+            motive(-1)
+    one = {0: Fraction(1)}
+    pole = RatFunc.from_frac_polys(0, one, {2: Fraction(1), 0: Fraction(-1)})
+    with pytest.raises(ZeroDivisionError,
+                       match="^denominator vanishes at substitution$"):
+        subs_square(pole, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +148,8 @@ def test_motive_gl_matches_finite_field_counts():
     for p in (2, 3):
         for n in (1, 2, 3):
             count = gl_count_prime_field(n, p)
-            assert motive_gl(n).subs_square(p) == F(1, count)
-    assert motive_gl(2).subs_square(4) == F(1, gl_count_f4(2))
+            assert subs_square(motive_gl(n), p) == F(1, count)
+    assert subs_square(motive_gl(2), 4) == F(1, gl_count_f4(2))
 
 
 def test_f4_is_a_field():

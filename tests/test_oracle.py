@@ -9,7 +9,8 @@ import pytest
 from helpers import mixed_quiver, perturb_block_counts
 from reference import (direct_epsilon_integral, direct_sd_epsilon_integral,
                        direct_sd_semistable_integral,
-                       direct_semistable_integral)
+                       direct_semistable_integral, sd_stack_class,
+                       stack_class)
 from suite import acceptance_suite, wide_quiver
 from quiver_dt import oracle
 from quiver_dt.invariants import dt_mot
@@ -165,7 +166,6 @@ def frac(num_shift, num, den):
 
 
 def test_direct_semistable_trivial_slope_gives_stack_classes():
-    from quiver_dt.motives import stack_class
     q = kronecker_variant((1, 1), 1)
     calibrate_signs(q)
     slope = Slope.trivial(q)
@@ -184,7 +184,6 @@ def test_direct_semistable_kronecker_frozen():
 
 
 def test_direct_sd_semistable_point_is_stack_class():
-    from quiver_dt.motives import sd_stack_class
     for vsign in (1, -1):
         pt = point_quiver(vsign)
         calibrate_signs(pt)
@@ -268,13 +267,14 @@ def test_verification_catches_a_corrupted_integer_form():
     assert flips["_comm"] >= 6 and flips["_kappa2"] >= 8
 
 
-def test_reference_module_reads_no_production_recursion_or_transform():
-    """tests/reference.py imports only the quiver, motive and rational
-    function modules, so agreeing with invariants and wallcross is a check
-    and not a tautology.  Names from the package namespace count as
-    production code too: it re-exports invariants and wallcross."""
-    path = os.path.join(os.path.dirname(__file__), "reference.py")
-    with open(path, encoding="utf-8") as fh:
+def package_imports(name):
+    """The quiver_dt modules the test module tests/name imports, once it is
+    found to import no other test module.  Names from the package namespace
+    count as production code too: it re-exports invariants and
+    wallcross."""
+    here = os.path.dirname(__file__)
+    local = {f[:-3] for f in os.listdir(here) if f.endswith(".py")}
+    with open(os.path.join(here, name), encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     used = set()
     for node in ast.walk(tree):
@@ -285,10 +285,21 @@ def test_reference_module_reads_no_production_recursion_or_transform():
                 used.update(f"quiver_dt.{a.name}" for a in node.names)
             else:
                 used.add(node.module)
-    ours = {m for m in used if m.split(".")[0] == "quiver_dt"}
+    assert not used & local, name
+    return {m for m in used if m.split(".")[0] == "quiver_dt"}
+
+
+def test_reference_module_reads_no_production_recursion_or_transform():
+    """tests/reference.py imports only the quiver, motive and rational
+    function modules, and the torus algebra of tests/torus.py only the
+    quiver and rational function modules, so agreeing with invariants and
+    wallcross is a check and not a tautology."""
+    ours = package_imports("reference.py")
     assert ours == {"quiver_dt.quiver", "quiver_dt.motives",
                     "quiver_dt.ratfunc"}
     assert not ours & {"quiver_dt.invariants", "quiver_dt.wallcross"}
+    assert package_imports("torus.py") == {"quiver_dt.quiver",
+                                           "quiver_dt.ratfunc"}
 
 
 # Every function of the oracle that computes a block count.

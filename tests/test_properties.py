@@ -15,7 +15,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import assert_mirror_changes_nothing, crossed_without_mirror
+from helpers import (assert_mirror_changes_nothing, crossed_without_mirror,
+                     epsilon_elem, reversed_pair, sd_epsilon_elem,
+                     sd_semistable_element, semistable_element)
 from reference import (bps_invariants, direct_epsilon_integral,
                        direct_sd_epsilon_integral,
                        direct_sd_semistable_integral,
@@ -24,10 +26,10 @@ from suite import _rand_quiver
 from test_invariants import (assert_engine_matches_full_region,
                              is_integer_laurent)
 from test_oracle import flipped, loop_verify_calibration, outcome
+from torus import integrated_unit, series_diamond, star_exp
 from quiver_dt import invariants as inv
 from quiver_dt.oracle import calibrate_signs, verify_calibration
 from quiver_dt.quiver import SelfDualQuiver, Slope
-from quiver_dt.torus import integrated_unit, series_diamond, star_exp
 from quiver_dt.wallcross import (SlopePair, diff_tables, epsilon_table,
                                  wallcross_epsilon)
 
@@ -250,7 +252,7 @@ def test_wallcross_matches_the_direct_table_and_crosses_back(case):
     crossed = wallcross_epsilon(source, pair)
     assert crossed.sd_eps is not None
     assert crossed == epsilon_table(pair.quiver, pair.minus, bound)
-    assert wallcross_epsilon(crossed, pair.reversed()) == source
+    assert wallcross_epsilon(crossed, reversed_pair(pair)) == source
 
 
 @BUDGET
@@ -278,9 +280,9 @@ def test_star_exp_inverts_the_epsilon_element(case):
     q, slope = pair.quiver, pair.plus
     unit = integrated_unit(q, bound)
     for val in inv.slope_values(q, slope, bound):
-        e = inv.epsilon_element(q, slope, val, bound)
+        e = epsilon_elem(q, slope, val, bound)
         assert star_exp(e, bound) == \
-            unit + inv.semistable_element(q, slope, val, bound), val
+            unit + semistable_element(q, slope, val, bound), val
 
 
 @BUDGET
@@ -288,11 +290,11 @@ def test_star_exp_inverts_the_epsilon_element(case):
 def test_sd_square_root_inversion_roundtrip(case):
     pair, bound = case
     q, slope = pair.quiver, pair.plus
-    e0 = inv.epsilon_element(q, slope, Fraction(0), bound)
+    e0 = epsilon_elem(q, slope, Fraction(0), bound)
     rebuilt = series_diamond(e0.scale(Fraction(1, 2)),
-                             inv.sd_epsilon_element(q, slope, bound),
+                             sd_epsilon_elem(q, slope, bound),
                              lambda n: Fraction(1, factorial(n)), bound)
-    assert rebuilt == inv.sd_semistable_element(q, slope, bound)
+    assert rebuilt == sd_semistable_element(q, slope, bound)
 
 
 @st.composite
@@ -326,7 +328,7 @@ def answers(q, slope, target, bound):
         "sd_dt_mot": [inv.sd_dt_mot(q, slope, th)
                       for th in q.sd_classes_up_to(bound)],
         "values": values,
-        "elements": [inv.epsilon_element(q, slope, v, bound).coeffs
+        "elements": [inv.epsilon_element(q, slope, v, bound)
                      for v in values],
         "crossed": (crossed.eps, crossed.sd_eps),
         "diff": diff_tables(crossed, epsilon_table(q, target, bound)),

@@ -1,10 +1,12 @@
 """The package's record types compare, hash and stay fixed by their fields,
 and importing the package loads none of the modules it does not use."""
 
+import ast
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -86,17 +88,31 @@ def test_epsilon_tables_differing_in_one_field_are_unequal(change):
 
 
 COLD_IMPORT = """
-import sys
+import importlib.util, sys
 import quiver_dt, quiver_dt.cli, quiver_dt.oracle, quiver_dt.wallcross
 print(" ".join(m for m in ("dataclasses", "inspect", "quiver_dt.torus")
                if m in sys.modules))
+print(importlib.util.find_spec("quiver_dt.torus") is None)
 """
 
 
 def test_importing_the_package_loads_no_unused_modules():
+    """The package loads neither dataclasses nor inspect, has no torus
+    module (the twisted algebra is test code, tests/torus.py), and no module
+    of it imports a module of tests/."""
     # -S keeps site hooks from importing modules of their own.
-    src = os.path.dirname(os.path.dirname(quiver_dt.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    package = Path(quiver_dt.__file__).parent
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
     out = subprocess.run([sys.executable, "-S", "-c", COLD_IMPORT], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.split() == []
+    assert out.stdout.split("\n") == ["", "True", ""]
+    tests = {"tests"} | {p.stem for p in Path(__file__).parent.glob("*.py")}
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module]
+            else:
+                continue
+            assert not {n.split(".")[0] for n in names} & tests, path.name

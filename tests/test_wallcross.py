@@ -7,12 +7,14 @@ import pytest
 from helpers import (calibrated_kron, calibrated_mixed, calibrated_point,
                      calibrated_two_pairs, crossed_without_mirror,
                      spy_on_seeded, zeroed_at)
-from reference import check_composition, coeff_S, coeff_Ssd, coeff_U, coeff_Usd
+from reference import (check_composition, coeff_S, coeff_Ssd, coeff_U,
+                       coeff_Usd, vleq)
+from torus import Q_MINUS_QINV
 from quiver_dt import invariants as inv, wallcross as wc
 from quiver_dt.cli import load_quiver, main as cli_main, parse_slope
 from quiver_dt.quiver import (Slope, ValidationError, boxed_vectors, vadd,
-                              vleq, vsub, vtotal)
-from quiver_dt.ratfunc import RatFunc, laurent_sum, q_minus_qinv
+                              vsub, vtotal)
+from quiver_dt.ratfunc import RatFunc, laurent_sum
 from quiver_dt.wallcross import (EpsilonTable, SlopePair, diff_tables,
                                  epsilon_table, wallcross_epsilon)
 
@@ -233,16 +235,26 @@ def test_refactorised_transform_matches_enumerative_reference(make, args,
 
 
 def test_transform_reads_only_the_source_table(monkeypatch):
+    """The transform asks the source slope's engine for slope values alone:
+    every other per-class method of that engine (the ones _per_class
+    memoises) is forbidden while it runs, so each source value it uses comes
+    from the table."""
     q = calibrated_mixed()
     pair = _pair(q, {"i": 1, "k": -1}, {"i": -1, "k": 1})
     table = epsilon_table(q, pair.plus, 4)
+    source = inv._engine(q, pair.plus)
+    per_class = [name for name, f in vars(inv._Engine).items()
+                 if getattr(f, "__name__", None) == "memoised"]
+    assert {"value", "semistable", "epsilon", "dt_motivic",
+            "sd_dt_motivic"} <= set(per_class)
 
     def forbidden(*_args):
-        raise AssertionError("component integral computed from the motives")
+        raise AssertionError("the source engine computed a per-class value")
 
     with monkeypatch.context() as m:
-        m.setattr(inv, "stack_class", forbidden)
-        m.setattr(inv, "sd_stack_class", forbidden)
+        for name in per_class:
+            if name != "value":
+                m.setattr(source, name, forbidden)
         crossed = wallcross_epsilon(table, pair)
     assert crossed == epsilon_table(q, pair.minus, 4)
 
@@ -545,7 +557,7 @@ def test_dt_level_specialization():
     q = calibrated_kron()
     pair = _pair(q, {"i": 1, "j": -1}, {"i": -1, "j": 1})
     crossed = wallcross_epsilon(epsilon_table(q, pair.plus, 3), pair)
-    pre = q_minus_qinv()
+    pre = Q_MINUS_QINV
     for a, eps in crossed.eps.items():
         want = inv.dt_num(q, pair.minus, a, bound=3)
         assert (pre * eps).eval_at(-1) == want

@@ -1,4 +1,7 @@
-"""Twisted algebra of the dimension lattice and its self-dual module.
+"""Twisted algebra of the dimension lattice and its self-dual module: the
+reference algebra the tests check the engine against (Young, The Hall
+module of an exact category with duality, 2016).  It imports only
+quiver_dt.quiver and quiver_dt.ratfunc.
 
 Linear elements are finite sums of class generators with rational-function
 coefficients; the product of two generators is the generator of the sum
@@ -21,10 +24,14 @@ import math
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence
 
-from .quiver import DimVector, SelfDualQuiver, vadd, vtotal
-from .ratfunc import RatFunc, inv_q_minus_qinv, q_minus_qinv
+from quiver_dt.quiver import DimVector, SelfDualQuiver, vadd, vtotal
+from quiver_dt.ratfunc import RatFunc
 
 Coeffs = Dict[DimVector, RatFunc]
+
+# The scalars q - 1/q and 1/(q - 1/q).
+Q_MINUS_QINV = RatFunc(1).times_q_minus_qinv()
+INV_Q_MINUS_QINV = Q_MINUS_QINV.reciprocal()
 
 
 def _merge_bound(b1: Optional[int], b2: Optional[int]) -> Optional[int]:
@@ -97,7 +104,6 @@ class TorusElem:
     def star(self, other: "TorusElem") -> "TorusElem":
         q = self.quiver
         bound = _merge_bound(self.bound, other.bound)
-        inv = inv_q_minus_qinv()
         out: Coeffs = {}
         for a, ca in self.coeffs.items():
             ta = vtotal(a)
@@ -105,7 +111,7 @@ class TorusElem:
                 if bound is not None and ta + vtotal(b) > bound:
                     continue
                 tw = q.commutation_exponent(a, b)
-                term = (ca * cb).shifted(tw) * inv
+                term = (ca * cb).shifted(tw) * INV_Q_MINUS_QINV
                 key = vadd(a, b)
                 out[key] = out.get(key, RatFunc(0)) + term
         return TorusElem(q, out, bound)
@@ -113,7 +119,6 @@ class TorusElem:
     def diamond(self, mod: "TorusModElem") -> "TorusModElem":
         q = self.quiver
         bound = _merge_bound(self.bound, mod.bound)
-        inv = inv_q_minus_qinv()
         out: Coeffs = {}
         for a, ca in self.coeffs.items():
             for t, ct in mod.coeffs.items():
@@ -122,7 +127,7 @@ class TorusElem:
                     continue
                 tw = q.sd_twist_exponent(a, t)
                 assert isinstance(tw, int), "twist exponent not integral"
-                term = (ca * ct).shifted(tw) * inv
+                term = (ca * ct).shifted(tw) * INV_Q_MINUS_QINV
                 out[key] = out.get(key, RatFunc(0)) + term
         return TorusModElem(q, out, bound)
 
@@ -176,7 +181,7 @@ def integrated_unit(quiver: SelfDualQuiver,
                     bound: Optional[int] = None) -> TorusElem:
     """Unit of the algebra carried by the zero class."""
     zero = tuple(0 for _ in quiver.vertices)
-    return TorusElem(quiver, {zero: q_minus_qinv()}, bound)
+    return TorusElem(quiver, {zero: Q_MINUS_QINV}, bound)
 
 
 def module_unit(quiver: SelfDualQuiver,
