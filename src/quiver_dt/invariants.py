@@ -14,15 +14,18 @@ is an integer product through q^2-binomials (Reineke, The Harder-Narasimhan
 system in quantum groups and cohomology of quiver moduli, 2003).  The entry
 at p reads s only through the classes c <= p of slope above s, so slope
 values that agree on them share it: each engine computes it once per such
-region (_Engine._dom_table).  The star powers of a slope's semistable
-element are integer numerators over M in the same way, listed up to the
-last one that can be nonzero.  A power series in them, such as the
-star-logarithm that gives the epsilon integrals or the inverse square root
-at slope 0, is one integer numerator over one integer, the lcm of its
-coefficients' denominators (_series), divided by M only at the end, as a
-RatFunc.  Where a class has no decomposition into two
-or more nonzero classes of its slope value, the star-log is its first term,
-so the epsilon integral is the semistable integral, the same RatFunc.
+region (_Engine._dom_table).  A power series in a slope's semistable
+element, such as the star-logarithm that gives the epsilon integrals or the
+inverse square root at slope 0, is at each class one integer numerator
+over one integer, divided by M only at the end, as a RatFunc.  Where every
+pair of classes of the class's slope value that sums to at most it has
+twist 0, these classes commute, and the series solves a first-order
+recurrence through the degree derivation: one convolution per class
+(_miller).  Elsewhere it is summed from the star powers of the element,
+integer numerators over M in the same way, listed up to the last one that
+can be nonzero, with its coefficients over their lcm (_star_powers,
+_series).  Where no class below contributes to the star-log, the epsilon
+integral is the semistable integral, the same RatFunc.
 
 On the self-dual side, semistable integrals are the slope-0 entries acting
 on the module stack classes, and epsilon integrals are the inverse square
@@ -38,14 +41,14 @@ the epsilon integral's canonical form without a gcd
 (RatFunc.times_q_minus_qinv).  Numerical invariants evaluate the motivic
 ones at q = -1; pole orders and values are read off the integer form of a
 RatFunc, and a table renders as JSON through json_text, which has each
-RatFunc write itself (RatFunc.to_json).
+RatFunc write itself (RatFunc.to_json), once per object.
 
 At a self-dual slope, duality maps the semistable objects of class a and
 value s to those of class a^v and value -s and reverses the Hall product
-(Young 2016, above), and M(a^v) = M(a).  So X, the star powers, epsilon,
-DTmot and the inverse square root's weights agree at a and a^v: the engine
-computes them once per pair, at _Engine._rep(a), and builds no recursion
-table at a negative value.
+(Young 2016, above), and M(a^v) = M(a).  So X, the series, the star
+powers, epsilon, DTmot and the inverse square root's weights agree at a
+and a^v: the engine computes them once per pair, at _Engine._rep(a), and
+builds no recursion table at a negative value.
 
 Slope values are integer pairs (n, d) in lowest terms, d > 0, never
 Fractions: an engine's weights are integers (_ray), so a class's value is
@@ -53,11 +56,11 @@ one integer sum and one gcd, equal values are equal pairs that key one
 recursion table, and regions, star powers and the mirror compare values by
 cross-multiplying.  Slope.value is the same rule in Fraction arithmetic.
 
-Wall-crossing, which shares the integer kernels _chain_sum, _star_powers
-and _sd_action, factors a stack element on the engine _seeded_engine picks:
-the cached engine where the element's numerators are its own q^e(a) and
-q^e_sd(theta), else a seeded engine that reads them in their place and
-computes both halves.
+Wall-crossing, which shares the integer kernels _chain_sum, _miller,
+_star_powers and _sd_action, factors a stack element on the engine
+_seeded_engine picks: the cached engine where the element's numerators are
+its own q^e(a) and q^e_sd(theta), else a seeded engine that reads them in
+their place and computes both halves.
 
 Engines are cached on their quiver, keyed by weight ray (_engine) and
 emptied when the calibration changes (SelfDualQuiver.set_calibration), so
@@ -172,6 +175,57 @@ def _star_powers(quiver: SelfDualQuiver, g: DimVector,
                     terms.append([])
                 terms[n].append((tw, [pn] + rest))
     return [x(g)] + [laurent_sum(t) for t in terms]
+
+
+# _miller's weights for the star-log and the inverse square root.
+_LOG = (2, -2, 0)
+_ROOT = (-1, -2, -1)
+
+
+def _miller(quiver: SelfDualQuiver, g: DimVector,
+            value: Callable[[DimVector], Value],
+            x: Callable[[DimVector], Laurent], dx: int,
+            z: Callable[[DimVector], Optional[Tuple[Laurent, int]]],
+            abc: Tuple[int, int, int]) -> Optional[Tuple[Laurent, int]]:
+    """(Z, k) with Z / k = sum_n c_n P_n(g) / dx^n, P_n the star powers of x
+    (_star_powers), for F(t) = sum_n c_n t^n solving (1 + beta t) F' =
+    alpha + gamma F, F(0) = 0, abc = (2 alpha, -2 beta, 2 gamma): (2, -2, 0)
+    is log(1 + t), (-1, -2, -1) is (1 + t)^(-1/2) - 1 and (2, 0, 2) is
+    exp(t) - 1; z(p) is the value at p.  None, before any arithmetic,
+    unless every pair of classes of g's value summing to at most g has
+    twist 0.  Then these classes commute, and the degree derivation D[p] =
+    |p| [p] turns D F(u) = F'(u) D u, u = sum_p x(p) / (dx M(p)) [p], into
+    J. C. P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7), one
+    convolution per class: 2 |g| Z(g) = a |g| u(g) + sum over the classes
+    0 < p < g of g's value of Z(p) u(g - p) prod_i [g_i, p_i] (b |p| + c
+    |g - p|).  Where no p contributes and a = 2, it returns (x(g), dx)."""
+    s = value(g)
+    pairs = [(p, vsub(g, p)) for p in boxed_vectors(g)[1:-1] if value(p) == s]
+    if any(quiver.commutation_exponent(p, r) for p, r in pairs):
+        return None
+    zs = [z(p) for p, _ in pairs]
+    if any(w is None for w in zs):
+        return None
+    a, b, c = abc
+    terms = []
+    for (p, r), (zp, kp) in zip(pairs, zs):
+        xr = x(r)
+        m = b * vtotal(p) + c * vtotal(r)
+        if zp.poly and xr.poly and m:
+            terms.append((kp, m, [zp, xr] + _binomials(g, p)))
+    xg = x(g)
+    if not terms and a == 2:
+        return xg, dx
+    n = vtotal(g)
+    k = math.lcm(*(kp for kp, _, _ in terms))
+    total = laurent_sum([(0, [Laurent({0: a * n * k}), xg])] + [
+        (0, [Laurent({0: m * (k // kp)})] + factors)
+        for kp, m, factors in terms])
+    den = 2 * n * dx * k
+    h = math.gcd(den, *total.poly.values())
+    if h > 1:
+        total = Laurent({e: v // h for e, v in total.poly.items()})
+    return total, den // h
 
 
 def _over_lcm(cs: List[Fraction]) -> Tuple[List[Laurent], int]:
@@ -398,16 +452,33 @@ class _Engine:
                             self._powers)
 
     @_per_pair
+    def _log(self, g: DimVector) -> Optional[Tuple[Laurent, int]]:
+        """The star-log at g by _miller, None where g's value's classes do
+        not commute."""
+        return _miller(self.quiver, g, self.value, self._semistable_num, 1,
+                       self._log, _LOG)
+
+    @_per_pair
+    def _root(self, g: DimVector) -> Optional[Tuple[Laurent, int]]:
+        """The inverse square root at g by _miller, as _log."""
+        return _miller(self.quiver, g, self.value, self._semistable_num, 1,
+                       self._root, _ROOT)
+
+    @_per_pair
     def epsilon(self, a: DimVector) -> RatFunc:
         """The epsilon integral of a, E(a) / (L M(a)) with E / L = sum_n
-        (-1)^(n-1) P_n / n, the star-log at a (see _series): the semistable
-        integral itself where it has one term (E / L = X).  Zero at 0."""
+        (-1)^(n-1) P_n / n, the star-log at a: by _miller where a's value's
+        classes commute, else by _series.  The semistable integral itself
+        where E / L is X as it is.  Zero at 0."""
         if not any(a):
             return over_gl_denominator({}, a)
-        powers = self._powers(a)
-        if len(powers) == 1:
+        z = self._log(a)
+        if z is None:
+            powers = self._powers(a)
+            z = _series(powers, _log_coeffs(len(powers)))
+        e, lcm = z
+        if e is self._semistable_num(a) and lcm == 1:
             return self.semistable(a)
-        e, lcm = _series(powers, _log_coeffs(len(powers)))
         return over_gl_denominator(e.poly, a, Fraction(1, lcm))
 
     @_per_pair
@@ -420,12 +491,16 @@ class _Engine:
     def _root_weight(self, g: DimVector) -> Weight:
         """(W(g), k) with (1 + x)^(-1/2) = [0] + sum_g (q - 1/q) W(g) / (k
         M(g)) [g] for the semistable element x at slope 0, g nonzero, None
-        off slope 0: W(g) / k = sum_n binom(-1/2, n) P_n(g) (see _series),
-        where binom(-1/2, n) = (-1)^n C(2n, n) / 4^n."""
+        off slope 0: W(g) / k = sum_n binom(-1/2, n) P_n(g), where
+        binom(-1/2, n) = (-1)^n C(2n, n) / 4^n, by _miller where g's value's
+        classes commute, else by _series."""
         if self.value(g)[0]:
             return None
-        powers = self._powers(g)
-        return _series(powers, _root_coeffs(len(powers)))
+        w = self._root(g)
+        if w is None:
+            powers = self._powers(g)
+            w = _series(powers, _root_coeffs(len(powers)))
+        return w
 
     # -- self-dual side -----------------------------------------------------
 
@@ -671,11 +746,13 @@ def json_text(obj) -> str:
     written as its to_data(); TypeError on anything else.  The standard
     encoder runs in pure Python whenever it indents; this writer joins the
     strings of each container in one step, and a RatFunc writes itself in
-    one step (RatFunc.to_json), with no data built for it."""
-    return _json_text(obj, "\n")
+    one step (RatFunc.to_json), with no data built for it, once per object
+    and indent in a call: the rows of a and a^v at a self-dual slope hold
+    the same objects, and J is eps where the star-log is X as it is."""
+    return _json_text(obj, "\n", {})
 
 
-def _json_text(obj, nl: str) -> str:
+def _json_text(obj, nl: str, memo: Dict[Tuple[int, str], str]) -> str:
     # The exact types of table output are tried first; subclasses, bool and
     # None take the isinstance tests after them.
     t = type(obj)
@@ -684,7 +761,12 @@ def _json_text(obj, nl: str) -> str:
     if t is int:
         return int.__repr__(obj)
     if t is RatFunc:
-        return obj.to_json(nl)
+        # obj lives until the call ends, so its id names it until then.
+        key = id(obj), nl
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = obj.to_json(nl)
+        return out
     if t is list or isinstance(obj, list):
         if not obj:
             return "[]"
@@ -692,7 +774,7 @@ def _json_text(obj, nl: str) -> str:
         # The item strings go once joined, before the brackets are added.
         return ("[" + inner + ("," + inner).join(
             map(int.__repr__, obj) if all(type(v) is int for v in obj)
-            else [_json_text(v, inner) for v in obj]) + nl + "]")
+            else [_json_text(v, inner, memo) for v in obj]) + nl + "]")
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -702,7 +784,7 @@ def _json_text(obj, nl: str) -> str:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object key {key!r} is not a str")
             parts.append(encode_basestring_ascii(key) + ": "
-                         + _json_text(obj[key], inner))
+                         + _json_text(obj[key], inner, memo))
         return "{" + inner + ("," + inner).join(parts) + nl + "}"
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)

@@ -4,16 +4,19 @@ Tables of epsilon integrals cross from one slope function to another by
 re-factorisation in the twisted algebra (see wallcross_epsilon), carried
 out on integer Laurent numerators over the motive denominators with the
 invariants module's integer kernels, so that the only rational functions
-built are the source values read and the target values returned.  Slope
-values come from the source slope's engine (filled by epsilon_table) as
-integer pairs, source values only from the table.  The stack element is
-factored at the target slope on the engine invariants._seeded_engine
-picks: the cached one where its numerators are the quiver's own, as for
-every table epsilon_table makes.  Both functions read their table off an
-engine the one way, _tabulate.  The same transform has a combinatorial
-form, a sum over ordered decompositions of each class weighted by rational
-coefficients; those coefficients are test code (tests/reference.py), and
-the tests check the re-factorisation against them.
+built are the source values read and the target values returned.  The
+exponential of a slope's epsilon element is Miller's recurrence where the
+slope value's classes commute, as on every two-vertex and every symmetric
+quiver (_exp_weights).  Slope values come from the source slope's engine
+(filled by epsilon_table) as integer pairs, source values only from the
+table.  The stack element is factored at the target slope on the engine
+invariants._seeded_engine picks: the cached one where its numerators are
+the quiver's own, as for every table epsilon_table makes.  Both functions
+read their table off an engine the one way, _tabulate.  The same transform
+has a combinatorial form, a sum over ordered decompositions of each class
+weighted by rational coefficients; those coefficients are test code
+(tests/reference.py), and the tests check the re-factorisation against
+them.
 
 Duality maps the epsilon element of value s to that of value -s and
 reverses the product (M. B. Young, The Hall module of an exact category
@@ -31,8 +34,8 @@ from functools import cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .invariants import (_ZERO, Value, Weight, _chain_sum, _dual_symmetric,
-                         _engine, _Engine, _over_lcm, _ray_of, _sd_action,
-                         _seeded_engine, _series, _star_powers)
+                         _engine, _Engine, _miller, _over_lcm, _ray_of,
+                         _sd_action, _seeded_engine, _series, _star_powers)
 from .motives import gl_poly, sd_gl_poly
 from .quiver import (DimVector, SelfDualQuiver, Slope, ValidationError,
                      graded_lex_key)
@@ -124,20 +127,34 @@ def _divided(num: Laurent, d: int, what: str, at: DimVector) -> Laurent:
     return Laurent(out)
 
 
+# The weights of invariants._miller for exp(t) - 1.
+_EXP = (2, 0, 2)
+
+
 def _exp_weights(q: SelfDualQuiver, value: Callable[[DimVector], Value],
                  y: Dict[DimVector, Laurent], d: int):
     """weight(g, c) = (W, k) with exp(e / c)_g = (q - 1/q) W / (k M(g)), for
     the epsilon element e = sum_a (q - 1/q) y[a] / (d M(a)) [a] of one
-    slope: with the star powers P_n of y (invariants._star_powers),
-    W / k = sum_n P_n(g) / (n! (c d)^n) (see invariants._series), for g not
-    zero."""
+    slope and g not zero: W / k = sum_n P_n(g) / (n! (c d)^n), P_n the star
+    powers of y, by invariants._miller where g's value's classes commute,
+    else by invariants._series."""
+    def x(a: DimVector) -> Laurent:
+        return y.get(a, _ZERO)
+
     @cache
     def powers(g: DimVector) -> List[Laurent]:
-        return _star_powers(q, g, value, lambda a: y.get(a, _ZERO), powers)
+        return _star_powers(q, g, value, x, powers)
+
+    @cache
+    def miller(g: DimVector, cd: int) -> Optional[Tuple[Laurent, int]]:
+        return _miller(q, g, value, x, cd, lambda p: miller(p, cd), _EXP)
 
     def weight(g: DimVector, c: int = 1) -> Tuple[Laurent, int]:
-        pg = powers(g)
-        return _series(pg, _exp_coeffs(len(pg), c * d))
+        w = miller(g, c * d)
+        if w is None:
+            pg = powers(g)
+            w = _series(pg, _exp_coeffs(len(pg), c * d))
+        return w
     return weight
 
 
@@ -162,13 +179,15 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
 
     All of it runs on integer Laurent numerators over M(a) and M_sd(theta)
     (see invariants): a slope's epsilon values become numerators over one
-    integer, the exponential of its element is a sum of their star powers,
-    divided by one integer per class to give the slope's semistable
-    numerators X_s; the slopes' factors multiply by _chain_sum and act on
-    the self-dual side by _sd_action, their unit terms left implicit, so a
-    class that no nonzero step of a factor reaches keeps its entry.  A
-    source table whose slope factors or self-dual numerators do not lie in
-    Z[q, 1/q] is refused with ValueError.
+    integer, the exponential of its element is found by Miller's recurrence
+    where the slope's classes commute and as a sum of their star powers
+    elsewhere (_exp_weights), divided by one integer per class to give the
+    slope's semistable numerators X_s; the slopes' factors multiply by
+    _chain_sum and act on the self-dual side by _sd_action, their unit
+    terms left implicit, so a class that no nonzero step of a factor
+    reaches keeps its entry.  A source table whose slope factors or
+    self-dual numerators do not lie in Z[q, 1/q] is refused with
+    ValueError.
 
     At a self-dual source slope and with a dual-symmetric table, the
     factors of values s < 0 are those of -s read at the dual classes (see

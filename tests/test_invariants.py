@@ -571,8 +571,9 @@ def test_semistable_recursion_makes_no_ratfunc_arithmetic(monkeypatch):
         eng.sd_semistable(th)
         eng.sd_dt_motivic(th)
     inv.sd_epsilon_element(q, s, 6)
-    assert eng._dom and eng._memo["_powers"] and not calls
+    assert eng._dom and eng._memo["_log"] and not calls
     assert eng._memo["_sd_semistable_num"] and eng._memo["_root_weight"]
+    assert eng._memo["_root"]
 
 
 def assert_star_log_matches_torus(q, slope, bound):
@@ -669,7 +670,7 @@ def test_seeded_engine_refuses_a_class_beyond_its_bound():
 
 # -- duality mirror -------------------------------------------------------------
 
-MIRRORED = ("_semistable_num", "semistable", "_powers", "epsilon",
+MIRRORED = ("_semistable_num", "semistable", "_log", "epsilon",
             "dt_motivic")
 
 
@@ -720,6 +721,9 @@ def test_self_dual_engine_computes_one_class_per_duality_pair(weights, bound):
     eng = inv._engine(q, s)
     assert_holds_one_class_per_pair(eng, MIRRORED, 9)
     assert_holds_one_class_per_pair(eng, ("_root_weight",), 4)
+    if not weights:
+        # The Kronecker classes of value 0 do not commute.
+        assert_holds_one_class_per_pair(eng, ("_powers", "_root"), 4)
 
 
 def assert_holds_both_halves(eng, names):
@@ -749,7 +753,7 @@ def seeded_by_the_transform(q, bound):
     return args, eng
 
 
-SEEDED = ("_semistable_num", "_powers", "epsilon", "_root_weight")
+SEEDED = ("_semistable_num", "_log", "epsilon", "_root_weight")
 
 
 def test_seeded_engine_mirrors_the_numerators_of_a_genuine_table():
@@ -788,7 +792,7 @@ def test_non_self_dual_and_seeded_engines_compute_both_halves():
         eng.epsilon(a)
     for th in q.sd_classes_up_to(bound):
         eng.sd_dt_motivic(th)
-    assert_holds_both_halves(eng, ("_semistable_num", "_powers", "epsilon"))
+    assert_holds_both_halves(eng, ("_semistable_num", "_log", "epsilon"))
 
 
 def test_exp_log_inversion_roundtrip():
@@ -995,12 +999,97 @@ def test_epsilon_is_the_semistable_value_where_the_star_log_has_one_term():
             want = over_gl_denominator(e.poly, a, Fraction(1, lcm))
             got = eng.epsilon(a)
             assert got == want, (q.vertices, s.weights, a)
-            assert (got is eng.semistable(a)) == (len(trimmed) == 1)
-            one_term += len(trimmed) == 1
+            # Where a's value's classes commute, the star-log is _miller's,
+            # which has one term where no p has Z(p) and X(a - p) nonzero.
+            one = len(trimmed) == 1
+            if eng._log(a) is not None:
+                one = not any(eng.value(p) == eng.value(a)
+                              and eng._log(p)[0].poly
+                              and eng._semistable_num(vsub(a, p)).poly
+                              for p in boxed_vectors(a) if any(p) and p != a)
+            assert (got is eng.semistable(a)) == one
+            one_term += one
         assert eng.epsilon(eng.zero) == 0
         count += 1
     assert count == 14 + 70
     assert one_term > 0
+
+
+def classes_commute(q, slope, a):
+    """Whether every pair of classes of a's slope value (the Fraction rule)
+    that sums to at most a has twist 0."""
+    same = [p for p in boxed_vectors(a)
+            if any(p) and slope.value(p) == slope.value(a)]
+    return all(q.commutation_exponent(p, r) == 0 for p in same for r in same
+               if vleq(vadd(p, r), a))
+
+
+def test_miller_sums_only_where_the_classes_commute(monkeypatch):
+    """On the PF-shaped mixed quiver, which has a commutation form, _miller
+    refuses exactly the classes whose value's classes do not commute, and
+    every sum it makes itself is at a class whose classes commute: the
+    others take the star powers and _series alone.  Sums inside the
+    semistable recursion and the star powers are not _miller's.  A class is
+    read at the slope of the engine whose values _miller is handed."""
+    q = calibrated_mixed()
+    at, sums, took, refused = [], [], set(), set()
+
+    def spied(name, fn, record):
+        def call(quiver, g, *args):
+            at_g = (g, args[0].__self__.slope) if record else None
+            at.append(at_g)
+            try:
+                out = fn(quiver, g, *args)
+            finally:
+                at.pop()
+            if record:
+                (refused if out is None else took).add(at_g)
+            return out
+        for module in (inv, wc):
+            monkeypatch.setattr(module, name, call)
+    spied("_miller", inv._miller, True)
+    spied("_chain_sum", inv._chain_sum, False)
+    spied("_star_powers", inv._star_powers, False)
+
+    def summed(terms, sign=1):
+        if at and at[-1] is not None:
+            sums.append(at[-1])
+        return laurent_sum(terms, sign)
+    monkeypatch.setattr(inv, "laurent_sum", summed)
+    target = Slope.from_dict(q, {"i": -1, "k": 1})
+    for weights in ({"i": 2, "j": 1, "k": -1}, {}):
+        slope = Slope.from_dict(q, weights)
+        inv.build_table(q, slope, 5)
+        if slope.is_self_dual(q):
+            wallcross_epsilon(epsilon_table(q, slope, 4),
+                              SlopePair(q, slope, target))
+        assert sums and took and refused, weights
+        assert all(classes_commute(q, s, g) for g, s in took), weights
+        assert not any(classes_commute(q, s, g) for g, s in refused)
+        assert set(sums) <= took, weights
+        inv.clear_cache()
+        for group in (sums, took, refused):
+            group.clear()
+
+
+def test_no_star_power_is_built_on_kronecker_pm_plus(monkeypatch):
+    """The classes of one value of a two-vertex quiver lie on a ray, so
+    they commute: the table at i=1,j=-1 to bound 9 and a crossing from it
+    at bound 5 build no star power."""
+    q = kronecker_pm_plus()
+    calls = []
+
+    def refused(*args):
+        calls.append(args[1])
+        return inv._star_powers(*args)
+    for module in (inv, wc):
+        monkeypatch.setattr(module, "_star_powers", refused)
+    slope = hn_slope(q)
+    inv.build_table(q, slope, 9)
+    wallcross_epsilon(epsilon_table(q, slope, 5),
+                      SlopePair(q, slope, Slope.from_dict(q, {"i": -1,
+                                                              "j": 1})))
+    assert not calls
 
 
 def test_table_all_regular_makes_no_ratfunc_multiplication(monkeypatch):

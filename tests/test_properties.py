@@ -4,8 +4,9 @@ tests/reference.py, for wall-crossing against the tables computed directly,
 and for regularity and the exp/log and square-root inversions against the
 paper's identities in the torus algebra, for the shared recursion entries
 against the full-region recursion, and for the calibration check against
-its loop form in tests/test_oracle.py, for integer BPS invariants, and for
-the answers of the one engine that slopes on a ray share."""
+its loop form in tests/test_oracle.py, for integer BPS invariants, for
+the answers of the one engine that slopes on a ray share, and for the
+series by Miller's recurrence against the series of star powers."""
 
 from fractions import Fraction
 from math import factorial, gcd
@@ -15,7 +16,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import (assert_mirror_changes_nothing, crossed_without_mirror,
+from helpers import (assert_mirror_changes_nothing, calibrated_mixed,
+                     calibrated_two_pairs, crossed_without_mirror,
                      epsilon_elem, reversed_pair, sd_epsilon_elem,
                      sd_semistable_element, semistable_element)
 from reference import (bps_invariants, direct_epsilon_integral,
@@ -23,11 +25,13 @@ from reference import (bps_invariants, direct_epsilon_integral,
                        direct_sd_semistable_integral,
                        direct_semistable_integral)
 from suite import _rand_quiver
-from test_invariants import (assert_engine_matches_full_region,
-                             is_integer_laurent)
+from test_invariants import (COMMUTATION_CASES,
+                             assert_engine_matches_full_region,
+                             classes_commute, is_integer_laurent)
 from test_oracle import flipped, loop_verify_calibration, outcome
 from torus import integrated_unit, series_diamond, star_exp
-from quiver_dt import invariants as inv
+from quiver_dt import invariants as inv, wallcross as wc
+from quiver_dt.motives import gl_poly, over_gl_denominator
 from quiver_dt.oracle import calibrate_signs, verify_calibration
 from quiver_dt.quiver import SelfDualQuiver, Slope
 from quiver_dt.wallcross import (SlopePair, diff_tables, epsilon_table,
@@ -392,3 +396,100 @@ def test_bps_invariants_are_integer_where_the_torus_commutes(case):
         omega = bps_invariants(quiver, {a: inv.dt_mot(quiver, slope, a)
                                         for a in group})
         assert all(map(is_integer_laurent, omega.values())), group
+
+
+def as_fractions(w):
+    """A numerator over an integer, (W, k), as its coefficients W / k."""
+    num, k = w
+    return {e: Fraction(c, k) for e, c in num.poly.items()}
+
+
+def assert_miller_matches_the_star_powers(q, slope, bound):
+    """Where _miller takes a class, which is exactly where its value's
+    classes commute, its star-log, inverse square root and exp weights
+    equal _series of the star powers; epsilon is the star-log over M either
+    way.  The number of classes _miller took and refused."""
+    eng = inv._engine(q, slope)
+    classes = q.dim_vectors_up_to(bound)
+    took = refused = 0
+    for a in classes:
+        powers = eng._powers(a)
+        for name, coeffs in (("_log", inv._log_coeffs),
+                             ("_root", inv._root_coeffs)):
+            if name == "_root" and eng.value(a)[0]:
+                continue
+            got = getattr(eng, name)(a)
+            assert (got is not None) == classes_commute(q, slope, a), a
+            if got is not None:
+                want = inv._series(powers, coeffs(len(powers)))
+                assert as_fractions(got) == as_fractions(want), (name, a)
+        e, k = inv._series(powers, inv._log_coeffs(len(powers)))
+        assert eng.epsilon(a) == over_gl_denominator(e.poly, a,
+                                                     Fraction(1, k)), a
+        took += eng._log(a) is not None
+        refused += eng._log(a) is None
+    by_value = {}
+    for a in classes:
+        by_value.setdefault(eng.value(a), {})[a] = eng.epsilon(a)
+    for eps in by_value.values():
+        y, d = wc._numerators(eps, gl_poly, "M(a) eps(a)")
+        weight = wc._exp_weights(q, eng.value, y, d)
+        memo = {}
+
+        def powers(g):
+            if g not in memo:
+                memo[g] = inv._star_powers(q, g, eng.value,
+                                           lambda a: y.get(a, inv._ZERO),
+                                           powers)
+            return memo[g]
+        for g in eps:
+            for c in (1, 2):
+                want = inv._series(powers(g),
+                                   wc._exp_coeffs(len(powers(g)), c * d))
+                assert as_fractions(weight(g, c)) == as_fractions(want), g
+    return took, refused
+
+
+# Vertex shapes whose classes of one slope value commute: all fixed
+# vertices (no commutation form), or two vertices at a nonzero slope (the
+# classes of one value lie on a ray).
+COMMUTING_SHAPES = [("F",), ("F", "F"), ("F", "F", "F"), ("P",)]
+
+
+@st.composite
+def miller_case(draw):
+    """A calibrated quiver of a commuting shape, or PF-shaped with a
+    commutation form; a self-dual slope with nonzero weights at the pairs,
+    or off the commuting shapes the trivial slope; and a bound from 2 to
+    5."""
+    shapes = draw(st.sampled_from(COMMUTING_SHAPES + [("P", "F")]))
+    quiver = draw(st.randoms(use_true_random=False).map(
+        lambda rng: _rand_quiver(rng, shapes)).filter(
+            lambda q: shapes in COMMUTING_SHAPES or _has_commutation_form(q)))
+    calibrate_signs(quiver)
+    weights = [0] * len(quiver.vertices)
+    if shapes in COMMUTING_SHAPES or draw(st.booleans()):
+        for i, j in quiver.vertex_pairs:
+            weights[i] = draw(st.sampled_from(PAIR_WEIGHTS))
+            weights[j] = -weights[i]
+    return quiver, Slope(tuple(weights)), shapes, draw(st.integers(2, 5))
+
+
+@BUDGET
+@given(miller_case())
+def test_miller_matches_the_star_powers(case):
+    quiver, slope, shapes, bound = case
+    _, refused = assert_miller_matches_the_star_powers(quiver, slope, bound)
+    if shapes in COMMUTING_SHAPES:
+        assert not refused
+
+
+@pytest.mark.parametrize("make, weights", COMMUTATION_CASES + [
+    (calibrated_mixed, {}), (calibrated_mixed, {"i": 2, "j": 1, "k": -1}),
+    (calibrated_two_pairs, {})])
+def test_miller_matches_the_star_powers_with_a_commutation_form(make,
+                                                                 weights):
+    q = make()
+    took, _ = assert_miller_matches_the_star_powers(
+        q, Slope.from_dict(q, weights), 4)
+    assert took

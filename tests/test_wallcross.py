@@ -372,8 +372,9 @@ def test_transform_work_on_kronecker_pm_plus(monkeypatch):
     """The number of integer sums one crossing makes at bound 5 (283 when
     every slope factor was built and multiplied in with its unit term, 112
     while the seeded engine computed each recursion entry once per slope
-    value and summed the zero class's unit term alone), and no sum in the
-    stack product of a class's own entry alone."""
+    value and summed the zero class's unit term alone, 94 while each
+    exponential summed its star powers, one sum per power), and no sum in
+    the stack product of a class's own entry alone."""
     q = load_quiver(str(FIXTURES / "kronecker_pm_plus.json"))
     pair = _pair(q, {"i": 1, "j": -1}, {"i": -1, "j": 1})
     table = epsilon_table(q, pair.plus, 5)
@@ -398,7 +399,7 @@ def test_transform_work_on_kronecker_pm_plus(monkeypatch):
         m.setattr(inv, "laurent_sum", counted)
         m.setattr(wc, "_chain_sum", product)
         crossed = wallcross_epsilon(table, pair)
-    assert len(sums) == 94
+    assert len(sums) == 73
     assert crossed == epsilon_table(q, pair.minus, 5)
 
 
@@ -512,8 +513,8 @@ def test_perturbed_self_dual_values_cross_on_a_seeded_engine(monkeypatch):
 
 def test_seeded_engine_computes_both_halves(monkeypatch):
     """A perturbed dual-symmetric table crosses to a self-dual slope on a
-    seeded engine, which holds X, the star powers and epsilon at a and at
-    a^v for every class: only a cached engine mirrors."""
+    seeded engine, which holds X, the star-log by _miller and epsilon at a
+    and at a^v for every class: only a cached engine mirrors."""
     q = calibrated_kron()
     pair = _pair(q, {"i": 1, "j": -1}, {"i": -1, "j": 1})
     seeded = spy_on_seeded(monkeypatch)
@@ -521,7 +522,7 @@ def test_seeded_engine_computes_both_halves(monkeypatch):
                       pair)
     [eng] = seeded
     assert eng.seed_bound == 4 and eng.self_dual
-    for name in ("_semistable_num", "_powers", "epsilon"):
+    for name in ("_semistable_num", "_log", "epsilon"):
         memo = eng._memo[name]
         for a in q.dim_vectors_up_to(4):
             assert a in memo and q.dual_vector(a) in memo, (name, a)
