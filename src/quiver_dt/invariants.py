@@ -14,18 +14,25 @@ is an integer product through q^2-binomials (Reineke, The Harder-Narasimhan
 system in quantum groups and cohomology of quiver moduli, 2003).  The entry
 at p reads s only through the classes c <= p of slope above s, so slope
 values that agree on them share it: each engine computes it once per such
-region (_Engine._dom_table).  A power series in a slope's semistable
-element, such as the star-logarithm that gives the epsilon integrals or the
-inverse square root at slope 0, is at each class one integer numerator
-over one integer, divided by M only at the end, as a RatFunc.  Where every
+region (_Engine._dom_table).  The kernels that sum over the decompositions
+a = p + (a - p) of a class (_chain_sum, _star_powers, _miller) iterate one
+cached list per class, _box_steps(a), which holds each p with a - p and
+its binomials; the self-dual action iterates the decompositions theta = g
++ rho + g^v with their ratios, kept per quiver and class (_sd_steps).  A
+power series in a slope's semistable element, such as the star-logarithm
+that gives the epsilon integrals or the inverse square root at slope 0, is
+at each class one integer numerator over one integer, divided by M only at
+the end, as a RatFunc.  Where every
 pair of classes of the class's slope value that sums to at most it has
 twist 0, these classes commute, and the series solves a first-order
 recurrence through the degree derivation: one convolution per class
-(_miller).  Elsewhere it is summed from the star powers of the element,
-integer numerators over M in the same way, listed up to the last one that
-can be nonzero, with its coefficients over their lcm (_star_powers,
-_series).  Where no class below contributes to the star-log, the epsilon
-integral is the semistable integral, the same RatFunc.
+(_miller), which reads the classes' steps and the decision, made once
+per class, from _commuting_steps.  Elsewhere it is summed from the star
+powers of the element, integer numerators over M in the same way, listed
+up to the last one that can be nonzero, with its coefficients over their
+lcm (_star_powers, _series).  Where no class below contributes to the
+star-log, the epsilon integral is the semistable integral, the same
+RatFunc.
 
 On the self-dual side, semistable integrals are the slope-0 entries acting
 on the module stack classes, and epsilon integrals are the inverse square
@@ -56,18 +63,20 @@ one integer sum and one gcd, equal values are equal pairs that key one
 recursion table, and regions, star powers and the mirror compare values by
 cross-multiplying.  Slope.value is the same rule in Fraction arithmetic.
 
-Wall-crossing, which shares the integer kernels _chain_sum, _miller,
-_star_powers and _sd_action, factors a stack element on the engine
-_seeded_engine picks: the cached engine where the element's numerators are
-its own q^e(a) and q^e_sd(theta), else a seeded engine that reads them in
-their place and computes both halves.
+Wall-crossing, which shares the integer kernels _miller, _star_powers and
+_sd_action, factors a stack element on the engine _seeded_engine picks:
+the cached engine where the element's numerators are its own q^e(a) and
+q^e_sd(theta), else a seeded engine that reads them in their place and
+computes both halves.
 
 Engines are cached on their quiver, keyed by weight ray (_engine) and
 emptied when the calibration changes (SelfDualQuiver.set_calibration), so
 repeated queries share work, a new calibration never returns values
 computed under the old one, and the engines go when the quiver does.
 _engine alone checks a slope and calibrates the quiver before an engine is
-built.  Each engine memoises each class's finished scalars (_finish).
+built.  Each engine memoises each class's finished scalars (_finish), and
+the dt command reads a table's pole orders off them
+(finished_no_pole_report).
 """
 
 from __future__ import annotations
@@ -108,6 +117,22 @@ def _binomials(top: DimVector, p: DimVector) -> List[Laurent]:
     return [q2_binomial(n, k) for n, k in zip(top, p) if 0 < k < n]
 
 
+# A decomposition of a class into two classes, with the factors other than
+# 1 of the ratio of motive denominators it needs: (p, top - p, the
+# q^2-binomials [top_i, p_i] != 1) in _box_steps, (g, rho, the sd_ratio
+# factors) in _sd_steps.
+Step = Tuple[DimVector, DimVector, Tuple[Laurent, ...]]
+
+
+@lru_cache(maxsize=4096)
+def _box_steps(top: DimVector) -> Tuple[Step, ...]:
+    """(p, top - p, the binomials [top_i, p_i] != 1) for each class 0 < p <
+    top, in graded-lex order: a pure function of top, so every kernel and
+    every engine reads one list per class."""
+    return tuple((p, vsub(top, p), tuple(_binomials(top, p)))
+                 for p in boxed_vectors(top)[1:-1])
+
+
 def _chain_sum(quiver: SelfDualQuiver, tab: Dict[DimVector, Laurent],
                top: DimVector, x: Callable[[DimVector], Optional[Laurent]],
                sign: int = 1) -> Laurent:
@@ -115,26 +140,26 @@ def _chain_sum(quiver: SelfDualQuiver, tab: Dict[DimVector, Laurent],
     over the entries p <= top of tab, where d(p) = tab[p] / M(p), d(0) = 1,
     c(0) = 1 and c(v) = x(v) / M(v) for v nonzero, x(v) None where c is
     zero.  Each term 0 < p < top is tab[p] x(top - p) times the
-    q^2-binomials [top_i, p_i]: no denominator is left.  The zero class's
-    term is x(top), and tab is not asked at 0; the unit's term is tab[top]
-    itself, if tab has it, and x is not asked at 0.  Where one of these two
-    is the only term, it is returned as it is, negated for sign -1."""
+    q^2-binomials [top_i, p_i] (_box_steps): no denominator is left.  The
+    zero class's term is x(top), and tab is not asked at 0; the unit's term
+    is tab[top] itself, if tab has it, and x is not asked at 0.  Where one
+    of these two is the only term, it is returned as it is, negated for
+    sign -1."""
+    comm = quiver.commutation_exponent
     terms = []
-    for p in boxed_vectors(top)[1:-1]:
+    for p, step, bins in _box_steps(top):
         dp = tab.get(p)
         if dp is not None:
-            step = vsub(top, p)
             c = x(step)
             if c is not None:
-                terms.append((quiver.commutation_exponent(p, step),
-                              [dp, c] + _binomials(top, p)))
+                terms.append((comm(p, step), (dp, c, *bins)))
     if any(top):
         c = x(top)
         if c is not None:
-            terms.append((0, [c]))
+            terms.append((0, (c,)))
     own = tab.get(top)
     if own is not None:
-        terms.append((0, [own]))
+        terms.append((0, (own,)))
     if len(terms) == 1 and len(terms[0][1]) == 1:
         only = terms[0][1][0]
         return only if sign == 1 else Laurent(
@@ -161,19 +186,18 @@ def _star_powers(quiver: SelfDualQuiver, g: DimVector,
     n whose sum has a term, every later P_n being zero, so m <= |g|, and m =
     1 exactly when no class 0 < p < g of g's value has x(g - p) nonzero."""
     s = value(g)
+    comm = quiver.commutation_exponent
     terms: List[list] = []
-    for p in boxed_vectors(g):
-        if p == g or not any(p) or value(p) != s:
+    for p, step, bins in _box_steps(g):
+        if value(p) != s:
             continue
-        step = vsub(g, p)
         xs = x(step)
         if xs.poly:
-            rest = [xs] + _binomials(g, p)
-            tw = quiver.commutation_exponent(p, step)
+            tw = comm(p, step)
             for n, pn in enumerate(powers(p)):
                 if n == len(terms):
                     terms.append([])
-                terms[n].append((tw, [pn] + rest))
+                terms[n].append((tw, (pn, xs, *bins)))
     return [x(g)] + [laurent_sum(t) for t in terms]
 
 
@@ -182,8 +206,20 @@ _LOG = (2, -2, 0)
 _ROOT = (-1, -2, -1)
 
 
-def _miller(quiver: SelfDualQuiver, g: DimVector,
-            value: Callable[[DimVector], Value],
+def _commuting_steps(quiver: SelfDualQuiver, g: DimVector,
+                     value: Callable[[DimVector], Value]
+                     ) -> Optional[List[Step]]:
+    """The steps (p, g - p, binomials) of _box_steps(g) with p of g's value,
+    so g - p of it too; None where one of them has twist <p, g - p> != 0."""
+    s = value(g)
+    steps = [t for t in _box_steps(g) if value(t[0]) == s]
+    comm = quiver.commutation_exponent
+    if any(comm(p, r) for p, r, _ in steps):
+        return None
+    return steps
+
+
+def _miller(g: DimVector, steps: Optional[List[Step]],
             x: Callable[[DimVector], Laurent], dx: int,
             z: Callable[[DimVector], Optional[Tuple[Laurent, int]]],
             abc: Tuple[int, int, int]) -> Optional[Tuple[Laurent, int]]:
@@ -191,35 +227,34 @@ def _miller(quiver: SelfDualQuiver, g: DimVector,
     (_star_powers), for F(t) = sum_n c_n t^n solving (1 + beta t) F' =
     alpha + gamma F, F(0) = 0, abc = (2 alpha, -2 beta, 2 gamma): (2, -2, 0)
     is log(1 + t), (-1, -2, -1) is (1 + t)^(-1/2) - 1 and (2, 0, 2) is
-    exp(t) - 1; z(p) is the value at p.  None, before any arithmetic,
-    unless every pair of classes of g's value summing to at most g has
-    twist 0.  Then these classes commute, and the degree derivation D[p] =
+    exp(t) - 1; z(p) is the value at p and steps is _commuting_steps at g.
+    None, before any arithmetic, where steps is None or z(p) is None at a
+    step: unless every pair of classes of g's value summing to at most g
+    has twist 0.  Then these classes commute, and the degree derivation D[p] =
     |p| [p] turns D F(u) = F'(u) D u, u = sum_p x(p) / (dx M(p)) [p], into
     J. C. P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7), one
     convolution per class: 2 |g| Z(g) = a |g| u(g) + sum over the classes
     0 < p < g of g's value of Z(p) u(g - p) prod_i [g_i, p_i] (b |p| + c
     |g - p|).  Where no p contributes and a = 2, it returns (x(g), dx)."""
-    s = value(g)
-    pairs = [(p, vsub(g, p)) for p in boxed_vectors(g)[1:-1] if value(p) == s]
-    if any(quiver.commutation_exponent(p, r) for p, r in pairs):
+    if steps is None:
         return None
-    zs = [z(p) for p, _ in pairs]
-    if any(w is None for w in zs):
+    zs = [z(p) for p, _, _ in steps]
+    if None in zs:
         return None
     a, b, c = abc
     terms = []
-    for (p, r), (zp, kp) in zip(pairs, zs):
+    for (p, r, bins), (zp, kp) in zip(steps, zs):
         xr = x(r)
         m = b * vtotal(p) + c * vtotal(r)
         if zp.poly and xr.poly and m:
-            terms.append((kp, m, [zp, xr] + _binomials(g, p)))
+            terms.append((kp, m, (zp, xr, *bins)))
     xg = x(g)
     if not terms and a == 2:
         return xg, dx
     n = vtotal(g)
     k = math.lcm(*(kp for kp, _, _ in terms))
     total = laurent_sum([(0, [Laurent({0: a * n * k}), xg])] + [
-        (0, [Laurent({0: m * (k // kp)})] + factors)
+        (0, (Laurent({0: m * (k // kp)}), *factors))
         for kp, m, factors in terms])
     den = 2 * n * dx * k
     h = math.gcd(den, *total.poly.values())
@@ -260,6 +295,22 @@ def _series(powers: List[Laurent],
     return laurent_sum([(0, [m, pn]) for m, pn in zip(ms, powers)]), k
 
 
+def _sd_steps(quiver: SelfDualQuiver, th: DimVector) -> Tuple[Step, ...]:
+    """(g, rho, the factors of M_sd(th) / (M(g) M_sd(rho)) other than 1)
+    for each class g != 0 with rho = th - g - g^v >= 0, in graded-lex order
+    of g: the decompositions of th that _sd_action sums over, kept on the
+    quiver (SelfDualQuiver.sd_steps), as they read only its involution."""
+    steps = quiver.sd_steps.get(th)
+    if steps is None:
+        steps = []
+        for g in boxed_vectors(th)[1:]:
+            rho = vsub(th, vadd(g, quiver.dual_vector(g)))
+            if min(rho) >= 0:
+                steps.append((g, rho, tuple(sd_ratio(quiver, g, rho))))
+        steps = quiver.sd_steps[th] = tuple(steps)
+    return steps
+
+
 def _sd_action(quiver: SelfDualQuiver, th: DimVector,
                weight: Callable[[DimVector], Weight],
                module: Callable[[DimVector], Laurent]) -> Tuple[Laurent, int]:
@@ -268,30 +319,28 @@ def _sd_action(quiver: SelfDualQuiver, th: DimVector,
     weight(g) = (W(g), k_g) or None where x is zero, and m = sum_rho
     module(rho) / M_sd(rho) [rho].  Over th = g + rho + g^v, each term g
     nonzero is W(g) module(rho) q^tw(g, rho) k / k_g times the polynomial
-    M_sd(th) / (M(g) M_sd(rho)) (motives.sd_ratio), k the lcm of the k_g.
+    M_sd(th) / (M(g) M_sd(rho)) (motives.sd_ratio), k the lcm of the k_g,
+    over the cached decompositions of th (_sd_steps).
     rho is self-dual whenever th is, as g + g^v is and has even entries at
     fixed vertices.  The unit's term is module(th) k, and weight is not
     asked at 0; where it is the only term, (module(th), 1) is returned."""
     terms = []
-    for g in boxed_vectors(th)[1:]:
-        rho = vsub(th, vadd(g, quiver.dual_vector(g)))
-        if min(rho) < 0:
-            continue
+    for g, rho, ratio in _sd_steps(quiver, th):
         w = weight(g)
         if w is None or not w[0].poly:
             continue
         m = module(rho)
         if m.poly:
             terms.append((w[1], quiver.sd_twist_exponent(g, rho),
-                          [w[0], m] + sd_ratio(quiver, g, rho)))
+                          (w[0], m, *ratio)))
     own = module(th)
     if not terms:
         return own, 1
     if own.poly:
-        terms.append((1, 0, [own]))
+        terms.append((1, 0, (own,)))
     k = math.lcm(*(kg for kg, _, _ in terms))
     return laurent_sum([
-        (tw, factors if kg == k else factors + [Laurent({0: k // kg})])
+        (tw, factors if kg == k else (*factors, Laurent({0: k // kg})))
         for kg, tw, factors in terms]), k
 
 
@@ -305,18 +354,26 @@ def _dual_symmetric(quiver: SelfDualQuiver, values: dict) -> bool:
     return True
 
 
+# What a memo's get returns for a class it lacks: its values may be None.
+_MISSING = object()
+
+
 def _per_class(method, mirrored=False):
     """An engine method of one class, computed once per engine and class, or
     once per duality pair {a, a^v} if mirrored (see _Engine._rep)."""
     name = method.__name__
 
     def memoised(self, a):
-        if mirrored:
-            a = self._rep(a)
         memo = self._memo[name]
-        if a not in memo:
-            memo[a] = method(self, a)
-        return memo[a]
+        v = memo.get(a, _MISSING)
+        if v is _MISSING:
+            # A mirrored memo holds only the classes _rep maps to themselves.
+            if mirrored:
+                b = self._memo["_rep"].get(a) or self._rep(a)
+                if b != a:
+                    return memoised(self, b)
+            v = memo[a] = method(self, a)
+        return v
     memoised.__doc__ = method.__doc__
     return memoised
 
@@ -410,13 +467,14 @@ class _Engine:
             self._ids[s] = {self.zero: -1}
         if top not in tab:
             ids, regions, store = self._ids[s], self._regions, self._store
+            values = self._memo["value"]
             for p in boxed_vectors(top):
                 if p not in tab:
                     key = self._region_key(s, p, ids)
                     rid = regions.get(key)
                     if rid is None:
                         rid = regions[key] = len(regions)
-                        n, d = self.value(p)
+                        n, d = values.get(p) or self.value(p)
                         if n * s[1] > s[0] * d:
                             store[rid] = _chain_sum(self.quiver, tab, p,
                                                     self._numerator, -1)
@@ -427,7 +485,7 @@ class _Engine:
     def _region_key(self, s: Value, p: DimVector,
                     ids: Dict[DimVector, int]) -> tuple:
         """p, whether p lies in the region of s, and the ids at p - e_i."""
-        n, d = self.value(p)
+        n, d = self._memo["value"].get(p) or self.value(p)
         return (p, n * s[1] > s[0] * d, *[ids[b] for b in _below(p)])
 
     @_per_pair
@@ -452,16 +510,21 @@ class _Engine:
                             self._powers)
 
     @_per_pair
+    def _commuting(self, g: DimVector) -> Optional[List[Step]]:
+        """_commuting_steps at g, decided once for _log and _root."""
+        return _commuting_steps(self.quiver, g, self.value)
+
+    @_per_pair
     def _log(self, g: DimVector) -> Optional[Tuple[Laurent, int]]:
         """The star-log at g by _miller, None where g's value's classes do
         not commute."""
-        return _miller(self.quiver, g, self.value, self._semistable_num, 1,
+        return _miller(g, self._commuting(g), self._semistable_num, 1,
                        self._log, _LOG)
 
     @_per_pair
     def _root(self, g: DimVector) -> Optional[Tuple[Laurent, int]]:
         """The inverse square root at g by _miller, as _log."""
-        return _miller(self.quiver, g, self.value, self._semistable_num, 1,
+        return _miller(g, self._commuting(g), self._semistable_num, 1,
                        self._root, _ROOT)
 
     @_per_pair
@@ -909,19 +972,31 @@ def no_pole_report(table: InvariantTable) -> List[dict]:
     """Pole orders at q = 1 and q = -1 of each row's motivic invariant: (q -
     1/q) times the epsilon integral on the linear side, the epsilon integral
     itself on the self-dual side.  Both must be <= 0 everywhere."""
-    out = []
-    for side, rows in (("linear", table.rows), ("self-dual", table.sd_rows)):
-        for r in rows:
-            plus = r.dt_motivic.pole_order_at(1)
-            minus = r.dt_motivic.pole_order_at(-1)
-            out.append({
-                "side": side,
-                "class": r.dim_vector,
-                "order_at_1": plus,
-                "order_at_-1": minus,
-                "ok": plus <= 0 and minus <= 0,
-            })
-    return out
+    return _pole_report(table, [
+        (r.dt_motivic.pole_order_at(1), r.dt_motivic.pole_order_at(-1))
+        for r in table.rows + table.sd_rows])
+
+
+def finished_no_pole_report(quiver: SelfDualQuiver, slope: Slope,
+                            table: InvariantTable) -> List[dict]:
+    """no_pole_report of a table that build_table made on quiver at slope,
+    with each row's pole orders read off the engine's finished scalars
+    (_finish), which build_table has filled, not computed again."""
+    eng = _engine(quiver, slope)
+    return _pole_report(
+        table, [eng._finished(r.dim_vector)[:2] for r in table.rows]
+        + [eng._sd_finished(r.dim_vector)[:2] for r in table.sd_rows])
+
+
+def _pole_report(table: InvariantTable,
+                 orders: List[Tuple[int, int]]) -> List[dict]:
+    """The report rows of no_pole_report, given the pole orders at q = 1 and
+    q = -1 of each row, the linear rows first."""
+    sides = ["linear"] * len(table.rows) + ["self-dual"] * len(table.sd_rows)
+    return [{"side": side, "class": r.dim_vector, "order_at_1": plus,
+             "order_at_-1": minus, "ok": plus <= 0 and minus <= 0}
+            for side, r, (plus, minus) in zip(
+                sides, table.rows + table.sd_rows, orders)]
 
 
 def table_all_regular(table: InvariantTable) -> bool:

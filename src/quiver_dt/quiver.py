@@ -109,9 +109,11 @@ class SelfDualQuiver:
         # invariants._engine); held here so that they never outlive the
         # quiver, and emptied when the calibration changes.
         self.engine_cache: Dict[tuple, object] = {}
-        # The class lists by bound: the data they read never changes.
+        # The class lists by bound, and the self-dual decompositions of each
+        # class (invariants._sd_steps): the data they read never changes.
         self._classes: Dict[int, List[DimVector]] = {}
         self._sd_classes: Dict[int, List[DimVector]] = {}
+        self.sd_steps: Dict[DimVector, tuple] = {}
 
     # -- construction and validation ------------------------------------------
 

@@ -31,15 +31,17 @@ engine's self_dual flag.
 import math
 from fractions import Fraction
 from functools import cache
+from operator import sub
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .invariants import (_ZERO, Value, Weight, _chain_sum, _dual_symmetric,
-                         _engine, _Engine, _miller, _over_lcm, _ray_of,
-                         _sd_action, _seeded_engine, _series, _star_powers)
+from .invariants import (_ZERO, Value, Weight, _binomials, _commuting_steps,
+                         _dual_symmetric, _engine, _Engine, _miller,
+                         _over_lcm, _ray_of, _sd_action, _seeded_engine,
+                         _series, _star_powers)
 from .motives import gl_poly, sd_gl_poly
 from .quiver import (DimVector, SelfDualQuiver, Slope, ValidationError,
                      graded_lex_key)
-from .ratfunc import Laurent, RatFunc
+from .ratfunc import Laurent, RatFunc, laurent_sum
 
 
 class SlopePair:
@@ -137,7 +139,7 @@ def _exp_weights(q: SelfDualQuiver, value: Callable[[DimVector], Value],
     the epsilon element e = sum_a (q - 1/q) y[a] / (d M(a)) [a] of one
     slope and g not zero: W / k = sum_n P_n(g) / (n! (c d)^n), P_n the star
     powers of y, by invariants._miller where g's value's classes commute,
-    else by invariants._series."""
+    decided once per class for every c d, else by invariants._series."""
     def x(a: DimVector) -> Laurent:
         return y.get(a, _ZERO)
 
@@ -146,8 +148,12 @@ def _exp_weights(q: SelfDualQuiver, value: Callable[[DimVector], Value],
         return _star_powers(q, g, value, x, powers)
 
     @cache
+    def commuting(g: DimVector) -> Optional[list]:
+        return _commuting_steps(q, g, value)
+
+    @cache
     def miller(g: DimVector, cd: int) -> Optional[Tuple[Laurent, int]]:
-        return _miller(q, g, value, x, cd, lambda p: miller(p, cd), _EXP)
+        return _miller(g, commuting(g), x, cd, lambda p: miller(p, cd), _EXP)
 
     def weight(g: DimVector, c: int = 1) -> Tuple[Laurent, int]:
         w = miller(g, c * d)
@@ -156,6 +162,39 @@ def _exp_weights(q: SelfDualQuiver, value: Callable[[DimVector], Value],
             w = _series(pg, _exp_coeffs(len(pg), c * d))
         return w
     return weight
+
+
+def _times_factor(q: SelfDualQuiver, stack: Dict[DimVector, Laurent],
+                  a: DimVector, factor: List[Tuple[DimVector, Laurent]]
+                  ) -> Laurent:
+    """The numerator at a of the stack element S = sum_p stack[p] / M(p) [p]
+    times the factor 1 + sum_g x(g) / M(g) [g], given as the pairs (g,
+    x(g)) with x(g) nonzero: the sum of stack[a - g] x(g) [a; a - g]
+    q^<a - g, g> over the classes g <= a of the factor, where [a; p] =
+    prod_i [a_i, p_i] and stack[0] = 1, and of the unit's term stack[a].
+    This is _chain_sum's sum, walked over the factor's classes instead of
+    over the box of a.  Where no term is left it is zero, and where one
+    term alone has one factor, that factor is returned as it is."""
+    terms = []
+    for g, xg in factor:
+        p = tuple(map(sub, a, g))
+        if min(p) < 0:
+            continue
+        if any(p):
+            dp = stack.get(p)
+            if dp is not None and dp.poly:
+                terms.append((q.commutation_exponent(p, g),
+                              (dp, xg, *_binomials(a, p))))
+        else:
+            terms.append((0, (xg,)))
+    own = stack.get(a)
+    if own is not None and own.poly:
+        terms.append((0, (own,)))
+    if not terms:
+        return _ZERO
+    if len(terms) == 1 and len(terms[0][1]) == 1:
+        return terms[0][1][0]
+    return laurent_sum(terms)
 
 
 @cache
@@ -182,12 +221,14 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
     integer, the exponential of its element is found by Miller's recurrence
     where the slope's classes commute and as a sum of their star powers
     elsewhere (_exp_weights), divided by one integer per class to give the
-    slope's semistable numerators X_s; the slopes' factors multiply by
-    _chain_sum and act on the self-dual side by _sd_action, their unit
-    terms left implicit, so a class that no nonzero step of a factor
-    reaches keeps its entry.  A source table whose slope factors or
-    self-dual numerators do not lie in Z[q, 1/q] is refused with
-    ValueError.
+    slope's semistable numerators X_s; the running product is multiplied
+    by each slope's factor over that factor's nonzero classes g alone
+    (_times_factor: the entry at a - g, the binomials [a; a - g] and
+    q^<a - g, g> for each g <= a), and the factors act on the self-dual
+    side by _sd_action, their unit terms left implicit, so a class that no
+    nonzero step of a factor reaches keeps its entry.  A source table
+    whose slope factors or self-dual numerators do not lie in Z[q, 1/q] is
+    refused with ValueError.
 
     At a self-dual source slope and with a dual-symmetric table, the
     factors of values s < 0 are those of -s read at the dual classes (see
@@ -203,6 +244,9 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
     value, scale = source.value, _ray_of(pair.plus)[1]
     classes = q.dim_vectors_up_to(bound)
     mirror = source.self_dual and _dual_symmetric(q, table.eps)
+    of_value: Dict[Value, List[DimVector]] = {}
+    for g in classes:
+        of_value.setdefault(value(g), []).append(g)
     by_slope: Dict[Value, Dict[DimVector, RatFunc]] = {}
     for a, e in table.eps.items():
         if e:
@@ -211,13 +255,13 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
                                                    "M(a) eps(a)"))
             for s, eps in by_slope.items() if not (mirror and s[0] < 0)}
     # X_s(g) = M(g) J_s(g) for the classes g of slope s; X_s(0) = 1 is left
-    # to _chain_sum and _sd_action.  Mirrored, X_-s(g^v) = X_s(g).
+    # to _times_factor and _sd_action.  Mirrored, X_-s(g^v) = X_s(g).
     factors: Dict[Value, Dict[DimVector, Laurent]] = {}
     for s, weight in exps.items():
         n, d = s
         what = f"M(a) J(a) at slope {scale * Fraction(n, d)}"
         x = factors[s] = {g: _divided(*weight(g), what, g)
-                          for g in classes if value(g) == s}
+                          for g in of_value[s]}
         if mirror and n > 0:
             factors[-n, d] = {q.dual_vector(g): xg for g, xg in x.items()}
     # The product starts at the first factor, as 1 F_s = F_s.  The values
@@ -226,7 +270,8 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
     slopes = sorted(factors, key=lambda s: s[0] * (den // s[1]), reverse=True)
     stack = factors[slopes[0]] if slopes else {}
     for s in slopes[1:]:
-        stack = {a: _chain_sum(q, stack, a, factors[s].get) for a in classes}
+        factor = [(g, xg) for g, xg in factors[s].items() if xg.poly]
+        stack = {a: _times_factor(q, stack, a, factor) for a in classes}
 
     sd_stack = None
     sd_side = (table.sd_eps is not None and source.self_dual

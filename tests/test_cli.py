@@ -8,9 +8,9 @@ import pytest
 
 from helpers import mixed_quiver, perturb_block_counts
 from torus import Q_MINUS_QINV
-from quiver_dt import cli, oracle
-from quiver_dt.invariants import (InvariantRow, InvariantTable,
-                                  NoPoleViolation, build_table)
+from quiver_dt import cli, invariants as inv, oracle
+from quiver_dt.invariants import (InvariantTable, NoPoleViolation,
+                                  build_table)
 from quiver_dt.oracle import CalibrationError, calibrate_signs
 from quiver_dt.quiver import Slope, point_quiver
 from quiver_dt.ratfunc import RatFunc
@@ -179,16 +179,21 @@ def test_dt_bad_slope_string(capsys):
 
 def doctor_last_row(monkeypatch, side, eps, dtm):
     """Make the CLI's build_table give the last row of one side these
-    epsilon and motivic values."""
+    epsilon and motivic values: they are set in the engine's memos before
+    the table is built, so that the pole orders the engine finishes, which
+    the dt command reports, are read off them too."""
     def doctored(quiver, slope, bound):
-        table = build_table(quiver, slope, bound)
-        rows = {"linear": list(table.rows), "self-dual": list(table.sd_rows)}
-        last = rows[side][-1]
-        rows[side][-1] = InvariantRow(last.dim_vector, last.semistable,
-                                      eps, dtm, None)
-        return InvariantTable(table.quiver_data, table.slope_data,
-                              table.bound, table.sd_included,
-                              rows["linear"], rows["self-dual"])
+        eng = inv._engine(quiver, slope)
+        if side == "linear":
+            a = quiver.dim_vectors_up_to(bound)[-1]
+            eng._memo["epsilon"][a] = eps
+            eng._memo["dt_motivic"][a] = dtm
+        else:
+            # A self-dual row's epsilon and motivic values are one value.
+            assert eps is dtm
+            th = quiver.sd_classes_up_to(bound)[-1]
+            eng._memo["sd_dt_motivic"][th] = dtm
+        return build_table(quiver, slope, bound)
 
     monkeypatch.setattr(cli, "build_table", doctored)
 

@@ -1030,26 +1030,32 @@ def test_miller_sums_only_where_the_classes_commute(monkeypatch):
     every sum it makes itself is at a class whose classes commute: the
     others take the star powers and _series alone.  Sums inside the
     semistable recursion and the star powers are not _miller's.  A class is
-    read at the slope of the engine whose values _miller is handed."""
+    read at the slope of the engine whose values _miller is handed, or, for
+    the transform's exp, at the source slope whose epsilon values it reads
+    (crossing[0])."""
     q = calibrated_mixed()
-    at, sums, took, refused = [], [], set(), set()
+    at, sums, took, refused, crossing = [], [], set(), set(), [None]
 
-    def spied(name, fn, record):
-        def call(quiver, g, *args):
-            at_g = (g, args[0].__self__.slope) if record else None
+    def spied(name, fn, record, modules):
+        def call(*args):
+            # _miller(g, steps, x, ...): x is an engine's bound method, or
+            # the transform's own reader of the source table.
+            x = args[2]
+            at_g = (args[0], x.__self__.slope if hasattr(x, "__self__")
+                    else crossing[0]) if record else None
             at.append(at_g)
             try:
-                out = fn(quiver, g, *args)
+                out = fn(*args)
             finally:
                 at.pop()
             if record:
                 (refused if out is None else took).add(at_g)
             return out
-        for module in (inv, wc):
+        for module in modules:
             monkeypatch.setattr(module, name, call)
-    spied("_miller", inv._miller, True)
-    spied("_chain_sum", inv._chain_sum, False)
-    spied("_star_powers", inv._star_powers, False)
+    spied("_miller", inv._miller, True, (inv, wc))
+    spied("_chain_sum", inv._chain_sum, False, (inv,))
+    spied("_star_powers", inv._star_powers, False, (inv, wc))
 
     def summed(terms, sign=1):
         if at and at[-1] is not None:
@@ -1061,6 +1067,7 @@ def test_miller_sums_only_where_the_classes_commute(monkeypatch):
         slope = Slope.from_dict(q, weights)
         inv.build_table(q, slope, 5)
         if slope.is_self_dual(q):
+            crossing[0] = slope
             wallcross_epsilon(epsilon_table(q, slope, 4),
                               SlopePair(q, slope, target))
         assert sums and took and refused, weights

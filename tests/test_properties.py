@@ -5,8 +5,11 @@ and for regularity and the exp/log and square-root inversions against the
 paper's identities in the torus algebra, for the shared recursion entries
 against the full-region recursion, and for the calibration check against
 its loop form in tests/test_oracle.py, for integer BPS invariants, for
-the answers of the one engine that slopes on a ray share, and for the
-series by Miller's recurrence against the series of star powers."""
+the answers of the one engine that slopes on a ray share, for the
+series by Miller's recurrence against the series of star powers, for the
+cached decompositions and the transform's factor walk against the box
+loops they replace, and for the caches of one quiver against a fresh copy
+as its calibration changes (a hypothesis state machine)."""
 
 from fractions import Fraction
 from math import factorial, gcd
@@ -15,11 +18,13 @@ import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
 from helpers import (assert_mirror_changes_nothing, calibrated_mixed,
                      calibrated_two_pairs, crossed_without_mirror,
-                     epsilon_elem, reversed_pair, sd_epsilon_elem,
-                     sd_semistable_element, semistable_element)
+                     epsilon_elem, mixed_quiver, reversed_pair,
+                     sd_epsilon_elem, sd_semistable_element,
+                     semistable_element, two_pairs_quiver)
 from reference import (bps_invariants, direct_epsilon_integral,
                        direct_sd_epsilon_integral,
                        direct_sd_semistable_integral,
@@ -31,9 +36,12 @@ from test_invariants import (COMMUTATION_CASES,
 from test_oracle import flipped, loop_verify_calibration, outcome
 from torus import integrated_unit, series_diamond, star_exp
 from quiver_dt import invariants as inv, wallcross as wc
-from quiver_dt.motives import gl_poly, over_gl_denominator
-from quiver_dt.oracle import calibrate_signs, verify_calibration
-from quiver_dt.quiver import SelfDualQuiver, Slope
+from quiver_dt.motives import gl_poly, over_gl_denominator, sd_ratio
+from quiver_dt.oracle import (calibrate_signs, resolve_global_signs,
+                              verify_calibration)
+from quiver_dt.quiver import (Calibration, SelfDualQuiver, Slope,
+                              boxed_vectors, make_calibration, vadd, vsub)
+from quiver_dt.ratfunc import Laurent
 from quiver_dt.wallcross import (SlopePair, diff_tables, epsilon_table,
                                  wallcross_epsilon)
 
@@ -493,3 +501,173 @@ def test_miller_matches_the_star_powers_with_a_commutation_form(make,
     took, _ = assert_miller_matches_the_star_powers(
         q, Slope.from_dict(q, weights), 4)
     assert took
+
+
+@BUDGET
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+def test_box_steps_are_the_box_with_complements_and_binomials(top):
+    top = tuple(top)
+    assert inv._box_steps(top) == tuple(
+        (p, vsub(top, p), tuple(inv._binomials(top, p)))
+        for p in boxed_vectors(top)[1:-1])
+
+
+@BUDGET
+@given(st.randoms(use_true_random=False).map(_rand_quiver),
+       st.integers(0, 4))
+def test_sd_steps_are_the_self_dual_decompositions(quiver, bound):
+    for th in quiver.sd_classes_up_to(bound):
+        want = []
+        for g in boxed_vectors(th)[1:]:
+            rho = vsub(th, vadd(g, quiver.dual_vector(g)))
+            if min(rho) >= 0:
+                want.append((g, rho, tuple(sd_ratio(quiver, g, rho))))
+        assert inv._sd_steps(quiver, th) == tuple(want), th
+
+
+@st.composite
+def stack_and_factor(draw):
+    """A calibrated suite-shaped quiver with a nonzero commutation form, its
+    classes up to a bound from 1 to 3, and two tables of integer Laurent
+    numerators on them, a running stack and a slope factor: each entry is
+    absent, zero, one or a small random Laurent polynomial."""
+    quiver = draw(st.randoms(use_true_random=False).map(_rand_quiver)
+                  .filter(_has_commutation_form))
+    classes = quiver.dim_vectors_up_to(draw(st.integers(1, 3)))
+    entry = st.one_of(st.none(), st.just({}), st.just({0: 1}),
+                      st.dictionaries(st.integers(-4, 4),
+                                      st.integers(-3, 3).filter(bool),
+                                      max_size=3))
+
+    def table():
+        drawn = {a: draw(entry) for a in classes}
+        return {a: Laurent(e) for a, e in drawn.items() if e is not None}
+    return quiver, classes, table(), table()
+
+
+@BUDGET
+@given(stack_and_factor())
+def test_factor_walk_is_the_chain_sum_product(case):
+    """The transform's product of the running stack by one slope factor,
+    walked over the factor's nonzero classes, against _chain_sum over the
+    box of each class, as the transform multiplied before."""
+    quiver, classes, stack, factor = case
+    nonzero = [(g, xg) for g, xg in factor.items() if xg.poly]
+    for a in classes:
+        got = wc._times_factor(quiver, stack, a, nonzero)
+        assert got.poly == inv._chain_sum(quiver, stack, a, factor.get).poly
+
+
+# Slope weights are c times one of a few rays per quiver: positive multiples
+# share an engine, and -1 and -2 reach the opposite ray.
+SCALES = [1, 2, Fraction(1, 2), 3, -1, -2]
+SLOPES = st.tuples(st.integers(0, 2), st.sampled_from(SCALES))
+SCALARS = ["semistable_integral", "epsilon_integral", "dt_mot", "dt_num",
+           "sd_semistable_integral", "sd_epsilon_integral", "sd_dt_mot",
+           "sd_dt_num"]
+
+
+def _outcome(query, quiver):
+    """("ok", the answer) or the type and message of what query raised."""
+    try:
+        return "ok", query(quiver)
+    except Exception as exc:  # every refusal is compared, not only some
+        return type(exc), str(exc)
+
+
+def _eps(table):
+    return table.eps, table.sd_eps
+
+
+class CacheCoherence(RuleBasedStateMachine):
+    """One quiver queried through every cache it keeps (an engine per weight
+    ray, each engine's per-class memos and recursion tables, the class lists
+    per bound) while its calibration is set, changed, detached and found
+    again: each answer, or each exception's type and message, equals that of
+    a fresh copy of the quiver with the same calibration, or none."""
+
+    @initialize(rng=st.randoms(use_true_random=False),
+                named=st.sampled_from([None, mixed_quiver, two_pairs_quiver]))
+    def make(self, rng, named):
+        q = self.quiver = named() if named else _rand_quiver(rng)
+        n = len(q.vertices)
+        sd = [0] * n
+        for i, j in q.vertex_pairs:
+            sd[i] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            sd[j] = -sd[i]
+        other = [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                 for _ in range(n)]
+        self.rays = [(0,) * n, tuple(sd), tuple(other)]
+        o, p = resolve_global_signs()
+        kappa = tuple(Fraction(rng.randint(-2, 2), 2) for _ in range(n))
+        self.calibrations = [make_calibration(q, o, p),
+                             make_calibration(q, -o, -p),
+                             Calibration(o, p, kappa), None]
+
+    def slope(self, spec):
+        ray, c = spec
+        return Slope(tuple(c * w for w in self.rays[ray]))
+
+    def check(self, query):
+        q = self.quiver
+        fresh = SelfDualQuiver.from_data(q.to_data())
+        fresh.set_calibration(q.calibration)
+        want = _outcome(query, fresh)
+        assert _outcome(query, q) == want
+
+    @rule()
+    def calibrate(self):
+        self.check(calibrate_signs)
+
+    @rule(k=st.integers(0, 3))
+    def set_calibration(self, k):
+        self.quiver.set_calibration(self.calibrations[k])
+
+    @rule(spec=SLOPES, bound=st.integers(1, 3))
+    def table(self, spec, bound):
+        self.check(lambda q: inv.build_table(q, self.slope(spec),
+                                             bound).to_json())
+
+    @rule(spec=SLOPES, name=st.sampled_from(SCALARS), data=st.data())
+    def scalar(self, spec, name, data):
+        q = self.quiver
+        at = data.draw(st.sampled_from(
+            q.sd_classes_up_to(3) if name.startswith("sd_")
+            else q.dim_vectors_up_to(3)))
+        bound = data.draw(st.sampled_from([None, 2, 3]))
+        self.check(lambda q: getattr(inv, name)(q, self.slope(spec), at,
+                                                bound))
+
+    @rule(spec=SLOPES, bound=st.integers(1, 3))
+    def eps_table(self, spec, bound):
+        self.check(lambda q: _eps(epsilon_table(q, self.slope(spec), bound)))
+
+    @rule(plus=SLOPES, minus=SLOPES, bound=st.integers(1, 3))
+    def crossing(self, plus, minus, bound):
+        def cross(q):
+            pair = SlopePair(q, self.slope(plus), self.slope(minus))
+            return _eps(wallcross_epsilon(
+                epsilon_table(q, pair.plus, bound), pair))
+        self.check(cross)
+
+    @rule(k=st.integers(0, 4))
+    def refused(self, k):
+        """A slope of the wrong length, a float weight, a vector of the
+        wrong length, a class beyond the bound, and a self-dual query that
+        is refused where the class or the slope is not self-dual."""
+        n = len(self.quiver.vertices)
+        ones = (1,) * n
+        query = [
+            lambda q: inv.dt_mot(q, Slope((0,) * (n + 1)), ones),
+            lambda q: inv.dt_num(q, Slope((0.5,) * n), ones),
+            lambda q: inv.dt_mot(q, self.slope((2, 1)), ones + (1,)),
+            lambda q: inv.epsilon_integral(q, self.slope((1, 1)), (2,) * n,
+                                           bound=1),
+            lambda q: inv.sd_dt_num(q, self.slope((2, -1)), (1,) + (0,) *
+                                    (n - 1)),
+        ][k]
+        self.check(query)
+
+
+TestCacheCoherence = CacheCoherence.TestCase
+TestCacheCoherence.settings = settings(BUDGET, stateful_step_count=10)

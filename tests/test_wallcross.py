@@ -373,12 +373,14 @@ def test_transform_work_on_kronecker_pm_plus(monkeypatch):
     every slope factor was built and multiplied in with its unit term, 112
     while the seeded engine computed each recursion entry once per slope
     value and summed the zero class's unit term alone, 94 while each
-    exponential summed its star powers, one sum per power), and no sum in
-    the stack product of a class's own entry alone."""
+    exponential summed its star powers, one sum per power, 73 while each
+    factor was multiplied in by _chain_sum over the box of every class),
+    and no sum in the stack product of a class's own entry alone."""
     q = load_quiver(str(FIXTURES / "kronecker_pm_plus.json"))
     pair = _pair(q, {"i": 1, "j": -1}, {"i": -1, "j": 1})
     table = epsilon_table(q, pair.plus, 5)
-    sums, products = [], []
+    sums, products, made = [], [], []
+    times_factor = wc._times_factor
 
     def counted(terms, sign=1):
         sums.append(terms)
@@ -389,17 +391,19 @@ def test_transform_work_on_kronecker_pm_plus(monkeypatch):
                 f is own or f.poly == {0: 1} for f in terms[0][1])), top
         return laurent_sum(terms, sign)
 
-    def product(q, tab, top, x, sign=1):
-        products.append((tab, top))
+    def product(q, stack, a, factor):
+        products.append((stack, a))
+        made.append(a)
         try:
-            return inv._chain_sum(q, tab, top, x, sign)
+            return times_factor(q, stack, a, factor)
         finally:
             products.pop()
     with monkeypatch.context() as m:
         m.setattr(inv, "laurent_sum", counted)
-        m.setattr(wc, "_chain_sum", product)
+        m.setattr(wc, "laurent_sum", counted)
+        m.setattr(wc, "_times_factor", product)
         crossed = wallcross_epsilon(table, pair)
-    assert len(sums) == 73
+    assert made and len(sums) == 45
     assert crossed == epsilon_table(q, pair.minus, 5)
 
 
