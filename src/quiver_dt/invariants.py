@@ -15,24 +15,20 @@ system in quantum groups and cohomology of quiver moduli, 2003).  The entry
 at p reads s only through the classes c <= p of slope above s, so slope
 values that agree on them share it: each engine computes it once per such
 region (_Engine._dom_table).  The kernels that sum over the decompositions
-a = p + (a - p) of a class (_chain_sum, _star_powers, _miller) iterate one
+a = p + (a - p) of a class (_chain_sum, _star_powers, _series) iterate one
 cached list per class, _box_steps(a), which holds each p with a - p and
 its binomials; the self-dual action iterates the decompositions theta = g
 + rho + g^v with their ratios, kept per quiver and class (_sd_steps).  A
 power series in a slope's semistable element, such as the star-logarithm
 that gives the epsilon integrals or the inverse square root at slope 0, is
 at each class one integer numerator over one integer, divided by M only at
-the end, as a RatFunc.  Where every
-pair of classes of the class's slope value that sums to at most it has
-twist 0, these classes commute, and the series solves a first-order
-recurrence through the degree derivation: one convolution per class
-(_miller), which reads the classes' steps and the decision, made once
-per class, from _commuting_steps.  Elsewhere it is summed from the star
-powers of the element, integer numerators over M in the same way, listed
-up to the last one that can be nonzero, with its coefficients over their
-lcm (_star_powers, _series).  Where no class below contributes to the
-star-log, the epsilon integral is the semistable integral, the same
-RatFunc.
+the end, as a RatFunc: one _series of the differential equation it solves.
+Where the classes of the class's slope value commute (_commuting_steps),
+_series solves it through the degree derivation, one convolution per
+class; elsewhere it sums the star powers of the element (_star_powers)
+with the coefficients the equation gives (_coeffs).  Where no class below
+contributes to the star-log, the epsilon integral is the semistable
+integral, the same RatFunc.
 
 On the self-dual side, semistable integrals are the slope-0 entries acting
 on the module stack classes, and epsilon integrals are the inverse square
@@ -63,11 +59,11 @@ one integer sum and one gcd, equal values are equal pairs that key one
 recursion table, and regions, star powers and the mirror compare values by
 cross-multiplying.  Slope.value is the same rule in Fraction arithmetic.
 
-Wall-crossing, which shares the integer kernels _miller, _star_powers and
-_sd_action, factors a stack element on the engine _seeded_engine picks:
-the cached engine where the element's numerators are its own q^e(a) and
-q^e_sd(theta), else a seeded engine that reads them in their place and
-computes both halves.
+Wall-crossing, which shares the integer kernels _chain_sum, _series,
+_star_powers and _sd_action, factors a stack element on the engine
+_seeded_engine picks: the cached engine where the element's numerators are
+its own q^e(a) and q^e_sd(theta), else a seeded engine that reads them in
+their place and computes both halves.
 
 Engines are cached on their quiver, keyed by weight ray (_engine) and
 emptied when the calibration changes (SelfDualQuiver.set_calibration), so
@@ -87,11 +83,12 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Tuple)
 
 from .motives import (over_gl_denominator, over_sd_denominator, q2_binomial,
                       sd_ratio, sd_stack_exponent, stack_exponent)
-from .oracle import ensure_calibrated
+from .oracle import CalibrationError, ensure_calibrated
 from .quiver import (DimVector, SelfDualQuiver, Slope, ValidationError,
                      boxed_vectors, vadd, vsub, vtotal)
 from .ratfunc import Laurent, RatFunc, laurent_sum
@@ -135,21 +132,24 @@ def _box_steps(top: DimVector) -> Tuple[Step, ...]:
 
 def _chain_sum(quiver: SelfDualQuiver, tab: Dict[DimVector, Laurent],
                top: DimVector, x: Callable[[DimVector], Optional[Laurent]],
-               sign: int = 1) -> Laurent:
+               steps: Iterable[Step], sign: int = 1) -> Laurent:
     """sign times M(top) times the sum of d(p) c(top - p) q^<p, top - p>
     over the entries p <= top of tab, where d(p) = tab[p] / M(p), d(0) = 1,
     c(0) = 1 and c(v) = x(v) / M(v) for v nonzero, x(v) None where c is
     zero.  Each term 0 < p < top is tab[p] x(top - p) times the
-    q^2-binomials [top_i, p_i] (_box_steps): no denominator is left.  The
-    zero class's term is x(top), and tab is not asked at 0; the unit's term
-    is tab[top] itself, if tab has it, and x is not asked at 0.  Where one
-    of these two is the only term, it is returned as it is, negated for
-    sign -1."""
+    q^2-binomials [top_i, p_i], over the steps (p, top - p, binomials)
+    given: _box_steps(top), or any part of it outside which every term is
+    zero (_factor_steps in wallcross): no denominator is left.  The zero
+    class's term is x(top), and tab is not asked at 0; the unit's term is
+    tab[top] itself, if tab has it, and x is not asked at 0.  Zero entries
+    of tab add no term, and where no term is left the sum is zero.  Where
+    one of the zero class's and the unit's terms is the only term, it is
+    returned as it is, negated for sign -1."""
     comm = quiver.commutation_exponent
     terms = []
-    for p, step, bins in _box_steps(top):
+    for p, step, bins in steps:
         dp = tab.get(p)
-        if dp is not None:
+        if dp is not None and dp.poly:
             c = x(step)
             if c is not None:
                 terms.append((comm(p, step), (dp, c, *bins)))
@@ -158,8 +158,10 @@ def _chain_sum(quiver: SelfDualQuiver, tab: Dict[DimVector, Laurent],
         if c is not None:
             terms.append((0, (c,)))
     own = tab.get(top)
-    if own is not None:
+    if own is not None and own.poly:
         terms.append((0, (own,)))
+    if not terms:
+        return _ZERO
     if len(terms) == 1 and len(terms[0][1]) == 1:
         only = terms[0][1][0]
         return only if sign == 1 else Laurent(
@@ -201,49 +203,72 @@ def _star_powers(quiver: SelfDualQuiver, g: DimVector,
     return [x(g)] + [laurent_sum(t) for t in terms]
 
 
-# _miller's weights for the star-log and the inverse square root.
+# _series's weights for the star-log and the inverse square root.
 _LOG = (2, -2, 0)
 _ROOT = (-1, -2, -1)
 
 
 def _commuting_steps(quiver: SelfDualQuiver, g: DimVector,
-                     value: Callable[[DimVector], Value]
+                     value: Callable[[DimVector], Value],
+                     commuting: Callable[[DimVector], Optional[List[Step]]]
                      ) -> Optional[List[Step]]:
     """The steps (p, g - p, binomials) of _box_steps(g) with p of g's value,
-    so g - p of it too; None where one of them has twist <p, g - p> != 0."""
+    so g - p of it too; None where one of them has twist <p, g - p> != 0 or
+    commuting(p), the decision at p, is None.  So it is None unless every
+    pair of classes of g's value that sums to at most g has twist 0."""
     s = value(g)
     steps = [t for t in _box_steps(g) if value(t[0]) == s]
     comm = quiver.commutation_exponent
-    if any(comm(p, r) for p, r, _ in steps):
+    if any(comm(p, r) for p, r, _ in steps) or None in [
+            commuting(p) for p, _, _ in steps]:
         return None
     return steps
 
 
-def _miller(g: DimVector, steps: Optional[List[Step]],
+@cache
+def _coeffs(abc: Tuple[int, int, int], n: int,
+            dx: int) -> Tuple[List[Laurent], int]:
+    """([c_1 k / dx, ..., c_n k / dx^n], k) for F(t) = sum_i c_i t^i solving
+    (1 + beta t) F' = alpha + gamma F, F(0) = 0, abc = (2 alpha, -2 beta, 2
+    gamma), k the lcm of the denominators of c_i / dx^i: c_1 = alpha and (i
+    + 1) c_{i+1} = (gamma - beta i) c_i."""
+    a, b, c = abc
+    cs = [Fraction(a, 2 * dx)]
+    for i in range(1, n):
+        cs.append(cs[-1] * Fraction(c + b * i, 2 * (i + 1) * dx))
+    k = math.lcm(*(f.denominator for f in cs))
+    return [Laurent({0: f.numerator * (k // f.denominator)}) for f in cs], k
+
+
+def _series(g: DimVector, steps: Optional[List[Step]],
             x: Callable[[DimVector], Laurent], dx: int,
-            z: Callable[[DimVector], Optional[Tuple[Laurent, int]]],
-            abc: Tuple[int, int, int]) -> Optional[Tuple[Laurent, int]]:
-    """(Z, k) with Z / k = sum_n c_n P_n(g) / dx^n, P_n the star powers of x
-    (_star_powers), for F(t) = sum_n c_n t^n solving (1 + beta t) F' =
-    alpha + gamma F, F(0) = 0, abc = (2 alpha, -2 beta, 2 gamma): (2, -2, 0)
-    is log(1 + t), (-1, -2, -1) is (1 + t)^(-1/2) - 1 and (2, 0, 2) is
-    exp(t) - 1; z(p) is the value at p and steps is _commuting_steps at g.
-    None, before any arithmetic, where steps is None or z(p) is None at a
-    step: unless every pair of classes of g's value summing to at most g
-    has twist 0.  Then these classes commute, and the degree derivation D[p] =
-    |p| [p] turns D F(u) = F'(u) D u, u = sum_p x(p) / (dx M(p)) [p], into
-    J. C. P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7), one
-    convolution per class: 2 |g| Z(g) = a |g| u(g) + sum over the classes
-    0 < p < g of g's value of Z(p) u(g - p) prod_i [g_i, p_i] (b |p| + c
-    |g - p|).  Where no p contributes and a = 2, it returns (x(g), dx)."""
+            z: Callable[[DimVector], Tuple[Laurent, int]],
+            abc: Tuple[int, int, int],
+            powers: Callable[[DimVector], List[Laurent]]
+            ) -> Tuple[Laurent, int]:
+    """(Z, k), Z in Z[q, 1/q], with Z / k = sum_n c_n P_n(g) / dx^n, P_n the
+    star powers of x (powers), for F(t) = sum_n c_n t^n solving (1 + beta
+    t) F' = alpha + gamma F, F(0) = 0, abc = (2 alpha, -2 beta, 2 gamma):
+    (2, -2, 0) is log(1 + t), (-1, -2, -1) is (1 + t)^(-1/2) - 1 and (2,
+    0, 2) is exp(t) - 1.  Where steps, _commuting_steps at g, is None, it
+    sums powers(g) with the coefficients of _coeffs: P_1 itself where it is
+    the only power and c_1 k = 1.  Else g's value's classes commute, and the
+    degree derivation D[p] = |p| [p] turns D F(u) = F'(u) D u, u = sum_p
+    x(p) / (dx M(p)) [p], into J. C. P. Miller's recurrence (Knuth, TAOCP
+    Vol. 2, 4.7), one convolution per class, z(p) the value at p: 2 |g|
+    Z(g) = a |g| u(g) + sum over the steps of Z(p) u(g - p) prod_i [g_i,
+    p_i] (b |p| + c |g - p|); (x(g), dx) where no step contributes and a =
+    2."""
     if steps is None:
-        return None
-    zs = [z(p) for p, _, _ in steps]
-    if None in zs:
-        return None
+        pg = powers(g)
+        ms, k = _coeffs(abc, len(pg), dx)
+        if len(pg) == 1 and ms[0].poly == {0: 1}:
+            return pg[0], k
+        return laurent_sum([(0, [m, pn]) for m, pn in zip(ms, pg)]), k
     a, b, c = abc
     terms = []
-    for (p, r, bins), (zp, kp) in zip(steps, zs):
+    for p, r, bins in steps:
+        zp, kp = z(p)
         xr = x(r)
         m = b * vtotal(p) + c * vtotal(r)
         if zp.poly and xr.poly and m:
@@ -261,38 +286,6 @@ def _miller(g: DimVector, steps: Optional[List[Step]],
     if h > 1:
         total = Laurent({e: v // h for e, v in total.poly.items()})
     return total, den // h
-
-
-def _over_lcm(cs: List[Fraction]) -> Tuple[List[Laurent], int]:
-    """([c_1 k, c_2 k, ...], k) for k the lcm of the denominators of cs."""
-    k = math.lcm(*(c.denominator for c in cs))
-    return [Laurent({0: c.numerator * (k // c.denominator)}) for c in cs], k
-
-
-@cache
-def _log_coeffs(n: int) -> Tuple[List[Laurent], int]:
-    """The star-log coefficients (-1)^(i-1) / i, i = 1..n, over their lcm."""
-    return _over_lcm([Fraction((-1) ** (i - 1), i) for i in range(1, n + 1)])
-
-
-@cache
-def _root_coeffs(n: int) -> Tuple[List[Laurent], int]:
-    """The inverse-square-root coefficients binom(-1/2, i) = (-1)^i C(2i, i)
-    / 4^i, i = 1..n, over their lcm."""
-    return _over_lcm([Fraction((-1) ** i * math.comb(2 * i, i), 4 ** i)
-                      for i in range(1, n + 1)])
-
-
-def _series(powers: List[Laurent],
-            coeffs: Tuple[List[Laurent], int]) -> Tuple[Laurent, int]:
-    """(W, k) with sum_n c_n P_n = W / k, for powers = [P_1, P_2, ...] and
-    coeffs = ([c_1 k, c_2 k, ...], k), as one of the cached coefficient
-    lists over their lcm k gives them: W lies in Z[q, 1/q].  W is P_1
-    itself where it is the only power and c_1 k = 1."""
-    ms, k = coeffs
-    if len(powers) == 1 and ms[0].poly == {0: 1}:
-        return powers[0], k
-    return laurent_sum([(0, [m, pn]) for m, pn in zip(ms, powers)]), k
 
 
 def _sd_steps(quiver: SelfDualQuiver, th: DimVector) -> Tuple[Step, ...]:
@@ -320,10 +313,12 @@ def _sd_action(quiver: SelfDualQuiver, th: DimVector,
     module(rho) / M_sd(rho) [rho].  Over th = g + rho + g^v, each term g
     nonzero is W(g) module(rho) q^tw(g, rho) k / k_g times the polynomial
     M_sd(th) / (M(g) M_sd(rho)) (motives.sd_ratio), k the lcm of the k_g,
-    over the cached decompositions of th (_sd_steps).
-    rho is self-dual whenever th is, as g + g^v is and has even entries at
-    fixed vertices.  The unit's term is module(th) k, and weight is not
-    asked at 0; where it is the only term, (module(th), 1) is returned."""
+    over the cached decompositions of th (_sd_steps); CalibrationError
+    where a term's twist is not an integer, as under a calibration with
+    half-integral kappa.  rho is self-dual whenever th is, as g + g^v is
+    and has even entries at fixed vertices.  The unit's term is module(th)
+    k, and weight is not asked at 0; where it is the only term, (module(th),
+    1) is returned."""
     terms = []
     for g, rho, ratio in _sd_steps(quiver, th):
         w = weight(g)
@@ -331,8 +326,11 @@ def _sd_action(quiver: SelfDualQuiver, th: DimVector,
             continue
         m = module(rho)
         if m.poly:
-            terms.append((w[1], quiver.sd_twist_exponent(g, rho),
-                          (w[0], m, *ratio)))
+            tw = quiver.sd_twist_exponent(g, rho)
+            if type(tw) is not int:
+                raise CalibrationError(
+                    f"twist exponent not integral at {g}, {rho}")
+            terms.append((w[1], tw, (w[0], m, *ratio)))
     own = module(th)
     if not terms:
         return own, 1
@@ -476,8 +474,9 @@ class _Engine:
                         rid = regions[key] = len(regions)
                         n, d = values.get(p) or self.value(p)
                         if n * s[1] > s[0] * d:
-                            store[rid] = _chain_sum(self.quiver, tab, p,
-                                                    self._numerator, -1)
+                            store[rid] = _chain_sum(
+                                self.quiver, tab, p, self._numerator,
+                                _box_steps(p), -1)
                     ids[p] = rid
                     tab[p] = store.get(rid)
         return tab
@@ -494,7 +493,7 @@ class _Engine:
         if not any(a):
             return _ONE
         return _chain_sum(self.quiver, self._dom_table(self.value(a), a), a,
-                          self._numerator)
+                          self._numerator, _box_steps(a))
 
     @_per_pair
     def semistable(self, a: DimVector) -> RatFunc:
@@ -511,35 +510,24 @@ class _Engine:
 
     @_per_pair
     def _commuting(self, g: DimVector) -> Optional[List[Step]]:
-        """_commuting_steps at g, decided once for _log and _root."""
-        return _commuting_steps(self.quiver, g, self.value)
+        """_commuting_steps at g, decided once for _log and _root_weight."""
+        return _commuting_steps(self.quiver, g, self.value, self._commuting)
 
     @_per_pair
-    def _log(self, g: DimVector) -> Optional[Tuple[Laurent, int]]:
-        """The star-log at g by _miller, None where g's value's classes do
-        not commute."""
-        return _miller(g, self._commuting(g), self._semistable_num, 1,
-                       self._log, _LOG)
-
-    @_per_pair
-    def _root(self, g: DimVector) -> Optional[Tuple[Laurent, int]]:
-        """The inverse square root at g by _miller, as _log."""
-        return _miller(g, self._commuting(g), self._semistable_num, 1,
-                       self._root, _ROOT)
+    def _log(self, g: DimVector) -> Tuple[Laurent, int]:
+        """(E, L) with E / L = sum_n (-1)^(n-1) P_n(g) / n, the star-log at
+        g, by _series."""
+        return _series(g, self._commuting(g), self._semistable_num, 1,
+                       self._log, _LOG, self._powers)
 
     @_per_pair
     def epsilon(self, a: DimVector) -> RatFunc:
-        """The epsilon integral of a, E(a) / (L M(a)) with E / L = sum_n
-        (-1)^(n-1) P_n / n, the star-log at a: by _miller where a's value's
-        classes commute, else by _series.  The semistable integral itself
-        where E / L is X as it is.  Zero at 0."""
+        """The epsilon integral of a, E(a) / (L M(a)) for the star-log (E,
+        L) at a (_log).  The semistable integral itself where E / L is X as
+        it is.  Zero at 0."""
         if not any(a):
             return over_gl_denominator({}, a)
-        z = self._log(a)
-        if z is None:
-            powers = self._powers(a)
-            z = _series(powers, _log_coeffs(len(powers)))
-        e, lcm = z
+        e, lcm = self._log(a)
         if e is self._semistable_num(a) and lcm == 1:
             return self.semistable(a)
         return over_gl_denominator(e.poly, a, Fraction(1, lcm))
@@ -555,15 +543,11 @@ class _Engine:
         """(W(g), k) with (1 + x)^(-1/2) = [0] + sum_g (q - 1/q) W(g) / (k
         M(g)) [g] for the semistable element x at slope 0, g nonzero, None
         off slope 0: W(g) / k = sum_n binom(-1/2, n) P_n(g), where
-        binom(-1/2, n) = (-1)^n C(2n, n) / 4^n, by _miller where g's value's
-        classes commute, else by _series."""
+        binom(-1/2, n) = (-1)^n C(2n, n) / 4^n, by _series."""
         if self.value(g)[0]:
             return None
-        w = self._root(g)
-        if w is None:
-            powers = self._powers(g)
-            w = _series(powers, _root_coeffs(len(powers)))
-        return w
+        return _series(g, self._commuting(g), self._semistable_num, 1,
+                       self._root_weight, _ROOT, self._powers)
 
     # -- self-dual side -----------------------------------------------------
 

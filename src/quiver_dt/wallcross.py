@@ -5,9 +5,11 @@ re-factorisation in the twisted algebra (see wallcross_epsilon), carried
 out on integer Laurent numerators over the motive denominators with the
 invariants module's integer kernels, so that the only rational functions
 built are the source values read and the target values returned.  The
-exponential of a slope's epsilon element is Miller's recurrence where the
-slope value's classes commute, as on every two-vertex and every symmetric
-quiver (_exp_weights).  Slope values come from the source slope's engine
+exponential of a slope's epsilon element is invariants._series of exp,
+which takes Miller's recurrence where the slope value's classes commute, as
+on every two-vertex and every symmetric quiver (_exp_weights), and the
+running product is invariants._chain_sum over a factor's own classes
+(_factor_steps).  Slope values come from the source slope's engine
 (filled by epsilon_table) as integer pairs, source values only from the
 table.  The stack element is factored at the target slope on the engine
 invariants._seeded_engine picks: the cached one where its numerators are
@@ -28,20 +30,21 @@ crossed at every slope value.  Whether a slope is self-dual is read off its
 engine's self_dual flag.
 """
 
+from __future__ import annotations
+
 import math
 from fractions import Fraction
-from functools import cache
-from operator import sub
+from functools import cache, lru_cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .invariants import (_ZERO, Value, Weight, _binomials, _commuting_steps,
-                         _dual_symmetric, _engine, _Engine, _miller,
-                         _over_lcm, _ray_of, _sd_action, _seeded_engine,
+from .invariants import (_ZERO, Step, Value, Weight, _box_steps, _chain_sum,
+                         _commuting_steps, _dual_symmetric, _engine,
+                         _Engine, _ray_of, _sd_action, _seeded_engine,
                          _series, _star_powers)
 from .motives import gl_poly, sd_gl_poly
 from .quiver import (DimVector, SelfDualQuiver, Slope, ValidationError,
                      graded_lex_key)
-from .ratfunc import Laurent, RatFunc, laurent_sum
+from .ratfunc import Laurent, RatFunc
 
 
 class SlopePair:
@@ -129,7 +132,7 @@ def _divided(num: Laurent, d: int, what: str, at: DimVector) -> Laurent:
     return Laurent(out)
 
 
-# The weights of invariants._miller for exp(t) - 1.
+# The weights of invariants._series for exp(t) - 1.
 _EXP = (2, 0, 2)
 
 
@@ -138,8 +141,8 @@ def _exp_weights(q: SelfDualQuiver, value: Callable[[DimVector], Value],
     """weight(g, c) = (W, k) with exp(e / c)_g = (q - 1/q) W / (k M(g)), for
     the epsilon element e = sum_a (q - 1/q) y[a] / (d M(a)) [a] of one
     slope and g not zero: W / k = sum_n P_n(g) / (n! (c d)^n), P_n the star
-    powers of y, by invariants._miller where g's value's classes commute,
-    decided once per class for every c d, else by invariants._series."""
+    powers of y, by invariants._series once per g and c, with whether g's
+    value's classes commute decided once per class for every c."""
     def x(a: DimVector) -> Laurent:
         return y.get(a, _ZERO)
 
@@ -148,60 +151,29 @@ def _exp_weights(q: SelfDualQuiver, value: Callable[[DimVector], Value],
         return _star_powers(q, g, value, x, powers)
 
     @cache
-    def commuting(g: DimVector) -> Optional[list]:
-        return _commuting_steps(q, g, value)
+    def commuting(g: DimVector) -> Optional[List[Step]]:
+        return _commuting_steps(q, g, value, commuting)
 
     @cache
-    def miller(g: DimVector, cd: int) -> Optional[Tuple[Laurent, int]]:
-        return _miller(g, commuting(g), x, cd, lambda p: miller(p, cd), _EXP)
-
-    def weight(g: DimVector, c: int = 1) -> Tuple[Laurent, int]:
-        w = miller(g, c * d)
-        if w is None:
-            pg = powers(g)
-            w = _series(pg, _exp_coeffs(len(pg), c * d))
-        return w
+    def weight(g: DimVector, c: int) -> Tuple[Laurent, int]:
+        return _series(g, commuting(g), x, c * d, lambda p: weight(p, c),
+                       _EXP, powers)
     return weight
 
 
-def _times_factor(q: SelfDualQuiver, stack: Dict[DimVector, Laurent],
-                  a: DimVector, factor: List[Tuple[DimVector, Laurent]]
-                  ) -> Laurent:
-    """The numerator at a of the stack element S = sum_p stack[p] / M(p) [p]
-    times the factor 1 + sum_g x(g) / M(g) [g], given as the pairs (g,
-    x(g)) with x(g) nonzero: the sum of stack[a - g] x(g) [a; a - g]
-    q^<a - g, g> over the classes g <= a of the factor, where [a; p] =
-    prod_i [a_i, p_i] and stack[0] = 1, and of the unit's term stack[a].
-    This is _chain_sum's sum, walked over the factor's classes instead of
-    over the box of a.  Where no term is left it is zero, and where one
-    term alone has one factor, that factor is returned as it is."""
-    terms = []
-    for g, xg in factor:
-        p = tuple(map(sub, a, g))
-        if min(p) < 0:
-            continue
-        if any(p):
-            dp = stack.get(p)
-            if dp is not None and dp.poly:
-                terms.append((q.commutation_exponent(p, g),
-                              (dp, xg, *_binomials(a, p))))
-        else:
-            terms.append((0, (xg,)))
-    own = stack.get(a)
-    if own is not None and own.poly:
-        terms.append((0, (own,)))
-    if not terms:
-        return _ZERO
-    if len(terms) == 1 and len(terms[0][1]) == 1:
-        return terms[0][1][0]
-    return laurent_sum(terms)
+@lru_cache(maxsize=4096)
+def _steps_by_complement(a: DimVector) -> Dict[DimVector, Step]:
+    """invariants._box_steps(a) keyed by a - p: a pure function of a."""
+    return {step[1]: step for step in _box_steps(a)}
 
 
-@cache
-def _exp_coeffs(n: int, cd: int) -> Tuple[List[Laurent], int]:
-    """The coefficients 1 / (i! cd^i), i = 1..n, over their lcm."""
-    return _over_lcm([Fraction(1, math.factorial(i) * cd ** i)
-                      for i in range(1, n + 1)])
+def _factor_steps(a: DimVector, factor: Dict[DimVector, Laurent]
+                  ) -> List[Step]:
+    """The steps (a - g, g, binomials) of invariants._box_steps(a) at the
+    classes g of the factor: those at which a slope factor, zero off its
+    own classes, can make a term of the product."""
+    steps = _steps_by_complement(a)
+    return [steps[g] for g in factor if g in steps]
 
 
 def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
@@ -218,17 +190,16 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
 
     All of it runs on integer Laurent numerators over M(a) and M_sd(theta)
     (see invariants): a slope's epsilon values become numerators over one
-    integer, the exponential of its element is found by Miller's recurrence
-    where the slope's classes commute and as a sum of their star powers
-    elsewhere (_exp_weights), divided by one integer per class to give the
-    slope's semistable numerators X_s; the running product is multiplied
-    by each slope's factor over that factor's nonzero classes g alone
-    (_times_factor: the entry at a - g, the binomials [a; a - g] and
-    q^<a - g, g> for each g <= a), and the factors act on the self-dual
-    side by _sd_action, their unit terms left implicit, so a class that no
-    nonzero step of a factor reaches keeps its entry.  A source table
-    whose slope factors or self-dual numerators do not lie in Z[q, 1/q] is
-    refused with ValueError.
+    integer, the exponential of its element is invariants._series
+    (_exp_weights), divided by one integer per class to give the slope's
+    semistable numerators X_s; the running product is multiplied by each
+    slope's factor by invariants._chain_sum over that factor's nonzero
+    classes g alone (_factor_steps: the entry at a - g, the binomials [a;
+    a - g] and q^<a - g, g> for each g < a), and the factors act on the
+    self-dual side by _sd_action, their unit terms left implicit, so a
+    class that no nonzero step of a factor reaches keeps its entry.  A
+    source table whose slope factors or self-dual numerators do not lie in
+    Z[q, 1/q] is refused with ValueError.
 
     At a self-dual source slope and with a dual-symmetric table, the
     factors of values s < 0 are those of -s read at the dual classes (see
@@ -255,12 +226,12 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
                                                    "M(a) eps(a)"))
             for s, eps in by_slope.items() if not (mirror and s[0] < 0)}
     # X_s(g) = M(g) J_s(g) for the classes g of slope s; X_s(0) = 1 is left
-    # to _times_factor and _sd_action.  Mirrored, X_-s(g^v) = X_s(g).
+    # to _chain_sum and _sd_action.  Mirrored, X_-s(g^v) = X_s(g).
     factors: Dict[Value, Dict[DimVector, Laurent]] = {}
     for s, weight in exps.items():
         n, d = s
         what = f"M(a) J(a) at slope {scale * Fraction(n, d)}"
-        x = factors[s] = {g: _divided(*weight(g), what, g)
+        x = factors[s] = {g: _divided(*weight(g, 1), what, g)
                           for g in of_value[s]}
         if mirror and n > 0:
             factors[-n, d] = {q.dual_vector(g): xg for g, xg in x.items()}
@@ -270,8 +241,9 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
     slopes = sorted(factors, key=lambda s: s[0] * (den // s[1]), reverse=True)
     stack = factors[slopes[0]] if slopes else {}
     for s in slopes[1:]:
-        factor = [(g, xg) for g, xg in factors[s].items() if xg.poly]
-        stack = {a: _times_factor(q, stack, a, factor) for a in classes}
+        factor = {g: xg for g, xg in factors[s].items() if xg.poly}
+        stack = {a: _chain_sum(q, stack, a, factor.get,
+                               _factor_steps(a, factor)) for a in classes}
 
     sd_stack = None
     sd_side = (table.sd_eps is not None and source.self_dual

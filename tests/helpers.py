@@ -59,6 +59,19 @@ def calibrated_mixed() -> SelfDualQuiver:
     return calibrated(mixed_quiver())
 
 
+def calibrated_cycle() -> SelfDualQuiver:
+    """The mixed quiver's vertices on the cycle i -> j -> k -> i, a swapped
+    edge pair and the fixed edge k -> i: at the trivial slope the twist of
+    every decomposition of (1, 1, 1) is 0, but that of (1, 0, 0) + (0, 1,
+    0) is not."""
+    edges = [Edge("a", "i", "j"), Edge("b", "j", "k"), Edge("c", "k", "i")]
+    return calibrated(SelfDualQuiver(
+        ["i", "j", "k"], edges,
+        {"i": "k", "k": "i"}, {"a": "b", "b": "a"},
+        {"j": -1}, {"b": -1},
+    ))
+
+
 def two_pairs_quiver() -> SelfDualQuiver:
     """Two swapped vertex pairs joined by a swapped edge pair: the smallest
     shape where classes of two different positive slopes both act on a
@@ -131,6 +144,12 @@ def subs_square(f: RatFunc, value) -> Fraction:
     if dv == 0:
         raise ZeroDivisionError("denominator vanishes at substitution")
     return nv * v ** (sh // 2) / dv
+
+
+def star_series(x, powers, g, dx, abc):
+    """invariants._series at g summed from the star powers, as where g's
+    value's classes do not commute."""
+    return inv._series(g, None, x, dx, None, abc, powers)
 
 
 def reversed_pair(pair: SlopePair) -> SlopePair:

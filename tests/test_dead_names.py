@@ -1,9 +1,13 @@
-"""Every name the package defines is used somewhere.
+"""Every name the package defines is used somewhere, and every name a
+package module imports is read in it.
 
 A module-level function, class or assigned name of src/quiver_dt, or a
 method that is not a dunder, must appear as a word on some line other than
 its definition line, in a Python file under src/, tests/ or perfbench/.
 __all__ is the one exception: it is read by import machinery, not by name.
+A name a module imports must be read in that module, as a name in its code
+or in a string annotation; a __future__ import, and a name __init__.py
+lists in __all__, which it imports to re-export, are the exceptions.
 """
 
 import ast
@@ -78,3 +82,60 @@ def test_the_scan_finds_a_name_used_nowhere(tmp_path):
                       "UNREAD = Holder().kept()\n", encoding="utf-8")
     assert dead_names(tmp_path, module.parent) == [
         "extra.py:11 unread", "extra.py:15 UNREAD"]
+
+
+def read_names(tree: ast.AST):
+    """The names a module reads: each loaded name of its code, and each
+    name of the annotations it writes as strings."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        for ann in (getattr(node, "annotation", None),
+                    getattr(node, "returns", None)):
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                out |= read_names(ast.parse(ann.value, mode="eval"))
+    return out
+
+
+def unused_imports(package: Path = PACKAGE):
+    """Each name a module of package imports and never reads, as
+    "module:line name"."""
+    unused = []
+    for module in sorted(package.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                exported = set(ast.literal_eval(node.value))
+        read = read_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and \
+                    node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read and name not in exported:
+                        unused.append(f"{module.name}:{node.lineno} {name}")
+    return unused
+
+
+def test_every_imported_name_is_read():
+    assert unused_imports() == []
+
+
+def test_the_scan_finds_an_import_never_read(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        "from .extra import kept, shown, unshown\n\n"
+        "__all__ = [\"shown\"]\n\nkept()\n", encoding="utf-8")
+    (tmp_path / "extra.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\nimport re as regex\n"
+        "from typing import Dict, List\n\n\n"
+        "def kept(x: \"Dict[str, int]\") -> None:\n"
+        "    return os.path.sep\n", encoding="utf-8")
+    assert unused_imports(tmp_path) == [
+        "__init__.py:1 unshown", "extra.py:3 regex", "extra.py:4 List"]

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import random
+import re
 import weakref
 from enum import IntEnum
 from fractions import Fraction
@@ -15,7 +16,8 @@ from helpers import (assert_mirror_changes_nothing,
                      calibrated_two_pairs, epsilon_elem,
                      integrated_stack_element, mixed_quiver, sd_epsilon_elem,
                      sd_semistable_element, sd_stack_element,
-                     semistable_element, spy_on_seeded, zeroed_at)
+                     semistable_element, spy_on_seeded, star_series,
+                     zeroed_at)
 from reference import (averaged_sd_stack_class, averaged_stack_class,
                        binom_fraction, bps_invariants, direct_epsilon_integral,
                        direct_sd_epsilon_integral,
@@ -27,7 +29,7 @@ from torus import (INV_Q_MINUS_QINV, Q_MINUS_QINV, integrated_unit,
                    series_diamond, star_exp, star_log_one_plus)
 from quiver_dt import invariants as inv, quiver as quiver_module, wallcross as wc
 from quiver_dt.cli import load_quiver, main as cli_main
-from quiver_dt.oracle import calibrate_signs
+from quiver_dt.oracle import CalibrationError, calibrate_signs
 from quiver_dt.motives import (over_gl_denominator, sd_stack_exponent,
                                stack_exponent)
 from quiver_dt.quiver import (Calibration, Edge, SelfDualQuiver, Slope,
@@ -573,7 +575,10 @@ def test_semistable_recursion_makes_no_ratfunc_arithmetic(monkeypatch):
     inv.sd_epsilon_element(q, s, 6)
     assert eng._dom and eng._memo["_log"] and not calls
     assert eng._memo["_sd_semistable_num"] and eng._memo["_root_weight"]
-    assert eng._memo["_root"]
+    # Some root weight is Miller's recurrence: its class's classes commute.
+    commuting = eng._memo["_commuting"]
+    assert any(w is not None and commuting[g] is not None
+               for g, w in eng._memo["_root_weight"].items())
 
 
 def assert_star_log_matches_torus(q, slope, bound):
@@ -723,7 +728,7 @@ def test_self_dual_engine_computes_one_class_per_duality_pair(weights, bound):
     assert_holds_one_class_per_pair(eng, ("_root_weight",), 4)
     if not weights:
         # The Kronecker classes of value 0 do not commute.
-        assert_holds_one_class_per_pair(eng, ("_powers", "_root"), 4)
+        assert_holds_one_class_per_pair(eng, ("_powers", "_commuting"), 4)
 
 
 def assert_holds_both_halves(eng, names):
@@ -946,8 +951,8 @@ def test_dt_motivic_matches_the_integrated_log_numerator():
         for a in [eng.zero] + q.dim_vectors_up_to(bound):
             e, lcm = inv._ZERO, 1
             if any(a):
-                powers = eng._powers(a)
-                e, lcm = inv._series(powers, inv._log_coeffs(len(powers)))
+                e, lcm = star_series(eng._semistable_num, eng._powers, a, 1,
+                                     inv._LOG)
             want = Q_MINUS_QINV * over_gl_denominator(
                 e.poly, a, Fraction(1, lcm))
             assert eng.dt_motivic(a) == want, (q.vertices, s.weights, a)
@@ -995,14 +1000,15 @@ def test_epsilon_is_the_semistable_value_where_the_star_log_has_one_term():
                         and eng._semistable_num(vsub(a, p)).poly
                         for p in boxed_vectors(a) if any(p) and p != a)
             assert (len(trimmed) == 1) == (not chain)
-            e, lcm = inv._series(full, inv._log_coeffs(len(full)))
+            e, lcm = star_series(eng._semistable_num, powers, a, 1, inv._LOG)
             want = over_gl_denominator(e.poly, a, Fraction(1, lcm))
             got = eng.epsilon(a)
             assert got == want, (q.vertices, s.weights, a)
-            # Where a's value's classes commute, the star-log is _miller's,
-            # which has one term where no p has Z(p) and X(a - p) nonzero.
+            # Where a's value's classes commute, the star-log is Miller's
+            # recurrence, which has one term where no p has Z(p) and X(a - p)
+            # nonzero.
             one = len(trimmed) == 1
-            if eng._log(a) is not None:
+            if eng._commuting(a) is not None:
                 one = not any(eng.value(p) == eng.value(a)
                               and eng._log(p)[0].poly
                               and eng._semistable_num(vsub(a, p)).poly
@@ -1024,37 +1030,60 @@ def classes_commute(q, slope, a):
                if vleq(vadd(p, r), a))
 
 
+# Closed forms of the coefficients c_i of log(1 + t), (1 + t)^(-1/2) - 1
+# and exp(t) - 1.
+CLOSED_FORMS = {
+    inv._LOG: lambda i: Fraction((-1) ** (i - 1), i),
+    inv._ROOT: lambda i: Fraction((-1) ** i * math.comb(2 * i, i), 4 ** i),
+    wc._EXP: lambda i: Fraction(1, math.factorial(i)),
+}
+
+
+@pytest.mark.parametrize("dx", [1, 2, 3, 60, 120])
+def test_coeffs_are_the_closed_forms_over_their_lcm(dx):
+    """_coeffs, from the differential equation, gives c_i / dx^i for each
+    closed form, i = 1..n, as integers over their lcm, for n <= 24."""
+    for abc, closed in CLOSED_FORMS.items():
+        for n in range(1, 25):
+            want = [closed(i) / dx ** i for i in range(1, n + 1)]
+            k = math.lcm(*(c.denominator for c in want))
+            ms, got_k = inv._coeffs(abc, n, dx)
+            assert got_k == k, (abc, n)
+            assert [m.poly for m in ms] == [
+                {0: c.numerator * (k // c.denominator)} for c in want], (abc, n)
+
+
 def test_miller_sums_only_where_the_classes_commute(monkeypatch):
-    """On the PF-shaped mixed quiver, which has a commutation form, _miller
-    refuses exactly the classes whose value's classes do not commute, and
-    every sum it makes itself is at a class whose classes commute: the
-    others take the star powers and _series alone.  Sums inside the
-    semistable recursion and the star powers are not _miller's.  A class is
-    read at the slope of the engine whose values _miller is handed, or, for
-    the transform's exp, at the source slope whose epsilon values it reads
-    (crossing[0])."""
+    """On the PF-shaped mixed quiver, which has a commutation form, _series
+    refuses Miller's recurrence (its steps are None) at exactly the classes
+    whose value's classes do not commute, and every sum the recurrence
+    makes itself is at a class whose classes commute: the others take the
+    star powers alone.  Sums inside the semistable recursion, the star
+    powers and the star powers' series are not the recurrence's.  A class
+    is read at the slope of the engine whose values _series is handed, or,
+    for the transform's exp, at the source slope whose epsilon values it
+    reads (crossing[0])."""
     q = calibrated_mixed()
     at, sums, took, refused, crossing = [], [], set(), set(), [None]
 
     def spied(name, fn, record, modules):
         def call(*args):
-            # _miller(g, steps, x, ...): x is an engine's bound method, or
+            # _series(g, steps, x, ...): x is an engine's bound method, or
             # the transform's own reader of the source table.
             x = args[2]
             at_g = (args[0], x.__self__.slope if hasattr(x, "__self__")
                     else crossing[0]) if record else None
-            at.append(at_g)
+            if record:
+                (refused if args[1] is None else took).add(at_g)
+            at.append(at_g if record and args[1] is not None else None)
             try:
-                out = fn(*args)
+                return fn(*args)
             finally:
                 at.pop()
-            if record:
-                (refused if out is None else took).add(at_g)
-            return out
         for module in modules:
             monkeypatch.setattr(module, name, call)
-    spied("_miller", inv._miller, True, (inv, wc))
-    spied("_chain_sum", inv._chain_sum, False, (inv,))
+    spied("_series", inv._series, True, (inv, wc))
+    spied("_chain_sum", inv._chain_sum, False, (inv, wc))
     spied("_star_powers", inv._star_powers, False, (inv, wc))
 
     def summed(terms, sign=1):
@@ -1097,6 +1126,27 @@ def test_no_star_power_is_built_on_kronecker_pm_plus(monkeypatch):
                       SlopePair(q, slope, Slope.from_dict(q, {"i": -1,
                                                               "j": 1})))
     assert not calls
+
+
+def test_a_half_integral_twist_is_a_calibration_error():
+    """kappa = (1/2, 0, 0) on the mixed quiver makes the twist of (0, 0, 1)
+    on the zero class half-integral: a self-dual value or crossing that
+    sums over it raises CalibrationError in verify_calibration's words,
+    not a TypeError from the integer arithmetic."""
+    q = mixed_quiver()
+    cal = calibrate_signs(q)
+    trivial = Slope.trivial(q)
+    table = epsilon_table(q, trivial, 2)
+    q.set_calibration(Calibration(cal.orientation, cal.placement,
+                                  (Fraction(1, 2), 0, 0)))
+    message = re.escape("twist exponent not integral at (0, 0, 1), (0, 0, 0)")
+    with pytest.raises(CalibrationError, match=message):
+        inv.sd_dt_mot(q, trivial, (1, 0, 1))
+    with pytest.raises(CalibrationError, match=message):
+        inv.build_table(q, trivial, 3)
+    pair = SlopePair(q, trivial, Slope.from_dict(q, {"i": -1, "k": 1}))
+    with pytest.raises(CalibrationError, match=message):
+        wallcross_epsilon(table, pair)
 
 
 def test_table_all_regular_makes_no_ratfunc_multiplication(monkeypatch):

@@ -20,11 +20,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
-from helpers import (assert_mirror_changes_nothing, calibrated_mixed,
-                     calibrated_two_pairs, crossed_without_mirror,
-                     epsilon_elem, mixed_quiver, reversed_pair,
-                     sd_epsilon_elem, sd_semistable_element,
-                     semistable_element, two_pairs_quiver)
+from helpers import (assert_mirror_changes_nothing, calibrated_cycle,
+                     calibrated_mixed, calibrated_two_pairs,
+                     crossed_without_mirror, epsilon_elem, mixed_quiver,
+                     reversed_pair, sd_epsilon_elem, sd_semistable_element,
+                     semistable_element, star_series, two_pairs_quiver)
 from reference import (bps_invariants, direct_epsilon_integral,
                        direct_sd_epsilon_integral,
                        direct_sd_semistable_integral,
@@ -413,29 +413,28 @@ def as_fractions(w):
 
 
 def assert_miller_matches_the_star_powers(q, slope, bound):
-    """Where _miller takes a class, which is exactly where its value's
-    classes commute, its star-log, inverse square root and exp weights
-    equal _series of the star powers; epsilon is the star-log over M either
-    way.  The number of classes _miller took and refused."""
+    """Where _series takes Miller's recurrence, which is exactly where its
+    class's value's classes commute, its star-log, inverse square root and
+    exp weights equal _series of the star powers (steps None); epsilon is
+    the star-log over M either way.  The number of classes the recurrence
+    took and refused."""
     eng = inv._engine(q, slope)
     classes = q.dim_vectors_up_to(bound)
     took = refused = 0
     for a in classes:
-        powers = eng._powers(a)
-        for name, coeffs in (("_log", inv._log_coeffs),
-                             ("_root", inv._root_coeffs)):
-            if name == "_root" and eng.value(a)[0]:
+        steps = eng._commuting(a)
+        assert (steps is not None) == classes_commute(q, slope, a), a
+        for name, abc in (("_log", inv._LOG), ("_root_weight", inv._ROOT)):
+            if name == "_root_weight" and eng.value(a)[0]:
                 continue
+            want = star_series(eng._semistable_num, eng._powers, a, 1, abc)
             got = getattr(eng, name)(a)
-            assert (got is not None) == classes_commute(q, slope, a), a
-            if got is not None:
-                want = inv._series(powers, coeffs(len(powers)))
-                assert as_fractions(got) == as_fractions(want), (name, a)
-        e, k = inv._series(powers, inv._log_coeffs(len(powers)))
+            assert as_fractions(got) == as_fractions(want), (name, a)
+        e, k = star_series(eng._semistable_num, eng._powers, a, 1, inv._LOG)
         assert eng.epsilon(a) == over_gl_denominator(e.poly, a,
                                                      Fraction(1, k)), a
-        took += eng._log(a) is not None
-        refused += eng._log(a) is None
+        took += steps is not None
+        refused += steps is None
     by_value = {}
     for a in classes:
         by_value.setdefault(eng.value(a), {})[a] = eng.epsilon(a)
@@ -444,16 +443,16 @@ def assert_miller_matches_the_star_powers(q, slope, bound):
         weight = wc._exp_weights(q, eng.value, y, d)
         memo = {}
 
+        def x(a):
+            return y.get(a, inv._ZERO)
+
         def powers(g):
             if g not in memo:
-                memo[g] = inv._star_powers(q, g, eng.value,
-                                           lambda a: y.get(a, inv._ZERO),
-                                           powers)
+                memo[g] = inv._star_powers(q, g, eng.value, x, powers)
             return memo[g]
         for g in eps:
             for c in (1, 2):
-                want = inv._series(powers(g),
-                                   wc._exp_coeffs(len(powers(g)), c * d))
+                want = star_series(x, powers, g, c * d, wc._EXP)
                 assert as_fractions(weight(g, c)) == as_fractions(want), g
     return took, refused
 
@@ -462,15 +461,18 @@ def assert_miller_matches_the_star_powers(q, slope, bound):
 # vertices (no commutation form), or two vertices at a nonzero slope (the
 # classes of one value lie on a ray).
 COMMUTING_SHAPES = [("F",), ("F", "F"), ("F", "F", "F"), ("P",)]
+# Shapes that can have a commutation form, with the largest bound each is
+# drawn at: four and five vertices stop at 3.
+FORM_SHAPES = {("P", "F"): 5, ("P", "P"): 3, ("P", "P", "F"): 3}
 
 
 @st.composite
 def miller_case(draw):
-    """A calibrated quiver of a commuting shape, or PF-shaped with a
-    commutation form; a self-dual slope with nonzero weights at the pairs,
-    or off the commuting shapes the trivial slope; and a bound from 2 to
-    5."""
-    shapes = draw(st.sampled_from(COMMUTING_SHAPES + [("P", "F")]))
+    """A calibrated quiver of a commuting shape, or of a shape of
+    FORM_SHAPES with a commutation form; a self-dual slope with nonzero
+    weights at the pairs, or off the commuting shapes the trivial slope;
+    and a bound from 2 to 5, to 3 on four and five vertices."""
+    shapes = draw(st.sampled_from(COMMUTING_SHAPES + list(FORM_SHAPES)))
     quiver = draw(st.randoms(use_true_random=False).map(
         lambda rng: _rand_quiver(rng, shapes)).filter(
             lambda q: shapes in COMMUTING_SHAPES or _has_commutation_form(q)))
@@ -480,7 +482,8 @@ def miller_case(draw):
         for i, j in quiver.vertex_pairs:
             weights[i] = draw(st.sampled_from(PAIR_WEIGHTS))
             weights[j] = -weights[i]
-    return quiver, Slope(tuple(weights)), shapes, draw(st.integers(2, 5))
+    bound = draw(st.integers(2, FORM_SHAPES.get(shapes, 5)))
+    return quiver, Slope(tuple(weights)), shapes, bound
 
 
 @BUDGET
@@ -494,7 +497,7 @@ def test_miller_matches_the_star_powers(case):
 
 @pytest.mark.parametrize("make, weights", COMMUTATION_CASES + [
     (calibrated_mixed, {}), (calibrated_mixed, {"i": 2, "j": 1, "k": -1}),
-    (calibrated_two_pairs, {})])
+    (calibrated_two_pairs, {}), (calibrated_cycle, {})])
 def test_miller_matches_the_star_powers_with_a_commutation_form(make,
                                                                  weights):
     q = make()
@@ -549,13 +552,19 @@ def stack_and_factor(draw):
 @given(stack_and_factor())
 def test_factor_walk_is_the_chain_sum_product(case):
     """The transform's product of the running stack by one slope factor,
-    walked over the factor's nonzero classes, against _chain_sum over the
-    box of each class, as the transform multiplied before."""
+    _chain_sum walked over the factor's nonzero classes (_factor_steps),
+    against _chain_sum over the box of each class, as the transform
+    multiplied before.  The walk's steps are steps of the box, at the
+    factor's classes."""
     quiver, classes, stack, factor = case
-    nonzero = [(g, xg) for g, xg in factor.items() if xg.poly]
+    nonzero = {g: xg for g, xg in factor.items() if xg.poly}
     for a in classes:
-        got = wc._times_factor(quiver, stack, a, nonzero)
-        assert got.poly == inv._chain_sum(quiver, stack, a, factor.get).poly
+        steps = wc._factor_steps(a, nonzero)
+        assert set(steps) <= set(inv._box_steps(a)), a
+        assert all(g in nonzero for _, g, _ in steps), a
+        got = inv._chain_sum(quiver, stack, a, nonzero.get, steps)
+        assert got.poly == inv._chain_sum(quiver, stack, a, factor.get,
+                                          inv._box_steps(a)).poly
 
 
 # Slope weights are c times one of a few rays per quiver: positive multiples

@@ -380,7 +380,7 @@ def test_transform_work_on_kronecker_pm_plus(monkeypatch):
     pair = _pair(q, {"i": 1, "j": -1}, {"i": -1, "j": 1})
     table = epsilon_table(q, pair.plus, 5)
     sums, products, made = [], [], []
-    times_factor = wc._times_factor
+    chain_sum = wc._chain_sum
 
     def counted(terms, sign=1):
         sums.append(terms)
@@ -391,17 +391,16 @@ def test_transform_work_on_kronecker_pm_plus(monkeypatch):
                 f is own or f.poly == {0: 1} for f in terms[0][1])), top
         return laurent_sum(terms, sign)
 
-    def product(q, stack, a, factor):
+    def product(q, stack, a, x, steps, sign=1):
         products.append((stack, a))
         made.append(a)
         try:
-            return times_factor(q, stack, a, factor)
+            return chain_sum(q, stack, a, x, steps, sign)
         finally:
             products.pop()
     with monkeypatch.context() as m:
         m.setattr(inv, "laurent_sum", counted)
-        m.setattr(wc, "laurent_sum", counted)
-        m.setattr(wc, "_times_factor", product)
+        m.setattr(wc, "_chain_sum", product)
         crossed = wallcross_epsilon(table, pair)
     assert made and len(sums) == 45
     assert crossed == epsilon_table(q, pair.minus, 5)
@@ -517,7 +516,7 @@ def test_perturbed_self_dual_values_cross_on_a_seeded_engine(monkeypatch):
 
 def test_seeded_engine_computes_both_halves(monkeypatch):
     """A perturbed dual-symmetric table crosses to a self-dual slope on a
-    seeded engine, which holds X, the star-log by _miller and epsilon at a
+    seeded engine, which holds X, the star-log by _series and epsilon at a
     and at a^v for every class: only a cached engine mirrors."""
     q = calibrated_kron()
     pair = _pair(q, {"i": 1, "j": -1}, {"i": -1, "j": 1})
