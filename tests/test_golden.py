@@ -19,6 +19,9 @@ from quiver_dt import cli
 
 GOLDEN = Path(__file__).parent / "golden_outputs.json"
 FIXTURES = Path(cli.__file__).parent / "fixtures"
+# Quivers with a nonzero commutation form, written from tests/helpers.py
+# (calibrated_cycle, calibrated_mixed, two_pairs_quiver) by to_data().
+TWISTED = Path(__file__).parent / "fixtures"
 
 POINTS = ["point_plus", "point_minus"]
 KRONECKERS = [f"kronecker_{e}_{v}" for v in ("plus", "minus")
@@ -47,6 +50,26 @@ def golden_commands():
             commands[f"wallcross {name} {src} to {dst}"] = [
                 "wallcross", path, "--bound", "4",
                 "--slope", src, "--slope2", dst]
+    # Classes whose decompositions have twists, where a series can choose
+    # between Miller's recurrence and the star powers.
+    for name, slopes in (("cycle", [None, "i=1,k=-1"]),
+                         ("mixed", [None, "i=1,k=-1"]),
+                         ("two_pairs", [None])):
+        path = str(TWISTED / f"{name}.json")
+        for slope in slopes:
+            for fmt in ("json", "csv"):
+                argv = ["dt", path, "--bound", "4", "--format", fmt]
+                if slope:
+                    argv += ["--slope", slope]
+                commands[f"dt {name} {slope or 'trivial'} {fmt}"] = argv
+    for name, src, dst in (("cycle", None, "i=1,k=-1"),
+                           ("mixed", "i=1,k=-1", "i=-1,k=1"),
+                           ("two_pairs", None, "a=1,d=-1")):
+        argv = ["wallcross", str(TWISTED / f"{name}.json"), "--bound", "3",
+                "--slope2", dst]
+        if src:
+            argv += ["--slope", src]
+        commands[f"wallcross {name} {src or 'trivial'} to {dst}"] = argv
     return commands
 
 
