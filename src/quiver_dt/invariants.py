@@ -15,20 +15,21 @@ system in quantum groups and cohomology of quiver moduli, 2003).  The entry
 at p reads s only through the classes c <= p of slope above s, so slope
 values that agree on them share it: each engine computes it once per such
 region (_Engine._dom_table).  The kernels that sum over the decompositions
-a = p + (a - p) of a class (_chain_sum, _star_powers, _series) iterate one
-cached list per class, _box_steps(a), which holds each p with a - p and
-its binomials; the self-dual action iterates the decompositions theta = g
-+ rho + g^v with their ratios, kept per quiver and class (_sd_steps).  A
-power series in a slope's semistable element, such as the star-logarithm
-that gives the epsilon integrals or the inverse square root at slope 0, is
-at each class one integer numerator over one integer, divided by M only at
-the end, as a RatFunc: one _series of the differential equation it solves.
-Where the classes of the class's slope value commute (_commuting_steps),
-_series solves it through the degree derivation, one convolution per
-class; elsewhere it sums the star powers of the element (_star_powers)
-with the coefficients the equation gives (_coeffs).  Where no class below
-contributes to the star-log, the epsilon integral is the semistable
-integral, the same RatFunc.
+a = p + (a - p) of a class iterate one cached list per class, _box_steps(a),
+which holds each p with a - p and its binomials: _chain_sum all of it, and
+_star_powers and _series the part with p of a's slope value, which each
+engine keeps per class with the twists <p, a - p> (_Engine._steps); the
+self-dual action iterates the decompositions theta = g + rho + g^v with
+their ratios, kept per quiver and class (_sd_steps).  A power series in a
+slope's semistable element, such as the star-logarithm that gives the
+epsilon integrals or the inverse square root at slope 0, is at each class
+one integer numerator over one integer, divided by M only at the end, as a
+RatFunc: one _series of the differential equation it solves.  Where every
+twist of the class's steps is 0, _series solves it through the degree
+derivation, one convolution per class; elsewhere it sums the star powers
+of the element (_star_powers) with the coefficients the equation gives
+(_coeffs).  Where no class below contributes to the star-log, the epsilon
+integral is the semistable integral, the same RatFunc.
 
 On the self-dual side, semistable integrals are the slope-0 entries acting
 on the module stack classes, and epsilon integrals are the inverse square
@@ -117,8 +118,9 @@ def _binomials(top: DimVector, p: DimVector) -> List[Laurent]:
 # A decomposition of a class into two classes, with the factors other than
 # 1 of the ratio of motive denominators it needs: (p, top - p, the
 # q^2-binomials [top_i, p_i] != 1) in _box_steps, (g, rho, the sd_ratio
-# factors) in _sd_steps.
+# factors) in _sd_steps.  _Engine._steps adds the twist <p, top - p>.
 Step = Tuple[DimVector, DimVector, Tuple[Laurent, ...]]
+TwistedStep = Tuple[DimVector, DimVector, Tuple[Laurent, ...], int]
 
 
 @lru_cache(maxsize=4096)
@@ -175,54 +177,32 @@ def _below(p: DimVector) -> Tuple[DimVector, ...]:
     return tuple(p[:i] + (n - 1,) + p[i + 1:] for i, n in enumerate(p) if n)
 
 
-def _star_powers(quiver: SelfDualQuiver, g: DimVector,
-                 value: Callable[[DimVector], Value],
+def _star_powers(g: DimVector, steps: List[TwistedStep],
                  x: Callable[[DimVector], Laurent],
                  powers: Callable[[DimVector], List[Laurent]]
                  ) -> List[Laurent]:
     """[P_1(g), ..., P_m(g)] with y^{*n}_g = (q - 1/q) P_n(g) / M(g), for
-    y = sum_a (q - 1/q) x(a) / M(a) [a] over the classes a of g's value.  By
-    the identity _chain_sum uses, P_1 = x and P_n(g) is the sum over the
-    classes 0 < p < g of g's value of P_{n-1}(p) x(g - p) prod_i [g_i, p_i]
-    q^<p, g - p>, with powers(p) the list at p.  The list stops at the last
-    n whose sum has a term, every later P_n being zero, so m <= |g|, and m =
-    1 exactly when no class 0 < p < g of g's value has x(g - p) nonzero."""
-    s = value(g)
-    comm = quiver.commutation_exponent
+    y = sum_a (q - 1/q) x(a) / M(a) [a] over the classes a of g's value and
+    steps g's decompositions (p, g - p, binomials, twist) into two classes
+    of that value (_Engine._steps).  By the identity _chain_sum uses, P_1 =
+    x and P_n(g) is the sum over the steps of P_{n-1}(p) x(g - p) prod_i
+    [g_i, p_i] q^<p, g - p>, with powers(p) the list at p.  The list stops
+    at the last n whose sum has a term, every later P_n being zero, so m <=
+    |g|, and m = 1 exactly when no step has x(g - p) nonzero."""
     terms: List[list] = []
-    for p, step, bins in _box_steps(g):
-        if value(p) != s:
-            continue
-        xs = x(step)
-        if xs.poly:
-            tw = comm(p, step)
+    for p, r, bins, tw in steps:
+        xr = x(r)
+        if xr.poly:
             for n, pn in enumerate(powers(p)):
                 if n == len(terms):
                     terms.append([])
-                terms[n].append((tw, (pn, xs, *bins)))
+                terms[n].append((tw, (pn, xr, *bins)))
     return [x(g)] + [laurent_sum(t) for t in terms]
 
 
 # _series's weights for the star-log and the inverse square root.
 _LOG = (2, -2, 0)
 _ROOT = (-1, -2, -1)
-
-
-def _commuting_steps(quiver: SelfDualQuiver, g: DimVector,
-                     value: Callable[[DimVector], Value],
-                     commuting: Callable[[DimVector], Optional[List[Step]]]
-                     ) -> Optional[List[Step]]:
-    """The steps (p, g - p, binomials) of _box_steps(g) with p of g's value,
-    so g - p of it too; None where one of them has twist <p, g - p> != 0 or
-    commuting(p), the decision at p, is None.  So it is None unless every
-    pair of classes of g's value that sums to at most g has twist 0."""
-    s = value(g)
-    steps = [t for t in _box_steps(g) if value(t[0]) == s]
-    comm = quiver.commutation_exponent
-    if any(comm(p, r) for p, r, _ in steps) or None in [
-            commuting(p) for p, _, _ in steps]:
-        return None
-    return steps
 
 
 @cache
@@ -240,7 +220,7 @@ def _coeffs(abc: Tuple[int, int, int], n: int,
     return [Laurent({0: f.numerator * (k // f.denominator)}) for f in cs], k
 
 
-def _series(g: DimVector, steps: Optional[List[Step]],
+def _series(g: DimVector, steps: List[TwistedStep],
             x: Callable[[DimVector], Laurent], dx: int,
             z: Callable[[DimVector], Tuple[Laurent, int]],
             abc: Tuple[int, int, int],
@@ -250,16 +230,19 @@ def _series(g: DimVector, steps: Optional[List[Step]],
     star powers of x (powers), for F(t) = sum_n c_n t^n solving (1 + beta
     t) F' = alpha + gamma F, F(0) = 0, abc = (2 alpha, -2 beta, 2 gamma):
     (2, -2, 0) is log(1 + t), (-1, -2, -1) is (1 + t)^(-1/2) - 1 and (2,
-    0, 2) is exp(t) - 1.  Where steps, _commuting_steps at g, is None, it
-    sums powers(g) with the coefficients of _coeffs: P_1 itself where it is
-    the only power and c_1 k = 1.  Else g's value's classes commute, and the
-    degree derivation D[p] = |p| [p] turns D F(u) = F'(u) D u, u = sum_p
-    x(p) / (dx M(p)) [p], into J. C. P. Miller's recurrence (Knuth, TAOCP
-    Vol. 2, 4.7), one convolution per class, z(p) the value at p: 2 |g|
-    Z(g) = a |g| u(g) + sum over the steps of Z(p) u(g - p) prod_i [g_i,
-    p_i] (b |p| + c |g - p|); (x(g), dx) where no step contributes and a =
-    2."""
-    if steps is None:
+    0, 2) is exp(t) - 1; steps are g's decompositions into two classes of
+    its value, with their twists (_Engine._steps).  Where a twist is
+    nonzero, it sums powers(g) with the coefficients of _coeffs: P_1 itself
+    where it is the only power and c_1 k = 1.  Else any two elements on g's
+    value commute in their coefficient at g, and each word of D(u^n) is a
+    rotation of (D u) u^(n-1), so D(u^n)_g = n ((D u) u^(n-1))_g and the
+    degree derivation D[p] = |p| [p] turns D F(u) = F'(u) D u at g, u =
+    sum_p x(p) / (dx M(p)) [p], into J. C. P. Miller's recurrence (Knuth,
+    TAOCP Vol. 2, 4.7), one convolution per class, z(p) the value at p
+    however p took it: 2 |g| Z(g) = a |g| u(g) + sum over the steps of
+    Z(p) u(g - p) prod_i [g_i, p_i] (b |p| + c |g - p|); (x(g), dx) where
+    no step contributes and a = 2."""
+    if any([step[3] for step in steps]):
         pg = powers(g)
         ms, k = _coeffs(abc, len(pg), dx)
         if len(pg) == 1 and ms[0].poly == {0: 1}:
@@ -267,7 +250,7 @@ def _series(g: DimVector, steps: Optional[List[Step]],
         return laurent_sum([(0, [m, pn]) for m, pn in zip(ms, pg)]), k
     a, b, c = abc
     terms = []
-    for p, r, bins in steps:
+    for p, r, bins, _ in steps:
         zp, kp = z(p)
         xr = x(r)
         m = b * vtotal(p) + c * vtotal(r)
@@ -501,23 +484,27 @@ class _Engine:
 
     # -- star powers: star-log and inverse square root ----------------------
 
+    @_per_class
+    def _steps(self, g: DimVector) -> List[TwistedStep]:
+        """The steps (p, g - p, binomials) of _box_steps(g) with p of g's
+        value, so g - p of it too, each with its twist <p, g - p>: what
+        _star_powers and _series sum over, here and in the transform."""
+        s, comm = self.value(g), self.quiver.commutation_exponent
+        return [(p, r, bins, comm(p, r)) for p, r, bins in _box_steps(g)
+                if self.value(p) == s]
+
     @_per_pair
     def _powers(self, g: DimVector) -> List[Laurent]:
         """The star powers of the semistable element of g's slope at g (see
         _star_powers), with P_1 = X."""
-        return _star_powers(self.quiver, g, self.value, self._semistable_num,
+        return _star_powers(g, self._steps(g), self._semistable_num,
                             self._powers)
-
-    @_per_pair
-    def _commuting(self, g: DimVector) -> Optional[List[Step]]:
-        """_commuting_steps at g, decided once for _log and _root_weight."""
-        return _commuting_steps(self.quiver, g, self.value, self._commuting)
 
     @_per_pair
     def _log(self, g: DimVector) -> Tuple[Laurent, int]:
         """(E, L) with E / L = sum_n (-1)^(n-1) P_n(g) / n, the star-log at
         g, by _series."""
-        return _series(g, self._commuting(g), self._semistable_num, 1,
+        return _series(g, self._steps(g), self._semistable_num, 1,
                        self._log, _LOG, self._powers)
 
     @_per_pair
@@ -546,7 +533,7 @@ class _Engine:
         binom(-1/2, n) = (-1)^n C(2n, n) / 4^n, by _series."""
         if self.value(g)[0]:
             return None
-        return _series(g, self._commuting(g), self._semistable_num, 1,
+        return _series(g, self._steps(g), self._semistable_num, 1,
                        self._root_weight, _ROOT, self._powers)
 
     # -- self-dual side -----------------------------------------------------

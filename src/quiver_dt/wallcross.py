@@ -5,13 +5,14 @@ re-factorisation in the twisted algebra (see wallcross_epsilon), carried
 out on integer Laurent numerators over the motive denominators with the
 invariants module's integer kernels, so that the only rational functions
 built are the source values read and the target values returned.  The
-exponential of a slope's epsilon element is invariants._series of exp,
-which takes Miller's recurrence where the slope value's classes commute, as
-on every two-vertex and every symmetric quiver (_exp_weights), and the
-running product is invariants._chain_sum over a factor's own classes
-(_factor_steps).  Slope values come from the source slope's engine
-(filled by epsilon_table) as integer pairs, source values only from the
-table.  The stack element is factored at the target slope on the engine
+exponential of a slope's epsilon element is invariants._series of exp
+over the source engine's steps of each class, the decompositions into two
+classes of its value with their twists (_exp_weights): Miller's recurrence
+where each twist is 0, as on every two-vertex and every symmetric quiver;
+and the running product is invariants._chain_sum over a factor's own
+classes (_factor_steps).  Slope values, as integer pairs, and steps come
+from the source slope's engine (filled by epsilon_table), source values
+only from the table.  The stack element is factored at the target slope on the engine
 invariants._seeded_engine picks: the cached one where its numerators are
 the quiver's own, as for every table epsilon_table makes.  Both functions
 read their table off an engine the one way, _tabulate.  The same transform
@@ -37,8 +38,8 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .invariants import (_ZERO, Step, Value, Weight, _box_steps, _chain_sum,
-                         _commuting_steps, _dual_symmetric, _engine,
+from .invariants import (_ZERO, Step, TwistedStep, Value, Weight,
+                         _box_steps, _chain_sum, _dual_symmetric, _engine,
                          _Engine, _ray_of, _sd_action, _seeded_engine,
                          _series, _star_powers)
 from .motives import gl_poly, sd_gl_poly
@@ -136,28 +137,24 @@ def _divided(num: Laurent, d: int, what: str, at: DimVector) -> Laurent:
 _EXP = (2, 0, 2)
 
 
-def _exp_weights(q: SelfDualQuiver, value: Callable[[DimVector], Value],
+def _exp_weights(steps: Callable[[DimVector], List[TwistedStep]],
                  y: Dict[DimVector, Laurent], d: int):
     """weight(g, c) = (W, k) with exp(e / c)_g = (q - 1/q) W / (k M(g)), for
     the epsilon element e = sum_a (q - 1/q) y[a] / (d M(a)) [a] of one
     slope and g not zero: W / k = sum_n P_n(g) / (n! (c d)^n), P_n the star
-    powers of y, by invariants._series once per g and c, with whether g's
-    value's classes commute decided once per class for every c."""
+    powers of y, by invariants._series once per g and c over steps(g), g's
+    decompositions with their twists (the source engine's _steps)."""
     def x(a: DimVector) -> Laurent:
         return y.get(a, _ZERO)
 
     @cache
     def powers(g: DimVector) -> List[Laurent]:
-        return _star_powers(q, g, value, x, powers)
-
-    @cache
-    def commuting(g: DimVector) -> Optional[List[Step]]:
-        return _commuting_steps(q, g, value, commuting)
+        return _star_powers(g, steps(g), x, powers)
 
     @cache
     def weight(g: DimVector, c: int) -> Tuple[Laurent, int]:
-        return _series(g, commuting(g), x, c * d, lambda p: weight(p, c),
-                       _EXP, powers)
+        return _series(g, steps(g), x, c * d, lambda p: weight(p, c), _EXP,
+                       powers)
     return weight
 
 
@@ -222,8 +219,8 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
     for a, e in table.eps.items():
         if e:
             by_slope.setdefault(value(a), {})[a] = e
-    exps = {s: _exp_weights(q, value, *_numerators(eps, gl_poly,
-                                                   "M(a) eps(a)"))
+    exps = {s: _exp_weights(source._steps, *_numerators(eps, gl_poly,
+                                                        "M(a) eps(a)"))
             for s, eps in by_slope.items() if not (mirror and s[0] < 0)}
     # X_s(g) = M(g) J_s(g) for the classes g of slope s; X_s(0) = 1 is left
     # to _chain_sum and _sd_action.  Mirrored, X_-s(g^v) = X_s(g).

@@ -7,7 +7,7 @@ import pytest
 from quiver_dt import invariants as inv, oracle, wallcross
 from quiver_dt.quiver import (Edge, SelfDualQuiver, kronecker_variant,
                               make_calibration, point_quiver, vtotal)
-from quiver_dt.ratfunc import Laurent, RatFunc
+from quiver_dt.ratfunc import Laurent, RatFunc, laurent_sum
 from quiver_dt.wallcross import SlopePair
 from reference import sd_stack_class, stack_class
 from torus import TorusElem, TorusModElem, integrated_unit
@@ -147,9 +147,11 @@ def subs_square(f: RatFunc, value) -> Fraction:
 
 
 def star_series(x, powers, g, dx, abc):
-    """invariants._series at g summed from the star powers, as where g's
-    value's classes do not commute."""
-    return inv._series(g, None, x, dx, None, abc, powers)
+    """The series of invariants._series at g summed from the star powers,
+    (Z, k) with Z / k = sum_n c_n powers(g)[n - 1] / dx^n for the
+    coefficients c_n of invariants._coeffs, whichever way _series takes."""
+    ms, k = inv._coeffs(abc, len(powers(g)), dx)
+    return laurent_sum([(0, [m, pn]) for m, pn in zip(ms, powers(g))]), k
 
 
 def reversed_pair(pair: SlopePair) -> SlopePair:

@@ -575,9 +575,9 @@ def test_semistable_recursion_makes_no_ratfunc_arithmetic(monkeypatch):
     inv.sd_epsilon_element(q, s, 6)
     assert eng._dom and eng._memo["_log"] and not calls
     assert eng._memo["_sd_semistable_num"] and eng._memo["_root_weight"]
-    # Some root weight is Miller's recurrence: its class's classes commute.
-    commuting = eng._memo["_commuting"]
-    assert any(w is not None and commuting[g] is not None
+    # Some root weight is Miller's recurrence: its class's own twists vanish.
+    steps = eng._memo["_steps"]
+    assert any(w is not None and not any(t[3] for t in steps[g])
                for g, w in eng._memo["_root_weight"].items())
 
 
@@ -728,7 +728,7 @@ def test_self_dual_engine_computes_one_class_per_duality_pair(weights, bound):
     assert_holds_one_class_per_pair(eng, ("_root_weight",), 4)
     if not weights:
         # The Kronecker classes of value 0 do not commute.
-        assert_holds_one_class_per_pair(eng, ("_powers", "_commuting"), 4)
+        assert_holds_one_class_per_pair(eng, ("_powers", "_steps"), 4)
 
 
 def assert_holds_both_halves(eng, names):
@@ -1004,11 +1004,11 @@ def test_epsilon_is_the_semistable_value_where_the_star_log_has_one_term():
             want = over_gl_denominator(e.poly, a, Fraction(1, lcm))
             got = eng.epsilon(a)
             assert got == want, (q.vertices, s.weights, a)
-            # Where a's value's classes commute, the star-log is Miller's
+            # Where a's own twists vanish, the star-log is Miller's
             # recurrence, which has one term where no p has Z(p) and X(a - p)
             # nonzero.
             one = len(trimmed) == 1
-            if eng._commuting(a) is not None:
+            if not any(t[3] for t in eng._steps(a)):
                 one = not any(eng.value(p) == eng.value(a)
                               and eng._log(p)[0].poly
                               and eng._semistable_num(vsub(a, p)).poly
@@ -1021,13 +1021,12 @@ def test_epsilon_is_the_semistable_value_where_the_star_log_has_one_term():
     assert one_term > 0
 
 
-def classes_commute(q, slope, a):
-    """Whether every pair of classes of a's slope value (the Fraction rule)
-    that sums to at most a has twist 0."""
-    same = [p for p in boxed_vectors(a)
-            if any(p) and slope.value(p) == slope.value(a)]
-    return all(q.commutation_exponent(p, r) == 0 for p in same for r in same
-               if vleq(vadd(p, r), a))
+def own_twists_vanish(q, slope, a):
+    """Whether every decomposition a = p + (a - p) into two nonzero classes
+    of a's slope value (the Fraction rule) has twist <p, a - p> = 0."""
+    return all(q.commutation_exponent(p, vsub(a, p)) == 0
+               for p in boxed_vectors(a)
+               if any(p) and p != a and slope.value(p) == slope.value(a))
 
 
 # Closed forms of the coefficients c_i of log(1 + t), (1 + t)^(-1/2) - 1
@@ -1055,10 +1054,10 @@ def test_coeffs_are_the_closed_forms_over_their_lcm(dx):
 
 def test_miller_sums_only_where_the_classes_commute(monkeypatch):
     """On the PF-shaped mixed quiver, which has a commutation form, _series
-    refuses Miller's recurrence (its steps are None) at exactly the classes
-    whose value's classes do not commute, and every sum the recurrence
-    makes itself is at a class whose classes commute: the others take the
-    star powers alone.  Sums inside the semistable recursion, the star
+    refuses Miller's recurrence (a step it is handed has a nonzero twist)
+    at exactly the classes with a decomposition into two classes of their
+    value of nonzero twist, and every sum the recurrence makes itself is at
+    a class whose own twists vanish: the others take the star powers alone.  Sums inside the semistable recursion, the star
     powers and the star powers' series are not the recurrence's.  A class
     is read at the slope of the engine whose values _series is handed, or,
     for the transform's exp, at the source slope whose epsilon values it
@@ -1073,9 +1072,10 @@ def test_miller_sums_only_where_the_classes_commute(monkeypatch):
             x = args[2]
             at_g = (args[0], x.__self__.slope if hasattr(x, "__self__")
                     else crossing[0]) if record else None
+            miller = record and not any(t[3] for t in args[1])
             if record:
-                (refused if args[1] is None else took).add(at_g)
-            at.append(at_g if record and args[1] is not None else None)
+                (took if miller else refused).add(at_g)
+            at.append(at_g if miller else None)
             try:
                 return fn(*args)
             finally:
@@ -1100,8 +1100,8 @@ def test_miller_sums_only_where_the_classes_commute(monkeypatch):
             wallcross_epsilon(epsilon_table(q, slope, 4),
                               SlopePair(q, slope, target))
         assert sums and took and refused, weights
-        assert all(classes_commute(q, s, g) for g, s in took), weights
-        assert not any(classes_commute(q, s, g) for g, s in refused)
+        assert all(own_twists_vanish(q, s, g) for g, s in took), weights
+        assert not any(own_twists_vanish(q, s, g) for g, s in refused)
         assert set(sums) <= took, weights
         inv.clear_cache()
         for group in (sums, took, refused):

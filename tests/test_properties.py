@@ -12,6 +12,7 @@ loops they replace, and for the caches of one quiver against a fresh copy
 as its calibration changes (a hypothesis state machine)."""
 
 from fractions import Fraction
+from functools import cache
 from math import factorial, gcd
 
 import pytest
@@ -32,7 +33,7 @@ from reference import (bps_invariants, direct_epsilon_integral,
 from suite import _rand_quiver
 from test_invariants import (COMMUTATION_CASES,
                              assert_engine_matches_full_region,
-                             classes_commute, is_integer_laurent)
+                             is_integer_laurent, own_twists_vanish)
 from test_oracle import flipped, loop_verify_calibration, outcome
 from torus import integrated_unit, series_diamond, star_exp
 from quiver_dt import invariants as inv, wallcross as wc
@@ -56,12 +57,27 @@ def _has_edge_between_distinct_vertices(quiver):
     return any(s != t for s, t in quiver.edge_endpoints)
 
 
+# Four- and five-vertex shapes: two swapped pairs, and with a fixed vertex.
+TWO_PAIR_SHAPES = [("P", "P"), ("P", "P", "F")]
+
+
+def _suite_or_two_pair_quiver(draw, keep):
+    """A quiver that keep accepts: suite-shaped in three draws of four, else
+    of a shape of TWO_PAIR_SHAPES; and the largest bound to draw it at, 4
+    on the suite shapes and 3 on the others."""
+    shapes = draw(st.sampled_from([None] * 6 + TWO_PAIR_SHAPES))
+    quiver = draw(st.randoms(use_true_random=False).map(
+        lambda rng: _rand_quiver(rng, shapes)).filter(keep))
+    return quiver, 4 if shapes is None else 3
+
+
 @st.composite
 def quiver_slope_bound(draw):
-    """A suite-shaped quiver with a non-zero commutation form, a slope with
-    small fractional weights (not necessarily self-dual) and a bound <= 3."""
-    quiver = draw(st.randoms(use_true_random=False).map(_rand_quiver)
-                  .filter(_has_edge_between_distinct_vertices))
+    """A suite-shaped or two-pair quiver with a non-zero commutation form, a
+    slope with small fractional weights (not necessarily self-dual) and a
+    bound <= 3."""
+    quiver, _ = _suite_or_two_pair_quiver(
+        draw, _has_edge_between_distinct_vertices)
     weights = draw(st.lists(st.fractions(-3, 3, max_denominator=2),
                             min_size=len(quiver.vertices),
                             max_size=len(quiver.vertices)))
@@ -240,12 +256,11 @@ PAIR_WEIGHTS = [Fraction(n, d) for n in range(-3, 4) if n
 
 @st.composite
 def crossing(draw):
-    """A calibrated suite-shaped quiver with a nonzero commutation form and
-    a nonzero kappa (so it has a vertex pair), two self-dual slopes with
-    small nonzero fractional weights at the pairs, and a bound from 2 to
-    4."""
-    quiver = draw(st.randoms(use_true_random=False).map(_rand_quiver)
-                  .filter(_has_live_forms))
+    """A calibrated suite-shaped or two-pair quiver with a nonzero
+    commutation form and a nonzero kappa (so it has a vertex pair), two
+    self-dual slopes with small nonzero fractional weights at the pairs,
+    and a bound from 2 to 4, to 3 on four and five vertices."""
+    quiver, top = _suite_or_two_pair_quiver(draw, _has_live_forms)
     slopes = []
     for _ in range(2):
         weights = [0] * len(quiver.vertices)
@@ -253,7 +268,7 @@ def crossing(draw):
             weights[i] = draw(st.sampled_from(PAIR_WEIGHTS))
             weights[j] = -weights[i]
         slopes.append(Slope(tuple(weights)))
-    return SlopePair(quiver, *slopes), draw(st.integers(2, 4))
+    return SlopePair(quiver, *slopes), draw(st.integers(2, top))
 
 
 @BUDGET
@@ -414,16 +429,16 @@ def as_fractions(w):
 
 def assert_miller_matches_the_star_powers(q, slope, bound):
     """Where _series takes Miller's recurrence, which is exactly where its
-    class's value's classes commute, its star-log, inverse square root and
-    exp weights equal _series of the star powers (steps None); epsilon is
-    the star-log over M either way.  The number of classes the recurrence
+    class's own twists vanish, its star-log, inverse square root and exp
+    weights (c = 1, 2) equal the series of the star powers (star_series);
+    epsilon is the star-log over M either way.  The classes the recurrence
     took and refused."""
     eng = inv._engine(q, slope)
     classes = q.dim_vectors_up_to(bound)
-    took = refused = 0
+    took, refused = set(), set()
     for a in classes:
-        steps = eng._commuting(a)
-        assert (steps is not None) == classes_commute(q, slope, a), a
+        miller = not any(t[3] for t in eng._steps(a))
+        assert miller == own_twists_vanish(q, slope, a), a
         for name, abc in (("_log", inv._LOG), ("_root_weight", inv._ROOT)):
             if name == "_root_weight" and eng.value(a)[0]:
                 continue
@@ -433,14 +448,13 @@ def assert_miller_matches_the_star_powers(q, slope, bound):
         e, k = star_series(eng._semistable_num, eng._powers, a, 1, inv._LOG)
         assert eng.epsilon(a) == over_gl_denominator(e.poly, a,
                                                      Fraction(1, k)), a
-        took += steps is not None
-        refused += steps is None
+        (took if miller else refused).add(a)
     by_value = {}
     for a in classes:
         by_value.setdefault(eng.value(a), {})[a] = eng.epsilon(a)
     for eps in by_value.values():
         y, d = wc._numerators(eps, gl_poly, "M(a) eps(a)")
-        weight = wc._exp_weights(q, eng.value, y, d)
+        weight = wc._exp_weights(eng._steps, y, d)
         memo = {}
 
         def x(a):
@@ -448,7 +462,7 @@ def assert_miller_matches_the_star_powers(q, slope, bound):
 
         def powers(g):
             if g not in memo:
-                memo[g] = inv._star_powers(q, g, eng.value, x, powers)
+                memo[g] = inv._star_powers(g, eng._steps(g), x, powers)
             return memo[g]
         for g in eps:
             for c in (1, 2):
@@ -504,6 +518,41 @@ def test_miller_matches_the_star_powers_with_a_commutation_form(make,
     took, _ = assert_miller_matches_the_star_powers(
         q, Slope.from_dict(q, weights), 4)
     assert took
+
+
+def test_a_class_whose_own_twists_vanish_takes_miller_over_star_powers(
+        monkeypatch):
+    """On the 3-cycle at the trivial slope, (1, 1, 0) = (1, 0, 0) + (0, 1,
+    0) has a nonzero twist, and every decomposition of (1, 1, 1) into two
+    classes has twist 0: the star-log, the root weight and the exp weights
+    (c = 1, 2) at (1, 1, 1) take Miller's recurrence, over a class below
+    that takes the star powers, so no star power at (1, 1, 1) is built; and
+    each equals the series of the star powers."""
+    q, g = calibrated_cycle(), (1, 1, 1)
+    eng = inv._engine(q, Slope.trivial(q))
+    log, root = eng._log(g), eng._root_weight(g)
+    # The mirrored memo holds (1, 1, 0) at its dual (0, 1, 1).
+    assert eng._rep((1, 1, 0)) in eng._memo["_powers"]
+    assert g not in eng._memo["_powers"]
+    for got, abc in ((log, inv._LOG), (root, inv._ROOT)):
+        want = star_series(eng._semistable_num, eng._powers, g, 1, abc)
+        assert as_fractions(got) == as_fractions(want), abc
+    built = []
+
+    def star_powers(h, *args):
+        built.append(h)
+        return inv._star_powers(h, *args)
+    monkeypatch.setattr(wc, "_star_powers", star_powers)
+    y, d = wc._numerators({a: eng.epsilon(a) for a in boxed_vectors(g)[1:]},
+                          gl_poly, "M(a) eps(a)")
+    weight = wc._exp_weights(eng._steps, y, d)
+    powers = cache(lambda h: inv._star_powers(
+        h, eng._steps(h), lambda a: y.get(a, inv._ZERO), powers))
+    for c in (1, 2):
+        want = star_series(lambda a: y.get(a, inv._ZERO), powers, g, c * d,
+                           wc._EXP)
+        assert as_fractions(weight(g, c)) == as_fractions(want), c
+    assert (1, 1, 0) in built and g not in built
 
 
 @BUDGET

@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from helpers import (calibrated_kron, calibrated_mixed, calibrated_point,
-                     calibrated_two_pairs, crossed_without_mirror,
-                     spy_on_seeded, zeroed_at)
+from helpers import (calibrated_cycle, calibrated_kron, calibrated_mixed,
+                     calibrated_point, calibrated_two_pairs,
+                     crossed_without_mirror, spy_on_seeded, zeroed_at)
 from reference import (check_composition, coeff_S, coeff_Ssd, coeff_U,
                        coeff_Usd, vleq)
 from torus import Q_MINUS_QINV
@@ -234,13 +234,20 @@ def test_refactorised_transform_matches_enumerative_reference(make, args,
                                          and pair.minus.is_self_dual(q)))
 
 
-def test_transform_reads_only_the_source_table(monkeypatch):
-    """The transform asks the source slope's engine for slope values alone:
-    every other per-class method of that engine (the ones _per_class
-    memoises) is forbidden while it runs, so each source value it uses comes
-    from the table."""
-    q = calibrated_mixed()
-    pair = _pair(q, {"i": 1, "k": -1}, {"i": -1, "k": 1})
+@pytest.mark.parametrize("make, plus, minus", [
+    (calibrated_mixed, {"i": 1, "k": -1}, {"i": -1, "k": 1}),
+    (calibrated_cycle, {}, {"i": 1, "k": -1}),
+    (calibrated_two_pairs, {}, {"a": 1, "d": -1})])
+def test_transform_reads_only_the_source_table(monkeypatch, make, plus,
+                                               minus):
+    """The transform asks the source slope's engine for slope values and
+    each class's decompositions with their twists (_steps) alone, which
+    read no numerator: every other per-class method of that engine (the
+    ones _per_class memoises) is forbidden while it runs, so each source
+    value it uses comes from the table.  On the cycle at the trivial source
+    slope, the exp weight at (1, 1, 1) takes Miller's recurrence."""
+    q = make()
+    pair = _pair(q, plus, minus)
     table = epsilon_table(q, pair.plus, 4)
     source = inv._engine(q, pair.plus)
     per_class = [name for name, f in vars(inv._Engine).items()
@@ -253,10 +260,12 @@ def test_transform_reads_only_the_source_table(monkeypatch):
 
     with monkeypatch.context() as m:
         for name in per_class:
-            if name != "value":
+            if name not in ("value", "_steps"):
                 m.setattr(source, name, forbidden)
         crossed = wallcross_epsilon(table, pair)
     assert crossed == epsilon_table(q, pair.minus, 4)
+    if make is calibrated_cycle:
+        assert not any(t[3] for t in source._steps((1, 1, 1)))
 
 
 def test_transform_refuses_a_table_not_from_a_stack_element():
