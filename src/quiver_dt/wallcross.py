@@ -12,14 +12,14 @@ where each twist is 0, as on every two-vertex and every symmetric quiver;
 and the running product is invariants._chain_sum over a factor's own
 classes (_factor_steps).  Slope values, as integer pairs, and steps come
 from the source slope's engine (filled by epsilon_table), source values
-only from the table.  The stack element is factored at the target slope on the engine
-invariants._seeded_engine picks: the cached one where its numerators are
-the quiver's own, as for every table epsilon_table makes.  Both functions
-read their table off an engine the one way, _tabulate.  The same transform
-has a combinatorial form, a sum over ordered decompositions of each class
-weighted by rational coefficients; those coefficients are test code
-(tests/reference.py), and the tests check the re-factorisation against
-them.
+only from the table.  The stack element is factored at the target slope on
+the engine invariants._seeded_engine picks: the cached one where its
+numerators are the quiver's own, as for every table epsilon_table makes.
+Both functions read their table off an engine the one way, _tabulate.  The
+same transform has a combinatorial form, a sum over ordered decompositions
+of each class weighted by rational coefficients; those coefficients are
+test code (tests/reference.py), and the tests check the re-factorisation
+against them.
 
 Duality maps the epsilon element of value s to that of value -s and
 reverses the product (M. B. Young, The Hall module of an exact category
