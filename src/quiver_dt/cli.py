@@ -23,8 +23,8 @@ from fractions import Fraction
 from functools import cache
 from math import gcd
 
-from .invariants import (NoPoleViolation, build_table,
-                         finished_no_pole_report, json_text, sd_dt_mot)
+from .invariants import (NoPoleViolation, build_table, json_text,
+                         no_pole_report, sd_dt_mot)
 from .oracle import CalibrationError, explain_calibration
 from .quiver import (SelfDualQuiver, Slope, UncalibratedError,
                      ValidationError, graded_lex_key, vtotal)
@@ -164,8 +164,7 @@ def cmd_dt(args, quiver: SelfDualQuiver) -> int:
     text = (table.to_json() if args.format == "json" else
             "\n".join(",".join(row) for row in table.csv_rows()))
     _emit(text, args.output)
-    bad = [r for r in finished_no_pole_report(quiver, slope, table)
-           if not r["ok"]]
+    bad = [r for r in no_pole_report(table) if not r["ok"]]
     if bad:
         for row in bad:
             print(f"error: regularity violation for {row['side']} class "

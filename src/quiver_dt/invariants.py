@@ -71,9 +71,10 @@ emptied when the calibration changes (SelfDualQuiver.set_calibration), so
 repeated queries share work, a new calibration never returns values
 computed under the old one, and the engines go when the quiver does.
 _engine alone checks a slope and calibrates the quiver before an engine is
-built.  Each engine memoises each class's finished scalars (_finish), and
-the dt command reads a table's pole orders off them
-(finished_no_pole_report).
+built.  Each engine memoises each class's DTmot object, and each RatFunc
+keeps the pole orders and values it has read (RatFunc.pole_order_at), so
+the scalar queries, the tables and their no-pole report read each order
+and each value at q = -1 once per engine and class.
 """
 
 from __future__ import annotations
@@ -569,23 +570,6 @@ class _Engine:
                             self._sd_semistable_num)
         return over_sd_denominator(self.quiver, num.poly, th, Fraction(1, k))
 
-    # -- finished scalars (_finish) -----------------------------------------
-
-    @_per_pair
-    def _finished(self, a: DimVector) -> tuple:
-        return _finish(self.dt_motivic(a))
-
-    @_per_class
-    def _sd_finished(self, th: DimVector) -> tuple:
-        return _finish(self.sd_dt_motivic(th))
-
-
-def _finish(dtm: RatFunc) -> Tuple[int, int, Optional[Fraction]]:
-    """A motivic invariant's pole orders at q = 1 and q = -1 and its value
-    at -1, None at a pole."""
-    minus = dtm.pole_order_at(-1)
-    return dtm.pole_order_at(1), minus, None if minus > 0 else dtm.eval_at(-1)
-
 
 # Engines live in their quiver's engine_cache, so they go when the quiver
 # does.  _CACHE_OWNERS lets clear_cache reach every live quiver holding one.
@@ -705,40 +689,38 @@ def sd_epsilon_integral(quiver: SelfDualQuiver, slope: Slope,
     return eng.sd_dt_motivic(th)
 
 
-def _regular(fin: tuple, what: str, alpha: DimVector) -> Fraction:
-    """The value at q = -1 of a finished scalar, once the motivic invariant
-    it finishes, what at alpha, is found to have no pole at q = 1 or -1."""
-    for point, order in zip((1, -1), fin):
+def _regular(dtm: RatFunc, what: str, alpha: DimVector) -> RatFunc:
+    """dtm, the motivic invariant what at alpha, once it is found to have
+    no pole at q = 1 or -1."""
+    for point in (1, -1):
+        order = dtm.pole_order_at(point)
         if order > 0:
             raise NoPoleViolation(f"{what} at {alpha} has a pole of order "
                                   f"{order} at q = {point}")
-    return fin[2]
+    return dtm
 
 
 def dt_mot(quiver: SelfDualQuiver, slope: Slope, alpha: DimVector,
            bound: Optional[int] = None) -> RatFunc:
     eng, a = _query(quiver, slope, alpha, bound)
-    _regular(eng._finished(a), "motivic invariant", alpha)
-    return eng.dt_motivic(a)
+    return _regular(eng.dt_motivic(a), "motivic invariant", alpha)
 
 
 def sd_dt_mot(quiver: SelfDualQuiver, slope: Slope, theta: DimVector,
               bound: Optional[int] = None) -> RatFunc:
     eng, th = _query(quiver, slope, theta, bound)
-    _regular(eng._sd_finished(th), "self-dual motivic invariant", theta)
-    return eng.sd_dt_motivic(th)
+    return _regular(eng.sd_dt_motivic(th), "self-dual motivic invariant",
+                    theta)
 
 
 def dt_num(quiver: SelfDualQuiver, slope: Slope, alpha: DimVector,
            bound: Optional[int] = None) -> Fraction:
-    eng, a = _query(quiver, slope, alpha, bound)
-    return _regular(eng._finished(a), "motivic invariant", alpha)
+    return dt_mot(quiver, slope, alpha, bound).eval_at(-1)
 
 
 def sd_dt_num(quiver: SelfDualQuiver, slope: Slope, theta: DimVector,
               bound: Optional[int] = None) -> Fraction:
-    eng, th = _query(quiver, slope, theta, bound)
-    return _regular(eng._sd_finished(th), "self-dual motivic invariant", theta)
+    return sd_dt_mot(quiver, slope, theta, bound).eval_at(-1)
 
 
 # -- element interface ------------------------------------------------------------
@@ -928,13 +910,16 @@ def build_table(quiver: SelfDualQuiver, slope: Slope,
     null numeric entry instead of raising, so diagnostic reports can still be
     produced; the scalar dt functions raise instead."""
     eng = _engine(quiver, slope)
-    rows = [InvariantRow(a, eng.semistable(a), eng.epsilon(a),
-                         eng.dt_motivic(a), eng._finished(a)[2])
+
+    def row(a: DimVector, j: RatFunc, eps: RatFunc,
+            dtm: RatFunc) -> InvariantRow:
+        return InvariantRow(a, j, eps, dtm, None if dtm.pole_order_at(-1) > 0
+                            else dtm.eval_at(-1))
+    rows = [row(a, eng.semistable(a), eng.epsilon(a), eng.dt_motivic(a))
             for a in [eng.zero] + quiver.dim_vectors_up_to(bound)]
     sd_classes = quiver.sd_classes_up_to(bound) if eng.self_dual else []
-    sd_rows = [InvariantRow(th, eng.sd_semistable(th), eng.sd_dt_motivic(th),
-                            eng.sd_dt_motivic(th), eng._sd_finished(th)[2])
-               for th in sd_classes]
+    sd_rows = [row(th, eng.sd_semistable(th), eng.sd_dt_motivic(th),
+                   eng.sd_dt_motivic(th)) for th in sd_classes]
     return InvariantTable(quiver.to_data(), slope.to_dict(quiver), bound,
                           eng.self_dual, rows, sd_rows)
 
@@ -942,32 +927,17 @@ def build_table(quiver: SelfDualQuiver, slope: Slope,
 def no_pole_report(table: InvariantTable) -> List[dict]:
     """Pole orders at q = 1 and q = -1 of each row's motivic invariant: (q -
     1/q) times the epsilon integral on the linear side, the epsilon integral
-    itself on the self-dual side.  Both must be <= 0 everywhere."""
-    return _pole_report(table, [
-        (r.dt_motivic.pole_order_at(1), r.dt_motivic.pole_order_at(-1))
-        for r in table.rows + table.sd_rows])
-
-
-def finished_no_pole_report(quiver: SelfDualQuiver, slope: Slope,
-                            table: InvariantTable) -> List[dict]:
-    """no_pole_report of a table that build_table made on quiver at slope,
-    with each row's pole orders read off the engine's finished scalars
-    (_finish), which build_table has filled, not computed again."""
-    eng = _engine(quiver, slope)
-    return _pole_report(
-        table, [eng._finished(r.dim_vector)[:2] for r in table.rows]
-        + [eng._sd_finished(r.dim_vector)[:2] for r in table.sd_rows])
-
-
-def _pole_report(table: InvariantTable,
-                 orders: List[Tuple[int, int]]) -> List[dict]:
-    """The report rows of no_pole_report, given the pole orders at q = 1 and
-    q = -1 of each row, the linear rows first."""
-    sides = ["linear"] * len(table.rows) + ["self-dual"] * len(table.sd_rows)
-    return [{"side": side, "class": r.dim_vector, "order_at_1": plus,
-             "order_at_-1": minus, "ok": plus <= 0 and minus <= 0}
-            for side, r, (plus, minus) in zip(
-                sides, table.rows + table.sd_rows, orders)]
+    itself on the self-dual side.  Both must be <= 0 everywhere.  Each
+    order is read once per RatFunc object (RatFunc.pole_order_at), so the
+    report of a table build_table made reads the orders at -1 it found."""
+    out = []
+    for side, rows in (("linear", table.rows), ("self-dual", table.sd_rows)):
+        for r in rows:
+            plus, minus = map(r.dt_motivic.pole_order_at, (1, -1))
+            out.append({"side": side, "class": r.dim_vector,
+                        "order_at_1": plus, "order_at_-1": minus,
+                        "ok": plus <= 0 and minus <= 0})
+    return out
 
 
 def table_all_regular(table: InvariantTable) -> bool:

@@ -13,12 +13,15 @@ coefficient is c * scale / lead for num and c / lead for den, lead the
 leading coefficient of den, reduced by one integer gcd with no Fraction
 built (_presented).
 
-Values and pole orders at a point u/v, an int or a Fraction read through
+Pole orders and values at a point u/v, an int or a Fraction read through
 its numerator and denominator, are read off the integer num and den: a
-value by Horner's rule on v**deg p(u/v), with one Fraction built at the
-end, and a root multiplicity by dividing v q - u out, with the one exact
-division _ip_div, while the value there is zero; the point becomes a
-Fraction only in a PoleError.  Multiplying by q - 1/q needs no gcd either:
+root multiplicity by dividing v q - u out of one dense list, top down
+(_root_mult), and a value by Horner's rule on v**deg p(u/v), with one
+Fraction built at the end; the point becomes a Fraction only in a
+PoleError.  Each RatFunc keeps its pole order and, once asked, its value
+at each point in one slot (_at) that equality, hashing and the presented
+forms ignore, so a table row's DTmot, read by the table and again by its
+no-pole report, reads each once.  Multiplying by q - 1/q needs no gcd:
 num and den are coprime, so q - 1 and q + 1 each divide den or multiply
 num (times_q_minus_qinv).
 
@@ -280,13 +283,25 @@ def _homogenised(p: _IPoly, u: int, v: int) -> int:
 
 
 def _root_mult(p: _IPoly, u: int, v: int) -> int:
-    """The multiplicity of u/v, u and v coprime, as a root of p: while
-    p(u/v) = 0, the primitive v q - u divides p exactly."""
+    """The multiplicity of u/v != 0, u and v coprime and v > 0, as a root
+    of p.  A monomial has none; else v q - u, primitive, is divided out of
+    one dense list, top first and in place, until a step is inexact or
+    leaves a remainder: by Gauss's lemma an exact quotient is integral."""
+    if len(p) == 1:
+        return 0
+    c = _dense(p)[::-1]
     mult = 0
-    while not _homogenised(p, u, v):
-        p = _ip_div(p, {1: v, 0: -u})
+    while True:
+        carry = 0
+        for i, x in enumerate(c):
+            t = x + u * carry
+            carry = t // v
+            if carry * v != t:
+                return mult
+            c[i] = carry
+        if c.pop():
+            return mult
         mult += 1
-    return mult
 
 
 _ONE: _IPoly = {0: 1}
@@ -297,9 +312,11 @@ _ONE: _IPoly = {0: 1}
 class RatFunc:
     """Immutable exact rational function of q, held in canonical form:
     q**shift * scale * num / den with num and den as the module docstring
-    describes.  Zero has scale 0, shift 0 and num {}."""
+    describes.  Zero has scale 0, shift 0 and num {}.  _at, None until a
+    point is asked for, maps each point asked for to [pole order, value or
+    None] there; an int and the Fraction equal to it are one key."""
 
-    __slots__ = ("_scale", "_shift", "_num", "_den")
+    __slots__ = ("_scale", "_shift", "_num", "_den", "_at")
 
     def __init__(self, value: "Fraction | int" = 0):
         f = Fraction(value)
@@ -307,6 +324,7 @@ class RatFunc:
         self._shift = 0
         self._num = _ONE if f else {}
         self._den = _ONE
+        self._at = None
 
     # -- constructors ----------------------------------------------------------
 
@@ -319,6 +337,7 @@ class RatFunc:
         self._shift = shift
         self._num = num
         self._den = den
+        self._at = None
         return self
 
     @classmethod
@@ -534,25 +553,41 @@ class RatFunc:
 
     # -- evaluation, poles ---------------------------------------
 
+    def pole_order_at(self, point: "Fraction | int") -> int:
+        """Pole order at the point u/v, kept in _at: positive for a pole,
+        negative for a zero, 0 for finite nonzero values and for the zero
+        function.  Read off the integer num and den (see _root_mult)."""
+        at = self._at
+        if at is None:
+            at = self._at = {}
+        got = at.get(point)
+        if got is None:
+            u, v = point.numerator, point.denominator
+            order = -self._shift  # at 0; the zero function has shift 0
+            if u and self._num:
+                order = (_root_mult(self._den, u, v)
+                         or -_root_mult(self._num, u, v))
+            got = at[point] = [order, None]
+        return got[0]
+
     def eval_at(self, point: "Fraction | int") -> Fraction:
-        """The value at the point, read off the integer num and den at
-        point = u/v (see _homogenised); PoleError at a pole."""
-        if not self._num:
-            return Fraction(0)
-        sh = self._shift
+        """The value at the point u/v, kept in _at; PoleError at a pole.
+        Where u/v is neither a pole nor a zero, it is scale * (u/v)**shift
+        * (hn / v**dn) / (hd / v**dd), for hn and hd the homogenised num and
+        den of degrees dn and dd (see _homogenised)."""
+        order = self.pole_order_at(point)
+        got = self._at[point]
+        if got[1] is not None:
+            return got[1]
+        if order > 0:
+            raise PoleError(Fraction(point), order)
+        if order or not self._num:
+            got[1] = Fraction(0)
+            return got[1]
         u, v = point.numerator, point.denominator
-        if not u:
-            if sh < 0:
-                raise PoleError(Fraction(point), -sh)
-            if sh > 0:
-                return Fraction(0)
-            return self._scale * self._num[0] / self._den[0]
-        hd = _homogenised(self._den, u, v)
-        if not hd:
-            raise PoleError(Fraction(point), self.pole_order_at(point))
-        # scale * (u/v)**sh * (hn / v**dn) / (hd / v**dd)
+        sh = self._shift
         top = self._scale.numerator * _homogenised(self._num, u, v)
-        bottom = self._scale.denominator * hd
+        bottom = self._scale.denominator * _homogenised(self._den, u, v)
         ev = max(self._den) - max(self._num) - sh
         if sh >= 0:
             top *= u ** sh
@@ -562,22 +597,8 @@ class RatFunc:
             top *= v ** ev
         else:
             bottom *= v ** -ev
-        return Fraction(top, bottom)
-
-    def pole_order_at(self, point: "Fraction | int") -> int:
-        """Pole order at the point: positive for a pole, negative for a zero,
-        0 for finite nonzero values.  The zero function reports 0.  Read
-        off the integer num and den by division by v q - u at point = u/v
-        (see _root_mult)."""
-        if not self._num:
-            return 0
-        u, v = point.numerator, point.denominator
-        if not u:
-            return -self._shift
-        md = _root_mult(self._den, u, v)
-        if md:
-            return md
-        return -_root_mult(self._num, u, v)
+        got[1] = Fraction(top, bottom)
+        return got[1]
 
     # -- presentation ----------------------------------------------------------
 

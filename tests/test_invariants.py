@@ -27,7 +27,8 @@ from reference import (averaged_sd_stack_class, averaged_stack_class,
 from suite import _rand_quiver, acceptance_suite
 from torus import (INV_Q_MINUS_QINV, Q_MINUS_QINV, integrated_unit,
                    series_diamond, star_exp, star_log_one_plus)
-from quiver_dt import invariants as inv, quiver as quiver_module, wallcross as wc
+from quiver_dt import (invariants as inv, quiver as quiver_module, ratfunc,
+                       wallcross as wc)
 from quiver_dt.cli import load_quiver, main as cli_main
 from quiver_dt.oracle import CalibrationError, calibrate_signs
 from quiver_dt.motives import (over_gl_denominator, sd_stack_exponent,
@@ -36,11 +37,12 @@ from quiver_dt.quiver import (Calibration, Edge, SelfDualQuiver, Slope,
                               ValidationError, boxed_vectors, graded_lex_key,
                               kronecker_variant, make_calibration,
                               point_quiver, vadd, vsub, vtotal)
-from quiver_dt.ratfunc import Laurent, RatFunc, laurent_sum
+from quiver_dt.ratfunc import Laurent, PoleError, RatFunc, laurent_sum
 from quiver_dt.wallcross import SlopePair, epsilon_table, wallcross_epsilon
 
 
 FIXTURES = Path(inv.__file__).parent / "fixtures"
+TWISTED = Path(__file__).parent / "fixtures"
 
 
 def q_pow(k):
@@ -301,8 +303,9 @@ def count_calls(monkeypatch, calls, owner, name):
 
 def test_a_warm_round_reads_every_finished_scalar_off_its_engine(
         monkeypatch):
-    """After one round of scalar queries and tables, a second evaluates no
-    pole order and no value at q = 1 or q = -1, and lists no classes."""
+    """After one round of scalar queries and tables, a second reads no pole
+    order and no value at q = 1 or q = -1 off a polynomial (each DTmot
+    object the engine keeps has them), and lists no classes."""
     q, slopes = suite_quiver_with_a_pair()
 
     def round_of_queries():
@@ -316,15 +319,71 @@ def test_a_warm_round_reads_every_finished_scalar_off_its_engine(
         return out
     first = round_of_queries()
     calls = []
-    for owner, name in [(RatFunc, "pole_order_at"), (RatFunc, "eval_at"),
+    for owner, name in [(ratfunc, "_root_mult"), (ratfunc, "_homogenised"),
                         (quiver_module, "graded_lex_key"),
                         (SelfDualQuiver, "is_sd_class")]:
         count_calls(monkeypatch, calls, owner, name)
     assert round_of_queries() == first
     assert not calls
-    # A new bound lists its classes, so the counters do count.
+    # A new bound lists its classes, and a fresh copy of a DTmot reads its
+    # pole order and value off its polynomials, so the counters do count.
     q.sd_classes_up_to(5)
-    assert {"graded_lex_key", "is_sd_class"} <= set(calls)
+    fresh = RatFunc.from_data(
+        inv.dt_mot(q, slopes[0], (0, 0, 2)).to_data())
+    fresh.eval_at(-1)
+    assert {"graded_lex_key", "is_sd_class", "_root_mult",
+            "_homogenised"} <= set(calls)
+
+
+def point_readings(x):
+    """x's pole orders at q = 1 and q = -1 and its value at -1, or the
+    order of its pole there."""
+    try:
+        value = x.eval_at(-1)
+    except PoleError as err:
+        value = ("pole", err.order)
+    return x.pole_order_at(1), x.pole_order_at(-1), value
+
+
+def memo_tables():
+    """The tables of the package fixtures at bound 6 and of the quivers in
+    tests/fixtures at bound 4, each at the trivial slope and at one slope
+    that separates two vertices."""
+    for path in sorted(FIXTURES.glob("*.json")):
+        q = load_quiver(str(path))
+        slopes = [Slope.trivial(q)]
+        if {"i", "j"} <= set(q.vertices):
+            slopes.append(hn_slope(q))
+        for s in slopes:
+            yield inv.build_table(q, s, 6)
+    for name, other in (("cycle", {"i": 1, "k": -1}),
+                        ("mixed", {"i": 1, "k": -1}),
+                        ("two_pairs", {"a": 1, "d": -1})):
+        q = load_quiver(str(TWISTED / f"{name}.json"))
+        for s in (Slope.trivial(q), Slope.from_dict(q, other)):
+            yield inv.build_table(q, s, 4)
+
+
+def test_each_dtmot_keeps_what_a_fresh_copy_reads(monkeypatch):
+    """Each row's DTmot keeps the pole orders at q = 1 and q = -1 and the
+    value at -1 that a fresh copy of it reads off its polynomials, the
+    row's DTnum is that value, and a second no-pole report of a table
+    divides out no root."""
+    calls = []
+    count_calls(monkeypatch, calls, ratfunc, "_root_mult")
+    rows = 0
+    for table in memo_tables():
+        first = inv.no_pole_report(table)
+        calls.clear()
+        assert inv.no_pole_report(table) == first
+        assert not calls
+        for r in table.rows + table.sd_rows:
+            got = point_readings(r.dt_motivic)
+            assert got == point_readings(
+                RatFunc.from_data(r.dt_motivic.to_data())), r.dim_vector
+            assert r.dt_numeric == (None if got[1] > 0 else got[2])
+            rows += 1
+    assert calls and rows == 725
 
 
 def test_a_warm_engine_call_hashes_no_fraction(monkeypatch):

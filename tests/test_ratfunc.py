@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import bar, subs_square
 from reference import binom_fraction
@@ -24,6 +24,7 @@ from quiver_dt.ratfunc import (
     _ip_add_into,
     _ip_div,
     _ip_mul,
+    _root_mult,
 )
 
 F = Fraction
@@ -594,6 +595,30 @@ def fraction_root_mult(poly, r):
     return mult
 
 
+# the points u/v of test_root_mult_counts_each_factor
+ROOT_POINTS = [(1, 1), (-1, 1), (2, 3), (-3, 2)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(ROOT_POINTS), st.integers(0, 4),
+       st.lists(st.integers(-6, 6), min_size=1, max_size=5),
+       st.lists(st.integers(0, 2), min_size=4, max_size=4))
+def test_root_mult_counts_each_factor(point, m, coeffs, others):
+    """_root_mult(r (v q - u)^m, u, v) is m where r(u/v) != 0, r carrying
+    powers of the factors of the other points too."""
+    u, v = point
+    r = {e: c for e, c in enumerate(coeffs) if c}
+    assume(r and sum(c * F(u, v) ** e for e, c in r.items()) != 0)
+    for (ou, ov), k in zip(ROOT_POINTS, others):
+        if (ou, ov) != point:
+            for _ in range(k):
+                r = _ip_mul(r, {1: ov, 0: -ou})
+    p = r
+    for _ in range(m):
+        p = _ip_mul(p, {1: v, 0: -u})
+    assert _root_mult(p, u, v) == m
+
+
 def fraction_pole_order(x, r):
     if not x:
         return 0
@@ -659,6 +684,10 @@ def test_points_on_the_integer_form_match_fraction_arithmetic(x):
             with pytest.raises(PoleError) as err:
                 x.eval_at(r)
             assert (err.value.point, err.value.order) == (r, pole)
+    # What x keeps of the points is no part of its value or its forms.
+    fresh = RatFunc.from_data(x.to_data())
+    assert x == fresh and hash(x) == hash(fresh)
+    assert (str(x), x.to_json("\n")) == (str(fresh), fresh.to_json("\n"))
 
 
 def _at(x, point):
@@ -676,10 +705,12 @@ def _at(x, point):
 @example(INV_Q_MINUS_QINV ** 2)
 def test_int_and_fraction_points_read_alike(x):
     """An int point is read as u/v like the Fraction equal to it, and a
-    PoleError carries the point as a Fraction either way."""
+    PoleError carries the point as a Fraction either way.  Each point is
+    read on its own copy of x, so that neither reads what the other kept."""
     for n in (0, 1, -1, 2, -3):
-        assert x.pole_order_at(n) == x.pole_order_at(F(n))
-        assert _at(x, n) == _at(x, F(n))
+        a, b = (RatFunc.from_data(x.to_data()) for _ in range(2))
+        assert a.pole_order_at(n) == b.pole_order_at(F(n))
+        assert _at(a, n) == _at(b, F(n))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
