@@ -15,8 +15,9 @@ system in quantum groups and cohomology of quiver moduli, 2003).  The entry
 at p reads s only through the classes c <= p of slope above s, so slope
 values that agree on them share it: each engine computes it once per such
 region (_Engine._dom_table).  The kernels that sum over the decompositions
-a = p + (a - p) of a class iterate one cached list per class, _box_steps(a),
-which holds each p with a - p and its binomials: _chain_sum all of it, and
+a = p + (a - p) of a class iterate one cached table per class, _box_steps(a),
+which holds each p with a - p and its binomials, keyed by a - p: _chain_sum
+all of it, the transform the entries at its factor's classes, and
 _star_powers and _series the part with p of a's slope value, which each
 engine keeps per class with the twists <p, a - p> (_Engine._steps); the
 self-dual action iterates the decompositions theta = g + rho + g^v with
@@ -43,9 +44,10 @@ check as no pole at q = 1 or q = -1 (no_pole_report).  On the linear side
 the motivic invariant is (q - 1/q) times the epsilon integral, taken from
 the epsilon integral's canonical form without a gcd
 (RatFunc.times_q_minus_qinv).  Numerical invariants evaluate the motivic
-ones at q = -1; pole orders and values are read off the integer form of a
-RatFunc, and a table renders as JSON through json_text, which has each
-RatFunc write itself (RatFunc.to_json), once per object.
+ones at q = -1; a RatFunc reads its pole order and value at a point off
+its integer num and den, one sweep of each (RatFunc.eval_at), and a table
+renders as JSON through json_text, which has each RatFunc write itself
+(RatFunc.to_json), once per object.
 
 At a self-dual slope, duality maps the semistable objects of class a and
 value s to those of class a^v and value -s and reverses the Hall product
@@ -72,9 +74,9 @@ repeated queries share work, a new calibration never returns values
 computed under the old one, and the engines go when the quiver does.
 _engine alone checks a slope and calibrates the quiver before an engine is
 built.  Each engine memoises each class's DTmot object, and each RatFunc
-keeps the pole orders and values it has read (RatFunc.pole_order_at), so
-the scalar queries, the tables and their no-pole report read each order
-and each value at q = -1 once per engine and class.
+keeps one entry per point it has read (RatFunc.pole_order_at), so the
+scalar queries, the tables and their no-pole report sweep each DTmot's
+polynomials at q = 1 and q = -1 once per engine and class.
 """
 
 from __future__ import annotations
@@ -111,11 +113,6 @@ Weight = Optional[Tuple[Laurent, int]]
 Value = Tuple[int, int]
 
 
-def _binomials(top: DimVector, p: DimVector) -> List[Laurent]:
-    """The q^2-binomials [top_i, p_i] != 1: M(top) / (M(p) M(top - p))."""
-    return [q2_binomial(n, k) for n, k in zip(top, p) if 0 < k < n]
-
-
 # A decomposition of a class into two classes, with the factors other than
 # 1 of the ratio of motive denominators it needs: (p, top - p, the
 # q^2-binomials [top_i, p_i] != 1) in _box_steps, (g, rho, the sd_ratio
@@ -125,12 +122,16 @@ TwistedStep = Tuple[DimVector, DimVector, Tuple[Laurent, ...], int]
 
 
 @lru_cache(maxsize=4096)
-def _box_steps(top: DimVector) -> Tuple[Step, ...]:
-    """(p, top - p, the binomials [top_i, p_i] != 1) for each class 0 < p <
-    top, in graded-lex order: a pure function of top, so every kernel and
-    every engine reads one list per class."""
-    return tuple((p, vsub(top, p), tuple(_binomials(top, p)))
-                 for p in boxed_vectors(top)[1:-1])
+def _box_steps(top: DimVector) -> Dict[DimVector, Step]:
+    """The steps (p, top - p, binomials) for each class 0 < p < top, keyed
+    by top - p, in graded-lex order of p: a pure function of top, so every
+    kernel, every engine and the transform read one table per class."""
+    steps = {}
+    for p in boxed_vectors(top)[1:-1]:
+        r = vsub(top, p)
+        steps[r] = (p, r, tuple([q2_binomial(n, k) for n, k in zip(top, p)
+                                 if 0 < k < n]))
+    return steps
 
 
 def _chain_sum(quiver: SelfDualQuiver, tab: Dict[DimVector, Laurent],
@@ -141,8 +142,8 @@ def _chain_sum(quiver: SelfDualQuiver, tab: Dict[DimVector, Laurent],
     c(0) = 1 and c(v) = x(v) / M(v) for v nonzero, x(v) None where c is
     zero.  Each term 0 < p < top is tab[p] x(top - p) times the
     q^2-binomials [top_i, p_i], over the steps (p, top - p, binomials)
-    given: _box_steps(top), or any part of it outside which every term is
-    zero (_factor_steps in wallcross): no denominator is left.  The zero
+    given: those of _box_steps(top), or any of them outside which every term
+    is zero (_factor_steps in wallcross): no denominator is left.  The zero
     class's term is x(top), and tab is not asked at 0; the unit's term is
     tab[top] itself, if tab has it, and x is not asked at 0.  Zero entries
     of tab add no term, and where no term is left the sum is zero.  Where
@@ -460,7 +461,7 @@ class _Engine:
                         if n * s[1] > s[0] * d:
                             store[rid] = _chain_sum(
                                 self.quiver, tab, p, self._numerator,
-                                _box_steps(p), -1)
+                                _box_steps(p).values(), -1)
                     ids[p] = rid
                     tab[p] = store.get(rid)
         return tab
@@ -477,7 +478,7 @@ class _Engine:
         if not any(a):
             return _ONE
         return _chain_sum(self.quiver, self._dom_table(self.value(a), a), a,
-                          self._numerator, _box_steps(a))
+                          self._numerator, _box_steps(a).values())
 
     @_per_pair
     def semistable(self, a: DimVector) -> RatFunc:
@@ -491,7 +492,8 @@ class _Engine:
         value, so g - p of it too, each with its twist <p, g - p>: what
         _star_powers and _series sum over, here and in the transform."""
         s, comm = self.value(g), self.quiver.commutation_exponent
-        return [(p, r, bins, comm(p, r)) for p, r, bins in _box_steps(g)
+        return [(p, r, bins, comm(p, r))
+                for p, r, bins in _box_steps(g).values()
                 if self.value(p) == s]
 
     @_per_pair

@@ -13,17 +13,16 @@ coefficient is c * scale / lead for num and c / lead for den, lead the
 leading coefficient of den, reduced by one integer gcd with no Fraction
 built (_presented).
 
-Pole orders and values at a point u/v, an int or a Fraction read through
-its numerator and denominator, are read off the integer num and den: a
-root multiplicity by dividing v q - u out of one dense list, top down
-(_root_mult), and a value by Horner's rule on v**deg p(u/v), with one
-Fraction built at the end; the point becomes a Fraction only in a
-PoleError.  Each RatFunc keeps its pole order and, once asked, its value
-at each point in one slot (_at) that equality, hashing and the presented
-forms ignore, so a table row's DTmot, read by the table and again by its
-no-pole report, reads each once.  Multiplying by q - 1/q needs no gcd:
-num and den are coprime, so q - 1 and q + 1 each divide den or multiply
-num (times_q_minus_qinv).
+The pole order and value at a point u/v, an int or a Fraction, are read
+off the integer num and den by one Horner sweep each (_at_point), whose
+partial sums over powers of v are the quotient by v q - u where the value
+is 0.  Each RatFunc keeps the order and the two sums at each point as one
+entry of integers (_at), written once and ignored by equality, hashing
+and the presented forms, so a table row's DTmot, read by the table and
+again by its no-pole report, sweeps each polynomial at most once; a value
+is one Fraction built from the entry.  Multiplying by q - 1/q needs no
+gcd: num and den are coprime, so q - 1 and q + 1 each divide den or
+multiply num (times_q_minus_qinv).
 
 RatFunc multiplies its integer polynomials term by term (_ip_mul).  Sums of
 products that need no denominator at all, such as the semistable recursion
@@ -270,38 +269,36 @@ def _cancel(num: _IPoly, den: _IPoly) -> Tuple[_IPoly, _IPoly]:
     return num, den
 
 
-def _homogenised(p: _IPoly, u: int, v: int) -> int:
-    """v**deg(p) * p(u/v) for a polynomial p, by Horner's rule in u with
-    the matching powers of v."""
-    d = max(p)
-    h = p[d]
-    w = 1
-    for e in range(d - 1, -1, -1):
-        w *= v
-        h = h * u + p.get(e, 0) * w
-    return h
-
-
-def _root_mult(p: _IPoly, u: int, v: int) -> int:
-    """The multiplicity of u/v != 0, u and v coprime and v > 0, as a root
-    of p.  A monomial has none; else v q - u, primitive, is divided out of
-    one dense list, top first and in place, until a step is inexact or
-    leaves a remainder: by Gauss's lemma an exact quotient is integral."""
+def _at_point(p: _IPoly, u: int, v: int) -> Tuple[int, int]:
+    """(m, h) with p = (v q - u)**m * r, r(u/v) != 0 and h = v**deg(r) *
+    r(u/v), for p with a nonzero constant term and u/v in lowest terms,
+    v > 0.  Horner's rule in u, with the matching powers of v, runs top down
+    on one dense list; its k-th partial sum is v**(k+1) times the k-th
+    coefficient, top first, of the quotient by v q - u, so where h is 0 the
+    list, each entry divided by its power of v, is p / (v q - u), integral
+    by Gauss's lemma, and is swept again."""
     if len(p) == 1:
-        return 0
-    c = _dense(p)[::-1]
-    mult = 0
+        return 0, p[0]
+    d = max(p)
+    c = [0] * (d + 1)
+    for e, x in p.items():
+        c[d - e] = x
+    m = 0
     while True:
-        carry = 0
-        for i, x in enumerate(c):
-            t = x + u * carry
-            carry = t // v
-            if carry * v != t:
-                return mult
-            c[i] = carry
-        if c.pop():
-            return mult
-        mult += 1
+        h = c[0]
+        w = 1
+        for i in range(1, len(c)):
+            w *= v
+            h = c[i] = h * u + c[i] * w
+        if h:
+            return m, h
+        c.pop()
+        if v > 1:
+            w = 1
+            for i in range(len(c)):
+                w *= v
+                c[i] //= w
+        m += 1
 
 
 _ONE: _IPoly = {0: 1}
@@ -313,14 +310,17 @@ class RatFunc:
     """Immutable exact rational function of q, held in canonical form:
     q**shift * scale * num / den with num and den as the module docstring
     describes.  Zero has scale 0, shift 0 and num {}.  _at, None until a
-    point is asked for, maps each point asked for to [pole order, value or
-    None] there; an int and the Fraction equal to it are one key."""
+    point is asked for, maps each point asked for to the integers (pole
+    order, hn, hd) read there by _read, written once and never changed;
+    an int and the Fraction equal to it are one key."""
 
     __slots__ = ("_scale", "_shift", "_num", "_den", "_at")
 
     def __init__(self, value: "Fraction | int" = 0):
-        f = Fraction(value)
-        self._scale = f
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError("a RatFunc constant is an int or a Fraction, "
+                            f"not {type(value).__name__}")
+        self._scale = f = Fraction(value)
         self._shift = 0
         self._num = _ONE if f else {}
         self._den = _ONE
@@ -553,41 +553,42 @@ class RatFunc:
 
     # -- evaluation, poles ---------------------------------------
 
-    def pole_order_at(self, point: "Fraction | int") -> int:
-        """Pole order at the point u/v, kept in _at: positive for a pole,
-        negative for a zero, 0 for finite nonzero values and for the zero
-        function.  Read off the integer num and den (see _root_mult)."""
+    def _read(self, point: "Fraction | int") -> Tuple[int, int, int]:
+        """(pole order, hn, hd) at the point u/v, kept in _at: one _at_point
+        sweep of den, and one of num where den has no root at u/v, which
+        gives hn = v**deg(num) * num(u/v); elsewhere hn is 0."""
         at = self._at
         if at is None:
             at = self._at = {}
         got = at.get(point)
         if got is None:
+            if not isinstance(point, (int, Fraction)):
+                raise TypeError("a point is an int or a Fraction, not "
+                                f"{type(point).__name__}")
             u, v = point.numerator, point.denominator
-            order = -self._shift  # at 0; the zero function has shift 0
-            if u and self._num:
-                order = (_root_mult(self._den, u, v)
-                         or -_root_mult(self._num, u, v))
-            got = at[point] = [order, None]
-        return got[0]
+            md, hd = _at_point(self._den, u, v)
+            mn, hn = ((0, 0) if md or not self._num
+                      else _at_point(self._num, u, v))
+            got = at[point] = (md - mn - (0 if u else self._shift), hn, hd)
+        return got
+
+    def pole_order_at(self, point: "Fraction | int") -> int:
+        """Pole order at the point u/v: positive for a pole, negative for a
+        zero, 0 for finite nonzero values and for the zero function."""
+        return self._read(point)[0]
 
     def eval_at(self, point: "Fraction | int") -> Fraction:
-        """The value at the point u/v, kept in _at; PoleError at a pole.
-        Where u/v is neither a pole nor a zero, it is scale * (u/v)**shift
-        * (hn / v**dn) / (hd / v**dd), for hn and hd the homogenised num and
-        den of degrees dn and dd (see _homogenised)."""
-        order = self.pole_order_at(point)
-        got = self._at[point]
-        if got[1] is not None:
-            return got[1]
+        """The value at the point u/v; PoleError at a pole.  Where u/v is
+        neither a pole nor a zero, it is scale * (u/v)**shift * (hn /
+        v**dn) / (hd / v**dd), for num and den of degrees dn and dd."""
+        order, hn, hd = self._read(point)
         if order > 0:
             raise PoleError(Fraction(point), order)
-        if order or not self._num:
-            got[1] = Fraction(0)
-            return got[1]
+        if order or not hn:
+            return Fraction(0)
         u, v = point.numerator, point.denominator
-        sh = self._shift
-        top = self._scale.numerator * _homogenised(self._num, u, v)
-        bottom = self._scale.denominator * _homogenised(self._den, u, v)
+        sh, s = self._shift, self._scale
+        top, bottom = s.numerator * hn, s.denominator * hd
         ev = max(self._den) - max(self._num) - sh
         if sh >= 0:
             top *= u ** sh
@@ -597,8 +598,7 @@ class RatFunc:
             top *= v ** ev
         else:
             bottom *= v ** -ev
-        got[1] = Fraction(top, bottom)
-        return got[1]
+        return Fraction(top, bottom)
 
     # -- presentation ----------------------------------------------------------
 

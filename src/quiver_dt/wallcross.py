@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .invariants import (_ZERO, Step, TwistedStep, Value, Weight,
@@ -158,18 +158,12 @@ def _exp_weights(steps: Callable[[DimVector], List[TwistedStep]],
     return weight
 
 
-@lru_cache(maxsize=4096)
-def _steps_by_complement(a: DimVector) -> Dict[DimVector, Step]:
-    """invariants._box_steps(a) keyed by a - p: a pure function of a."""
-    return {step[1]: step for step in _box_steps(a)}
-
-
 def _factor_steps(a: DimVector, factor: Dict[DimVector, Laurent]
                   ) -> List[Step]:
     """The steps (a - g, g, binomials) of invariants._box_steps(a) at the
     classes g of the factor: those at which a slope factor, zero off its
     own classes, can make a term of the product."""
-    steps = _steps_by_complement(a)
+    steps = _box_steps(a)
     return [steps[g] for g in factor if g in steps]
 
 

@@ -31,8 +31,8 @@ from quiver_dt import (invariants as inv, quiver as quiver_module, ratfunc,
                        wallcross as wc)
 from quiver_dt.cli import load_quiver, main as cli_main
 from quiver_dt.oracle import CalibrationError, calibrate_signs
-from quiver_dt.motives import (over_gl_denominator, sd_stack_exponent,
-                               stack_exponent)
+from quiver_dt.motives import (over_gl_denominator, q2_binomial,
+                               sd_stack_exponent, stack_exponent)
 from quiver_dt.quiver import (Calibration, Edge, SelfDualQuiver, Slope,
                               ValidationError, boxed_vectors, graded_lex_key,
                               kronecker_variant, make_calibration,
@@ -319,7 +319,7 @@ def test_a_warm_round_reads_every_finished_scalar_off_its_engine(
         return out
     first = round_of_queries()
     calls = []
-    for owner, name in [(ratfunc, "_root_mult"), (ratfunc, "_homogenised"),
+    for owner, name in [(ratfunc, "_at_point"),
                         (quiver_module, "graded_lex_key"),
                         (SelfDualQuiver, "is_sd_class")]:
         count_calls(monkeypatch, calls, owner, name)
@@ -331,8 +331,7 @@ def test_a_warm_round_reads_every_finished_scalar_off_its_engine(
     fresh = RatFunc.from_data(
         inv.dt_mot(q, slopes[0], (0, 0, 2)).to_data())
     fresh.eval_at(-1)
-    assert {"graded_lex_key", "is_sd_class", "_root_mult",
-            "_homogenised"} <= set(calls)
+    assert {"graded_lex_key", "is_sd_class", "_at_point"} <= set(calls)
 
 
 def point_readings(x):
@@ -368,9 +367,9 @@ def test_each_dtmot_keeps_what_a_fresh_copy_reads(monkeypatch):
     """Each row's DTmot keeps the pole orders at q = 1 and q = -1 and the
     value at -1 that a fresh copy of it reads off its polynomials, the
     row's DTnum is that value, and a second no-pole report of a table
-    divides out no root."""
+    sweeps no polynomial."""
     calls = []
-    count_calls(monkeypatch, calls, ratfunc, "_root_mult")
+    count_calls(monkeypatch, calls, ratfunc, "_at_point")
     rows = 0
     for table in memo_tables():
         first = inv.no_pole_report(table)
@@ -1030,7 +1029,8 @@ def untrimmed_star_powers(quiver, g, value, x, powers):
         step = vsub(g, p)
         xs = x(step)
         if xs.poly:
-            rest = [xs] + inv._binomials(g, p)
+            rest = [xs] + [q2_binomial(n, k) for n, k in zip(g, p)
+                           if 0 < k < n]
             tw = quiver.commutation_exponent(p, step)
             for n, pn in enumerate(powers(p)):
                 terms[n].append((tw, [pn] + rest))

@@ -37,7 +37,8 @@ from test_invariants import (COMMUTATION_CASES,
 from test_oracle import flipped, loop_verify_calibration, outcome
 from torus import integrated_unit, series_diamond, star_exp
 from quiver_dt import invariants as inv, wallcross as wc
-from quiver_dt.motives import gl_poly, over_gl_denominator, sd_ratio
+from quiver_dt.motives import (gl_poly, over_gl_denominator, q2_binomial,
+                               sd_ratio)
 from quiver_dt.oracle import (calibrate_signs, resolve_global_signs,
                               verify_calibration)
 from quiver_dt.quiver import (Calibration, SelfDualQuiver, Slope,
@@ -327,17 +328,16 @@ def test_sd_square_root_inversion_roundtrip(case):
 
 @st.composite
 def scaled_slope(draw):
-    """A suite-shaped quiver with a vertex pair, a self-dual slope w with
-    small nonzero fractional weights at the pairs, a factor lam and a bound
-    from 2 to 4."""
-    quiver = draw(st.randoms(use_true_random=False).map(_rand_quiver)
-                  .filter(lambda q: q.vertex_pairs))
+    """A suite-shaped or two-pair quiver with a vertex pair, a self-dual
+    slope w with small nonzero fractional weights at the pairs, a factor lam
+    and a bound from 2 to 4 on the suite shapes, to 3 on the others."""
+    quiver, top = _suite_or_two_pair_quiver(draw, lambda q: q.vertex_pairs)
     weights = [0] * len(quiver.vertices)
     for i, j in quiver.vertex_pairs:
         weights[i] = draw(st.sampled_from(PAIR_WEIGHTS))
         weights[j] = -weights[i]
     lam = draw(st.sampled_from([2, Fraction(1, 3), Fraction(7, 2)]))
-    return quiver, Slope(tuple(weights)), lam, draw(st.integers(2, 4))
+    return quiver, Slope(tuple(weights)), lam, draw(st.integers(2, top))
 
 
 def answers(q, slope, target, bound):
@@ -561,10 +561,18 @@ def test_a_class_whose_own_twists_vanish_takes_miller_over_star_powers(
 @BUDGET
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=4))
 def test_box_steps_are_the_box_with_complements_and_binomials(top):
+    """_box_steps(top) holds each 0 < p < top in graded-lex order, keyed by
+    top - p, with top - p and the q^2-binomials [top_i, p_i] != 1."""
     top = tuple(top)
-    assert inv._box_steps(top) == tuple(
-        (p, vsub(top, p), tuple(inv._binomials(top, p)))
-        for p in boxed_vectors(top)[1:-1])
+    steps = inv._box_steps(top)
+    box = list(boxed_vectors(top)[1:-1])
+    assert [step[0] for step in steps.values()] == box
+    for p in box:
+        got_p, r, bins = steps[vsub(top, p)]
+        assert (got_p, r) == (p, vsub(top, p))
+        assert [b.poly for b in bins] == [q2_binomial(n, k).poly
+                                          for n, k in zip(top, p)
+                                          if 0 < k < n]
 
 
 @BUDGET
@@ -612,11 +620,11 @@ def test_factor_walk_is_the_chain_sum_product(case):
     nonzero = {g: xg for g, xg in factor.items() if xg.poly}
     for a in classes:
         steps = wc._factor_steps(a, nonzero)
-        assert set(steps) <= set(inv._box_steps(a)), a
+        assert set(steps) <= set(inv._box_steps(a).values()), a
         assert all(g in nonzero for _, g, _ in steps), a
         got = inv._chain_sum(quiver, stack, a, nonzero.get, steps)
         assert got.poly == inv._chain_sum(quiver, stack, a, factor.get,
-                                          inv._box_steps(a)).poly
+                                          inv._box_steps(a).values()).poly
 
 
 # Slope weights are c times one of a few rays per quiver: positive multiples

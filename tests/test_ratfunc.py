@@ -16,6 +16,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from helpers import bar, subs_square
 from reference import binom_fraction
 from torus import INV_Q_MINUS_QINV, Q_MINUS_QINV
+from quiver_dt import ratfunc
 from quiver_dt.ratfunc import (
     Laurent,
     PoleError,
@@ -23,8 +24,8 @@ from quiver_dt.ratfunc import (
     laurent_sum,
     _ip_add_into,
     _ip_div,
+    _at_point,
     _ip_mul,
-    _root_mult,
 )
 
 F = Fraction
@@ -595,7 +596,7 @@ def fraction_root_mult(poly, r):
     return mult
 
 
-# the points u/v of test_root_mult_counts_each_factor
+# the points u/v of test_at_point_counts_each_factor_and_reads_the_rest
 ROOT_POINTS = [(1, 1), (-1, 1), (2, 3), (-3, 2)]
 
 
@@ -603,12 +604,14 @@ ROOT_POINTS = [(1, 1), (-1, 1), (2, 3), (-3, 2)]
 @given(st.sampled_from(ROOT_POINTS), st.integers(0, 4),
        st.lists(st.integers(-6, 6), min_size=1, max_size=5),
        st.lists(st.integers(0, 2), min_size=4, max_size=4))
-def test_root_mult_counts_each_factor(point, m, coeffs, others):
-    """_root_mult(r (v q - u)^m, u, v) is m where r(u/v) != 0, r carrying
-    powers of the factors of the other points too."""
+def test_at_point_counts_each_factor_and_reads_the_rest(point, m, coeffs,
+                                                        others):
+    """_at_point(r (v q - u)^m, u, v) is (m, v^deg(r) r(u/v)) where r(u/v)
+    != 0 and r(0) != 0, r carrying powers of the factors of the other
+    points too."""
     u, v = point
     r = {e: c for e, c in enumerate(coeffs) if c}
-    assume(r and sum(c * F(u, v) ** e for e, c in r.items()) != 0)
+    assume(r.get(0) and sum(c * F(u, v) ** e for e, c in r.items()) != 0)
     for (ou, ov), k in zip(ROOT_POINTS, others):
         if (ou, ov) != point:
             for _ in range(k):
@@ -616,7 +619,8 @@ def test_root_mult_counts_each_factor(point, m, coeffs, others):
     p = r
     for _ in range(m):
         p = _ip_mul(p, {1: v, 0: -u})
-    assert _root_mult(p, u, v) == m
+    h = F(v) ** max(r) * sum((c * F(u, v) ** e for e, c in r.items()), F(0))
+    assert _at_point(p, u, v) == (m, h)
 
 
 def fraction_pole_order(x, r):
@@ -711,6 +715,49 @@ def test_int_and_fraction_points_read_alike(x):
         a, b = (RatFunc.from_data(x.to_data()) for _ in range(2))
         assert a.pole_order_at(n) == b.pole_order_at(F(n))
         assert _at(a, n) == _at(b, F(n))
+
+
+def test_a_fresh_read_sweeps_each_polynomial_at_most_once(monkeypatch):
+    """A fresh RatFunc read at a point, its pole order and then its value,
+    sweeps den once and num once unless the point is a nonzero root of den
+    (or the function is zero); a second read of either sweeps nothing."""
+    swept = []
+    sweep = ratfunc._at_point
+    monkeypatch.setattr(ratfunc, "_at_point",
+                        lambda p, u, v: swept.append(p) or sweep(p, u, v))
+    q = RatFunc.q_power(1)
+    cases = [RatFunc(0), RatFunc(F(-3, 2)), Q_MINUS_QINV, INV_Q_MINUS_QINV ** 2,
+             (q - 1) ** 2 * (2 * q - 1) / ((q + 1) * (q * q + 1) * q ** 2)]
+    for x in cases:
+        for point in POINTS + [-1, 1]:
+            fresh, want = RatFunc.from_data(x.to_data()), _at(x, point)
+            swept.clear()
+            order = fresh.pole_order_at(point)
+            assert _at(fresh, point) == want
+            assert swept[:1] == [fresh._den]
+            assert swept[1:] == ([fresh._num] if fresh and (
+                order <= 0 or not point.numerator) else [])
+            swept.clear()
+            assert fresh.pole_order_at(point) == order
+            assert _at(fresh, point) == want
+            assert not swept, (x, point)
+
+
+def test_numbers_are_ints_or_fractions():
+    """A constant and a point are an int or a Fraction, as in arithmetic;
+    anything else is a TypeError that names its type."""
+    with pytest.raises(TypeError, match="float"):
+        RatFunc(0.1)
+    with pytest.raises(TypeError, match="str"):
+        RatFunc("1/2")
+    with pytest.raises(TypeError):
+        RatFunc(1) + 0.1
+    x = RatFunc.from_data(INV_Q_MINUS_QINV.to_data())
+    for read, point in ((x.eval_at, 0.5), (x.pole_order_at, "1"),
+                        (x.eval_at, None), (x.pole_order_at, 1.0)):
+        with pytest.raises(TypeError, match=type(point).__name__):
+            read(point)
+    assert x.pole_order_at(1) == 1 and x.eval_at(F(2)) == F(2, 3)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
