@@ -587,8 +587,9 @@ class RatFunc:
         if order or not hn:
             return Fraction(0)
         u, v = point.numerator, point.denominator
-        sh, s = self._shift, self._scale
-        top, bottom = s.numerator * hn, s.denominator * hd
+        sh = self._shift
+        top = self._scale.numerator * hn
+        bottom = self._scale.denominator * hd
         ev = max(self._den) - max(self._num) - sh
         if sh >= 0:
             top *= u ** sh

@@ -22,9 +22,9 @@ from quiver_dt.ratfunc import (
     PoleError,
     RatFunc,
     laurent_sum,
+    _at_point,
     _ip_add_into,
     _ip_div,
-    _at_point,
     _ip_mul,
 )
 
