@@ -82,7 +82,6 @@ polynomials at q = 1 and q = -1 once per engine and class.
 from __future__ import annotations
 
 import math
-import weakref
 from collections import defaultdict
 from fractions import Fraction
 from functools import cache, lru_cache, partial
@@ -371,19 +370,26 @@ class _Engine:
     M_sd(theta) on the self-dual side, and as the RatFunc values built from
     them.
 
-    A cached engine at a self-dual slope memoises the linear values that a
-    and a^v share once per pair, at _rep(a) (Young 2016, as in the module
-    docstring); a seeded one (seed_bound set, see _seeded_engine) computes
-    both halves."""
+    Configured here alone.  With no seed it reads the quiver's own
+    numerators and mirrors at a self-dual slope: it memoises what a and a^v
+    share once per pair, at _rep(a) (Young 2016, as in the module
+    docstring).  A seed (numerators, sd_numerators) fills the _numerator and
+    _sd_numerator memos and seed_bound, and the engine does not mirror."""
 
-    def __init__(self, quiver: SelfDualQuiver, slope: Slope):
+    def __init__(self, quiver: SelfDualQuiver, slope: Slope,
+                 seed: Optional[tuple] = None):
         self.quiver = quiver
         # The slope of the primitive integer vector on slope's ray (_ray).
         self.slope = Slope(_ray_of(slope)[0])
         self.zero = tuple(0 for _ in quiver.vertices)
-        self.seed_bound: Optional[int] = None
         self.self_dual = self.slope.is_self_dual(quiver)
+        self.mirrors = self.self_dual and seed is None
+        self.seed_bound: Optional[int] = None
         self._memo: Dict[str, dict] = defaultdict(dict)
+        if seed is not None:
+            self.seed_bound = max(map(vtotal, seed[0]), default=0)
+            self._memo["_numerator"].update(seed[0])
+            self._memo["_sd_numerator"].update(seed[1])
         self._dom: Dict[Value, Dict[DimVector, Optional[Laurent]]] = {}
         self._ids: Dict[Value, Dict[DimVector, int]] = {}
         self._regions: Dict[tuple, int] = {}
@@ -401,10 +407,9 @@ class _Engine:
 
     @_per_class
     def _rep(self, a: DimVector) -> DimVector:
-        """The class whose linear values a reads: a^v where the engine is
-        cached at a self-dual slope and a's value is below 0, or is 0 with
-        a^v < a; else a."""
-        if not self.self_dual or self.seed_bound is not None or not any(a):
+        """The class whose linear values a reads: a^v where the engine
+        mirrors and a's value is below 0, or is 0 with a^v < a; else a."""
+        if not self.mirrors or not any(a):
             return a
         n = self.value(a)[0]
         b = self.quiver.dual_vector(a)
@@ -543,7 +548,7 @@ class _Engine:
 
     def _check_sd(self, th: DimVector) -> None:
         if not self.quiver.is_sd_class(th):
-            raise ValueError(f"{th} is not a self-dual class")
+            raise ValidationError(f"{th} is not a self-dual class")
         if not self.self_dual:
             self.slope.validate_self_dual(self.quiver)
 
@@ -573,11 +578,6 @@ class _Engine:
         return over_sd_denominator(self.quiver, num.poly, th, Fraction(1, k))
 
 
-# Engines live in their quiver's engine_cache, so they go when the quiver
-# does.  _CACHE_OWNERS lets clear_cache reach every live quiver holding one.
-_CACHE_OWNERS: "weakref.WeakSet[SelfDualQuiver]" = weakref.WeakSet()
-
-
 @lru_cache(maxsize=4096)
 def _ray(weights: Tuple[Tuple[int, int], ...]) -> Tuple[tuple, Fraction]:
     """(r, c), r primitive integral and c > 0, with w = c r for the weights
@@ -589,24 +589,27 @@ def _ray(weights: Tuple[Tuple[int, int], ...]) -> Tuple[tuple, Fraction]:
 
 
 def _ray_of(slope: Slope) -> Tuple[tuple, Fraction]:
-    """_ray of the slope's weights, read as integers: no Fraction hashed."""
-    return _ray(tuple([(w.numerator, w.denominator) for w in slope.weights]))
-
-
-def _engine(quiver: SelfDualQuiver, slope: Slope) -> _Engine:
-    """The quiver's cached engine on slope's ray, once each weight is found
-    to be an int or a Fraction (0.5 or True would find the engine of 1/2 or
-    1) and the quiver calibrated: the one gate before an engine is built.
-    Stability reads the weights only through the order of slope values
-    (Rudakov, Stability for an abelian category, 1997), which c > 0 keeps:
-    weights c r share the engine at the primitive integer vector r (_ray),
-    and a value handed to a caller is c times the engine's."""
+    """_ray of the weights as integer pairs, in the one pass over them; a
+    weight not an int or a Fraction (True would read as 1) is refused."""
+    pairs = []
     for w in slope.weights:
         if type(w) is bool or not isinstance(w, (int, Fraction)):
             raise ValidationError(f"slope weight of type {type(w).__name__} "
                                   "is not an int or a Fraction")
-    ensure_calibrated(quiver)
+        pairs.append((w.numerator, w.denominator))
+    return _ray(tuple(pairs))
+
+
+def _engine(quiver: SelfDualQuiver, slope: Slope) -> _Engine:
+    """The quiver's cached engine on slope's ray, once the ray is read
+    (_ray_of, which refuses a weight of another type) and the quiver
+    calibrated: the one gate before an engine is built.  Stability reads
+    the weights only through the order of slope values (Rudakov, Stability
+    for an abelian category, 1997), which c > 0 keeps: weights c r share
+    the engine at the primitive integer vector r (_ray), and a value handed
+    to a caller is c times the engine's.  It lives in engine_cache alone."""
     ray = _ray_of(slope)[0]
+    ensure_calibrated(quiver)
     eng = quiver.engine_cache.get(ray)
     if eng is None:
         if len(slope.weights) != len(quiver.vertices):
@@ -614,7 +617,6 @@ def _engine(quiver: SelfDualQuiver, slope: Slope) -> _Engine:
                 f"slope has {len(slope.weights)} weights for "
                 f"{len(quiver.vertices)} vertices")
         eng = quiver.engine_cache[ray] = _Engine(quiver, slope)
-        _CACHE_OWNERS.add(quiver)
     return eng
 
 
@@ -626,25 +628,21 @@ def _seeded_engine(quiver: SelfDualQuiver, slope: Slope,
     given, N(a) = M(a) I(a) on the linear side and M_sd(theta) I_sd(theta)
     on the self-dual side.  Where these are the quiver's own, q^e(a) and
     q^e_sd(theta), it is the cached engine at slope, as an engine's values
-    depend on its numerators alone; else it is a new engine that reads them,
-    refuses a class beyond the largest total of a linear class given (its
-    seed_bound) and stays out of the engine cache."""
+    depend on its numerators alone; else it is a new engine seeded with them
+    (_Engine), which refuses a class beyond the largest total of a linear
+    class given (its seed_bound) and stays out of the engine cache."""
     eng = _engine(quiver, slope)
     sd_numerators = sd_numerators or {}
     own = [(eng._numerator, numerators), (eng._sd_numerator, sd_numerators)]
     if all(f(a).poly == n.poly for f, ns in own for a, n in ns.items()):
         return eng
-    eng = _Engine(quiver, slope)
-    eng.seed_bound = max(map(vtotal, numerators), default=0)
-    eng._memo["_numerator"].update(numerators)
-    eng._memo["_sd_numerator"].update(sd_numerators)
-    return eng
+    return _Engine(quiver, slope, (numerators, sd_numerators))
 
 
 def clear_cache() -> None:
-    for quiver in list(_CACHE_OWNERS):
-        quiver.engine_cache.clear()
-    _CACHE_OWNERS.clear()
+    """Empty the module's memos of pure functions, as a fresh process has."""
+    for memoised in (_box_steps, _below, _ray, _coeffs):
+        memoised.cache_clear()
 
 
 def _query(quiver: SelfDualQuiver, slope: Slope, alpha: DimVector,
@@ -659,7 +657,7 @@ def _query(quiver: SelfDualQuiver, slope: Slope, alpha: DimVector,
             f"{alpha!r} is not a class: it needs {len(quiver.vertices)} "
             "non-negative integer entries")
     if bound is not None and vtotal(a) > bound:
-        raise ValueError(f"class {a} lies beyond the bound {bound}")
+        raise ValidationError(f"class {a} lies beyond the bound {bound}")
     return _engine(quiver, slope), a
 
 

@@ -240,10 +240,7 @@ class SelfDualQuiver:
         for a in self.fixed_edges:
             _, t = self.edge_endpoints[a]
             m = theta[t]
-            if self.fixed_edge_sign(a) > 0:
-                total += m * (m + 1) // 2
-            else:
-                total += m * (m - 1) // 2
+            total += m * (m + self.fixed_edge_sign(a)) // 2
         return total
 
     def sd_dim_aut(self, theta: DimVector) -> int:
@@ -252,10 +249,7 @@ class SelfDualQuiver:
             total += theta[i] * theta[i]
         for i in self.fixed_vertices:
             m = theta[i]
-            if self.vertex_sign[i] > 0:
-                total += m * (m - 1) // 2
-            else:
-                total += m * (m + 1) // 2
+            total += m * (m - self.vertex_sign[i]) // 2
         return total
 
     # -- exponent forms ----------------------------------------------------------

@@ -17,12 +17,12 @@ The pole order and value at a point u/v, an int or a Fraction, are read
 off the integer num and den by one Horner sweep each (_at_point), whose
 partial sums over powers of v are the quotient by v q - u where the value
 is 0.  Each RatFunc keeps the order and the two sums at each point as one
-entry of integers (_at), written once and ignored by equality, hashing
-and the presented forms, so a table row's DTmot, read by the table and
-again by its no-pole report, sweeps each polynomial at most once; a value
-is one Fraction built from the entry.  Multiplying by q - 1/q needs no
-gcd: num and den are coprime, so q - 1 and q + 1 each divide den or
-multiply num (times_q_minus_qinv).
+entry (_at), ignored by equality, hashing and the presented forms, so a
+table row's DTmot, read by the table and again by its no-pole report,
+sweeps each polynomial at most once; the first eval_at there builds the
+value, one Fraction, and keeps it in the entry.  Multiplying by q - 1/q
+needs no gcd: num and den are coprime, so q - 1 and q + 1 each divide den
+or multiply num (times_q_minus_qinv).
 
 RatFunc multiplies its integer polynomials term by term (_ip_mul).  Sums of
 products that need no denominator at all, such as the semistable recursion
@@ -310,9 +310,10 @@ class RatFunc:
     """Immutable exact rational function of q, held in canonical form:
     q**shift * scale * num / den with num and den as the module docstring
     describes.  Zero has scale 0, shift 0 and num {}.  _at, None until a
-    point is asked for, maps each point asked for to the integers (pole
-    order, hn, hd) read there by _read, written once and never changed;
-    an int and the Fraction equal to it are one key."""
+    point is asked for, maps each point asked for to the tuple (pole order,
+    hn, hd) _read makes there, replaced once by (pole order, value, None)
+    when eval_at finds no pole; an int and the Fraction equal to it are one
+    key."""
 
     __slots__ = ("_scale", "_shift", "_num", "_den", "_at")
 
@@ -553,10 +554,10 @@ class RatFunc:
 
     # -- evaluation, poles ---------------------------------------
 
-    def _read(self, point: "Fraction | int") -> Tuple[int, int, int]:
-        """(pole order, hn, hd) at the point u/v, kept in _at: one _at_point
-        sweep of den, and one of num where den has no root at u/v, which
-        gives hn = v**deg(num) * num(u/v); elsewhere hn is 0."""
+    def _read(self, point: "Fraction | int") -> tuple:
+        """The entry of _at at the point u/v, first (pole order, hn, hd): one
+        _at_point sweep of den, and one of num where den has no root at u/v,
+        which gives hn = v**deg(num) * num(u/v); elsewhere hn is 0."""
         at = self._at
         if at is None:
             at = self._at = {}
@@ -580,26 +581,32 @@ class RatFunc:
     def eval_at(self, point: "Fraction | int") -> Fraction:
         """The value at the point u/v; PoleError at a pole.  Where u/v is
         neither a pole nor a zero, it is scale * (u/v)**shift * (hn /
-        v**dn) / (hd / v**dd), for num and den of degrees dn and dd."""
-        order, hn, hd = self._read(point)
+        v**dn) / (hd / v**dd), for num and den of degrees dn and dd, read
+        only where v > 1; kept in _at as (order, value, None) from then on."""
+        order, hn, hd = (self._at or {}).get(point) or self._read(point)
+        if hd is None:
+            return hn
         if order > 0:
             raise PoleError(Fraction(point), order)
         if order or not hn:
-            return Fraction(0)
-        u, v = point.numerator, point.denominator
-        sh = self._shift
-        top = self._scale.numerator * hn
-        bottom = self._scale.denominator * hd
-        ev = max(self._den) - max(self._num) - sh
-        if sh >= 0:
-            top *= u ** sh
+            value = Fraction(0)
         else:
-            bottom *= u ** -sh
-        if ev >= 0:
-            top *= v ** ev
-        else:
-            bottom *= v ** -ev
-        return Fraction(top, bottom)
+            u, v = point.numerator, point.denominator
+            sh = self._shift
+            top = self._scale.numerator * hn
+            bottom = self._scale.denominator * hd
+            if sh >= 0:
+                top *= u ** sh
+            else:
+                bottom *= u ** -sh
+            ev = 0 if v == 1 else max(self._den) - max(self._num) - sh
+            if ev >= 0:
+                top *= v ** ev
+            else:
+                bottom *= v ** -ev
+            value = Fraction(top, bottom)
+        self._at[point] = order, value, None
+        return value
 
     # -- presentation ----------------------------------------------------------
 

@@ -128,7 +128,7 @@ def test_criterion_3_double_arrow_series():
 def test_criterion_4_no_pole_property():
     t0 = time.perf_counter()
     for q, slopes in acceptance_suite():
-        inv.clear_cache()
+        q.engine_cache.clear()
         for slope in (slopes[0], Slope.trivial(q)):
             table = inv.build_table(q, slope, 5)
             report = inv.no_pole_report(table)
@@ -141,7 +141,7 @@ def test_criterion_4_no_pole_property():
 def test_criterion_5_wall_crossing_consistency():
     t0 = time.perf_counter()
     for q, slopes in acceptance_suite() + twisted_quivers():
-        inv.clear_cache()
+        q.engine_cache.clear()
         for plus, minus in [(slopes[0], slopes[1]), (slopes[2], slopes[3]),
                             (slopes[4], slopes[5])]:
             pair = SlopePair(q, plus, minus)
@@ -180,7 +180,7 @@ def test_criterion_7_inversions_and_averages():
     t0 = time.perf_counter()
     bound = 5
     for q, slopes in acceptance_suite() + twisted_quivers():
-        inv.clear_cache()
+        q.engine_cache.clear()
         slope = slopes[0]
         unit = integrated_unit(q, bound)
 

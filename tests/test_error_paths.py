@@ -3,19 +3,25 @@ it: through the command line where a quiver file or an argument carries the
 bad input, and through the library otherwise.  A command-line refusal is
 one "error:" line on stderr and exit code 1."""
 
+import contextlib
+import io
 import json
 import re
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from test_properties import BUDGET
 from quiver_dt import cli
-from quiver_dt.invariants import sd_semistable_integral
+from quiver_dt.invariants import (_seeded_engine, dt_num, sd_dt_mot,
+                                  sd_semistable_integral)
 from quiver_dt.oracle import CalibrationError, verify_calibration
 from quiver_dt.quiver import (Slope, ValidationError, kronecker_variant,
                               make_calibration, point_quiver)
-from quiver_dt.ratfunc import RatFunc
+from quiver_dt.ratfunc import Laurent, RatFunc
 from quiver_dt.wallcross import SlopePair, epsilon_table, wallcross_epsilon
 
 FIXTURES = Path(cli.__file__).parent / "fixtures"
@@ -137,3 +143,109 @@ def test_library_refusals():
             Slope.from_dict(kron, {"i": val})
     assert Slope.from_dict(kron, {"i": "-3/2", "j": Fraction(3, 2)}) == \
         Slope((Fraction(-3, 2), Fraction(3, 2)))
+
+
+def test_a_class_the_query_gate_refuses_is_a_validation_error():
+    """A class beyond the bound, and a class that is not self-dual asked for
+    a self-dual value, are refused at the query gate as a malformed class
+    is: a ValidationError, which cli.main maps to exit 1.  A seeded engine's
+    refusal of a class beyond its seed is no caller's input, and stays a
+    plain ValueError."""
+    kron = kronecker_variant((1, 1), 1)
+    slope = Slope.from_dict(kron, {"i": 1, "j": -1})
+    with pytest.raises(ValidationError,
+                       match=r"^class \(2, 2\) lies beyond the bound 3$"):
+        dt_num(kron, slope, (2, 2), bound=3)
+    for query in (sd_semistable_integral, sd_dt_mot):
+        with pytest.raises(ValidationError,
+                           match=r"^\(2, 1\) is not a self-dual class$"):
+            query(kron, slope, (2, 1))
+    eng = _seeded_engine(kron, slope, {(1, 0): Laurent({5: 1}),
+                                       (0, 1): Laurent({0: 1})}, None)
+    with pytest.raises(ValueError, match=r"^\(1, 1\) lies beyond the seeded "
+                                         r"bound 1$") as err:
+        eng.epsilon((1, 1))
+    assert type(err.value) is ValueError
+
+
+# -- the command line on mutated quiver files ---------------------------------
+
+FUZZ_FILES = [FIXTURES / "kronecker_pm_plus.json",
+              FIXTURES / "point_minus.json",
+              *(Path(__file__).parent / "fixtures" / f"{name}.json"
+                for name in ("cycle", "mixed", "two_pairs"))]
+NAMES = ["i", "j", "k", "l", "a", "a1", "b", "c", "name", "from", "to",
+         "vertices", "edges", "\u00e9", "\u4e2d"]
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.sampled_from(NAMES),
+    st.integers(-2, 2), st.sampled_from([2 ** 63, -10 ** 40, 10 ** 40]),
+    st.lists(st.integers(-1, 1), max_size=2),
+    st.dictionaries(st.sampled_from(NAMES), st.integers(-1, 1), max_size=2),
+    st.text(alphabet="ij\u00e9\u00df\u4e2d\u2212", max_size=3))
+# The options each command declares that take text, beside --bound and
+# --output.
+COMMANDS = {"validate": (), "dt": ("slope",), "wallcross": ("slope", "slope2"),
+            "series": ("slope", "ray"), "explain-calibration": ()}
+OPTION_TEXT = st.one_of(
+    st.text(alphabet="ijkx=,-+/.0123456789e_ \u00e9", max_size=10),
+    st.lists(st.tuples(st.sampled_from(["i", "j", "k", "l", "x", "\u00e9"]),
+                       st.sampled_from(["1", "-1", "0", "2", "1/2", "-3/2",
+                                        "x", "", "1/0", "1e4300", "0.5"])),
+             max_size=3).map(lambda es: ",".join(f"{k}={v}" for k, v in es)))
+
+
+@st.composite
+def mutated_json(draw):
+    """The JSON data of one of FUZZ_FILES with up to three changes, each at
+    a place reached by walking down from the top: the value there replaced
+    by junk, or an entry of it deleted or added."""
+    data = json.loads(draw(st.sampled_from(FUZZ_FILES)).read_text())
+    for _ in range(draw(st.integers(0, 3))):
+        parent, key, node = None, None, data
+        while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+            parent = node
+            key = draw(st.sampled_from(
+                sorted(node) if isinstance(node, dict) else range(len(node))))
+            node = node[key]
+        how = draw(st.sampled_from(["replace", "delete", "add"]))
+        if how == "replace" or not isinstance(node, (dict, list)):
+            if parent is None:
+                data = draw(JUNK)
+            else:
+                parent[key] = draw(JUNK)
+        elif how == "delete" and node:
+            del node[draw(st.sampled_from(
+                sorted(node) if isinstance(node, dict) else range(len(node))))]
+        elif isinstance(node, dict):
+            node[draw(st.sampled_from(NAMES))] = draw(JUNK)
+        else:
+            node.insert(draw(st.integers(0, len(node))), draw(JUNK))
+    return data
+
+
+@settings(BUDGET, max_examples=200)
+@given(mutated_json(), st.sampled_from(sorted(COMMANDS)), st.integers(1, 3),
+       st.fixed_dictionaries({}, optional={
+           option: OPTION_TEXT for option in ("slope", "slope2", "ray")}))
+def test_the_command_line_refuses_mutated_input_cleanly(data, command, bound,
+                                                        texts):
+    """On a mutated quiver file and drawn option text, each command returns
+    a documented exit code and raises nothing, and exit 1 is one "error:"
+    line on stderr.  Each option is given in --option=TEXT form, and only
+    to a command that declares it, so argparse takes every line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "quiver.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        argv = [command, str(path), f"--output={Path(tmp) / 'out.txt'}"]
+        if command != "validate":
+            argv.append(f"--bound={bound}")
+        argv += [f"--{option}={text}" for option, text in texts.items()
+                 if option in COMMANDS[command]]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert out.getvalue() == ""
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)

@@ -49,10 +49,6 @@ def q_pow(k):
     return RatFunc.q_power(k)
 
 
-def setup_function(_fn):
-    inv.clear_cache()
-
-
 def calibrated_point(vsign=1):
     pt = point_quiver(vsign)
     calibrate_signs(pt)
@@ -205,7 +201,7 @@ def test_new_calibration_is_not_served_from_the_cache():
     q.set_calibration(make_calibration(q, -cal.orientation, -cal.placement))
     after = inv.dt_mot(q, s, (2, 1), bound=3)
     sd_after = inv.sd_dt_mot(q, s, (1, 1), bound=3)
-    inv.clear_cache()
+    q.engine_cache.clear()
     assert after == inv.dt_mot(q, s, (2, 1), bound=3) != before
     assert sd_after == inv.sd_dt_mot(q, s, (1, 1), bound=3) != sd_before
 
@@ -238,7 +234,6 @@ def test_first_query_on_uncalibrated_quiver_builds_one_engine():
     inv.dt_mot(q, hn_slope(q), (1, 1), bound=2)
     inv.dt_mot(q, hn_slope(q), (1, 1), bound=2)
     assert q.calibration is not None
-    assert list(inv._CACHE_OWNERS) == [q]
     assert len(q.engine_cache) == 1
 
 
@@ -250,17 +245,20 @@ def test_engines_do_not_outlive_their_quiver():
     del q
     gc.collect()
     assert ref() is None
-    assert not list(inv._CACHE_OWNERS)
 
 
-def test_clear_cache_empties_every_live_quiver():
-    qs = [calibrated_kron(), calibrated_point()]
-    for q in qs:
-        inv.dt_mot(q, Slope.trivial(q), (1,) * len(q.vertices), bound=2)
-    assert all(q.engine_cache for q in qs)
+def test_clear_cache_empties_the_pure_memos_and_leaves_engines():
+    """clear_cache empties the module's memos of pure functions, as a fresh
+    process has them; engines live on their quivers, and stay."""
+    q = calibrated_kron()
+    before = inv.dt_mot(q, hn_slope(q), (2, 1), bound=3)
+    engines = dict(q.engine_cache)
     inv.clear_cache()
-    assert not any(q.engine_cache for q in qs)
-    assert not list(inv._CACHE_OWNERS)
+    assert not any(f.cache_info().currsize for f in (
+        inv._box_steps, inv._below, inv._ray, inv._coeffs))
+    assert q.engine_cache == engines
+    fresh = calibrated_kron()
+    assert inv.dt_mot(fresh, hn_slope(fresh), (2, 1), bound=3) == before
 
 
 def test_slopes_on_one_ray_share_one_engine():
@@ -269,7 +267,7 @@ def test_slopes_on_one_ray_share_one_engine():
     or Fractions; -w keys a second, and the trivial slope keys zero."""
     q = calibrated_kron()
     for w in [(4, -2), (Fraction(4, 3), Fraction(-2, 3))]:
-        inv.clear_cache()
+        q.engine_cache.clear()
         eng = inv._engine(q, Slope(w))
         for c in (2, Fraction(1, 3)):
             assert inv._engine(q, Slope(tuple(c * x for x in w))) is eng
@@ -277,7 +275,7 @@ def test_slopes_on_one_ray_share_one_engine():
         inv._engine(q, Slope(tuple(-x for x in w)))
         assert list(q.engine_cache) == [(2, -1), (-2, 1)]
         assert all(type(x) is int for key in q.engine_cache for x in key)
-    inv.clear_cache()
+    q.engine_cache.clear()
     inv._engine(q, Slope.trivial(q))
     assert list(q.engine_cache) == [(0, 0)]
 
@@ -1162,7 +1160,7 @@ def test_miller_sums_only_where_the_classes_commute(monkeypatch):
         assert all(own_twists_vanish(q, s, g) for g, s in took), weights
         assert not any(own_twists_vanish(q, s, g) for g, s in refused)
         assert set(sums) <= took, weights
-        inv.clear_cache()
+        q.engine_cache.clear()
         for group in (sums, took, refused):
             group.clear()
 

@@ -743,6 +743,30 @@ def test_a_fresh_read_sweeps_each_polynomial_at_most_once(monkeypatch):
             assert not swept, (x, point)
 
 
+def test_a_second_value_read_returns_the_fraction_the_first_built():
+    """A pole order read builds no value; the first eval_at at a point that
+    is not a pole builds one Fraction, zero included, and every later read
+    there, at the int or the Fraction, returns that very object.  At a pole
+    each eval_at raises, and the order reads the same before and after."""
+    q = RatFunc.q_power(1)
+    x = (q - 1) ** 2 * (2 * q - 1) / ((q + 1) * (q * q + 1) * q ** 2)
+    for point in POINTS + [F(3)]:
+        fresh = RatFunc.from_data(x.to_data())
+        order = fresh.pole_order_at(point)
+        assert type(fresh._at[point][2]) is int
+        if order > 0:
+            for _ in range(2):
+                with pytest.raises(PoleError):
+                    fresh.eval_at(point)
+        else:
+            first = fresh.eval_at(point)
+            assert first == x.eval_at(point)
+            assert fresh.eval_at(point) is first
+            if point.denominator == 1:
+                assert fresh.eval_at(point.numerator) is first
+        assert fresh.pole_order_at(point) == order
+
+
 def test_numbers_are_ints_or_fractions():
     """A constant and a point are an int or a Fraction, as in arithmetic;
     anything else is a TypeError that names its type."""

@@ -7,14 +7,9 @@ import os
 import re
 
 from quiver_dt import cli
-from quiver_dt import invariants as inv
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 README = os.path.join(ROOT, "README.md")
-
-
-def setup_function(_fn):
-    inv.clear_cache()
 
 
 def python_blocks():

@@ -12,7 +12,6 @@ import pytest
 
 import quiver_dt
 from helpers import calibrated_kron
-from quiver_dt import invariants as inv
 from quiver_dt.invariants import InvariantTable, build_table
 from quiver_dt.quiver import Calibration, Edge, Slope
 from quiver_dt.wallcross import epsilon_table
@@ -26,10 +25,6 @@ RECORDS = [
      lambda: Calibration(-1, -1, (F(1, 2), F(-1, 2)))),
     (lambda: Edge("a", "i", "j"), lambda: Edge("a", "j", "i")),
 ]
-
-
-def setup_function(_fn):
-    inv.clear_cache()
 
 
 @pytest.mark.parametrize("make, other", RECORDS,

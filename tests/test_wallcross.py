@@ -21,10 +21,6 @@ from quiver_dt.wallcross import (EpsilonTable, SlopePair, diff_tables,
 FIXTURES = Path(inv.__file__).parent / "fixtures"
 
 
-def setup_function(_fn):
-    inv.clear_cache()
-
-
 def _pair(quiver, plus_map, minus_map):
     return SlopePair(quiver,
                      Slope.from_dict(quiver, plus_map),
@@ -446,15 +442,13 @@ def test_transform_engine_stays_out_of_the_cache(monkeypatch):
     table = epsilon_table(q, pair.plus, 3)
     wallcross_epsilon(table, pair)
     assert not seeded
-    cached = [eng.slope.weights for owner in inv._CACHE_OWNERS
-              for eng in owner.engine_cache.values()]
+    cached = [eng.slope.weights for eng in q.engine_cache.values()]
     assert cached == [pair.plus.weights, pair.minus.weights]
     assert list(q.engine_cache) == keys
     wallcross_epsilon(zeroed_at(table, pair, 1), pair)
     [eng] = seeded
     assert eng.seed_bound == 3
-    assert all(c is not eng for owner in inv._CACHE_OWNERS
-               for c in owner.engine_cache.values())
+    assert all(c is not eng for c in q.engine_cache.values())
     assert list(q.engine_cache) == keys
 
 
