@@ -254,12 +254,6 @@ class SelfDualQuiver:
 
     # -- exponent forms ----------------------------------------------------------
 
-    def euler_form(self, alpha: DimVector, beta: DimVector) -> int:
-        total = sum(a * b for a, b in zip(alpha, beta))
-        for s, t in self.edge_endpoints:
-            total -= alpha[s] * beta[t]
-        return total
-
     @property
     def calibration(self) -> Optional[Calibration]:
         return self._calibration

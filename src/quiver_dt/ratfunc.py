@@ -2,16 +2,21 @@
 
 A RatFunc holds only its canonical form, q**shift * scale * num(q) / den(q):
 scale is a nonzero Fraction, and num and den are coprime primitive integer
-polynomials with nonzero constant terms and positive leading coefficients.
-A value is reduced by one polynomial gcd when it is built, so equal values
-have equal fields, and Laurent behaviour at 0 and infinity is readable off
-the shift; the gcd takes primitive pseudo-remainders of coefficient lists
-that end at their leading coefficient.  It is presented (to_data, its JSON
-text to_json, str, the num and den properties) as q**shift * num / den with
-rational coefficients and den monic, read off the integer fields: each
-coefficient is c * scale / lead for num and c / lead for den, lead the
-leading coefficient of den, reduced by one integer gcd with no Fraction
-built (_presented).
+polynomials with nonzero constant terms and positive leading coefficients,
+so equal values have equal fields, and Laurent behaviour at 0 and infinity
+is readable off the shift.  Each operation takes one path from its operands
+to that form.  An operator reads its other operand by one rule (_binary): a
+RatFunc as it is, an int or a Fraction as a constant.  A sum puts both
+operands over one denominator and reduces it by one polynomial gcd (_make),
+which takes primitive pseudo-remainders of coefficient lists that end at
+their leading coefficient.  A product cancels only its cross pairs, and
+powers need no gcd (Gauss's lemma), nor does multiplying by q - 1/q: q - 1
+and q + 1 each divide den or multiply num (times_q_minus_qinv).  A value is
+presented (to_data, its JSON text to_json, str, the num and den properties)
+as q**shift * num / den with rational coefficients and den monic, read off
+the integer fields: each coefficient is c * scale / lead for num and c /
+lead for den, lead the leading coefficient of den, reduced by one integer
+gcd with no Fraction built (_presented).
 
 The pole order and value at a point u/v, an int or a Fraction, are read
 off the integer num and den by one Horner sweep each (_at_point), whose
@@ -20,9 +25,7 @@ is 0.  Each RatFunc keeps the order and the two sums at each point as one
 entry (_at), ignored by equality, hashing and the presented forms, so a
 table row's DTmot, read by the table and again by its no-pole report,
 sweeps each polynomial at most once; the first eval_at there builds the
-value, one Fraction, and keeps it in the entry.  Multiplying by q - 1/q
-needs no gcd: num and den are coprime, so q - 1 and q + 1 each divide den
-or multiply num (times_q_minus_qinv).
+value, one Fraction, and keeps it in the entry.
 
 RatFunc multiplies its integer polynomials term by term (_ip_mul).  Sums of
 products that need no denominator at all, such as the semistable recursion
@@ -58,15 +61,6 @@ class PoleError(ArithmeticError):
 # ---------------------------------------------------------------------------
 # integer polynomial helpers (dict exponent -> nonzero int)
 
-def _ip_add_into(acc: _IPoly, p: _IPoly, mult: int) -> None:
-    for e, c in p.items():
-        v = acc.get(e, 0) + mult * c
-        if v:
-            acc[e] = v
-        elif e in acc:
-            del acc[e]
-
-
 def _ip_mul(a: _IPoly, b: _IPoly) -> _IPoly:
     if len(a) > len(b):
         a, b = b, a
@@ -79,6 +73,16 @@ def _ip_mul(a: _IPoly, b: _IPoly) -> _IPoly:
                 out[e] = v
             elif e in out:
                 del out[e]
+    return out
+
+
+def _ip_pow(p: _IPoly, k: int) -> _IPoly:
+    """p**k, k >= 0, by repeated squaring."""
+    out = _ONE
+    while k:
+        if k & 1:
+            out = _ip_mul(out, p)
+        p, k = (_ip_mul(p, p) if k > 1 else p), k >> 1
     return out
 
 
@@ -241,11 +245,6 @@ def laurent_sum(terms: List[Tuple[int, List[Laurent]]],
     return Laurent(_ip_unpack(sign * total, base, width))
 
 
-def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(_int_gcd(a.numerator, b.numerator),
-                    (a.denominator * b.denominator) // _int_gcd(a.denominator, b.denominator))
-
-
 def _primitive(p: _IPoly) -> Tuple[_IPoly, int, int]:
     """(prim, low, c) with p = c * q**low * prim, where prim is primitive,
     has a nonzero constant term and a positive leading coefficient."""
@@ -304,6 +303,16 @@ def _at_point(p: _IPoly, u: int, v: int) -> Tuple[int, int]:
 _ONE: _IPoly = {0: 1}
 
 
+def _binary(op):
+    """op(self, o) as an operator whose other operand o is a RatFunc, or an
+    int or a Fraction read as a constant; anything else is NotImplemented."""
+    def method(self, o):
+        if isinstance(o, (int, Fraction)):
+            o = RatFunc(o)
+        return op(self, o) if isinstance(o, RatFunc) else NotImplemented
+    return method
+
+
 # ---------------------------------------------------------------------------
 
 class RatFunc:
@@ -359,13 +368,6 @@ class RatFunc:
     @classmethod
     def q_power(cls, k: int) -> "RatFunc":
         return cls._raw(Fraction(1), k, _ONE, _ONE)
-
-    def shifted(self, k: int) -> "RatFunc":
-        """self * q**k: only the shift moves, so nothing is multiplied."""
-        if not k or not self._num:
-            return self
-        return RatFunc._raw(self._scale, self._shift + k, self._num,
-                            self._den)
 
     def times_q_minus_qinv(self) -> "RatFunc":
         """self * (q - 1/q) = q**-1 * (q - 1)(q + 1) * self, with no gcd:
@@ -440,35 +442,28 @@ class RatFunc:
     def __bool__(self) -> bool:
         return bool(self._num)
 
-    # -- ring operations ------------------------------------------------------
+    # -- ring operations and equality -----------------------------------------
 
-    @staticmethod
-    def _coerce(other) -> "RatFunc | None":
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return RatFunc(other)
-        return None
-
-    def __add__(self, other) -> "RatFunc":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_binary
+    def __add__(self, o: "RatFunc") -> "RatFunc":
+        """Over one denominator, k times den or the product of the dens, k
+        the lcm of the scales' denominators; shifts go into the exponents."""
         if not self._num:
             return o
         if not o._num:
             return self
-        sh = min(self._shift, o._shift)
-        g = _fraction_gcd(self._scale, o._scale)
         na, da, nb, db = self._num, self._den, o._num, o._den
         if da != db:
             na, nb, da = _ip_mul(na, db), _ip_mul(nb, da), _ip_mul(da, db)
-        ka, kb = self._shift - sh, o._shift - sh
-        ma = (self._scale / g).numerator
-        acc = {e + ka: ma * c for e, c in na.items()}
-        _ip_add_into(acc, {e + kb: c for e, c in nb.items()},
-                     (o._scale / g).numerator)
-        return RatFunc._make(g, sh, acc, da)
+        k = lcm(self._scale.denominator, o._scale.denominator)
+        acc: _IPoly = {}
+        for x, p in ((self, na), (o, nb)):
+            m = x._scale.numerator * (k // x._scale.denominator)
+            for e, c in p.items():
+                e += x._shift
+                acc[e] = acc.get(e, 0) + m * c
+        return RatFunc._make(Fraction(1, k), 0,
+                             {e: c for e, c in acc.items() if c}, da)
 
     __radd__ = __add__
 
@@ -477,22 +472,16 @@ class RatFunc:
             return self
         return RatFunc._raw(-self._scale, self._shift, self._num, self._den)
 
-    def __sub__(self, other) -> "RatFunc":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_binary
+    def __sub__(self, o: "RatFunc") -> "RatFunc":
         return self + (-o)
 
-    def __rsub__(self, other) -> "RatFunc":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_binary
+    def __rsub__(self, o: "RatFunc") -> "RatFunc":
         return o + (-self)
 
-    def __mul__(self, other) -> "RatFunc":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_binary
+    def __mul__(self, o: "RatFunc") -> "RatFunc":
         if not self._num or not o._num:
             return RatFunc(0)
         # Each operand is in lowest terms, so only the cross pairs can
@@ -510,38 +499,26 @@ class RatFunc:
         return RatFunc._raw(1 / self._scale, -self._shift, self._den,
                             self._num)
 
-    def __truediv__(self, other) -> "RatFunc":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_binary
+    def __truediv__(self, o: "RatFunc") -> "RatFunc":
         return self * o.reciprocal()
 
-    def __rtruediv__(self, other) -> "RatFunc":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_binary
+    def __rtruediv__(self, o: "RatFunc") -> "RatFunc":
         return o * self.reciprocal()
 
     def __pow__(self, k: int) -> "RatFunc":
+        """num**k and den**k need no gcd: by Gauss's lemma they stay
+        coprime and primitive, and their leading coefficients positive."""
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
-            return self.reciprocal() ** (-k)
-        out = RatFunc(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+            return self.reciprocal() ** -k
+        return RatFunc._raw(self._scale ** k, self._shift * k,
+                            _ip_pow(self._num, k), _ip_pow(self._den, k))
 
-    # -- comparisons ----------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_binary
+    def __eq__(self, o: "RatFunc") -> bool:
         return (self._scale == o._scale and self._shift == o._shift
                 and self._num == o._num and self._den == o._den)
 
@@ -558,14 +535,14 @@ class RatFunc:
         """The entry of _at at the point u/v, first (pole order, hn, hd): one
         _at_point sweep of den, and one of num where den has no root at u/v,
         which gives hn = v**deg(num) * num(u/v); elsewhere hn is 0."""
+        if not isinstance(point, (int, Fraction)):
+            raise TypeError("a point is an int or a Fraction, not "
+                            f"{type(point).__name__}")
         at = self._at
         if at is None:
             at = self._at = {}
         got = at.get(point)
         if got is None:
-            if not isinstance(point, (int, Fraction)):
-                raise TypeError("a point is an int or a Fraction, not "
-                                f"{type(point).__name__}")
             u, v = point.numerator, point.denominator
             md, hd = _at_point(self._den, u, v)
             mn, hn = ((0, 0) if md or not self._num
@@ -583,7 +560,9 @@ class RatFunc:
         neither a pole nor a zero, it is scale * (u/v)**shift * (hn /
         v**dn) / (hd / v**dd), for num and den of degrees dn and dd, read
         only where v > 1; kept in _at as (order, value, None) from then on."""
-        order, hn, hd = (self._at or {}).get(point) or self._read(point)
+        at = self._at
+        order, hn, hd = (at and isinstance(point, (int, Fraction))
+                         and at.get(point)) or self._read(point)
         if hd is None:
             return hn
         if order > 0:

@@ -120,15 +120,17 @@ def _numerators(values: Dict[DimVector, RatFunc],
             for a, (p, k) in cleared.items()}, d
 
 
-def _divided(num: Laurent, d: int, what: str, at: DimVector) -> Laurent:
-    """num / d, refused unless it lies in Z[q, 1/q]."""
+def _divided(num: Laurent, d: int, what: Callable[[], str],
+             at: DimVector) -> Laurent:
+    """num / d, refused unless it lies in Z[q, 1/q]; what() names num in
+    the refusal, and is called only there."""
     if d == 1:
         return num
     out = {}
     for e, c in num.poly.items():
         quo, rem = divmod(c, d)
         if rem:
-            _refuse(what, at, "integer")
+            _refuse(what(), at, "integer")
         out[e] = quo
     return Laurent(out)
 
@@ -203,7 +205,7 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
         raise ValidationError("table was not computed at the source slope")
     q, bound = pair.quiver, table.bound
     source, target = _engine(q, pair.plus), _engine(q, pair.minus)
-    value, scale = source.value, _ray_of(pair.plus)[1]
+    value = source.value
     classes = q.dim_vectors_up_to(bound)
     mirror = source.self_dual and _dual_symmetric(q, table.eps)
     of_value: Dict[Value, List[DimVector]] = {}
@@ -221,7 +223,10 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
     factors: Dict[Value, Dict[DimVector, Laurent]] = {}
     for s, weight in exps.items():
         n, d = s
-        what = f"M(a) J(a) at slope {scale * Fraction(n, d)}"
+
+        def what() -> str:  # called in this pass, at its n and d
+            slope = _ray_of(pair.plus)[1] * Fraction(n, d)
+            return f"M(a) J(a) at slope {slope}"
         x = factors[s] = {g: _divided(*weight(g, 1), what, g)
                           for g in of_value[s]}
         if mirror and n > 0:
@@ -257,7 +262,7 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
                                      else None, module.get)[0]
                       for th in sd_classes}
         sd_stack = {th: _divided(module[th], k * dz,
-                                 "M_sd(theta) I_sd(theta)", th)
+                                 lambda: "M_sd(theta) I_sd(theta)", th)
                     for th in sd_classes}
 
     eng = _seeded_engine(q, pair.minus,

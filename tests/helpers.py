@@ -131,6 +131,13 @@ def bar(f: RatFunc) -> RatFunc:
                                    {dd - e: c for e, c in den.items()})
 
 
+def shifted(f: RatFunc, k: int) -> RatFunc:
+    """f * q**k: only the shift moves, so nothing is multiplied."""
+    if not k or not f:
+        return f
+    return RatFunc._raw(f._scale, f._shift + k, f._num, f._den)
+
+
 def subs_square(f: RatFunc, value) -> Fraction:
     """f with q**2 -> value; requires all exponents even."""
     v = Fraction(value)

@@ -31,6 +31,16 @@ from quiver_dt.quiver import (DimVector, SelfDualQuiver, Slope, boxed_vectors,
 from quiver_dt.ratfunc import RatFunc
 
 
+def euler_form(quiver: SelfDualQuiver, alpha: DimVector,
+               beta: DimVector) -> int:
+    """The Euler form of the quiver: sum_i alpha_i beta_i minus sum over the
+    edges s -> t of alpha_s beta_t."""
+    total = sum(a * b for a, b in zip(alpha, beta))
+    for s, t in quiver.edge_endpoints:
+        total -= alpha[s] * beta[t]
+    return total
+
+
 def binom_fraction(top: Fraction, n: int) -> Fraction:
     """Generalized binomial coefficient binom(top, n) for integer n >= 0."""
     out = Fraction(1)
@@ -569,7 +579,7 @@ def bps_invariants(quiver: SelfDualQuiver,
         for k in range(2, g + 1):
             if g % k == 0:
                 b = tuple(x // k for x in a)
-                sign = -1 if (k - 1) * quiver.euler_form(b, b) % 2 else 1
+                sign = -1 if (k - 1) * euler_form(quiver, b, b) % 2 else 1
                 rest = rest - (RatFunc(Fraction(sign, k)) * pref
                                / _at_power(pref, k)
                                * _at_power(omega[b], k))

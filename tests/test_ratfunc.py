@@ -7,13 +7,14 @@ evaluation at random rational points.
 
 import operator
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from helpers import bar, subs_square
+from helpers import bar, shifted, subs_square
 from reference import binom_fraction
 from torus import INV_Q_MINUS_QINV, Q_MINUS_QINV
 from quiver_dt import ratfunc
@@ -23,7 +24,6 @@ from quiver_dt.ratfunc import (
     RatFunc,
     laurent_sum,
     _at_point,
-    _ip_add_into,
     _ip_div,
     _ip_mul,
 )
@@ -212,6 +212,14 @@ def test_gcd_and_power_content_normalization():
     assert f.shift == 0
     assert f.num == {1: F(1), 0: F(-1)}
     assert f.den == {0: F(1)}
+    # the empty product and powers of zero, field by field
+    zero = RatFunc(0)
+    for x, k, want in ((f, 0, RatFunc(1)), (zero, 0, RatFunc(1)),
+                       (zero, 3, zero * zero * zero)):
+        got = x ** k
+        assert (got._scale, got._shift, got._num, got._den) == \
+            (want._scale, want._shift, want._num, want._den)
+        assert type(got._scale) is Fraction
 
 
 def test_known_quotient_collapses():
@@ -358,12 +366,12 @@ def test_shifted_matches_multiplying_by_a_q_power():
         if i % 2:
             x.to_data()  # a value presented before it is shifted
         for k in (0, 1, -1, 3, -5, rng.randint(-9, 9)):
-            got = x.shifted(k)
+            got = shifted(x, k)
             want = x * RatFunc.q_power(k)
             assert got.to_data() == want.to_data()
             assert got == want and hash(got) == hash(want)
             assert (got + x).to_data() == (want + x).to_data()
-    assert RatFunc(0).shifted(4).to_data() == RatFunc(0).to_data()
+    assert shifted(RatFunc(0), 4).to_data() == RatFunc(0).to_data()
 
 
 def test_constants_hash_as_their_fractions():
@@ -479,7 +487,7 @@ def test_laurent_sum_matches_term_by_term_products():
             prod = {0: 1}
             for p in polys:
                 prod = _ip_mul(prod, p)
-            _ip_add_into(want, {e + k: c for e, c in prod.items()}, 1)
+            want = padd(want, {e + k: c for e, c in prod.items()})
             terms.append((k, [Laurent(p) for p in polys]))
         sign = rng.choice([1, -1])
         got = laurent_sum(terms, sign)
@@ -548,7 +556,7 @@ def test_reflected_division(c):
 
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
                                 operator.truediv])
-@pytest.mark.parametrize("other", [1.5, None, "q"])
+@pytest.mark.parametrize("other", [1.5, None, "q", 0.5, "2"])
 def test_unsupported_operands_raise_type_error(op, other):
     """Each operator returns NotImplemented on an operand that is not a
     RatFunc, int or Fraction, from either side, and Python raises."""
@@ -564,6 +572,7 @@ def test_unsupported_power_and_equality():
     with pytest.raises(TypeError):
         f ** F(1, 2)
     assert f != 1.5 and f != "q" and not f == None  # noqa: E711
+    assert (f == "x") is False and (RatFunc(2) == "2") is False
 
 
 def test_str_is_deterministic():
@@ -782,6 +791,14 @@ def test_numbers_are_ints_or_fractions():
         with pytest.raises(TypeError, match=type(point).__name__):
             read(point)
     assert x.pole_order_at(1) == 1 and x.eval_at(F(2)) == F(2, 3)
+    # a point already read is checked too; a bool is an int
+    y = (RatFunc.q_power(1) + 2) / (RatFunc.q_power(1) - 3)
+    assert y.eval_at(1) == F(-3, 2)
+    for read, point in ((y.eval_at, 1.0), (y.pole_order_at, 1.0),
+                        (x.eval_at, 2.0), (x.pole_order_at, Decimal(1))):
+        with pytest.raises(TypeError, match=type(point).__name__):
+            read(point)
+    assert y.eval_at(True) == F(-3, 2) and x.pole_order_at(True) == 1
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

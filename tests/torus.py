@@ -111,7 +111,7 @@ class TorusElem:
                 if bound is not None and ta + vtotal(b) > bound:
                     continue
                 tw = q.commutation_exponent(a, b)
-                term = (ca * cb).shifted(tw) * INV_Q_MINUS_QINV
+                term = ca * cb * RatFunc.q_power(tw) * INV_Q_MINUS_QINV
                 key = vadd(a, b)
                 out[key] = out.get(key, RatFunc(0)) + term
         return TorusElem(q, out, bound)
@@ -127,7 +127,7 @@ class TorusElem:
                     continue
                 tw = q.sd_twist_exponent(a, t)
                 assert isinstance(tw, int), "twist exponent not integral"
-                term = (ca * ct).shifted(tw) * INV_Q_MINUS_QINV
+                term = ca * ct * RatFunc.q_power(tw) * INV_Q_MINUS_QINV
                 out[key] = out.get(key, RatFunc(0)) + term
         return TorusModElem(q, out, bound)
 
