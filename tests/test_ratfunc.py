@@ -212,14 +212,16 @@ def test_gcd_and_power_content_normalization():
     assert f.shift == 0
     assert f.num == {1: F(1), 0: F(-1)}
     assert f.den == {0: F(1)}
-    # the empty product and powers of zero, field by field
-    zero = RatFunc(0)
-    for x, k, want in ((f, 0, RatFunc(1)), (zero, 0, RatFunc(1)),
-                       (zero, 3, zero * zero * zero)):
-        got = x ** k
-        assert (got._scale, got._shift, got._num, got._den) == \
-            (want._scale, want._shift, want._num, want._den)
-        assert type(got._scale) is Fraction
+    # x ** k is the product of k factors x, field by field, for k = 0 and
+    # for zero too
+    for x in (f, 3 / f + 1, RatFunc(0)):
+        want = RatFunc(1)
+        for k in range(6):
+            got = x ** k
+            assert (got._scale, got._shift, got._num, got._den) == \
+                (want._scale, want._shift, want._num, want._den)
+            assert type(got._scale) is Fraction
+            want = want * x
 
 
 def test_known_quotient_collapses():
