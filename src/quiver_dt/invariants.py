@@ -24,13 +24,14 @@ self-dual action iterates the decompositions theta = g + rho + g^v with
 their ratios, kept per quiver and class (_sd_steps).  A power series in a
 slope's semistable element, such as the star-logarithm that gives the
 epsilon integrals or the inverse square root at slope 0, is at each class
-one integer numerator over one integer, divided by M only at the end, as a
-RatFunc: one _series of the differential equation it solves.  Where every
-twist of the class's steps is 0, _series solves it through the degree
-derivation, one convolution per class; elsewhere it sums the star powers
-of the element (_star_powers) with the coefficients the equation gives
-(_coeffs).  Where no class below contributes to the star-log, the epsilon
-integral is the semistable integral, the same RatFunc.
+one Laurent, an integer numerator over an integer in lowest terms, divided
+by M only at the end, as a RatFunc: one _series of the differential
+equation it solves.  Where every twist of the class's steps is 0, _series
+solves it through the degree derivation, one convolution per class;
+elsewhere it sums the star powers of the element (_star_powers) with the
+coefficients the equation gives (_coeffs).  Where no class below
+contributes to the star-log, the epsilon integral is the semistable
+integral, the same RatFunc.
 
 On the self-dual side, semistable integrals are the slope-0 entries acting
 on the module stack classes, and epsilon integrals are the inverse square
@@ -104,8 +105,8 @@ class NoPoleViolation(RuntimeError):
 _ONE = Laurent({0: 1})
 _ZERO = Laurent({})
 
-# A weight for _sd_action: (W, k), or None where the element is zero.
-Weight = Optional[Tuple[Laurent, int]]
+# A weight for _sd_action, or None where the element is zero.
+Weight = Optional[Laurent]
 
 # A slope value n / d as the integer pair (n, d) in lowest terms, d > 0, so
 # that equal values are equal pairs.
@@ -168,7 +169,7 @@ def _chain_sum(quiver: SelfDualQuiver, tab: Dict[DimVector, Laurent],
     if len(terms) == 1 and len(terms[0][1]) == 1:
         only = terms[0][1][0]
         return only if sign == 1 else Laurent(
-            {e: -c for e, c in only.poly.items()})
+            {e: -c for e, c in only.poly.items()}, only.den)
     return laurent_sum(terms, sign)
 
 
@@ -207,69 +208,59 @@ _ROOT = (-1, -2, -1)
 
 
 @cache
-def _coeffs(abc: Tuple[int, int, int], n: int,
-            dx: int) -> Tuple[List[Laurent], int]:
-    """([c_1 k / dx, ..., c_n k / dx^n], k) for F(t) = sum_i c_i t^i solving
-    (1 + beta t) F' = alpha + gamma F, F(0) = 0, abc = (2 alpha, -2 beta, 2
-    gamma), k the lcm of the denominators of c_i / dx^i: c_1 = alpha and (i
-    + 1) c_{i+1} = (gamma - beta i) c_i."""
+def _coeffs(abc: Tuple[int, int, int], n: int, dx: int) -> List[Laurent]:
+    """[c_1 / dx, ..., c_n / dx^n], each a constant in lowest terms, for F(t)
+    = sum_i c_i t^i solving (1 + beta t) F' = alpha + gamma F, F(0) = 0, abc
+    = (2 alpha, -2 beta, 2 gamma): c_1 = alpha and (i + 1) c_{i+1} = (gamma
+    - beta i) c_i."""
     a, b, c = abc
     cs = [Fraction(a, 2 * dx)]
     for i in range(1, n):
         cs.append(cs[-1] * Fraction(c + b * i, 2 * (i + 1) * dx))
-    k = math.lcm(*(f.denominator for f in cs))
-    return [Laurent({0: f.numerator * (k // f.denominator)}) for f in cs], k
+    return [Laurent({0: f.numerator}, f.denominator) for f in cs]
 
 
 def _series(g: DimVector, steps: List[TwistedStep],
             x: Callable[[DimVector], Laurent], dx: int,
-            z: Callable[[DimVector], Tuple[Laurent, int]],
+            z: Callable[[DimVector], Laurent],
             abc: Tuple[int, int, int],
-            powers: Callable[[DimVector], List[Laurent]]
-            ) -> Tuple[Laurent, int]:
-    """(Z, k), Z in Z[q, 1/q], with Z / k = sum_n c_n P_n(g) / dx^n, P_n the
-    star powers of x (powers), for F(t) = sum_n c_n t^n solving (1 + beta
-    t) F' = alpha + gamma F, F(0) = 0, abc = (2 alpha, -2 beta, 2 gamma):
-    (2, -2, 0) is log(1 + t), (-1, -2, -1) is (1 + t)^(-1/2) - 1 and (2,
-    0, 2) is exp(t) - 1; steps are g's decompositions into two classes of
-    its value, with their twists (_Engine._steps).  Where a twist is
-    nonzero, it sums powers(g) with the coefficients of _coeffs: P_1 itself
-    where it is the only power and c_1 k = 1.  Else any two elements on g's
+            powers: Callable[[DimVector], List[Laurent]]) -> Laurent:
+    """sum_n c_n P_n(g) / dx^n, P_n the star powers of x (powers), for F(t) =
+    sum_n c_n t^n solving (1 + beta t) F' = alpha + gamma F, F(0) = 0, abc =
+    (2 alpha, -2 beta, 2 gamma): (2, -2, 0) is log(1 + t), (-1, -2, -1) is
+    (1 + t)^(-1/2) - 1 and (2, 0, 2) is exp(t) - 1; steps are g's
+    decompositions into two classes of its value, with their twists
+    (_Engine._steps).  Where a twist is nonzero, it sums powers(g) with the
+    coefficients of _coeffs, or divides P_1 where it is the only power and
+    c_1 / dx is 1 / k (P_1 itself for k = 1).  Else any two elements on g's
     value commute in their coefficient at g, and each word of D(u^n) is a
     rotation of (D u) u^(n-1), so D(u^n)_g = n ((D u) u^(n-1))_g and the
     degree derivation D[p] = |p| [p] turns D F(u) = F'(u) D u at g, u =
     sum_p x(p) / (dx M(p)) [p], into J. C. P. Miller's recurrence (Knuth,
     TAOCP Vol. 2, 4.7), one convolution per class, z(p) the value at p
-    however p took it: 2 |g| Z(g) = a |g| u(g) + sum over the steps of
-    Z(p) u(g - p) prod_i [g_i, p_i] (b |p| + c |g - p|); (x(g), dx) where
-    no step contributes and a = 2."""
+    however p took it: 2 |g| dx Z(g) = a |g| x(g) + sum over the steps of
+    Z(p) x(g - p) prod_i [g_i, p_i] (b |p| + c |g - p|); x(g) / dx (x(g)
+    itself at dx = 1) where no step contributes and a = 2."""
     if any([step[3] for step in steps]):
         pg = powers(g)
-        ms, k = _coeffs(abc, len(pg), dx)
+        ms = _coeffs(abc, len(pg), dx)
         if len(pg) == 1 and ms[0].poly == {0: 1}:
-            return pg[0], k
-        return laurent_sum([(0, [m, pn]) for m, pn in zip(ms, pg)]), k
+            return pg[0].over(ms[0].den)
+        return laurent_sum([(0, [m, pn]) for m, pn in zip(ms, pg)])
     a, b, c = abc
     terms = []
     for p, r, bins, _ in steps:
-        zp, kp = z(p)
+        zp = z(p)
         xr = x(r)
         m = b * vtotal(p) + c * vtotal(r)
         if zp.poly and xr.poly and m:
-            terms.append((kp, m, (zp, xr, *bins)))
+            terms.append((0, (Laurent({0: m}), zp, xr, *bins)))
     xg = x(g)
     if not terms and a == 2:
-        return xg, dx
+        return xg.over(dx)
     n = vtotal(g)
-    k = math.lcm(*(kp for kp, _, _ in terms))
-    total = laurent_sum([(0, [Laurent({0: a * n * k}), xg])] + [
-        (0, (Laurent({0: m * (k // kp)}), *factors))
-        for kp, m, factors in terms])
-    den = 2 * n * dx * k
-    h = math.gcd(den, *total.poly.values())
-    if h > 1:
-        total = Laurent({e: v // h for e, v in total.poly.items()})
-    return total, den // h
+    return laurent_sum([(0, [Laurent({0: a * n}), xg])] + terms).over(
+        2 * n * dx)
 
 
 def _sd_steps(quiver: SelfDualQuiver, th: DimVector) -> Tuple[Step, ...]:
@@ -290,23 +281,22 @@ def _sd_steps(quiver: SelfDualQuiver, th: DimVector) -> Tuple[Step, ...]:
 
 def _sd_action(quiver: SelfDualQuiver, th: DimVector,
                weight: Callable[[DimVector], Weight],
-               module: Callable[[DimVector], Laurent]) -> Tuple[Laurent, int]:
-    """(S, k) with S / (k M_sd(th)) the th-coefficient of x acting on m, for
-    x = [0] + sum_g (q - 1/q) W(g) / (k_g M(g)) [g] over g nonzero,
-    weight(g) = (W(g), k_g) or None where x is zero, and m = sum_rho
-    module(rho) / M_sd(rho) [rho].  Over th = g + rho + g^v, each term g
-    nonzero is W(g) module(rho) q^tw(g, rho) k / k_g times the polynomial
-    M_sd(th) / (M(g) M_sd(rho)) (motives.sd_ratio), k the lcm of the k_g,
-    over the cached decompositions of th (_sd_steps); CalibrationError
-    where a term's twist is not an integer, as under a calibration with
-    half-integral kappa.  rho is self-dual whenever th is, as g + g^v is
-    and has even entries at fixed vertices.  The unit's term is module(th)
-    k, and weight is not asked at 0; where it is the only term, (module(th),
-    1) is returned."""
+               module: Callable[[DimVector], Laurent]) -> Laurent:
+    """S with S / M_sd(th) the th-coefficient of x acting on m, for x = [0] +
+    sum_g (q - 1/q) weight(g) / M(g) [g] over g nonzero, weight(g) None
+    where x is zero, and m = sum_rho module(rho) / M_sd(rho) [rho].  Over th
+    = g + rho + g^v, each term g nonzero is weight(g) module(rho) q^tw(g,
+    rho) times the polynomial M_sd(th) / (M(g) M_sd(rho)) (motives.sd_ratio),
+    over the cached decompositions of th (_sd_steps); CalibrationError where
+    a term's twist is not an integer, as under a calibration with
+    half-integral kappa.  rho is self-dual whenever th is, as g + g^v is and
+    has even entries at fixed vertices.  The unit's term is module(th), and
+    weight is not asked at 0; where it is the only term, it is returned as
+    it is."""
     terms = []
     for g, rho, ratio in _sd_steps(quiver, th):
         w = weight(g)
-        if w is None or not w[0].poly:
+        if w is None or not w.poly:
             continue
         m = module(rho)
         if m.poly:
@@ -314,16 +304,13 @@ def _sd_action(quiver: SelfDualQuiver, th: DimVector,
             if type(tw) is not int:
                 raise CalibrationError(
                     f"twist exponent not integral at {g}, {rho}")
-            terms.append((w[1], tw, (w[0], m, *ratio)))
+            terms.append((tw, (w, m, *ratio)))
     own = module(th)
     if not terms:
-        return own, 1
+        return own
     if own.poly:
-        terms.append((1, 0, (own,)))
-    k = math.lcm(*(kg for kg, _, _ in terms))
-    return laurent_sum([
-        (tw, factors if kg == k else (*factors, Laurent({0: k // kg})))
-        for kg, tw, factors in terms]), k
+        terms.append((0, (own,)))
+    return laurent_sum(terms)
 
 
 def _dual_symmetric(quiver: SelfDualQuiver, values: dict) -> bool:
@@ -487,7 +474,7 @@ class _Engine:
 
     @_per_pair
     def semistable(self, a: DimVector) -> RatFunc:
-        return over_gl_denominator(self._semistable_num(a).poly, a)
+        return over_gl_denominator(self._semistable_num(a), a)
 
     # -- star powers: star-log and inverse square root ----------------------
 
@@ -509,23 +496,22 @@ class _Engine:
                             self._powers)
 
     @_per_pair
-    def _log(self, g: DimVector) -> Tuple[Laurent, int]:
-        """(E, L) with E / L = sum_n (-1)^(n-1) P_n(g) / n, the star-log at
-        g, by _series."""
+    def _log(self, g: DimVector) -> Laurent:
+        """sum_n (-1)^(n-1) P_n(g) / n, the star-log at g, by _series."""
         return _series(g, self._steps(g), self._semistable_num, 1,
                        self._log, _LOG, self._powers)
 
     @_per_pair
     def epsilon(self, a: DimVector) -> RatFunc:
-        """The epsilon integral of a, E(a) / (L M(a)) for the star-log (E,
-        L) at a (_log).  The semistable integral itself where E / L is X as
-        it is.  Zero at 0."""
+        """The epsilon integral of a, E(a) / M(a) for the star-log E at a
+        (_log).  The semistable integral itself where E is X as it is.
+        Zero at 0."""
         if not any(a):
-            return over_gl_denominator({}, a)
-        e, lcm = self._log(a)
-        if e is self._semistable_num(a) and lcm == 1:
+            return over_gl_denominator(_ZERO, a)
+        e = self._log(a)
+        if e is self._semistable_num(a):
             return self.semistable(a)
-        return over_gl_denominator(e.poly, a, Fraction(1, lcm))
+        return over_gl_denominator(e, a)
 
     @_per_pair
     def dt_motivic(self, a: DimVector) -> RatFunc:
@@ -535,10 +521,10 @@ class _Engine:
 
     @_per_pair
     def _root_weight(self, g: DimVector) -> Weight:
-        """(W(g), k) with (1 + x)^(-1/2) = [0] + sum_g (q - 1/q) W(g) / (k
-        M(g)) [g] for the semistable element x at slope 0, g nonzero, None
-        off slope 0: W(g) / k = sum_n binom(-1/2, n) P_n(g), where
-        binom(-1/2, n) = (-1)^n C(2n, n) / 4^n, by _series."""
+        """W(g) with (1 + x)^(-1/2) = [0] + sum_g (q - 1/q) W(g) / M(g) [g]
+        for the semistable element x at slope 0, g nonzero, None off slope
+        0: W(g) = sum_n binom(-1/2, n) P_n(g), where binom(-1/2, n) =
+        (-1)^n C(2n, n) / 4^n, by _series."""
         if self.value(g)[0]:
             return None
         return _series(g, self._steps(g), self._semistable_num, 1,
@@ -558,14 +544,13 @@ class _Engine:
         slope-0 entries d(0, g) acting on the self-dual component
         integrals."""
         dom = self._dom_table((0, 1), th)
-        return _sd_action(self.quiver, th, lambda g: None if dom[g] is None
-                          else (dom[g], 1), self._sd_numerator)[0]
+        return _sd_action(self.quiver, th, dom.get, self._sd_numerator)
 
     @_per_class
     def sd_semistable(self, th: DimVector) -> RatFunc:
         self._check_sd(th)
-        return over_sd_denominator(self.quiver,
-                                   self._sd_semistable_num(th).poly, th)
+        return over_sd_denominator(self.quiver, self._sd_semistable_num(th),
+                                   th)
 
     @_per_class
     def sd_dt_motivic(self, th: DimVector) -> RatFunc:
@@ -573,9 +558,8 @@ class _Engine:
         the semistable element at slope 0 acting on the self-dual
         semistable element."""
         self._check_sd(th)
-        num, k = _sd_action(self.quiver, th, self._root_weight,
-                            self._sd_semistable_num)
-        return over_sd_denominator(self.quiver, num.poly, th, Fraction(1, k))
+        return over_sd_denominator(self.quiver, _sd_action(
+            self.quiver, th, self._root_weight, self._sd_semistable_num), th)
 
 
 @lru_cache(maxsize=4096)

@@ -74,17 +74,16 @@ def sd_gl_poly(quiver: SelfDualQuiver, theta: DimVector) -> Dict[int, int]:
                      if theta[i] > 1))))
 
 
-def over_gl_denominator(num: Dict[int, int], alpha: DimVector,
-                        scale: Fraction = Fraction(1)) -> RatFunc:
-    """scale * num / M(alpha) for an integer Laurent polynomial num."""
-    return RatFunc._make(scale, 0, num, gl_poly(alpha))
+def over_gl_denominator(num: Laurent, alpha: DimVector) -> RatFunc:
+    """num / M(alpha) for a Laurent num."""
+    return RatFunc._make(Fraction(1, num.den), 0, num.poly, gl_poly(alpha))
 
 
-def over_sd_denominator(quiver: SelfDualQuiver, num: Dict[int, int],
-                        theta: DimVector,
-                        scale: Fraction = Fraction(1)) -> RatFunc:
-    """scale * num / M_sd(theta) for an integer Laurent polynomial num."""
-    return RatFunc._make(scale, 0, num, sd_gl_poly(quiver, theta))
+def over_sd_denominator(quiver: SelfDualQuiver, num: Laurent,
+                        theta: DimVector) -> RatFunc:
+    """num / M_sd(theta) for a Laurent num."""
+    return RatFunc._make(Fraction(1, num.den), 0, num.poly,
+                         sd_gl_poly(quiver, theta))
 
 
 @cache

@@ -28,11 +28,13 @@ sweeps each polynomial at most once; the first eval_at there builds the
 value, one Fraction, and keeps it in the entry.
 
 RatFunc multiplies its integer polynomials term by term (_ip_mul).  Sums of
-products that need no denominator at all, such as the semistable recursion
-and the epsilon star-log once their motive denominators are cleared, run on
-Laurent, an integer Laurent polynomial: laurent_sum evaluates every product
-at q = 2**width and unpacks the big-integer total once (Kronecker
-substitution), the one place that packs polynomials into integers.
+products with no polynomial denominator, such as the semistable recursion
+and the star-log once the motive denominators are cleared, run on Laurent,
+an integer Laurent polynomial over an integer in lowest terms: laurent_sum
+puts the terms over one integer, evaluates every product at q = 2**width
+and unpacks the total once (Kronecker substitution), the one place that
+packs polynomials into integers, and reduces it by the one rule,
+Laurent.over, so a sum lies in Z[q, 1/q] exactly when its den is 1.
 """
 
 from __future__ import annotations
@@ -195,17 +197,30 @@ def _ip_div(a: _IPoly, g: _IPoly) -> Optional[_IPoly]:
 
 
 class Laurent:
-    """An integer Laurent polynomial, exponent -> nonzero int, with the
-    1-norm of its coefficients and its packings (_ip_pack at its lowest
-    exponent) at each width asked for.  Never mutated."""
+    """poly / den, an integer Laurent polynomial poly (exponent -> nonzero
+    int) over a positive int den in lowest terms, taken as given; over is
+    the one rule that reduces.  With the 1-norm of poly's coefficients and
+    its packings (_ip_pack at its lowest exponent) at each width asked for.
+    Never mutated."""
 
-    __slots__ = ("poly", "low", "norm", "_packs")
+    __slots__ = ("poly", "den", "low", "norm", "_packs")
 
-    def __init__(self, poly: _IPoly):
+    def __init__(self, poly: _IPoly, den: int = 1):
         self.poly = poly
+        self.den = den
         self.low = min(poly) if poly else 0
         self.norm = sum(map(abs, poly.values()))
         self._packs: Dict[int, int] = {}
+
+    def over(self, k: int) -> "Laurent":
+        """self / k, k > 0, in lowest terms: k's gcd with the coefficients
+        cancels, as they are coprime to den.  self for k = 1."""
+        if k == 1:
+            return self
+        g = _int_gcd(k, *self.poly.values())
+        poly = self.poly if g == 1 else {
+            e: c // g for e, c in self.poly.items()}
+        return Laurent(poly, self.den * (k // g))
 
     def packed(self, width: int) -> int:
         out = self._packs.get(width)
@@ -213,36 +228,46 @@ class Laurent:
             out = self._packs[width] = _ip_pack(self.poly, self.low, width)
         return out
 
+    def __repr__(self) -> str:
+        return f"Laurent({self.poly}, den={self.den})"
+
 
 def laurent_sum(terms: List[Tuple[int, List[Laurent]]],
                 sign: int = 1) -> Laurent:
     """sign times the sum of q**k times the product of the factors, over the
-    terms (k, factors).
+    terms (k, factors), in lowest terms.
 
-    Every product is taken at q = 2**width, one width for the whole sum,
-    wide enough by the 1-norms for every coefficient of the sum.  So the sum
-    is big-integer arithmetic with a single unpack.  The width is rounded up
-    to a multiple of 16 bits, so that sums of similar size reuse packings."""
+    Each term is scaled to L, the lcm of the terms' denominators, and every
+    product is taken at q = 2**width, one width for the whole sum, wide
+    enough by the 1-norms, times L, for every coefficient of the scaled sum.
+    So the sum is big-integer arithmetic with a single unpack, then divided
+    by L.  The width is rounded up to a multiple of 16 bits, so that sums of
+    similar size reuse packings."""
     size = 0
     lows = []
+    dens = []
     for k, factors in terms:
-        n = 1
+        n = d = 1
         for f in factors:
             n *= f.norm
+            d *= f.den
             k += f.low
         size += n
         lows.append(k)
+        dens.append(d)
+    den = lcm(*dens)
+    size *= den
     if not size:
         return Laurent({})
     width = (size.bit_length() + 16) & ~15
     base = min(lows)
     total = 0
-    for (_, factors), low in zip(terms, lows):
-        m = 1
+    for (_, factors), low, d in zip(terms, lows, dens):
+        m = den // d
         for f in factors:
             m *= f.packed(width)
         total += m << (width * (low - base))
-    return Laurent(_ip_unpack(sign * total, base, width))
+    return Laurent(_ip_unpack(sign * total, base, width)).over(den)
 
 
 def _primitive(p: _IPoly) -> Tuple[_IPoly, int, int]:
@@ -414,18 +439,16 @@ class RatFunc:
                                       s.denominator * lead),
                 _reduced(den, 1, lead))
 
-    def cleared(self, den: _IPoly) -> Optional[Tuple[_IPoly, int]]:
-        """(P, k) with self = P / (k den), P an integer Laurent polynomial
-        and k a positive integer, when self times the polynomial den lies
-        in Q[q, 1/q]; None otherwise.  No RatFunc arithmetic."""
-        if not self._num:
-            return {}, 1
+    def cleared(self, den: _IPoly) -> Optional[Laurent]:
+        """The Laurent P / k with self = P / (k den), when self times the
+        polynomial den lies in Q[q, 1/q]; None otherwise.  No RatFunc
+        arithmetic."""
         quo = _ip_div(den, self._den)
         if quo is None:
             return None
         s, shift = self._scale, self._shift
-        return ({e + shift: s.numerator * c
-                 for e, c in _ip_mul(self._num, quo).items()}, s.denominator)
+        return Laurent({e + shift: s.numerator * c for e, c in _ip_mul(
+            self._num, quo).items()}).over(s.denominator)
 
     @property
     def shift(self) -> int:

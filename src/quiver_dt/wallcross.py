@@ -2,18 +2,19 @@
 
 Tables of epsilon integrals cross from one slope function to another by
 re-factorisation in the twisted algebra (see wallcross_epsilon), carried
-out on integer Laurent numerators over the motive denominators with the
-invariants module's integer kernels, so that the only rational functions
-built are the source values read and the target values returned.  The
-exponential of a slope's epsilon element is invariants._series of exp
-over the source engine's steps of each class, the decompositions into two
-classes of its value with their twists (_exp_weights): Miller's recurrence
-where each twist is 0, as on every two-vertex and every symmetric quiver;
-and the running product is invariants._chain_sum over a factor's own
-classes (_factor_steps).  Slope values, as integer pairs, and steps come
-from the source slope's engine (filled by epsilon_table), source values
-only from the table.  The stack element is factored at the target slope on
-the engine invariants._seeded_engine picks: the cached one where its
+out on Laurent numerators, each an integer Laurent polynomial over an
+integer in lowest terms, over the motive denominators with the invariants
+module's integer kernels, so that the only rational functions built are
+the source values read and the target values returned.  The exponential
+of a slope's epsilon element is invariants._series of exp over the source
+engine's steps of each class, the decompositions into two classes of its
+value with their twists (_exp_weights): Miller's recurrence where each
+twist is 0, as on every two-vertex and every symmetric quiver; and the
+running product is invariants._chain_sum over a factor's own classes
+(_factor_steps).  Slope values, as integer pairs, and steps come from the
+source slope's engine (filled by epsilon_table), source values only from
+the table.  The stack element is factored at the target slope on the
+engine invariants._seeded_engine picks: the cached one where its
 numerators are the quiver's own, as for every table epsilon_table makes.
 Both functions read their table off an engine the one way, _tabulate.  The
 same transform has a combinatorial form, a sum over ordered decompositions
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from .invariants import (_ZERO, Step, TwistedStep, Value, Weight,
                          _box_steps, _chain_sum, _dual_symmetric, _engine,
@@ -100,39 +101,27 @@ def _refuse(what: str, at: DimVector, ring: str) -> None:
         "coefficients")
 
 
-def _times(num: Laurent, m: int) -> Laurent:
-    return num if m == 1 else Laurent({e: c * m for e, c in num.poly.items()})
-
-
 def _numerators(values: Dict[DimVector, RatFunc],
                 den: Callable[[DimVector], Dict[int, int]],
-                what: str) -> Tuple[Dict[DimVector, Laurent], int]:
-    """(Y, d) with values[a] = Y(a) / (d den(a)), Y in Z[q, 1/q] and d one
-    positive integer for all the values."""
-    cleared = {}
-    for a, v in values.items():
-        c = v.cleared(den(a))
-        if c is None:
-            _refuse(what, a, "rational")
-        cleared[a] = c
-    d = math.lcm(*(k for _, k in cleared.values()))
-    return {a: _times(Laurent(p), d // k)
-            for a, (p, k) in cleared.items()}, d
-
-
-def _divided(num: Laurent, d: int, what: Callable[[], str],
-             at: DimVector) -> Laurent:
-    """num / d, refused unless it lies in Z[q, 1/q]; what() names num in
-    the refusal, and is called only there."""
-    if d == 1:
-        return num
+                what: str) -> Dict[DimVector, Laurent]:
+    """Y with values[a] = Y(a) / den(a), Y(a) in Z[q, 1/q] over an
+    integer (RatFunc.cleared)."""
     out = {}
-    for e, c in num.poly.items():
-        quo, rem = divmod(c, d)
-        if rem:
-            _refuse(what(), at, "integer")
-        out[e] = quo
-    return Laurent(out)
+    for a, v in values.items():
+        y = v.cleared(den(a))
+        if y is None:
+            _refuse(what, a, "rational")
+        out[a] = y
+    return out
+
+
+def _integral(num: Laurent, what: Callable[[], str],
+              at: DimVector) -> Laurent:
+    """num, refused unless it lies in Z[q, 1/q], which in lowest terms is den
+    1; what() names num in the refusal, and is called only there."""
+    if num.den != 1:
+        _refuse(what(), at, "integer")
+    return num
 
 
 # The weights of invariants._series for exp(t) - 1.
@@ -140,12 +129,12 @@ _EXP = (2, 0, 2)
 
 
 def _exp_weights(steps: Callable[[DimVector], List[TwistedStep]],
-                 y: Dict[DimVector, Laurent], d: int):
-    """weight(g, c) = (W, k) with exp(e / c)_g = (q - 1/q) W / (k M(g)), for
-    the epsilon element e = sum_a (q - 1/q) y[a] / (d M(a)) [a] of one
-    slope and g not zero: W / k = sum_n P_n(g) / (n! (c d)^n), P_n the star
-    powers of y, by invariants._series once per g and c over steps(g), g's
-    decompositions with their twists (the source engine's _steps)."""
+                 y: Dict[DimVector, Laurent]):
+    """weight(g, c) = W with exp(e / c)_g = (q - 1/q) W / M(g), for the
+    epsilon element e = sum_a (q - 1/q) y[a] / M(a) [a] of one slope and g
+    not zero: W = sum_n P_n(g) / (n! c^n), P_n the star powers of y, by
+    invariants._series once per g and c over steps(g), g's decompositions
+    with their twists (the source engine's _steps)."""
     def x(a: DimVector) -> Laurent:
         return y.get(a, _ZERO)
 
@@ -154,8 +143,8 @@ def _exp_weights(steps: Callable[[DimVector], List[TwistedStep]],
         return _star_powers(g, steps(g), x, powers)
 
     @cache
-    def weight(g: DimVector, c: int) -> Tuple[Laurent, int]:
-        return _series(g, steps(g), x, c * d, lambda p: weight(p, c), _EXP,
+    def weight(g: DimVector, c: int) -> Laurent:
+        return _series(g, steps(g), x, c, lambda p: weight(p, c), _EXP,
                        powers)
     return weight
 
@@ -181,16 +170,18 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
     target slope that invariants._seeded_engine picks factors both again by
     target slope.
 
-    All of it runs on integer Laurent numerators over M(a) and M_sd(theta)
-    (see invariants): a slope's epsilon values become numerators over one
-    integer, the exponential of its element is invariants._series
-    (_exp_weights), divided by one integer per class to give the slope's
-    semistable numerators X_s; the running product is multiplied by each
-    slope's factor by invariants._chain_sum over that factor's nonzero
-    classes g alone (_factor_steps: the entry at a - g, the binomials [a;
-    a - g] and q^<a - g, g> for each g < a), and the factors act on the
-    self-dual side by _sd_action, their unit terms left implicit, so a
-    class that no nonzero step of a factor reaches keeps its entry.  A
+    All of it runs on Laurent numerators over M(a) and M_sd(theta) (see
+    invariants): each epsilon value becomes an integer numerator over an
+    integer (RatFunc.cleared), the exponential of a slope's element is
+    invariants._series (_exp_weights), and the slope's semistable numerators
+    X_s are its values at c = 1, which every sum leaves in lowest terms, so
+    X_s lies in Z[q, 1/q] exactly where its denominator is 1 (_integral);
+    the running product is multiplied by each slope's factor by
+    invariants._chain_sum over that factor's nonzero classes g alone
+    (_factor_steps: the entry at a - g, the binomials [a; a - g] and q^<a -
+    g, g> for each g < a), and the factors act on the self-dual side by
+    _sd_action, their unit terms left implicit, so a class that no nonzero
+    step of a factor reaches keeps its entry.  A
     source table whose slope factors or self-dual numerators do not lie in
     Z[q, 1/q] is refused with ValueError.
 
@@ -215,8 +206,8 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
     for a, e in table.eps.items():
         if e:
             by_slope.setdefault(value(a), {})[a] = e
-    exps = {s: _exp_weights(source._steps, *_numerators(eps, gl_poly,
-                                                        "M(a) eps(a)"))
+    exps = {s: _exp_weights(source._steps, _numerators(eps, gl_poly,
+                                                       "M(a) eps(a)"))
             for s, eps in by_slope.items() if not (mirror and s[0] < 0)}
     # X_s(g) = M(g) J_s(g) for the classes g of slope s; X_s(0) = 1 is left
     # to _chain_sum and _sd_action.  Mirrored, X_-s(g^v) = X_s(g).
@@ -227,7 +218,7 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
         def what() -> str:  # called in this pass, at its n and d
             slope = _ray_of(pair.plus)[1] * Fraction(n, d)
             return f"M(a) J(a) at slope {slope}"
-        x = factors[s] = {g: _divided(*weight(g, 1), what, g)
+        x = factors[s] = {g: _integral(weight(g, 1), what, g)
                           for g in of_value[s]}
         if mirror and n > 0:
             factors[-n, d] = {q.dual_vector(g): xg for g, xg in x.items()}
@@ -246,23 +237,20 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
                and target.self_dual)
     if sd_side:
         sd_classes = q.sd_classes_up_to(bound)
-        z, dz = _numerators(table.sd_eps, lambda th: sd_gl_poly(q, th),
-                            "M_sd(theta) eps_sd(theta)")
+        z = _numerators(table.sd_eps, lambda th: sd_gl_poly(q, th),
+                        "M_sd(theta) eps_sd(theta)")
         root = exps.get((0, 1))
 
         def half(g: DimVector) -> Weight:
             return root(g, 2) if root and value(g) == (0, 1) else None
-        start = {th: _sd_action(q, th, half, lambda rho: z.get(rho, _ZERO))
-                 for th in sd_classes}
-        k = math.lcm(*(kt for _, kt in start.values()))
-        module = {th: _times(num, k // kt) for th, (num, kt) in start.items()}
+        module = {th: _sd_action(q, th, half, lambda rho: z.get(rho, _ZERO))
+                  for th in sd_classes}
         for s in [s for s in reversed(slopes) if s[0] > 0]:
-            x = factors[s]
-            module = {th: _sd_action(q, th, lambda g: (x[g], 1) if g in x
-                                     else None, module.get)[0]
+            x = factors[s].get
+            module = {th: _sd_action(q, th, x, module.get)
                       for th in sd_classes}
-        sd_stack = {th: _divided(module[th], k * dz,
-                                 lambda: "M_sd(theta) I_sd(theta)", th)
+        sd_stack = {th: _integral(module[th],
+                                  lambda: "M_sd(theta) I_sd(theta)", th)
                     for th in sd_classes}
 
     eng = _seeded_engine(q, pair.minus,

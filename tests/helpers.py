@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -155,10 +156,20 @@ def subs_square(f: RatFunc, value) -> Fraction:
 
 def star_series(x, powers, g, dx, abc):
     """The series of invariants._series at g summed from the star powers,
-    (Z, k) with Z / k = sum_n c_n powers(g)[n - 1] / dx^n for the
-    coefficients c_n of invariants._coeffs, whichever way _series takes."""
-    ms, k = inv._coeffs(abc, len(powers(g)), dx)
-    return laurent_sum([(0, [m, pn]) for m, pn in zip(ms, powers(g))]), k
+    the Laurent sum_n c_n powers(g)[n - 1] / dx^n for the coefficients c_n
+    / dx^n of invariants._coeffs, whichever way _series takes."""
+    ms = inv._coeffs(abc, len(powers(g)), dx)
+    return laurent_sum([(0, [m, pn]) for m, pn in zip(ms, powers(g))])
+
+
+def as_fractions(x: Laurent) -> dict:
+    """The coefficients of the Laurent x, poly / den, as Fractions."""
+    return {e: Fraction(c, x.den) for e, c in x.poly.items()}
+
+
+def in_lowest_terms(x: Laurent) -> bool:
+    """Whether x.den is 1 or coprime to the coefficients of x.poly."""
+    return x.den == 1 or gcd(x.den, *x.poly.values()) == 1
 
 
 def reversed_pair(pair: SlopePair) -> SlopePair:

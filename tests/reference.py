@@ -28,7 +28,7 @@ from quiver_dt.motives import (over_gl_denominator, over_sd_denominator,
                                sd_stack_exponent, stack_exponent)
 from quiver_dt.quiver import (DimVector, SelfDualQuiver, Slope, boxed_vectors,
                               vadd, vsub, vtotal)
-from quiver_dt.ratfunc import RatFunc
+from quiver_dt.ratfunc import Laurent, RatFunc
 
 
 def euler_form(quiver: SelfDualQuiver, alpha: DimVector,
@@ -62,7 +62,8 @@ def stack_class(quiver: SelfDualQuiver, alpha: DimVector) -> RatFunc:
     """Motivic class of the stack of all representations of class alpha:
     q^(dim R + dim G) times the group motives prod_i motive_GL(alpha_i),
     kept as q^e(alpha) / M(alpha) (see quiver_dt.motives)."""
-    return over_gl_denominator({stack_exponent(quiver, alpha): 1}, alpha)
+    return over_gl_denominator(Laurent({stack_exponent(quiver, alpha): 1}),
+                               alpha)
 
 
 def sd_stack_class(quiver: SelfDualQuiver, theta: DimVector) -> RatFunc:
@@ -71,8 +72,8 @@ def sd_stack_class(quiver: SelfDualQuiver, theta: DimVector) -> RatFunc:
     the fixed vertices (O or Sp), kept as q^e_sd(theta) / M_sd(theta)."""
     if not quiver.is_sd_class(theta):
         raise ValueError(f"{theta} is not a self-dual class")
-    return over_sd_denominator(quiver, {sd_stack_exponent(quiver, theta): 1},
-                               theta)
+    return over_sd_denominator(
+        quiver, Laurent({sd_stack_exponent(quiver, theta): 1}), theta)
 
 
 # -- naive decomposition enumerators --------------------------------------------

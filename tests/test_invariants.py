@@ -477,7 +477,7 @@ def assert_engine_matches_full_region(q, slope, bound):
             dp = eng._dom_table((value.numerator, value.denominator), p)[p]
             if p in ref:
                 # the engine keeps D(s, p) = M(p) d(s, p) in Z[q, 1/q]
-                assert over_gl_denominator(dp.poly, p) == ref[p], (p, value)
+                assert over_gl_denominator(dp, p) == ref[p], (p, value)
             else:
                 assert dp is None, (p, value)
 
@@ -1005,12 +1005,11 @@ def test_dt_motivic_matches_the_integrated_log_numerator():
     for q, s, bound in table_cases(8):
         eng = inv._engine(q, s)
         for a in [eng.zero] + q.dim_vectors_up_to(bound):
-            e, lcm = inv._ZERO, 1
+            e = inv._ZERO
             if any(a):
-                e, lcm = star_series(eng._semistable_num, eng._powers, a, 1,
-                                     inv._LOG)
-            want = Q_MINUS_QINV * over_gl_denominator(
-                e.poly, a, Fraction(1, lcm))
+                e = star_series(eng._semistable_num, eng._powers, a, 1,
+                                inv._LOG)
+            want = Q_MINUS_QINV * over_gl_denominator(e, a)
             assert eng.dt_motivic(a) == want, (q.vertices, s.weights, a)
         count += 1
     assert count == 14 + 70
@@ -1057,8 +1056,8 @@ def test_epsilon_is_the_semistable_value_where_the_star_log_has_one_term():
                         and eng._semistable_num(vsub(a, p)).poly
                         for p in boxed_vectors(a) if any(p) and p != a)
             assert (len(trimmed) == 1) == (not chain)
-            e, lcm = star_series(eng._semistable_num, powers, a, 1, inv._LOG)
-            want = over_gl_denominator(e.poly, a, Fraction(1, lcm))
+            e = star_series(eng._semistable_num, powers, a, 1, inv._LOG)
+            want = over_gl_denominator(e, a)
             got = eng.epsilon(a)
             assert got == want, (q.vertices, s.weights, a)
             # Where a's own twists vanish, the star-log is Miller's
@@ -1067,7 +1066,7 @@ def test_epsilon_is_the_semistable_value_where_the_star_log_has_one_term():
             one = len(trimmed) == 1
             if not any(t[3] for t in eng._steps(a)):
                 one = not any(eng.value(p) == eng.value(a)
-                              and eng._log(p)[0].poly
+                              and eng._log(p).poly
                               and eng._semistable_num(vsub(a, p)).poly
                               for p in boxed_vectors(a) if any(p) and p != a)
             assert (got is eng.semistable(a)) == one
@@ -1096,17 +1095,16 @@ CLOSED_FORMS = {
 
 
 @pytest.mark.parametrize("dx", [1, 2, 3, 60, 120])
-def test_coeffs_are_the_closed_forms_over_their_lcm(dx):
+def test_coeffs_are_the_closed_forms_as_reduced_constants(dx):
     """_coeffs, from the differential equation, gives c_i / dx^i for each
-    closed form, i = 1..n, as integers over their lcm, for n <= 24."""
+    closed form, i = 1..n, each as a constant Laurent in lowest terms, for
+    n <= 24."""
     for abc, closed in CLOSED_FORMS.items():
         for n in range(1, 25):
             want = [closed(i) / dx ** i for i in range(1, n + 1)]
-            k = math.lcm(*(c.denominator for c in want))
-            ms, got_k = inv._coeffs(abc, n, dx)
-            assert got_k == k, (abc, n)
-            assert [m.poly for m in ms] == [
-                {0: c.numerator * (k // c.denominator)} for c in want], (abc, n)
+            ms = inv._coeffs(abc, n, dx)
+            assert [(m.poly, m.den) for m in ms] == [
+                ({0: c.numerator}, c.denominator) for c in want], (abc, n)
 
 
 def test_miller_sums_only_where_the_classes_commute(monkeypatch):

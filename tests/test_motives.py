@@ -17,7 +17,7 @@ from quiver_dt.motives import (gl_poly, over_gl_denominator, q2_binomial,
                                sd_gl_poly, sd_ratio, stack_exponent)
 from quiver_dt.quiver import (boxed_vectors, kronecker_variant, point_quiver,
                               vadd, vsub)
-from quiver_dt.ratfunc import RatFunc, _ip_mul
+from quiver_dt.ratfunc import Laurent, RatFunc, _ip_mul
 
 F = Fraction
 
@@ -228,7 +228,8 @@ def test_stack_class_is_the_product_of_group_motives():
                 want = want * motive_gl(x)
             got = stack_class(q, a)
             assert got == want
-            assert got == over_gl_denominator({stack_exponent(q, a): 1}, a)
+            assert got == over_gl_denominator(
+                Laurent({stack_exponent(q, a): 1}), a)
 
 
 def sd_quivers():

@@ -21,11 +21,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
-from helpers import (assert_mirror_changes_nothing, calibrated_cycle,
-                     calibrated_mixed, calibrated_two_pairs,
-                     crossed_without_mirror, epsilon_elem, mixed_quiver,
-                     reversed_pair, sd_epsilon_elem, sd_semistable_element,
-                     semistable_element, star_series, two_pairs_quiver)
+from helpers import (as_fractions, assert_mirror_changes_nothing,
+                     calibrated_cycle, calibrated_mixed, calibrated_two_pairs,
+                     crossed_without_mirror, epsilon_elem, in_lowest_terms,
+                     mixed_quiver, reversed_pair, sd_epsilon_elem,
+                     sd_semistable_element, semistable_element, star_series,
+                     two_pairs_quiver)
 from reference import (bps_invariants, direct_epsilon_integral,
                        direct_sd_epsilon_integral,
                        direct_sd_semistable_integral,
@@ -422,18 +423,12 @@ def test_bps_invariants_are_integer_where_the_torus_commutes(case):
         assert all(map(is_integer_laurent, omega.values())), group
 
 
-def as_fractions(w):
-    """A numerator over an integer, (W, k), as its coefficients W / k."""
-    num, k = w
-    return {e: Fraction(c, k) for e, c in num.poly.items()}
-
-
 def assert_miller_matches_the_star_powers(q, slope, bound):
     """Where _series takes Miller's recurrence, which is exactly where its
     class's own twists vanish, its star-log, inverse square root and exp
-    weights (c = 1, 2) equal the series of the star powers (star_series);
-    epsilon is the star-log over M either way.  The number of classes the
-    recurrence took and refused."""
+    weights (c = 1, 2) equal the series of the star powers (star_series),
+    and each is in lowest terms; epsilon is the star-log over M either way.
+    The number of classes the recurrence took and refused."""
     eng = inv._engine(q, slope)
     classes = q.dim_vectors_up_to(bound)
     took = refused = 0
@@ -446,17 +441,17 @@ def assert_miller_matches_the_star_powers(q, slope, bound):
             want = star_series(eng._semistable_num, eng._powers, a, 1, abc)
             got = getattr(eng, name)(a)
             assert as_fractions(got) == as_fractions(want), (name, a)
-        e, k = star_series(eng._semistable_num, eng._powers, a, 1, inv._LOG)
-        assert eng.epsilon(a) == over_gl_denominator(e.poly, a,
-                                                     Fraction(1, k)), a
+            assert in_lowest_terms(got), (name, a)
+        e = star_series(eng._semistable_num, eng._powers, a, 1, inv._LOG)
+        assert eng.epsilon(a) == over_gl_denominator(e, a), a
         took += miller
         refused += not miller
     by_value = {}
     for a in classes:
         by_value.setdefault(eng.value(a), {})[a] = eng.epsilon(a)
     for eps in by_value.values():
-        y, d = wc._numerators(eps, gl_poly, "M(a) eps(a)")
-        weight = wc._exp_weights(eng._steps, y, d)
+        y = wc._numerators(eps, gl_poly, "M(a) eps(a)")
+        weight = wc._exp_weights(eng._steps, y)
         memo = {}
 
         def x(a):
@@ -468,8 +463,9 @@ def assert_miller_matches_the_star_powers(q, slope, bound):
             return memo[g]
         for g in eps:
             for c in (1, 2):
-                want = star_series(x, powers, g, c * d, wc._EXP)
+                want = star_series(x, powers, g, c, wc._EXP)
                 assert as_fractions(weight(g, c)) == as_fractions(want), g
+                assert in_lowest_terms(weight(g, c)), g
     return took, refused
 
 
@@ -545,15 +541,15 @@ def test_a_class_whose_own_twists_vanish_takes_miller_over_star_powers(
         built.append(h)
         return inv._star_powers(h, *args)
     monkeypatch.setattr(wc, "_star_powers", star_powers)
-    y, d = wc._numerators({a: eng.epsilon(a) for a in boxed_vectors(g)[1:]},
-                          gl_poly, "M(a) eps(a)")
-    weight = wc._exp_weights(eng._steps, y, d)
+    y = wc._numerators({a: eng.epsilon(a) for a in boxed_vectors(g)[1:]},
+                       gl_poly, "M(a) eps(a)")
+    weight = wc._exp_weights(eng._steps, y)
 
     def x(a):
         return y.get(a, inv._ZERO)
     powers = cache(lambda h: inv._star_powers(h, eng._steps(h), x, powers))
     for c in (1, 2):
-        want = star_series(x, powers, g, c * d, wc._EXP)
+        want = star_series(x, powers, g, c, wc._EXP)
         assert as_fractions(weight(g, c)) == as_fractions(want), c
     assert (1, 1, 0) in built and g not in built
 

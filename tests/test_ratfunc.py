@@ -14,7 +14,8 @@ from math import gcd
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from helpers import bar, shifted, subs_square
+from helpers import (as_fractions, bar, in_lowest_terms, shifted,
+                     subs_square)
 from reference import binom_fraction
 from torus import INV_Q_MINUS_QINV, Q_MINUS_QINV
 from quiver_dt import ratfunc
@@ -478,22 +479,35 @@ def _rand_laurent(rng, big=False):
     return {e: c for e, c in poly.items() if c}
 
 
+def _rand_factor(rng, big):
+    """A random Laurent in lowest terms, over 1 or over a drawn integer,
+    reduced here rather than by Laurent.over."""
+    poly = _rand_laurent(rng, big)
+    den = rng.choice([1, 1, 1, 2, 3, 4, 6, 12, 35])
+    g = gcd(den, *poly.values())
+    return Laurent({e: c // g for e, c in poly.items()}, den // g)
+
+
 def test_laurent_sum_matches_term_by_term_products():
+    """laurent_sum against the sum of Fraction-coefficient products, over
+    factors with and without denominators; every sum is in lowest terms,
+    zero with den 1."""
     rng = random.Random(31)
     for trial in range(200):
         terms, want = [], {}
         for _ in range(rng.randint(0, 6)):
             k = rng.randint(-5, 5)
-            polys = [_rand_laurent(rng, big=trial % 7 == 0)
-                     for _ in range(rng.randint(1, 3))]
-            prod = {0: 1}
-            for p in polys:
-                prod = _ip_mul(prod, p)
+            factors = [_rand_factor(rng, big=trial % 7 == 0)
+                       for _ in range(rng.randint(1, 3))]
+            prod = {0: F(1)}
+            for f in factors:
+                prod = pmul(prod, as_fractions(f))
             want = padd(want, {e + k: c for e, c in prod.items()})
-            terms.append((k, [Laurent(p) for p in polys]))
+            terms.append((k, factors))
         sign = rng.choice([1, -1])
         got = laurent_sum(terms, sign)
-        assert got.poly == {e: sign * c for e, c in want.items()}
+        assert as_fractions(got) == {e: sign * c for e, c in want.items()}
+        assert in_lowest_terms(got), got
         assert got.low == min(got.poly, default=0)
         assert got.norm == sum(abs(c) for c in got.poly.values())
     # a sum that cancels to zero, and one factor used twice in a product
@@ -502,6 +516,13 @@ def test_laurent_sum_matches_term_by_term_products():
     assert laurent_sum([(1, [x, x])]).poly == {
         e + 1: c for e, c in _ip_mul(x.poly, x.poly).items()}
     assert laurent_sum([]).poly == {}
+    # over denominators: a sum that cancels is Laurent({}) over 1, and one
+    # whose lcm shares a factor with every coefficient is reduced
+    y = Laurent({-2: 3, 5: -1}, 4)
+    zero = laurent_sum([(0, [y]), (0, [Laurent({-2: -3, 5: 1}, 4)])])
+    assert (zero.poly, zero.den) == ({}, 1)
+    half = laurent_sum([(0, [y]), (0, [Laurent({-2: 3, 5: 1}, 4)])])
+    assert (half.poly, half.den) == ({-2: 3}, 2)
 
 
 def test_laurent_coefficients_only_for_laurent_polynomials():
@@ -510,13 +531,16 @@ def test_laurent_coefficients_only_for_laurent_polynomials():
         poly = _rand_laurent(rng)
         val = RatFunc.from_frac_polys(
             0, {e: F(c) for e, c in poly.items()}, {0: F(1)})
-        assert val.cleared({0: 1}) == (poly, 1)
-        assert (val / (Q_MINUS_QINV * Q_MINUS_QINV)
-                * Q_MINUS_QINV * Q_MINUS_QINV).cleared({0: 1}) == (poly, 1)
+        for x in (val, val / (Q_MINUS_QINV * Q_MINUS_QINV)
+                  * Q_MINUS_QINV * Q_MINUS_QINV):
+            got = x.cleared({0: 1})
+            assert (got.poly, got.den) == (poly, 1)
     assert (RatFunc(1) / (RatFunc.q_power(1) * 2 + 1)).cleared({0: 1}) is None
-    assert RatFunc(F(1, 2)).cleared({0: 1}) == ({0: 1}, 2)
+    half = RatFunc(F(1, 2)).cleared({0: 1})
+    assert (half.poly, half.den) == ({0: 1}, 2)
     assert INV_Q_MINUS_QINV.cleared({0: 1}) is None
-    assert Q_MINUS_QINV.cleared({0: 1}) == ({1: 1, -1: -1}, 1)
+    got = Q_MINUS_QINV.cleared({0: 1})
+    assert (got.poly, got.den) == ({1: 1, -1: -1}, 1)
 
 
 def test_subs_square():
