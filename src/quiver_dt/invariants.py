@@ -21,15 +21,19 @@ all of it, the transform the entries at its factor's classes, and
 _star_powers and _series the part with p of a's slope value, which each
 engine keeps per class with the twists <p, a - p> (_Engine._steps); the
 self-dual action iterates the decompositions theta = g + rho + g^v with
-their ratios, kept per quiver and class (_sd_steps).  A power series in a
-slope's semistable element, such as the star-logarithm that gives the
-epsilon integrals or the inverse square root at slope 0, is at each class
-one Laurent, an integer numerator over an integer in lowest terms, divided
-by M only at the end, as a RatFunc: one _series of the differential
-equation it solves.  Where every twist of the class's steps is 0, _series
-solves it through the degree derivation, one convolution per class;
-elsewhere it sums the star powers of the element (_star_powers) with the
-coefficients the equation gives (_coeffs).  Where no class below
+their ratios, kept per quiver and class (_sd_steps).  The Hall product and
+the module action are one convolution over such steps, _hall_sum: a left
+coefficient times a right one, times the ratio of motive denominators and
+a q-power twist, plus the unit terms; _chain_sum twists by the commutation
+form, _sd_action by the self-dual twist, which must be an integer.  A power
+series in a slope's semistable element, such as the star-logarithm that
+gives the epsilon integrals or the inverse square root at slope 0, is at
+each class one Laurent, an integer numerator over an integer in lowest
+terms, divided by M only at the end, as a RatFunc: one _series of the
+differential equation it solves.  Where every twist of the class's steps
+is 0, _series solves it through the degree derivation, one convolution per
+class; elsewhere it sums the star powers of the element (_star_powers)
+with the coefficients the equation gives (_coeffs).  Where no class below
 contributes to the star-log, the epsilon integral is the semistable
 integral, the same RatFunc.
 
@@ -63,11 +67,11 @@ one integer sum and one gcd, equal values are equal pairs that key one
 recursion table, and regions, star powers and the mirror compare values by
 cross-multiplying.  Slope.value is the same rule in Fraction arithmetic.
 
-Wall-crossing, which shares the integer kernels _chain_sum, _series,
-_star_powers and _sd_action, factors a stack element on the engine
-_seeded_engine picks: the cached engine where the element's numerators are
-its own q^e(a) and q^e_sd(theta), else a seeded engine that reads them in
-their place and computes both halves.
+Wall-crossing, which shares the integer kernels _chain_sum and _sd_action
+(both _hall_sum), _series and _star_powers, factors a stack element on the
+engine _seeded_engine picks: the cached engine where the element's
+numerators are its own q^e(a) and q^e_sd(theta), else a seeded engine that
+reads them in their place and computes both halves.
 
 Engines are cached on their quiver, keyed by weight ray (_engine) and
 emptied when the calibration changes (SelfDualQuiver.set_calibration), so
@@ -105,9 +109,6 @@ class NoPoleViolation(RuntimeError):
 _ONE = Laurent({0: 1})
 _ZERO = Laurent({})
 
-# A weight for _sd_action, or None where the element is zero.
-Weight = Optional[Laurent]
-
 # A slope value n / d as the integer pair (n, d) in lowest terms, d > 0, so
 # that equal values are equal pairs.
 Value = Tuple[int, int]
@@ -134,43 +135,50 @@ def _box_steps(top: DimVector) -> Dict[DimVector, Step]:
     return steps
 
 
+def _hall_sum(steps: Iterable[Step],
+              left: Callable[[DimVector], Optional[Laurent]],
+              right: Callable[[DimVector], Optional[Laurent]],
+              twist: Callable[[DimVector, DimVector], int],
+              units: Iterable[Optional[Laurent]], sign: int = 1) -> Laurent:
+    """sign times the sum of left(a) right(b) q^twist(a, b) times the
+    factors, over the steps (a, b, factors) where both coefficients are
+    nonzero, None reading as zero, plus the nonzero units: a coefficient of
+    a Hall product or of the Hall module's action, on numerators over the
+    motive denominators, whose ratios are the factors.  right and twist are
+    asked only where left, and twist only where right, is nonzero.  A lone
+    unit is returned as it is, negated for sign -1, and no term gives
+    zero."""
+    terms = []
+    for a, b, factors in steps:
+        la = left(a)
+        if la is not None and la.poly:
+            rb = right(b)
+            if rb is not None and rb.poly:
+                terms.append((twist(a, b), (la, rb, *factors)))
+    units = [(0, (u,)) for u in units if u is not None and u.poly]
+    if not terms and len(units) < 2:
+        if not units:
+            return _ZERO
+        only = units[0][1][0]
+        return only if sign == 1 else Laurent(
+            {e: -c for e, c in only.poly.items()}, only.den)
+    return laurent_sum(terms + units, sign)
+
+
 def _chain_sum(quiver: SelfDualQuiver, tab: Dict[DimVector, Laurent],
                top: DimVector, x: Callable[[DimVector], Optional[Laurent]],
                steps: Iterable[Step], sign: int = 1) -> Laurent:
     """sign times M(top) times the sum of d(p) c(top - p) q^<p, top - p>
     over the entries p <= top of tab, where d(p) = tab[p] / M(p), d(0) = 1,
     c(0) = 1 and c(v) = x(v) / M(v) for v nonzero, x(v) None where c is
-    zero.  Each term 0 < p < top is tab[p] x(top - p) times the
-    q^2-binomials [top_i, p_i], over the steps (p, top - p, binomials)
-    given: those of _box_steps(top), or any of them outside which every term
-    is zero (_factor_steps in wallcross): no denominator is left.  The zero
-    class's term is x(top), and tab is not asked at 0; the unit's term is
-    tab[top] itself, if tab has it, and x is not asked at 0.  Zero entries
-    of tab add no term, and where no term is left the sum is zero.  Where
-    one of the zero class's and the unit's terms is the only term, it is
-    returned as it is, negated for sign -1."""
-    comm = quiver.commutation_exponent
-    terms = []
-    for p, step, bins in steps:
-        dp = tab.get(p)
-        if dp is not None and dp.poly:
-            c = x(step)
-            if c is not None:
-                terms.append((comm(p, step), (dp, c, *bins)))
-    if any(top):
-        c = x(top)
-        if c is not None:
-            terms.append((0, (c,)))
-    own = tab.get(top)
-    if own is not None and own.poly:
-        terms.append((0, (own,)))
-    if not terms:
-        return _ZERO
-    if len(terms) == 1 and len(terms[0][1]) == 1:
-        only = terms[0][1][0]
-        return only if sign == 1 else Laurent(
-            {e: -c for e, c in only.poly.items()}, only.den)
-    return laurent_sum(terms, sign)
+    zero: _hall_sum of tab and x over the steps (p, top - p, binomials)
+    given, twisted by the commutation form, with the zero class's term
+    x(top) and the unit's term tab[top] as units; tab is not asked at 0, and
+    the q^2-binomials [top_i, p_i] leave no denominator.  The steps are
+    those of _box_steps(top), or any of them outside which every term is
+    zero (_factor_steps in wallcross)."""
+    return _hall_sum(steps, tab.get, x, quiver.commutation_exponent,
+                     (x(top), tab.get(top)), sign)
 
 
 @lru_cache(maxsize=4096)
@@ -280,37 +288,26 @@ def _sd_steps(quiver: SelfDualQuiver, th: DimVector) -> Tuple[Step, ...]:
 
 
 def _sd_action(quiver: SelfDualQuiver, th: DimVector,
-               weight: Callable[[DimVector], Weight],
+               weight: Callable[[DimVector], Optional[Laurent]],
                module: Callable[[DimVector], Laurent]) -> Laurent:
     """S with S / M_sd(th) the th-coefficient of x acting on m, for x = [0] +
     sum_g (q - 1/q) weight(g) / M(g) [g] over g nonzero, weight(g) None
-    where x is zero, and m = sum_rho module(rho) / M_sd(rho) [rho].  Over th
-    = g + rho + g^v, each term g nonzero is weight(g) module(rho) q^tw(g,
-    rho) times the polynomial M_sd(th) / (M(g) M_sd(rho)) (motives.sd_ratio),
-    over the cached decompositions of th (_sd_steps); CalibrationError where
-    a term's twist is not an integer, as under a calibration with
-    half-integral kappa.  rho is self-dual whenever th is, as g + g^v is and
-    has even entries at fixed vertices.  The unit's term is module(th), and
-    weight is not asked at 0; where it is the only term, it is returned as
-    it is."""
-    terms = []
-    for g, rho, ratio in _sd_steps(quiver, th):
-        w = weight(g)
-        if w is None or not w.poly:
-            continue
-        m = module(rho)
-        if m.poly:
-            tw = quiver.sd_twist_exponent(g, rho)
-            if type(tw) is not int:
-                raise CalibrationError(
-                    f"twist exponent not integral at {g}, {rho}")
-            terms.append((tw, (w, m, *ratio)))
-    own = module(th)
-    if not terms:
-        return own
-    if own.poly:
-        terms.append((0, (own,)))
-    return laurent_sum(terms)
+    where x is zero, and m = sum_rho module(rho) / M_sd(rho) [rho]: _hall_sum
+    of weight and module over the cached decompositions th = g + rho + g^v
+    (_sd_steps), each term times the polynomial M_sd(th) / (M(g) M_sd(rho))
+    (motives.sd_ratio) and q^tw(g, rho), with the unit's term module(th);
+    weight is not asked at 0.  CalibrationError where a term's twist is not
+    an integer, as under a calibration with half-integral kappa.  rho is
+    self-dual whenever th is, as g + g^v is and has even entries at fixed
+    vertices."""
+    def twist(g: DimVector, rho: DimVector) -> int:
+        tw = quiver.sd_twist_exponent(g, rho)
+        if type(tw) is not int:
+            raise CalibrationError(
+                f"twist exponent not integral at {g}, {rho}")
+        return tw
+    return _hall_sum(_sd_steps(quiver, th), weight, module, twist,
+                     (module(th),))
 
 
 def _dual_symmetric(quiver: SelfDualQuiver, values: dict) -> bool:
@@ -520,7 +517,7 @@ class _Engine:
         return self.epsilon(a).times_q_minus_qinv()
 
     @_per_pair
-    def _root_weight(self, g: DimVector) -> Weight:
+    def _root_weight(self, g: DimVector) -> Optional[Laurent]:
         """W(g) with (1 + x)^(-1/2) = [0] + sum_g (q - 1/q) W(g) / M(g) [g]
         for the semistable element x at slope 0, g nonzero, None off slope
         0: W(g) = sum_n binom(-1/2, n) P_n(g), where binom(-1/2, n) =

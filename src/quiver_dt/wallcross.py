@@ -5,22 +5,22 @@ re-factorisation in the twisted algebra (see wallcross_epsilon), carried
 out on Laurent numerators, each an integer Laurent polynomial over an
 integer in lowest terms, over the motive denominators with the invariants
 module's integer kernels, so that the only rational functions built are
-the source values read and the target values returned.  The exponential
-of a slope's epsilon element is invariants._series of exp over the source
-engine's steps of each class, the decompositions into two classes of its
-value with their twists (_exp_weights): Miller's recurrence where each
-twist is 0, as on every two-vertex and every symmetric quiver; and the
-running product is invariants._chain_sum over a factor's own classes
-(_factor_steps).  Slope values, as integer pairs, and steps come from the
-source slope's engine (filled by epsilon_table), source values only from
-the table.  The stack element is factored at the target slope on the
-engine invariants._seeded_engine picks: the cached one where its
-numerators are the quiver's own, as for every table epsilon_table makes.
-Both functions read their table off an engine the one way, _tabulate.  The
-same transform has a combinatorial form, a sum over ordered decompositions
-of each class weighted by rational coefficients; those coefficients are
-test code (tests/reference.py), and the tests check the re-factorisation
-against them.
+the source values read and the target values returned.  One exponential
+serves a crossing (_exp_weights): invariants._series of exp over the
+source engine's steps of each class, which never leave its value, and
+Miller's recurrence where each twist is 0, as on every two-vertex and every
+symmetric quiver.  The running product is invariants._chain_sum over a
+factor's own classes (_factor_steps), and the action invariants._sd_action:
+both are invariants._hall_sum.  Slope values, as integer pairs, and steps
+come from the source slope's engine (filled by epsilon_table), source
+values only from the table.  The stack element is factored at the target
+slope on the engine invariants._seeded_engine picks: the cached one where
+its numerators are the quiver's own, as for every table epsilon_table
+makes.  Both functions read their table off an engine the one way,
+_tabulate.  The same transform has a combinatorial form, a sum over
+ordered decompositions of each class weighted by rational coefficients;
+those coefficients are test code (tests/reference.py), and the tests check
+the re-factorisation against them.
 
 Duality maps the epsilon element of value s to that of value -s and
 reverses the product (M. B. Young, The Hall module of an exact category
@@ -39,10 +39,10 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Dict, List, NamedTuple, Optional
 
-from .invariants import (_ZERO, Step, TwistedStep, Value, Weight,
-                         _box_steps, _chain_sum, _dual_symmetric, _engine,
-                         _Engine, _ray_of, _sd_action, _seeded_engine,
-                         _series, _star_powers)
+from .invariants import (_ZERO, Step, TwistedStep, Value, _box_steps,
+                         _chain_sum, _dual_symmetric, _engine, _Engine,
+                         _ray_of, _sd_action, _seeded_engine, _series,
+                         _star_powers)
 from .motives import gl_poly, sd_gl_poly
 from .quiver import (DimVector, SelfDualQuiver, Slope, ValidationError,
                      graded_lex_key)
@@ -130,11 +130,13 @@ _EXP = (2, 0, 2)
 
 def _exp_weights(steps: Callable[[DimVector], List[TwistedStep]],
                  y: Dict[DimVector, Laurent]):
-    """weight(g, c) = W with exp(e / c)_g = (q - 1/q) W / M(g), for the
-    epsilon element e = sum_a (q - 1/q) y[a] / M(a) [a] of one slope and g
-    not zero: W = sum_n P_n(g) / (n! c^n), P_n the star powers of y, by
-    invariants._series once per g and c over steps(g), g's decompositions
-    with their twists (the source engine's _steps)."""
+    """weight(g, c) = W with exp(e / c)_g = (q - 1/q) W / M(g), for g not
+    zero and the epsilon element e = sum_a (q - 1/q) y[a] / M(a) [a] over the
+    classes a of g's slope value: W = sum_n P_n(g) / (n! c^n), P_n the star
+    powers of y, by invariants._series once per g and c over steps(g), g's
+    decompositions into two classes of its value with their twists (the
+    source engine's _steps), which never leave g's value: so y holds the
+    numerators of every value."""
     def x(a: DimVector) -> Laurent:
         return y.get(a, _ZERO)
 
@@ -171,17 +173,18 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
     target slope.
 
     All of it runs on Laurent numerators over M(a) and M_sd(theta) (see
-    invariants): each epsilon value becomes an integer numerator over an
-    integer (RatFunc.cleared), the exponential of a slope's element is
-    invariants._series (_exp_weights), and the slope's semistable numerators
-    X_s are its values at c = 1, which every sum leaves in lowest terms, so
-    X_s lies in Z[q, 1/q] exactly where its denominator is 1 (_integral);
-    the running product is multiplied by each slope's factor by
-    invariants._chain_sum over that factor's nonzero classes g alone
-    (_factor_steps: the entry at a - g, the binomials [a; a - g] and q^<a -
-    g, g> for each g < a), and the factors act on the self-dual side by
-    _sd_action, their unit terms left implicit, so a class that no nonzero
-    step of a factor reaches keeps its entry.  A
+    invariants): each epsilon value that the crossing reads becomes an
+    integer numerator over an integer (RatFunc.cleared), one exponential
+    serves every slope's element (_exp_weights, invariants._series over
+    each class's steps), and the slope's semistable numerators X_s are its
+    values at c = 1, which every sum leaves in lowest terms, so X_s lies in
+    Z[q, 1/q] exactly where its denominator is 1 (_integral); the running
+    product is multiplied by each slope's factor by invariants._chain_sum
+    over that factor's nonzero classes g alone (_factor_steps: the entry at
+    a - g, the binomials [a; a - g] and q^<a - g, g> for each g < a), and
+    the factors act on the self-dual side by _sd_action, whose weights at
+    slope 0 are the exponential's at c = 2, the unit terms left implicit,
+    so a class that no nonzero step of a factor reaches keeps its entry.  A
     source table whose slope factors or self-dual numerators do not lie in
     Z[q, 1/q] is refused with ValueError.
 
@@ -202,17 +205,15 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
     of_value: Dict[Value, List[DimVector]] = {}
     for g in classes:
         of_value.setdefault(value(g), []).append(g)
-    by_slope: Dict[Value, Dict[DimVector, RatFunc]] = {}
-    for a, e in table.eps.items():
-        if e:
-            by_slope.setdefault(value(a), {})[a] = e
-    exps = {s: _exp_weights(source._steps, _numerators(eps, gl_poly,
-                                                       "M(a) eps(a)"))
-            for s, eps in by_slope.items() if not (mirror and s[0] < 0)}
+    # Mirrored, the values below 0 are read off their duals.
+    y = _numerators({a: e for a, e in table.eps.items()
+                     if e and not (mirror and value(a)[0] < 0)},
+                    gl_poly, "M(a) eps(a)")
+    weight = _exp_weights(source._steps, y)
     # X_s(g) = M(g) J_s(g) for the classes g of slope s; X_s(0) = 1 is left
     # to _chain_sum and _sd_action.  Mirrored, X_-s(g^v) = X_s(g).
     factors: Dict[Value, Dict[DimVector, Laurent]] = {}
-    for s, weight in exps.items():
+    for s in {value(a) for a in y}:
         n, d = s
 
         def what() -> str:  # called in this pass, at its n and d
@@ -239,10 +240,10 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
         sd_classes = q.sd_classes_up_to(bound)
         z = _numerators(table.sd_eps, lambda th: sd_gl_poly(q, th),
                         "M_sd(theta) eps_sd(theta)")
-        root = exps.get((0, 1))
 
-        def half(g: DimVector) -> Weight:
-            return root(g, 2) if root and value(g) == (0, 1) else None
+        def half(g: DimVector) -> Optional[Laurent]:
+            return (weight(g, 2) if value(g) == (0, 1) and (0, 1) in factors
+                    else None)
         module = {th: _sd_action(q, th, half, lambda rho: z.get(rho, _ZERO))
                   for th in sd_classes}
         for s in [s for s in reversed(slopes) if s[0] > 0]:

@@ -44,6 +44,8 @@ class Mutant(NamedTuple):
 
 
 RATFUNC = "src/quiver_dt/ratfunc.py"
+INVARIANTS = "src/quiver_dt/invariants.py"
+WALLCROSS = "src/quiver_dt/wallcross.py"
 
 MUTANTS: List[Mutant] = [
     Mutant("laurent_sum returns the unreduced sum", RATFUNC,
@@ -59,8 +61,7 @@ MUTANTS: List[Mutant] = [
            ("tests/test_ratfunc.py::"
             "test_laurent_sum_matches_term_by_term_products",
             "tests/test_wallcross.py::test_transform_work_on_kronecker_pm_plus")),
-    Mutant("the transform's integrality check accepts any den",
-           "src/quiver_dt/wallcross.py",
+    Mutant("the transform's integrality check accepts any den", WALLCROSS,
            "if num.den != 1:", "if num.den < 1:",
            ("tests/test_wallcross.py::"
             "test_transform_refusal_prints_the_slope_value_as_a_fraction",
@@ -80,8 +81,7 @@ MUTANTS: List[Mutant] = [
             "test_at_point_counts_each_factor_and_reads_the_rest",
             "tests/test_ratfunc.py::"
             "test_points_on_the_integer_form_match_fraction_arithmetic")),
-    Mutant("_series takes the recurrence where a twist is nonzero",
-           "src/quiver_dt/invariants.py",
+    Mutant("_series takes the recurrence where a twist is nonzero", INVARIANTS,
            "if any([step[3] for step in steps]):", "if False:",
            ("tests/test_golden.py::test_cli_outputs_match_golden_digests",
             "tests/test_properties.py::"
@@ -92,16 +92,37 @@ MUTANTS: List[Mutant] = [
            ("tests/test_invariants.py::"
             "test_a_new_calibration_empties_the_engine_cache",
             "tests/test_invariants.py::"
-            "test_new_calibration_is_not_served_from_the_cache")),
+            "test_new_calibration_is_not_served_from_the_cache",
+            "tests/test_properties.py::TestCacheCoherence")),
+    Mutant("_sd_action accepts a twist that is not an integer", INVARIANTS,
+           "if type(tw) is not int:", "if False:",
+           ("tests/test_invariants.py::"
+            "test_a_half_integral_twist_is_a_calibration_error",)),
+    Mutant("_hall_sum returns a lone unit unnegated for sign -1", INVARIANTS,
+           "return only if sign == 1 else Laurent(",
+           "return only if True else Laurent(",
+           ("tests/test_golden.py::test_cli_outputs_match_golden_digests",
+            "tests/test_properties.py::"
+            "test_hall_sums_are_the_reference_product_and_action")),
+    Mutant("a mirrored crossing reads the values below 0 too", WALLCROSS,
+           "if e and not (mirror and value(a)[0] < 0)", "if e",
+           ("tests/test_wallcross.py::"
+            "test_transform_work_on_kronecker_pm_plus",)),
 ]
 
 
 def defined_tests(path: Path) -> set:
     """The names of the module-level functions and classes of the test
-    module at path."""
-    return {node.name for node in ast.parse(path.read_text(encoding="utf-8")
-                                            ).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    module at path, and the names it assigns, such as a state machine's
+    TestCase."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets
+                         if isinstance(t, ast.Name))
+    return names
 
 
 def mutated(root: Path, m: Mutant) -> str:

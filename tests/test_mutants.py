@@ -7,7 +7,7 @@ from mutants import MUTANTS, ROOT, defined_tests, mutated
 def test_the_mutation_catalogue_applies_to_the_current_source():
     """Each replaced text occurs exactly once in its file (mutated raises
     ValueError otherwise), and each named test is a function or class of
-    its test module, named without parameters."""
+    its test module, or a name it assigns, named without parameters."""
     for m in MUTANTS:
         assert mutated(ROOT, m) != (ROOT / m.path).read_text(encoding="utf-8")
         for test in m.tests:

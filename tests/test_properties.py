@@ -8,8 +8,10 @@ its loop form in tests/test_oracle.py, for integer BPS invariants, for
 the answers of the one engine that slopes on a ray share, for the
 series by Miller's recurrence against the series of star powers, for the
 cached decompositions and the transform's factor walk against the box
-loops they replace, and for the caches of one quiver against a fresh copy
-as its calibration changes (a hypothesis state machine)."""
+loops they replace, for the Hall product and action sums against the
+reference algebra of tests/torus.py, and for the caches of one quiver
+against a fresh copy as its calibration changes (a hypothesis state
+machine)."""
 
 from fractions import Fraction
 from functools import cache
@@ -36,14 +38,16 @@ from test_invariants import (COMMUTATION_CASES,
                              assert_engine_matches_full_region,
                              is_integer_laurent, own_twists_vanish)
 from test_oracle import flipped, loop_verify_calibration, outcome
-from torus import integrated_unit, series_diamond, star_exp
+from torus import (Q_MINUS_QINV, TorusElem, TorusModElem, integrated_unit,
+                   series_diamond, star_exp)
 from quiver_dt import invariants as inv, wallcross as wc
-from quiver_dt.motives import (gl_poly, over_gl_denominator, q2_binomial,
-                               sd_ratio)
+from quiver_dt.motives import (gl_poly, over_gl_denominator,
+                               over_sd_denominator, q2_binomial, sd_ratio)
 from quiver_dt.oracle import (calibrate_signs, resolve_global_signs,
                               verify_calibration)
 from quiver_dt.quiver import (Calibration, SelfDualQuiver, Slope,
-                              boxed_vectors, make_calibration, vadd, vsub)
+                              boxed_vectors, make_calibration, vadd, vsub,
+                              vtotal)
 from quiver_dt.ratfunc import Laurent
 from quiver_dt.wallcross import (SlopePair, diff_tables, epsilon_table,
                                  wallcross_epsilon)
@@ -593,15 +597,20 @@ def stack_and_factor(draw):
     quiver = draw(st.randoms(use_true_random=False).map(_rand_quiver)
                   .filter(_has_commutation_form))
     classes = quiver.dim_vectors_up_to(draw(st.integers(1, 3)))
-    entry = st.one_of(st.none(), st.just({}), st.just({0: 1}),
-                      st.dictionaries(st.integers(-4, 4),
-                                      st.integers(-3, 3).filter(bool),
-                                      max_size=3))
+    return quiver, classes, _table(draw, classes), _table(draw, classes)
 
-    def table():
-        drawn = {a: draw(entry) for a in classes}
-        return {a: Laurent(e) for a, e in drawn.items() if e is not None}
-    return quiver, classes, table(), table()
+
+# An entry of a table of Laurent numerators, None where it is absent.
+ENTRY = st.one_of(st.none(), st.just({}), st.just({0: 1}),
+                  st.dictionaries(st.integers(-4, 4),
+                                  st.integers(-3, 3).filter(bool),
+                                  max_size=3))
+
+
+def _table(draw, classes):
+    """A table of Laurent numerators on the classes, one ENTRY each."""
+    drawn = {a: draw(ENTRY) for a in classes}
+    return {a: Laurent(e) for a, e in drawn.items() if e is not None}
 
 
 @BUDGET
@@ -621,6 +630,41 @@ def test_factor_walk_is_the_chain_sum_product(case):
         got = inv._chain_sum(quiver, stack, a, nonzero.get, steps)
         assert got.poly == inv._chain_sum(quiver, stack, a, factor.get,
                                           inv._box_steps(a).values()).poly
+
+
+@BUDGET
+@given(stack_and_factor(), st.data())
+def test_hall_sums_are_the_reference_product_and_action(case, data):
+    """_chain_sum over _box_steps(a) is M(a) times the a-coefficient of the
+    product star of tests/torus.py, and _sd_action over _sd_steps(theta) is
+    M_sd(theta) times the theta-coefficient of its action diamond, on tables
+    whose entries are absent, zero, one or random.  The left element is
+    (q - 1/q) ([0] + sum_p left(p) / M(p) [p]), as torus puts 1/(q - 1/q)
+    on both operations; the right one is [0] + sum_v right(v) / M(v) [v],
+    and the module sum_rho module(rho) / M_sd(rho) [rho]."""
+    quiver, classes, left, right = case
+    bound = vtotal(classes[-1])
+    zero = (0,) * len(quiver.vertices)
+    sd_classes = quiver.sd_classes_up_to(bound)
+    module = _table(data.draw, sd_classes)
+    sign = data.draw(st.sampled_from([1, -1]))
+
+    def gl(tab):
+        return {zero: 1, **{a: over_gl_denominator(n, a)
+                            for a, n in tab.items()}}
+    lhs = TorusElem(quiver, gl(left), bound).scale(Q_MINUS_QINV)
+    star = lhs.star(TorusElem(quiver, gl(right), bound))
+    for a in classes:
+        got = inv._chain_sum(quiver, left, a, right.get,
+                             inv._box_steps(a).values(), sign)
+        assert over_gl_denominator(got, a) == sign * star.get(a), a
+    diamond = lhs.diamond(TorusModElem(quiver, {
+        th: over_sd_denominator(quiver, n, th) for th, n in module.items()},
+        bound))
+    for th in sd_classes:
+        got = inv._sd_action(quiver, th, left.get,
+                             lambda rho: module.get(rho, inv._ZERO))
+        assert over_sd_denominator(quiver, got, th) == diamond.get(th), th
 
 
 # Slope weights are c times one of a few rays per quiver: positive multiples
@@ -694,6 +738,15 @@ class CacheCoherence(RuleBasedStateMachine):
             t = inv.build_table(q, self.slope(spec), bound)
             return t.to_json(), inv.no_pole_report(t)
         self.check(table)
+
+    @rule(spec=SLOPES, bound=st.integers(1, 3))
+    def recalibrated_table(self, spec, bound):
+        """The table of one ray under each calibration in turn, so that
+        each change, the kappa one too, meets an engine the quiver holds
+        at that ray."""
+        for cal in self.calibrations:
+            self.quiver.set_calibration(cal)
+            self.table(spec, bound)
 
     @rule(spec=SLOPES, name=st.sampled_from(SCALARS), data=st.data())
     def scalar(self, spec, name, data):

@@ -1,6 +1,8 @@
 """The README's python code blocks run in order, and print what the
-quickstart's comments promise; its console commands print what it shows."""
+quickstart's comments promise; its console commands print what it shows;
+its Layout block names only code that the package defines."""
 
+import ast
 import contextlib
 import io
 import os
@@ -56,3 +58,61 @@ def test_readme_console_commands_print_what_it_shows():
         with contextlib.redirect_stdout(out):
             assert cli.main(argv) == 0
         assert out.getvalue().splitlines() == want, argv
+
+
+# The code names of prose: _name, module._name and Class.attribute.
+CODE_NAME = re.compile(
+    r"(?<![\w.])(?:[a-z]\w*\._\w+|_[a-z]\w*|[A-Z]\w*\.[a-z_]\w*)")
+
+
+def layout_names():
+    """The code names that the Layout block of the README mentions."""
+    with open(README, encoding="utf-8") as fh:
+        block, = re.findall(r"^## Layout\n\n```text\n(.*?)^```", fh.read(),
+                            re.MULTILINE | re.DOTALL)
+    return set(CODE_NAME.findall(block))
+
+
+def package_names():
+    """{module: the names it defines at module level}, and {class: the
+    names its body defines}, over the modules of src/quiver_dt."""
+    package = os.path.join(ROOT, "src", "quiver_dt")
+    modules, classes = {}, {}
+
+    def defined(body):
+        names = set()
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+        return names
+    for name in os.listdir(package):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            modules[name[:-3]] = defined(tree.body)
+            classes.update((node.name, defined(node.body))
+                           for node in tree.body
+                           if isinstance(node, ast.ClassDef))
+    return modules, classes
+
+
+def test_readme_layout_names_only_code_that_exists():
+    """Each _name of the Layout block is defined in a module or a class of
+    the package, each module._name in that module, and each
+    Class.attribute in that class."""
+    modules, classes = package_names()
+    everywhere = set().union(*modules.values(), *classes.values())
+    names = layout_names()
+    assert names
+    missing = []
+    for name in sorted(names):
+        owner, _, attr = name.rpartition(".")
+        scope = (everywhere if not owner else
+                 modules.get(owner, classes.get(owner, set())))
+        if attr not in scope:
+            missing.append(name)
+    assert missing == []
