@@ -8,15 +8,15 @@ is readable off the shift.  Each operation takes one path from its operands
 to that form.  An operator reads its other operand by one rule (_binary): a
 RatFunc as it is, an int or a Fraction as a constant.  A sum puts both
 operands over one denominator and reduces it by one polynomial gcd (_make),
-which takes primitive pseudo-remainders of coefficient lists that end at
-their leading coefficient.  A product cancels only its cross pairs, and
-powers need no gcd (Gauss's lemma), nor does multiplying by q - 1/q: q - 1
-and q + 1 each divide den or multiply num (times_q_minus_qinv).  A value is
-presented (to_data, its JSON text to_json, str, the num and den properties)
-as q**shift * num / den with rational coefficients and den monic, read off
-the integer fields: each coefficient is c * scale / lead for num and c /
-lead for den, lead the leading coefficient of den, reduced by one integer
-gcd with no Fraction built (_presented).
+read off the integer gcd of the two polynomials packed into integers
+(_cancel).  A product cancels only its cross pairs, and powers need no gcd
+(Gauss's lemma), nor does multiplying by q - 1/q: q - 1 and q + 1 each
+divide den or multiply num (times_q_minus_qinv).  A value is presented
+(to_data, its JSON text to_json, str, the num and den properties) as
+q**shift * num / den with rational coefficients and den monic, read off the
+integer fields: each coefficient is c * scale / lead for num and c / lead
+for den, lead the leading coefficient of den, reduced by one integer gcd
+with no Fraction built (_presented).
 
 The pole order and value at a point u/v, an int or a Fraction, are read
 off the integer num and den by one Horner sweep each (_at_point), whose
@@ -32,9 +32,9 @@ products with no polynomial denominator, such as the semistable recursion
 and the star-log once the motive denominators are cleared, run on Laurent,
 an integer Laurent polynomial over an integer in lowest terms: laurent_sum
 puts the terms over one integer, evaluates every product at q = 2**width
-and unpacks the total once (Kronecker substitution), the one place that
-packs polynomials into integers, and reduces it by the one rule,
-Laurent.over, so a sum lies in Z[q, 1/q] exactly when its den is 1.
+and unpacks the total once (Kronecker substitution, the packing _cancel
+takes its gcd of), and reduces it by the one rule, Laurent.over, so a sum
+lies in Z[q, 1/q] exactly when its den is 1.
 """
 
 from __future__ import annotations
@@ -130,47 +130,6 @@ def _dense(p: _IPoly) -> List[int]:
     for e, c in p.items():
         out[e] = c
     return out
-
-
-def _dense_prim(a: List[int]) -> List[int]:
-    """The primitive part of a, positive leading coefficient; [] for []."""
-    if not a:
-        return a
-    g = _content(a) if a[-1] > 0 else -_content(a)
-    return [c // g for c in a]
-
-
-def _dense_prem(a: List[int], b: List[int]) -> List[int]:
-    # pseudo remainder, trimmed; a and b trimmed, b nonzero, deg a >= deg b
-    r = a[:]
-    db = len(b) - 1
-    lb = b[db]
-    dr = len(r) - 1
-    while dr >= db:
-        lr = r[dr]
-        for i in range(dr + 1):
-            r[i] *= lb
-        off = dr - db
-        for i in range(db + 1):
-            r[off + i] -= lr * b[i]
-        dr -= 1
-        while dr >= 0 and r[dr] == 0:
-            dr -= 1
-    return r[: dr + 1]
-
-
-def _ip_gcd(a: _IPoly, b: _IPoly) -> _IPoly:
-    """Primitive gcd over the integers, positive leading coefficient, of two
-    primitive polynomials with positive leading coefficients."""
-    x, y = _dense(a), _dense(b)
-    if len(x) < len(y):
-        x, y = y, x
-    while True:
-        r = _dense_prem(x, y)
-        r = _dense_prim(r)
-        if not r:
-            return {e: c for e, c in enumerate(y) if c}
-        x, y = y, r
 
 
 def _ip_div(a: _IPoly, g: _IPoly) -> Optional[_IPoly]:
@@ -283,14 +242,38 @@ def _primitive(p: _IPoly) -> Tuple[_IPoly, int, int]:
 
 
 def _cancel(num: _IPoly, den: _IPoly) -> Tuple[_IPoly, _IPoly]:
-    """num and den divided by their gcd; both primitive with nonzero
-    constant terms, so a constant gcd is 1."""
-    if len(num) > 1 and len(den) > 1:
-        g = _ip_gcd(num, den)
-        if max(g) > 0:
-            num, den = _ip_div(num, g), _ip_div(den, g)
-            assert num is not None and den is not None, "inexact division"
-    return num, den
+    """num and den divided by their gcd g, for num and den primitive with
+    nonzero constant terms and positive leading coefficients, so a constant
+    gcd is 1.
+
+    g is read off one integer gcd, the heuristic gcd of Char, Geddes and
+    Gonnet (1989): h = gcd(num(2**w), den(2**w)) of the packings, unpacked
+    in balanced digits and divided by its content, is a candidate, and for
+    2**w > 2 min(|num|, |den|) + 2, |p| the largest coefficient size of p,
+    a candidate that divides both num and den is g.  Else w doubles.  The
+    loop ends: h is g(2**w) times the gcd of the cofactors num / g and den /
+    g at 2**w, which divides their resultant, so h exceeds g(2**w) only by
+    an integer bounded independently of w, and once 2**w is more than twice
+    the coefficients of that multiple of g the candidate is g."""
+    if len(num) == 1 or len(den) == 1:
+        return num, den
+    w = (2 * min(max(map(abs, num.values())), max(map(abs, den.values())))
+         + 2).bit_length()
+    while True:
+        g = _ip_unpack(_int_gcd(_ip_pack(num, 0, w), _ip_pack(den, 0, w)),
+                       0, w)
+        if not max(g):
+            return num, den
+        c = _content(g.values())
+        if c != 1:
+            g = {e: x // c for e, x in g.items()}
+        # den first: a motive denominator's small coefficients refuse a
+        # false candidate at a fraction of the cost of num's
+        b = _ip_div(den, g)
+        a = None if b is None else _ip_div(num, g)
+        if a is not None:
+            return a, b
+        w *= 2
 
 
 def _at_point(p: _IPoly, u: int, v: int) -> Tuple[int, int]:
@@ -380,7 +363,8 @@ class RatFunc:
               den: _IPoly) -> "RatFunc":
         """q**shift * scale * num / den in canonical form, for integer
         Laurent polynomials num and den, den nonzero: q-powers move to the
-        shift, contents and signs to the scale, and one gcd cancels."""
+        shift, contents and signs to the scale, and _cancel divides out the
+        gcd."""
         if not num or not scale:
             return cls(0)
         num, low_n, c_n = _primitive(num)

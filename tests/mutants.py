@@ -16,7 +16,9 @@ From the repository root,
 copies src/, tests/ and pyproject.toml into a temporary directory for each
 entry, applies the entry there, runs its tests with pytest and reports
 each mutant that survives, that is, whose named tests do not all fail.
-The exit status is 1 if any survives.  It is not part of tier-1: it runs
+A run that takes longer than TIMEOUT seconds is stopped and reported as
+timed out; its tests did not pass, so the mutant counts as killed.  The
+exit status is 1 if any survives.  It is not part of tier-1: it runs
 pytest once per entry.
 """
 
@@ -30,9 +32,13 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import List, NamedTuple, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# Seconds a mutant's pytest run may take; past it the run is stopped and the
+# mutant counts as killed, so a mutant that loops cannot hang the catalogue.
+TIMEOUT = 300
 
 
 class Mutant(NamedTuple):
@@ -108,6 +114,46 @@ MUTANTS: List[Mutant] = [
            "if e and not (mirror and value(a)[0] < 0)", "if e",
            ("tests/test_wallcross.py::"
             "test_transform_work_on_kronecker_pm_plus",)),
+    Mutant("the heuristic gcd accepts its first candidate unverified",
+           RATFUNC, "if a is not None:", "if True:",
+           ("tests/test_ratfunc.py::test_cancel_divides_by_the_euclid_gcd",
+            "tests/test_ratfunc.py::"
+            "test_cancel_widens_past_a_candidate_that_divides_neither")),
+    Mutant("RatFunc._read sweeps num at a root of den", RATFUNC,
+           "if md or not self._num", "if not self._num",
+           ("tests/test_ratfunc.py::"
+            "test_a_fresh_read_sweeps_each_polynomial_at_most_once",)),
+    Mutant("a seeded engine mirrors", INVARIANTS,
+           "self.mirrors = self.self_dual and seed is None",
+           "self.mirrors = self.self_dual",
+           ("tests/test_invariants.py::"
+            "test_seeded_engine_refuses_a_class_beyond_its_bound",
+            "tests/test_invariants.py::"
+            "test_non_self_dual_and_seeded_engines_compute_both_halves",
+            "tests/test_wallcross.py::"
+            "test_transform_of_a_table_that_is_not_dual_symmetric",
+            "tests/test_wallcross.py::"
+            "test_seeded_engine_computes_both_halves")),
+    Mutant("_ray_of takes a bool weight as an int", INVARIANTS,
+           "if type(w) is bool or not isinstance(w, (int, Fraction)):",
+           "if not isinstance(w, (int, Fraction)):",
+           ("tests/test_invariants.py::"
+            "test_slope_weight_that_is_not_rational_is_refused",)),
+    Mutant("_ip_pow squares only while k > 2", RATFUNC,
+           "(_ip_mul(p, p) if k > 1 else p)",
+           "(_ip_mul(p, p) if k > 2 else p)",
+           ("tests/test_ratfunc.py::"
+            "test_gcd_and_power_content_normalization",)),
+    Mutant("eval_at's memo lookup without its type check", RATFUNC,
+           "at and isinstance(point, (int, Fraction))", "at",
+           ("tests/test_ratfunc.py::test_numbers_are_ints_or_fractions",)),
+    Mutant("_binary reads any other operand through Fraction", RATFUNC,
+           "if isinstance(o, (int, Fraction)):\n            o = RatFunc(o)",
+           "if not isinstance(o, RatFunc):\n"
+           "            o = RatFunc(Fraction(o))",
+           ("tests/test_ratfunc.py::test_numbers_are_ints_or_fractions",
+            "tests/test_ratfunc.py::"
+            "test_unsupported_operands_raise_type_error")),
 ]
 
 
@@ -135,13 +181,20 @@ def mutated(root: Path, m: Mutant) -> str:
     return text.replace(m.old, m.new)
 
 
-def failed_ids(root: Path, tests: Tuple[str, ...]) -> Tuple[int, set]:
+def failed_ids(root: Path, tests: Tuple[str, ...]) -> Tuple[Optional[int],
+                                                            set]:
     """pytest's exit code on the tests under root, and the node ids it
-    reports failed or in error."""
-    run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
-         *tests], cwd=root, capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1"))
+    reports failed or in error; (None, set()) if it runs past TIMEOUT
+    seconds, when it is stopped."""
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p",
+             "no:cacheprovider", *tests], cwd=root, capture_output=True,
+            text=True, timeout=TIMEOUT,
+            env=dict(os.environ, PYTHONPATH="src",
+                     PYTHONDONTWRITEBYTECODE="1"))
+    except subprocess.TimeoutExpired:
+        return None, set()
     return run.returncode, set(re.findall(r"^(?:FAILED|ERROR) (\S+)",
                                           run.stdout, re.M))
 
@@ -159,6 +212,10 @@ def survivors(root: Path = ROOT) -> List[str]:
             shutil.copy(root / "pyproject.toml", copy)
             (copy / m.path).write_text(mutated(root, m), encoding="utf-8")
             code, failed = failed_ids(copy, m.tests)
+        if code is None:
+            # its tests did not pass, so it is killed
+            print(f"timed out: {m.what}", flush=True)
+            continue
         passed = [t for t in m.tests if not any(
             f == t or f.startswith((t + "[", t + "::")) for f in failed)]
         if code not in (0, 1):

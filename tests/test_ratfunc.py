@@ -17,6 +17,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from helpers import (as_fractions, bar, in_lowest_terms, shifted,
                      subs_square)
 from reference import binom_fraction
+from test_properties import BUDGET
 from torus import INV_Q_MINUS_QINV, Q_MINUS_QINV
 from quiver_dt import ratfunc
 from quiver_dt.ratfunc import (
@@ -25,6 +26,7 @@ from quiver_dt.ratfunc import (
     RatFunc,
     laurent_sum,
     _at_point,
+    _cancel,
     _ip_div,
     _ip_mul,
 )
@@ -440,6 +442,82 @@ def test_integer_exact_division_matches_fraction_long_division():
         assert _ip_div(a, g) is None
         with pytest.raises(AssertionError, match="inexact"):
             fraction_long_division(a, g)
+
+
+# ---------------------------------------------------------------------------
+# the gcd of _cancel against Euclid's
+
+def integral(p):
+    """The primitive integer polynomial with a positive leading coefficient
+    that is a rational multiple of p, whose coefficients are ints or
+    Fractions."""
+    p = {e: F(c) for e, c in p.items() if c}
+    k = 1
+    for c in p.values():
+        k = k * c.denominator // gcd(k, c.denominator)
+    p = {e: int(c * k) for e, c in p.items()}
+    g = 0
+    for c in p.values():
+        g = gcd(g, c)
+    if p[max(p)] < 0:
+        g = -g
+    return {e: c // g for e, c in p.items()}
+
+
+# q^2 + q + 2 and q^2 + 3q + 4 are even, q^3 - q + 6 a multiple of 6, at
+# every integer q, so as cofactors their packings share a factor 2 at every
+# width
+FIXED_DIVISORS = [{0: 2, 1: 1, 2: 1}, {0: 4, 1: 3, 2: 1}, {0: 6, 1: -1, 3: 1}]
+
+
+@st.composite
+def gcd_polys(draw, degrees):
+    """An integral polynomial of a degree drawn from degrees, with a nonzero
+    constant term and coefficients of size at most 2, 9 or 2**70."""
+    top = draw(st.sampled_from([2, 9, 2 ** 70]))
+    n = draw(degrees)
+    cs = draw(st.lists(st.integers(-top, top), min_size=n + 1,
+                       max_size=n + 1))
+    cs[0] = cs[0] or 1
+    cs[-1] = cs[-1] or 1
+    return integral(dict(enumerate(cs)))
+
+
+COFACTORS = gcd_polys(st.integers(0, 6)) | st.sampled_from(FIXED_DIVISORS)
+
+
+@BUDGET
+@given(COFACTORS, COFACTORS,
+       gcd_polys(st.integers(0, 5) | st.integers(40, 45)))
+@example(FIXED_DIVISORS[0], FIXED_DIVISORS[1], {0: 1, 1: 1})
+@example({0: -1, 1: 2}, {0: 2, 1: 1}, {0: 1})
+def test_cancel_divides_by_the_euclid_gcd(a, b, g):
+    """_cancel(a g, b g) is a g and b g divided by their gcd over Q, each
+    made primitive with a positive leading coefficient, the gcd taken by
+    Euclid's algorithm on Fraction coefficients (pgcd): with coefficients
+    above 2**64, degrees of 40 and more, and cofactors with a fixed divisor
+    at every integer."""
+    x, y = _ip_mul(a, g), _ip_mul(b, g)
+    d = pgcd({e: F(c) for e, c in x.items()}, {e: F(c) for e, c in y.items()})
+    assert _cancel(x, y) == (integral(pdiv_exact(x, d)),
+                             integral(pdiv_exact(y, d)))
+
+
+def test_cancel_widens_past_a_candidate_that_divides_neither(monkeypatch):
+    """2q - 1 and q + 2 are coprime, but at the start width, 3 bits for
+    2 * 2 + 2 = 6 (2 their largest coefficient), their packings 15 and 10
+    have the integer gcd 5, which unpacks to q - 3 in balanced digits.  That
+    divides neither, so _cancel doubles the width, where the gcd is 1, and
+    returns both unchanged."""
+    a, b = {0: -1, 1: 2}, {0: 2, 1: 1}
+    pack = ratfunc._ip_pack
+    assert gcd(pack(a, 0, 3), pack(b, 0, 3)) == 5
+    assert ratfunc._ip_unpack(5, 0, 3) == {0: -3, 1: 1}
+    widths = []
+    monkeypatch.setattr(ratfunc, "_ip_pack", lambda p, low, w: widths.append(
+        w) or pack(p, low, w))
+    assert _cancel(a, b) == (a, b)
+    assert widths == [3, 3, 6, 6]
 
 
 def test_big_products_use_packed_multiply_consistently():
