@@ -9,7 +9,7 @@ import operator
 import random
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -452,13 +452,9 @@ def integral(p):
     that is a rational multiple of p, whose coefficients are ints or
     Fractions."""
     p = {e: F(c) for e, c in p.items() if c}
-    k = 1
-    for c in p.values():
-        k = k * c.denominator // gcd(k, c.denominator)
+    k = lcm(*(c.denominator for c in p.values()))
     p = {e: int(c * k) for e, c in p.items()}
-    g = 0
-    for c in p.values():
-        g = gcd(g, c)
+    g = gcd(*p.values())
     if p[max(p)] < 0:
         g = -g
     return {e: c // g for e, c in p.items()}
