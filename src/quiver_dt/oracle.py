@@ -17,8 +17,9 @@ coefficients that check the invariants and the transform are test code and
 live in tests/reference.py.
 
 verify_calibration evaluates each exponent form once per distinct argument
-pair of a call, into tables, and checks every identity on every tuple a
-whole row at a time; the block counts are computed once per class row.
+pair of a call, into tables, and checks every identity on every tuple: on
+pairs a whole row at a time, against block counts computed once per class
+row, and on triples all of one first class's tuples at a time.
 """
 
 from __future__ import annotations
@@ -135,10 +136,11 @@ def _sole_candidate(matches, failure: str) -> Tuple[int, int]:
     """The one (orientation, placement) under which matches(key, ref,
     orientation, placement) holds on every reference quiver ref; otherwise
     CalibrationError, its message failure followed by the survivors."""
+    refs = list(_reference_quivers())
     survivors = [(orientation, placement)
                  for orientation in (1, -1) for placement in (1, -1)
                  if all(matches(key, ref, orientation, placement)
-                        for key, ref in _reference_quivers())]
+                        for key, ref in refs)]
     if len(survivors) != 1:
         raise CalibrationError(f"{failure} {survivors}")
     return survivors[0]
@@ -228,8 +230,11 @@ def verify_calibration(quiver: SelfDualQuiver, bound: int = 2) -> Dict[str, int]
     then triples of classes of total at most max(1, bound - 1), each in
     graded-lex order, and the first failing tuple in that order is the one
     reported.  Each exponent form is evaluated once per distinct argument
-    pair, into tables by position; every identity is checked on every tuple
-    a whole row at a time, against block counts made once per class row."""
+    pair, into tables by position.  Every identity is checked on every
+    tuple: on pairs a whole row at a time, against block counts made once
+    per class row; bilinearity and associativity compare all of a first
+    class's tuples in two pairs of flat lists, walked b by b for the first
+    failure only where a pair differs."""
     if quiver.calibration is None:
         raise CalibrationError("quiver has no calibration attached")
     b_orient, b_place = resolve_brute_force_signs()
@@ -262,38 +267,48 @@ def verify_calibration(quiver: SelfDualQuiver, bound: int = 2) -> Dict[str, int]
 
     # Bilinearity and associativity on triples of small classes, a prefix
     # of alphas.  The sums b + c and the completions b + th + dual(b) are
-    # numbered once per pair, after alphas and thetas (b + 0 is b and
-    # 0 + th + 0 is th), and the form rows extend the tables over them.
+    # numbered once per pair, b-major into flat lists, after alphas and
+    # thetas (b + 0 is b and 0 + th + 0 is th), and the form rows extend
+    # the tables over them.  Each a compares all its tuples at once and is
+    # walked b by b, over slices of the same lists, only where they differ.
     small = alphas[:1 + len(quiver.dim_vectors_up_to(max(1, bound - 1)))]
+    n, m = len(small), len(thetas)
     sums, completions = dict(at), {th: k for k, th in enumerate(thetas)}
-    plus = [[sums.setdefault(vadd(b, c), len(sums)) for c in small]
-            for b in small]
-    completed = [[completions.setdefault(quiver.sd_completion(b, th),
-                                         len(completions)) for th in thetas]
-                 for b in small]
+    plus = [sums.setdefault(vadd(b, c), len(sums))
+            for b in small for c in small]
+    completed = []
+    for b in small:
+        pair = vadd(b, quiver.dual_vector(b))
+        completed += [completions.setdefault(vadd(pair, th), len(completions))
+                      for th in thetas]
     more_sums = list(sums)[len(alphas):]
     more_completions = list(completions)[len(thetas):]
     twist_of_sum = twist_table + [[twist(x, th) for th in thetas]
                                   for x in more_sums]
-    n = len(small)
+    twist_of_b = [t for row in twist_table[:n] for t in row]
     for i, a in enumerate(small):
         comm_a = comm_table[i] + [comm(a, x) for x in more_sums]
         twist_a = twist_table[i] + [twist(a, y) for y in more_completions]
+        row = comm_a[:n]
+        additive = list(map(comm_a.__getitem__, plus))
+        split = [ab + v for ab in row for v in row]
+        moved = [ab + t for ab, p in zip(row, plus[i * n:i * n + n])
+                 for t in twist_of_sum[p]]
+        acted = list(map(add, map(twist_a.__getitem__, completed), twist_of_b))
+        if additive == split and moved == acted:
+            continue
         for j, b in enumerate(small):
-            ab = comm_a[j]
-            _check_row([([comm_a[p] for p in plus[j]],
-                         [ab + v for v in comm_a[:n]],
+            k, l = j * n, j * m
+            _check_row([(additive[k:k + n], split[k:k + n],
                          "commutation exponent not bilinear")], small, a, b)
-            _check_row([([ab + t for t in twist_of_sum[plus[i][j]]],
-                         [twist_a[p] + t
-                          for p, t in zip(completed[j], twist_table[j])],
+            _check_row([(moved[l:l + m], acted[l:l + m],
                          "twist exponents break associativity")], thetas,
                        a, b)
 
     commutation, twists = len(alphas) ** 2, len(alphas) * len(thetas)
     return {"commutation": commutation, "twist": twists,
             "duality": commutation + twists, "additivity": n ** 3,
-            "associativity": n ** 2 * len(thetas)}
+            "associativity": n ** 2 * m}
 
 
 # -- calibration report ----------------------------------------------------------

@@ -216,10 +216,6 @@ class SelfDualQuiver:
                 return False
         return True
 
-    def sd_completion(self, alpha: DimVector, theta: DimVector) -> DimVector:
-        """alpha + theta + dual(alpha), the class of an extension pair."""
-        return vadd(vadd(alpha, theta), self.dual_vector(alpha))
-
     def fixed_edge_sign(self, a: int) -> int:
         _, t = self.edge_endpoints[a]
         return self.edge_sign[a] * self.vertex_sign[t]

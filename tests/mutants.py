@@ -52,6 +52,13 @@ class Mutant(NamedTuple):
 RATFUNC = "src/quiver_dt/ratfunc.py"
 INVARIANTS = "src/quiver_dt/invariants.py"
 WALLCROSS = "src/quiver_dt/wallcross.py"
+ORACLE = "src/quiver_dt/oracle.py"
+
+# The tests that fail where a triple check of verify_calibration is lost.
+TRIPLES = ("tests/test_properties.py::"
+           "test_a_form_broken_only_on_triples_fails_as_the_loop",
+           "tests/test_oracle.py::"
+           "test_tabulated_verification_reports_each_broken_check_as_the_loop")
 
 MUTANTS: List[Mutant] = [
     Mutant("laurent_sum returns the unreduced sum", RATFUNC,
@@ -154,6 +161,17 @@ MUTANTS: List[Mutant] = [
            ("tests/test_ratfunc.py::test_numbers_are_ints_or_fractions",
             "tests/test_ratfunc.py::"
             "test_unsupported_operands_raise_type_error")),
+    Mutant("verify_calibration skips every triple check", ORACLE,
+           "if additive == split and moved == acted:", "if True:", TRIPLES),
+    Mutant("the bilinearity walk reads the first b's slice for every b",
+           ORACLE, "(additive[k:k + n], split[k:k + n],",
+           "(additive[:n], split[:n],", TRIPLES),
+    Mutant("the associativity walk reads the first b's slice for every b",
+           ORACLE, "(moved[l:l + m], acted[l:l + m],",
+           "(moved[:m], acted[:m],", TRIPLES),
+    Mutant("verify_calibration completes b + th with b, not dual(b)",
+           ORACLE, "pair = vadd(b, quiver.dual_vector(b))",
+           "pair = vadd(b, b)", TRIPLES),
 ]
 
 

@@ -41,6 +41,12 @@ def euler_form(quiver: SelfDualQuiver, alpha: DimVector,
     return total
 
 
+def sd_completion(quiver: SelfDualQuiver, alpha: DimVector,
+                  theta: DimVector) -> DimVector:
+    """alpha + theta + dual(alpha), the class of an extension pair."""
+    return vadd(vadd(alpha, theta), quiver.dual_vector(alpha))
+
+
 def binom_fraction(top: Fraction, n: int) -> Fraction:
     """Generalized binomial coefficient binom(top, n) for integer n >= 0."""
     out = Fraction(1)

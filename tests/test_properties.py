@@ -32,12 +32,12 @@ from helpers import (as_fractions, assert_mirror_changes_nothing,
 from reference import (bps_invariants, direct_epsilon_integral,
                        direct_sd_epsilon_integral,
                        direct_sd_semistable_integral,
-                       direct_semistable_integral)
+                       direct_semistable_integral, sd_completion)
 from suite import _rand_quiver
 from test_invariants import (COMMUTATION_CASES,
                              assert_engine_matches_full_region,
                              is_integer_laurent, own_twists_vanish)
-from test_oracle import flipped, loop_verify_calibration, outcome
+from test_oracle import flipped, loop_verify_calibration, outcome, shifted
 from torus import (Q_MINUS_QINV, TorusElem, TorusModElem, integrated_unit,
                    series_diamond, star_exp)
 from quiver_dt import invariants as inv, wallcross as wc
@@ -255,6 +255,41 @@ def test_tabulated_verification_agrees_with_the_loop(case):
     flipped(quiver, field, row)
     assert outcome(verify_calibration, quiver, bound) == \
         outcome(loop_verify_calibration, quiver, bound)
+
+
+@st.composite
+def triple_only_case(draw):
+    """A calibrated suite-shaped quiver, a bound from 2 to 4, one exponent
+    form, an argument pair of it that only the triple section of
+    verify_calibration reads, and a shift of +-1.  The pair is a small class
+    a with a sum b + c, or with a completion b + th + dual(b), of total
+    above the bound."""
+    quiver = draw(st.randoms(use_true_random=False).map(_rand_quiver))
+    calibrate_signs(quiver)
+    bound = draw(st.integers(2, 4))
+    small = [(0,) * len(quiver.vertices)] + quiver.dim_vectors_up_to(
+        max(1, bound - 1))
+    beyond = {
+        "commutation_exponent": {vadd(b, c) for b in small for c in small},
+        "sd_twist_exponent": {sd_completion(quiver, b, th) for b in small
+                              for th in quiver.sd_classes_up_to(bound)}}
+    for name, classes in beyond.items():
+        beyond[name] = sorted(x for x in classes if vtotal(x) > bound)
+    form = draw(st.sampled_from([name for name in beyond if beyond[name]]))
+    at = draw(st.sampled_from(small)), draw(st.sampled_from(beyond[form]))
+    return quiver, bound, form, at, draw(st.sampled_from([1, -1]))
+
+
+@BUDGET
+@given(triple_only_case())
+def test_a_form_broken_only_on_triples_fails_as_the_loop(case):
+    """A form shifted at one pair that only bilinearity or associativity
+    reads fails verification with the loop's first message."""
+    quiver, bound, form, at, delta = case
+    setattr(quiver, form, shifted(getattr(quiver, form), at, delta))
+    want = outcome(loop_verify_calibration, quiver, bound)
+    assert want[0] == "fail", want
+    assert outcome(verify_calibration, quiver, bound) == want
 
 
 PAIR_WEIGHTS = [Fraction(n, d) for n in range(-3, 4) if n

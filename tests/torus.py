@@ -1,7 +1,8 @@
 """Twisted algebra of the dimension lattice and its self-dual module: the
 reference algebra the tests check the engine against (Young, The Hall
 module of an exact category with duality, 2016).  It imports only
-quiver_dt.quiver and quiver_dt.ratfunc.
+quiver_dt.quiver and quiver_dt.ratfunc, and sd_completion from
+tests/reference.py.
 
 Linear elements are finite sums of class generators with rational-function
 coefficients; the product of two generators is the generator of the sum
@@ -26,6 +27,7 @@ from typing import Callable, Dict, Optional, Sequence
 
 from quiver_dt.quiver import DimVector, SelfDualQuiver, vadd, vtotal
 from quiver_dt.ratfunc import RatFunc
+from reference import sd_completion
 
 Coeffs = Dict[DimVector, RatFunc]
 
@@ -122,7 +124,7 @@ class TorusElem:
         out: Coeffs = {}
         for a, ca in self.coeffs.items():
             for t, ct in mod.coeffs.items():
-                key = q.sd_completion(a, t)
+                key = sd_completion(q, a, t)
                 if bound is not None and vtotal(key) > bound:
                     continue
                 tw = q.sd_twist_exponent(a, t)
@@ -258,5 +260,5 @@ def sd_bracket_coeff(quiver: SelfDualQuiver, alphas: Sequence[DimVector],
     target = tuple(rho)
     for a in reversed(list(alphas)):
         m = heart(TorusElem.generator(quiver, a), m)
-        target = quiver.sd_completion(tuple(a), target)
+        target = sd_completion(quiver, tuple(a), target)
     return m.get(target)
