@@ -17,7 +17,6 @@ the command raises to its code, printed as one "error:" line.
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -27,7 +26,7 @@ from .invariants import (NoPoleViolation, build_table, json_text,
                          no_pole_report, sd_dt_mot)
 from .oracle import CalibrationError, explain_calibration
 from .quiver import (SelfDualQuiver, Slope, UncalibratedError,
-                     ValidationError, graded_lex_key, vtotal)
+                     ValidationError, graded_lex_key, read_weight, vtotal)
 from .wallcross import (SlopePair, diff_tables, epsilon_table,
                         wallcross_epsilon)
 
@@ -69,42 +68,11 @@ def _entries(text: str, what: str, form: str):
         yield item, key, val.strip()
 
 
-# A decimal in exponent form as Fraction reads it: (mantissa, exponent).
-_EXPONENT_FORM = re.compile(r"\s*([-+]?(?=\.?\d)(?:\d+(?:_\d+)*)?"
-                            r"(?:\.(?:\d+(?:_\d+)*)?)?)"
-                            r"[eE]([-+]?\d+(?:_\d+)*)\s*")
-
-
-def _weight(item: str, val: str) -> Fraction:
-    """The slope weight written val in the entry item.  Tables print the
-    weights in full (Slope.to_dict), and str() refuses an integer longer
-    than the interpreter's digit limit, so such a weight is refused.  So is
-    a nonzero weight whose decimal exponent alone exceeds that limit, before
-    Fraction multiplies out the power of ten in time superlinear in the
-    exponent; with a zero mantissa the weight is zero."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    form = _EXPONENT_FORM.fullmatch(val)
-    try:
-        huge = bool(form and limit and abs(int(form[2])) > limit)
-        weight = Fraction(form[1] if huge else val)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"slope entry {item!r}: {exc}") from exc
-    too_long = ValidationError(
-        f"slope entry {item!r}: weight has too many digits to print")
-    if huge and weight:
-        raise too_long
-    try:
-        str(weight)
-    except ValueError:
-        raise too_long from None
-    return weight
-
-
 def parse_slope(quiver: SelfDualQuiver, text: "str | None") -> Slope:
     if not text:
         return Slope.trivial(quiver)
     return Slope.from_dict(quiver, {
-        key: _weight(item, val)
+        key: read_weight(val, f"slope entry {item!r}: ")
         for item, key, val in _entries(text, "slope", "value")})
 
 

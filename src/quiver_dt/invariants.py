@@ -739,19 +739,18 @@ def sd_epsilon_element(quiver: SelfDualQuiver, slope: Slope,
 
 def json_text(obj) -> str:
     """json.dumps(obj, indent=2, sort_keys=True), for obj built of dicts
-    with str keys, lists, str, int, bool, None and RatFunc, each RatFunc
-    written as its to_data(); TypeError on anything else.  The standard
-    encoder runs in pure Python whenever it indents; this writer joins the
-    strings of each container in one step, and a RatFunc writes itself in
-    one step (RatFunc.to_json), with no data built for it, once per object
-    and indent in a call: the rows of a and a^v at a self-dual slope hold
-    the same objects, and J is eps where the star-log is X as it is."""
+    with str keys, lists, str, int, True, False, None and RatFunc, each
+    RatFunc written as its to_data(); TypeError on anything else, a subclass
+    of any of these types included.  The standard encoder runs in pure
+    Python whenever it indents; this writer joins the strings of each
+    container in one step, and a RatFunc writes itself in one step
+    (RatFunc.to_json), with no data built for it, once per object and indent
+    in a call: the rows of a and a^v at a self-dual slope hold the same
+    objects, and J is eps where the star-log is X as it is."""
     return _json_text(obj, "\n", {})
 
 
 def _json_text(obj, nl: str, memo: Dict[Tuple[int, str], str]) -> str:
-    # The exact types of table output are tried first; subclasses, bool and
-    # None take the isinstance tests after them.
     t = type(obj)
     if t is str:
         return encode_basestring_ascii(obj)
@@ -764,7 +763,7 @@ def _json_text(obj, nl: str, memo: Dict[Tuple[int, str], str]) -> str:
         if out is None:
             out = memo[key] = obj.to_json(nl)
         return out
-    if t is list or isinstance(obj, list):
+    if t is list:
         if not obj:
             return "[]"
         inner = nl + "  "
@@ -772,27 +771,23 @@ def _json_text(obj, nl: str, memo: Dict[Tuple[int, str], str]) -> str:
         return ("[" + inner + ("," + inner).join(
             map(int.__repr__, obj) if all(type(v) is int for v in obj)
             else [_json_text(v, inner, memo) for v in obj]) + nl + "]")
-    if isinstance(obj, dict):
+    if t is dict:
         if not obj:
             return "{}"
         inner = nl + "  "
         parts = []
         for key in sorted(obj):
-            if not isinstance(key, str):
+            if type(key) is not str:
                 raise TypeError(f"JSON object key {key!r} is not a str")
             parts.append(encode_basestring_ascii(key) + ": "
                          + _json_text(obj[key], inner, memo))
         return "{" + inner + ("," + inner).join(parts) + nl + "}"
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
     if obj is None:
         return "null"
     if obj is True:
         return "true"
     if obj is False:
         return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
     raise TypeError(f"{type(obj).__name__} is not JSON-writable")
 
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import re
+import sys
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -414,6 +416,38 @@ def _mapping(data: dict, key: str) -> dict:
     return out
 
 
+# A decimal in exponent form as Fraction reads it: (mantissa, exponent).
+_EXPONENT_FORM = re.compile(r"\s*([-+]?(?=\.?\d)(?:\d+(?:_\d+)*)?"
+                            r"(?:\.(?:\d+(?:_\d+)*)?)?)"
+                            r"[eE]([-+]?\d+(?:_\d+)*)\s*")
+
+
+def read_weight(value: "Fraction | int | str", prefix: str) -> Fraction:
+    """The slope weight value, an int, a Fraction or a str, as Fraction
+    reads it; a ValidationError, its message prefix and the reason, where
+    it is refused.  Tables print the weights in full (Slope.to_dict), and
+    str() refuses an integer longer than the interpreter's digit limit, so
+    such a weight is refused.  So is a nonzero weight written with a
+    decimal exponent that alone exceeds that limit, before Fraction
+    multiplies out the power of ten in time superlinear in the exponent;
+    with a zero mantissa the weight is zero."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    form = isinstance(value, str) and _EXPONENT_FORM.fullmatch(value)
+    try:
+        huge = bool(form and limit and abs(int(form[2])) > limit)
+        weight = Fraction(form[1] if huge else value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"{prefix}{exc}") from None
+    too_long = ValidationError(f"{prefix}weight has too many digits to print")
+    if huge and weight:
+        raise too_long
+    try:
+        str(weight)
+    except ValueError:
+        raise too_long from None
+    return weight
+
+
 class Slope(NamedTuple):
     """Linear stability weights; the slope of alpha is weights.alpha/|alpha|."""
 
@@ -424,7 +458,9 @@ class Slope(NamedTuple):
                   mapping: Dict[str, "Fraction | int | str"]) -> "Slope":
         """The slope with the weights given by vertex name, 0 elsewhere.  A
         weight is an int, a Fraction or a str that Fraction reads; a float
-        or a bool is refused, as _engine refuses it in a Slope."""
+        or a bool is refused, as _engine refuses it in a Slope, and the rest
+        are read by read_weight, the rule the command line reads its weights
+        by, so a weight too long to print is refused here too."""
         weights = [Fraction(0)] * len(quiver.vertices)
         for key, val in mapping.items():
             if key not in quiver.vertex_index:
@@ -433,11 +469,8 @@ class Slope(NamedTuple):
                 raise ValidationError(f"slope weight of vertex {key} is a "
                                       f"{type(val).__name__}, not an int, a "
                                       "Fraction or a str")
-            try:
-                weights[quiver.vertex_index[key]] = Fraction(val)
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
-                raise ValidationError(
-                    f"slope weight of vertex {key}: {exc}") from None
+            weights[quiver.vertex_index[key]] = read_weight(
+                val, f"slope weight of vertex {key}: ")
         return cls(tuple(weights))
 
     @classmethod

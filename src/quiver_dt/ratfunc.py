@@ -24,8 +24,9 @@ partial sums over powers of v are the quotient by v q - u where the value
 is 0.  Each RatFunc keeps the order and the two sums at each point as one
 entry (_at), ignored by equality, hashing and the presented forms, so a
 table row's DTmot, read by the table and again by its no-pole report,
-sweeps each polynomial at most once; the first eval_at there builds the
-value, one Fraction, and keeps it in the entry.
+sweeps each polynomial at most once.  pole_order_at and eval_at look the
+entry up by one rule, _read, which alone checks the point's type; the first
+eval_at there builds the value, one Fraction, and keeps it in the entry.
 
 RatFunc multiplies its integer polynomials term by term (_ip_mul).  Sums of
 products with no polynomial denominator, such as the semistable recursion
@@ -111,16 +112,6 @@ def _ip_unpack(m: int, low: int, width: int) -> _IPoly:
         m >>= width
         e += 1
     return out
-
-
-def _content(cs) -> int:
-    """The gcd of the integers cs, 0 if all are zero."""
-    g = 0
-    for c in cs:
-        g = _int_gcd(g, c)
-        if g == 1:
-            return 1
-    return g
 
 
 def _dense(p: _IPoly) -> List[int]:
@@ -233,7 +224,7 @@ def _primitive(p: _IPoly) -> Tuple[_IPoly, int, int]:
     """(prim, low, c) with p = c * q**low * prim, where prim is primitive,
     has a nonzero constant term and a positive leading coefficient."""
     low = min(p)
-    c = _content(p.values())
+    c = _int_gcd(*p.values())
     if p[max(p)] < 0:
         c = -c
     if low or c != 1:
@@ -264,7 +255,7 @@ def _cancel(num: _IPoly, den: _IPoly) -> Tuple[_IPoly, _IPoly]:
                        0, w)
         if not max(g):
             return num, den
-        c = _content(g.values())
+        c = _int_gcd(*g.values())
         if c != 1:
             g = {e: x // c for e, x in g.items()}
         # den first: a motive denominator's small coefficients refuse a
@@ -563,13 +554,12 @@ class RatFunc:
         return self._read(point)[0]
 
     def eval_at(self, point: "Fraction | int") -> Fraction:
-        """The value at the point u/v; PoleError at a pole.  Where u/v is
-        neither a pole nor a zero, it is scale * (u/v)**shift * (hn /
-        v**dn) / (hd / v**dd), for num and den of degrees dn and dd, read
-        only where v > 1; kept in _at as (order, value, None) from then on."""
-        at = self._at
-        order, hn, hd = (at and isinstance(point, (int, Fraction))
-                         and at.get(point)) or self._read(point)
+        """The value at the point u/v; PoleError at a pole.  The entry is
+        looked up by _read alone.  Where u/v is neither a pole nor a zero,
+        the value is scale * (u/v)**shift * (hn / v**dn) / (hd / v**dd), for
+        num and den of degrees dn and dd, read only where v > 1, built as one
+        Fraction and kept in _at as (order, value, None) from then on."""
+        order, hn, hd = self._read(point)
         if hd is None:
             return hn
         if order > 0:
@@ -579,18 +569,11 @@ class RatFunc:
         else:
             u, v = point.numerator, point.denominator
             sh = self._shift
-            top = self._scale.numerator * hn
-            bottom = self._scale.denominator * hd
-            if sh >= 0:
-                top *= u ** sh
-            else:
-                bottom *= u ** -sh
             ev = 0 if v == 1 else max(self._den) - max(self._num) - sh
-            if ev >= 0:
-                top *= v ** ev
-            else:
-                bottom *= v ** -ev
-            value = Fraction(top, bottom)
+            scale = self._scale
+            value = Fraction(
+                scale.numerator * hn * u ** max(sh, 0) * v ** max(ev, 0),
+                scale.denominator * hd * u ** max(-sh, 0) * v ** max(-ev, 0))
         self._at[point] = order, value, None
         return value
 

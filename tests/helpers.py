@@ -1,11 +1,12 @@
 """Shared builders for the test suite."""
 
+import re
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from quiver_dt import invariants as inv, oracle, wallcross
+from quiver_dt import invariants as inv, oracle, quiver, wallcross
 from quiver_dt.quiver import (Edge, SelfDualQuiver, kronecker_variant,
                               make_calibration, point_quiver, vtotal)
 from quiver_dt.ratfunc import Laurent, RatFunc, laurent_sum
@@ -43,6 +44,20 @@ def perturb_block_counts(monkeypatch) -> None:
                 for alpha, row in zip(alphas, table)]
 
     monkeypatch.setattr(oracle, "commutation_counts", perturbed)
+
+
+def forbid_long_exponents(monkeypatch) -> None:
+    """Make quiver.read_weight fail where it hands Fraction a decimal with
+    an exponent of seven digits or more, which Fraction multiplies out
+    slowly."""
+    real = quiver.Fraction
+
+    def fraction(*args):
+        assert not (isinstance(args[0], str)
+                    and re.search(r"[eE][-+]?\d{7}", args[0])), args
+        return real(*args)
+
+    monkeypatch.setattr(quiver, "Fraction", fraction)
 
 
 def mixed_quiver() -> SelfDualQuiver:

@@ -53,6 +53,7 @@ RATFUNC = "src/quiver_dt/ratfunc.py"
 INVARIANTS = "src/quiver_dt/invariants.py"
 WALLCROSS = "src/quiver_dt/wallcross.py"
 ORACLE = "src/quiver_dt/oracle.py"
+QUIVER = "src/quiver_dt/quiver.py"
 
 # The tests that fail where a triple check of verify_calibration is lost.
 TRIPLES = ("tests/test_properties.py::"
@@ -100,8 +101,7 @@ MUTANTS: List[Mutant] = [
             "tests/test_properties.py::"
             "test_miller_matches_the_star_powers_with_a_commutation_form")),
     Mutant("set_calibration keeps the engines of the old calibration",
-           "src/quiver_dt/quiver.py",
-           "self.engine_cache.clear()", "pass",
+           QUIVER, "self.engine_cache.clear()", "pass",
            ("tests/test_invariants.py::"
             "test_a_new_calibration_empties_the_engine_cache",
             "tests/test_invariants.py::"
@@ -151,9 +151,32 @@ MUTANTS: List[Mutant] = [
            "(_ip_mul(p, p) if k > 2 else p)",
            ("tests/test_ratfunc.py::"
             "test_gcd_and_power_content_normalization",)),
-    Mutant("eval_at's memo lookup without its type check", RATFUNC,
-           "at and isinstance(point, (int, Fraction))", "at",
-           ("tests/test_ratfunc.py::test_numbers_are_ints_or_fractions",)),
+    Mutant("eval_at multiplies by u**-shift and divides by u**shift",
+           RATFUNC, "hn * u ** max(sh, 0) * v", "hn * u ** max(-sh, 0) * v",
+           ("tests/test_ratfunc.py::"
+            "test_points_on_the_integer_form_match_fraction_arithmetic",
+            "tests/test_golden.py::test_cli_outputs_match_golden_digests")),
+    Mutant("_primitive leaves the content in", RATFUNC,
+           "c = _int_gcd(*p.values())", "c = 1",
+           ("tests/test_ratfunc.py::test_field_laws_match_oracle",
+            "tests/test_ratfunc.py::test_serialization_round_trip")),
+    Mutant("_json_text writes a list subclass", INVARIANTS,
+           "if t is list:", "if isinstance(obj, list):",
+           ("tests/test_invariants.py::test_json_text_refuses_other_types",)),
+    Mutant("read_weight expands any decimal exponent", QUIVER,
+           "huge = bool(form and limit and abs(int(form[2])) > limit)",
+           "huge = False",
+           ("tests/test_cli.py::"
+            "test_slope_weight_with_a_long_exponent_is_read_without_expanding_it",
+            "tests/test_error_paths.py::"
+            "test_library_refuses_a_long_exponent_without_expanding_it")),
+    Mutant("Slope.from_dict reads a weight by a bare Fraction", QUIVER,
+           "read_weight(\n"
+           "                val, f\"slope weight of vertex {key}: \")",
+           "Fraction(val)",
+           ("tests/test_error_paths.py::test_library_refusals",
+            "tests/test_error_paths.py::"
+            "test_library_refuses_a_long_exponent_without_expanding_it")),
     Mutant("_binary reads any other operand through Fraction", RATFUNC,
            "if isinstance(o, (int, Fraction)):\n            o = RatFunc(o)",
            "if not isinstance(o, RatFunc):\n"

@@ -1,12 +1,12 @@
 import json
-import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from helpers import mixed_quiver, perturb_block_counts
+from helpers import (forbid_long_exponents, mixed_quiver,
+                     perturb_block_counts)
 from torus import Q_MINUS_QINV
 from quiver_dt import cli, invariants as inv, oracle
 from quiver_dt.invariants import (InvariantTable, NoPoleViolation,
@@ -419,15 +419,7 @@ def test_slope_weight_too_long_to_print_is_a_validation_error(command, flag,
 
 def test_slope_weight_with_a_long_exponent_is_read_without_expanding_it(
         monkeypatch, capsys):
-    real = cli.Fraction
-
-    def fraction(*args):
-        # Fraction multiplies out 10**exponent, slowly for such exponents.
-        assert not (isinstance(args[0], str)
-                    and re.search(r"[eE][-+]?\d{7}", args[0])), args
-        return real(*args)
-
-    monkeypatch.setattr(cli, "Fraction", fraction)
+    forbid_long_exponents(monkeypatch)
     path = fixture("kronecker_pm_plus.json")
     for weight in ("1e2000000", "-2.5e-2000000"):
         assert cli.main(["dt", path, "--slope", f"i={weight},j=-1"]) == 1

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import forbid_long_exponents
 from test_properties import BUDGET
 from quiver_dt import cli
 from quiver_dt.invariants import (_seeded_engine, dt_num, sd_dt_mot,
@@ -137,12 +138,27 @@ def test_library_refusals():
             (True, " is a bool, not an int, a Fraction or a str"),
             ("1/0", ": Fraction(1, 0)"),
             (None, ": argument should be a string or a Rational instance"),
-            ("x", ": Invalid literal for Fraction: 'x'")]:
+            ("x", ": Invalid literal for Fraction: 'x'"),
+            ("1e4300", ": weight has too many digits to print"),
+            (10 ** 4300, ": weight has too many digits to print")]:
         pattern = "^slope weight of vertex i" + re.escape(message) + "$"
         with pytest.raises(ValidationError, match=pattern):
             Slope.from_dict(kron, {"i": val})
     assert Slope.from_dict(kron, {"i": "-3/2", "j": Fraction(3, 2)}) == \
         Slope((Fraction(-3, 2), Fraction(3, 2)))
+
+
+def test_library_refuses_a_long_exponent_without_expanding_it(monkeypatch):
+    """Slope.from_dict reads a weight by the command line's rule: a nonzero
+    weight whose decimal exponent exceeds the digit limit is refused before
+    Fraction multiplies out its power of ten."""
+    kron = kronecker_variant((1, 1), 1)
+    forbid_long_exponents(monkeypatch)
+    with pytest.raises(ValidationError, match="^slope weight of vertex i: "
+                                              "weight has too many digits to "
+                                              "print$"):
+        Slope.from_dict(kron, {"i": "1e2000000"})
+    assert Slope.from_dict(kron, {"i": "0e999999999"}) == Slope.trivial(kron)
 
 
 def test_a_class_the_query_gate_refuses_is_a_validation_error():

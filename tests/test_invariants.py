@@ -1259,30 +1259,11 @@ def _nested(depth):
     return obj
 
 
-class _Level(IntEnum):
-    LOW = 1
-    HIGH = -20
-
-
-class _Name(str):
-    pass
-
-
-class _Mapping(dict):
-    pass
-
-
-class _Items(list):
-    pass
-
-
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(JSON_VALUES)
 @example(_nested(60))
 @example({"a\u00e9\x01\"\\": [-2 ** 200, 2 ** 200, [], {}, True, None]})
 @example([True, None, False, [None, True, 0], {"b": None, "a": False}])
-@example({"e": [_Level.LOW, _Level.HIGH], _Name("k"): _Name("v\n"),
-          "m": _Mapping(z=_Mapping(), y=_Items([1, _Mapping(x=True)]))})
 def test_json_text_is_json_dumps(obj):
     assert inv.json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
@@ -1351,8 +1332,13 @@ def test_table_to_json_never_builds_ratfunc_data(monkeypatch):
     assert table.to_json() == want
 
 
-@pytest.mark.parametrize("obj", [1.5, (1, 2), {1: "a"}, {"a": Fraction(1)},
-                                 [b"x"], [True, None, 1.5]], ids=repr)
+@pytest.mark.parametrize("obj", [
+    1.5, (1, 2), {1: "a"}, {"a": Fraction(1)}, [b"x"], [True, None, 1.5],
+    # a subclass of each type json_text writes is refused too
+    [IntEnum("Level", "LOW").LOW], type("Name", (str,), {})("v"),
+    {type("Key", (str,), {})("k"): 1}, type("Mapping", (dict,), {})(a=1),
+    type("Items", (list,), {})([1]), [type("Sub", (RatFunc,), {})(1)]],
+    ids=repr)
 def test_json_text_refuses_other_types(obj):
     with pytest.raises(TypeError):
         inv.json_text(obj)
