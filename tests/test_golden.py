@@ -1,9 +1,12 @@
 """CLI output pinned byte for byte by sha256 digests.
 
 tests/golden_outputs.json holds, for each command line below, the exit code
-and the sha256 of what the command prints to stdout.  A change that is meant
-to keep every output the same must leave the file as it is.  To record it
-again, after a change that is meant to alter output, run from the repo root:
+and the sha256 of what the command prints to stdout.  tests/golden_fields.json
+holds, for each dt command line, the sha256 of the canonical fields of every
+J, eps and DTmot of its table, which pins what the printed forms may not show
+(the content of num, say).  A change that is meant to keep every output and
+canonical form the same must leave both files as they are.  To record them
+again, after a change that is meant to alter them, run from the repo root:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -18,6 +21,7 @@ from pathlib import Path
 from quiver_dt import cli
 
 GOLDEN = Path(__file__).parent / "golden_outputs.json"
+FIELDS = Path(__file__).parent / "golden_fields.json"
 FIXTURES = Path(cli.__file__).parent / "fixtures"
 # Quivers with a nonzero commutation form, written from tests/helpers.py
 # (calibrated_cycle, calibrated_mixed, two_pairs_quiver) by to_data().
@@ -86,6 +90,38 @@ def current_outputs():
     return {key: run(argv) for key, argv in golden_commands().items()}
 
 
+def table_fields(argv):
+    """The sha256 of (str(_scale), _shift, sorted(_num.items()),
+    sorted(_den.items())) of every J, eps and DTmot of the table that the
+    dt command line argv prints, row by row."""
+    args = cli.build_parser().parse_args(argv)
+    quiver = cli.load_quiver(args.quiver)
+    table = cli.build_table(quiver, cli.parse_slope(quiver, args.slope),
+                            args.bound)
+    fields = [(str(f._scale), f._shift, sorted(f._num.items()),
+               sorted(f._den.items()))
+              for r in table.rows + table.sd_rows
+              for f in (r.semistable, r.epsilon, r.dt_motivic)]
+    return hashlib.sha256(repr(fields).encode("utf-8")).hexdigest()
+
+
+def field_commands():
+    """The json dt command lines of golden_commands (a csv line prints the
+    same table), and the bound-8 table of kronecker_pm_plus at i=1,j=-1,
+    the smallest fixture table where a numerator has a content other than
+    1: at class (4, 4), eps = DTmot = 3/8."""
+    commands = {key: argv for key, argv in golden_commands().items()
+                if argv[0] == "dt" and "csv" not in argv}
+    commands[f"dt kronecker_pm_plus {TWO_SLOPES[0]} bound 8"] = [
+        "dt", str(FIXTURES / "kronecker_pm_plus.json"), "--bound", "8",
+        "--slope", TWO_SLOPES[0]]
+    return commands
+
+
+def current_fields():
+    return {key: table_fields(argv) for key, argv in field_commands().items()}
+
+
 def test_cli_outputs_match_golden_digests():
     want = json.loads(GOLDEN.read_text())
     got = current_outputs()
@@ -94,7 +130,15 @@ def test_cli_outputs_match_golden_digests():
     assert not changed, changed
 
 
+def test_canonical_fields_match_golden_digests():
+    want = json.loads(FIELDS.read_text())
+    got = current_fields()
+    assert sorted(got) == sorted(want)
+    changed = [key for key in want if got[key] != want[key]]
+    assert not changed, changed
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(current_outputs(), indent=2, sort_keys=True)
-                      + "\n")
-    print(f"wrote {GOLDEN}", file=sys.stderr)
+    for path, record in ((GOLDEN, current_outputs), (FIELDS, current_fields)):
+        path.write_text(json.dumps(record(), indent=2, sort_keys=True) + "\n")
+        print(f"wrote {path}", file=sys.stderr)
