@@ -27,6 +27,7 @@ from quiver_dt.wallcross import SlopePair, epsilon_table, wallcross_epsilon
 
 FIXTURES = Path(cli.__file__).parent / "fixtures"
 KRONECKER = str(FIXTURES / "kronecker_pm_plus.json")
+TWO_PAIRS = str(Path(__file__).parent / "fixtures" / "two_pairs.json")
 
 
 def one_error_line(capsys, message):
@@ -57,8 +58,8 @@ def test_bad_arguments_are_refused(argv, message, capsys):
     one_error_line(capsys, message)
 
 
-def edit(change):
-    data = json.loads(Path(KRONECKER).read_text())
+def edit(change, path=KRONECKER):
+    data = json.loads(Path(path).read_text())
     change(data)
     return data
 
@@ -86,12 +87,40 @@ def edit(change):
     (edit(lambda d: d.update(involution=["i", "j"])),
      "involution must be an object, not ['i', 'j']"),
     (edit(lambda d: d.update(signs=1)), "signs must be an object, not 1"),
+    (edit(lambda d: d.update(vertices=["i", "i"])), "duplicate vertex names"),
+    (edit(lambda d: d["edges"][0].update({"from": "k"})),
+     "edge a1 references unknown vertex"),
+    (edit(lambda d: d["involution"]["vertices"].update(k="i")),
+     "involution names unknown vertex k"),
+    (edit(lambda d: d["involution"]["vertices"].update(j="j")),
+     "vertex involution not involutive at i"),
+    (edit(lambda d: d["involution"].update(vertices={})),
+     "edge involution of a1 is not contravariant"),
+    (edit(lambda d: d["signs"]["vertices"].update(i=2)),
+     "vertex sign of i must be +1 or -1, not 2"),
+    (edit(lambda d: d["signs"]["edges"].update(a1=0)),
+     "edge sign of a1 must be +1 or -1, not 0"),
+    (edit(lambda d: d["signs"]["vertices"].update(i=-1)),
+     "vertex sign not involution-invariant at i"),
+    (edit(lambda d: (d["involution"]["edges"].update(z="a1"),
+                     d["involution"]["vertices"].update(j="j"))),
+     "involution names unknown edge z"),
+    (edit(lambda d: (d["signs"]["vertices"].update(k=1),
+                     d["signs"]["edges"].update(a1=0))),
+     "sign table names unknown vertex k"),
+    (edit(lambda d: d["signs"]["edges"].update(f=-1), TWO_PAIRS),
+     "edge sign pair of e violates the sign compatibility constraint"),
 ], ids=["no-vertices", "duplicate-edge", "involution-unknown-edge",
         "involution-to-unknown-vertex", "involution-to-unknown-edge",
         "edge-involution-not-involutive", "sign-unknown-vertex",
         "sign-unknown-edge", "no-vertices-key", "not-an-object",
         "edge-row-without-endpoints", "involution-not-an-object",
-        "signs-not-an-object"])
+        "signs-not-an-object", "duplicate-vertex", "edge-unknown-vertex",
+        "involution-unknown-vertex", "vertex-involution-not-involutive",
+        "edge-involution-not-contravariant", "vertex-sign-not-a-sign",
+        "edge-sign-not-a-sign", "vertex-sign-not-invariant",
+        "unknown-edge-before-vertex-involution",
+        "unknown-sign-key-before-sign-value", "edge-sign-pair-incompatible"])
 def test_bad_quiver_files_are_refused(data, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
