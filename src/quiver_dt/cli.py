@@ -133,13 +133,11 @@ def cmd_dt(args, quiver: SelfDualQuiver) -> int:
             "\n".join(",".join(row) for row in table.csv_rows()))
     _emit(text, args.output)
     bad = [r for r in no_pole_report(table) if not r["ok"]]
-    if bad:
-        for row in bad:
-            print(f"error: regularity violation for {row['side']} class "
-                  f"{row['class']}: pole orders {row['order_at_1']} at q=1, "
-                  f"{row['order_at_-1']} at q=-1", file=sys.stderr)
-        return EXIT_NO_POLE
-    return EXIT_OK
+    for row in bad:
+        _fail(f"regularity violation for {row['side']} class {row['class']}: "
+              f"pole orders {row['order_at_1']} at q=1, "
+              f"{row['order_at_-1']} at q=-1", EXIT_NO_POLE)
+    return EXIT_NO_POLE if bad else EXIT_OK
 
 
 def _class_rows(values: dict) -> list:

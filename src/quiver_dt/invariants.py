@@ -376,8 +376,7 @@ class _Engine:
             self._memo["_sd_numerator"].update(seed[1])
         self._dom: Dict[Value, Dict[DimVector, Optional[Laurent]]] = {}
         self._ids: Dict[Value, Dict[DimVector, int]] = {}
-        self._regions: Dict[tuple, int] = {}
-        self._store: Dict[int, Laurent] = {}
+        self._regions: Dict[tuple, Tuple[int, Optional[Laurent]]] = {}
 
     # -- component integrals ----------------------------------------------
 
@@ -430,29 +429,25 @@ class _Engine:
         p], which is {p, if p lies in the region} with the parts at each p -
         e_i.  So the slot (s, p) gets the id interned from p, whether p lies
         in the region, and the ids at p - e_i (_region_key): equal ids are
-        equal parts.  The engine's store holds one entry per id, computed
-        the first time the id appears, and the table of s refers into it."""
+        equal parts.  The region table holds each id with its entry,
+        computed the first time the id appears where key[1] says p lies in
+        the region, and the table of s refers into it."""
         tab = self._dom.get(s)
         if tab is None:
             # The zero class's entry is the unit; no region has id -1.
             tab = self._dom[s] = {self.zero: _ONE}
             self._ids[s] = {self.zero: -1}
         if top not in tab:
-            ids, regions, store = self._ids[s], self._regions, self._store
-            values = self._memo["value"]
+            ids, regions = self._ids[s], self._regions
             for p in boxed_vectors(top):
                 if p not in tab:
                     key = self._region_key(s, p, ids)
-                    rid = regions.get(key)
-                    if rid is None:
-                        rid = regions[key] = len(regions)
-                        n, d = values.get(p) or self.value(p)
-                        if n * s[1] > s[0] * d:
-                            store[rid] = _chain_sum(
-                                self.quiver, tab, p, self._numerator,
-                                _box_steps(p).values(), -1)
-                    ids[p] = rid
-                    tab[p] = store.get(rid)
+                    got = regions.get(key)
+                    if got is None:
+                        got = regions[key] = (len(regions), _chain_sum(
+                            self.quiver, tab, p, self._numerator,
+                            _box_steps(p).values(), -1) if key[1] else None)
+                    ids[p], tab[p] = got
         return tab
 
     def _region_key(self, s: Value, p: DimVector,

@@ -123,39 +123,16 @@ class SelfDualQuiver:
         names = self.vertices
         if not names:
             raise ValidationError("quiver needs at least one vertex")
-        if len(set(names)) != len(names):
-            raise ValidationError("duplicate vertex names")
-        self.vertex_index = {x: i for i, x in enumerate(names)}
-        enames = [e.name for e in self.edges]
-        if len(set(enames)) != len(enames):
-            raise ValidationError("duplicate edge names")
-        self.edge_index = {e.name: i for i, e in enumerate(self.edges)}
+        self.vertex_index = _index(names, "vertex")
+        self.edge_index = _index([e.name for e in self.edges], "edge")
         for e in self.edges:
             if e.source not in self.vertex_index or e.target not in self.vertex_index:
                 raise ValidationError(f"edge {e.name} references unknown vertex")
 
-        for key in inv_v:
-            if key not in self.vertex_index:
-                raise ValidationError(f"involution names unknown vertex {key}")
-        for key in inv_e:
-            if key not in self.edge_index:
-                raise ValidationError(f"involution names unknown edge {key}")
-        ivm = {x: inv_v.get(x, x) for x in names}
-        for x, y in ivm.items():
-            if y not in self.vertex_index:
-                raise ValidationError(f"involution sends {x} to unknown vertex {y}")
-            if ivm[y] != x:
-                raise ValidationError(f"vertex involution not involutive at {x}")
-        self.inv_vertex: Tuple[int, ...] = tuple(self.vertex_index[ivm[x]] for x in names)
-
-        iem = {e.name: inv_e.get(e.name, e.name) for e in self.edges}
-        for a, b in iem.items():
-            if b not in self.edge_index:
-                raise ValidationError(f"involution sends {a} to unknown edge {b}")
-            if iem[b] != a:
-                raise ValidationError(f"edge involution not involutive at {a}")
-        self.inv_edge: Tuple[int, ...] = tuple(
-            self.edge_index[iem[e.name]] for e in self.edges)
+        _known(inv_v, self.vertex_index, "involution", "vertex")
+        _known(inv_e, self.edge_index, "involution", "edge")
+        self.inv_vertex = _involution(inv_v, self.vertex_index, "vertex")
+        self.inv_edge = _involution(inv_e, self.edge_index, "edge")
 
         self.edge_endpoints: Tuple[Tuple[int, int], ...] = tuple(
             (self.vertex_index[e.source], self.vertex_index[e.target])
@@ -170,24 +147,10 @@ class SelfDualQuiver:
                 raise ValidationError(
                     f"edge involution of {e.name} is not contravariant")
 
-        def read_sign(table, key, kind):
-            val = table.get(key, 1)
-            # the integer itself: 1.5, True or "1" are not signs
-            if type(val) is not int or val not in (1, -1):
-                raise ValidationError(
-                    f"{kind} sign of {key} must be +1 or -1, not {val!r}")
-            return val
-
-        for key in sign_v:
-            if key not in self.vertex_index:
-                raise ValidationError(f"sign table names unknown vertex {key}")
-        for key in sign_e:
-            if key not in self.edge_index:
-                raise ValidationError(f"sign table names unknown edge {key}")
-        self.vertex_sign: Tuple[int, ...] = tuple(
-            read_sign(sign_v, x, "vertex") for x in names)
-        self.edge_sign: Tuple[int, ...] = tuple(
-            read_sign(sign_e, e.name, "edge") for e in self.edges)
+        _known(sign_v, self.vertex_index, "sign table", "vertex")
+        _known(sign_e, self.edge_index, "sign table", "edge")
+        self.vertex_sign = _signs(sign_v, self.vertex_index, "vertex")
+        self.edge_sign = _signs(sign_e, self.edge_index, "edge")
 
         for i in range(len(names)):
             if self.vertex_sign[i] != self.vertex_sign[self.inv_vertex[i]]:
@@ -395,6 +358,44 @@ def _orbits(inv: Tuple[int, ...]) -> Tuple[tuple, tuple]:
     """(fixed points, swapped pairs (i, j) with i < j) of an involution."""
     return (tuple(i for i, j in enumerate(inv) if i == j),
             tuple((i, j) for i, j in enumerate(inv) if i < j))
+
+
+# The vertex and the edge tables of a quiver are read by one rule each, as
+# tuples by position in index; kind, "vertex" or "edge", names the table in
+# each refusal.  A name an involution table omits is fixed, and a name a
+# sign table omits has sign +1.
+
+def _index(names: Sequence[str], kind: str) -> Dict[str, int]:
+    if len(set(names)) != len(names):
+        raise ValidationError(f"duplicate {kind} names")
+    return {x: i for i, x in enumerate(names)}
+
+
+def _known(table: dict, index: Dict[str, int], what: str, kind: str) -> None:
+    for key in table:
+        if key not in index:
+            raise ValidationError(f"{what} names unknown {kind} {key}")
+
+
+def _involution(table: dict, index: Dict[str, int],
+                kind: str) -> Tuple[int, ...]:
+    image = {x: table.get(x, x) for x in index}
+    for x, y in image.items():
+        if y not in index:
+            raise ValidationError(f"involution sends {x} to unknown {kind} {y}")
+        if image[y] != x:
+            raise ValidationError(f"{kind} involution not involutive at {x}")
+    return tuple(index[y] for y in image.values())
+
+
+def _signs(table: dict, index: Dict[str, int], kind: str) -> Tuple[int, ...]:
+    signs = tuple(table.get(x, 1) for x in index)
+    for x, val in zip(index, signs):
+        # the integer itself: 1.5, True or "1" are not signs
+        if type(val) is not int or val not in (1, -1):
+            raise ValidationError(
+                f"{kind} sign of {x} must be +1 or -1, not {val!r}")
+    return signs
 
 
 def _uncalibrated() -> UncalibratedError:

@@ -263,12 +263,8 @@ def diff_tables(got: EpsilonTable, want: EpsilonTable) -> List[dict]:
     """Per-class comparison report between two epsilon tables."""
     if got.bound != want.bound:
         raise ValidationError("cannot compare tables with different bounds")
-    report = []
-    for a in sorted(got.eps, key=graded_lex_key):
-        report.append({"side": "linear", "class": a,
-                       "match": got.eps[a] == want.eps[a]})
-    if got.sd_eps is not None and want.sd_eps is not None:
-        for th in sorted(got.sd_eps, key=graded_lex_key):
-            report.append({"side": "self-dual", "class": th,
-                           "match": got.sd_eps[th] == want.sd_eps[th]})
-    return report
+    sides = (("linear", got.eps, want.eps),
+             ("self-dual", got.sd_eps, want.sd_eps))
+    return [{"side": side, "class": a, "match": g[a] == w[a]}
+            for side, g, w in sides if g is not None and w is not None
+            for a in sorted(g, key=graded_lex_key)]

@@ -284,12 +284,12 @@ def assert_regions_change_nothing(q, s, bound, make=inv._Engine):
     key = inv._Engine._region_key
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(inv._Engine, "_region_key",
-                   lambda self, s, p, ids: (s, key(self, s, p, ids)))
+                   lambda self, s, p, ids: (*key(self, s, p, ids), s))
         apart = make(q, s)
         engine_values(q, s, bound, lambda *_args: apart)
     assert engine_state(shared) == engine_state(apart), (q.vertices,
                                                          s.weights)
-    assert len(apart._store) == sum(
+    assert sum(e is not None for _, e in apart._regions.values()) == sum(
         d is not None for tab in apart._dom.values()
         for p, d in tab.items() if any(p))
 

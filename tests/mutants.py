@@ -159,7 +159,8 @@ MUTANTS: List[Mutant] = [
     Mutant("_primitive leaves the content in", RATFUNC,
            "c = _int_gcd(*p.values())", "c = 1",
            ("tests/test_ratfunc.py::test_field_laws_match_oracle",
-            "tests/test_ratfunc.py::test_serialization_round_trip")),
+            "tests/test_ratfunc.py::test_serialization_round_trip",
+            "tests/test_golden.py::test_canonical_fields_match_golden_digests")),
     Mutant("_json_text writes a list subclass", INVARIANTS,
            "if t is list:", "if isinstance(obj, list):",
            ("tests/test_invariants.py::test_json_text_refuses_other_types",)),
@@ -195,6 +196,20 @@ MUTANTS: List[Mutant] = [
     Mutant("verify_calibration completes b + th with b, not dual(b)",
            ORACLE, "pair = vadd(b, quiver.dual_vector(b))",
            "pair = vadd(b, b)", TRIPLES),
+    Mutant("the region entry is computed whatever the membership bit",
+           INVARIANTS, "_box_steps(p).values(), -1) if key[1] else None)",
+           "_box_steps(p).values(), -1) if True else None)",
+           ("tests/test_golden.py::test_cli_outputs_match_golden_digests",
+            "tests/test_invariants.py::test_table_computes_each_region_once",
+            "tests/test_properties.py::"
+            "test_engine_values_are_the_fraction_rule_as_reduced_pairs")),
+    Mutant("_involution without its involutive check", QUIVER,
+           "if image[y] != x:", "if False:",
+           ("tests/test_error_paths.py::test_bad_quiver_files_are_refused",)),
+    Mutant("_signs accepts any int", QUIVER,
+           "if type(val) is not int or val not in (1, -1):",
+           "if type(val) is not int:",
+           ("tests/test_error_paths.py::test_bad_quiver_files_are_refused",)),
 ]
 
 

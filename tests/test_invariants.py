@@ -537,14 +537,15 @@ def test_table_computes_each_region_once(monkeypatch):
     inv.build_table(q, s, 16)
     assert len(calls) == 267
     eng = inv._engine(q, s)
+    entries = dict(eng._regions.values())
     regions = set()
     for value, tab in eng._dom.items():
         for p, dp in tab.items():
             if any(p):
-                assert dp is eng._store.get(eng._ids[value][p]), (value, p)
+                assert dp is entries[eng._ids[value][p]], (value, p)
                 if dp is not None:
                     regions.add((p, region(eng, value, p)))
-    assert len(eng._store) == len(regions) == 187
+    assert sum(e is not None for e in entries.values()) == len(regions) == 187
 
 
 def test_equal_values_share_one_pair_and_one_table():

@@ -597,6 +597,7 @@ def test_laurent_sum_matches_term_by_term_products():
     assert (zero.poly, zero.den) == ({}, 1)
     half = laurent_sum([(0, [y]), (0, [Laurent({-2: 3, 5: 1}, 4)])])
     assert (half.poly, half.den) == ({-2: 3}, 2)
+    assert repr(Laurent({1: 2}, 3)) == "Laurent({1: 2}, den=3)"
 
 
 def test_laurent_coefficients_only_for_laurent_polynomials():
