@@ -72,7 +72,7 @@ def parse_slope(quiver: SelfDualQuiver, text: "str | None") -> Slope:
     if not text:
         return Slope.trivial(quiver)
     return Slope.from_dict(quiver, {
-        key: read_weight(val, f"slope entry {item!r}: ")
+        key: read_weight(val, f"slope entry {item!r}")
         for item, key, val in _entries(text, "slope", "value")})
 
 
@@ -97,9 +97,7 @@ def _emit(text: str, output: "str | None") -> None:
     if output:
         try:
             with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-                if not text.endswith("\n"):
-                    fh.write("\n")
+                fh.write(text + "\n")
         except OSError as exc:
             raise ValidationError(f"cannot write {output}: {exc}") from exc
     else:

@@ -349,10 +349,10 @@ _per_pair = partial(_per_class, mirrored=True)
 
 
 class _Engine:
-    """Every invariant of one quiver and weight ray, memoised per class: as
-    integer Laurent numerators over M(a) on the linear side and over
-    M_sd(theta) on the self-dual side, and as the RatFunc values built from
-    them.
+    """Every invariant of one quiver and primitive integer weight ray (the
+    one _engine reads, _ray), memoised per class: as integer Laurent
+    numerators over M(a) on the linear side and over M_sd(theta) on the
+    self-dual side, and as the RatFunc values built from them.
 
     Configured here alone.  With no seed it reads the quiver's own
     numerators and mirrors at a self-dual slope: it memoises what a and a^v
@@ -360,11 +360,10 @@ class _Engine:
     docstring).  A seed (numerators, sd_numerators) fills the _numerator and
     _sd_numerator memos and seed_bound, and the engine does not mirror."""
 
-    def __init__(self, quiver: SelfDualQuiver, slope: Slope,
+    def __init__(self, quiver: SelfDualQuiver, ray: tuple,
                  seed: Optional[tuple] = None):
         self.quiver = quiver
-        # The slope of the primitive integer vector on slope's ray (_ray).
-        self.slope = Slope(_ray_of(slope)[0])
+        self.slope = Slope(ray)
         self.zero = tuple(0 for _ in quiver.vertices)
         self.self_dual = self.slope.is_self_dual(quiver)
         self.mirrors = self.self_dual and seed is None
@@ -579,11 +578,12 @@ def _ray_of(slope: Slope) -> Tuple[tuple, Fraction]:
 def _engine(quiver: SelfDualQuiver, slope: Slope) -> _Engine:
     """The quiver's cached engine on slope's ray, once the ray is read
     (_ray_of, which refuses a weight of another type) and the quiver
-    calibrated: the one gate before an engine is built.  Stability reads
-    the weights only through the order of slope values (Rudakov, Stability
-    for an abelian category, 1997), which c > 0 keeps: weights c r share
-    the engine at the primitive integer vector r (_ray), and a value handed
-    to a caller is c times the engine's.  It lives in engine_cache alone."""
+    calibrated: the one gate before an engine is built, and it is built
+    from the ray.  Stability reads the weights only through the order of
+    slope values (Rudakov, Stability for an abelian category, 1997), which
+    c > 0 keeps: weights c r share the engine at the primitive integer
+    vector r (_ray), and a value handed to a caller is c times the
+    engine's.  It lives in engine_cache alone."""
     ray = _ray_of(slope)[0]
     ensure_calibrated(quiver)
     eng = quiver.engine_cache.get(ray)
@@ -592,7 +592,7 @@ def _engine(quiver: SelfDualQuiver, slope: Slope) -> _Engine:
             raise ValidationError(
                 f"slope has {len(slope.weights)} weights for "
                 f"{len(quiver.vertices)} vertices")
-        eng = quiver.engine_cache[ray] = _Engine(quiver, slope)
+        eng = quiver.engine_cache[ray] = _Engine(quiver, ray)
     return eng
 
 
@@ -612,7 +612,7 @@ def _seeded_engine(quiver: SelfDualQuiver, slope: Slope,
     own = [(eng._numerator, numerators), (eng._sd_numerator, sd_numerators)]
     if all(f(a).poly == n.poly for f, ns in own for a, n in ns.items()):
         return eng
-    return _Engine(quiver, slope, (numerators, sd_numerators))
+    return _Engine(quiver, eng.slope.weights, (numerators, sd_numerators))
 
 
 def clear_cache() -> None:

@@ -322,17 +322,13 @@ class SelfDualQuiver:
             except (KeyError, TypeError) as exc:
                 raise ValidationError(f"malformed edge row {row!r}") from exc
             edges.append(Edge(*(_name(x, "edge field") for x in fields)))
-        inv = _mapping(data, "involution")
-        signs = _mapping(data, "signs")
+        inv, signs = _mapping(data, "involution"), _mapping(data, "signs")
         return cls(
             [_name(x, "vertex name") for x in vertices], edges,
-            {str(k): _name(v, "involution target")
-             for k, v in _mapping(inv, "vertices").items()},
-            {str(k): _name(v, "involution target")
-             for k, v in _mapping(inv, "edges").items()},
-            {str(k): v for k, v in _mapping(signs, "vertices").items()},
-            {str(k): v for k, v in _mapping(signs, "edges").items()},
-        )
+            *[{str(k): _name(v, what) if what else v
+               for k, v in _mapping(table, kind).items()}
+              for table, what in ((inv, "involution target"), (signs, None))
+              for kind in ("vertices", "edges")])
 
     def to_data(self) -> dict:
         return {
@@ -410,8 +406,9 @@ def _name(value, what: str) -> str:
 
 
 def _mapping(data: dict, key: str) -> dict:
-    """The object under key, or {} when it is absent or null."""
-    out = data.get(key) or {}
+    """The object under key, or {} when it is absent or null; any other
+    non-object is refused."""
+    out = {} if data.get(key) is None else data[key]
     if not isinstance(out, dict):
         raise ValidationError(f"{key} must be an object, not {out!r}")
     return out
@@ -423,29 +420,33 @@ _EXPONENT_FORM = re.compile(r"\s*([-+]?(?=\.?\d)(?:\d+(?:_\d+)*)?"
                             r"[eE]([-+]?\d+(?:_\d+)*)\s*")
 
 
-def read_weight(value: "Fraction | int | str", prefix: str) -> Fraction:
+def read_weight(value: "Fraction | int | str", subject: str) -> Fraction:
     """The slope weight value, an int, a Fraction or a str, as Fraction
-    reads it; a ValidationError, its message prefix and the reason, where
-    it is refused.  Tables print the weights in full (Slope.to_dict), and
-    str() refuses an integer longer than the interpreter's digit limit, so
-    such a weight is refused.  So is a nonzero weight written with a
-    decimal exponent that alone exceeds that limit, before Fraction
-    multiplies out the power of ten in time superlinear in the exponent;
-    with a zero mantissa the weight is zero."""
+    reads it; where it is refused, a ValidationError naming subject, the
+    weight the caller reads, with the reason.  A float or a bool is refused
+    by type, as _engine refuses it in a Slope.  Tables print the weights in
+    full (Slope.to_dict), and str() refuses an integer longer than the
+    interpreter's digit limit, so such a weight is refused.  So is a
+    nonzero weight written with a decimal exponent that alone exceeds that
+    limit, before Fraction multiplies out the power of ten in time
+    superlinear in the exponent; with a zero mantissa the weight is zero."""
+    if isinstance(value, (bool, float)):
+        raise ValidationError(f"{subject} is a {type(value).__name__}, not "
+                              "an int, a Fraction or a str")
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     form = isinstance(value, str) and _EXPONENT_FORM.fullmatch(value)
     try:
         huge = bool(form and limit and abs(int(form[2])) > limit)
         weight = Fraction(form[1] if huge else value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"{prefix}{exc}") from None
-    too_long = ValidationError(f"{prefix}weight has too many digits to print")
+        raise ValidationError(f"{subject}: {exc}") from None
+    too_long = f"{subject}: weight has too many digits to print"
     if huge and weight:
-        raise too_long
+        raise ValidationError(too_long)
     try:
         str(weight)
     except ValueError:
-        raise too_long from None
+        raise ValidationError(too_long) from None
     return weight
 
 
@@ -458,20 +459,14 @@ class Slope(NamedTuple):
     def from_dict(cls, quiver: SelfDualQuiver,
                   mapping: Dict[str, "Fraction | int | str"]) -> "Slope":
         """The slope with the weights given by vertex name, 0 elsewhere.  A
-        weight is an int, a Fraction or a str that Fraction reads; a float
-        or a bool is refused, as _engine refuses it in a Slope, and the rest
-        are read by read_weight, the rule the command line reads its weights
-        by, so a weight too long to print is refused here too."""
+        key that names no vertex is refused; each weight is read by
+        read_weight, the rule the command line reads its weights by."""
         weights = [Fraction(0)] * len(quiver.vertices)
         for key, val in mapping.items():
             if key not in quiver.vertex_index:
                 raise ValidationError(f"slope names unknown vertex {key}")
-            if isinstance(val, (bool, float)):
-                raise ValidationError(f"slope weight of vertex {key} is a "
-                                      f"{type(val).__name__}, not an int, a "
-                                      "Fraction or a str")
             weights[quiver.vertex_index[key]] = read_weight(
-                val, f"slope weight of vertex {key}: ")
+                val, f"slope weight of vertex {key}")
         return cls(tuple(weights))
 
     @classmethod

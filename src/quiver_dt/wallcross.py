@@ -260,9 +260,11 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
 
 
 def diff_tables(got: EpsilonTable, want: EpsilonTable) -> List[dict]:
-    """Per-class comparison report between two epsilon tables."""
+    """Per-class comparison of two epsilon tables of one quiver and bound."""
     if got.bound != want.bound:
         raise ValidationError("cannot compare tables with different bounds")
+    if got.quiver is not want.quiver:
+        raise ValidationError("cannot compare tables on different quivers")
     sides = (("linear", got.eps, want.eps),
              ("self-dual", got.sd_eps, want.sd_eps))
     return [{"side": side, "class": a, "match": g[a] == w[a]}

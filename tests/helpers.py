@@ -230,7 +230,13 @@ def sd_stack_element(q, bound) -> TorusModElem:
                             for th in q.sd_classes_up_to(bound)}, bound)
 
 
-def engine_values(q, s, bound, make=inv._Engine):
+def fresh_engine(q, s):
+    """A new engine on the ray of s, built as _engine builds one but kept
+    out of the quiver's engine cache."""
+    return inv._Engine(q, inv._ray_of(s)[0])
+
+
+def engine_values(q, s, bound, make=fresh_engine):
     """A fresh engine's linear values on the classes within the bound and,
     at a self-dual slope, its self-dual values, keyed by (method, class).
     make(q, s) builds the engine, once the quiver is calibrated."""
@@ -246,7 +252,7 @@ def engine_values(q, s, bound, make=inv._Engine):
     return out
 
 
-def assert_mirror_changes_nothing(q, s, bound, make=inv._Engine):
+def assert_mirror_changes_nothing(q, s, bound, make=fresh_engine):
     """The values of an engine equal those of one that reads each class at
     the class itself, its duality mirror (_Engine._rep) patched out."""
     mirrored = engine_values(q, s, bound, make)
@@ -274,7 +280,7 @@ def engine_state(eng):
     return memos, tables
 
 
-def assert_regions_change_nothing(q, s, bound, make=inv._Engine):
+def assert_regions_change_nothing(q, s, bound, make=fresh_engine):
     """Every memoised value and recursion entry of an engine equals that of
     one whose region key is patched to include the slope value, so that no
     two values share an entry: it keeps one table per value, one stored

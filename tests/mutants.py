@@ -173,7 +173,7 @@ MUTANTS: List[Mutant] = [
             "test_library_refuses_a_long_exponent_without_expanding_it")),
     Mutant("Slope.from_dict reads a weight by a bare Fraction", QUIVER,
            "read_weight(\n"
-           "                val, f\"slope weight of vertex {key}: \")",
+           "                val, f\"slope weight of vertex {key}\")",
            "Fraction(val)",
            ("tests/test_error_paths.py::test_library_refusals",
             "tests/test_error_paths.py::"
@@ -210,6 +210,16 @@ MUTANTS: List[Mutant] = [
            "if type(val) is not int or val not in (1, -1):",
            "if type(val) is not int:",
            ("tests/test_error_paths.py::test_bad_quiver_files_are_refused",)),
+    Mutant("read_weight without its bool/float refusal", QUIVER,
+           "if isinstance(value, (bool, float)):", "if False:",
+           ("tests/test_error_paths.py::test_library_refusals",)),
+    Mutant("_mapping reads a falsy value as absent", QUIVER,
+           "out = {} if data.get(key) is None else data[key]",
+           "out = data.get(key) or {}",
+           ("tests/test_error_paths.py::test_bad_quiver_files_are_refused",)),
+    Mutant("diff_tables without its quiver check", WALLCROSS,
+           "if got.quiver is not want.quiver:", "if False:",
+           ("tests/test_error_paths.py::test_library_refusals",)),
 ]
 
 

@@ -23,7 +23,8 @@ from quiver_dt.oracle import CalibrationError, verify_calibration
 from quiver_dt.quiver import (Slope, ValidationError, kronecker_variant,
                               make_calibration, point_quiver)
 from quiver_dt.ratfunc import Laurent, RatFunc
-from quiver_dt.wallcross import SlopePair, epsilon_table, wallcross_epsilon
+from quiver_dt.wallcross import (SlopePair, diff_tables, epsilon_table,
+                                 wallcross_epsilon)
 
 FIXTURES = Path(cli.__file__).parent / "fixtures"
 KRONECKER = str(FIXTURES / "kronecker_pm_plus.json")
@@ -87,6 +88,10 @@ def edit(change, path=KRONECKER):
     (edit(lambda d: d.update(involution=["i", "j"])),
      "involution must be an object, not ['i', 'j']"),
     (edit(lambda d: d.update(signs=1)), "signs must be an object, not 1"),
+    (edit(lambda d: d["signs"].update(edges=False)),
+     "edges must be an object, not False"),
+    (edit(lambda d: d.update(involution=[])),
+     "involution must be an object, not []"),
     (edit(lambda d: d.update(vertices=["i", "i"])), "duplicate vertex names"),
     (edit(lambda d: d["edges"][0].update({"from": "k"})),
      "edge a1 references unknown vertex"),
@@ -110,17 +115,30 @@ def edit(change, path=KRONECKER):
      "sign table names unknown vertex k"),
     (edit(lambda d: d["signs"]["edges"].update(f=-1), TWO_PAIRS),
      "edge sign pair of e violates the sign compatibility constraint"),
+    (edit(lambda d: (d.update(signs=5),
+                     d["involution"]["vertices"].update(i=2))),
+     "signs must be an object, not 5"),
+    (edit(lambda d: (d.update(vertices=["i", 3]),
+                     d["involution"]["vertices"].update(i=2))),
+     "vertex name must be a string, not 3"),
+    (edit(lambda d: (d["involution"]["edges"].update(a1=1),
+                     d.update(signs={"vertices": 5}))),
+     "involution target must be a string, not 1"),
 ], ids=["no-vertices", "duplicate-edge", "involution-unknown-edge",
         "involution-to-unknown-vertex", "involution-to-unknown-edge",
         "edge-involution-not-involutive", "sign-unknown-vertex",
         "sign-unknown-edge", "no-vertices-key", "not-an-object",
         "edge-row-without-endpoints", "involution-not-an-object",
-        "signs-not-an-object", "duplicate-vertex", "edge-unknown-vertex",
-        "involution-unknown-vertex", "vertex-involution-not-involutive",
+        "signs-not-an-object", "false-edge-signs-not-an-object",
+        "empty-list-involution-not-an-object", "duplicate-vertex",
+        "edge-unknown-vertex", "involution-unknown-vertex", "vertex-involution-not-involutive",
         "edge-involution-not-contravariant", "vertex-sign-not-a-sign",
         "edge-sign-not-a-sign", "vertex-sign-not-invariant",
         "unknown-edge-before-vertex-involution",
-        "unknown-sign-key-before-sign-value", "edge-sign-pair-incompatible"])
+        "unknown-sign-key-before-sign-value", "edge-sign-pair-incompatible",
+        "signs-object-before-involution-target",
+        "vertex-name-before-involution-target",
+        "involution-target-before-sign-table"])
 def test_bad_quiver_files_are_refused(data, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
@@ -151,6 +169,9 @@ def test_library_refusals():
     with pytest.raises(ValidationError, match="^table and slope pair use "
                                               "different quivers$"):
         wallcross_epsilon(table, SlopePair(twin, slope, slope))
+    with pytest.raises(ValidationError, match="^cannot compare tables on "
+                                              "different quivers$"):
+        diff_tables(table, epsilon_table(pt, Slope.trivial(pt), 2))
 
     one = {0: Fraction(1)}
     with pytest.raises(ZeroDivisionError, match="^zero denominator$"):
