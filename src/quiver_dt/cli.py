@@ -9,10 +9,11 @@ Subcommands:
                        along a ray of classes
   explain-calibration  show how the sign conventions are fixed and checked
 
-Exit codes: 0 success, 1 validation failure (malformed arguments included),
-2 regularity (no-pole) violation, 3 calibration failure.  main alone loads
-the quiver file a command works on, and alone maps each error the load or
-the command raises to its code, printed as one "error:" line.
+Exit codes: 0 success, 1 validation failure (malformed arguments included)
+or a request that runs out of memory, 2 regularity (no-pole) violation, 3
+calibration failure.  main alone loads the quiver file a command works on,
+and alone maps each error the load or the command raises to its code,
+printed as one "error:" line.
 """
 
 import argparse
@@ -296,6 +297,8 @@ def main(argv=None) -> int:
         return _fail(str(exc), EXIT_NO_POLE)
     except ValidationError as exc:
         return _fail(str(exc), EXIT_VALIDATION)
+    except MemoryError:
+        return _fail("out of memory", EXIT_VALIDATION)
 
 
 if __name__ == "__main__":

@@ -75,8 +75,12 @@ reads them in their place and computes both halves.
 
 Engines are cached on their quiver, keyed by weight ray (_engine) and
 emptied when the calibration changes (SelfDualQuiver.set_calibration), so
-repeated queries share work, a new calibration never returns values
-computed under the old one, and the engines go when the quiver does.
+repeated queries share work and a new calibration never returns values
+computed under the old one.  An engine holds its quiver weakly
+(_Engine.quiver), and no memo of an engine or of a crossing refers back to
+the engine (wallcross._ExpMemo), so no reference cycle holds a quiver's
+engines: by reference counting alone, they go with every table, Laurent
+and RatFunc they memoise when the last reference to the quiver goes.
 _engine alone checks a slope and calibrates the quiver before an engine is
 built.  Each engine memoises each class's DTmot object, and each RatFunc
 keeps one entry per point it has read (RatFunc.pole_order_at), so the
@@ -87,6 +91,7 @@ polynomials at q = 1 and q = -1 once per engine and class.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import defaultdict
 from fractions import Fraction
 from functools import cache, lru_cache, partial
@@ -98,7 +103,7 @@ from .motives import (over_gl_denominator, over_sd_denominator, q2_binomial,
                       sd_ratio, sd_stack_exponent, stack_exponent)
 from .oracle import CalibrationError, ensure_calibrated
 from .quiver import (DimVector, SelfDualQuiver, Slope, ValidationError,
-                     boxed_vectors, vadd, vsub, vtotal)
+                     boxed_vectors, read_bound, vadd, vsub, vtotal)
 from .ratfunc import Laurent, RatFunc, laurent_sum
 
 
@@ -362,7 +367,7 @@ class _Engine:
 
     def __init__(self, quiver: SelfDualQuiver, ray: tuple,
                  seed: Optional[tuple] = None):
-        self.quiver = quiver
+        self._quiver = weakref.ref(quiver)
         self.slope = Slope(ray)
         self.zero = tuple(0 for _ in quiver.vertices)
         self.self_dual = self.slope.is_self_dual(quiver)
@@ -376,6 +381,13 @@ class _Engine:
         self._dom: Dict[Value, Dict[DimVector, Optional[Laurent]]] = {}
         self._ids: Dict[Value, Dict[DimVector, int]] = {}
         self._regions: Dict[tuple, Tuple[int, Optional[Laurent]]] = {}
+
+    @property
+    def quiver(self) -> SelfDualQuiver:
+        """The quiver, held weakly, so that the quiver's engine_cache is no
+        reference cycle.  Alive wherever the engine is asked: an engine lives
+        in its quiver's engine_cache, or, seeded, for one crossing."""
+        return self._quiver()
 
     # -- component integrals ----------------------------------------------
 
@@ -625,14 +637,14 @@ def _query(quiver: SelfDualQuiver, slope: Slope, alpha: DimVector,
            bound: Optional[int]) -> tuple[_Engine, DimVector]:
     """The engine for a scalar query at alpha, and alpha as a tuple, once
     alpha is checked to be a class of the quiver within the bound, if one
-    is given."""
+    is given, a bound that is not an int refused (read_bound)."""
     a = tuple(alpha) if isinstance(alpha, (tuple, list)) else ()
     if len(a) != len(quiver.vertices) or not all(
             type(x) is int and x >= 0 for x in a):
         raise ValidationError(
             f"{alpha!r} is not a class: it needs {len(quiver.vertices)} "
             "non-negative integer entries")
-    if bound is not None and vtotal(a) > bound:
+    if bound is not None and vtotal(a) > read_bound(bound):
         raise ValidationError(f"class {a} lies beyond the bound {bound}")
     return _engine(quiver, slope), a
 
@@ -880,6 +892,7 @@ def build_table(quiver: SelfDualQuiver, slope: Slope,
     """Compute the full invariant table.  Rows with a pole at q = -1 carry a
     null numeric entry instead of raising, so diagnostic reports can still be
     produced; the scalar dt functions raise instead."""
+    read_bound(bound)
     eng = _engine(quiver, slope)
 
     def row(a: DimVector, j: RatFunc, eps: RatFunc,

@@ -31,7 +31,7 @@ from operator import add, neg
 from typing import Dict, List, Tuple
 
 from .quiver import (Calibration, SelfDualQuiver, Slope,
-                     kronecker_variant, make_calibration, vadd)
+                     kronecker_variant, make_calibration, read_bound, vadd)
 from .ratfunc import RatFunc
 
 
@@ -193,12 +193,12 @@ def calibrate_signs(quiver: SelfDualQuiver) -> Calibration:
 def _verify_attached(quiver: SelfDualQuiver, cal: Calibration,
                      bound: int) -> Dict[str, int]:
     """verify_calibration(quiver, bound) with cal attached, reattaching
-    the quiver's earlier calibration, or none, if it fails."""
+    the quiver's earlier calibration, or none, if it raises anything."""
     earlier = quiver.calibration
     quiver.set_calibration(cal)
     try:
         return verify_calibration(quiver, bound)
-    except CalibrationError:
+    except BaseException:
         quiver.set_calibration(earlier)
         raise
 
@@ -234,7 +234,9 @@ def verify_calibration(quiver: SelfDualQuiver, bound: int = 2) -> Dict[str, int]
     tuple: on pairs a whole row at a time, against block counts made once
     per class row; bilinearity and associativity compare all of a first
     class's tuples in two pairs of flat lists, walked b by b for the first
-    failure only where a pair differs."""
+    failure only where a pair differs.  A bound that is not an int is a
+    ValidationError (read_bound)."""
+    read_bound(bound)
     if quiver.calibration is None:
         raise CalibrationError("quiver has no calibration attached")
     b_orient, b_place = resolve_brute_force_signs()

@@ -309,24 +309,23 @@ class SelfDualQuiver:
     def from_data(cls, data: dict) -> "SelfDualQuiver":
         try:
             vertices = data["vertices"]
-            edge_rows = list(data.get("edges", []))
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed quiver data: {exc}") from exc
         if not isinstance(vertices, list):
             raise ValidationError(
                 f"vertices must be a list of names, not {vertices!r}")
         edges = []
-        for row in edge_rows:
+        for row in _table(data, "edges", list, "a list of rows"):
             try:
                 fields = (row["name"], row["from"], row["to"])
             except (KeyError, TypeError) as exc:
                 raise ValidationError(f"malformed edge row {row!r}") from exc
             edges.append(Edge(*(_name(x, "edge field") for x in fields)))
-        inv, signs = _mapping(data, "involution"), _mapping(data, "signs")
+        inv, signs = _table(data, "involution"), _table(data, "signs")
         return cls(
             [_name(x, "vertex name") for x in vertices], edges,
             *[{str(k): _name(v, what) if what else v
-               for k, v in _mapping(table, kind).items()}
+               for k, v in _table(table, kind).items()}
               for table, what in ((inv, "involution target"), (signs, None))
               for kind in ("vertices", "edges")])
 
@@ -405,12 +404,14 @@ def _name(value, what: str) -> str:
     return value
 
 
-def _mapping(data: dict, key: str) -> dict:
-    """The object under key, or {} when it is absent or null; any other
-    non-object is refused."""
-    out = {} if data.get(key) is None else data[key]
-    if not isinstance(out, dict):
-        raise ValidationError(f"{key} must be an object, not {out!r}")
+def _table(data: dict, key: str, kind: type = dict,
+           what: str = "an object") -> "dict | list":
+    """The value under key, a kind, or an empty kind when it is absent or
+    null; any other value is refused as not what: the name tables are
+    objects, the edges a list of rows."""
+    out = kind() if data.get(key) is None else data[key]
+    if not isinstance(out, kind):
+        raise ValidationError(f"{key} must be {what}, not {out!r}")
     return out
 
 
@@ -448,6 +449,17 @@ def read_weight(value: "Fraction | int | str", subject: str) -> Fraction:
     except ValueError:
         raise ValidationError(too_long) from None
     return weight
+
+
+def read_bound(bound: int) -> int:
+    """The bound a library call is given, refused with a ValidationError
+    unless its type is int: a bool, a float, a str or None is refused.
+    build_table, epsilon_table, verify_calibration and the scalar queries
+    read their bound by it before they calibrate or enumerate anything; the
+    command line's --bound is an int already."""
+    if type(bound) is not int:
+        raise ValidationError(f"bound must be an int, not {bound!r}")
+    return bound
 
 
 class Slope(NamedTuple):

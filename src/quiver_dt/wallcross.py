@@ -36,8 +36,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .invariants import (_ZERO, Step, TwistedStep, Value, _box_steps,
                          _chain_sum, _dual_symmetric, _engine, _Engine,
@@ -45,7 +44,7 @@ from .invariants import (_ZERO, Step, TwistedStep, Value, _box_steps,
                          _star_powers)
 from .motives import gl_poly, sd_gl_poly
 from .quiver import (DimVector, SelfDualQuiver, Slope, ValidationError,
-                     graded_lex_key)
+                     graded_lex_key, read_bound)
 from .ratfunc import Laurent, RatFunc
 
 
@@ -90,6 +89,7 @@ def _tabulate(eng: _Engine, slope: Slope, bound: int,
 def epsilon_table(quiver: SelfDualQuiver, slope: Slope,
                   bound: int) -> EpsilonTable:
     """Tabulate epsilon integrals directly at the given slope."""
+    read_bound(bound)
     eng = _engine(quiver, slope)
     return _tabulate(eng, slope, bound, eng.self_dual)
 
@@ -128,6 +128,34 @@ def _integral(num: Laurent, what: Callable[[], str],
 _EXP = (2, 0, 2)
 
 
+class _ExpMemo:
+    """The star powers and the exp weights of _exp_weights, memoised in
+    dicts by methods bound per call: no function refers to itself, so no
+    reference cycle keeps the memo, or the source engine that steps belongs
+    to, once the crossing drops weight."""
+
+    def __init__(self, steps: Callable[[DimVector], List[TwistedStep]],
+                 x: Callable[[DimVector], Laurent]):
+        self.steps, self.x = steps, x
+        self._powers: Dict[DimVector, List[Laurent]] = {}
+        self._weights: Dict[Tuple[DimVector, int], Laurent] = {}
+
+    def powers(self, g: DimVector) -> List[Laurent]:
+        got = self._powers.get(g)
+        if got is None:
+            got = self._powers[g] = _star_powers(g, self.steps(g), self.x,
+                                                 self.powers)
+        return got
+
+    def weight(self, g: DimVector, c: int) -> Laurent:
+        got = self._weights.get((g, c))
+        if got is None:
+            got = self._weights[g, c] = _series(
+                g, self.steps(g), self.x, c, lambda p: self.weight(p, c),
+                _EXP, self.powers)
+        return got
+
+
 def _exp_weights(steps: Callable[[DimVector], List[TwistedStep]],
                  y: Dict[DimVector, Laurent]):
     """weight(g, c) = W with exp(e / c)_g = (q - 1/q) W / M(g), for g not
@@ -139,16 +167,7 @@ def _exp_weights(steps: Callable[[DimVector], List[TwistedStep]],
     numerators of every value."""
     def x(a: DimVector) -> Laurent:
         return y.get(a, _ZERO)
-
-    @cache
-    def powers(g: DimVector) -> List[Laurent]:
-        return _star_powers(g, steps(g), x, powers)
-
-    @cache
-    def weight(g: DimVector, c: int) -> Laurent:
-        return _series(g, steps(g), x, c, lambda p: weight(p, c), _EXP,
-                       powers)
-    return weight
+    return _ExpMemo(steps, x).weight
 
 
 def _factor_steps(a: DimVector, factor: Dict[DimVector, Laurent]

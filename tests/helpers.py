@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+import contextlib
+import gc
 import re
 from fractions import Fraction
 from math import gcd
@@ -30,6 +32,19 @@ def calibrated_kron(esigns=(1, 1), vsign=1) -> SelfDualQuiver:
 
 def calibrated_point(vsign=1) -> SelfDualQuiver:
     return calibrated(point_quiver(vsign))
+
+
+@contextlib.contextmanager
+def collector_off():
+    """The cyclic garbage collector off in the block, and on again after it
+    if it was on: what goes in the block goes by reference counting."""
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_on:
+            gc.enable()
 
 
 def perturb_block_counts(monkeypatch) -> None:

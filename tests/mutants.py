@@ -54,6 +54,7 @@ INVARIANTS = "src/quiver_dt/invariants.py"
 WALLCROSS = "src/quiver_dt/wallcross.py"
 ORACLE = "src/quiver_dt/oracle.py"
 QUIVER = "src/quiver_dt/quiver.py"
+CLI = "src/quiver_dt/cli.py"
 
 # The tests that fail where a triple check of verify_calibration is lost.
 TRIPLES = ("tests/test_properties.py::"
@@ -213,10 +214,47 @@ MUTANTS: List[Mutant] = [
     Mutant("read_weight without its bool/float refusal", QUIVER,
            "if isinstance(value, (bool, float)):", "if False:",
            ("tests/test_error_paths.py::test_library_refusals",)),
-    Mutant("_mapping reads a falsy value as absent", QUIVER,
-           "out = {} if data.get(key) is None else data[key]",
-           "out = data.get(key) or {}",
+    Mutant("_table reads a falsy value as absent", QUIVER,
+           "out = kind() if data.get(key) is None else data[key]",
+           "out = data.get(key) or kind()",
            ("tests/test_error_paths.py::test_bad_quiver_files_are_refused",)),
+    Mutant("from_data reads the edges as any iterable", QUIVER,
+           'for row in _table(data, "edges", list, "a list of rows"):',
+           'for row in list(data.get("edges") or []):',
+           ("tests/test_error_paths.py::test_bad_quiver_files_are_refused",)),
+    Mutant("read_bound takes a bool as an int", QUIVER,
+           "if type(bound) is not int:", "if not isinstance(bound, int):",
+           ("tests/test_error_paths.py::test_library_refusals",)),
+    Mutant("_verify_attached restores only on CalibrationError", ORACLE,
+           "except BaseException:", "except CalibrationError:",
+           ("tests/test_oracle.py::"
+            "test_a_check_that_raises_anything_leaves_the_earlier_calibration",)),
+    Mutant("cli.main lets a MemoryError through", CLI,
+           'return _fail("out of memory", EXIT_VALIDATION)', "raise",
+           ("tests/test_cli.py::"
+            "test_running_out_of_memory_is_one_error_line_and_exit_1",)),
+    Mutant("engine keeps its quiver strongly", INVARIANTS,
+           "self._quiver = weakref.ref(quiver)",
+           "self._quiver = lambda: quiver",
+           ("tests/test_invariants.py::"
+            "test_a_quivers_engines_go_with_it_by_reference_counting",)),
+    # The memo as it was before _ExpMemo: each function reaches itself
+    # through its closure, a cycle that holds the source engine.
+    Mutant("exp memo by self-referential closures", WALLCROSS,
+           "return _ExpMemo(steps, x).weight",
+           "from functools import cache\n\n"
+           "    @cache\n"
+           "    def powers(g):\n"
+           "        return _star_powers(g, steps(g), x, powers)\n\n"
+           "    @cache\n"
+           "    def weight(g, c):\n"
+           "        return _series(g, steps(g), x, c, lambda p: weight(p, c),\n"
+           "                       _EXP, powers)\n"
+           "    return weight",
+           ("tests/test_wallcross.py::"
+            "test_the_exp_weights_hold_the_source_engine_only_while_they_live",
+            "tests/test_invariants.py::"
+            "test_a_quivers_engines_go_with_it_by_reference_counting")),
     Mutant("diff_tables without its quiver check", WALLCROSS,
            "if got.quiver is not want.quiver:", "if False:",
            ("tests/test_error_paths.py::test_library_refusals",)),

@@ -366,6 +366,24 @@ def test_library_failures_exit_with_their_documented_code(
     assert captured.err == "error: identity broke at (1, 0)\n"
 
 
+@pytest.mark.parametrize("command, callee", [
+    ("dt", "build_table"), ("wallcross", "epsilon_table"),
+    ("series", "sd_dt_mot")])
+def test_running_out_of_memory_is_one_error_line_and_exit_1(
+        command, callee, monkeypatch, capsys):
+    """A request that runs out of memory exits 1 with one "error:" line.
+    The callee raises MemoryError itself, so the test allocates nothing."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, callee, exhausted)
+    assert cli.main([command, fixture("kronecker_pm_plus.json"),
+                     "--slope", "i=1,j=-1", "--bound", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
+
+
 def test_output_flag_writes_file(tmp_path):
     out = tmp_path / "report.txt"
     assert cli.main(["validate", fixture("point_plus.json"),

@@ -17,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 from helpers import forbid_long_exponents
 from test_properties import BUDGET
 from quiver_dt import cli
-from quiver_dt.invariants import (_seeded_engine, dt_num, sd_dt_mot,
-                                  sd_semistable_integral)
+from quiver_dt.invariants import (_seeded_engine, build_table, dt_num,
+                                  sd_dt_mot, sd_semistable_integral)
 from quiver_dt.oracle import CalibrationError, verify_calibration
 from quiver_dt.quiver import (Slope, ValidationError, kronecker_variant,
                               make_calibration, point_quiver)
@@ -124,6 +124,17 @@ def edit(change, path=KRONECKER):
     (edit(lambda d: (d["involution"]["edges"].update(a1=1),
                      d.update(signs={"vertices": 5}))),
      "involution target must be a string, not 1"),
+    (edit(lambda d: d.update(edges="")),
+     "edges must be a list of rows, not ''"),
+    (edit(lambda d: d.update(edges={})),
+     "edges must be a list of rows, not {}"),
+    (edit(lambda d: d.update(edges="ab")),
+     "edges must be a list of rows, not 'ab'"),
+    (edit(lambda d: d.update(edges={"a1": 1})),
+     "edges must be a list of rows, not {'a1': 1}"),
+    # null is no edges, so the involution names an edge that is not there.
+    (edit(lambda d: d.update(edges=None)), "involution names unknown edge a1"),
+    ({"vertices": 5, "edges": 5}, "vertices must be a list of names, not 5"),
 ], ids=["no-vertices", "duplicate-edge", "involution-unknown-edge",
         "involution-to-unknown-vertex", "involution-to-unknown-edge",
         "edge-involution-not-involutive", "sign-unknown-vertex",
@@ -138,7 +149,9 @@ def edit(change, path=KRONECKER):
         "unknown-sign-key-before-sign-value", "edge-sign-pair-incompatible",
         "signs-object-before-involution-target",
         "vertex-name-before-involution-target",
-        "involution-target-before-sign-table"])
+        "involution-target-before-sign-table", "empty-string-edges",
+        "empty-object-edges", "string-edges", "object-edges", "null-edges",
+        "vertices-before-edges"])
 def test_bad_quiver_files_are_refused(data, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
@@ -196,6 +209,22 @@ def test_library_refusals():
             Slope.from_dict(kron, {"i": val})
     assert Slope.from_dict(kron, {"i": "-3/2", "j": Fraction(3, 2)}) == \
         Slope((Fraction(-3, 2), Fraction(3, 2)))
+
+    # A bound whose type is not int, a bool's included, is refused before
+    # anything is calibrated or enumerated.
+    fresh = kronecker_variant((1, 1), 1)
+    for call, shown in [
+            (lambda: build_table(fresh, slope, 2.5), "2.5"),
+            (lambda: build_table(fresh, slope, None), "None"),
+            (lambda: build_table(fresh, slope, True), "True"),
+            (lambda: epsilon_table(fresh, slope, "3"), "'3'"),
+            (lambda: verify_calibration(fresh, 2.5), "2.5"),
+            (lambda: dt_num(fresh, slope, (1, 1), bound="2"), "'2'"),
+            (lambda: dt_num(fresh, slope, (1, 1), bound=0.5), "0.5")]:
+        pattern = "^bound must be an int, not " + re.escape(shown) + "$"
+        with pytest.raises(ValidationError, match=pattern):
+            call()
+    assert fresh.calibration is None and not fresh.engine_cache
 
 
 def test_library_refuses_a_long_exponent_without_expanding_it(monkeypatch):

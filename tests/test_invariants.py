@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import (assert_mirror_changes_nothing,
                      assert_regions_change_nothing, calibrated_mixed,
-                     calibrated_two_pairs, epsilon_elem,
+                     calibrated_two_pairs, collector_off, epsilon_elem,
                      integrated_stack_element, mixed_quiver, sd_epsilon_elem,
                      sd_semistable_element, sd_stack_element,
                      semistable_element, spy_on_seeded, star_series,
@@ -30,7 +30,8 @@ from torus import (INV_Q_MINUS_QINV, Q_MINUS_QINV, integrated_unit,
 from quiver_dt import (invariants as inv, quiver as quiver_module, ratfunc,
                        wallcross as wc)
 from quiver_dt.cli import load_quiver, main as cli_main
-from quiver_dt.oracle import CalibrationError, calibrate_signs
+from quiver_dt.oracle import (CalibrationError, calibrate_signs,
+                              verify_calibration)
 from quiver_dt.motives import (over_gl_denominator, q2_binomial,
                                sd_stack_exponent, stack_exponent)
 from quiver_dt.quiver import (Calibration, Edge, SelfDualQuiver, Slope,
@@ -38,7 +39,8 @@ from quiver_dt.quiver import (Calibration, Edge, SelfDualQuiver, Slope,
                               kronecker_variant, make_calibration,
                               point_quiver, vadd, vsub, vtotal)
 from quiver_dt.ratfunc import Laurent, PoleError, RatFunc, laurent_sum
-from quiver_dt.wallcross import SlopePair, epsilon_table, wallcross_epsilon
+from quiver_dt.wallcross import (SlopePair, diff_tables, epsilon_table,
+                                 wallcross_epsilon)
 
 
 FIXTURES = Path(inv.__file__).parent / "fixtures"
@@ -245,6 +247,30 @@ def test_engines_do_not_outlive_their_quiver():
     del q
     gc.collect()
     assert ref() is None
+
+
+def test_a_quivers_engines_go_with_it_by_reference_counting():
+    """With the cyclic collector off, the engines that a library session
+    fills on a fresh quiver (a verified calibration, scalar queries, a
+    table and a crossing) go, with all they memoise, when the quiver and
+    the results do: an engine holds its quiver weakly, so no reference
+    cycle keeps them, and the session leaves no cyclic garbage."""
+    with collector_off():
+        gc.collect()
+        q = kronecker_variant((1, -1), 1)
+        trivial, hn = Slope.trivial(q), hn_slope(q)
+        scalars = [inv.dt_num(q, hn, (2, 1)), inv.sd_dt_mot(q, hn, (1, 1))]
+        checks = verify_calibration(q, 3)
+        table = inv.build_table(q, hn, 4)
+        crossed = wallcross_epsilon(epsilon_table(q, trivial, 4),
+                                    SlopePair(q, trivial, hn))
+        diff = diff_tables(crossed, epsilon_table(q, hn, 4))
+        engines = list(q.engine_cache.values())
+        assert len(engines) == 2 and engines[0].quiver is q
+        refs = [weakref.ref(x) for x in (q, *engines)]
+        del q, scalars, checks, table, crossed, diff, engines
+        assert [ref() for ref in refs] == [None] * 3
+        assert gc.collect() == 0
 
 
 def test_clear_cache_empties_the_pure_memos_and_leaves_engines():

@@ -20,8 +20,9 @@ from quiver_dt.oracle import (CalibrationError, REFERENCE_TWISTS,
                               resolve_brute_force_signs, resolve_global_signs,
                               verify_calibration)
 from quiver_dt.quiver import (Calibration, SelfDualQuiver, Slope,
-                              UncalibratedError, kronecker_variant,
-                              make_calibration, point_quiver, vadd)
+                              UncalibratedError, ValidationError,
+                              kronecker_variant, make_calibration,
+                              point_quiver, vadd)
 from quiver_dt.ratfunc import RatFunc
 
 
@@ -149,6 +150,37 @@ def test_a_failed_check_keeps_the_calibration_the_call_found(monkeypatch):
         calibrate_signs(q)
     assert q.calibration is other
     assert q.commutation_exponent((1, 0), (0, 1)) == flipped == 2
+
+
+def test_a_check_that_raises_anything_leaves_the_earlier_calibration(
+        monkeypatch):
+    """Whatever the check of an attached calibration raises, the quiver
+    gets back the calibration it had, or none: on a freshly loaded
+    kronecker_pm_plus.json, a bound that is not an int and a check that
+    raises RuntimeError leave no calibration attached, and a quiver that
+    was calibrated keeps its calibration."""
+    path = os.path.join(os.path.dirname(oracle.__file__), "fixtures",
+                        "kronecker_pm_plus.json")
+    with open(path, encoding="utf-8") as fh:
+        q = SelfDualQuiver.from_data(json.load(fh))
+    with pytest.raises(ValidationError,
+                       match="^bound must be an int, not 2.5$"):
+        explain_calibration(q, bound=2.5)
+    assert q.calibration is None
+
+    def broken(quiver, bound=2):
+        raise RuntimeError("the check broke")
+    monkeypatch.setattr(oracle, "verify_calibration", broken)
+    for call in (explain_calibration, calibrate_signs):
+        with pytest.raises(RuntimeError, match="^the check broke$"):
+            call(q)
+        assert q.calibration is None
+    monkeypatch.undo()
+    cal = calibrate_signs(q)
+    monkeypatch.setattr(oracle, "verify_calibration", broken)
+    with pytest.raises(RuntimeError, match="^the check broke$"):
+        explain_calibration(q)
+    assert q.calibration is cal
 
 
 def test_ensure_calibrated_idempotent():

@@ -1,17 +1,19 @@
 import random
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from helpers import (calibrated_cycle, calibrated_kron, calibrated_mixed,
-                     calibrated_point, calibrated_two_pairs,
+                     calibrated_point, calibrated_two_pairs, collector_off,
                      crossed_without_mirror, spy_on_seeded, zeroed_at)
 from reference import (check_composition, coeff_S, coeff_Ssd, coeff_U,
                        coeff_Usd, vleq)
 from torus import Q_MINUS_QINV
 from quiver_dt import invariants as inv, wallcross as wc
 from quiver_dt.cli import load_quiver, main as cli_main, parse_slope
+from quiver_dt.motives import gl_poly
 from quiver_dt.quiver import (Slope, ValidationError, boxed_vectors, vadd,
                               vsub, vtotal)
 from quiver_dt.ratfunc import RatFunc, laurent_sum
@@ -450,6 +452,28 @@ def test_transform_engine_stays_out_of_the_cache(monkeypatch):
     assert eng.seed_bound == 3
     assert all(c is not eng for c in q.engine_cache.values())
     assert list(q.engine_cache) == keys
+
+
+def test_the_exp_weights_hold_the_source_engine_only_while_they_live():
+    """With the cyclic collector off, a crossing's exp weights
+    (_exp_weights over the source engine's _steps), read at c = 1 and 2
+    through the star powers, hold the source engine while they live, and
+    then no more: their memo refers to no function of its own, so the
+    engine goes with its quiver by reference counting."""
+    with collector_off():
+        q = calibrated_kron()
+        eng = inv._engine(q, Slope.trivial(q))
+        y = wc._numerators({a: eng.epsilon(a)
+                            for a in q.dim_vectors_up_to(4)},
+                           gl_poly, "M(a) eps(a)")
+        weight = wc._exp_weights(eng._steps, y)
+        assert any(step[3] for step in eng._steps((1, 1)))
+        assert all(weight(g, c) is weight(g, c) for g in y for c in (1, 2))
+        ref = weakref.ref(eng)
+        del q, eng
+        assert ref() is not None
+        del weight
+        assert ref() is None
 
 
 @pytest.mark.parametrize("path", KRONECKER, ids=[p.stem for p in KRONECKER])
