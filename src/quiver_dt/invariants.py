@@ -244,21 +244,18 @@ def _series(g: DimVector, steps: List[TwistedStep],
     (1 + t)^(-1/2) - 1 and (2, 0, 2) is exp(t) - 1; steps are g's
     decompositions into two classes of its value, with their twists
     (_Engine._steps).  Where a twist is nonzero, it sums powers(g) with the
-    coefficients of _coeffs, or divides P_1 where it is the only power and
-    c_1 / dx is 1 / k (P_1 itself for k = 1).  Else any two elements on g's
-    value commute in their coefficient at g, and each word of D(u^n) is a
-    rotation of (D u) u^(n-1), so D(u^n)_g = n ((D u) u^(n-1))_g and the
-    degree derivation D[p] = |p| [p] turns D F(u) = F'(u) D u at g, u =
-    sum_p x(p) / (dx M(p)) [p], into J. C. P. Miller's recurrence (Knuth,
-    TAOCP Vol. 2, 4.7), one convolution per class, z(p) the value at p
-    however p took it: 2 |g| dx Z(g) = a |g| x(g) + sum over the steps of
-    Z(p) x(g - p) prod_i [g_i, p_i] (b |p| + c |g - p|); x(g) / dx (x(g)
-    itself at dx = 1) where no step contributes and a = 2."""
+    coefficients of _coeffs.  Else any two elements on g's value commute in
+    their coefficient at g, and each word of D(u^n) is a rotation of (D u)
+    u^(n-1), so D(u^n)_g = n ((D u) u^(n-1))_g and the degree derivation
+    D[p] = |p| [p] turns D F(u) = F'(u) D u at g, u = sum_p x(p) / (dx M(p))
+    [p], into J. C. P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7), one
+    convolution per class, z(p) the value at p however p took it: 2 |g| dx
+    Z(g) = a |g| x(g) + sum over the steps of Z(p) x(g - p) prod_i [g_i,
+    p_i] (b |p| + c |g - p|); x(g) / dx (x(g) itself at dx = 1) where no
+    step contributes and a = 2."""
     if any([step[3] for step in steps]):
         pg = powers(g)
         ms = _coeffs(abc, len(pg), dx)
-        if len(pg) == 1 and ms[0].poly == {0: 1}:
-            return pg[0].over(ms[0].den)
         return laurent_sum([(0, [m, pn]) for m, pn in zip(ms, pg)])
     a, b, c = abc
     terms = []
@@ -325,10 +322,6 @@ def _dual_symmetric(quiver: SelfDualQuiver, values: dict) -> bool:
     return True
 
 
-# What a memo's get returns for a class it lacks: its values may be None.
-_MISSING = object()
-
-
 def _per_class(method, mirrored=False):
     """An engine method of one class, computed once per engine and class, or
     once per duality pair {a, a^v} if mirrored (see _Engine._rep)."""
@@ -336,8 +329,8 @@ def _per_class(method, mirrored=False):
 
     def memoised(self, a):
         memo = self._memo[name]
-        v = memo.get(a, _MISSING)
-        if v is _MISSING:
+        v = memo.get(a)
+        if v is None:
             # A mirrored memo holds only the classes _rep maps to themselves.
             if mirrored:
                 b = self._memo["_rep"].get(a) or self._rep(a)
@@ -523,13 +516,13 @@ class _Engine:
         return self.epsilon(a).times_q_minus_qinv()
 
     @_per_pair
-    def _root_weight(self, g: DimVector) -> Optional[Laurent]:
+    def _root_weight(self, g: DimVector) -> Laurent:
         """W(g) with (1 + x)^(-1/2) = [0] + sum_g (q - 1/q) W(g) / M(g) [g]
-        for the semistable element x at slope 0, g nonzero, None off slope
+        for the semistable element x at slope 0, g nonzero, zero off slope
         0: W(g) = sum_n binom(-1/2, n) P_n(g), where binom(-1/2, n) =
         (-1)^n C(2n, n) / 4^n, by _series."""
         if self.value(g)[0]:
-            return None
+            return _ZERO
         return _series(g, self._steps(g), self._semistable_num, 1,
                        self._root_weight, _ROOT, self._powers)
 
@@ -608,23 +601,22 @@ def _engine(quiver: SelfDualQuiver, slope: Slope) -> _Engine:
     return eng
 
 
-def _seeded_engine(quiver: SelfDualQuiver, slope: Slope,
-                   numerators: Dict[DimVector, Laurent],
+def _seeded_engine(eng: _Engine, numerators: Dict[DimVector, Laurent],
                    sd_numerators: Optional[Dict[DimVector, Laurent]]
                    ) -> _Engine:
-    """The engine whose component integrals are read off the numerators
-    given, N(a) = M(a) I(a) on the linear side and M_sd(theta) I_sd(theta)
-    on the self-dual side.  Where these are the quiver's own, q^e(a) and
-    q^e_sd(theta), it is the cached engine at slope, as an engine's values
-    depend on its numerators alone; else it is a new engine seeded with them
-    (_Engine), which refuses a class beyond the largest total of a linear
-    class given (its seed_bound) and stays out of the engine cache."""
-    eng = _engine(quiver, slope)
+    """The engine on eng's quiver and ray whose component integrals are read
+    off the numerators given, N(a) = M(a) I(a) on the linear side and
+    M_sd(theta) I_sd(theta) on the self-dual side.  Where these are the
+    quiver's own, q^e(a) and q^e_sd(theta), it is eng, the cached engine
+    _engine gave, as an engine's values depend on its numerators alone;
+    else it is a new engine seeded with them (_Engine), which refuses a
+    class beyond the largest total of a linear class given (its seed_bound)
+    and stays out of the engine cache."""
     sd_numerators = sd_numerators or {}
     own = [(eng._numerator, numerators), (eng._sd_numerator, sd_numerators)]
     if all(f(a).poly == n.poly for f, ns in own for a, n in ns.items()):
         return eng
-    return _Engine(quiver, eng.slope.weights, (numerators, sd_numerators))
+    return _Engine(eng.quiver, eng.slope.weights, (numerators, sd_numerators))
 
 
 def clear_cache() -> None:
@@ -718,6 +710,7 @@ def sd_dt_num(quiver: SelfDualQuiver, slope: Slope, theta: DimVector,
 
 def slope_values(quiver: SelfDualQuiver, slope: Slope,
                  bound: int) -> List[Fraction]:
+    read_bound(bound)
     value, c = _engine(quiver, slope).value, _ray_of(slope)[1]
     pairs = {value(a) for a in quiver.dim_vectors_up_to(bound)}
     return sorted((c * Fraction(n, d) for n, d in pairs), reverse=True)
@@ -727,6 +720,7 @@ def epsilon_element(quiver: SelfDualQuiver, slope: Slope, value: Fraction,
                     bound: int) -> Dict[DimVector, RatFunc]:
     """The nonzero coefficients of log(1 + x), for the semistable element x
     of slope value, by class."""
+    read_bound(bound)
     eng = _engine(quiver, slope)
     v = value / _ray_of(slope)[1]
     s = v.numerator, v.denominator
@@ -737,6 +731,7 @@ def epsilon_element(quiver: SelfDualQuiver, slope: Slope, value: Fraction,
 def sd_epsilon_element(quiver: SelfDualQuiver, slope: Slope,
                        bound: int) -> Dict[DimVector, RatFunc]:
     """The nonzero self-dual epsilon integrals within the bound, by class."""
+    read_bound(bound)
     eng = _engine(quiver, slope)
     return {th: c for th in quiver.sd_classes_up_to(bound)
             if (c := eng.sd_dt_motivic(th))}

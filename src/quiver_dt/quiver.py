@@ -289,8 +289,9 @@ class SelfDualQuiver:
     def dim_vectors_up_to(self, bound: int) -> List[DimVector]:
         """The nonzero classes of total at most bound, graded-lex order,
         extended one coordinate at a time, never past the bound: listed
-        once per bound, copied on each call."""
-        if bound not in self._classes:
+        once per bound, copied on each call.  A bound whose type is not int
+        is refused (read_bound)."""
+        if read_bound(bound) not in self._classes:
             out = [()]
             for _ in self.vertices:
                 out = [v + (x,) for v in out for x in range(bound + 1 - sum(v))]
@@ -298,7 +299,8 @@ class SelfDualQuiver:
         return self._classes[bound][:]
 
     def sd_classes_up_to(self, bound: int) -> List[DimVector]:
-        if bound not in self._sd_classes:
+        """The zero class and the self-dual classes of dim_vectors_up_to."""
+        if read_bound(bound) not in self._sd_classes:
             sd = filter(self.is_sd_class, self.dim_vectors_up_to(bound))
             self._sd_classes[bound] = [(0,) * len(self.vertices), *sd]
         return self._sd_classes[bound][:]
@@ -455,8 +457,9 @@ def read_bound(bound: int) -> int:
     """The bound a library call is given, refused with a ValidationError
     unless its type is int: a bool, a float, a str or None is refused.
     build_table, epsilon_table, verify_calibration and the scalar queries
-    read their bound by it before they calibrate or enumerate anything; the
-    command line's --bound is an int already."""
+    read their bound by it before they calibrate or enumerate anything, as
+    do the element functions and the class lists; the command line's
+    --bound is an int already."""
     if type(bound) is not int:
         raise ValidationError(f"bound must be an int, not {bound!r}")
     return bound

@@ -48,21 +48,18 @@ from .quiver import (DimVector, SelfDualQuiver, Slope, ValidationError,
 from .ratfunc import Laurent, RatFunc
 
 
-class SlopePair:
+class SlopePair(NamedTuple):
     """Source and target slope functions for a single crossing.
 
     Both live on the same quiver; the source is `plus`, the target `minus`.
     Any pair is admissible because the trivial slope function compares all
-    classes equally, hence refines into both members.
+    classes equally, hence refines into both members.  wallcross_epsilon
+    refuses a pair whose weights do not match the quiver's vertices.
     """
 
-    def __init__(self, quiver: SelfDualQuiver, plus: Slope, minus: Slope):
-        nv = len(quiver.vertices)
-        if len(plus.weights) != nv or len(minus.weights) != nv:
-            raise ValidationError("slope weight length does not match quiver")
-        self.quiver = quiver
-        self.plus = plus
-        self.minus = minus
+    quiver: SelfDualQuiver
+    plus: Slope
+    minus: Slope
 
 
 class EpsilonTable(NamedTuple):
@@ -210,13 +207,17 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
     At a self-dual source slope and with a dual-symmetric table, the
     factors of values s < 0 are those of -s read at the dual classes (see
     the module docstring).  The self-dual side is crossed where the table
-    has one and both slopes are self-dual.
+    has one and both slopes are self-dual.  A pair whose weights do not
+    match the quiver's vertices is refused first, before any engine is read.
     """
-    if table.quiver is not pair.quiver:
+    q, bound = pair.quiver, table.bound
+    nv = len(q.vertices)
+    if len(pair.plus.weights) != nv or len(pair.minus.weights) != nv:
+        raise ValidationError("slope weight length does not match quiver")
+    if table.quiver is not q:
         raise ValidationError("table and slope pair use different quivers")
     if table.slope.weights != pair.plus.weights:
         raise ValidationError("table was not computed at the source slope")
-    q, bound = pair.quiver, table.bound
     source, target = _engine(q, pair.plus), _engine(q, pair.minus)
     value = source.value
     classes = q.dim_vectors_up_to(bound)
@@ -260,9 +261,9 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
         z = _numerators(table.sd_eps, lambda th: sd_gl_poly(q, th),
                         "M_sd(theta) eps_sd(theta)")
 
-        def half(g: DimVector) -> Optional[Laurent]:
+        def half(g: DimVector) -> Laurent:
             return (weight(g, 2) if value(g) == (0, 1) and (0, 1) in factors
-                    else None)
+                    else _ZERO)
         module = {th: _sd_action(q, th, half, lambda rho: z.get(rho, _ZERO))
                   for th in sd_classes}
         for s in [s for s in reversed(slopes) if s[0] > 0]:
@@ -273,8 +274,8 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
                                   lambda: "M_sd(theta) I_sd(theta)", th)
                     for th in sd_classes}
 
-    eng = _seeded_engine(q, pair.minus,
-                         {a: stack.get(a, _ZERO) for a in classes}, sd_stack)
+    eng = _seeded_engine(target, {a: stack.get(a, _ZERO) for a in classes},
+                         sd_stack)
     return _tabulate(eng, pair.minus, bound, sd_side)
 
 

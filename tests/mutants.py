@@ -258,6 +258,20 @@ MUTANTS: List[Mutant] = [
     Mutant("diff_tables without its quiver check", WALLCROSS,
            "if got.quiver is not want.quiver:", "if False:",
            ("tests/test_error_paths.py::test_library_refusals",)),
+    Mutant("wallcross_epsilon without its weight-count check", WALLCROSS,
+           "if len(pair.plus.weights) != nv or len(pair.minus.weights) != nv:",
+           "if False:",
+           ("tests/test_error_paths.py::test_library_refusals",)),
+    Mutant("slope_values without read_bound", INVARIANTS,
+           "read_bound(bound)\n    value, c = _engine(quiver, slope).value",
+           "value, c = _engine(quiver, slope).value",
+           ("tests/test_error_paths.py::test_library_refusals",)),
+    Mutant("_chain_sum twists by the reversed commutation form", INVARIANTS,
+           "return _hall_sum(steps, tab.get, x, quiver.commutation_exponent,",
+           "return _hall_sum(steps, tab.get, x,\n"
+           "                     lambda a, b: quiver.commutation_exponent(b, a),",
+           ("tests/test_counting.py::"
+            "test_kronecker_semistable_integrals_are_finite_field_counts",)),
 ]
 
 

@@ -17,8 +17,10 @@ from hypothesis import given, settings, strategies as st
 from helpers import forbid_long_exponents
 from test_properties import BUDGET
 from quiver_dt import cli
-from quiver_dt.invariants import (_seeded_engine, build_table, dt_num,
-                                  sd_dt_mot, sd_semistable_integral)
+from quiver_dt.invariants import (_engine, _seeded_engine, build_table,
+                                  dt_num, epsilon_element, sd_dt_mot,
+                                  sd_epsilon_element, sd_semistable_integral,
+                                  slope_values)
 from quiver_dt.oracle import CalibrationError, verify_calibration
 from quiver_dt.quiver import (Slope, ValidationError, kronecker_variant,
                               make_calibration, point_quiver)
@@ -173,11 +175,17 @@ def test_library_refusals():
                        match=r"^\(1, 0\) is not a self-dual class$"):
         sd_semistable_integral(kron, slope, (1, 0))
 
+    # A pair whose weights do not match the quiver is refused first, before
+    # the table's slope is compared or any engine is read.
     pt = point_quiver(1)
-    with pytest.raises(ValidationError, match="^slope weight length does not "
-                                              "match quiver$"):
-        SlopePair(kron, Slope.trivial(pt), slope)
     table = epsilon_table(kron, slope, 2)
+    engines = dict(kron.engine_cache)
+    for pair in (SlopePair(kron, slope, Slope.trivial(pt)),
+                 SlopePair(kron, Slope.trivial(pt), slope)):
+        with pytest.raises(ValidationError, match="^slope weight length does "
+                                                  "not match quiver$"):
+            wallcross_epsilon(table, pair)
+    assert kron.engine_cache == engines
     twin = kronecker_variant((1, 1), 1)
     with pytest.raises(ValidationError, match="^table and slope pair use "
                                               "different quivers$"):
@@ -211,8 +219,10 @@ def test_library_refusals():
         Slope((Fraction(-3, 2), Fraction(3, 2)))
 
     # A bound whose type is not int, a bool's included, is refused before
-    # anything is calibrated or enumerated.
+    # anything is calibrated or enumerated, the class lists' caches too.
     fresh = kronecker_variant((1, 1), 1)
+    hn = Slope.from_dict(fresh, {"i": 1, "j": -1})
+    assert fresh.sd_classes_up_to(1) == [(0, 0)]
     for call, shown in [
             (lambda: build_table(fresh, slope, 2.5), "2.5"),
             (lambda: build_table(fresh, slope, None), "None"),
@@ -220,7 +230,13 @@ def test_library_refusals():
             (lambda: epsilon_table(fresh, slope, "3"), "'3'"),
             (lambda: verify_calibration(fresh, 2.5), "2.5"),
             (lambda: dt_num(fresh, slope, (1, 1), bound="2"), "'2'"),
-            (lambda: dt_num(fresh, slope, (1, 1), bound=0.5), "0.5")]:
+            (lambda: dt_num(fresh, slope, (1, 1), bound=0.5), "0.5"),
+            (lambda: slope_values(fresh, hn, 2.5), "2.5"),
+            (lambda: slope_values(fresh, hn, True), "True"),
+            (lambda: epsilon_element(fresh, hn, Fraction(0), 2.5), "2.5"),
+            (lambda: sd_epsilon_element(fresh, hn, "3"), "'3'"),
+            (lambda: fresh.dim_vectors_up_to(True), "True"),
+            (lambda: fresh.sd_classes_up_to(True), "True")]:
         pattern = "^bound must be an int, not " + re.escape(shown) + "$"
         with pytest.raises(ValidationError, match=pattern):
             call()
@@ -255,8 +271,8 @@ def test_a_class_the_query_gate_refuses_is_a_validation_error():
         with pytest.raises(ValidationError,
                            match=r"^\(2, 1\) is not a self-dual class$"):
             query(kron, slope, (2, 1))
-    eng = _seeded_engine(kron, slope, {(1, 0): Laurent({5: 1}),
-                                       (0, 1): Laurent({0: 1})}, None)
+    eng = _seeded_engine(_engine(kron, slope), {(1, 0): Laurent({5: 1}),
+                                                (0, 1): Laurent({0: 1})}, None)
     with pytest.raises(ValueError, match=r"^\(1, 1\) lies beyond the seeded "
                                          r"bound 1$") as err:
         eng.epsilon((1, 1))

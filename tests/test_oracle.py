@@ -325,15 +325,18 @@ def package_imports(name):
 
 def test_reference_module_reads_no_production_recursion_or_transform():
     """tests/reference.py imports only the quiver, motive and rational
-    function modules, and the torus algebra of tests/torus.py only the
-    quiver and rational function modules and tests/reference.py, so
-    agreeing with invariants and wallcross is a check and not a
-    tautology."""
+    function modules, the torus algebra of tests/torus.py only the quiver
+    and rational function modules and tests/reference.py, and the
+    finite-field counts of tests/counting.py only the quiver and rational
+    function modules, so agreeing with invariants and wallcross is a check
+    and not a tautology."""
     ours = package_imports("reference.py")
     assert ours == {"quiver_dt.quiver", "quiver_dt.motives",
                     "quiver_dt.ratfunc"}
     assert not ours & {"quiver_dt.invariants", "quiver_dt.wallcross"}
     assert package_imports("torus.py") == ours
+    assert package_imports("counting.py") == {"quiver_dt.quiver",
+                                              "quiver_dt.ratfunc"}
 
 
 # Every function of the oracle that computes a block count.
