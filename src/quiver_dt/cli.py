@@ -49,6 +49,9 @@ def load_quiver(path: str) -> SelfDualQuiver:
         raise ValidationError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # An integer past the digit limit, or nesting past recursion's.
+        raise ValidationError(f"{path}: unreadable JSON: {exc}") from exc
     return SelfDualQuiver.from_data(data)
 
 

@@ -324,19 +324,17 @@ def _dual_symmetric(quiver: SelfDualQuiver, values: dict) -> bool:
 
 def _per_class(method, mirrored=False):
     """An engine method of one class, computed once per engine and class, or
-    once per duality pair {a, a^v} if mirrored (see _Engine._rep)."""
+    if mirrored once per duality pair {a, a^v}, at _rep(a) (see
+    _Engine._rep), and kept under each class read, so that every later read
+    of either is one memo lookup."""
     name = method.__name__
 
     def memoised(self, a):
         memo = self._memo[name]
         v = memo.get(a)
         if v is None:
-            # A mirrored memo holds only the classes _rep maps to themselves.
-            if mirrored:
-                b = self._memo["_rep"].get(a) or self._rep(a)
-                if b != a:
-                    return memoised(self, b)
-            v = memo[a] = method(self, a)
+            b = self._rep(a) if mirrored else a
+            v = memo[a] = method(self, a) if b == a else memoised(self, b)
         return v
     memoised.__doc__ = method.__doc__
     return memoised
@@ -353,9 +351,9 @@ class _Engine:
     self-dual side, and as the RatFunc values built from them.
 
     Configured here alone.  With no seed it reads the quiver's own
-    numerators and mirrors at a self-dual slope: it memoises what a and a^v
+    numerators and mirrors at a self-dual slope: it computes what a and a^v
     share once per pair, at _rep(a) (Young 2016, as in the module
-    docstring).  A seed (numerators, sd_numerators) fills the _numerator and
+    docstring), and keeps it under each class read (_per_pair).  A seed (numerators, sd_numerators) fills the _numerator and
     _sd_numerator memos and seed_bound, and the engine does not mirror."""
 
     def __init__(self, quiver: SelfDualQuiver, ray: tuple,
@@ -568,9 +566,13 @@ def _ray(weights: Tuple[Tuple[int, int], ...]) -> Tuple[tuple, Fraction]:
     return tuple(n // g for n in nums), Fraction(g, den)
 
 
-def _ray_of(slope: Slope) -> Tuple[tuple, Fraction]:
-    """_ray of the weights as integer pairs, in the one pass over them; a
-    weight not an int or a Fraction (True would read as 1) is refused."""
+def _ray_of(slope: Slope, quiver: SelfDualQuiver) -> Tuple[tuple, Fraction]:
+    """_ray of the weights as integer pairs, in the one pass over them: a
+    slope whose weight count is not the quiver's vertex count is refused,
+    then a weight not an int or a Fraction (True would read as 1)."""
+    n, m = len(slope.weights), len(quiver.vertices)
+    if n != m:
+        raise ValidationError(f"slope has {n} weights for {m} vertices")
     pairs = []
     for w in slope.weights:
         if type(w) is bool or not isinstance(w, (int, Fraction)):
@@ -582,21 +584,17 @@ def _ray_of(slope: Slope) -> Tuple[tuple, Fraction]:
 
 def _engine(quiver: SelfDualQuiver, slope: Slope) -> _Engine:
     """The quiver's cached engine on slope's ray, once the ray is read
-    (_ray_of, which refuses a weight of another type) and the quiver
-    calibrated: the one gate before an engine is built, and it is built
-    from the ray.  Stability reads the weights only through the order of
+    (_ray_of, which refuses a wrong weight count or weight type) and the
+    quiver calibrated: the one gate before an engine is built, and it is
+    built from the ray.  Stability reads the weights only through the order of
     slope values (Rudakov, Stability for an abelian category, 1997), which
     c > 0 keeps: weights c r share the engine at the primitive integer
     vector r (_ray), and a value handed to a caller is c times the
     engine's.  It lives in engine_cache alone."""
-    ray = _ray_of(slope)[0]
+    ray = _ray_of(slope, quiver)[0]
     ensure_calibrated(quiver)
     eng = quiver.engine_cache.get(ray)
     if eng is None:
-        if len(slope.weights) != len(quiver.vertices):
-            raise ValidationError(
-                f"slope has {len(slope.weights)} weights for "
-                f"{len(quiver.vertices)} vertices")
         eng = quiver.engine_cache[ray] = _Engine(quiver, ray)
     return eng
 
@@ -711,7 +709,7 @@ def sd_dt_num(quiver: SelfDualQuiver, slope: Slope, theta: DimVector,
 def slope_values(quiver: SelfDualQuiver, slope: Slope,
                  bound: int) -> List[Fraction]:
     read_bound(bound)
-    value, c = _engine(quiver, slope).value, _ray_of(slope)[1]
+    value, c = _engine(quiver, slope).value, _ray_of(slope, quiver)[1]
     pairs = {value(a) for a in quiver.dim_vectors_up_to(bound)}
     return sorted((c * Fraction(n, d) for n, d in pairs), reverse=True)
 
@@ -722,7 +720,7 @@ def epsilon_element(quiver: SelfDualQuiver, slope: Slope, value: Fraction,
     of slope value, by class."""
     read_bound(bound)
     eng = _engine(quiver, slope)
-    v = value / _ray_of(slope)[1]
+    v = value / _ray_of(slope, quiver)[1]
     s = v.numerator, v.denominator
     return {a: c for a in quiver.dim_vectors_up_to(bound)
             if eng.value(a) == s and (c := eng.dt_motivic(a))}

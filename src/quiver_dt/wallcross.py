@@ -6,7 +6,7 @@ out on Laurent numerators, each an integer Laurent polynomial over an
 integer in lowest terms, over the motive denominators with the invariants
 module's integer kernels, so that the only rational functions built are
 the source values read and the target values returned.  One exponential
-serves a crossing (_exp_weights): invariants._series of exp over the
+serves a crossing (_ExpMemo): invariants._series of exp over the
 source engine's steps of each class, which never leave its value, and
 Miller's recurrence where each twist is 0, as on every two-vertex and every
 symmetric quiver.  The running product is invariants._chain_sum over a
@@ -54,7 +54,7 @@ class SlopePair(NamedTuple):
     Both live on the same quiver; the source is `plus`, the target `minus`.
     Any pair is admissible because the trivial slope function compares all
     classes equally, hence refines into both members.  wallcross_epsilon
-    refuses a pair whose weights do not match the quiver's vertices.
+    refuses a pair whose weight count is not the quiver's vertex count.
     """
 
     quiver: SelfDualQuiver
@@ -126,14 +126,14 @@ _EXP = (2, 0, 2)
 
 
 class _ExpMemo:
-    """The star powers and the exp weights of _exp_weights, memoised in
-    dicts by methods bound per call: no function refers to itself, so no
-    reference cycle keeps the memo, or the source engine that steps belongs
-    to, once the crossing drops weight."""
+    """The star powers and the exp weights of one crossing's epsilon
+    numerators y, memoised in dicts by methods bound per call: no function
+    refers to itself, so no reference cycle keeps the memo, or the source
+    engine that steps belongs to, once the crossing drops weight."""
 
     def __init__(self, steps: Callable[[DimVector], List[TwistedStep]],
-                 x: Callable[[DimVector], Laurent]):
-        self.steps, self.x = steps, x
+                 y: Dict[DimVector, Laurent]):
+        self.steps, self.x = steps, lambda a: y.get(a, _ZERO)
         self._powers: Dict[DimVector, List[Laurent]] = {}
         self._weights: Dict[Tuple[DimVector, int], Laurent] = {}
 
@@ -145,26 +145,19 @@ class _ExpMemo:
         return got
 
     def weight(self, g: DimVector, c: int) -> Laurent:
+        """W with exp(e / c)_g = (q - 1/q) W / M(g), for g not zero and the
+        epsilon element e = sum_a (q - 1/q) y[a] / M(a) [a] over the classes
+        a of g's slope value: W = sum_n P_n(g) / (n! c^n), P_n the star
+        powers of y, by invariants._series once per g and c over steps(g),
+        g's decompositions into two classes of its value with their twists
+        (the source engine's _steps), which never leave g's value: so y
+        holds the numerators of every value."""
         got = self._weights.get((g, c))
         if got is None:
             got = self._weights[g, c] = _series(
                 g, self.steps(g), self.x, c, lambda p: self.weight(p, c),
                 _EXP, self.powers)
         return got
-
-
-def _exp_weights(steps: Callable[[DimVector], List[TwistedStep]],
-                 y: Dict[DimVector, Laurent]):
-    """weight(g, c) = W with exp(e / c)_g = (q - 1/q) W / M(g), for g not
-    zero and the epsilon element e = sum_a (q - 1/q) y[a] / M(a) [a] over the
-    classes a of g's slope value: W = sum_n P_n(g) / (n! c^n), P_n the star
-    powers of y, by invariants._series once per g and c over steps(g), g's
-    decompositions into two classes of its value with their twists (the
-    source engine's _steps), which never leave g's value: so y holds the
-    numerators of every value."""
-    def x(a: DimVector) -> Laurent:
-        return y.get(a, _ZERO)
-    return _ExpMemo(steps, x).weight
 
 
 def _factor_steps(a: DimVector, factor: Dict[DimVector, Laurent]
@@ -191,7 +184,7 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
     All of it runs on Laurent numerators over M(a) and M_sd(theta) (see
     invariants): each epsilon value that the crossing reads becomes an
     integer numerator over an integer (RatFunc.cleared), one exponential
-    serves every slope's element (_exp_weights, invariants._series over
+    serves every slope's element (_ExpMemo, invariants._series over
     each class's steps), and the slope's semistable numerators X_s are its
     values at c = 1, which every sum leaves in lowest terms, so X_s lies in
     Z[q, 1/q] exactly where its denominator is 1 (_integral); the running
@@ -207,13 +200,13 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
     At a self-dual source slope and with a dual-symmetric table, the
     factors of values s < 0 are those of -s read at the dual classes (see
     the module docstring).  The self-dual side is crossed where the table
-    has one and both slopes are self-dual.  A pair whose weights do not
-    match the quiver's vertices is refused first, before any engine is read.
+    has one and both slopes are self-dual.  A pair with a weight count or
+    type that invariants._ray_of refuses is refused first, before any
+    engine is read.
     """
     q, bound = pair.quiver, table.bound
-    nv = len(q.vertices)
-    if len(pair.plus.weights) != nv or len(pair.minus.weights) != nv:
-        raise ValidationError("slope weight length does not match quiver")
+    scale = _ray_of(pair.plus, q)[1]
+    _ray_of(pair.minus, q)
     if table.quiver is not q:
         raise ValidationError("table and slope pair use different quivers")
     if table.slope.weights != pair.plus.weights:
@@ -229,7 +222,7 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
     y = _numerators({a: e for a, e in table.eps.items()
                      if e and not (mirror and value(a)[0] < 0)},
                     gl_poly, "M(a) eps(a)")
-    weight = _exp_weights(source._steps, y)
+    weight = _ExpMemo(source._steps, y).weight
     # X_s(g) = M(g) J_s(g) for the classes g of slope s; X_s(0) = 1 is left
     # to _chain_sum and _sd_action.  Mirrored, X_-s(g^v) = X_s(g).
     factors: Dict[Value, Dict[DimVector, Laurent]] = {}
@@ -237,8 +230,7 @@ def wallcross_epsilon(table: EpsilonTable, pair: SlopePair) -> EpsilonTable:
         n, d = s
 
         def what() -> str:  # called in this pass, at its n and d
-            slope = _ray_of(pair.plus)[1] * Fraction(n, d)
-            return f"M(a) J(a) at slope {slope}"
+            return f"M(a) J(a) at slope {scale * Fraction(n, d)}"
         x = factors[s] = {g: _integral(weight(g, 1), what, g)
                           for g in of_value[s]}
         if mirror and n > 0:

@@ -10,10 +10,20 @@ above a's.  The semistable integral J(a) then satisfies
     J(a) q^-chi(a, a) = #R_a^ss(F_L) / |GL_a(F_L)|  at q^2 = L,
 
 with chi(a, a) = dim_aut(a) - dim_rep(a), where J(a) q^-chi(a, a) has even
-exponents only.  This module reads only the quiver's vertices, edges and the
-slope rule (quiver_dt.quiver) and the rational functions it is handed
-(quiver_dt.ratfunc): no recursion, motive or transform of the package, so
-agreeing with the engine is a check.
+exponents only.  Young (The Hall module of an exact category with duality,
+2016) counts self-dual representations the same way: over an odd field the
+self-dual semistable integral J_sd(theta) satisfies
+
+    J_sd(theta) q^-(sd_dim_aut(theta) - sd_dim_rep(theta))
+        = #R_theta^sd,ss(F_L) / |GL_theta(F_L)|  at q^2 = L,
+
+counted where each swapped vertex pair carries a space and its dual, each
+fixed vertex a nondegenerate symmetric or alternating form, and each fixed
+edge between a pair a symmetric or alternating matrix, as the signs say
+(sd_semistable_count).  This module reads only the quiver's vertices, edges,
+involution and signs and the slope rule (quiver_dt.quiver) and the rational
+functions it is handed (quiver_dt.ratfunc): no recursion, motive or
+transform of the package, so agreeing with the engine is a check.
 """
 
 from __future__ import annotations
@@ -76,13 +86,15 @@ def destabilising(slope: Slope, a: Tuple[int, ...],
                   field: int) -> List[tuple]:
     """Each choice of subspace per vertex whose dimensions b are a nonzero
     proper part of a of slope strictly above a's: where a subrepresentation
-    would make a representation of class a unstable."""
+    would make a representation of class a unstable.  Subspaces are listed
+    only for such b, so where there is none, none are."""
     top = slope.value(a)
     out = []
-    for spaces in product(*[subspaces(n, field) for n in a]):
-        b = tuple(dimension(u, field) for u in spaces)
+    for b in product(*[range(n + 1) for n in a]):
         if any(b) and b != a and slope.value(b) > top:
-            out.append(spaces)
+            out += product(*[[u for u in subspaces(n, field)
+                              if dimension(u, field) == k]
+                             for n, k in zip(a, b)])
     return out
 
 
@@ -110,6 +122,65 @@ def semistable_count(quiver: SelfDualQuiver, slope: Slope,
     for n in a:
         order *= gl_order(n, field)
     return Fraction(count, order)
+
+
+def _forms(n: int, sign: int, field: int) -> List[tuple]:
+    """Every n x n matrix over F_field that is symmetric (sign +1) or
+    alternating (sign -1), as a tuple of rows: the bilinear forms on F^n of
+    that kind.  The field is odd, so alternating is skew with zero
+    diagonal."""
+    cells = [(r, c) for r in range(n) for c in range(r, n)
+             if sign == 1 or r < c]
+    out = []
+    for entries in product(range(field), repeat=len(cells)):
+        m = [[0] * n for _ in range(n)]
+        for (r, c), x in zip(cells, entries):
+            m[r][c], m[c][r] = x, (sign * x) % field
+        out.append(tuple(map(tuple, m)))
+    return out
+
+
+@lru_cache(maxsize=None)
+def determinant(matrix: Tuple[Tuple[int, ...], ...]) -> int:
+    """The determinant of a square integer matrix, by expansion along the
+    first row, each minor memoised."""
+    if not matrix:
+        return 1
+    rest = matrix[1:]
+    return sum((-1) ** c * x * determinant(tuple(r[:c] + r[c + 1:]
+                                                 for r in rest))
+               for c, x in enumerate(matrix[0]) if x)
+
+
+def sd_semistable_count(quiver: SelfDualQuiver, slope: Slope,
+                        theta: Tuple[int, ...], field: int) -> Fraction:
+    """The self-dual representations of theta over F_field, for odd field,
+    whose underlying representation is semistable, counted over the product
+    of GL_{theta_i} over the fixed vertices and one vertex of each swapped
+    pair.  A fixed vertex of sign +1 (-1) carries a nondegenerate symmetric
+    (alternating) form on its space, and a fixed edge i -> i^v a symmetric
+    or alternating matrix, as quiver.fixed_edge_sign says, with i^v's space
+    the dual of i's.  Only fixed edges between the two vertices of a pair
+    are read: a loop, a swapped pair of edges or an edge at a fixed vertex
+    is refused."""
+    inv = quiver.inv_vertex
+    for a, (s, t) in enumerate(quiver.edge_endpoints):
+        if quiver.inv_edge[a] != a or t != inv[s] or s == t:
+            raise NotImplementedError(f"edge {quiver.edges[a].name}")
+    forms, order = 1, 1
+    for i, n in enumerate(theta):
+        if inv[i] == i:
+            sign = quiver.vertex_sign[i]
+            forms *= sum(determinant(m) % field != 0
+                         for m in _forms(n, sign, field))
+        if inv[i] >= i:
+            order *= gl_order(n, field)
+    higher = destabilising(slope, theta, field)
+    per_edge = [_forms(theta[s], quiver.fixed_edge_sign(a), field)
+                for a, (s, _) in enumerate(quiver.edge_endpoints)]
+    count = sum(is_semistable(quiver, maps, higher, field)
+                for maps in product(*per_edge))
+    return Fraction(forms * count, order)
 
 
 def at_q_squared(f: RatFunc, field: int) -> Optional[Fraction]:

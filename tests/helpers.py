@@ -248,7 +248,7 @@ def sd_stack_element(q, bound) -> TorusModElem:
 def fresh_engine(q, s):
     """A new engine on the ray of s, built as _engine builds one but kept
     out of the quiver's engine cache."""
-    return inv._Engine(q, inv._ray_of(s)[0])
+    return inv._Engine(q, inv._ray_of(s, q)[0])
 
 
 def engine_values(q, s, bound, make=fresh_engine):

@@ -241,27 +241,26 @@ MUTANTS: List[Mutant] = [
     # The memo as it was before _ExpMemo: each function reaches itself
     # through its closure, a cycle that holds the source engine.
     Mutant("exp memo by self-referential closures", WALLCROSS,
-           "return _ExpMemo(steps, x).weight",
-           "from functools import cache\n\n"
+           "weight = _ExpMemo(source._steps, y).weight",
+           "from functools import cache\n"
+           "    read = lambda a: y.get(a, _ZERO)  # noqa: E731\n\n"
            "    @cache\n"
            "    def powers(g):\n"
-           "        return _star_powers(g, steps(g), x, powers)\n\n"
+           "        return _star_powers(g, source._steps(g), read, powers)\n\n"
            "    @cache\n"
            "    def weight(g, c):\n"
-           "        return _series(g, steps(g), x, c, lambda p: weight(p, c),\n"
-           "                       _EXP, powers)\n"
-           "    return weight",
-           ("tests/test_wallcross.py::"
-            "test_the_exp_weights_hold_the_source_engine_only_while_they_live",
-            "tests/test_invariants.py::"
-            "test_a_quivers_engines_go_with_it_by_reference_counting")),
+           "        return _series(g, source._steps(g), read, c,\n"
+           "                       lambda p: weight(p, c), _EXP, powers)",
+           ("tests/test_invariants.py::"
+            "test_a_quivers_engines_go_with_it_by_reference_counting",)),
     Mutant("diff_tables without its quiver check", WALLCROSS,
            "if got.quiver is not want.quiver:", "if False:",
            ("tests/test_error_paths.py::test_library_refusals",)),
-    Mutant("wallcross_epsilon without its weight-count check", WALLCROSS,
-           "if len(pair.plus.weights) != nv or len(pair.minus.weights) != nv:",
-           "if False:",
-           ("tests/test_error_paths.py::test_library_refusals",)),
+    Mutant("_ray_of without its weight-count check", INVARIANTS,
+           "if n != m:", "if False:",
+           ("tests/test_error_paths.py::test_library_refusals",
+            "tests/test_invariants.py::"
+            "test_slope_of_the_wrong_length_is_rejected")),
     Mutant("slope_values without read_bound", INVARIANTS,
            "read_bound(bound)\n    value, c = _engine(quiver, slope).value",
            "value, c = _engine(quiver, slope).value",
@@ -272,6 +271,17 @@ MUTANTS: List[Mutant] = [
            "                     lambda a, b: quiver.commutation_exponent(b, a),",
            ("tests/test_counting.py::"
             "test_kronecker_semistable_integrals_are_finite_field_counts",)),
+    Mutant("a mirrored memo computes at every class", INVARIANTS,
+           "v = memo[a] = method(self, a) if b == a else memoised(self, b)",
+           "v = memo[a] = method(self, a)",
+           ("tests/test_invariants.py::"
+            "test_self_dual_engine_computes_one_class_per_duality_pair",
+            "tests/test_invariants.py::"
+            "test_seeded_engine_mirrors_the_numerators_of_a_genuine_table")),
+    Mutant("_sd_action twists by -tw", INVARIANTS,
+           "        return tw\n", "        return -tw\n",
+           ("tests/test_counting.py::test_kronecker_sd_semistable_"
+            "integrals_are_finite_field_counts",)),
 ]
 
 

@@ -414,6 +414,21 @@ def test_quiver_file_not_in_utf8_is_a_validation_error(tmp_path, capsys):
     assert_one_error_line(capsys, "not UTF-8")
 
 
+@pytest.mark.parametrize("text, fragment", [
+    ('{"vertices": ["x"], "signs": {"vertices": {"x": ' + "1" * 5001 + "}}}",
+     "Exceeds the limit (4300 digits) for integer string conversion"),
+    ("[" * 100000, "maximum recursion depth exceeded")],
+    ids=["integer-past-the-digit-limit", "nesting-past-the-recursion-limit"])
+def test_quiver_file_the_decoder_cannot_read_is_a_validation_error(
+        text, fragment, tmp_path, capsys):
+    """Written as raw text: json.dumps refuses the integer and recurses on
+    the nesting."""
+    path = tmp_path / "q.json"
+    path.write_text(text)
+    assert cli.main(["validate", str(path)]) == 1
+    assert_one_error_line(capsys, f"{path}: unreadable JSON: {fragment}")
+
+
 @pytest.mark.parametrize("command, flag", [("dt", "--slope"),
                                            ("series", "--ray")])
 def test_vertex_named_twice_is_a_validation_error(command, flag, capsys):

@@ -175,15 +175,16 @@ def test_library_refusals():
                        match=r"^\(1, 0\) is not a self-dual class$"):
         sd_semistable_integral(kron, slope, (1, 0))
 
-    # A pair whose weights do not match the quiver is refused first, before
-    # the table's slope is compared or any engine is read.
+    # A pair whose weight count is not the quiver's vertex count is refused
+    # first, by the engine's rule, before the table's slope is compared or
+    # any engine is read.
     pt = point_quiver(1)
     table = epsilon_table(kron, slope, 2)
     engines = dict(kron.engine_cache)
     for pair in (SlopePair(kron, slope, Slope.trivial(pt)),
                  SlopePair(kron, Slope.trivial(pt), slope)):
-        with pytest.raises(ValidationError, match="^slope weight length does "
-                                                  "not match quiver$"):
+        with pytest.raises(ValidationError,
+                           match="^slope has 1 weights for 2 vertices$"):
             wallcross_epsilon(table, pair)
     assert kron.engine_cache == engines
     twin = kronecker_variant((1, 1), 1)
@@ -219,9 +220,20 @@ def test_library_refusals():
         Slope((Fraction(-3, 2), Fraction(3, 2)))
 
     # A bound whose type is not int, a bool's included, is refused before
-    # anything is calibrated or enumerated, the class lists' caches too.
+    # anything is calibrated or enumerated, the class lists' caches too, and
+    # so is a slope whose weight count is not the vertex count.
     fresh = kronecker_variant((1, 1), 1)
     hn = Slope.from_dict(fresh, {"i": 1, "j": -1})
+    short = Slope((Fraction(1),))
+    for call in [lambda: dt_num(fresh, short, (1, 1)),
+                 lambda: build_table(fresh, short, 2),
+                 lambda: epsilon_table(fresh, short, 2),
+                 lambda: slope_values(fresh, short, 2),
+                 lambda: epsilon_element(fresh, short, Fraction(0), 2),
+                 lambda: sd_epsilon_element(fresh, short, 2)]:
+        with pytest.raises(ValidationError,
+                           match="^slope has 1 weights for 2 vertices$"):
+            call()
     assert fresh.sd_classes_up_to(1) == [(0, 0)]
     for call, shown in [
             (lambda: build_table(fresh, slope, 2.5), "2.5"),

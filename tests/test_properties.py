@@ -490,7 +490,7 @@ def assert_miller_matches_the_star_powers(q, slope, bound):
         by_value.setdefault(eng.value(a), {})[a] = eng.epsilon(a)
     for eps in by_value.values():
         y = wc._numerators(eps, gl_poly, "M(a) eps(a)")
-        weight = wc._exp_weights(eng._steps, y)
+        weight = wc._ExpMemo(eng._steps, y).weight
         memo = {}
 
         def x(a):
@@ -582,7 +582,7 @@ def test_a_class_whose_own_twists_vanish_takes_miller_over_star_powers(
     monkeypatch.setattr(wc, "_star_powers", star_powers)
     y = wc._numerators({a: eng.epsilon(a) for a in boxed_vectors(g)[1:]},
                        gl_poly, "M(a) eps(a)")
-    weight = wc._exp_weights(eng._steps, y)
+    weight = wc._ExpMemo(eng._steps, y).weight
 
     def x(a):
         return y.get(a, inv._ZERO)

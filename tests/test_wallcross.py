@@ -456,7 +456,7 @@ def test_transform_engine_stays_out_of_the_cache(monkeypatch):
 
 def test_the_exp_weights_hold_the_source_engine_only_while_they_live():
     """With the cyclic collector off, a crossing's exp weights
-    (_exp_weights over the source engine's _steps), read at c = 1 and 2
+    (_ExpMemo over the source engine's _steps), read at c = 1 and 2
     through the star powers, hold the source engine while they live, and
     then no more: their memo refers to no function of its own, so the
     engine goes with its quiver by reference counting."""
@@ -466,7 +466,7 @@ def test_the_exp_weights_hold_the_source_engine_only_while_they_live():
         y = wc._numerators({a: eng.epsilon(a)
                             for a in q.dim_vectors_up_to(4)},
                            gl_poly, "M(a) eps(a)")
-        weight = wc._exp_weights(eng._steps, y)
+        weight = wc._ExpMemo(eng._steps, y).weight
         assert any(step[3] for step in eng._steps((1, 1)))
         assert all(weight(g, c) is weight(g, c) for g in y for c in (1, 2))
         ref = weakref.ref(eng)
